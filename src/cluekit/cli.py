@@ -152,8 +152,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_spectrum(args) -> int:
     f = _load_table(args.fn)
     if args.efron_stein or not f.space.is_uniform_binary:
-        comp = spectral.efron_stein(f)
-        weights = comp.norms
+        weights = spectral.efron_stein(f).norms
         kind = "component_norms"
     else:
         weights = spectral.walsh_hadamard(f).coeffs
@@ -364,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perco", help="percolation crossings and torus bounds")
     p.add_argument("--rect", help="WxH vertices")
-    p.add_argument("--exact", action="store_true")
     p.add_argument("--mc", type=int, default=None, help="Monte Carlo sample count")
     p.add_argument("--torus", type=int, default=None)
     p.add_argument("--avg-clue", action="store_true")

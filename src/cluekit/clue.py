@@ -31,9 +31,12 @@ _VAR_FLOOR = 1e-14
 
 
 def _checked_variance(f: FunctionTable) -> float:
+    """Var f, refusing a function that is constant up to rounding.  The floor
+    scales with max |f - E f|^2, so adding a constant to f never changes the
+    verdict."""
     var = variance(f)
-    scale = max(1.0, float(np.max(np.abs(f.values))) ** 2)
-    if var <= _VAR_FLOOR * scale:
+    spread = float(np.max(np.abs(f.values - expectation(f))))
+    if var <= _VAR_FLOOR * spread**2:
         raise DegenerateError("constant function: clue-type ratios are undefined")
     return var
 
@@ -75,10 +78,10 @@ def clue_all_subsets(dist: SpectralDistribution) -> np.ndarray:
 
 def clue_all_subsets_table(f: FunctionTable) -> np.ndarray:
     """clue(f | mask) for every mask, via subset weights (any product measure)."""
-    _, weights = subset_weights(f)
     var = _checked_variance(f)
-    zeta = subset_zeta(weights)
-    return (zeta - weights[0]) / var
+    _, weights = subset_weights(f)
+    weights[0] = 0.0
+    return subset_zeta(weights) / var
 
 
 # ---------------------------------------------------------------------------
@@ -111,19 +114,13 @@ def _fiber_constancy_probability(f: FunctionTable, fixed: int, tol: float) -> fl
         space.axis_of(v) for v in reversed(vary_coords)
     ]
     grid = np.transpose(t, order).reshape(space.q ** len(fixed_coords), -1)
-    w_vary = np.array([1.0])
-    for v in reversed(vary_coords):
-        w_vary = np.kron(w_vary, space.pi[v])
-    support = w_vary > 0.0
+    support = space.marginal_weights(varying) > 0.0
     if not np.any(support):
         return 1.0
     cols = grid[:, support]
     spread = cols.max(axis=1) - cols.min(axis=1)
     constant = spread <= tol
-    w_fixed = np.array([1.0])
-    for v in reversed(fixed_coords):
-        w_fixed = np.kron(w_fixed, space.pi[v])
-    return float(w_fixed @ constant.astype(float))
+    return float(space.marginal_weights(fixed) @ constant.astype(float))
 
 
 def _require_boolean(f: FunctionTable):

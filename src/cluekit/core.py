@@ -121,14 +121,21 @@ class ProductSpace:
         return bool(np.any(self.pi == 0.0))
 
     # -- cached per-space arrays ---------------------------------------------
+    def marginal_weights(self, mask: int) -> np.ndarray:
+        """Product-measure weight of every configuration of the coordinates in
+        ``mask`` (re-indexed in increasing order, least significant first),
+        length q^|mask|."""
+        validate_mask(mask, self.n)
+        w = np.array([1.0])
+        for v in reversed(mask_indices(mask)):
+            w = np.kron(w, self.pi[v])
+        return w
+
     def config_weights(self) -> np.ndarray:
         """Product-measure weight of every configuration, length q^n."""
         cached = self._cache.get("weights")
         if cached is None:
-            w = np.array([1.0])
-            for v in reversed(range(self.n)):
-                w = np.kron(w, self.pi[v])
-            cached = self._cache["weights"] = w
+            cached = self._cache["weights"] = self.marginal_weights(full_mask(self.n))
         return cached
 
     def digits(self) -> np.ndarray:
@@ -255,16 +262,19 @@ def expectation(f: FunctionTable) -> float:
 
 
 def variance(f: FunctionTable) -> float:
+    """Corrected two-pass variance: centered before squaring, so a large
+    offset does not cancel it away, minus the squared mean of the deviations,
+    which removes the rounding error of E f (zero for a constant table)."""
     w = f.space.config_weights()
-    mean = float(w @ f.values)
-    return max(float(w @ (f.values**2)) - mean**2, 0.0)
+    dev = f.values - float(w @ f.values)
+    return max(float(w @ (dev * dev)) - float(w @ dev) ** 2, 0.0)
 
 
 def covariance(f: FunctionTable, g: FunctionTable) -> float:
     if f.space is not g.space and f.space != g.space:
         raise ValueError("tables live on different spaces")
     w = f.space.config_weights()
-    return float(w @ (f.values * g.values)) - float(w @ f.values) * float(w @ g.values)
+    return float(w @ ((f.values - expectation(f)) * (g.values - expectation(g))))
 
 
 def correlation(f: FunctionTable, g: FunctionTable) -> float:
@@ -293,10 +303,7 @@ def conditional_marginal(f: FunctionTable, mask: int) -> tuple[np.ndarray, np.nd
     dropped = [v for v in range(space.n) if not (mask >> v) & 1]
     for v in dropped:  # ascending v = descending axis, so axes stay valid
         t = np.tensordot(t, space.pi[v], axes=([space.axis_of(v)], [0]))
-    kept = [v for v in range(space.n) if (mask >> v) & 1]
-    w = np.array([1.0])
-    for v in reversed(kept):
-        w = np.kron(w, space.pi[v])
+    w = space.marginal_weights(mask)
     values = t.reshape(-1).copy()
     values[w == 0.0] = 0.0
     return values, w

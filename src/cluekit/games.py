@@ -9,10 +9,10 @@ from math import comb
 
 import numpy as np
 
-from .core import FunctionTable, expectation, mask_indices
+from .core import FunctionTable, mask_indices
 from .errors import GuardError
 from .infotheory import mutual_information
-from .spectral import efron_stein
+from .spectral import subset_weights
 from .transforms import popcounts, subset_zeta
 
 SUPERMODULAR_GATE = 10
@@ -50,12 +50,11 @@ class ShapleyVector:
 
 
 def build_clue_game(f: FunctionTable) -> CooperativeGame:
-    """v(S) = Var(E[f | S]), assembled by a subset-zeta over component norms."""
-    components = efron_stein(f)
-    zeta = subset_zeta(components.norms)
-    v = zeta - expectation(f) ** 2
-    v[0] = 0.0
-    return CooperativeGame(f.n, np.maximum(v, 0.0))
+    """v(S) = Var(E[f | S]), assembled by a subset-zeta over component norms
+    with the constant component left out."""
+    _, weights = subset_weights(f)
+    weights[0] = 0.0
+    return CooperativeGame(f.n, subset_zeta(weights))
 
 
 def build_iclue_game(f: FunctionTable) -> CooperativeGame:

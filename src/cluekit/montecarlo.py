@@ -9,8 +9,9 @@ corrected estimator subtracts that term.
 
 Determinism: work is cut into fixed-size chunks addressed by (master seed,
 chunk index) through a SplitMix64 mix feeding a Philox generator, and
-per-chunk results are reduced in fixed chunk order.  Thread count (capped by
-the CLUEKIT_THREADS environment variable) only maps chunks onto workers, so
+per-chunk results are reduced in fixed chunk order; child seeds of the
+Bernoulli estimator come from the same mix.  Thread count (capped by the
+CLUEKIT_THREADS environment variable) only maps chunks onto workers, so
 results are bitwise identical at any parallelism.
 """
 from __future__ import annotations
@@ -39,10 +40,13 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _stream_key(seed: int, stream: int) -> int:
+    return splitmix64((seed & MASK64) ^ splitmix64(stream & MASK64))
+
+
 def generator_for(seed: int, stream: int) -> np.random.Generator:
     """Independent generator for (seed, stream), reproducible by contract."""
-    key = splitmix64((seed & MASK64) ^ splitmix64(stream & MASK64))
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, stream)))
 
 
 def thread_count(requested: int | None = None) -> int:
@@ -250,7 +254,8 @@ def mc_expected_clue_bernoulli(
     for k in range(n_sets):
         bits = mask_rng.random(space.n) < p
         mask = int(sum(1 << v for v in range(space.n) if bits[v]))
-        est = mc_clue(evaluator, space, mask, n_outer, m_inner, seed + 7919 * (k + 1), threads)
+        child_seed = _stream_key(seed, (1 << 33) + k)  # streams apart from the mask stream
+        est = mc_clue(evaluator, space, mask, n_outer, m_inner, child_seed, threads)
         estimates.append(est.estimate)
         clamped = clamped or est.clamped
     arr = np.array(estimates)

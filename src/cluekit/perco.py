@@ -66,13 +66,6 @@ class RectangleSpec:
         return y * self.w + x
 
     def edge_endpoints(self) -> list[tuple[int, int]]:
-        ends = []
-        for y in range(self.h):
-            for x in range(self.w - 1):
-                ends.append((self.vertex(x, y), self.vertex(x + 1, y)))
-        for y in range(self.h - 1):
-            for x in range(self.w):
-                ends.append((self.vertex(x, y), self.vertex(x, y + 1)))
         # order must match edge indices
         ordered = [None] * self.edge_count
         for y in range(self.h):

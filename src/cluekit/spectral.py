@@ -1,12 +1,16 @@
 """Orthogonal decompositions of functions on product spaces and the
 distributions they induce on coordinate subsets.
 
-Two routes produce the same subset weights:
-
-* the Walsh butterfly transform, for uniform binary spaces, giving character
-  coefficients per subset mask in O(n 2^n);
-* the variance-of-projection Moebius route, valid for any product measure,
-  giving the squared norms of the orthogonal components per mask.
+One transform serves every product measure.  Coordinate v gets a basis of
+R^q that is orthonormal under pi_v: row 0 is the constant function, the
+others come from weighted Gram-Schmidt over e_{q-1}, ..., e_0, skipping
+zero-probability atoms.  Contracting axis v of a table with
+B_v diag(pi_v), for every v, gives the coefficients of the function in the
+product basis in O(n q^n); contracting with B_v^T inverts it (on the
+support).  A coefficient whose non-constant basis indices sit on the
+coordinates S belongs to the Efron-Stein component f_S, so ||f_S||^2 is the
+sum of those coefficients squared.  On uniform bits the basis is the Walsh
+basis and the coefficients are the character coefficients.
 
 Squared weights normalized to a probability measure form the spectral
 distribution; a uniformly random element of a sample from it drives the
@@ -18,15 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    FunctionTable,
-    ProductSpace,
-    conditional_marginal,
-    covariance,
-    validate_mask,
-)
+from .core import FunctionTable, ProductSpace, covariance, validate_mask
 from .errors import DegenerateError, GuardError
-from .transforms import popcounts, subset_mobius, subset_zeta
+from .transforms import popcounts, subset_zeta
 
 NEG_CLAMP = 1e-12
 COMPONENT_TABLE_GATE = 10
@@ -34,8 +32,47 @@ MONOTONE_GATE = 8
 
 
 # ---------------------------------------------------------------------------
-# Walsh transform (uniform binary spaces)
+# the product-basis transform
 # ---------------------------------------------------------------------------
+def _bases(space: ProductSpace) -> np.ndarray:
+    """(n, q, q) array: row k of entry v is basis function k of coordinate v.
+    Rows past the number of positive atoms stay zero."""
+    cached = space._cache.get("bases")
+    if cached is None:
+        cached = np.zeros((space.n, space.q, space.q))
+        for v, pi in enumerate(space.pi):
+            rows = [np.ones(space.q)]
+            # the smallest positive atom is spanned by the others
+            for j in np.flatnonzero(pi)[:0:-1]:
+                u = np.eye(space.q)[j]
+                for r in rows:
+                    u = u - float(pi @ (u * r)) * r
+                rows.append(u / np.sqrt(float(pi @ (u * u))))
+            cached[v, : len(rows)] = rows
+        space._cache["bases"] = cached
+    return cached
+
+
+def _transform(space: ProductSpace, values: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Product-basis coefficients of a table, indexed like configurations
+    with basis index k in place of digit k; ``inverse`` maps coefficients
+    back.  The last axis of ``values`` is transformed, leading axes ride
+    along."""
+    space.check_exact_guard()
+    bases = _bases(space)
+    mats = bases.transpose(0, 2, 1) if inverse else bases * space.pi[:, None, :]
+    src = np.array(values, dtype=float)
+    dst = np.empty_like(src)
+    lead, q = src.shape[:-1], space.q
+    # coordinate 0 is the fastest axis: one (q^(n-1), q) @ (q, q) product
+    np.matmul(src.reshape(lead + (-1, q)), mats[0].T, out=dst.reshape(lead + (-1, q)))
+    for v in range(1, space.n):
+        src, dst = dst, src
+        shape = lead + (-1, q, q**v)
+        np.matmul(mats[v], src.reshape(shape), out=dst.reshape(shape))
+    return dst
+
+
 @dataclass(frozen=True, eq=False)
 class FourierExpansion:
     """Character coefficients per subset mask; coeffs[0] is the mean."""
@@ -45,42 +82,23 @@ class FourierExpansion:
 
 
 def walsh_hadamard(f: FunctionTable) -> FourierExpansion:
-    """Butterfly transform of a table on a uniform binary space.
+    """Product-basis coefficients of a table on a uniform binary space.
 
     The character of mask S at a configuration is the product of the spins in
     S (digit 0 = spin -1).  Inverse is :func:`inverse_walsh_hadamard`.
     """
-    space = f.space
-    if not space.is_uniform_binary:
+    if not f.space.is_uniform_binary:
         raise GuardError(
             "walsh_hadamard requires q=2 with the uniform measure; "
             "use efron_stein for general product measures"
         )
-    arr = f.values.copy()
-    for v in range(space.n):
-        view = arr.reshape(-1, 2, 1 << v)
-        lo = view[:, 0, :].copy()
-        hi = view[:, 1, :].copy()
-        view[:, 0, :] = (lo + hi) / 2.0
-        view[:, 1, :] = (hi - lo) / 2.0
-    return FourierExpansion(space, arr)
+    return FourierExpansion(f.space, _transform(f.space, f.values))
 
 
 def inverse_walsh_hadamard(expansion: FourierExpansion) -> FunctionTable:
-    arr = expansion.coeffs.copy()
-    n = expansion.space.n
-    for v in range(n):
-        view = arr.reshape(-1, 2, 1 << v)
-        lo = view[:, 0, :].copy()
-        hi = view[:, 1, :].copy()
-        view[:, 0, :] = lo - hi
-        view[:, 1, :] = lo + hi
-    return FunctionTable(expansion.space, arr)
+    return FunctionTable(expansion.space, _transform(expansion.space, expansion.coeffs, inverse=True))
 
 
-# ---------------------------------------------------------------------------
-# orthogonal components under a general product measure
-# ---------------------------------------------------------------------------
 @dataclass(frozen=True, eq=False)
 class EfronSteinComponents:
     """Squared norms of the orthogonal components, one per subset mask.
@@ -94,42 +112,29 @@ class EfronSteinComponents:
     tables: np.ndarray | None = field(default=None, repr=False)
 
 
-def projection_norms(f: FunctionTable) -> np.ndarray:
-    """||E[f | mask]||^2 for every mask, length 2^n."""
-    space = f.space
-    space.check_exact_guard()
-    out = np.empty(1 << space.n)
-    for mask in range(1 << space.n):
-        vals, w = conditional_marginal(f, mask)
-        out[mask] = float(w @ (vals**2))
-    return out
-
-
 def efron_stein(f: FunctionTable, materialize: bool = False) -> EfronSteinComponents:
-    """Moebius inversion of mask -> ||E[f | mask]||^2.
+    """||f_S||^2 for every mask S, from the product-basis coefficients.
 
-    Under any product measure the inverted masses are nonnegative; values in
-    (-1e-12, 0) are clamped to 0, anything more negative is an error (it
-    signals a non-product measure smuggled in).
+    Basis slots 1..q-1 of each coordinate fold into one "v in S" slot.  With
+    ``materialize``, component S is the inverse transform of the coefficients
+    whose support is S; its values on zero-probability configurations carry
+    no meaning.
     """
     space = f.space
-    norms = subset_mobius(projection_norms(f))
-    low = norms.min()
-    if low < -NEG_CLAMP:
-        raise ValueError(
-            f"component mass {low} below -1e-12: measure is not a product measure"
-        )
-    norms = np.maximum(norms, 0.0)
+    if materialize and space.n > COMPONENT_TABLE_GATE:
+        raise GuardError("full component tables gated at n <= 10")
+    coeffs = _transform(space, f.values)
+    norms = coeffs**2
+    if space.q > 2:
+        for v in range(space.n):
+            t = norms.reshape(-1, space.q, 1 << v)
+            norms = np.stack([t[:, 0], t[:, 1:].sum(axis=1)], axis=1).reshape(-1)
     tables = None
     if materialize:
-        if space.n > COMPONENT_TABLE_GATE:
-            raise GuardError("full component tables gated at n <= 10")
-        from .core import conditional_expectation
-
-        cond = np.stack(
-            [conditional_expectation(f, mask).values for mask in range(1 << space.n)]
-        )
-        tables = subset_mobius(cond)
+        support = (space.digits() != 0) @ (1 << np.arange(space.n))
+        split = np.zeros((1 << space.n, space.size))
+        split[support, np.arange(space.size)] = coeffs
+        tables = _transform(space, split, inverse=True)
     return EfronSteinComponents(space, norms, tables)
 
 
@@ -156,24 +161,14 @@ class SpectralDistribution:
         object.__setattr__(self, "mass", mass)
 
 
-def subset_weights(source: FunctionTable | FourierExpansion | EfronSteinComponents) -> tuple[ProductSpace, np.ndarray]:
-    """Unnormalized squared weight per mask from any of the three carriers."""
-    if isinstance(source, FunctionTable):
-        if source.space.is_uniform_binary:
-            source = walsh_hadamard(source)
-        else:
-            source = efron_stein(source)
-    if isinstance(source, FourierExpansion):
-        return source.space, source.coeffs**2
-    if isinstance(source, EfronSteinComponents):
-        return source.space, source.norms.copy()
-    raise TypeError(f"cannot derive subset weights from {type(source).__name__}")
+def subset_weights(f: FunctionTable) -> tuple[ProductSpace, np.ndarray]:
+    """Unnormalized squared weight ||f_S||^2 per mask; mask 0 holds E[f]^2."""
+    return f.space, efron_stein(f).norms
 
 
-def spectral_distribution(source, conditioned: bool = False) -> SpectralDistribution:
-    space, weights = subset_weights(source)
+def spectral_distribution(f: FunctionTable, conditioned: bool = False) -> SpectralDistribution:
+    space, weights = subset_weights(f)
     if conditioned:
-        weights = weights.copy()
         weights[0] = 0.0
         total = weights.sum()
         if total <= 0.0:
@@ -226,8 +221,8 @@ class StabilityProfile:
         return float(self.level_weights[1:].sum())
 
 
-def stability_profile(source) -> StabilityProfile:
-    space, weights = subset_weights(source)
+def stability_profile(f: FunctionTable) -> StabilityProfile:
+    space, weights = subset_weights(f)
     pc = popcounts(space.n)
     levels = np.bincount(pc, weights=weights, minlength=space.n + 1)
     return StabilityProfile(levels)
@@ -325,9 +320,9 @@ def covariance_lemma_check(f: FunctionTable, g: FunctionTable) -> tuple[float, f
 # ---------------------------------------------------------------------------
 # identities used as cross-checks
 # ---------------------------------------------------------------------------
-def projected_variance_from_weights(source, mask: int) -> float:
+def projected_variance_from_weights(f: FunctionTable, mask: int) -> float:
     """Var(E[f | mask]) = sum of squared weights over nonempty submasks."""
-    space, weights = subset_weights(source)
+    space, weights = subset_weights(f)
     validate_mask(mask, space.n)
-    zeta = subset_zeta(weights)
-    return float(zeta[mask] - weights[0])
+    weights[0] = 0.0
+    return float(subset_zeta(weights)[mask])

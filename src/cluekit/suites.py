@@ -32,7 +32,7 @@ from .core import (
     variance,
 )
 from .montecarlo import generator_for, mc_clue
-from .transforms import popcounts
+from .transforms import popcounts, subset_mobius
 
 SUITE_SEED = 20240917  # fixed stream root: suites check pinned instances
 
@@ -76,8 +76,8 @@ def _direct_clue_all(f: FunctionTable) -> np.ndarray:
     out = np.empty(1 << f.n)
     for mask in range(1 << f.n):
         vals, w = conditional_marginal(f, mask)
-        mean = float(w @ vals)
-        out[mask] = (float(w @ (vals**2)) - mean**2) / var
+        dev = vals - float(w @ vals)
+        out[mask] = float(w @ (dev * dev)) / var
     return out
 
 
@@ -141,7 +141,7 @@ def spectral_identity_suite(n_uniform: int = 100, n_general: int = 20) -> SuiteR
         sp = _random_space(6, rng)
         f = FunctionTable(sp, rng.standard_normal(sp.size))
         direct = _direct_clue_all(f)
-        dist = spectral.spectral_distribution(spectral.efron_stein(f), conditioned=True)
+        dist = spectral.spectral_distribution(f, conditioned=True)
         per_mask = np.array([clue_spectral(dist, mask) for mask in range(1 << 6)])
         err = float(np.max(np.abs(direct - per_mask)))
         worst = max(worst, err)
@@ -163,11 +163,18 @@ def efron_stein_suite(n_trials: int = 20) -> SuiteReport:
     t0 = time.time()
     rng = generator_for(SUITE_SEED, 3)
     violations = []
-    stats = {"min_mass": np.inf, "worst_sum_err": 0.0, "worst_orth": 0.0, "worst_walsh_err": 0.0}
+    stats = {"min_mass": np.inf, "worst_sum_err": 0.0, "worst_orth": 0.0, "worst_walsh_err": 0.0,
+             "worst_fiber_err": 0.0}
     for trial in range(n_trials):
         sp = _random_space(6, rng)
         f = FunctionTable(sp, rng.standard_normal(sp.size))
         comp = spectral.efron_stein(f, materialize=True)
+        # independent oracle: Moebius inversion of the fiber projected variances
+        fiber = subset_mobius(_direct_clue_all(f) * variance(f))
+        fiber_err = float(np.max(np.abs(comp.norms[1:] - fiber[1:])))
+        stats["worst_fiber_err"] = max(stats["worst_fiber_err"], fiber_err)
+        if fiber_err > 1e-10:
+            violations.append({"trial": trial, "fiber_err": fiber_err})
         stats["min_mass"] = min(stats["min_mass"], float(comp.norms.min()))
         sum_err = abs(float(comp.norms.sum()) - l2_norm_sq(f))
         stats["worst_sum_err"] = max(stats["worst_sum_err"], sum_err)
@@ -495,22 +502,14 @@ def perco_suite(n_random_subsets: int = 500, mc_samples: int = 200_000) -> Suite
     averaged = perco.averaged_lr_table(torus)
     if not symmetry.is_invariant(averaged, torus.translation_group()):
         violations.append({"case": "averaged table not translation invariant"})
-    weights = spectral.walsh_hadamard(averaged).coeffs ** 2
-    var = float(weights[1:].sum())
-    from .transforms import subset_zeta
-
-    zeta = subset_zeta(weights)
+    torus_clue = clue_all_subsets_table(averaged)
     n_edges = torus.edge_count
-
-    def torus_clue(mask: int) -> float:
-        return float((zeta[mask] - weights[0]) / var)
-
     worst_slack = -np.inf
     masks = [1 << e for e in range(n_edges)]
     masks += [(1 << a) | (1 << b) for a in range(n_edges) for b in range(a + 1, n_edges)]
     masks += [int(rng.integers(1, 1 << n_edges)) for _ in range(n_random_subsets)]
     for mask in masks:
-        slack = torus_clue(mask) - 2.0 * mask.bit_count() / 9.0
+        slack = float(torus_clue[mask]) - 2.0 * mask.bit_count() / 9.0
         worst_slack = max(worst_slack, slack)
         if slack > 1e-9:
             violations.append({"case": "two-orbit bound", "mask": mask, "excess": slack})

@@ -40,16 +40,6 @@ def popcounts(n: int) -> np.ndarray:
     return pc
 
 
-def submasks(mask: int):
-    """Iterate all submasks of ``mask`` (including 0 and mask itself)."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def _bits(size: int) -> int:
     n = size.bit_length() - 1
     if 1 << n != size:

@@ -21,6 +21,7 @@ from cluekit.clue import (
 from cluekit.core import (
     FunctionTable,
     bernoulli_sets,
+    biased_bits,
     complement_mask,
     revealment,
     singleton_sets,
@@ -68,6 +69,25 @@ def test_clue_spectral_matches_direct():
     bulk = clue_all_subsets_table(f)
     for mask in range(64):
         assert bulk[mask] == pytest.approx(clue(f, mask), abs=1e-10)
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e7, 1e8])
+def test_clue_survives_large_offset_on_both_routes(offset):
+    rng = np.random.default_rng(25)
+    values = rng.standard_normal(1 << 10)
+    mask = 0b111
+    base = clue(FunctionTable(uniform_space(10), values), mask)
+    shifted = FunctionTable(uniform_space(10), values + offset)
+    assert clue(shifted, mask) == pytest.approx(base, rel=1e-5)
+    assert clue_all_subsets_table(shifted)[mask] == pytest.approx(base, rel=1e-5)
+
+
+def test_clue_all_subsets_biased_n16_matches_fibers():
+    space = biased_bits(16, np.linspace(0.2, 0.8, 16))
+    f = FunctionTable(space, np.random.default_rng(26).standard_normal(space.size))
+    bulk = clue_all_subsets_table(f)
+    for mask in (0b1, 0b111, 0xF0F0, 0x8001, 0xFFFF):
+        assert bulk[mask] == pytest.approx(clue(f, mask), abs=1e-12)
 
 
 def test_sig_examples():

@@ -171,3 +171,13 @@ def test_biased_bits_weights():
     assert w[0] == pytest.approx(0.25 * 0.75)
     assert w[3] == pytest.approx(0.75 * 0.25)
     assert w.sum() == pytest.approx(1.0)
+
+
+def test_marginal_weights_are_the_marginals_of_config_weights():
+    space = ProductSpace(3, 3, np.array([[0.2, 0.3, 0.5], [0.0, 0.4, 0.6], [0.1, 0.1, 0.8]]))
+    full = space.config_weights().reshape(space.tensor_shape())
+    # keep coordinates 0 and 2: sum out coordinate 1 (tensor axis 1)
+    np.testing.assert_allclose(space.marginal_weights(0b101), full.sum(axis=1).reshape(-1), atol=1e-15)
+    assert space.marginal_weights(0).tolist() == [1.0]
+    with pytest.raises(ValueError):
+        space.marginal_weights(0b1000)

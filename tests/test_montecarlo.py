@@ -110,6 +110,26 @@ def test_mc_expected_clue_respects_revealment_bound():
         assert est.estimate <= p + 3 * max(est.stderr, 1e-3)
 
 
+def test_mc_expected_clue_child_seeds_do_not_collide(monkeypatch):
+    # master seed 0 / set 1 and master seed 7919 / set 0 once shared a child seed
+    import cluekit.montecarlo as mc
+
+    seen = []
+    real = mc.mc_clue
+
+    def record(evaluator, space, mask, n_outer, m_inner, seed, threads=None):
+        seen.append(seed)
+        return real(evaluator, space, mask, n_outer, m_inner, seed, threads)
+
+    monkeypatch.setattr(mc, "mc_clue", record)
+    ev, sp = sum_evaluator(4), uniform_space(4)
+    mc_expected_clue_bernoulli(ev, sp, 0.5, 2, 8, 2, seed=0)
+    mc_expected_clue_bernoulli(ev, sp, 0.5, 1, 8, 2, seed=7919)
+    assert len(seen) == 3
+    assert seen[1] != seen[2]
+    assert len(set(seen)) == 3
+
+
 def test_thread_count_env(monkeypatch):
     monkeypatch.setenv("CLUEKIT_THREADS", "4")
     assert thread_count() == 4

@@ -5,6 +5,8 @@ from cluekit.core import (
     FunctionTable,
     ProductSpace,
     biased_bits,
+    conditional_expectation,
+    expectation,
     l2_norm_sq,
     uniform_space,
     variance,
@@ -27,7 +29,7 @@ from cluekit.spectral import (
     walsh_hadamard,
 )
 from cluekit.montecarlo import generator_for
-from cluekit.transforms import popcounts
+from cluekit.transforms import popcounts, subset_mobius
 from cluekit.zoo import dictator, majority, parity, sum_function
 
 
@@ -135,6 +137,43 @@ def test_efron_stein_components_reconstruct_and_orthogonal():
     gram = (comp.tables * w) @ comp.tables.T
     np.fill_diagonal(gram, 0.0)
     assert np.max(np.abs(gram)) < 1e-9
+
+
+def _space_with_zero_atom(n, q, seed):
+    rng = np.random.default_rng(seed)
+    pi = rng.dirichlet(np.ones(q) * 2.0, size=n)
+    pi[1] = np.r_[0.0, rng.dirichlet(np.ones(q - 1))]
+    return ProductSpace(n, q, pi)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        _space_with_zero_atom(6, 3, 21),
+        _space_with_zero_atom(5, 4, 22),
+        biased_bits(8, [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9]),
+    ],
+    ids=["6x3-zero-atom", "5x4-zero-atom", "8x2-biased"],
+)
+def test_component_norms_match_fiber_oracle(space):
+    rng = np.random.default_rng(23)
+    f = FunctionTable(space, rng.standard_normal(space.size))
+    projected = [variance(conditional_expectation(f, mask)) for mask in range(1 << space.n)]
+    oracle = subset_mobius(np.array(projected))
+    norms = efron_stein(f).norms
+    np.testing.assert_allclose(norms[1:], oracle[1:], rtol=0, atol=1e-12)
+    assert norms[0] == pytest.approx(expectation(f) ** 2, abs=1e-12)
+
+
+def test_walsh_matches_character_sums():
+    rng = np.random.default_rng(24)
+    n = 8
+    f = FunctionTable(uniform_space(n), rng.standard_normal(1 << n))
+    spins = f.space.spins().astype(float)
+    chars = np.array(
+        [np.prod(spins[:, [v for v in range(n) if (mask >> v) & 1]], axis=1) for mask in range(1 << n)]
+    )
+    np.testing.assert_allclose(walsh_hadamard(f).coeffs, chars @ f.values / (1 << n), rtol=0, atol=1e-14)
 
 
 def test_spectral_distribution_maj3():
