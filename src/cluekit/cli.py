@@ -25,6 +25,7 @@ from .core import (
     mask_indices,
     revealment,
     singleton_sets,
+    uniform_space,
 )
 from .errors import DegenerateError, GuardError, ParseError
 from .fnio import load_function
@@ -152,24 +153,24 @@ def _cmd_analyze(args) -> int:
 def _cmd_spectrum(args) -> int:
     f = _load_table(args.fn)
     if args.efron_stein or not f.space.is_uniform_binary:
-        weights = spectral.efron_stein(f).norms
+        values = weights = spectral.efron_stein(f).norms
         kind = "component_norms"
     else:
-        weights = spectral.walsh_hadamard(f).coeffs
+        values = spectral.walsh_hadamard(f).coeffs
+        weights = values**2
         kind = "coefficients"
-    dist = spectral.spectral_distribution(f, conditioned=True)
-    prof = spectral.stability_profile(f)
     if args.csv:
         print("mask,value")
-        for mask, value in enumerate(weights):
+        for mask, value in enumerate(values):
             print(f"{mask:#x},{float(value)!r}")
         return 0
+    dist = spectral.distribution_from_weights(f.space, weights, conditioned=True)
     _emit(
         {
             "fn": args.fn,
             "kind": kind,
-            "values": {f"{m:#x}": float(w) for m, w in enumerate(weights)},
-            "level_weights": prof.level_weights.tolist(),
+            "values": {f"{m:#x}": float(w) for m, w in enumerate(values)},
+            "level_weights": spectral.profile_from_weights(weights).level_weights.tolist(),
             "marginals": spectral.spectral_marginals(dist).tolist(),
         }
     )
@@ -200,7 +201,8 @@ def _cmd_clue(args) -> int:
 
 
 def _cmd_game(args) -> int:
-    f = _load_table(args.fn)
+    entry = None if args.fn.endswith(".json") else zoo.from_spec(args.fn)
+    f = load_function(args.fn) if entry is None else entry.table
     game = games.build_iclue_game(f) if args.iclue else games.build_clue_game(f)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     payload = {"fn": args.fn, "kind": "information" if args.iclue else "variance"}
@@ -210,8 +212,8 @@ def _cmd_game(args) -> int:
             from .symmetry import group_from_spec
 
             action = group_from_spec(args.action)
-        elif not args.fn.endswith(".json"):
-            action = zoo.from_spec(args.fn).action
+        elif entry is not None:
+            action = entry.action
     for check in checks:
         if check == "shapley":
             vec = games.shapley(game)
@@ -291,20 +293,17 @@ def _cmd_perco(args) -> int:
 
 
 def _cmd_mc_clue(args) -> int:
-    n, evaluator = zoo.evaluator_from_spec(args.fn) if not args.fn.endswith(".json") else (None, None)
-    if n is None:
+    if args.fn.endswith(".json"):
         f = load_function(args.fn)
-        n, evaluator = f.n, f.evaluator()
-        space = f.space
+        n, evaluator, space = f.n, f.evaluator(), f.space
     else:
-        from .core import uniform_space
-
+        n, evaluator = zoo.evaluator_from_spec(args.fn)
         space = uniform_space(n)
     mask = _parse_subset(args.subset, n)
     est = mc_clue(evaluator, space, mask, args.outer, args.inner, args.seed,
                   threads=thread_count())
     _emit({"fn": args.fn, "subset": mask_indices(mask), "estimate": est.estimate,
-           "stderr": est.stderr, "outer": est.n_outer, "inner": est.m_inner,
+           "stderr": est.stderr, "batches": est.batches, "outer": est.n_outer, "inner": est.m_inner,
            "seed": est.seed, "generator": est.generator, "clamped": est.clamped})
     return 0
 

@@ -18,10 +18,12 @@ from .core import (
     RandomSetDistribution,
     complement_mask,
     conditional_expectation,
+    conditional_marginal,
     correlation,
     expectation,
     validate_mask,
     variance,
+    weighted_variance,
 )
 from .errors import DegenerateError
 from .spectral import SpectralDistribution, subset_weights
@@ -51,7 +53,7 @@ def clue(f: FunctionTable, mask: int) -> float:
     """
     validate_mask(mask, f.n)
     var = _checked_variance(f)
-    return variance(conditional_expectation(f, mask)) / var
+    return weighted_variance(*conditional_marginal(f, mask)) / var
 
 
 def clue_spectral(dist: SpectralDistribution, mask: int) -> float:
@@ -165,7 +167,8 @@ def tv_clue(f: FunctionTable, mask: int) -> float:
     denom = float(w @ np.abs(f.values - mean))
     if denom <= 0.0:
         raise DegenerateError("constant function: TV clue undefined")
-    num = float(w @ np.abs(conditional_expectation(f, mask).values - mean))
+    values, weights = conditional_marginal(f, mask)
+    num = float(weights @ np.abs(values - mean))
     return num / denom
 
 

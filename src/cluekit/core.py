@@ -261,13 +261,16 @@ def expectation(f: FunctionTable) -> float:
     return float(f.space.config_weights() @ f.values)
 
 
-def variance(f: FunctionTable) -> float:
+def weighted_variance(values: np.ndarray, weights: np.ndarray) -> float:
     """Corrected two-pass variance: centered before squaring, so a large
     offset does not cancel it away, minus the squared mean of the deviations,
-    which removes the rounding error of E f (zero for a constant table)."""
-    w = f.space.config_weights()
-    dev = f.values - float(w @ f.values)
-    return max(float(w @ (dev * dev)) - float(w @ dev) ** 2, 0.0)
+    which removes the rounding error of the mean (zero for constant values)."""
+    dev = values - float(weights @ values)
+    return max(float(weights @ (dev * dev)) - float(weights @ dev) ** 2, 0.0)
+
+
+def variance(f: FunctionTable) -> float:
+    return weighted_variance(f.values, f.space.config_weights())
 
 
 def covariance(f: FunctionTable, g: FunctionTable) -> float:

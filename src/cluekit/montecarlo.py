@@ -7,12 +7,19 @@ into between-fiber and within-fiber parts.  The naive between-fiber variance
 overshoots the projected variance by (within variance) / m_inner; the
 corrected estimator subtracts that term.
 
-Determinism: work is cut into fixed-size chunks addressed by (master seed,
-chunk index) through a SplitMix64 mix feeding a Philox generator, and
-per-chunk results are reduced in fixed chunk order; child seeds of the
-Bernoulli estimator come from the same mix.  Thread count (capped by the
-CLUEKIT_THREADS environment variable) only maps chunks onto workers, so
-results are bitwise identical at any parallelism.
+One runner, :func:`run_chunks`, draws every sample here and in the
+percolation estimators.  Work is cut into fixed-size chunks; chunk c draws
+from the generator addressed by (master seed, c) through a SplitMix64 mix
+feeding a Philox generator, and its statistics vector is added into batch
+c % BATCHES.  Per-chunk results are reduced in a fixed pairwise order, so
+the thread count (capped by the CLUEKIT_THREADS environment variable) only
+maps chunks onto workers and results are bitwise identical at any
+parallelism.  Child seeds of the Bernoulli estimator come from the same mix.
+
+Error bars come from batch means (:func:`batch_stderr`) over the batches
+holding at least 2 rows.  Below 2 such batches (for instance n_outer <= 256
+with the default chunk of 256 rows) there is no error bar: stderr is None,
+never a silent 0, and every estimate reports how many batches it used.
 """
 from __future__ import annotations
 
@@ -62,13 +69,14 @@ def thread_count(requested: int | None = None) -> int:
 @dataclass(frozen=True)
 class McEstimate:
     estimate: float
-    stderr: float
+    stderr: float | None
     n_outer: int
     m_inner: int
     seed: int
     generator: str = GENERATOR_ID
     clamped: bool = False
     uncorrected: float | None = None
+    batches: int = 0
 
 
 def _sample_digits(space: ProductSpace, coords: list[int], rows: int, rng) -> np.ndarray:
@@ -92,11 +100,45 @@ def _pairwise_sum(chunks: list[np.ndarray]) -> np.ndarray:
     return items[0]
 
 
-def _run_chunks(worker, n_chunks: int, threads: int) -> list:
-    if threads <= 1:
-        return [worker(c) for c in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(n_chunks)))
+def run_chunks(
+    sample, total: int, seed: int, threads: int | None = None, chunk: int = CHUNK
+) -> np.ndarray:
+    """(BATCHES, k) statistics of ``total`` rows drawn in chunks of ``chunk``.
+
+    Chunk c calls ``sample(generator_for(seed, c), rows)``, which returns that
+    chunk's length-k statistics vector; it is added into batch c % BATCHES.
+    """
+    if total < 1:
+        raise ValueError("need at least one sample")
+    n_chunks = (total + chunk - 1) // chunk
+
+    def work(c: int) -> np.ndarray:
+        rows = min(chunk, total - c * chunk)
+        stats = np.asarray(sample(generator_for(seed, c), rows), dtype=float)
+        out = np.zeros((BATCHES, stats.size))
+        out[c % BATCHES] = stats
+        return out
+
+    workers = thread_count(threads)
+    if workers <= 1:
+        return _pairwise_sum([work(c) for c in range(n_chunks)])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return _pairwise_sum(list(pool.map(work, range(n_chunks))))
+
+
+def _standard_error(values: list[float]) -> tuple[float | None, int]:
+    """(standard error of the mean, number of values); None below 2 values."""
+    if len(values) < 2:
+        return None, len(values)
+    arr = np.array(values)
+    return float(arr.std(ddof=1) / sqrt(len(arr))), len(arr)
+
+
+def batch_stderr(stats: np.ndarray, estimate) -> tuple[float | None, int]:
+    """(stderr, batches) by batch means: ``estimate`` maps one batch's row of
+    statistics (row count first) to that batch's estimate.  Batches of fewer
+    than 2 rows are skipped; below 2 batches there is no error bar."""
+    return _standard_error([estimate(row) for row in stats if row[0] >= 2])
 
 
 def mc_clue(
@@ -114,18 +156,15 @@ def mc_clue(
     fresh completions of the rest.  Between-fiber variance minus
     (within variance / m_inner) estimates the numerator without nesting bias;
     adding back the within variance estimates the denominator.  stderr comes
-    from batch means over fixed chunk groups.  A corrected numerator that
-    lands at or below 0 is clamped and flagged.
+    from batch means.  A corrected numerator that lands at or below 0 is
+    clamped and flagged.
     """
     if n_outer < 2 or m_inner < 2:
         raise ValueError("need n_outer >= 2 and m_inner >= 2")
     inside = mask_indices(mask)
     outside = [v for v in range(space.n) if v not in inside]
-    n_chunks = (n_outer + CHUNK - 1) // CHUNK
 
-    def worker(chunk_idx: int) -> np.ndarray:
-        rows = min(CHUNK, n_outer - chunk_idx * CHUNK)
-        rng = generator_for(seed, chunk_idx)
+    def sample(rng, rows: int) -> list[float]:
         u_part = _sample_digits(space, inside, rows, rng)
         digits = np.empty((rows * m_inner, space.n), dtype=np.uint8)
         if inside:
@@ -135,17 +174,12 @@ def mc_clue(
         values = np.asarray(evaluator(digits), dtype=float).reshape(rows, m_inner)
         fiber_means = values.mean(axis=1)
         within_ss = float(np.sum((values - fiber_means[:, None]) ** 2))
-        batch = chunk_idx % BATCHES
-        out = np.zeros((BATCHES, 4))
-        out[batch] = [rows, fiber_means.sum(), float(fiber_means @ fiber_means), within_ss]
-        return out
+        return [rows, fiber_means.sum(), float(fiber_means @ fiber_means), within_ss]
 
-    stats = _pairwise_sum(_run_chunks(worker, n_chunks, thread_count(threads)))
+    stats = run_chunks(sample, n_outer, seed, threads)
 
     def ratio(rows_sums: np.ndarray) -> tuple[float, float, bool]:
         count, s1, s2, within_ss = rows_sums
-        if count < 2:
-            return np.nan, np.nan, False
         mean = s1 / count
         between = (s2 - count * mean**2) / (count - 1)
         within = within_ss / (count * (m_inner - 1))
@@ -160,14 +194,7 @@ def mc_clue(
         return numerator / total, between / total, clamped
 
     overall, uncorrected, clamped = ratio(stats.sum(axis=0))
-    batch_estimates = [
-        ratio(stats[b])[0] for b in range(BATCHES) if stats[b, 0] >= 2
-    ]
-    if len(batch_estimates) >= 2:
-        arr = np.array(batch_estimates)
-        stderr = float(arr.std(ddof=1) / sqrt(len(arr)))
-    else:
-        stderr = 0.0
+    stderr, batches = batch_stderr(stats, lambda row: ratio(row)[0])
     return McEstimate(
         estimate=float(overall),
         stderr=stderr,
@@ -176,6 +203,7 @@ def mc_clue(
         seed=seed,
         clamped=clamped,
         uncorrected=float(uncorrected),
+        batches=batches,
     )
 
 
@@ -193,28 +221,20 @@ def mc_stability(
         raise ValueError("need at least 2 samples")
     if not 0.0 <= p <= 1.0:
         raise ValueError("noise level p must lie in [0, 1]")
-    n_chunks = (samples + CHUNK - 1) // CHUNK
 
-    def worker(chunk_idx: int) -> np.ndarray:
-        rows = min(CHUNK, samples - chunk_idx * CHUNK)
-        rng = generator_for(seed, chunk_idx)
+    def sample(rng, rows: int) -> list[float]:
         base = (rng.random((rows, n)) < 0.5).astype(np.uint8)
         keep = rng.random((rows, n)) < p
         fresh = (rng.random((rows, n)) < 0.5).astype(np.uint8)
         noisy = np.where(keep, base, fresh)
         x = np.asarray(evaluator(base), dtype=float)
         y = np.asarray(evaluator(noisy), dtype=float)
-        batch = chunk_idx % BATCHES
-        out = np.zeros((BATCHES, 6))
-        out[batch] = [rows, x.sum(), y.sum(), float(x @ y), float(x @ x), float(y @ y)]
-        return out
+        return [rows, x.sum(), y.sum(), float(x @ y), float(x @ x), float(y @ y)]
 
-    stats = _pairwise_sum(_run_chunks(worker, n_chunks, thread_count(threads)))
+    stats = run_chunks(sample, samples, seed, threads)
 
     def ratio(row: np.ndarray) -> float:
         count, sx, sy, sxy, sxx, _ = row
-        if count < 2:
-            return np.nan
         cov = (sxy - sx * sy / count) / (count - 1)
         var = (sxx - sx**2 / count) / (count - 1)
         if var <= 0.0:
@@ -222,17 +242,14 @@ def mc_stability(
         return cov / var
 
     overall = ratio(stats.sum(axis=0))
-    batch_estimates = [ratio(stats[b]) for b in range(BATCHES) if stats[b, 0] >= 2]
-    stderr = 0.0
-    if len(batch_estimates) >= 2:
-        arr = np.array(batch_estimates)
-        stderr = float(arr.std(ddof=1) / sqrt(len(arr)))
+    stderr, batches = batch_stderr(stats, ratio)
     return McEstimate(
         estimate=float(overall),
         stderr=stderr,
         n_outer=samples,
         m_inner=1,
         seed=seed,
+        batches=batches,
     )
 
 
@@ -258,13 +275,13 @@ def mc_expected_clue_bernoulli(
         est = mc_clue(evaluator, space, mask, n_outer, m_inner, child_seed, threads)
         estimates.append(est.estimate)
         clamped = clamped or est.clamped
-    arr = np.array(estimates)
-    stderr = float(arr.std(ddof=1) / sqrt(n_sets)) if n_sets >= 2 else 0.0
+    stderr, batches = _standard_error(estimates)
     return McEstimate(
-        estimate=float(arr.mean()),
+        estimate=float(np.mean(estimates)),
         stderr=stderr,
         n_outer=n_outer,
         m_inner=m_inner,
         seed=seed,
         clamped=clamped,
+        batches=batches,
     )

@@ -17,8 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .clue import clue
 from .core import FunctionTable, uniform_space
 from .errors import GuardError
+from .montecarlo import mc_clue, run_chunks
+from .symmetry import average, from_generators
 
 EXACT_EDGE_GUARD = 22
 TORUS_TABLE_GUARD = 20
@@ -185,21 +188,14 @@ def crossing_probability_exact(rect: RectangleSpec) -> Fraction:
 
 
 def crossing_probability_mc(rect: RectangleSpec, samples: int, seed: int) -> tuple[float, float]:
-    """(estimate, stderr) of the crossing probability from iid configurations."""
-    from .montecarlo import generator_for
+    """(estimate, stderr) of the crossing probability from iid configurations;
+    the stderr is binomial, exact for iid Bernoulli samples."""
 
-    rng = generator_for(seed, 0)
-    hits = 0
-    chunk = 1 << 14
-    done = 0
-    total = 0
-    while done < samples:
-        take = min(chunk, samples - done)
-        open_matrix = rng.random((take, rect.edge_count)) < 0.5
-        hits += int(crossing_batch(rect, open_matrix).sum())
-        done += take
-        total += take
-    p_hat = hits / total
+    def sample(rng, rows: int) -> list[int]:
+        return [rows, crossing_batch(rect, rng.random((rows, rect.edge_count)) < 0.5).sum()]
+
+    total, hits = run_chunks(sample, samples, seed, chunk=1 << 14).sum(axis=0)
+    p_hat = float(hits / total)
     return p_hat, math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / total)
 
 
@@ -266,9 +262,12 @@ class TorusSpec:
                 perm[self.v_edge(x, y)] = self.v_edge(x + dx, y + dy)
         return tuple(perm)
 
-    def translation_group(self):
-        from .symmetry import from_generators
+    def translations(self) -> list[tuple[int, ...]]:
+        """Edge permutations of all n^2 translations, dx-major."""
+        steps = range(self.n)
+        return [self.translation_permutation(dx, dy) for dx in steps for dy in steps]
 
+    def translation_group(self):
         gens = [self.translation_permutation(1, 0), self.translation_permutation(0, 1)]
         return from_generators(gens, self.edge_count)
 
@@ -313,15 +312,7 @@ def torus_lr_table(torus: TorusSpec) -> FunctionTable:
 
 def averaged_lr_table(torus: TorusSpec) -> FunctionTable:
     """Mean of the crossing function over all n^2 torus translations."""
-    from .symmetry import average
-
-    table = torus_lr_table(torus)
-    perms = [
-        torus.translation_permutation(dx, dy)
-        for dx in range(torus.n)
-        for dy in range(torus.n)
-    ]
-    return average(table, perms)
+    return average(torus_lr_table(torus), torus.translations())
 
 
 @dataclass(frozen=True)
@@ -345,31 +336,25 @@ def averaged_crossing_clue_bound(
     a 3-sigma allowance beyond that)."""
     bound = 2.0 * mask.bit_count() / torus.n**2
     if torus.edge_count <= TORUS_TABLE_GUARD:
-        from .clue import clue
-
         if mask == 0:
             return AveragedClueReport(0.0, bound, None, True)
         value = clue(averaged_lr_table(torus), mask)
         return AveragedClueReport(value, bound, None, value <= bound + tol)
     if seed is None:
         raise ValueError("Monte Carlo regime needs a seed")
-    from .montecarlo import mc_clue
-
-    perms = [
-        torus.translation_permutation(dx, dy)
-        for dx in range(torus.n)
-        for dy in range(torus.n)
-    ]
     base = torus_lr_evaluator(torus)
-    perm_arrays = [np.asarray(p) for p in perms]
+    perms = [np.asarray(p) for p in torus.translations()]
 
     def averaged(digits):
         acc = np.zeros(len(digits))
-        for perm in perm_arrays:
+        for perm in perms:
             acc += base(digits[:, perm])
         return acc / len(perms)
 
     est = mc_clue(averaged, uniform_space(torus.edge_count), mask, mc_outer, mc_inner, seed)
+    if est.stderr is None:
+        raise ValueError(f"mc_outer={mc_outer} leaves {est.batches} batch: no error bar "
+                         "for the 3-sigma verdict")
     return AveragedClueReport(
         est.estimate, bound, est.stderr, est.estimate <= bound + 3.0 * est.stderr
     )
@@ -392,23 +377,16 @@ def translate_disagreement(
     """Monte Carlo estimate of P[crossing differs from its translate], with a
     Wilson score interval.  Reported, never asserted: the true size of this
     probability is an asymptotic statement."""
-    from .montecarlo import generator_for
-
     torus = TorusSpec(n)
-    perm = np.asarray(torus.translation_permutation(*displacement))
-    inv = np.argsort(perm)
-    rng = generator_for(seed, 0)
-    disagreements = 0
-    done = 0
-    chunk = 1 << 13
-    while done < samples:
-        take = min(chunk, samples - done)
-        open_matrix = rng.random((take, torus.edge_count)) < 0.5
-        base_vals = torus_lr_values(torus, open_matrix)
-        moved_vals = torus_lr_values(torus, open_matrix[:, inv])
-        disagreements += int(np.sum(base_vals != moved_vals))
-        done += take
-    p_hat = disagreements / samples
+    inv = np.argsort(np.asarray(torus.translation_permutation(*displacement)))
+
+    def sample(rng, rows: int) -> list[int]:
+        open_matrix = rng.random((rows, torus.edge_count)) < 0.5
+        moved = torus_lr_values(torus, open_matrix[:, inv])
+        return [np.sum(torus_lr_values(torus, open_matrix) != moved)]
+
+    disagreements = run_chunks(sample, samples, seed, chunk=1 << 13).sum()
+    p_hat = float(disagreements / samples)
     denom = 1.0 + z**2 / samples
     center = (p_hat + z**2 / (2 * samples)) / denom
     half = z * math.sqrt(p_hat * (1 - p_hat) / samples + z**2 / (4 * samples**2)) / denom

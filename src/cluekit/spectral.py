@@ -167,16 +167,20 @@ def subset_weights(f: FunctionTable) -> tuple[ProductSpace, np.ndarray]:
 
 
 def spectral_distribution(f: FunctionTable, conditioned: bool = False) -> SpectralDistribution:
-    space, weights = subset_weights(f)
+    return distribution_from_weights(*subset_weights(f), conditioned)
+
+
+def distribution_from_weights(
+    space: ProductSpace, weights: np.ndarray, conditioned: bool = False
+) -> SpectralDistribution:
+    """Spectral distribution of subset weights ||f_S||^2 (left unmodified)."""
+    weights = np.array(weights, dtype=float)
     if conditioned:
         weights[0] = 0.0
-        total = weights.sum()
-        if total <= 0.0:
-            raise DegenerateError("constant function: conditioned spectral sample undefined")
-    else:
-        total = weights.sum()
-        if total <= 0.0:
-            raise DegenerateError("zero function has no spectral distribution")
+    total = weights.sum()
+    if total <= 0.0:
+        raise DegenerateError("constant function: conditioned spectral sample undefined"
+                              if conditioned else "zero function has no spectral distribution")
     return SpectralDistribution(space, weights / total, conditioned)
 
 
@@ -222,10 +226,13 @@ class StabilityProfile:
 
 
 def stability_profile(f: FunctionTable) -> StabilityProfile:
-    space, weights = subset_weights(f)
-    pc = popcounts(space.n)
-    levels = np.bincount(pc, weights=weights, minlength=space.n + 1)
-    return StabilityProfile(levels)
+    return profile_from_weights(subset_weights(f)[1])
+
+
+def profile_from_weights(weights: np.ndarray) -> StabilityProfile:
+    """Level weights W_k of subset weights ||f_S||^2, one per mask."""
+    n = len(weights).bit_length() - 1
+    return StabilityProfile(np.bincount(popcounts(n), weights=weights, minlength=n + 1))
 
 
 def stability(profile: StabilityProfile, p: float) -> float:

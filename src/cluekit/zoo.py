@@ -9,6 +9,7 @@ threshold maps to -1.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,9 @@ def _spins(digits: np.ndarray) -> np.ndarray:
 # evaluators (work on any (N, n) digit matrix)
 # ---------------------------------------------------------------------------
 def dictator_evaluator(n: int, coord: int):
+    if not 0 <= coord < n:
+        raise ValueError(f"dictator coordinate {coord} outside 0..{n - 1}")
+
     def evaluate(digits):
         return _spins(digits[:, coord]).astype(float)
 
@@ -108,43 +112,39 @@ def composite_evaluator(m: int, t: int, shift: float, tribe_size: int | None = N
 # ---------------------------------------------------------------------------
 # dense-table constructors with tagged symmetry groups
 # ---------------------------------------------------------------------------
+def _entry(head: str, args: tuple, evaluator=None) -> ZooEntry:
+    family = FAMILIES[head]
+    n = family.n(*args)
+    table = table_from_digits(uniform_space(n), evaluator or family.evaluator(*args))
+    return ZooEntry(f"{head}:{','.join(map(str, args))}", n, table, family.action(*args))
+
+
 def dictator(n: int, coord: int = 0) -> ZooEntry:
-    table = table_from_digits(uniform_space(n), dictator_evaluator(n, coord))
-    return ZooEntry(f"dictator:{n},{coord}", n, table, stabilizer_of(coord, n))
+    return _entry("dictator", (n, coord))
 
 
 def parity(n: int) -> ZooEntry:
-    table = table_from_digits(uniform_space(n), parity_evaluator(n))
-    return ZooEntry(f"parity:{n}", n, table, symmetric_group_action(n))
+    return _entry("parity", (n,))
 
 
 def sum_function(n: int) -> ZooEntry:
-    table = table_from_digits(uniform_space(n), sum_evaluator(n))
-    return ZooEntry(f"sum:{n}", n, table, symmetric_group_action(n))
+    return _entry("sum", (n,))
 
 
 def majority(n: int) -> ZooEntry:
-    table = table_from_digits(uniform_space(n), majority_evaluator(n))
-    return ZooEntry(f"maj:{n}", n, table, symmetric_group_action(n))
+    return _entry("maj", (n,))
 
 
 def asym_majority(n: int, shift: float) -> ZooEntry:
-    table = table_from_digits(uniform_space(n), asym_majority_evaluator(n, shift))
-    return ZooEntry(f"amaj:{n},{shift}", n, table, symmetric_group_action(n))
+    return _entry("amaj", (n, shift))
 
 
 def tribes(tribe_size: int, tribe_count: int) -> ZooEntry:
-    n = tribe_size * tribe_count
-    table = table_from_digits(uniform_space(n), tribes_evaluator(tribe_size, tribe_count))
-    return ZooEntry(f"tribes:{tribe_size},{tribe_count}", n, table, tribes_group(tribe_size, tribe_count))
+    return _entry("tribes", (tribe_size, tribe_count))
 
 
 def composite(m: int, t: int, shift: float, tribe_size: int | None = None) -> ZooEntry:
-    n = m + t
-    table = table_from_digits(
-        uniform_space(n), composite_evaluator(m, t, shift, tribe_size)
-    )
-    return ZooEntry(f"composite:{m},{t},{shift}", n, table, None)
+    return _entry("composite", (m, t, shift), composite_evaluator(m, t, shift, tribe_size))
 
 
 # ---------------------------------------------------------------------------
@@ -213,71 +213,59 @@ def find_a(n: int, target_influence: float) -> float:
 # ---------------------------------------------------------------------------
 # spec-string front end
 # ---------------------------------------------------------------------------
-SPEC_FORMS = {
-    "dictator": "dictator:n[,j]",
-    "parity": "parity:n",
-    "sum": "sum:n",
-    "maj": "maj:n",
-    "amaj": "amaj:n,a",
-    "tribes": "tribes:l,k",
-    "composite": "composite:m,t,a",
+@dataclass(frozen=True)
+class Family:
+    """One zoo family: spec form, argument types (trailing ones may take
+    ``defaults``), and n, evaluator and symmetry action as functions of the
+    parsed arguments."""
+
+    form: str
+    types: tuple
+    n: Callable[..., int]
+    evaluator: Callable
+    action: Callable[..., GroupAction | None]
+    defaults: tuple = ()
+
+
+FAMILIES = {
+    "dictator": Family("dictator:n[,j]", (int, int), lambda n, j: n, dictator_evaluator,
+                       lambda n, j: stabilizer_of(j, n), defaults=(0,)),
+    "parity": Family("parity:n", (int,), lambda n: n, parity_evaluator, symmetric_group_action),
+    "sum": Family("sum:n", (int,), lambda n: n, sum_evaluator, symmetric_group_action),
+    "maj": Family("maj:n", (int,), lambda n: n, majority_evaluator, symmetric_group_action),
+    "amaj": Family("amaj:n,a", (int, float), lambda n, a: n, asym_majority_evaluator,
+                   lambda n, a: symmetric_group_action(n)),
+    "tribes": Family("tribes:l,k", (int, int), lambda l, k: l * k, tribes_evaluator, tribes_group),
+    "composite": Family("composite:m,t,a", (int, int, float), lambda m, t, a: m + t,
+                        composite_evaluator, lambda m, t, a: None),
 }
+SPEC_FORMS = {head: family.form for head, family in FAMILIES.items()}
 
 
-def _split_spec(spec: str) -> tuple[str, list[str]]:
+def _parse(spec: str) -> tuple[str, tuple, object]:
+    """(family head, typed arguments with defaults filled in, evaluator)."""
     head, _, tail = spec.partition(":")
     head = head.strip().lower()
-    if head not in SPEC_FORMS:
-        raise ParseError(f"unknown zoo family '{head}' (known: {', '.join(SPEC_FORMS)})")
-    args = [a for a in tail.split(",") if a] if tail else []
-    return head, args
+    if head not in FAMILIES:
+        raise ParseError(f"unknown zoo family '{head}' (known: {', '.join(FAMILIES)})")
+    family = FAMILIES[head]
+    raw = [a for a in tail.split(",") if a]
+    required = len(family.types) - len(family.defaults)
+    try:
+        if not required <= len(raw) <= len(family.types):
+            raise ValueError(f"{len(raw)} arguments")
+        args = tuple(t(a) for t, a in zip(family.types, raw)) + family.defaults[len(raw) - required:]
+        return head, args, family.evaluator(*args)
+    except ValueError as exc:
+        raise ParseError(f"bad arguments for '{spec}': expected {family.form}") from exc
 
 
 def evaluator_from_spec(spec: str):
     """(n, batch evaluator) for a zoo spec, without building the dense table."""
-    head, args = _split_spec(spec)
-    try:
-        if head == "dictator":
-            n = int(args[0])
-            coord = int(args[1]) if len(args) > 1 else 0
-            return n, dictator_evaluator(n, coord)
-        if head == "parity":
-            return int(args[0]), parity_evaluator(int(args[0]))
-        if head == "sum":
-            return int(args[0]), sum_evaluator(int(args[0]))
-        if head == "maj":
-            return int(args[0]), majority_evaluator(int(args[0]))
-        if head == "amaj":
-            n = int(args[0])
-            return n, asym_majority_evaluator(n, float(args[1]))
-        if head == "tribes":
-            l, k = int(args[0]), int(args[1])
-            return l * k, tribes_evaluator(l, k)
-        if head == "composite":
-            m, t, a = int(args[0]), int(args[1]), float(args[2])
-            return m + t, composite_evaluator(m, t, a)
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"bad arguments for '{spec}': expected {SPEC_FORMS[head]}") from exc
-    raise ParseError(f"unknown zoo spec '{spec}'")
+    head, args, evaluator = _parse(spec)
+    return FAMILIES[head].n(*args), evaluator
 
 
 def from_spec(spec: str) -> ZooEntry:
-    head, args = _split_spec(spec)
-    try:
-        if head == "dictator":
-            return dictator(int(args[0]), int(args[1]) if len(args) > 1 else 0)
-        if head == "parity":
-            return parity(int(args[0]))
-        if head == "sum":
-            return sum_function(int(args[0]))
-        if head == "maj":
-            return majority(int(args[0]))
-        if head == "amaj":
-            return asym_majority(int(args[0]), float(args[1]))
-        if head == "tribes":
-            return tribes(int(args[0]), int(args[1]))
-        if head == "composite":
-            return composite(int(args[0]), int(args[1]), float(args[2]))
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"bad arguments for '{spec}': expected {SPEC_FORMS[head]}") from exc
-    raise ParseError(f"unknown zoo spec '{spec}'")
+    """The zoo entry of a spec: its evaluator tabulated, plus name and action."""
+    return _entry(*_parse(spec))

@@ -156,6 +156,34 @@ def test_mc_clue_command_deterministic(capsys):
     assert payload1["generator"] == "philox4x64/splitmix64"
 
 
+def test_mc_clue_reports_missing_error_bar(capsys):
+    subset = ",".join(str(v) for v in range(10))
+    code, payload, out = run_cli(capsys, "mc-clue", "--fn", "maj:21", "--subset", subset,
+                                 "--outer", "200", "--seed", "3")
+    assert code == 0
+    assert '"stderr": null' in out
+    assert payload["batches"] == 1
+
+
+def test_spectrum_runs_the_transform_once(capsys, monkeypatch):
+    from cluekit import spectral
+
+    calls = []
+    real = spectral._transform
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_transform", counted)
+    for extra in ((), ("--efron-stein",)):
+        calls.clear()
+        code, payload, _ = run_cli(capsys, "spectrum", "--fn", "maj:11", *extra)
+        assert code == 0
+        assert len(calls) == 1
+        assert sum(payload["marginals"]) == pytest.approx(1.0)
+
+
 def test_round_trip_preserves_metrics(tmp_path, capsys):
     f = majority(3).table
     path = tmp_path / "maj3.json"

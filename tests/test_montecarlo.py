@@ -136,3 +136,23 @@ def test_thread_count_env(monkeypatch):
     monkeypatch.setenv("CLUEKIT_THREADS", "bogus")
     assert thread_count() == 1
     assert thread_count(6) == 6
+
+
+def test_mc_clue_without_two_batches_has_no_error_bar():
+    # 200 outer rows fill one 256-row chunk, hence one batch: no error bar
+    ev, sp = majority_evaluator(3), uniform_space(3)
+    one = mc_clue(ev, sp, 0b001, 200, 8, seed=3)
+    assert one.stderr is None
+    assert one.batches == 1
+    two = mc_clue(ev, sp, 0b001, 300, 8, seed=3)
+    assert two.batches == 2
+    assert two.stderr > 0.0
+
+
+def test_mc_stability_and_expected_clue_report_batches():
+    ev = majority_evaluator(3)
+    assert mc_stability(ev, 3, 0.5, 200, seed=1).stderr is None
+    est = mc_stability(ev, 3, 0.5, 4000, seed=1)
+    assert est.batches == 16 and est.stderr > 0.0
+    single = mc_expected_clue_bernoulli(ev, uniform_space(3), 0.5, 1, 400, 10, seed=2)
+    assert single.stderr is None and single.batches == 1

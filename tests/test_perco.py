@@ -6,6 +6,7 @@ import pytest
 from cluekit.clue import clue
 from cluekit.core import expectation
 from cluekit.errors import GuardError
+from cluekit.montecarlo import generator_for
 from cluekit.perco import (
     RectangleSpec,
     TorusSpec,
@@ -147,3 +148,25 @@ def test_translate_disagreement_reports_interval():
     est = translate_disagreement(3, (1, 0), 5000, seed=4)
     assert 0.0 <= est.ci_low <= est.estimate <= est.ci_high <= 1.0
     assert est.estimate > 0.0
+
+
+def test_perco_mc_ignores_thread_count(monkeypatch):
+    rect = RectangleSpec(4, 3)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CLUEKIT_THREADS", threads)
+        runs.append((crossing_probability_mc(rect, 40_000, seed=5),
+                     translate_disagreement(3, (1, 0), 20_000, seed=5)))
+    assert runs[0] == runs[1]
+
+
+def test_one_chunk_crossing_mc_is_the_seed_stream():
+    rect, samples, seed = RectangleSpec(4, 3), 3000, 8
+    open_matrix = generator_for(seed, 0).random((samples, rect.edge_count)) < 0.5
+    estimate, _ = crossing_probability_mc(rect, samples, seed)
+    assert estimate == float(np.mean(crossing_batch(rect, open_matrix)))
+
+
+def test_averaged_clue_bound_refuses_without_error_bar():
+    with pytest.raises(ValueError, match="error bar"):
+        averaged_crossing_clue_bound(TorusSpec(4), 0b11, mc_outer=200, mc_inner=4, seed=1)

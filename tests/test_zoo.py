@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cluekit.clue import clue
-from cluekit.core import expectation, mask_from_indices, uniform_space
+from cluekit.core import expectation, mask_from_indices, table_from_digits, uniform_space
 from cluekit.errors import ParseError
 from cluekit.symmetry import is_invariant, is_transitive
 from cluekit.zoo import (
@@ -14,6 +14,7 @@ from cluekit.zoo import (
     composite,
     coupled_majority_size,
     dictator,
+    FAMILIES,
     evaluator_from_spec,
     find_a,
     from_spec,
@@ -169,6 +170,29 @@ def test_evaluator_matches_table():
         assert n == entry.n
         digits = uniform_space(n).digits()
         np.testing.assert_array_equal(ev(digits), entry.table.values)
+
+
+# (well-formed spec, malformed spec) for every zoo family
+SPEC_CASES = [
+    ("dictator:6,2", "dictator:6,9"), ("parity:5", "parity:5,1"), ("sum:4", "sum:x"),
+    ("maj:7", "maj:6"), ("amaj:9,0.5", "amaj:9"), ("tribes:2,3", "tribes:2"),
+    ("composite:5,4,0.5", "composite:5,4"),
+]
+
+
+def test_spec_cases_cover_every_family():
+    assert {spec.partition(":")[0] for spec, _ in SPEC_CASES} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("spec, malformed", SPEC_CASES)
+def test_every_family_tabulates_its_evaluator(spec, malformed):
+    n, evaluator = evaluator_from_spec(spec)
+    expected = table_from_digits(uniform_space(n), evaluator)
+    np.testing.assert_array_equal(from_spec(spec).table.values, expected.values)
+    with pytest.raises(ParseError):
+        from_spec(malformed)
+    with pytest.raises(ParseError):
+        evaluator_from_spec(malformed)
 
 
 def test_from_spec_errors():
