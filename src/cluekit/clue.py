@@ -21,6 +21,7 @@ from .core import (
     conditional_marginal,
     correlation,
     expectation,
+    fibers,
     validate_mask,
     variance,
     weighted_variance,
@@ -108,18 +109,10 @@ def _fiber_constancy_probability(f: FunctionTable, fixed: int, tol: float) -> fl
     """Probability (over the fixed coordinates' marginal) that f is constant
     on the fiber, constancy judged over positive-probability completions."""
     space = f.space
-    varying = complement_mask(fixed, space.n)
-    t = f.values.reshape(space.tensor_shape())
-    fixed_coords = [v for v in range(space.n) if (fixed >> v) & 1]
-    vary_coords = [v for v in range(space.n) if (varying >> v) & 1]
-    order = [space.axis_of(v) for v in reversed(fixed_coords)] + [
-        space.axis_of(v) for v in reversed(vary_coords)
-    ]
-    grid = np.transpose(t, order).reshape(space.q ** len(fixed_coords), -1)
-    support = space.marginal_weights(varying) > 0.0
+    support = space.marginal_weights(complement_mask(fixed, space.n)) > 0.0
     if not np.any(support):
         return 1.0
-    cols = grid[:, support]
+    cols = fibers(f.values, space, fixed)[:, support]
     spread = cols.max(axis=1) - cols.min(axis=1)
     constant = spread <= tol
     return float(space.marginal_weights(fixed) @ constant.astype(float))

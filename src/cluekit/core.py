@@ -11,6 +11,12 @@ Conventions used everywhere in the package:
 * Coordinate subsets are plain Python ints used as bitmasks (bit v set means
   coordinate v belongs to the subset).
 
+Other modules reach this layout only through :func:`fibers`, :func:`extend`,
+:func:`permute` and the digit matrices that one private helper builds for
+:meth:`ProductSpace.digits` and :func:`table_from_digits`; the exceptions are
+the product-basis transform in :mod:`cluekit.spectral` and bit flips on binary
+indices.
+
 Dense tables hold one float per configuration, so the exact engine is gated
 at ``q**n <= 2**26`` (:data:`EXACT_GUARD`); anything larger must go through
 the Monte Carlo module.
@@ -25,6 +31,7 @@ import numpy as np
 from .errors import GuardError
 
 EXACT_GUARD = 1 << 26
+TABLE_BLOCK = 1 << 16
 PROB_TOL = 1e-12
 
 
@@ -128,7 +135,7 @@ class ProductSpace:
         validate_mask(mask, self.n)
         w = np.array([1.0])
         for v in reversed(mask_indices(mask)):
-            w = np.kron(w, self.pi[v])
+            w = np.multiply.outer(w, self.pi[v]).reshape(-1)
         return w
 
     def config_weights(self) -> np.ndarray:
@@ -139,20 +146,12 @@ class ProductSpace:
         return cached
 
     def digits(self) -> np.ndarray:
-        """(q^n, n) uint8 matrix: digits()[c, v] is coordinate v of config c."""
-        cached = self._cache.get("digits")
-        if cached is None:
-            idx = np.arange(self.size)
-            cols = [(idx // self.q**v) % self.q for v in range(self.n)]
-            cached = self._cache["digits"] = np.stack(cols, axis=1).astype(np.uint8)
-        return cached
+        """(q^n, n) uint8 matrix: digits()[c, v] is coordinate v of config c
+        (built on demand, not cached)."""
+        return _block_digits(self, 0, self.size)
 
     def tensor_shape(self) -> tuple[int, ...]:
         return (self.q,) * self.n
-
-    def axis_of(self, coord: int) -> int:
-        """Tensor axis of a coordinate after reshape to (q,)*n (C order)."""
-        return self.n - 1 - coord
 
     # -- index codec ----------------------------------------------------------
     def encode(self, digits: Sequence[int]) -> int:
@@ -237,21 +236,60 @@ class FunctionTable:
 
     def evaluator(self):
         """Batch evaluator digits->(values), for the Monte Carlo engine."""
-        space, values = self.space, self.values
+        values, place = self.values, self.space.q ** np.arange(self.n)
 
         def evaluate(digits: np.ndarray) -> np.ndarray:
-            idx = np.zeros(len(digits), dtype=np.int64)
-            for v in reversed(range(space.n)):
-                idx = idx * space.q + digits[:, v].astype(np.int64)
-            return values[idx]
+            return values[digits.astype(np.int64) @ place]
 
         return evaluate
 
 
+def _block_digits(space: ProductSpace, start: int, stop: int) -> np.ndarray:
+    """(stop - start, n) uint8 digits of configurations start..stop-1."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    return (idx[:, None] // space.q ** np.arange(space.n) % space.q).astype(np.uint8)
+
+
 def table_from_digits(space: ProductSpace, fn) -> FunctionTable:
-    """Build a table by evaluating ``fn`` on the (q^n, n) digit matrix."""
+    """Build a table by evaluating ``fn`` on blocks of ``TABLE_BLOCK`` rows of
+    the (q^n, n) digit matrix, which never exists whole.  ``fn`` must be
+    row-wise: output row i depends on input row i only."""
     space.check_exact_guard()
-    return FunctionTable(space, np.asarray(fn(space.digits()), dtype=float))
+    values = np.empty(space.size)
+    for start in range(0, space.size, TABLE_BLOCK):
+        stop = min(start + TABLE_BLOCK, space.size)
+        values[start:stop] = fn(_block_digits(space, start, stop))
+    return FunctionTable(space, values)
+
+
+# ---------------------------------------------------------------------------
+# the table layout: fibers of a subset, and coordinate permutations
+# ---------------------------------------------------------------------------
+def fibers(values: np.ndarray, space: ProductSpace, mask: int) -> np.ndarray:
+    """A table as a (q^|mask|, q^(n-|mask|)) array: row r is configuration r
+    of the ``mask`` coordinates and column c configuration c of the others,
+    each indexed like a configuration of its own coordinates in order."""
+    validate_mask(mask, space.n)
+    # axis n-1-v of the C-order tensor is coordinate v: kept axes first
+    order = mask_indices(complement_mask(mask, space.n)) + mask_indices(mask)
+    t = values.reshape(space.tensor_shape()).transpose([space.n - 1 - v for v in reversed(order)])
+    return t.reshape(space.q ** mask.bit_count(), -1)
+
+
+def extend(values: np.ndarray, space: ProductSpace, mask: int) -> np.ndarray:
+    """The q^n table of a function of the ``mask`` coordinates, given as a
+    q^|mask| vector indexed like the rows of :func:`fibers`."""
+    validate_mask(mask, space.n)
+    shape = [space.q if (mask >> v) & 1 else 1 for v in reversed(range(space.n))]
+    return np.broadcast_to(np.reshape(values, shape), space.tensor_shape()).reshape(-1)
+
+
+def permute(values: np.ndarray, space: ProductSpace, perm: Sequence[int]) -> np.ndarray:
+    """Relocate coordinates: the table g with g(w) = f(w'), where w'_v reads
+    coordinate perm[v] of w, i.e. g = f(gamma^{-1}.w) for the relocation
+    (gamma.w)_{perm[v]} = w_v."""
+    axes = (space.n - 1 - np.argsort(perm))[::-1]
+    return values.reshape(space.tensor_shape()).transpose(axes).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +339,8 @@ def conditional_marginal(f: FunctionTable, mask: int) -> tuple[np.ndarray, np.nd
     zero-probability marginals are set to 0.
     """
     space = f.space
-    validate_mask(mask, space.n)
-    t = f.values.reshape(space.tensor_shape())
-    dropped = [v for v in range(space.n) if not (mask >> v) & 1]
-    for v in dropped:  # ascending v = descending axis, so axes stay valid
-        t = np.tensordot(t, space.pi[v], axes=([space.axis_of(v)], [0]))
+    values = fibers(f.values, space, mask) @ space.marginal_weights(complement_mask(mask, space.n))
     w = space.marginal_weights(mask)
-    values = t.reshape(-1).copy()
     values[w == 0.0] = 0.0
     return values, w
 
@@ -317,16 +350,8 @@ def conditional_expectation(f: FunctionTable, mask: int) -> FunctionTable:
     fiber of the conditioning set.  On zero-probability fibers the value is
     defined as 0 (the space's ``has_zero_atoms`` flag tells reports to care).
     """
-    space = f.space
-    validate_mask(mask, space.n)
     marg, _ = conditional_marginal(f, mask)
-    kept = [v for v in range(space.n) if (mask >> v) & 1]
-    shape = [1] * space.n
-    for v in kept:
-        shape[space.axis_of(v)] = space.q
-    t = marg.reshape(shape)
-    full = np.broadcast_to(t, space.tensor_shape())
-    return FunctionTable(space, full.reshape(-1))
+    return FunctionTable(f.space, extend(marg, f.space, mask))
 
 
 # ---------------------------------------------------------------------------

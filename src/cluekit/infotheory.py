@@ -17,6 +17,7 @@ from .core import (
     complement_mask,
     conditional_marginal,
     expectation,
+    extend,
     validate_mask,
 )
 from .errors import DegenerateError
@@ -68,15 +69,8 @@ def joint_with_subset(f: FunctionTable, mask: int) -> DiscreteJoint:
     space.check_exact_guard()
     validate_mask(mask, space.n)
     codes, reps = group_values(f.values)
-    kept = [v for v in range(space.n) if (mask >> v) & 1]
-    u_codes = np.zeros(space.size, dtype=np.int64)
-    digits = space.digits()
-    scale = 1
-    for v in kept:
-        u_codes += digits[:, v].astype(np.int64) * scale
-        scale *= space.q
-    n_u = space.q ** len(kept)
-    n_z = len(reps)
+    n_u, n_z = space.q ** mask.bit_count(), len(reps)
+    u_codes = extend(np.arange(n_u), space, mask)
     flat = np.bincount(
         codes * n_u + u_codes, weights=space.config_weights(), minlength=n_z * n_u
     )

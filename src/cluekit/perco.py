@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .clue import clue
-from .core import FunctionTable, uniform_space
+from .core import FunctionTable, extend, mask_from_indices, uniform_space
 from .errors import GuardError
 from .montecarlo import mc_clue, run_chunks
 from .symmetry import average, from_generators
@@ -298,16 +298,11 @@ def torus_lr_table(torus: TorusSpec) -> FunctionTable:
     if m > TORUS_TABLE_GUARD:
         raise GuardError("dense torus table gated at 2 n^2 <= 20")
     support = torus.support_edges()
-    k = len(support)
-    support_digits = ((np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k)) & 1).astype(bool)
-    open_support = np.zeros((1 << k, m), dtype=bool)
-    open_support[:, support] = support_digits
-    core_values = torus_lr_values(torus, open_support)
-    idx = np.arange(1 << m, dtype=np.int64)
-    support_index = np.zeros(1 << m, dtype=np.int64)
-    for bit, edge in enumerate(support):
-        support_index |= ((idx >> edge) & 1) << bit
-    return FunctionTable(uniform_space(m), core_values[support_index])
+    open_support = np.zeros((1 << len(support), m), dtype=bool)
+    open_support[:, support] = _all_configs(len(support))
+    space = uniform_space(m)
+    values = extend(torus_lr_values(torus, open_support), space, mask_from_indices(support, m))
+    return FunctionTable(space, values)
 
 
 def averaged_lr_table(torus: TorusSpec) -> FunctionTable:

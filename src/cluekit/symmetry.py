@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FunctionTable, ProductSpace, mask_indices, validate_mask
+from .core import FunctionTable, mask_indices, permute, validate_mask
 from .errors import GuardError
 
 CLOSURE_CAP = 10**6
@@ -162,26 +162,16 @@ def tribes_group(tribe_size: int, tribe_count: int) -> GroupAction:
 
 
 # -- applying permutations to tables -----------------------------------------
-def config_index_map(space: ProductSpace, perm: tuple[int, ...]) -> np.ndarray:
-    """index_map[c] = index of the configuration reading coordinate v of c at
-    position perm[v]; gathering a table through it evaluates f(gamma^{-1}.w)."""
-    digits = space.digits().astype(np.int64)
-    idx = np.zeros(space.size, dtype=np.int64)
-    for v in range(space.n):
-        idx += digits[:, perm[v]] * space.q**v
-    return idx
-
-
 def translate_table(f: FunctionTable, perm: tuple[int, ...]) -> FunctionTable:
     """The translate of f by the permutation (f composed with the inverse
     relocation), as a new table."""
-    return FunctionTable(f.space, f.values[config_index_map(f.space, perm)])
+    return FunctionTable(f.space, permute(f.values, f.space, perm))
 
 
 def is_invariant(f: FunctionTable, action: GroupAction, tol: float = 1e-12) -> bool:
     f.space.check_exact_guard()
     for perm in action.generators:
-        moved = f.values[config_index_map(f.space, perm)]
+        moved = permute(f.values, f.space, perm)
         if np.max(np.abs(moved - f.values)) > tol:
             return False
     return True
@@ -221,7 +211,7 @@ def average(f: FunctionTable, elements) -> FunctionTable:
     f.space.check_exact_guard()
     acc = np.zeros_like(f.values)
     for perm in elements:
-        acc += f.values[config_index_map(f.space, tuple(perm))]
+        acc += permute(f.values, f.space, perm)
     return FunctionTable(f.space, acc / len(elements))
 
 

@@ -12,9 +12,12 @@ from cluekit.core import (
     complement_mask,
     conditional_expectation,
     expectation,
+    extend,
+    fibers,
     full_mask,
     mask_from_indices,
     mask_indices,
+    permute,
     revealment,
     singleton_sets,
     uniform_space,
@@ -104,6 +107,33 @@ def test_config_codec_round_trip(n, q):
     digits = space.digits()
     for index in (0, 1, space.size // 2, space.size - 1):
         assert list(digits[index]) == space.decode(index)
+
+
+@pytest.mark.parametrize("n,q", [(5, 2), (4, 3), (3, 4)])
+def test_fibers_extend_permute_follow_the_index_layout(n, q):
+    rng = np.random.default_rng(10 * n + q)
+    space = uniform_space(n, q)
+    values = rng.normal(size=space.size)
+    configs = [space.decode(c) for c in range(space.size)]
+
+    def code(digits, coords):
+        return sum(digits[v] * q**i for i, v in enumerate(coords))
+
+    for mask in (0, full_mask(n), 0b101):
+        kept, rest = mask_indices(mask), mask_indices(complement_mask(mask, n))
+        expected = np.empty((q ** len(kept), q ** len(rest)))
+        for c, digits in enumerate(configs):
+            expected[code(digits, kept), code(digits, rest)] = values[c]
+        np.testing.assert_array_equal(fibers(values, space, mask), expected)
+        marginal = rng.normal(size=q ** len(kept))
+        expected = [marginal[code(digits, kept)] for digits in configs]
+        np.testing.assert_array_equal(extend(marginal, space, mask), expected)
+    # reference: the gather through the digit-loop index map
+    digits = space.digits().astype(np.int64)
+    perms = [tuple(rng.permutation(n)) for _ in range(4)] + [tuple(range(1, n)) + (0,)]
+    for perm in perms:
+        index_map = sum(digits[:, perm[v]] * q**v for v in range(n))
+        np.testing.assert_array_equal(permute(values, space, perm), values[index_map])
 
 
 def test_exact_guard_blocks_large_tables():

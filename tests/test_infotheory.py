@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cluekit.core import FunctionTable, conditional_expectation, uniform_space
+from cluekit.core import (
+    FunctionTable,
+    ProductSpace,
+    conditional_expectation,
+    mask_indices,
+    uniform_space,
+)
 from cluekit.errors import DegenerateError
 from cluekit.infotheory import (
     ent_functional,
@@ -146,3 +152,21 @@ def test_i_clue_monotone_under_inclusion():
             mutual_information(f, mask)
             <= mutual_information(f, mask | extra) + 1e-12
         )
+
+
+def test_joint_with_subset_matches_digit_bincount():
+    rng = np.random.default_rng(3)
+    pi = rng.dirichlet(np.ones(3), size=4)
+    pi[2] = [0.5, 0.0, 0.5]
+    space = ProductSpace(4, 3, pi)
+    f = FunctionTable(space, rng.integers(0, 3, space.size).astype(float))
+    codes, reps = group_values(f.values)
+    digits = space.digits().astype(np.int64)
+    for mask in (0, 0b0110, 0b1011, 0b1111):
+        kept = mask_indices(mask)
+        u_codes = sum(digits[:, v] * 3**i for i, v in enumerate(kept))
+        n_u = 3 ** len(kept)
+        expected = np.bincount(
+            codes * n_u + u_codes, weights=space.config_weights(), minlength=len(reps) * n_u
+        ).reshape(len(reps), n_u)
+        np.testing.assert_allclose(joint_with_subset(f, mask).table, expected, rtol=0, atol=1e-15)

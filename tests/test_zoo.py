@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,7 +168,8 @@ def test_find_a_hits_reachable_targets():
 
 
 def test_evaluator_matches_table():
-    for spec in ("maj:5", "parity:4", "sum:4", "tribes:2,2", "amaj:4,0.5", "composite:3,2,0.5"):
+    for spec in ("maj:5", "parity:4", "sum:4", "tribes:2,2", "amaj:4,0.5", "composite:3,2,0.5",
+                 "maj:17"):
         entry = from_spec(spec)
         n, ev = evaluator_from_spec(spec)
         assert n == entry.n
@@ -202,3 +207,15 @@ def test_from_spec_errors():
         from_spec("maj:notanumber")
     with pytest.raises(ParseError):
         from_spec("tribes:2")
+
+
+def test_majority_21_builds_in_bounded_memory():
+    """The table is built block by block: the (2^21, 21) digit matrix, 44 MB
+    as uint8 and 350 MB once widened to spins, never exists."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import resource; from cluekit.zoo import majority; majority(21); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=300)
+    assert int(out.stdout) < 300 * 1024  # ru_maxrss is in KiB on Linux
