@@ -282,9 +282,6 @@ def _cmd_perco(args) -> int:
         return 0
     if args.avg_clue:
         mask = _parse_subset(args.subset or "empty", torus.edge_count, torus)
-        needs_mc = torus.edge_count > perco.TORUS_TABLE_GUARD
-        if needs_mc and args.seed is None:
-            raise ParseError("torus beyond the exact guard requires --seed")
         report = perco.averaged_crossing_clue_bound(torus, mask, seed=args.seed)
         _emit({"torus": args.torus, "subset_mask": mask, "clue": report.clue,
                "bound": report.bound, "stderr": report.stderr, "holds": report.holds})

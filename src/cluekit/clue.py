@@ -38,7 +38,8 @@ def _checked_variance(f: FunctionTable) -> float:
     scales with max |f - E f|^2, so adding a constant to f never changes the
     verdict."""
     var = variance(f)
-    spread = float(np.max(np.abs(f.values - expectation(f))))
+    dev = f.values - expectation(f)
+    spread = float(max(dev.max(), -dev.min()))
     if var <= _VAR_FLOOR * spread**2:
         raise DegenerateError("constant function: clue-type ratios are undefined")
     return var
@@ -70,13 +71,6 @@ def clue_spectral(dist: SpectralDistribution, mask: int) -> float:
         if sub == 0:
             return float(total)
         sub = (sub - 1) & mask
-
-
-def clue_all_subsets(dist: SpectralDistribution) -> np.ndarray:
-    """clue for every mask at once via the subset-zeta transform."""
-    if not dist.conditioned:
-        raise ValueError("clue_all_subsets needs a conditioned distribution")
-    return subset_zeta(dist.mass)
 
 
 def clue_all_subsets_table(f: FunctionTable) -> np.ndarray:

@@ -17,9 +17,12 @@ Other modules reach this layout only through :func:`fibers`, :func:`extend`,
 the product-basis transform in :mod:`cluekit.spectral` and bit flips on binary
 indices.
 
-Dense tables hold one float per configuration, so the exact engine is gated
-at ``q**n <= 2**26`` (:data:`EXACT_GUARD`); anything larger must go through
-the Monte Carlo module.
+Memory has one rule: :func:`require_bytes` refuses (GuardError) any array of
+at least :data:`BYTE_BUDGET` bytes before it is allocated.  Every
+:class:`FunctionTable` (8 q^n bytes) is checked, and engines check each larger
+array they build.  The other gates bound time: ``games.SUPERMODULAR_GATE``,
+``spectral.MONOTONE_GATE``, the n <= 20 of :func:`bernoulli_sets` and
+``symmetry.CLOSURE_CAP``.
 """
 from __future__ import annotations
 
@@ -30,9 +33,23 @@ import numpy as np
 
 from .errors import GuardError
 
-EXACT_GUARD = 1 << 26
+BYTE_BUDGET = 1 << 30
 TABLE_BLOCK = 1 << 16
 PROB_TOL = 1e-12
+
+
+def fits_budget(nbytes: int) -> bool:
+    return nbytes < BYTE_BUDGET
+
+
+def require_bytes(nbytes: int, what: str):
+    """Refuse an array of ``nbytes`` bytes, described by ``what``, before it
+    is allocated."""
+    if not fits_budget(nbytes):
+        raise GuardError(
+            f"{what} needs {nbytes / 2**30:.2f} GiB; the byte budget admits arrays "
+            f"below {BYTE_BUDGET >> 30} GiB, use the montecarlo module"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +66,14 @@ def mask_from_indices(indices: Sequence[int], n: int) -> int:
 
 def mask_indices(mask: int) -> list[int]:
     return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+
+
+def mask_image(mask: int, perm: Sequence[int]) -> int:
+    """The subset {perm[v] : v in mask}."""
+    img = 0
+    for v in mask_indices(mask):
+        img |= 1 << perm[v]
+    return img
 
 
 def full_mask(n: int) -> int:
@@ -113,11 +138,7 @@ class ProductSpace:
         return self.q**self.n
 
     def check_exact_guard(self):
-        if self.size > EXACT_GUARD:
-            raise GuardError(
-                f"q^n = {self.q}^{self.n} exceeds the exact-engine guard 2^26; "
-                "use the montecarlo module"
-            )
+        require_bytes(8 * self.size, f"a dense table over q^n = {self.q}^{self.n} configurations")
 
     @property
     def is_uniform_binary(self) -> bool:
@@ -202,6 +223,7 @@ class FunctionTable:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        self.space.check_exact_guard()
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.space.size,):
             raise ValueError(
@@ -246,6 +268,7 @@ class FunctionTable:
 
 def _block_digits(space: ProductSpace, start: int, stop: int) -> np.ndarray:
     """(stop - start, n) uint8 digits of configurations start..stop-1."""
+    require_bytes(8 * space.n * (stop - start), f"a {stop - start}-row digit matrix")
     idx = np.arange(start, stop, dtype=np.int64)
     return (idx[:, None] // space.q ** np.arange(space.n) % space.q).astype(np.uint8)
 
@@ -304,7 +327,9 @@ def weighted_variance(values: np.ndarray, weights: np.ndarray) -> float:
     offset does not cancel it away, minus the squared mean of the deviations,
     which removes the rounding error of the mean (zero for constant values)."""
     dev = values - float(weights @ values)
-    return max(float(weights @ (dev * dev)) - float(weights @ dev) ** 2, 0.0)
+    mean_dev = float(weights @ dev)
+    np.square(dev, out=dev)
+    return max(float(weights @ dev) - mean_dev**2, 0.0)
 
 
 def variance(f: FunctionTable) -> float:
@@ -408,8 +433,6 @@ def translate_sets(mask: int, perms: Sequence[Sequence[int]], n: int) -> RandomS
     validate_mask(mask, n)
     atoms: dict[int, float] = {}
     for perm in perms:
-        img = 0
-        for v in mask_indices(mask):
-            img |= 1 << perm[v]
+        img = mask_image(mask, perm)
         atoms[img] = atoms.get(img, 0.0) + 1.0 / len(perms)
     return RandomSetDistribution(n, tuple(atoms.items()))

@@ -14,8 +14,9 @@ class ParseError(CluekitError):
 
 
 class GuardError(CluekitError):
-    """A size gate was exceeded or an operation was called outside its
-    supported regime (e.g. Walsh transform on a biased measure)."""
+    """An array would exceed the byte budget (refused before allocation), a
+    time gate was exceeded, or an operation was called outside its supported
+    regime (e.g. Walsh transform on a biased measure)."""
 
 
 class DegenerateError(CluekitError):

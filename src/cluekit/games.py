@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 
-from .core import FunctionTable, mask_indices
+from .core import FunctionTable, mask_image, mask_indices
 from .errors import GuardError
 from .infotheory import mutual_information
 from .spectral import subset_weights
@@ -59,7 +59,6 @@ def build_clue_game(f: FunctionTable) -> CooperativeGame:
 
 def build_iclue_game(f: FunctionTable) -> CooperativeGame:
     """v(S) = I(Z : X_S) with Z the grouped value of f."""
-    f.space.check_exact_guard()
     v = np.array([mutual_information(f, mask) for mask in range(1 << f.n)])
     v[0] = 0.0
     return CooperativeGame(f.n, v)
@@ -113,14 +112,7 @@ def restrict_game(game: CooperativeGame, mask: int) -> CooperativeGame:
     players re-indexed in increasing coordinate order)."""
     players = mask_indices(mask)
     k = len(players)
-    sub_v = np.empty(1 << k)
-    for s in range(1 << k):
-        full = 0
-        for bit, player in enumerate(players):
-            if (s >> bit) & 1:
-                full |= 1 << player
-        sub_v[s] = game.v[full]
-    return CooperativeGame(k, sub_v)
+    return CooperativeGame(k, game.v[[mask_image(s, players) for s in range(1 << k)]])
 
 
 def subgame_shapley_monotone(
@@ -156,10 +148,7 @@ class TransitiveBoundReport:
 def game_is_invariant(game: CooperativeGame, perms) -> bool:
     for perm in perms:
         for mask in range(1 << game.n):
-            img = 0
-            for v in mask_indices(mask):
-                img |= 1 << perm[v]
-            if abs(game.v[img] - game.v[mask]) > 1e-12:
+            if abs(game.v[mask_image(mask, perm)] - game.v[mask]) > 1e-12:
                 return False
     return True
 

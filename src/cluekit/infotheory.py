@@ -18,6 +18,7 @@ from .core import (
     conditional_marginal,
     expectation,
     extend,
+    require_bytes,
     validate_mask,
 )
 from .errors import DegenerateError
@@ -66,10 +67,10 @@ class DiscreteJoint:
 
 def joint_with_subset(f: FunctionTable, mask: int) -> DiscreteJoint:
     space = f.space
-    space.check_exact_guard()
     validate_mask(mask, space.n)
     codes, reps = group_values(f.values)
     n_u, n_z = space.q ** mask.bit_count(), len(reps)
+    require_bytes(8 * n_z * n_u, f"a joint law of {n_z} values by {n_u} configurations")
     u_codes = extend(np.arange(n_u), space, mask)
     flat = np.bincount(
         codes * n_u + u_codes, weights=space.config_weights(), minlength=n_z * n_u
@@ -109,6 +110,10 @@ def sig_i(f: FunctionTable, mask: int) -> float:
 # ---------------------------------------------------------------------------
 # the multiplicative entropy functional and the KL-clue
 # ---------------------------------------------------------------------------
+def _xlogx(vals: np.ndarray) -> np.ndarray:
+    return np.where(vals > 0.0, vals * np.log(np.maximum(vals, 1e-300)), 0.0)
+
+
 def ent_functional(f: FunctionTable) -> float:
     """E[f ln f] - E[f] ln E[f] for f >= 0, with 0 ln 0 = 0.
 
@@ -121,16 +126,13 @@ def ent_functional(f: FunctionTable) -> float:
     mean = expectation(f)
     if mean <= 0.0:
         raise DegenerateError("ent_functional needs E[f] > 0")
-    w = f.space.config_weights()
-    xlogx = np.where(vals > 0.0, vals * np.log(np.maximum(vals, 1e-300)), 0.0)
-    return float(w @ xlogx) - mean * np.log(mean)
+    return float(f.space.config_weights() @ _xlogx(vals)) - mean * np.log(mean)
 
 
 def _ent_of_marginal(f: FunctionTable, mask: int) -> float:
     vals, w = conditional_marginal(f, mask)
     mean = float(w @ vals)
-    xlogx = np.where(vals > 0.0, vals * np.log(np.maximum(vals, 1e-300)), 0.0)
-    return float(w @ xlogx) - mean * np.log(mean)
+    return float(w @ _xlogx(vals)) - mean * np.log(mean)
 
 
 def kl_clue(f: FunctionTable, mask: int) -> float:

@@ -81,12 +81,10 @@ class McEstimate:
 
 def _sample_digits(space: ProductSpace, coords: list[int], rows: int, rng) -> np.ndarray:
     """(rows, len(coords)) digit matrix drawn from the product marginals."""
-    out = np.empty((rows, len(coords)), dtype=np.uint8)
     u = rng.random((rows, len(coords)))
-    for j, v in enumerate(coords):
-        cdf = np.cumsum(space.pi[v])
-        out[:, j] = np.searchsorted(cdf, u[:, j], side="right").clip(0, space.q - 1)
-    return out
+    cdf = np.cumsum(space.pi[coords], axis=1)
+    # the digit counts the interior cdf breakpoints at or below u
+    return (u[:, :, None] >= cdf[:, :-1]).sum(axis=2, dtype=np.uint8)
 
 
 def _pairwise_sum(chunks: list[np.ndarray]) -> np.ndarray:

@@ -18,13 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from .clue import clue
-from .core import FunctionTable, extend, mask_from_indices, uniform_space
-from .errors import GuardError
+from .core import FunctionTable, extend, fits_budget, mask_from_indices, require_bytes, uniform_space
 from .montecarlo import mc_clue, run_chunks
 from .symmetry import average, from_generators
-
-EXACT_EDGE_GUARD = 22
-TORUS_TABLE_GUARD = 20
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +177,8 @@ def _all_configs(n_edges: int) -> np.ndarray:
 
 def crossing_probability_exact(rect: RectangleSpec) -> Fraction:
     """Exact crossing probability at p = 1/2 by full enumeration."""
-    if rect.edge_count > EXACT_EDGE_GUARD:
-        raise GuardError(f"exact enumeration gated at {EXACT_EDGE_GUARD} edges")
+    label_bytes = 8 * (rect.w * rect.h + 2) << rect.edge_count
+    require_bytes(label_bytes, f"a node-label array for 2^{rect.edge_count} configurations")
     hits = int(crossing_batch(rect, _all_configs(rect.edge_count)).sum())
     return Fraction(hits, 1 << rect.edge_count)
 
@@ -289,18 +285,17 @@ def torus_lr_evaluator(torus: TorusSpec):
 
 
 def torus_lr_table(torus: TorusSpec) -> FunctionTable:
-    """Dense +-1 table over all torus-edge configurations (2n^2 <= 20).
+    """Dense +-1 table over all 2^(2n^2) torus-edge configurations.
 
     Built by enumerating only the support edges and broadcasting: flipping a
     non-support edge never changes the value.
     """
     m = torus.edge_count
-    if m > TORUS_TABLE_GUARD:
-        raise GuardError("dense torus table gated at 2 n^2 <= 20")
+    space = uniform_space(m)
+    space.check_exact_guard()  # before the support enumeration: 2^25 rows at side 4
     support = torus.support_edges()
     open_support = np.zeros((1 << len(support), m), dtype=bool)
     open_support[:, support] = _all_configs(len(support))
-    space = uniform_space(m)
     values = extend(torus_lr_values(torus, open_support), space, mask_from_indices(support, m))
     return FunctionTable(space, values)
 
@@ -327,10 +322,10 @@ def averaged_crossing_clue_bound(
     seed: int | None = None,
 ) -> AveragedClueReport:
     """clue of the translation-averaged crossing function against the
-    two-orbit bound 2|U| / n^2 (exact for 2n^2 <= 20, nested Monte Carlo with
-    a 3-sigma allowance beyond that)."""
+    two-orbit bound 2|U| / n^2 (exact while the dense table fits the byte
+    budget, nested Monte Carlo with a 3-sigma allowance beyond that)."""
     bound = 2.0 * mask.bit_count() / torus.n**2
-    if torus.edge_count <= TORUS_TABLE_GUARD:
+    if fits_budget(8 << torus.edge_count):
         if mask == 0:
             return AveragedClueReport(0.0, bound, None, True)
         value = clue(averaged_lr_table(torus), mask)

@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FunctionTable, ProductSpace, covariance, validate_mask
+from .core import FunctionTable, ProductSpace, covariance, require_bytes, validate_mask
 from .errors import DegenerateError, GuardError
 from .transforms import popcounts, subset_zeta
 
 NEG_CLAMP = 1e-12
-COMPONENT_TABLE_GATE = 10
 MONOTONE_GATE = 8
 
 
@@ -58,7 +57,6 @@ def _transform(space: ProductSpace, values: np.ndarray, inverse: bool = False) -
     with basis index k in place of digit k; ``inverse`` maps coefficients
     back.  The last axis of ``values`` is transformed, leading axes ride
     along."""
-    space.check_exact_guard()
     bases = _bases(space)
     mats = bases.transpose(0, 2, 1) if inverse else bases * space.pi[:, None, :]
     src = np.array(values, dtype=float)
@@ -121,8 +119,8 @@ def efron_stein(f: FunctionTable, materialize: bool = False) -> EfronSteinCompon
     no meaning.
     """
     space = f.space
-    if materialize and space.n > COMPONENT_TABLE_GATE:
-        raise GuardError("full component tables gated at n <= 10")
+    if materialize:
+        require_bytes(8 * 2**space.n * space.size, "a (2^n, q^n) component stack")
     coeffs = _transform(space, f.values)
     norms = coeffs**2
     if space.q > 2:
@@ -287,6 +285,7 @@ def is_monotone(f: FunctionTable) -> bool:
 def noise_pair_weights(n: int, p: float) -> np.ndarray:
     """Joint law of (w, w') on a uniform binary space where w' keeps each
     spin with probability p and refreshes it otherwise; shape (2^n, 2^n)."""
+    require_bytes(8 * 4**n, "a (2^n, 2^n) noise pair law")
     idx = np.arange(1 << n)
     agree = n - popcounts(n)[idx[:, None] ^ idx[None, :]]
     return ((1.0 + p) / 4.0) ** agree * ((1.0 - p) / 4.0) ** (n - agree)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FunctionTable, mask_indices, permute, validate_mask
+from .core import FunctionTable, mask_image, permute, validate_mask
 from .errors import GuardError
 
 CLOSURE_CAP = 10**6
@@ -169,7 +169,6 @@ def translate_table(f: FunctionTable, perm: tuple[int, ...]) -> FunctionTable:
 
 
 def is_invariant(f: FunctionTable, action: GroupAction, tol: float = 1e-12) -> bool:
-    f.space.check_exact_guard()
     for perm in action.generators:
         moved = permute(f.values, f.space, perm)
         if np.max(np.abs(moved - f.values)) > tol:
@@ -208,7 +207,6 @@ def average(f: FunctionTable, elements) -> FunctionTable:
     functions (idempotent, variance contracting)."""
     if isinstance(elements, GroupAction):
         elements = elements.elements()
-    f.space.check_exact_guard()
     acc = np.zeros_like(f.values)
     for perm in elements:
         acc += permute(f.values, f.space, perm)
@@ -222,8 +220,7 @@ def subset_orbit_union(mask: int, elements, n: int) -> int:
     validate_mask(mask, n)
     out = 0
     for perm in elements:
-        for v in mask_indices(mask):
-            out |= 1 << perm[v]
+        out |= mask_image(mask, perm)
     return out
 
 

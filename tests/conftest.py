@@ -1,0 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_python(code: str, address_space: int | None = None, timeout: float = 300):
+    """Run ``code`` in a fresh interpreter that imports cluekit from ``src``.
+    ``address_space`` caps the child's virtual memory in bytes; the child sets
+    the limit on itself, so the test process keeps its own."""
+    if address_space is not None:
+        code = (f"import resource; resource.setrlimit(resource.RLIMIT_AS, "
+                f"({address_space}, {address_space}))\n{code}")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+@pytest.fixture
+def run_python():
+    return _run_python

@@ -24,6 +24,7 @@ from cluekit.core import (
     variance,
 )
 from cluekit.errors import GuardError
+from cluekit.fnio import save_function
 from cluekit.zoo import majority, parity, sum_function
 
 
@@ -140,6 +141,32 @@ def test_exact_guard_blocks_large_tables():
     with pytest.raises(GuardError):
         uniform_space(27).check_exact_guard()
     uniform_space(26).check_exact_guard()
+
+
+@pytest.mark.parametrize("code", [
+    # sig_i asks for the joint law of 2^14 distinct values by 2^14 configurations
+    "main(['clue', '--fn', PATH, '--subset', 'empty'])",
+    "efron_stein(FunctionTable(uniform_space(10, 4), rng.standard_normal(4**10)), materialize=True)",
+    "uniform_space(23).digits()",
+    "noise_pair_weights(14, 0.5)",
+], ids=["clue-cli-joint-law", "materialized-components", "digit-matrix", "noise-pair-law"])
+def test_over_budget_arrays_are_refused_before_allocation(code, tmp_path, run_python):
+    """Each request needs one array of 1.4 GiB or more, which a 2 GiB
+    address-space cap cannot hold beside the interpreter: it must be refused
+    (GuardError, exit 3) before allocation, never die of MemoryError."""
+    path = tmp_path / "normal14.json"
+    save_function(FunctionTable(uniform_space(14), np.random.default_rng(0).standard_normal(1 << 14)), path)
+    prelude = (
+        "import sys\nimport numpy as np\n"
+        "from cluekit.cli import main\n"
+        "from cluekit.core import FunctionTable, uniform_space\n"
+        "from cluekit.errors import GuardError\n"
+        "from cluekit.spectral import efron_stein, noise_pair_weights\n"
+        f"PATH = {str(path)!r}\nrng = np.random.default_rng(0)\n"
+    )
+    out = run_python(f"{prelude}try:\n    sys.exit({code})\nexcept GuardError:\n    sys.exit(3)\n",
+                     address_space=2 << 30)
+    assert out.returncode == 3, out.stderr[-2000:]
 
 
 def test_zero_probability_fibers_give_zero_and_flag():

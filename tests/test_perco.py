@@ -71,6 +71,12 @@ def test_crossing_probability_guard():
         crossing_probability_exact(RectangleSpec(6, 5))
 
 
+def test_exact_enumeration_refuses_23_edges():
+    # the (2^23, 26) int64 labels would take 1.6 GiB
+    with pytest.raises(GuardError):
+        crossing_probability_exact(RectangleSpec(24, 1))
+
+
 def test_crossing_probability_mc_agrees():
     rect = RectangleSpec(4, 3)
     exact = float(crossing_probability_exact(rect))

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,13 +205,10 @@ def test_from_spec_errors():
         from_spec("tribes:2")
 
 
-def test_majority_21_builds_in_bounded_memory():
+def test_majority_21_builds_in_bounded_memory(run_python):
     """The table is built block by block: the (2^21, 21) digit matrix, 44 MB
     as uint8 and 350 MB once widened to spins, never exists."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import resource; from cluekit.zoo import majority; majority(21); "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=300)
+    out = run_python("import resource; from cluekit.zoo import majority; majority(21); "
+                     "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    assert out.returncode == 0, out.stderr
     assert int(out.stdout) < 300 * 1024  # ru_maxrss is in KiB on Linux
