@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,36 +77,86 @@ class RectangleSpec:
         return ordered
 
 
-def _connected_batch(n_nodes: int, edges, open_matrix: np.ndarray, src: int, dst: int) -> np.ndarray:
-    """Vectorized connectivity for many configurations at once.
+_ROW_BLOCK = 1 << 13  # rows per kernel pass: bounds the per-edge temporaries
 
-    ``edges`` is a list of (a, b, col) where col indexes open_matrix columns,
-    or (a, b, None) for always-open wiring.  Runs min-label propagation to a
-    fixpoint; returns a bool vector, one entry per row of open_matrix.
-    """
-    rows = len(open_matrix)
-    labels = np.broadcast_to(np.arange(n_nodes), (rows, n_nodes)).copy()
+
+@dataclass(frozen=True)
+class _Graph:
+    """A connectivity question compiled once per shape: the switchable
+    edges' endpoints ``a``, ``b`` and open-matrix columns ``col`` (int64),
+    and the initial labels ``lab0`` with the always-open wiring merged."""
+
+    a: np.ndarray
+    b: np.ndarray
+    col: np.ndarray
+    lab0: np.ndarray
+    src: int
+    dst: int
+
+
+def _compile(n_nodes: int, edges, src: int, dst: int) -> _Graph:
+    """Compile an edge list of (a, b, col), where col indexes open-matrix
+    columns, or (a, b, None) for always-open wiring.  ``lab0`` gives each
+    node the smallest node of its wired component."""
+    wired = np.array([(a, b) for a, b, col in edges if col is None], dtype=np.int64).reshape(-1, 2)
+    switched = np.array([e for e in edges if e[2] is not None], dtype=np.int64).reshape(-1, 3)
+    lab0 = _hook_and_compress(np.arange(n_nodes, dtype=np.int64), wired[:, 0], wired[:, 1])
+    arrays = (switched[:, 0], switched[:, 1], switched[:, 2], lab0)
+    for arr in arrays:
+        arr.flags.writeable = False  # shared by every caller of the cache
+    return _Graph(*arrays, src, dst)
+
+
+def _hook_and_compress(lab: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Merge the components of the edges (u, v) into the labels ``lab``, a
+    forest of depth one (``lab[lab] == lab``, ``lab[x] <= x``); returns the
+    new labels, again of depth one.  Each round hooks both roots of every
+    edge whose roots differ onto the smaller of the two with
+    ``np.minimum.at``, then jumps pointers (``lab = lab[lab]``) until every
+    node points at a root.
+    A label only ever moves to a smaller node, so no cycle can form, and
+    each round removes at least one root, so the loop ends."""
     while True:
-        changed = False
-        for a, b, col in edges:
-            la = labels[:, a]
-            lb = labels[:, b]
-            m = np.minimum(la, lb)
-            if col is None:
-                if np.any(m < la) or np.any(m < lb):
-                    changed = True
-                labels[:, a] = m
-                labels[:, b] = m
-            else:
-                sel = open_matrix[:, col]
-                new_a = np.where(sel, m, la)
-                new_b = np.where(sel, m, lb)
-                if np.any(new_a < la) or np.any(new_b < lb):
-                    changed = True
-                labels[:, a] = new_a
-                labels[:, b] = new_b
-        if not changed:
-            return labels[:, src] == labels[:, dst]
+        lu, lv = lab[u], lab[v]
+        live = lu != lv
+        if not live.any():
+            return lab
+        u, v, lu, lv = u[live], v[live], lu[live], lv[live]
+        m = np.minimum(lu, lv)
+        np.minimum.at(lab, lu, m)
+        np.minimum.at(lab, lv, m)
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+
+
+def _connected_batch(graph: _Graph, open_matrix: np.ndarray) -> np.ndarray:
+    """Is ``graph.src`` connected to ``graph.dst``?  One bool per row of
+    open_matrix.
+
+    Connected components by hook-and-compress (Shiloach & Vishkin,
+    J. Algorithms 3, 1982) over a block of at most ``_ROW_BLOCK`` rows at a
+    time: the block's rows are disjoint copies of the graph, node x of row
+    r being ``r * n_nodes + x``, and every open edge of the block enters one
+    vectorized ``_hook_and_compress`` pass.  The block bounds the per-edge
+    temporaries (a few int64 arrays per open edge), so memory does not grow
+    with the batch.
+    """
+    n_nodes = len(graph.lab0)
+    out = np.empty(len(open_matrix), dtype=bool)
+    for start in range(0, len(open_matrix), _ROW_BLOCK):
+        rows, idx = np.nonzero(open_matrix[start:start + _ROW_BLOCK][:, graph.col])
+        n_rows = min(_ROW_BLOCK, len(open_matrix) - start)
+        offsets = np.arange(n_rows, dtype=np.int64)[:, None] * n_nodes
+        lab = _hook_and_compress(
+            (offsets + graph.lab0).ravel(),
+            rows * n_nodes + graph.a[idx],
+            rows * n_nodes + graph.b[idx],
+        ).reshape(n_rows, n_nodes)
+        out[start:start + n_rows] = lab[:, graph.src] == lab[:, graph.dst]
+    return out
 
 
 def _rect_crossing_edges(rect: RectangleSpec):
@@ -118,11 +169,15 @@ def _rect_crossing_edges(rect: RectangleSpec):
     return n_vertices + 2, edges, left, right
 
 
+@lru_cache(maxsize=64)
+def _rect_graph(rect: RectangleSpec) -> _Graph:
+    return _compile(*_rect_crossing_edges(rect))
+
+
 def crossing_batch(rect: RectangleSpec, open_matrix: np.ndarray) -> np.ndarray:
     """Left-right crossing indicator for each row of a (N, edge_count) bool
     matrix of open edges."""
-    n_nodes, edges, left, right = _rect_crossing_edges(rect)
-    return _connected_batch(n_nodes, edges, open_matrix, left, right)
+    return _connected_batch(_rect_graph(rect), open_matrix)
 
 
 def lr_crossing(config: int, rect: RectangleSpec) -> bool:
@@ -155,10 +210,14 @@ def _dual_crossing_edges(rect: RectangleSpec):
     return n_faces + 2, edges, bottom, top
 
 
+@lru_cache(maxsize=64)
+def _dual_graph(rect: RectangleSpec) -> _Graph:
+    return _compile(*_dual_crossing_edges(rect))
+
+
 def dual_crossing_batch(rect: RectangleSpec, open_matrix: np.ndarray) -> np.ndarray:
     """Top-bottom crossing of the dual by closed edges, per row."""
-    n_nodes, edges, bottom, top = _dual_crossing_edges(rect)
-    return _connected_batch(n_nodes, edges, ~open_matrix, bottom, top)
+    return _connected_batch(_dual_graph(rect), ~open_matrix)
 
 
 def dual_crossing(config: int, rect: RectangleSpec) -> bool:
@@ -177,10 +236,10 @@ def _all_configs(n_edges: int) -> np.ndarray:
 
 def crossing_probability_exact(rect: RectangleSpec) -> Fraction:
     """Exact crossing probability at p = 1/2 by full enumeration."""
-    label_bytes = 8 * (rect.w * rect.h + 2) << rect.edge_count
-    require_bytes(label_bytes, f"a node-label array for 2^{rect.edge_count} configurations")
-    hits = int(crossing_batch(rect, _all_configs(rect.edge_count)).sum())
-    return Fraction(hits, 1 << rect.edge_count)
+    e = rect.edge_count
+    require_bytes(8 * e << e, f"the (2^{e}, {e}) int64 bit matrix of every configuration")
+    hits = int(crossing_batch(rect, _all_configs(e)).sum())
+    return Fraction(hits, 1 << e)
 
 
 def crossing_probability_mc(rect: RectangleSpec, samples: int, seed: int) -> tuple[float, float]:

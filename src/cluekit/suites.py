@@ -8,6 +8,7 @@ seed streams so every run checks the same instances.
 from __future__ import annotations
 
 import time
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -486,18 +487,66 @@ def covariance_lemma_suite(n_pairs: int = 50) -> SuiteReport:
 # ---------------------------------------------------------------------------
 # 9. percolation
 # ---------------------------------------------------------------------------
+def _scalar_crossing(rect: perco.RectangleSpec, open_row, dual: bool = False) -> bool:
+    """Breadth-first search over one configuration: the left-right crossing
+    of the open edges or, with ``dual``, the bottom-top crossing of the dual
+    by closed edges (dual nodes are the inner faces plus "bottom" and
+    "top").  Pure Python, built from ``horizontal_edge``/``vertical_edge``
+    alone: the oracle for perco's vectorized kernel, sharing none of its
+    code."""
+    w, h = rect.w, rect.h
+    adj = defaultdict(list)
+
+    def link(p, q, edge: int) -> None:
+        if bool(open_row[edge]) != dual:
+            adj[p].append(q)
+            adj[q].append(p)
+
+    if dual:
+        def face(x: int, y: int):
+            return "bottom" if y < 0 else "top" if y == h - 1 else (x, y)
+
+        for y in range(h):
+            for x in range(w - 1):
+                link(face(x, y - 1), face(x, y), rect.horizontal_edge(x, y))
+        for y in range(h - 1):
+            for x in range(1, w - 1):
+                link((x - 1, y), (x, y), rect.vertical_edge(x, y))
+        start, goals = ["bottom"], {"top"}
+    else:
+        for y in range(h):
+            for x in range(w - 1):
+                link((x, y), (x + 1, y), rect.horizontal_edge(x, y))
+        for y in range(h - 1):
+            for x in range(w):
+                link((x, y), (x, y + 1), rect.vertical_edge(x, y))
+        start, goals = [(0, y) for y in range(h)], {(w - 1, y) for y in range(h)}
+    seen, queue = set(start), deque(start)
+    while queue:
+        node = queue.popleft()
+        if node in goals:
+            return True
+        for nxt in adj[node]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return False
+
+
 def perco_suite(n_random_subsets: int = 500, mc_samples: int = 200_000) -> SuiteReport:
     t0 = time.time()
     rng = generator_for(SUITE_SEED, 9)
     violations = []
-    r32 = perco.RectangleSpec(3, 2)
+    r32, r43 = perco.RectangleSpec(3, 2), perco.RectangleSpec(4, 3)
     p_exact = perco.crossing_probability_exact(r32)
     if p_exact != 0.5:
         violations.append({"case": "self-dual probability", "value": str(p_exact)})
-    configs = perco._all_configs(r32.edge_count)
-    xor = perco.crossing_batch(r32, configs) ^ perco.dual_crossing_batch(r32, configs)
-    if not bool(np.all(xor)):
-        violations.append({"case": "duality xor", "bad_configs": int(np.sum(~xor))})
+    for rect in (r32, r43):
+        configs = perco._all_configs(rect.edge_count)
+        xor = perco.crossing_batch(rect, configs) ^ perco.dual_crossing_batch(rect, configs)
+        if not bool(np.all(xor)):
+            violations.append({"case": "duality xor", "shape": f"{rect.w}x{rect.h}",
+                               "bad_configs": int(np.sum(~xor))})
     torus = perco.TorusSpec(3)
     averaged = perco.averaged_lr_table(torus)
     if not symmetry.is_invariant(averaged, torus.translation_group()):
@@ -513,7 +562,16 @@ def perco_suite(n_random_subsets: int = 500, mc_samples: int = 200_000) -> Suite
         worst_slack = max(worst_slack, slack)
         if slack > 1e-9:
             violations.append({"case": "two-orbit bound", "mask": mask, "excess": slack})
-    r43 = perco.RectangleSpec(4, 3)
+    kernel_mismatches = 0  # rows drawn after the masks, so the masks stay pinned
+    for rect in (perco.RectangleSpec(9, 8), perco.RectangleSpec(21, 20)):
+        rows = rng.random((200, rect.edge_count)) < 0.5
+        for dual, batch in ((False, perco.crossing_batch), (True, perco.dual_crossing_batch)):
+            oracle = [_scalar_crossing(rect, row, dual) for row in rows]
+            bad = int(np.sum(batch(rect, rows) != oracle))
+            kernel_mismatches += bad
+            if bad:
+                violations.append({"case": "kernel vs oracle", "shape": f"{rect.w}x{rect.h}",
+                                   "dual": dual, "bad_rows": bad})
     exact43 = float(perco.crossing_probability_exact(r43))
     estimate, stderr = perco.crossing_probability_mc(r43, mc_samples, seed=SUITE_SEED)
     if abs(estimate - exact43) > 3.0 * stderr:
@@ -528,6 +586,7 @@ def perco_suite(n_random_subsets: int = 500, mc_samples: int = 200_000) -> Suite
             "mc_estimate": estimate,
             "mc_stderr": stderr,
             "exact_4x3": exact43,
+            "kernel_mismatches": kernel_mismatches,
         },
         violations,
         time.time() - t0,

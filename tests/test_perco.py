@@ -18,11 +18,13 @@ from cluekit.perco import (
     dual_crossing,
     dual_crossing_batch,
     lr_crossing,
+    torus_lr_evaluator,
     torus_lr_table,
     torus_lr_values,
     translate_disagreement,
     _all_configs,
 )
+from cluekit.suites import _scalar_crossing
 from cluekit.symmetry import is_invariant
 
 
@@ -72,7 +74,7 @@ def test_crossing_probability_guard():
 
 
 def test_exact_enumeration_refuses_23_edges():
-    # the (2^23, 26) int64 labels would take 1.6 GiB
+    # the (2^23, 23) int64 bit matrix of every configuration would take 1.44 GiB
     with pytest.raises(GuardError):
         crossing_probability_exact(RectangleSpec(24, 1))
 
@@ -176,3 +178,47 @@ def test_one_chunk_crossing_mc_is_the_seed_stream():
 def test_averaged_clue_bound_refuses_without_error_bar():
     with pytest.raises(ValueError, match="error bar"):
         averaged_crossing_clue_bound(TorusSpec(4), 0b11, mc_outer=200, mc_inner=4, seed=1)
+
+
+def _oracle(rect, rows, dual=False):
+    return np.array([_scalar_crossing(rect, row, dual) for row in rows], dtype=bool)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 2), (2, 5)])
+def test_kernel_matches_oracle_on_every_configuration(shape):
+    rect = RectangleSpec(*shape)
+    configs = _all_configs(rect.edge_count)
+    np.testing.assert_array_equal(crossing_batch(rect, configs), _oracle(rect, configs))
+    np.testing.assert_array_equal(dual_crossing_batch(rect, configs), _oracle(rect, configs, dual=True))
+
+
+@pytest.mark.parametrize("shape", [(22, 21), (34, 33)])
+def test_kernel_matches_oracle_on_large_rectangles(shape):
+    rect = RectangleSpec(*shape)
+    rows = generator_for(11, rect.w).random((60, rect.edge_count)) < 0.5
+    np.testing.assert_array_equal(crossing_batch(rect, rows), _oracle(rect, rows))
+    np.testing.assert_array_equal(dual_crossing_batch(rect, rows), _oracle(rect, rows, dual=True))
+
+
+def test_torus_evaluator_matches_oracle():
+    torus = TorusSpec(4)
+    digits = generator_for(12, 0).integers(0, 2, (300, torus.edge_count))
+    rect_rows = digits.astype(bool)[:, torus.rect_edge_sources()]
+    expected = np.where(_oracle(torus.rectangle(), rect_rows), 1.0, -1.0)
+    np.testing.assert_array_equal(torus_lr_evaluator(torus)(digits), expected)
+
+
+def test_kernel_across_the_row_block_seam():
+    rect = RectangleSpec(4, 3)
+    rows = generator_for(13, 0).random(((1 << 13) + 17, rect.edge_count)) < 0.5
+    np.testing.assert_array_equal(crossing_batch(rect, rows), _oracle(rect, rows))
+
+
+def test_percolation_estimates_are_pinned():
+    # values of the per-edge min-label kernel that the hook-and-compress
+    # kernel replaced: the crossings, hence the estimates, must not move
+    assert crossing_probability_mc(RectangleSpec(4, 3), 40_000, seed=1) == (0.5006, 0.002499998199999352)
+    est = translate_disagreement(3, (1, 0), 20_000, seed=5)
+    assert (est.estimate, est.ci_low, est.ci_high) == (0.1035, 0.09935417323553036, 0.10779811695257033)
+    report = averaged_crossing_clue_bound(TorusSpec(4), 0b1011, mc_outer=300, mc_inner=8, seed=7)
+    assert (report.clue, report.stderr, report.holds) == (0.09316800882352817, 0.01109884561833118, True)
