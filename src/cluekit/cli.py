@@ -32,12 +32,25 @@ from .fnio import load_function
 from .montecarlo import GENERATOR_ID, mc_clue, thread_count
 
 SCHEMA = 1
+CSV_BLOCK = 1 << 16
 
 
 def _emit(payload: dict):
+    # json.dumps takes the C encoder; json.dump would stream through Python
     payload = {"schema": SCHEMA, **payload}
-    json.dump(payload, sys.stdout, default=_jsonable)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, default=_jsonable) + "\n")
+
+
+def _emit_csv(header: str, values: np.ndarray):
+    """One ``mask,value`` row per mask, written in blocks of CSV_BLOCK rows."""
+    sys.stdout.write(header + "\n")
+    for start in range(0, len(values), CSV_BLOCK):
+        block = values[start:start + CSV_BLOCK].tolist()
+        sys.stdout.write("".join(f"{hex(m)},{v!r}\n" for m, v in enumerate(block, start)))
+
+
+def _by_mask(values: np.ndarray) -> dict:
+    return dict(zip(map(hex, range(len(values))), values.tolist()))
 
 
 def _jsonable(obj):
@@ -160,16 +173,14 @@ def _cmd_spectrum(args) -> int:
         weights = values**2
         kind = "coefficients"
     if args.csv:
-        print("mask,value")
-        for mask, value in enumerate(values):
-            print(f"{mask:#x},{float(value)!r}")
+        _emit_csv("mask,value", values)
         return 0
     dist = spectral.distribution_from_weights(f.space, weights, conditioned=True)
     _emit(
         {
             "fn": args.fn,
             "kind": kind,
-            "values": {f"{m:#x}": float(w) for m, w in enumerate(values)},
+            "values": _by_mask(values),
             "level_weights": spectral.profile_from_weights(weights).level_weights.tolist(),
             "marginals": spectral.spectral_marginals(dist).tolist(),
         }
@@ -182,11 +193,9 @@ def _cmd_clue(args) -> int:
     if args.all_subsets:
         values = clue_mod.clue_all_subsets_table(f)
         if args.csv:
-            print("mask,clue")
-            for mask, value in enumerate(values):
-                print(f"{mask:#x},{float(value)!r}")
+            _emit_csv("mask,clue", values)
             return 0
-        _emit({"fn": args.fn, "clue": {f"{m:#x}": float(v) for m, v in enumerate(values)}})
+        _emit({"fn": args.fn, "clue": _by_mask(values)})
         return 0
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     mask = _parse_subset(args.subset, f.n)

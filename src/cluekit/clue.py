@@ -22,13 +22,14 @@ from .core import (
     correlation,
     expectation,
     fibers,
+    require_lattices,
     validate_mask,
     variance,
     weighted_variance,
 )
 from .errors import DegenerateError
 from .spectral import SpectralDistribution, subset_weights
-from .transforms import subset_zeta
+from .transforms import keep_or_sum, kept_sums, subset_zeta
 
 _VAR_FLOOR = 1e-14
 
@@ -157,6 +158,25 @@ def tv_clue(f: FunctionTable, mask: int) -> float:
     values, weights = conditional_marginal(f, mask)
     num = float(weights @ np.abs(values - mean))
     return num / denom
+
+
+def tv_clue_all_subsets(f: FunctionTable) -> np.ndarray:
+    """tv_clue(f, U) for every mask U.  With S the lattice of w (f - E f),
+    E|E[f|U] - E f| is the sum of |S| over the kept slots of U.
+
+    O(n (q+1)^n) time; holds two lattice-sized arrays at once (S and the
+    copy that :func:`~cluekit.transforms.kept_sums` folds).
+    """
+    space = f.space
+    w = space.config_weights()
+    mean = expectation(f)
+    denom = float(w @ np.abs(f.values - mean))
+    if denom <= 0.0:
+        raise DegenerateError("constant function: TV clue undefined")
+    require_lattices(space, 2, "the TV clue of every subset")
+    s = keep_or_sum(w * (f.values - mean), space.q)
+    np.abs(s, out=s)
+    return kept_sums(s, space.q) / denom
 
 
 def p_min(f: FunctionTable) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import FunctionTable, mask_image, mask_indices
 from .errors import GuardError
-from .infotheory import mutual_information
+from .infotheory import mutual_information_all_subsets
 from .spectral import subset_weights
 from .transforms import popcounts, subset_zeta
 
@@ -58,8 +58,10 @@ def build_clue_game(f: FunctionTable) -> CooperativeGame:
 
 
 def build_iclue_game(f: FunctionTable) -> CooperativeGame:
-    """v(S) = I(Z : X_S) with Z the grouped value of f."""
-    v = np.array([mutual_information(f, mask) for mask in range(1 << f.n)])
+    """v(S) = I(Z : X_S) with Z the grouped value of f, every coalition at
+    once from the keep-or-sum-out lattice (see
+    :func:`~cluekit.infotheory.mutual_information_all_subsets`)."""
+    v = mutual_information_all_subsets(f)
     v[0] = 0.0
     return CooperativeGame(f.n, v)
 

@@ -4,7 +4,9 @@ Shearer-type covering inequalities.
 
 All entropies are in nats.  Function values are grouped into a discrete
 variable with absolute tolerance 1e-12, and every quantity is computed from
-the exact joint table (no estimation).
+the exact joint table (no estimation).  The per-mask routes build the joint
+law of one subset; the ``*_all_subsets`` routes read every subset at once
+off the keep-or-sum-out lattice of :mod:`cluekit.transforms`.
 """
 from __future__ import annotations
 
@@ -19,9 +21,11 @@ from .core import (
     expectation,
     extend,
     require_bytes,
+    require_lattices,
     validate_mask,
 )
 from .errors import DegenerateError
+from .transforms import keep_or_sum, kept_sums
 
 VALUE_GROUP_TOL = 1e-12
 
@@ -87,6 +91,43 @@ def mutual_information(f: FunctionTable, mask: int) -> float:
     return max(h_z + h_u - h_joint, 0.0)
 
 
+def _entropy_by_mask(probs: np.ndarray, q: int) -> np.ndarray:
+    """-sum x ln x of the lattice of ``probs``, by kept-coordinate mask;
+    holds two lattice-sized arrays at once (the lattice and its log, then
+    the lattice and the copy that kept_sums folds)."""
+    lattice = keep_or_sum(probs, q)
+    log = np.maximum(lattice, 1e-300)
+    np.log(log, out=log)
+    lattice *= log  # x ln x, with 0 ln 0 = 0 as in _xlogx
+    del log
+    return -kept_sums(lattice, q)
+
+
+def mutual_information_all_subsets(f: FunctionTable) -> np.ndarray:
+    """I(Z : X_U) for every mask U, each never below 0, as
+    H(Z) + H(X_U) - H(Z, X_U) with every entropy read off the lattice of the
+    (value group x configuration) joint law, one value group at a time.
+
+    A group on a single positive-weight configuration c has P(z, x_U) = w(c)
+    at x_U = c_U for every U: it adds the same -w(c) ln w(c) to every
+    H(Z, X_U), H(Z) included, so it cancels and needs no lattice.
+    O(n (q+1)^n) time per group of two or more positive-weight
+    configurations, plus one lattice for H(X_U); holds two lattice-sized
+    arrays at once.
+    """
+    space = f.space
+    require_lattices(space, 2, "the information of every subset")
+    codes, reps = group_values(f.values)
+    w = space.config_weights()
+    h_u = _entropy_by_mask(w, space.q)
+    support = np.bincount(codes, weights=w > 0.0, minlength=len(reps))
+    h_joint = np.zeros(1 << space.n)
+    for z in np.flatnonzero(support > 1):
+        h_joint += _entropy_by_mask(np.where(codes == z, w, 0.0), space.q)
+    # the empty mask sums every coordinate out: H(Z, X_empty) = H(Z)
+    return np.maximum(h_joint[0] + h_u - h_joint, 0.0)
+
+
 def value_entropy(f: FunctionTable) -> float:
     """Entropy of the grouped value distribution of f."""
     codes, reps = group_values(f.values)
@@ -144,6 +185,34 @@ def kl_clue(f: FunctionTable, mask: int) -> float:
     if denom <= 0.0:
         raise DegenerateError("constant function: KL clue undefined")
     return min(max(_ent_of_marginal(f, mask), 0.0) / denom, 1.0)
+
+
+def kl_clue_all_subsets(f: FunctionTable) -> np.ndarray:
+    """kl_clue(f, U) for every mask U, f >= 0.  With A and W the lattices of
+    w f and w, Ent(E[f | U]) sums A ln(A / W) over the kept slots of U.
+
+    O(n (q+1)^n) time; holds two lattice-sized arrays at once (A and W,
+    then A and the copy that kept_sums folds).
+    """
+    if np.any(f.values < 0.0):
+        raise ValueError("kl_clue needs f >= 0")
+    denom = ent_functional(f)
+    if denom <= 0.0:
+        raise DegenerateError("constant function: KL clue undefined")
+    space = f.space
+    require_lattices(space, 2, "the KL clue of every subset")
+    w = space.config_weights()
+    a = keep_or_sum(w * f.values, space.q)
+    ratio = keep_or_sum(w, space.q)
+    np.maximum(ratio, 1e-300, out=ratio)
+    np.divide(a, ratio, out=ratio)  # E[f | kept slots], 0 where A is 0
+    np.maximum(ratio, 1e-300, out=ratio)
+    np.log(ratio, out=ratio)
+    a *= ratio
+    del ratio
+    mean = expectation(f)
+    ent = kept_sums(a, space.q) - mean * np.log(mean)
+    return np.minimum(np.maximum(ent, 0.0) / denom, 1.0)
 
 
 # ---------------------------------------------------------------------------

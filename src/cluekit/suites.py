@@ -20,6 +20,7 @@ from .clue import (
     expected_clue,
     p_min,
     tv_clue,
+    tv_clue_all_subsets,
 )
 from .core import (
     FunctionTable,
@@ -36,6 +37,12 @@ from .montecarlo import generator_for, mc_clue
 from .transforms import popcounts, subset_mobius
 
 SUITE_SEED = 20240917  # fixed stream root: suites check pinned instances
+# Suites that read every subset off the keep-or-sum-out lattice compare it
+# with the per-mask routes on ORACLE_MASKS seeded masks per function, drawn
+# from stream ORACLE_STREAM + suite number so the suites' own draws stay put.
+ORACLE_STREAM = 100
+ORACLE_MASKS = 8
+LATTICE_TOL = 1e-12
 
 
 @dataclass
@@ -69,6 +76,10 @@ def _random_space(n: int, rng) -> ProductSpace:
     q = int(rng.choice([2, 3]))
     pi = rng.dirichlet(np.ones(q) * 3.0, size=n)
     return ProductSpace(n, q, pi)
+
+
+def _oracle_masks(rng, n: int) -> list[int]:
+    return rng.choice(1 << n, size=ORACLE_MASKS, replace=False).tolist()
 
 
 def _direct_clue_all(f: FunctionTable) -> np.ndarray:
@@ -270,19 +281,27 @@ def shearer_suite(n_covers: int = 50) -> SuiteReport:
     ]
     worst_i = -np.inf
     worst_kl = -np.inf
+    lattice_err = 0.0
+    oracle_rng = generator_for(SUITE_SEED, ORACLE_STREAM + 5)
     for entry in entries:
         f = entry.table
         n = f.n
         pc = popcounts(n)
         h_z = infotheory.value_entropy(f)
         fnn = f if f.values.min() >= 0 else FunctionTable(f.space, f.values - f.values.min())
-        for mask in range(1 << n):
-            i_slack = infotheory.mutual_information(f, mask) / h_z - pc[mask] / n
-            kl_slack = infotheory.kl_clue(fnn, mask) - pc[mask] / n
-            worst_i = max(worst_i, i_slack)
-            worst_kl = max(worst_kl, kl_slack)
-            if i_slack > 1e-10 or kl_slack > 1e-10:
-                violations.append({"fn": entry.name, "mask": mask, "i": i_slack, "kl": kl_slack})
+        mi = infotheory.mutual_information_all_subsets(f)
+        kl = infotheory.kl_clue_all_subsets(fnn)
+        for mask in _oracle_masks(oracle_rng, n):
+            lattice_err = max(lattice_err, abs(mi[mask] - infotheory.mutual_information(f, mask)),
+                              abs(kl[mask] - infotheory.kl_clue(fnn, mask)))
+        i_slack = mi / h_z - pc / n
+        kl_slack = kl - pc / n
+        worst_i = max(worst_i, i_slack.max())
+        worst_kl = max(worst_kl, kl_slack.max())
+        for mask in np.nonzero((i_slack > 1e-10) | (kl_slack > 1e-10))[0].tolist():
+            violations.append({"fn": entry.name, "mask": mask, "i": i_slack[mask], "kl": kl_slack[mask]})
+    if lattice_err > LATTICE_TOL:
+        violations.append({"lattice_max_err": lattice_err})
     sp6 = uniform_space(6)
     worst_deficit = np.inf
     worst_kl_deficit = np.inf
@@ -307,6 +326,7 @@ def shearer_suite(n_covers: int = 50) -> SuiteReport:
             "worst_kl_slack": float(worst_kl),
             "worst_cover_deficit": float(worst_deficit),
             "worst_kl_cover_deficit": float(worst_kl_deficit),
+            "lattice_max_err": float(lattice_err),
         },
         violations,
         time.time() - t0,
@@ -334,6 +354,9 @@ def sandwiches_suite(n_functions: int = 100) -> SuiteReport:
     The linear form tv <= 2/p_min * clue is false for weakly informative
     subsets, where tv scales like sqrt(clue).  Its worst slack is reported
     as ``tv_upper_linear_gap`` with its first counterexamples, unasserted.
+
+    Every subset's TV and I-clue come off the keep-or-sum-out lattice; the
+    per-mask routes check it on seeded masks (``lattice_max_err``).
     """
     t0 = time.time()
     rng = generator_for(SUITE_SEED, 6)
@@ -343,41 +366,53 @@ def sandwiches_suite(n_functions: int = 100) -> SuiteReport:
     linear_gap = np.inf
     linear_counterexamples = []
     violations = []
+    lattice_err = 0.0
+    oracle_rng = generator_for(SUITE_SEED, ORACLE_STREAM + 6)
+    masks = np.arange(1 << 8)
     for trial in range(n_functions):
         f = _random_boolean(sp8, rng, min_p=0.05)
         mean = f.values.mean()
         pm = p_min(f)
         sqrt_var = np.sqrt(pm * (1.0 - pm))
-        cl = clue_all_subsets_table(f)
-        for mask in range(1 << 8):
-            c = cl[mask]
-            tv = tv_clue(f, mask)
-            icl = infotheory.i_clue(f, mask)
-            tv_bound = np.sqrt(max(c, 0.0)) / (2.0 * sqrt_var)
-            checks = {
-                "tv_lower": tv - pm / 2.0 * c,
-                "tv_upper": tv_bound - tv,
-                "i_lower": c - mean**2 * (1 - mean) ** 2 * icl,
-                "i_upper": icl / pm - c,
-            }
+        c = clue_all_subsets_table(f)
+        tv = tv_clue_all_subsets(f)
+        h_z = infotheory.value_entropy(f)
+        icl = np.minimum(infotheory.mutual_information_all_subsets(f) / h_z, 1.0)
+        for mask in _oracle_masks(oracle_rng, 8):
+            lattice_err = max(lattice_err, abs(tv[mask] - tv_clue(f, mask)),
+                              abs(icl[mask] - infotheory.i_clue(f, mask)))
+        tv_bound = np.sqrt(np.maximum(c, 0.0)) / (2.0 * sqrt_var)
+        checks = {
+            "tv_lower": tv - pm / 2.0 * c,
+            "tv_upper": tv_bound - tv,
+            "i_lower": c - mean**2 * (1 - mean) ** 2 * icl,
+            "i_upper": icl / pm - c,
+        }
+        for key, slack in checks.items():
+            margins[key] = min(margins[key], slack.min())
+        for mask in np.nonzero(np.min(list(checks.values()), axis=0) < -1e-10)[0].tolist():
             for key, slack in checks.items():
-                margins[key] = min(margins[key], slack)
-                if slack < -1e-10 and len(violations) < 8:
+                if slack[mask] < -1e-10 and len(violations) < 8:
                     violations.append(
-                        {"bound": key, "trial": trial, "mask": mask, "slack": float(slack),
-                         "clue": float(c), "tv": float(tv), "i_clue": float(icl), "p_min": float(pm)}
+                        {"bound": key, "trial": trial, "mask": mask, "slack": float(slack[mask]),
+                         "clue": float(c[mask]), "tv": float(tv[mask]), "i_clue": float(icl[mask]),
+                         "p_min": float(pm)}
                     )
-            if mask and c > 0.0:
-                max_ratio = max(max_ratio, tv / tv_bound)
-            linear_slack = 2.0 / pm * c - tv
-            linear_gap = min(linear_gap, linear_slack)
-            if linear_slack < -1e-10 and len(linear_counterexamples) < 4:
-                linear_counterexamples.append(
-                    {"trial": trial, "mask": mask, "slack": float(linear_slack),
-                     "clue": float(c), "tv": float(tv), "p_min": float(pm)}
-                )
-    passed = all(margins[k] >= -1e-10 for k in margins)
+        attained = (masks > 0) & (c > 0.0)
+        if attained.any():
+            max_ratio = max(max_ratio, (tv[attained] / tv_bound[attained]).max())
+        linear_slack = 2.0 / pm * c - tv
+        linear_gap = min(linear_gap, linear_slack.min())
+        for mask in np.nonzero(linear_slack < -1e-10)[0][: 4 - len(linear_counterexamples)].tolist():
+            linear_counterexamples.append(
+                {"trial": trial, "mask": mask, "slack": float(linear_slack[mask]),
+                 "clue": float(c[mask]), "tv": float(tv[mask]), "p_min": float(pm)}
+            )
+    if lattice_err > LATTICE_TOL:
+        violations.append({"lattice_max_err": lattice_err})
+    passed = all(margins[k] >= -1e-10 for k in margins) and bool(lattice_err <= LATTICE_TOL)
     details = {k: float(v) for k, v in margins.items()}
+    details["lattice_max_err"] = float(lattice_err)
     details["tv_upper_max_ratio"] = float(max_ratio)
     details["tv_upper_linear_gap"] = float(linear_gap)
     details["tv_upper_linear_counterexamples"] = linear_counterexamples

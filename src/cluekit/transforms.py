@@ -1,9 +1,21 @@
-"""Bitmask subset transforms (zeta / Moebius) used by the spectral and game
-modules.
+"""Subset and partial-assignment transforms used by the spectral, clue, game
+and information modules.
 
-Transforms run along axis 0, which must have power-of-two length 2^n and be
-indexed by subset bitmask; trailing axes ride along.  Cost is O(n 2^n) rows
-via the standard per-bit butterfly sweep.
+The subset zeta / Moebius pair runs along axis 0, which must have
+power-of-two length 2^n and be indexed by subset bitmask; trailing axes ride
+along.  Cost is O(n 2^n) rows via the standard per-bit butterfly sweep.
+
+The keep-or-sum-out lattice runs along the last axis, a table over q^n
+configurations (coordinate 0 least significant); leading axes ride along.
+:func:`keep_or_sum` gives every coordinate one extra slot, q, holding the sum
+over that coordinate, so entry (d_0, ..., d_{n-1}) with d_v in [0, q] is the
+sum of the table over the coordinates whose slot is q, with the others held
+at d_v.  :func:`kept_sums` then adds the entries of a (q+1)^n lattice by
+kept-coordinate pattern into a vector indexed by subset bitmask.  This is
+Yates' algorithm (Yates 1937) on the lattice of partial assignments, the
+q-ary relative of the subset zeta (Bjorklund, Husfeldt, Kaski and Koivisto,
+"Fourier meets Moebius", STOC 2007); each runs one axis at a time in
+O(n (q+1)^n).
 """
 from __future__ import annotations
 
@@ -32,6 +44,54 @@ def subset_mobius(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def keep_or_sum(values: np.ndarray, q: int) -> np.ndarray:
+    """Map a (..., q^n) table to its (..., (q+1)^n) keep-or-sum-out lattice.
+
+    Allocates the output alone (one lattice-sized array) and fills slot q of
+    each coordinate in place, from the slots that hold every coordinate
+    above it at a real digit.
+    """
+    values = np.asarray(values, dtype=float)
+    lead = values.shape[:-1]
+    n = _digits(values.shape[-1], q)
+    out = np.empty(lead + ((q + 1) ** n,))
+    # axis len(lead) + n - 1 - v of the tensor view is coordinate v
+    t = out.reshape(lead + (q + 1,) * n)
+    t[(...,) + (slice(q),) * n] = values.reshape(lead + (q,) * n)
+    for v in range(n):
+        # coordinates above v are not summed yet: only their real digits count
+        head = (...,) + (slice(q),) * (n - 1 - v)
+        tail = (slice(None),) * v
+        slot = t[head + (q,) + tail]
+        np.add(t[head + (0,) + tail], t[head + (1,) + tail], out=slot)
+        for d in range(2, q):
+            slot += t[head + (d,) + tail]
+    return out
+
+
+def kept_sums(lattice: np.ndarray, q: int) -> np.ndarray:
+    """Map a (..., (q+1)^n) lattice to (..., 2^n): entry [mask] sums the
+    lattice entries whose coordinates in ``mask`` sit at a real digit and
+    whose other coordinates sit at the sum slot q.
+
+    Folds one copy of the lattice in place (so it holds one more
+    lattice-sized array), the most significant coordinate first: slot 0
+    gathers the real digits, then a view keeps slots (q, 0) = (summed out,
+    kept) of that coordinate.
+    """
+    lattice = np.asarray(lattice, dtype=float)
+    lead = lattice.shape[:-1]
+    n = _digits(lattice.shape[-1], q + 1)
+    t = lattice.reshape(lead + (q + 1,) * n).copy()
+    for axis in range(len(lead), t.ndim):
+        at = (slice(None),) * axis
+        kept = t[at + (0,)]
+        for d in range(1, q):
+            kept += t[at + (d,)]
+        t = t[at + (slice(q, None, -q),)]
+    return t.reshape(lead + (1 << n,))
+
+
 def popcounts(n: int) -> np.ndarray:
     """Popcount of every mask in [0, 2^n), as an int array."""
     pc = np.zeros(1 << n, dtype=np.int64)
@@ -44,4 +104,13 @@ def _bits(size: int) -> int:
     n = size.bit_length() - 1
     if 1 << n != size:
         raise ValueError("axis 0 length must be a power of two")
+    return n
+
+
+def _digits(size: int, base: int) -> int:
+    n, rest = 0, size
+    while rest > 1 and rest % base == 0:
+        n, rest = n + 1, rest // base
+    if rest != 1:
+        raise ValueError(f"last axis length {size} is not a power of {base}")
     return n

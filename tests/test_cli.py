@@ -1,9 +1,12 @@
 import json
+from io import StringIO
 
 import numpy as np
 import pytest
 
+from cluekit import spectral
 from cluekit.cli import main
+from cluekit.clue import clue_all_subsets_table
 from cluekit.core import FunctionTable, biased_bits, uniform_space
 from cluekit.fnio import load_function, save_function, table_from_dict, table_to_dict
 from cluekit.errors import ParseError
@@ -101,6 +104,23 @@ def test_clue_all_subsets_csv(capsys):
     assert len(lines) == 9
     row = dict(line.split(",") for line in lines[1:])
     assert float(row["0x1"]) == pytest.approx(0.25)
+
+
+def test_sweep_output_bytes_match_the_row_by_row_format(capsys):
+    """Block-written CSV and one-shot JSON give the bytes of one f-string
+    row per mask and of the streaming encoder."""
+    f = majority(9).table
+    clues = clue_all_subsets_table(f)
+    coeffs = spectral.walsh_hadamard(f).coeffs
+    _, _, out = run_cli(capsys, "clue", "--fn", "maj:9", "--all-subsets", "--csv")
+    assert out == "mask,clue\n" + "".join(f"{m:#x},{float(v)!r}\n" for m, v in enumerate(clues))
+    _, _, out = run_cli(capsys, "spectrum", "--fn", "maj:9", "--csv")
+    assert out == "mask,value\n" + "".join(f"{m:#x},{float(v)!r}\n" for m, v in enumerate(coeffs))
+    _, _, out = run_cli(capsys, "clue", "--fn", "maj:9", "--all-subsets")
+    ref = StringIO()
+    json.dump({"schema": 1, "fn": "maj:9", "clue": {f"{m:#x}": float(v) for m, v in enumerate(clues)}},
+              ref)
+    assert out == ref.getvalue() + "\n"
 
 
 def test_game_command(capsys):

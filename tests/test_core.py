@@ -149,20 +149,28 @@ def test_exact_guard_blocks_large_tables():
     "efron_stein(FunctionTable(uniform_space(10, 4), rng.standard_normal(4**10)), materialize=True)",
     "uniform_space(23).digits()",
     "noise_pair_weights(14, 0.5)",
-], ids=["clue-cli-joint-law", "materialized-components", "digit-matrix", "noise-pair-law"])
+    # two lattices of 3^17 entries, 1.03 GB each, for every coalition's information
+    "main(['game', '--fn', PATH17, '--iclue'])",
+], ids=["clue-cli-joint-law", "materialized-components", "digit-matrix", "noise-pair-law",
+        "iclue-game-lattice"])
 def test_over_budget_arrays_are_refused_before_allocation(code, tmp_path, run_python):
-    """Each request needs one array of 1.4 GiB or more, which a 2 GiB
+    """Each request needs 1.4 GiB or more at once (one array, or the two
+    lattices of the information game), which a 2 GiB
     address-space cap cannot hold beside the interpreter: it must be refused
     (GuardError, exit 3) before allocation, never die of MemoryError."""
     path = tmp_path / "normal14.json"
     save_function(FunctionTable(uniform_space(14), np.random.default_rng(0).standard_normal(1 << 14)), path)
+    path17 = tmp_path / "signs17.json"
+    if "PATH17" in code:
+        signs = np.random.default_rng(0).choice([-1.0, 1.0], 1 << 17)
+        save_function(FunctionTable(uniform_space(17), signs), path17)
     prelude = (
         "import sys\nimport numpy as np\n"
         "from cluekit.cli import main\n"
         "from cluekit.core import FunctionTable, uniform_space\n"
         "from cluekit.errors import GuardError\n"
         "from cluekit.spectral import efron_stein, noise_pair_weights\n"
-        f"PATH = {str(path)!r}\nrng = np.random.default_rng(0)\n"
+        f"PATH = {str(path)!r}\nPATH17 = {str(path17)!r}\nrng = np.random.default_rng(0)\n"
     )
     out = run_python(f"{prelude}try:\n    sys.exit({code})\nexcept GuardError:\n    sys.exit(3)\n",
                      address_space=2 << 30)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cluekit import infotheory
 from cluekit.core import FunctionTable, ProductSpace, uniform_space, variance
 from cluekit.games import (
     CooperativeGame,
@@ -86,6 +87,23 @@ def test_clue_games_supermodular_on_random_measures():
         assert is_supermodular(build_clue_game(f))[0]
         fb = FunctionTable(sp, (rng.random(sp.size) < 0.5).astype(float))
         assert is_supermodular(build_iclue_game(fb))[0]
+
+
+def test_information_game_never_calls_the_per_mask_route(monkeypatch):
+    """The game reads every coalition off the lattice; the per-mask route,
+    evaluated before it is patched out, is the reference."""
+    rng = np.random.default_rng(12)
+    sp = ProductSpace(6, 3, rng.dirichlet(np.ones(3) * 3.0, size=6))
+    f = FunctionTable(sp, rng.integers(0, 3, sp.size).astype(float))
+    expected = np.array([infotheory.mutual_information(f, mask) for mask in range(1 << 6)])
+    expected[0] = 0.0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-mask route called")
+
+    monkeypatch.setattr(infotheory, "mutual_information", refuse)
+    monkeypatch.setattr(infotheory, "joint_with_subset", refuse)
+    np.testing.assert_allclose(build_iclue_game(f).v, expected, rtol=0, atol=1e-13)
 
 
 def test_shapley_in_core_examples():

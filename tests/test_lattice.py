@@ -1,0 +1,118 @@
+"""The keep-or-sum-out lattice and the all-subsets routes built on it,
+checked on every mask against brute force and the per-mask routes."""
+import numpy as np
+import pytest
+
+from cluekit.clue import tv_clue, tv_clue_all_subsets
+from cluekit.core import FunctionTable, ProductSpace, biased_bits, uniform_space
+from cluekit.errors import DegenerateError
+from cluekit.infotheory import (
+    kl_clue,
+    kl_clue_all_subsets,
+    mutual_information,
+    mutual_information_all_subsets,
+)
+from cluekit.transforms import keep_or_sum, kept_sums
+
+
+def _space(n, q, seed, zero_atom=False):
+    pi = np.random.default_rng(seed).uniform(0.2, 1.0, size=(n, q))
+    if zero_atom:
+        pi[n // 2, q - 1] = 0.0
+    return ProductSpace(n, q, pi / pi.sum(axis=1, keepdims=True))
+
+
+def _cases():
+    rng = np.random.default_rng(81)
+    yield "biased-q2-n8", FunctionTable(biased_bits(8, np.linspace(0.2, 0.7, 8)),
+                                        (rng.random(256) < 0.4).astype(float))
+    yield "q3-n6-zero-atom", FunctionTable(_space(6, 3, 1, zero_atom=True),
+                                           rng.integers(0, 2, 3**6).astype(float))
+    yield "q4-n5", FunctionTable(_space(5, 4, 2), rng.integers(0, 3, 4**5).astype(float))
+    yield "real-4-groups", FunctionTable(_space(7, 2, 3), rng.choice([-1.5, 0.25, 2.0, 7.0], 2**7))
+    # every value distinct: single-configuration groups, some of zero weight
+    yield "distinct-q3-zero-atom", FunctionTable(_space(5, 3, 4, zero_atom=True),
+                                                 rng.standard_normal(3**5))
+
+
+CASES = dict(_cases())
+
+
+def _digits(index, base, n):
+    return [index // base**v % base for v in range(n)]
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 4), (3, 3), (4, 2)])
+def test_lattice_matches_brute_force(q, n):
+    values = np.random.default_rng(q * 10 + n).standard_normal((2, q**n))
+    lattice = keep_or_sum(values, q)
+    assert lattice.shape == (2, (q + 1) ** n)
+    configs = [_digits(c, q, n) for c in range(q**n)]
+    slots = [_digits(s, q + 1, n) for s in range((q + 1) ** n)]
+    for s, slot in enumerate(slots):
+        members = [c for c, cd in enumerate(configs)
+                   if all(d == q or d == x for d, x in zip(slot, cd))]
+        np.testing.assert_allclose(lattice[:, s], values[:, members].sum(axis=1), atol=1e-13)
+    by_mask = kept_sums(lattice, q)
+    for mask in range(1 << n):
+        members = [s for s, slot in enumerate(slots)
+                   if all((slot[v] < q) == bool(mask >> v & 1) for v in range(n))]
+        np.testing.assert_allclose(by_mask[:, mask], lattice[:, members].sum(axis=1), atol=1e-13)
+
+
+def test_lattice_rejects_wrong_lengths():
+    with pytest.raises(ValueError):
+        keep_or_sum(np.ones(6), 4)
+    with pytest.raises(ValueError):
+        kept_sums(np.ones(8), 2)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_mutual_information_lattice_matches_every_mask(name):
+    f = CASES[name]
+    bulk = mutual_information_all_subsets(f)
+    ref = [mutual_information(f, mask) for mask in range(1 << f.n)]
+    np.testing.assert_allclose(bulk, ref, rtol=0, atol=1e-13)
+    assert np.all(bulk >= 0.0)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_tv_lattice_matches_every_mask(name):
+    f = CASES[name]
+    bulk = tv_clue_all_subsets(f)
+    ref = [tv_clue(f, mask) for mask in range(1 << f.n)]
+    np.testing.assert_allclose(bulk, ref, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_kl_lattice_matches_every_mask_on_nonnegative_tables(name):
+    f = CASES[name]
+    f = FunctionTable(f.space, f.values - f.values.min())
+    bulk = kl_clue_all_subsets(f)
+    ref = [kl_clue(f, mask) for mask in range(1 << f.n)]
+    np.testing.assert_allclose(bulk, ref, rtol=0, atol=1e-13)
+
+
+def test_kl_lattice_refuses_negative_and_constant_tables():
+    with pytest.raises(ValueError):
+        kl_clue_all_subsets(FunctionTable(uniform_space(2), np.array([-1.0, 0.0, 1.0, 2.0])))
+    with pytest.raises(DegenerateError):
+        kl_clue_all_subsets(FunctionTable(uniform_space(2), np.full(4, 3.0)))
+    with pytest.raises(DegenerateError):
+        tv_clue_all_subsets(FunctionTable(uniform_space(2), np.full(4, 3.0)))
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_tv_lattice_survives_large_offset(offset):
+    rng = np.random.default_rng(25)
+    values = rng.standard_normal(1 << 10)
+    base = FunctionTable(uniform_space(10), values)
+    shifted = tv_clue_all_subsets(FunctionTable(uniform_space(10), values + offset))
+    for mask in (0b111, 0b1010110, (1 << 10) - 1):
+        assert shifted[mask] == pytest.approx(tv_clue(base, mask), rel=1e-5)
+
+
+def test_constant_group_has_zero_information():
+    f = FunctionTable(uniform_space(3), np.full(8, 2.0))
+    np.testing.assert_array_equal(mutual_information_all_subsets(f), np.zeros(8))
+
