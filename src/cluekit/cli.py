@@ -29,7 +29,7 @@ from .core import (
 )
 from .errors import DegenerateError, GuardError, ParseError
 from .fnio import load_function
-from .montecarlo import GENERATOR_ID, mc_clue, thread_count
+from .montecarlo import GENERATOR_ID, mc_clue
 
 SCHEMA = 1
 CSV_BLOCK = 1 << 16
@@ -54,7 +54,7 @@ def _by_mask(values: np.ndarray) -> dict:
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -88,6 +88,8 @@ def _parse_subset(text: str, n: int, torus: perco.TorusSpec | None = None) -> in
                 x, y = (int(c) for c in coords.split(","))
             except ValueError as exc:
                 raise ParseError(f"bad edge spec '{part}'") from exc
+            if not (0 <= x < torus.n and 0 <= y < torus.n):
+                raise ParseError(f"edge '{part}' is off the side-{torus.n} torus")
             if kind == "h":
                 mask |= 1 << torus.h_edge(x, y)
             elif kind == "v":
@@ -121,7 +123,7 @@ def _metric_values(f: FunctionTable, mask: int, names: list[str]) -> dict:
             out["l2_clue"] = clue_mod.clue(f, mask)
         elif name == "spectral":
             if dist is None:
-                dist = spectral.spectral_distribution(f, conditioned=True)
+                dist = spectral.spectral_distribution(f)
             out["spectral_clue"] = clue_mod.clue_spectral(dist, mask)
         elif name == "sig":
             out["sig"] = clue_mod.sig(f, mask)
@@ -175,7 +177,7 @@ def _cmd_spectrum(args) -> int:
     if args.csv:
         _emit_csv("mask,value", values)
         return 0
-    dist = spectral.distribution_from_weights(f.space, weights, conditioned=True)
+    dist = spectral.distribution_from_weights(f.space, weights)
     _emit(
         {
             "fn": args.fn,
@@ -262,7 +264,7 @@ def _cmd_perco(args) -> int:
         except ValueError as exc:
             raise ParseError(f"bad rectangle '{args.rect}', expected WxH") from exc
         rect = perco.RectangleSpec(w, h)
-        if args.mc:
+        if args.mc is not None:
             if args.seed is None:
                 raise ParseError("--mc requires --seed")
             estimate, stderr = perco.crossing_probability_mc(rect, args.mc, args.seed)
@@ -306,8 +308,7 @@ def _cmd_mc_clue(args) -> int:
         n, evaluator = zoo.evaluator_from_spec(args.fn)
         space = uniform_space(n)
     mask = _parse_subset(args.subset, n)
-    est = mc_clue(evaluator, space, mask, args.outer, args.inner, args.seed,
-                  threads=thread_count())
+    est = mc_clue(evaluator, space, mask, args.outer, args.inner, args.seed)
     _emit({"fn": args.fn, "subset": mask_indices(mask), "estimate": est.estimate,
            "stderr": est.stderr, "batches": est.batches, "outer": est.n_outer, "inner": est.m_inner,
            "seed": est.seed, "generator": est.generator, "clamped": est.clamped})

@@ -28,10 +28,11 @@ from .core import (
     weighted_variance,
 )
 from .errors import DegenerateError
-from .spectral import SpectralDistribution, subset_weights
-from .transforms import keep_or_sum, kept_sums, subset_zeta
+from .spectral import SpectralDistribution, projected_variances
+from .transforms import keep_or_sum, kept_sums
 
 _VAR_FLOOR = 1e-14
+DISTORTION_TOL = 1e-9
 
 
 def _checked_variance(f: FunctionTable) -> float:
@@ -60,10 +61,8 @@ def clue(f: FunctionTable, mask: int) -> float:
 
 
 def clue_spectral(dist: SpectralDistribution, mask: int) -> float:
-    """P[sample subseteq mask | sample nonempty], from a conditioned spectral
+    """P[sample subseteq mask | sample nonempty], from the spectral
     distribution.  Agrees with :func:`clue` on product measures."""
-    if not dist.conditioned:
-        raise ValueError("clue_spectral needs a distribution conditioned on nonempty")
     validate_mask(mask, dist.space.n)
     total = 0.0
     sub = mask
@@ -77,9 +76,7 @@ def clue_spectral(dist: SpectralDistribution, mask: int) -> float:
 def clue_all_subsets_table(f: FunctionTable) -> np.ndarray:
     """clue(f | mask) for every mask, via subset weights (any product measure)."""
     var = _checked_variance(f)
-    _, weights = subset_weights(f)
-    weights[0] = 0.0
-    return subset_zeta(weights) / var
+    return projected_variances(f) / var
 
 
 # ---------------------------------------------------------------------------
@@ -100,16 +97,16 @@ def sig_spectral(dist: SpectralDistribution, mask: int) -> float:
 # ---------------------------------------------------------------------------
 # determinacy: set influence and witness
 # ---------------------------------------------------------------------------
-def _fiber_constancy_probability(f: FunctionTable, fixed: int, tol: float) -> float:
+def _fiber_constancy_probability(f: FunctionTable, fixed: int) -> float:
     """Probability (over the fixed coordinates' marginal) that f is constant
-    on the fiber, constancy judged over positive-probability completions."""
+    on the fiber, constancy judged exactly over positive-probability
+    completions."""
     space = f.space
     support = space.marginal_weights(complement_mask(fixed, space.n)) > 0.0
     if not np.any(support):
         return 1.0
     cols = fibers(f.values, space, fixed)[:, support]
-    spread = cols.max(axis=1) - cols.min(axis=1)
-    constant = spread <= tol
+    constant = cols.max(axis=1) == cols.min(axis=1)
     return float(space.marginal_weights(fixed) @ constant.astype(float))
 
 
@@ -122,14 +119,14 @@ def influence_set(f: FunctionTable, mask: int) -> float:
     """P[f is not determined by the coordinates outside mask]."""
     _require_boolean(f)
     validate_mask(mask, f.n)
-    return 1.0 - _fiber_constancy_probability(f, complement_mask(mask, f.n), 0.0)
+    return 1.0 - _fiber_constancy_probability(f, complement_mask(mask, f.n))
 
 
 def witness(f: FunctionTable, mask: int) -> float:
     """P[the coordinates in mask alone determine f]."""
     _require_boolean(f)
     validate_mask(mask, f.n)
-    return _fiber_constancy_probability(f, mask, 0.0)
+    return _fiber_constancy_probability(f, mask)
 
 
 def influence_coordinate(f: FunctionTable, coord: int) -> float:
@@ -224,7 +221,7 @@ def _transfer_floor(c: float, eps: float) -> float:
 
 
 def projection_distortion_check(
-    f: FunctionTable, g: FunctionTable, mask: int, tol: float = 1e-9
+    f: FunctionTable, g: FunctionTable, mask: int
 ) -> ProjectionDistortionReport:
     """Check the two projection bounds on a concrete pair.
 
@@ -235,7 +232,8 @@ def projection_distortion_check(
     invariant, so the check normalizes nothing.  ``naive_transfer_gap``
     records min(clue_g - (clue_f - 2 eps), symmetric counterpart): it is
     reported because the simpler floor c - 2 eps is sometimes quoted, but
-    it can go slightly negative and is not asserted.
+    it can go slightly negative and is not asserted.  Every comparison
+    allows ``DISTORTION_TOL`` of rounding.
     """
     cf = clue(f, mask)
     cg = clue(g, mask)
@@ -245,11 +243,11 @@ def projection_distortion_check(
     c = min(cf, cg)
     corr_projected = None
     min_clue_bound_ok = True
-    if c > tol:
+    if c > DISTORTION_TOL:
         corr_projected = correlation(pf, pg)
-        min_clue_bound_ok = corr_projected >= 1.0 - eps / c - tol
-    transfer_bound_ok = (cg >= _transfer_floor(cf, eps) - tol) and (
-        cf >= _transfer_floor(cg, eps) - tol
+        min_clue_bound_ok = corr_projected >= 1.0 - eps / c - DISTORTION_TOL
+    transfer_bound_ok = (cg >= _transfer_floor(cf, eps) - DISTORTION_TOL) and (
+        cf >= _transfer_floor(cg, eps) - DISTORTION_TOL
     )
     return ProjectionDistortionReport(
         eps=eps,

@@ -27,6 +27,7 @@ every keep-or-sum-out lattice they hold at once.  The other gates bound time:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -400,12 +401,12 @@ class RandomSetDistribution:
     atoms: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        total = 0.0
         for mask, p in self.atoms:
             validate_mask(mask, self.n)
             if p < -PROB_TOL:
                 raise ValueError("atom probabilities must be nonnegative")
-            total += p
+        # a left-to-right sum of 2^20 atoms drifts past PROB_TOL; fsum rounds once
+        total = math.fsum(p for _, p in self.atoms)
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"atom probabilities sum to {total}, not 1")
 

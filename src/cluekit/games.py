@@ -9,13 +9,15 @@ from math import comb
 
 import numpy as np
 
-from .core import FunctionTable, mask_image, mask_indices
+from .core import FunctionTable, fibers, mask_indices, uniform_space
 from .errors import GuardError
 from .infotheory import mutual_information_all_subsets
-from .spectral import subset_weights
-from .transforms import popcounts, subset_zeta
+from .spectral import projected_variances
+from .symmetry import is_invariant, is_transitive
+from .transforms import popcounts
 
 SUPERMODULAR_GATE = 10
+GAME_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,11 +52,8 @@ class ShapleyVector:
 
 
 def build_clue_game(f: FunctionTable) -> CooperativeGame:
-    """v(S) = Var(E[f | S]), assembled by a subset-zeta over component norms
-    with the constant component left out."""
-    _, weights = subset_weights(f)
-    weights[0] = 0.0
-    return CooperativeGame(f.n, subset_zeta(weights))
+    """v(S) = Var(E[f | S]) (see :func:`~cluekit.spectral.projected_variances`)."""
+    return CooperativeGame(f.n, projected_variances(f))
 
 
 def build_iclue_game(f: FunctionTable) -> CooperativeGame:
@@ -81,9 +80,7 @@ def shapley(game: CooperativeGame) -> ShapleyVector:
     return ShapleyVector(phi)
 
 
-def is_supermodular(
-    game: CooperativeGame, tol: float = 1e-10
-) -> tuple[bool, tuple[int, int] | None]:
+def is_supermodular(game: CooperativeGame) -> tuple[bool, tuple[int, int] | None]:
     """Exhaustive pair check of v(S)+v(T) <= v(S|T)+v(S&T); returns the first
     violating pair as a witness."""
     if game.n > SUPERMODULAR_GATE:
@@ -92,13 +89,13 @@ def is_supermodular(
     masks = np.arange(1 << game.n)
     for s in range(1 << game.n):
         gap = v[s | masks] + v[s & masks] - v[s] - v[masks]
-        bad = np.nonzero(gap < -tol)[0]
+        bad = np.nonzero(gap < -GAME_TOL)[0]
         if bad.size:
             return False, (s, int(bad[0]))
     return True, None
 
 
-def shapley_in_core(game: CooperativeGame, tol: float = 1e-10) -> bool:
+def shapley_in_core(game: CooperativeGame) -> bool:
     """Every coalition receives at least its characteristic value under the
     Shapley allocation (efficiency holds by construction)."""
     phi = shapley(game).phi
@@ -106,20 +103,16 @@ def shapley_in_core(game: CooperativeGame, tol: float = 1e-10) -> bool:
     for i in range(game.n):
         masks = np.arange(1 << game.n)
         coalition_payoff[(masks >> i) & 1 == 1] += phi[i]
-    return bool(np.all(coalition_payoff >= game.v - tol))
+    return bool(np.all(coalition_payoff >= game.v - GAME_TOL))
 
 
 def restrict_game(game: CooperativeGame, mask: int) -> CooperativeGame:
     """Subgame on the players in ``mask`` (domain restricted to its subsets,
     players re-indexed in increasing coordinate order)."""
-    players = mask_indices(mask)
-    k = len(players)
-    return CooperativeGame(k, game.v[[mask_image(s, players) for s in range(1 << k)]])
+    return CooperativeGame(mask.bit_count(), fibers(game.v, uniform_space(game.n), mask)[:, 0])
 
 
-def subgame_shapley_monotone(
-    game: CooperativeGame, small: int, large: int, tol: float = 1e-10
-) -> bool:
+def subgame_shapley_monotone(game: CooperativeGame, small: int, large: int) -> bool:
     """For supermodular games, growing the player pool can only raise each
     remaining player's Shapley value.  Refuses non-supermodular input."""
     if small & ~large:
@@ -133,7 +126,7 @@ def subgame_shapley_monotone(
     large_players = mask_indices(large)
     pos_in_large = {p: i for i, p in enumerate(large_players)}
     return all(
-        phi_small[i] <= phi_large[pos_in_large[p]] + tol
+        phi_small[i] <= phi_large[pos_in_large[p]] + GAME_TOL
         for i, p in enumerate(small_players)
     )
 
@@ -147,24 +140,13 @@ class TransitiveBoundReport:
     max_violation: float
 
 
-def game_is_invariant(game: CooperativeGame, perms) -> bool:
-    for perm in perms:
-        for mask in range(1 << game.n):
-            if abs(game.v[mask_image(mask, perm)] - game.v[mask]) > 1e-12:
-                return False
-    return True
-
-
-def transitive_game_bound(
-    game: CooperativeGame, action, tol: float = 1e-10
-) -> TransitiveBoundReport:
+def transitive_game_bound(game: CooperativeGame, action) -> TransitiveBoundReport:
     """Check v(S) <= (|S|/n) v(V) for a game invariant under a transitive
-    action whose Shapley vector sits in the core."""
-    from .symmetry import is_transitive
-
-    invariant = game_is_invariant(game, action.generators)
+    action whose Shapley vector sits in the core.  Invariance reads the game
+    as a table over n uniform bits, coalition S at configuration S."""
+    invariant = is_invariant(FunctionTable(uniform_space(game.n), game.v), action)
     transitive = is_transitive(action)
-    in_core = shapley_in_core(game, tol)
+    in_core = shapley_in_core(game)
     if not (invariant and transitive and in_core):
         raise ValueError("hypotheses not met: need an invariant transitive game with Shapley in core")
     pc = popcounts(game.n)
@@ -174,7 +156,7 @@ def transitive_game_bound(
         invariant=invariant,
         transitive=transitive,
         shapley_in_core=in_core,
-        bound_holds=bool(np.all(gaps <= tol)),
+        bound_holds=bool(np.all(gaps <= GAME_TOL)),
         max_violation=float(gaps.max()),
     )
 

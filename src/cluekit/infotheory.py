@@ -37,8 +37,8 @@ def entropy(probs: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def group_values(values: np.ndarray, tol: float = VALUE_GROUP_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Group near-equal reals (ties within ``tol`` merge).
+def group_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group near-equal reals (ties within ``VALUE_GROUP_TOL`` merge).
 
     Returns (codes, representatives): codes[i] indexes the group of values[i].
     """
@@ -46,7 +46,7 @@ def group_values(values: np.ndarray, tol: float = VALUE_GROUP_TOL) -> tuple[np.n
     sorted_vals = values[order]
     new_group = np.empty(len(values), dtype=bool)
     new_group[0] = True
-    new_group[1:] = np.diff(sorted_vals) > tol
+    new_group[1:] = np.diff(sorted_vals) > VALUE_GROUP_TOL
     group_of_sorted = np.cumsum(new_group) - 1
     codes = np.empty(len(values), dtype=np.int64)
     codes[order] = group_of_sorted

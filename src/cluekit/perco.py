@@ -23,6 +23,9 @@ from .core import FunctionTable, extend, fits_budget, mask_from_indices, require
 from .montecarlo import mc_clue, run_chunks
 from .symmetry import average, from_generators
 
+EXACT_BOUND_TOL = 1e-9  # rounding allowance of the exact two-orbit verdict
+WILSON_Z = 1.96  # normal quantile of a 95% interval
+
 
 # ---------------------------------------------------------------------------
 # rectangles
@@ -375,7 +378,6 @@ class AveragedClueReport:
 def averaged_crossing_clue_bound(
     torus: TorusSpec,
     mask: int,
-    tol: float = 1e-9,
     mc_outer: int = 4000,
     mc_inner: int = 32,
     seed: int | None = None,
@@ -388,7 +390,7 @@ def averaged_crossing_clue_bound(
         if mask == 0:
             return AveragedClueReport(0.0, bound, None, True)
         value = clue(averaged_lr_table(torus), mask)
-        return AveragedClueReport(value, bound, None, value <= bound + tol)
+        return AveragedClueReport(value, bound, None, value <= bound + EXACT_BOUND_TOL)
     if seed is None:
         raise ValueError("Monte Carlo regime needs a seed")
     base = torus_lr_evaluator(torus)
@@ -421,11 +423,11 @@ class DisagreementEstimate:
 
 
 def translate_disagreement(
-    n: int, displacement: tuple[int, int], samples: int, seed: int, z: float = 1.96
+    n: int, displacement: tuple[int, int], samples: int, seed: int
 ) -> DisagreementEstimate:
     """Monte Carlo estimate of P[crossing differs from its translate], with a
-    Wilson score interval.  Reported, never asserted: the true size of this
-    probability is an asymptotic statement."""
+    95% Wilson score interval (z = WILSON_Z).  Reported, never asserted: the
+    true size of this probability is an asymptotic statement."""
     torus = TorusSpec(n)
     inv = np.argsort(np.asarray(torus.translation_permutation(*displacement)))
 
@@ -436,6 +438,7 @@ def translate_disagreement(
 
     disagreements = run_chunks(sample, samples, seed, chunk=1 << 13).sum()
     p_hat = float(disagreements / samples)
+    z = WILSON_Z
     denom = 1.0 + z**2 / samples
     center = (p_hat + z**2 / (2 * samples)) / denom
     half = z * math.sqrt(p_hat * (1 - p_hat) / samples + z**2 / (4 * samples**2)) / denom

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FunctionTable, ProductSpace, covariance, require_bytes, validate_mask
+from .core import FunctionTable, ProductSpace, covariance, require_bytes
 from .errors import DegenerateError, GuardError
 from .transforms import popcounts, subset_zeta
 
@@ -136,17 +136,24 @@ def efron_stein(f: FunctionTable, materialize: bool = False) -> EfronSteinCompon
     return EfronSteinComponents(space, norms, tables)
 
 
+def projected_variances(f: FunctionTable) -> np.ndarray:
+    """Var(E[f | S]) for every mask S: the subset-zeta of the squared weights
+    ||f_S||^2 with the constant component left out."""
+    weights = efron_stein(f).norms
+    weights[0] = 0.0
+    return subset_zeta(weights)
+
+
 # ---------------------------------------------------------------------------
 # spectral distribution over subset masks
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True, eq=False)
 class SpectralDistribution:
-    """Probability mass per subset mask, optionally conditioned on being
-    nonempty (mass[0] = 0, normalized by the variance)."""
+    """Probability mass per subset mask, conditioned on being nonempty
+    (mass[0] = 0, normalized by the variance)."""
 
     space: ProductSpace
     mass: np.ndarray = field(repr=False)
-    conditioned: bool = False
 
     def __post_init__(self):
         mass = np.asarray(self.mass, dtype=float)
@@ -155,31 +162,25 @@ class SpectralDistribution:
         mass = np.maximum(mass, 0.0)
         if abs(mass.sum() - 1.0) > 1e-10:
             raise ValueError("spectral masses must sum to 1")
+        if mass[0] != 0.0:
+            raise ValueError("spectral mass must be conditioned on nonempty masks (mass[0] = 0)")
         mass.setflags(write=False)
         object.__setattr__(self, "mass", mass)
 
 
-def subset_weights(f: FunctionTable) -> tuple[ProductSpace, np.ndarray]:
-    """Unnormalized squared weight ||f_S||^2 per mask; mask 0 holds E[f]^2."""
-    return f.space, efron_stein(f).norms
+def spectral_distribution(f: FunctionTable) -> SpectralDistribution:
+    return distribution_from_weights(f.space, efron_stein(f).norms)
 
 
-def spectral_distribution(f: FunctionTable, conditioned: bool = False) -> SpectralDistribution:
-    return distribution_from_weights(*subset_weights(f), conditioned)
-
-
-def distribution_from_weights(
-    space: ProductSpace, weights: np.ndarray, conditioned: bool = False
-) -> SpectralDistribution:
-    """Spectral distribution of subset weights ||f_S||^2 (left unmodified)."""
+def distribution_from_weights(space: ProductSpace, weights: np.ndarray) -> SpectralDistribution:
+    """Spectral distribution of subset weights ||f_S||^2, the empty set's
+    weight dropped (the input array is left unmodified)."""
     weights = np.array(weights, dtype=float)
-    if conditioned:
-        weights[0] = 0.0
+    weights[0] = 0.0
     total = weights.sum()
     if total <= 0.0:
-        raise DegenerateError("constant function: conditioned spectral sample undefined"
-                              if conditioned else "zero function has no spectral distribution")
-    return SpectralDistribution(space, weights / total, conditioned)
+        raise DegenerateError("constant function: conditioned spectral sample undefined")
+    return SpectralDistribution(space, weights / total)
 
 
 def spectral_marginal(dist: SpectralDistribution, coord: int) -> float:
@@ -190,8 +191,6 @@ def spectral_marginal(dist: SpectralDistribution, coord: int) -> float:
 
 def spectral_marginals(dist: SpectralDistribution) -> np.ndarray:
     """:func:`spectral_marginal` of every coordinate, in O(n 2^n)."""
-    if not dist.conditioned:
-        raise ValueError("marginal of the uniform element needs a conditioned distribution")
     pc = popcounts(dist.space.n)
     share = np.divide(dist.mass, pc, out=np.zeros_like(dist.mass), where=pc > 0)
     # masks containing coordinate j are the upper half of each 2^(j+1) block
@@ -224,7 +223,7 @@ class StabilityProfile:
 
 
 def stability_profile(f: FunctionTable) -> StabilityProfile:
-    return profile_from_weights(subset_weights(f)[1])
+    return profile_from_weights(efron_stein(f).norms)
 
 
 def profile_from_weights(weights: np.ndarray) -> StabilityProfile:
@@ -322,13 +321,3 @@ def covariance_lemma_check(f: FunctionTable, g: FunctionTable) -> tuple[float, f
     rhs = covariance(f, g)
     return lhs, rhs
 
-
-# ---------------------------------------------------------------------------
-# identities used as cross-checks
-# ---------------------------------------------------------------------------
-def projected_variance_from_weights(f: FunctionTable, mask: int) -> float:
-    """Var(E[f | mask]) = sum of squared weights over nonempty submasks."""
-    space, weights = subset_weights(f)
-    validate_mask(mask, space.n)
-    weights[0] = 0.0
-    return float(subset_zeta(weights)[mask])

@@ -135,8 +135,9 @@ def transitive_bound_suite() -> SuiteReport:
 # ---------------------------------------------------------------------------
 # 2. spectral identity: clue == clue_spectral
 # ---------------------------------------------------------------------------
-def spectral_identity_suite(n_uniform: int = 100, n_general: int = 20) -> SuiteReport:
+def spectral_identity_suite() -> SuiteReport:
     t0 = time.time()
+    n_uniform, n_general = 100, 20
     rng = generator_for(SUITE_SEED, 2)
     violations = []
     worst = 0.0
@@ -153,7 +154,7 @@ def spectral_identity_suite(n_uniform: int = 100, n_general: int = 20) -> SuiteR
         sp = _random_space(6, rng)
         f = FunctionTable(sp, rng.standard_normal(sp.size))
         direct = _direct_clue_all(f)
-        dist = spectral.spectral_distribution(f, conditioned=True)
+        dist = spectral.spectral_distribution(f)
         per_mask = np.array([clue_spectral(dist, mask) for mask in range(1 << 6)])
         err = float(np.max(np.abs(direct - per_mask)))
         worst = max(worst, err)
@@ -171,13 +172,13 @@ def spectral_identity_suite(n_uniform: int = 100, n_general: int = 20) -> SuiteR
 # ---------------------------------------------------------------------------
 # 3. orthogonal decomposition
 # ---------------------------------------------------------------------------
-def efron_stein_suite(n_trials: int = 20) -> SuiteReport:
+def efron_stein_suite() -> SuiteReport:
     t0 = time.time()
     rng = generator_for(SUITE_SEED, 3)
     violations = []
     stats = {"min_mass": np.inf, "worst_sum_err": 0.0, "worst_orth": 0.0, "worst_walsh_err": 0.0,
              "worst_fiber_err": 0.0}
-    for trial in range(n_trials):
+    for trial in range(20):
         sp = _random_space(6, rng)
         f = FunctionTable(sp, rng.standard_normal(sp.size))
         comp = spectral.efron_stein(f, materialize=True)
@@ -226,7 +227,7 @@ def games_suite() -> SuiteReport:
     for trial in range(10):
         f = FunctionTable(sp8, rng.standard_normal(sp8.size))
         phi = games.shapley(games.build_clue_game(f)).phi
-        dist = spectral.spectral_distribution(f, conditioned=True)
+        dist = spectral.spectral_distribution(f)
         marg = spectral.spectral_marginals(dist)
         err = float(np.max(np.abs(phi / variance(f) - marg)))
         worst_marg = max(worst_marg, err)
@@ -268,7 +269,7 @@ def games_suite() -> SuiteReport:
 # ---------------------------------------------------------------------------
 # 5. information bounds
 # ---------------------------------------------------------------------------
-def shearer_suite(n_covers: int = 50) -> SuiteReport:
+def shearer_suite() -> SuiteReport:
     t0 = time.time()
     rng = generator_for(SUITE_SEED, 5)
     violations = []
@@ -305,7 +306,7 @@ def shearer_suite(n_covers: int = 50) -> SuiteReport:
     sp6 = uniform_space(6)
     worst_deficit = np.inf
     worst_kl_deficit = np.inf
-    for trial in range(n_covers):
+    for trial in range(50):
         f = _random_boolean(sp6, rng)
         cover = [int(rng.integers(1, 64)) for _ in range(int(rng.integers(2, 7)))]
         k = max(
@@ -336,7 +337,7 @@ def shearer_suite(n_covers: int = 50) -> SuiteReport:
 # ---------------------------------------------------------------------------
 # 6. sandwiches
 # ---------------------------------------------------------------------------
-def sandwiches_suite(n_functions: int = 100) -> SuiteReport:
+def sandwiches_suite() -> SuiteReport:
     """Two-sided comparisons of the TV and entropy clue against the variance
     clue, on random Boolean functions with p_min >= 0.05.
 
@@ -369,7 +370,7 @@ def sandwiches_suite(n_functions: int = 100) -> SuiteReport:
     lattice_err = 0.0
     oracle_rng = generator_for(SUITE_SEED, ORACLE_STREAM + 6)
     masks = np.arange(1 << 8)
-    for trial in range(n_functions):
+    for trial in range(100):
         f = _random_boolean(sp8, rng, min_p=0.05)
         mean = f.values.mean()
         pm = p_min(f)
@@ -481,7 +482,7 @@ def _random_monotone(sp: ProductSpace, rng) -> FunctionTable:
     return FunctionTable(sp, vals)
 
 
-def covariance_lemma_suite(n_pairs: int = 50) -> SuiteReport:
+def covariance_lemma_suite() -> SuiteReport:
     t0 = time.time()
     rng = generator_for(SUITE_SEED, 8)
     violations = []
@@ -491,7 +492,7 @@ def covariance_lemma_suite(n_pairs: int = 50) -> SuiteReport:
     if not dictator_pins:
         violations.append({"case": "dictator", "lhs": lhs, "rhs": rhs})
     worst = 0.0
-    for trial in range(n_pairs):
+    for trial in range(50):
         n = int(rng.integers(2, 7))
         sp = uniform_space(n)
         f = _random_monotone(sp, rng)
@@ -568,7 +569,7 @@ def _scalar_crossing(rect: perco.RectangleSpec, open_row, dual: bool = False) ->
     return False
 
 
-def perco_suite(n_random_subsets: int = 500, mc_samples: int = 200_000) -> SuiteReport:
+def perco_suite() -> SuiteReport:
     t0 = time.time()
     rng = generator_for(SUITE_SEED, 9)
     violations = []
@@ -591,7 +592,7 @@ def perco_suite(n_random_subsets: int = 500, mc_samples: int = 200_000) -> Suite
     worst_slack = -np.inf
     masks = [1 << e for e in range(n_edges)]
     masks += [(1 << a) | (1 << b) for a in range(n_edges) for b in range(a + 1, n_edges)]
-    masks += [int(rng.integers(1, 1 << n_edges)) for _ in range(n_random_subsets)]
+    masks += [int(rng.integers(1, 1 << n_edges)) for _ in range(500)]
     for mask in masks:
         slack = float(torus_clue[mask]) - 2.0 * mask.bit_count() / 9.0
         worst_slack = max(worst_slack, slack)
@@ -608,7 +609,7 @@ def perco_suite(n_random_subsets: int = 500, mc_samples: int = 200_000) -> Suite
                 violations.append({"case": "kernel vs oracle", "shape": f"{rect.w}x{rect.h}",
                                    "dual": dual, "bad_rows": bad})
     exact43 = float(perco.crossing_probability_exact(r43))
-    estimate, stderr = perco.crossing_probability_mc(r43, mc_samples, seed=SUITE_SEED)
+    estimate, stderr = perco.crossing_probability_mc(r43, 200_000, seed=SUITE_SEED)
     if abs(estimate - exact43) > 3.0 * stderr:
         violations.append({"case": "mc crossing", "exact": exact43, "estimate": estimate, "stderr": stderr})
     return SuiteReport(
@@ -631,8 +632,9 @@ def perco_suite(n_random_subsets: int = 500, mc_samples: int = 200_000) -> Suite
 # ---------------------------------------------------------------------------
 # 10. Monte Carlo calibration
 # ---------------------------------------------------------------------------
-def montecarlo_suite(n_reps: int = 200) -> SuiteReport:
+def montecarlo_suite() -> SuiteReport:
     t0 = time.time()
+    n_reps = 200
     violations = []
     sp3 = uniform_space(3)
     sp16 = uniform_space(16)
@@ -678,14 +680,14 @@ def montecarlo_suite(n_reps: int = 200) -> SuiteReport:
 # ---------------------------------------------------------------------------
 # 11. finite-size surrogate of the steered-majority mechanism
 # ---------------------------------------------------------------------------
-def composite_trend_suite(t_sizes=(40, 80, 160)) -> SuiteReport:
+def composite_trend_suite() -> SuiteReport:
     """clue of the steering block must grow along the coupled size sequence,
     with Monte Carlo gaps significant at 3 sigma and each estimate consistent
     with the exact two-point formula."""
     t0 = time.time()
     violations = []
     points = []
-    for t in t_sizes:
+    for t in (40, 80, 160):
         m = zoo.coupled_majority_size(t)
         shift = zoo.find_a(m, m ** (-2.0 / 3.0))
         exact = composite_t_part_clue(m, t, shift)
@@ -707,12 +709,12 @@ def composite_trend_suite(t_sizes=(40, 80, 160)) -> SuiteReport:
     )
 
 
-def composite_t_part_clue(m: int, t: int, shift: float, tribe_size: int | None = None) -> float:
+def composite_t_part_clue(m: int, t: int, shift: float) -> float:
     """Exact clue of the steering block: the conditional mean given that
     block takes only two values, so everything reduces to binomial tails."""
     import math
 
-    l = tribe_size if tribe_size is not None else zoo.balanced_tribe_size(t)
+    l = zoo.balanced_tribe_size(t)
     q = 1.0 - (1.0 - 0.5**l) ** (t // l)
     theta = shift * math.sqrt(m)
 

@@ -17,6 +17,7 @@ from .core import FunctionTable, mask_image, permute, validate_mask
 from .errors import GuardError
 
 CLOSURE_CAP = 10**6
+INVARIANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,10 +169,10 @@ def translate_table(f: FunctionTable, perm: tuple[int, ...]) -> FunctionTable:
     return FunctionTable(f.space, permute(f.values, f.space, perm))
 
 
-def is_invariant(f: FunctionTable, action: GroupAction, tol: float = 1e-12) -> bool:
+def is_invariant(f: FunctionTable, action: GroupAction) -> bool:
     for perm in action.generators:
         moved = permute(f.values, f.space, perm)
-        if np.max(np.abs(moved - f.values)) > tol:
+        if np.max(np.abs(moved - f.values)) > INVARIANCE_TOL:
             return False
     return True
 

@@ -249,7 +249,7 @@ def _parse(spec: str) -> tuple[str, tuple, object]:
     if head not in FAMILIES:
         raise ParseError(f"unknown zoo family '{head}' (known: {', '.join(FAMILIES)})")
     family = FAMILIES[head]
-    raw = [a for a in tail.split(",") if a]
+    raw = tail.split(",") if tail else []
     required = len(family.types) - len(family.defaults)
     try:
         if not required <= len(raw) <= len(family.types):

@@ -11,6 +11,8 @@ uniform bits), and the test asserts that the bound is attained.  The linear form
 ratio scales like ``sqrt(clue)``; the suite reports its gap and
 counterexamples, and the test asserts only that the gap stays negative.
 """
+import inspect
+
 from cluekit import suites
 
 
@@ -19,8 +21,8 @@ def _report(number: int, rep: suites.SuiteReport) -> None:
     print(f"ACCEPTANCE {number:02d} [{rep.suite}] {status} ({rep.seconds:.1f}s) {rep.details}")
 
 
-def _run(number: int, suite_fn, **kwargs):
-    rep = suite_fn(**kwargs)
+def _run(number: int, suite_fn):
+    rep = suite_fn()
     _report(number, rep)
     assert rep.passed, f"criterion {number} violations: {rep.violations[:5]}"
     return rep
@@ -110,3 +112,9 @@ def test_criterion_11_finite_size_surrogates():
     # exact two-point oracle agrees with each Monte Carlo estimate
     for p in points:
         assert abs(p["estimate"] - p["exact"]) <= 3 * max(p["stderr"], 1e-9)
+
+
+def test_every_suite_takes_no_parameters():
+    """``cluekit verify`` and this module check the same pinned instances."""
+    for name, suite_fn in suites.SUITES.items():
+        assert not inspect.signature(suite_fn).parameters, name

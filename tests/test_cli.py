@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cluekit import spectral
-from cluekit.cli import main
+from cluekit.cli import _emit, main
 from cluekit.clue import clue_all_subsets_table
 from cluekit.core import FunctionTable, biased_bits, uniform_space
 from cluekit.fnio import load_function, save_function, table_from_dict, table_to_dict
@@ -156,6 +156,24 @@ def test_perco_exact(capsys):
 def test_perco_mc_requires_seed(capsys):
     code, payload, _ = run_cli(capsys, "perco", "--rect", "4x3", "--mc", "1000")
     assert code == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_perco_mc_refuses_nonpositive_sample_counts(capsys, samples):
+    code, _, _ = run_cli(capsys, "perco", "--rect", "3x2", "--mc", samples, "--seed", "1")
+    assert code == 2
+
+
+@pytest.mark.parametrize("edge", ["h:7,0", "v:0,3", "h:-1,0", "v:1,-2"])
+def test_perco_torus_edge_off_the_torus_exits_2(capsys, edge):
+    code, payload, _ = run_cli(capsys, "perco", "--torus", "3", "--avg-clue", "--subset", edge)
+    assert code == 2
+    assert "off the side-3 torus" in payload["error"]
+
+
+def test_emit_writes_numpy_booleans_as_json_booleans(capsys):
+    _emit({"holds": np.bool_(True), "clamped": np.bool_(False)})
+    assert json.loads(capsys.readouterr().out) == {"schema": 1, "holds": True, "clamped": False}
 
 
 def test_perco_torus_edge_subset(capsys):

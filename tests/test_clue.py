@@ -63,7 +63,7 @@ def test_clue_degenerate_function_raises():
 def test_clue_spectral_matches_direct():
     rng = np.random.default_rng(0)
     f = FunctionTable(uniform_space(6), rng.standard_normal(64))
-    dist = spectral_distribution(f, conditioned=True)
+    dist = spectral_distribution(f)
     for mask in range(64):
         assert clue_spectral(dist, mask) == pytest.approx(clue(f, mask), abs=1e-10)
     bulk = clue_all_subsets_table(f)
@@ -102,7 +102,7 @@ def test_sig_examples():
 def test_sig_duality_and_spectral_form():
     rng = np.random.default_rng(1)
     f = FunctionTable(uniform_space(6), rng.standard_normal(64))
-    dist = spectral_distribution(f, conditioned=True)
+    dist = spectral_distribution(f)
     for mask in rng.integers(0, 64, size=20):
         mask = int(mask)
         assert sig(f, mask) == 1.0 - clue(f, complement_mask(mask, 6))
@@ -250,7 +250,7 @@ def test_projection_distortion_random_pairs():
         f = FunctionTable(sp, rng.standard_normal(1 << n))
         g = FunctionTable(sp, f.values + rng.uniform(0, 2) * rng.standard_normal(1 << n))
         mask = int(rng.integers(0, 1 << n))
-        report = projection_distortion_check(f, g, mask, tol=1e-9)
+        report = projection_distortion_check(f, g, mask)
         assert report.min_clue_bound_ok and report.transfer_bound_ok
 
 

@@ -229,6 +229,11 @@ def test_random_set_distribution_must_normalize():
         RandomSetDistribution(2, ((0b01, 0.5), (0b10, 0.6)))
 
 
+def test_bernoulli_sets_normalizes_below_its_gate():
+    dist = bernoulli_sets(18, 0.3)
+    assert len(dist.atoms) == 1 << 18
+
+
 def test_biased_bits_weights():
     space = biased_bits(2, [0.75, 0.25])
     w = space.config_weights()

@@ -7,7 +7,6 @@ from cluekit.games import (
     CooperativeGame,
     build_clue_game,
     build_iclue_game,
-    game_is_invariant,
     is_supermodular,
     power_clue_game,
     restrict_game,
@@ -17,6 +16,7 @@ from cluekit.games import (
     transitive_game_bound,
 )
 from cluekit.spectral import spectral_distribution, spectral_marginals
+from cluekit.symmetry import is_invariant
 from cluekit.transforms import popcounts
 from cluekit.zoo import dictator, majority, parity, sum_function, tribes
 
@@ -63,7 +63,7 @@ def test_shapley_matches_spectral_marginal():
     rng = np.random.default_rng(1)
     f = FunctionTable(uniform_space(6), rng.standard_normal(64))
     phi = shapley(build_clue_game(f)).phi
-    marg = spectral_marginals(spectral_distribution(f, conditioned=True))
+    marg = spectral_marginals(spectral_distribution(f))
     np.testing.assert_allclose(phi / variance(f), marg, atol=1e-9)
 
 
@@ -175,7 +175,8 @@ def test_transitive_game_bound_rejects_bad_hypotheses():
 
 def test_game_invariance_check():
     m = majority(3)
-    assert game_is_invariant(build_clue_game(m.table), m.action.generators)
+    game = build_clue_game(m.table)
+    assert is_invariant(FunctionTable(uniform_space(3), game.v), m.action)
 
 
 def test_power_game_exposed_but_unasserted():

@@ -13,13 +13,14 @@ from cluekit.core import (
 )
 from cluekit.errors import DegenerateError, GuardError
 from cluekit.spectral import (
+    SpectralDistribution,
     covariance_lemma_check,
     efron_stein,
     inverse_walsh_hadamard,
     is_monotone,
     noise_pair_weights,
     pivotal_set,
-    projected_variance_from_weights,
+    projected_variances,
     sample_spectral,
     spectral_distribution,
     spectral_marginal,
@@ -80,7 +81,7 @@ def test_parseval_and_projected_variance():
 
     for mask in rng.integers(0, 256, size=12):
         direct = variance(conditional_expectation(f, int(mask)))
-        via = projected_variance_from_weights(f, int(mask))
+        via = projected_variances(f)[int(mask)]
         assert direct == pytest.approx(via, abs=1e-10)
 
 
@@ -177,19 +178,19 @@ def test_walsh_matches_character_sums():
 
 
 def test_spectral_distribution_maj3():
-    dist = spectral_distribution(majority(3).table, conditioned=True)
+    dist = spectral_distribution(majority(3).table)
     np.testing.assert_allclose(
         dist.mass[[0b001, 0b010, 0b100, 0b111]], 0.25, atol=1e-12
     )
 
 
 def test_spectral_distribution_parity_point_mass():
-    dist = spectral_distribution(parity(4).table, conditioned=True)
+    dist = spectral_distribution(parity(4).table)
     assert dist.mass[0b1111] == pytest.approx(1.0)
 
 
 def test_spectral_distribution_sum_uniform_on_singletons():
-    dist = spectral_distribution(sum_function(5).table, conditioned=True)
+    dist = spectral_distribution(sum_function(5).table)
     for j in range(5):
         assert dist.mass[1 << j] == pytest.approx(1 / 5, abs=1e-12)
 
@@ -197,29 +198,34 @@ def test_spectral_distribution_sum_uniform_on_singletons():
 def test_spectral_distribution_degenerate():
     f = FunctionTable(uniform_space(3), np.ones(8))
     with pytest.raises(DegenerateError):
-        spectral_distribution(f, conditioned=True)
+        spectral_distribution(f)
+
+
+def test_spectral_distribution_refuses_mass_on_the_empty_set():
+    with pytest.raises(ValueError):
+        SpectralDistribution(uniform_space(1), np.array([0.5, 0.5]))
 
 
 def test_spectral_marginal_examples():
-    maj = spectral_distribution(majority(3).table, conditioned=True)
+    maj = spectral_distribution(majority(3).table)
     for j in range(3):
         assert spectral_marginal(maj, j) == pytest.approx(1 / 3, abs=1e-12)
-    s = spectral_distribution(sum_function(6).table, conditioned=True)
+    s = spectral_distribution(sum_function(6).table)
     assert spectral_marginal(s, 2) == pytest.approx(1 / 6, abs=1e-12)
-    d = spectral_distribution(dictator(4, 1).table, conditioned=True)
+    d = spectral_distribution(dictator(4, 1).table)
     assert spectral_marginal(d, 1) == pytest.approx(1.0)
 
 
 def test_sample_spectral_point_masses():
     rng = generator_for(1, 0)
-    d = spectral_distribution(dictator(3, 1).table, conditioned=True)
+    d = spectral_distribution(dictator(3, 1).table)
     assert all(sample_spectral(d, rng, size=20) == 0b010)
-    p = spectral_distribution(parity(3).table, conditioned=True)
+    p = spectral_distribution(parity(3).table)
     assert all(sample_spectral(p, rng, size=20) == 0b111)
 
 
 def test_sample_spectral_maj3_frequencies():
-    dist = spectral_distribution(majority(3).table, conditioned=True)
+    dist = spectral_distribution(majority(3).table)
     draws = sample_spectral(dist, generator_for(2, 0), size=100_000)
     sigma = np.sqrt(0.25 * 0.75 / 100_000)
     for mask in (0b001, 0b010, 0b100, 0b111):
@@ -228,7 +234,7 @@ def test_sample_spectral_maj3_frequencies():
 
 
 def test_sample_spectral_deterministic_per_seed():
-    dist = spectral_distribution(majority(3).table, conditioned=True)
+    dist = spectral_distribution(majority(3).table)
     a = sample_spectral(dist, generator_for(9, 3), size=50)
     b = sample_spectral(dist, generator_for(9, 3), size=50)
     np.testing.assert_array_equal(a, b)
@@ -236,7 +242,7 @@ def test_sample_spectral_deterministic_per_seed():
 
 def test_spectral_marginal_matches_empirical_uniform_pick():
     f = FunctionTable(uniform_space(4), np.random.default_rng(7).standard_normal(16))
-    dist = spectral_distribution(f, conditioned=True)
+    dist = spectral_distribution(f)
     marg = spectral_marginals(dist)
     rng = generator_for(3, 0)
     draws = sample_spectral(dist, rng, size=100_000)

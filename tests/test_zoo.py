@@ -205,6 +205,12 @@ def test_from_spec_errors():
         from_spec("tribes:2")
 
 
+@pytest.mark.parametrize("spec", ["maj:,5", "maj:5,", "dictator:6,,2"])
+def test_empty_spec_argument_is_refused(spec):
+    with pytest.raises(ParseError):
+        from_spec(spec)
+
+
 def test_majority_21_builds_in_bounded_memory(run_python):
     """The table is built block by block: the (2^21, 21) digit matrix, 44 MB
     as uint8 and 350 MB once widened to spins, never exists."""
