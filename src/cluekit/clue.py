@@ -64,13 +64,8 @@ def clue_spectral(dist: SpectralDistribution, mask: int) -> float:
     """P[sample subseteq mask | sample nonempty], from the spectral
     distribution.  Agrees with :func:`clue` on product measures."""
     validate_mask(mask, dist.space.n)
-    total = 0.0
-    sub = mask
-    while True:
-        total += dist.mass[sub]
-        if sub == 0:
-            return float(total)
-        sub = (sub - 1) & mask
+    masks = np.arange(dist.mass.size)
+    return float(dist.mass[(masks | mask) == mask].sum())
 
 
 def clue_all_subsets_table(f: FunctionTable) -> np.ndarray:
@@ -187,11 +182,11 @@ def p_min(f: FunctionTable) -> float:
 # random subsets
 # ---------------------------------------------------------------------------
 def expected_clue(f: FunctionTable, dist: RandomSetDistribution) -> float:
-    """Average clue over a random subset drawn independently of the input."""
-    if dist.n != f.n:
+    """Average clue over a random subset drawn independently of the input:
+    the law's probabilities against every subset's clue."""
+    if dist.probs.size != 1 << f.n:
         raise ValueError("distribution and table disagree on n")
-    _checked_variance(f)
-    return float(sum(p * clue(f, mask) for mask, p in dist.atoms if p > 0.0))
+    return float(dist.probs @ clue_all_subsets_table(f))
 
 
 # ---------------------------------------------------------------------------
@@ -260,29 +255,3 @@ def projection_distortion_check(
         naive_transfer_gap=float(min(cg - (cf - 2 * eps), cf - (cg - 2 * eps))),
     )
 
-
-# ---------------------------------------------------------------------------
-# bundled report for the CLI
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ClueReport:
-    l2_clue: float
-    sig: float
-    influence_set: float | None
-    witness: float | None
-    tv_clue: float
-    p_min: float | None
-    degenerate_fibers: bool
-
-
-def clue_report(f: FunctionTable, mask: int) -> ClueReport:
-    boolean = f.is_boolean()
-    return ClueReport(
-        l2_clue=clue(f, mask),
-        sig=sig(f, mask),
-        influence_set=influence_set(f, mask) if boolean else None,
-        witness=witness(f, mask) if boolean else None,
-        tv_clue=tv_clue(f, mask),
-        p_min=p_min(f) if boolean else None,
-        degenerate_fibers=f.space.has_zero_atoms,
-    )

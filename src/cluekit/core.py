@@ -9,7 +9,8 @@ Conventions used everywhere in the package:
 * For binary spaces the digit/spin dictionary is ``digit 0 -> spin -1`` and
   ``digit 1 -> spin +1``.
 * Coordinate subsets are plain Python ints used as bitmasks (bit v set means
-  coordinate v belongs to the subset).
+  coordinate v belongs to the subset); a quantity over every subset, such as
+  a :class:`RandomSetDistribution`, is a 2^n vector indexed by mask.
 
 Other modules reach this layout only through :func:`fibers`, :func:`extend`,
 :func:`permute` and the digit matrices that one private helper builds for
@@ -22,18 +23,18 @@ at least :data:`BYTE_BUDGET` bytes before it is allocated.  Every
 :class:`FunctionTable` (8 q^n bytes) is checked, and engines check each larger
 array they build; the all-subsets routes check, with :func:`require_lattices`,
 every keep-or-sum-out lattice they hold at once.  The other gates bound time:
-``games.SUPERMODULAR_GATE``, ``spectral.MONOTONE_GATE``, the n <= 20 of
-:func:`bernoulli_sets` and ``symmetry.CLOSURE_CAP``.
+``games.SUPERMODULAR_GATE``, ``spectral.MONOTONE_GATE`` and
+``symmetry.CLOSURE_CAP``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import GuardError
+from .transforms import containing_sums
 
 BYTE_BUDGET = 1 << 30
 TABLE_BLOCK = 1 << 16
@@ -393,57 +394,56 @@ def conditional_expectation(f: FunctionTable, mask: int) -> FunctionTable:
 # ---------------------------------------------------------------------------
 # random coordinate subsets
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomSetDistribution:
-    """Distribution over coordinate subsets, as explicit (mask, prob) atoms."""
+    """Distribution over the subsets of n coordinates: ``probs[mask]`` is
+    P[U = mask], one entry per subset mask (length 2^n)."""
 
-    n: int
-    atoms: tuple[tuple[int, float], ...]
+    probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for mask, p in self.atoms:
-            validate_mask(mask, self.n)
-            if p < -PROB_TOL:
-                raise ValueError("atom probabilities must be nonnegative")
-        # a left-to-right sum of 2^20 atoms drifts past PROB_TOL; fsum rounds once
-        total = math.fsum(p for _, p in self.atoms)
+        probs = np.array(self.probs, dtype=float)
+        if probs.ndim != 1 or probs.size == 0 or probs.size & (probs.size - 1):
+            raise ValueError("need one probability per subset mask, a vector of length 2^n")
+        if probs.min() < -PROB_TOL:
+            raise ValueError("subset probabilities must be nonnegative")
+        # numpy sums pairwise, so 2^n terms drift by O(n) roundings, not O(2^n)
+        total = float(probs.sum())
         if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"atom probabilities sum to {total}, not 1")
+            raise ValueError(f"subset probabilities sum to {total}, not 1")
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
+
+
+def _require_subset_law(n: int):
+    require_bytes(8 << n, f"a law over the 2^{n} subsets of {n} coordinates")
 
 
 def revealment(dist: RandomSetDistribution) -> float:
     """max_j P[j in U]: the largest single-coordinate inclusion probability."""
-    best = 0.0
-    for j in range(dist.n):
-        pj = sum(p for mask, p in dist.atoms if (mask >> j) & 1)
-        best = max(best, pj)
-    return best
+    return float(containing_sums(dist.probs).max(initial=0.0))
 
 
 def singleton_sets(n: int) -> RandomSetDistribution:
-    return RandomSetDistribution(n, tuple((1 << j, 1.0 / n) for j in range(n)))
+    _require_subset_law(n)
+    probs = np.zeros(1 << n)
+    probs[1 << np.arange(n)] = 1.0 / n
+    return RandomSetDistribution(probs)
 
 
 def bernoulli_sets(n: int, p: float) -> RandomSetDistribution:
-    """Each coordinate included independently with probability p (2^n atoms)."""
+    """Each coordinate included independently with probability p: the
+    product measure on inclusion bits."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if n > 20:
-        raise GuardError("explicit Bernoulli set distribution gated at n <= 20")
-    masks = np.arange(1 << n)
-    probs = np.ones(1 << n)
-    for v in range(n):
-        bit = (masks >> v) & 1
-        probs *= np.where(bit == 1, p, 1.0 - p)
-    return RandomSetDistribution(n, tuple(zip(masks.tolist(), probs.tolist())))
+    _require_subset_law(n)
+    return RandomSetDistribution(biased_bits(n, p).marginal_weights(full_mask(n)))
 
 
 def translate_sets(mask: int, perms: Sequence[Sequence[int]], n: int) -> RandomSetDistribution:
     """Uniform distribution over the images of ``mask`` under the given
     coordinate permutations."""
     validate_mask(mask, n)
-    atoms: dict[int, float] = {}
-    for perm in perms:
-        img = mask_image(mask, perm)
-        atoms[img] = atoms.get(img, 0.0) + 1.0 / len(perms)
-    return RandomSetDistribution(n, tuple(atoms.items()))
+    _require_subset_law(n)
+    images = [mask_image(mask, perm) for perm in perms]
+    return RandomSetDistribution(np.bincount(images, minlength=1 << n) / len(perms))

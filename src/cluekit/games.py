@@ -14,7 +14,7 @@ from .errors import GuardError
 from .infotheory import mutual_information_all_subsets
 from .spectral import projected_variances
 from .symmetry import is_invariant, is_transitive
-from .transforms import popcounts
+from .transforms import popcounts, subset_zeta
 
 SUPERMODULAR_GATE = 10
 GAME_TOL = 1e-10
@@ -98,12 +98,9 @@ def is_supermodular(game: CooperativeGame) -> tuple[bool, tuple[int, int] | None
 def shapley_in_core(game: CooperativeGame) -> bool:
     """Every coalition receives at least its characteristic value under the
     Shapley allocation (efficiency holds by construction)."""
-    phi = shapley(game).phi
-    coalition_payoff = np.zeros(1 << game.n)
-    for i in range(game.n):
-        masks = np.arange(1 << game.n)
-        coalition_payoff[(masks >> i) & 1 == 1] += phi[i]
-    return bool(np.all(coalition_payoff >= game.v - GAME_TOL))
+    singletons = np.zeros(1 << game.n)
+    singletons[1 << np.arange(game.n)] = shapley(game).phi
+    return bool(np.all(subset_zeta(singletons) >= game.v - GAME_TOL))
 
 
 def restrict_game(game: CooperativeGame, mask: int) -> CooperativeGame:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import FunctionTable, ProductSpace, covariance, require_bytes
 from .errors import DegenerateError, GuardError
-from .transforms import popcounts, subset_zeta
+from .transforms import containing_sums, popcounts, subset_zeta
 
 NEG_CLAMP = 1e-12
 MONOTONE_GATE = 8
@@ -192,9 +192,7 @@ def spectral_marginal(dist: SpectralDistribution, coord: int) -> float:
 def spectral_marginals(dist: SpectralDistribution) -> np.ndarray:
     """:func:`spectral_marginal` of every coordinate, in O(n 2^n)."""
     pc = popcounts(dist.space.n)
-    share = np.divide(dist.mass, pc, out=np.zeros_like(dist.mass), where=pc > 0)
-    # masks containing coordinate j are the upper half of each 2^(j+1) block
-    return np.array([share.reshape(-1, 2, 1 << j)[:, 1].sum() for j in range(dist.space.n)])
+    return containing_sums(np.divide(dist.mass, pc, out=np.zeros_like(dist.mass), where=pc > 0))
 
 
 def sample_spectral(dist: SpectralDistribution, rng: np.random.Generator, size: int | None = None):

@@ -1,5 +1,6 @@
 """Named verification suites: each one checks a family of identities or
-inequalities at its stated tolerance and returns a serializable report.
+inequalities at its stated tolerance and returns its details and violations;
+:func:`run_suite` times it into a serializable report.
 
 The CLI ``verify`` command runs these one at a time; the acceptance test
 module runs all of them.  Random inputs are drawn from fixed, documented
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +49,13 @@ LATTICE_TOL = 1e-12
 @dataclass
 class SuiteReport:
     suite: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
-    seconds: float = 0.0
+    details: dict
+    violations: list
+    seconds: float
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def to_dict(self) -> dict:
         return {
@@ -96,8 +100,7 @@ def _direct_clue_all(f: FunctionTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # 1. transitive clue bound
 # ---------------------------------------------------------------------------
-def transitive_bound_suite() -> SuiteReport:
-    t0 = time.time()
+def transitive_bound_suite() -> tuple[dict, list]:
     entries = [
         zoo.sum_function(12),
         zoo.parity(12),
@@ -123,20 +126,14 @@ def transitive_bound_suite() -> SuiteReport:
     sharp_err = float(np.max(np.abs(sharp - popcounts(12) / 12)))
     if sharp_err > 1e-10:
         violations.append({"fn": "sum:12", "problem": "sharpness", "err": sharp_err})
-    return SuiteReport(
-        "transitive-bound",
-        not violations,
-        {"functions": [e.name for e in entries], "worst_slack": worst_slack, "sum_sharpness_err": sharp_err},
-        violations,
-        time.time() - t0,
-    )
+    return {"functions": [e.name for e in entries], "worst_slack": worst_slack,
+            "sum_sharpness_err": sharp_err}, violations
 
 
 # ---------------------------------------------------------------------------
 # 2. spectral identity: clue == clue_spectral
 # ---------------------------------------------------------------------------
-def spectral_identity_suite() -> SuiteReport:
-    t0 = time.time()
+def spectral_identity_suite() -> tuple[dict, list]:
     n_uniform, n_general = 100, 20
     rng = generator_for(SUITE_SEED, 2)
     violations = []
@@ -160,20 +157,13 @@ def spectral_identity_suite() -> SuiteReport:
         worst = max(worst, err)
         if err > 1e-10:
             violations.append({"trial": trial, "route": "efron-stein", "err": err})
-    return SuiteReport(
-        "spectral-identity",
-        not violations,
-        {"uniform_trials": n_uniform, "general_trials": n_general, "worst_err": worst},
-        violations,
-        time.time() - t0,
-    )
+    return {"uniform_trials": n_uniform, "general_trials": n_general, "worst_err": worst}, violations
 
 
 # ---------------------------------------------------------------------------
 # 3. orthogonal decomposition
 # ---------------------------------------------------------------------------
-def efron_stein_suite() -> SuiteReport:
-    t0 = time.time()
+def efron_stein_suite() -> tuple[dict, list]:
     rng = generator_for(SUITE_SEED, 3)
     violations = []
     stats = {"min_mass": np.inf, "worst_sum_err": 0.0, "worst_orth": 0.0, "worst_walsh_err": 0.0,
@@ -204,22 +194,23 @@ def efron_stein_suite() -> SuiteReport:
         if recon > 1e-10:
             violations.append({"trial": trial, "reconstruction": recon})
     sp8 = uniform_space(8)
+    # independent oracle: characters[x, S] = prod_{v in S} spin_v(x)
+    in_mask = (np.arange(sp8.size)[:, None] >> np.arange(8)) & 1 == 1
+    characters = np.where(in_mask, sp8.spins()[:, None, :], 1).prod(axis=2)
     for trial in range(5):
         f = FunctionTable(sp8, rng.standard_normal(sp8.size))
-        comp = spectral.efron_stein(f)
         coeffs = spectral.walsh_hadamard(f).coeffs
-        err = float(np.max(np.abs(comp.norms - coeffs**2)))
+        err = float(np.max(np.abs(coeffs - f.values @ characters / sp8.size)))
         stats["worst_walsh_err"] = max(stats["worst_walsh_err"], err)
         if err > 1e-10:
             violations.append({"trial": trial, "walsh_err": err})
-    return SuiteReport("efron-stein", not violations, stats, violations, time.time() - t0)
+    return stats, violations
 
 
 # ---------------------------------------------------------------------------
 # 4. games
 # ---------------------------------------------------------------------------
-def games_suite() -> SuiteReport:
-    t0 = time.time()
+def games_suite() -> tuple[dict, list]:
     rng = generator_for(SUITE_SEED, 4)
     violations = []
     sp8 = uniform_space(8)
@@ -257,20 +248,13 @@ def games_suite() -> SuiteReport:
         eff = abs(games.shapley(game).total - game.grand_value)
         if eff > 1e-10:
             violations.append({"fn": entry.name, "efficiency_err": eff})
-    return SuiteReport(
-        "games",
-        not violations,
-        {"worst_shapley_vs_marginal": worst_marg, "zoo": [e.name for e in zoo_entries]},
-        violations,
-        time.time() - t0,
-    )
+    return {"worst_shapley_vs_marginal": worst_marg, "zoo": [e.name for e in zoo_entries]}, violations
 
 
 # ---------------------------------------------------------------------------
 # 5. information bounds
 # ---------------------------------------------------------------------------
-def shearer_suite() -> SuiteReport:
-    t0 = time.time()
+def shearer_suite() -> tuple[dict, list]:
     rng = generator_for(SUITE_SEED, 5)
     violations = []
     entries = [
@@ -319,25 +303,19 @@ def shearer_suite() -> SuiteReport:
         worst_kl_deficit = min(worst_kl_deficit, kl_deficit)
         if deficit < -1e-10 or kl_deficit < -1e-10:
             violations.append({"trial": trial, "cover": cover, "k": k, "deficit": deficit, "kl": kl_deficit})
-    return SuiteReport(
-        "shearer",
-        not violations,
-        {
-            "worst_i_slack": float(worst_i),
-            "worst_kl_slack": float(worst_kl),
-            "worst_cover_deficit": float(worst_deficit),
-            "worst_kl_cover_deficit": float(worst_kl_deficit),
-            "lattice_max_err": float(lattice_err),
-        },
-        violations,
-        time.time() - t0,
-    )
+    return {
+        "worst_i_slack": float(worst_i),
+        "worst_kl_slack": float(worst_kl),
+        "worst_cover_deficit": float(worst_deficit),
+        "worst_kl_cover_deficit": float(worst_kl_deficit),
+        "lattice_max_err": float(lattice_err),
+    }, violations
 
 
 # ---------------------------------------------------------------------------
 # 6. sandwiches
 # ---------------------------------------------------------------------------
-def sandwiches_suite() -> SuiteReport:
+def sandwiches_suite() -> tuple[dict, list]:
     """Two-sided comparisons of the TV and entropy clue against the variance
     clue, on random Boolean functions with p_min >= 0.05.
 
@@ -359,7 +337,6 @@ def sandwiches_suite() -> SuiteReport:
     Every subset's TV and I-clue come off the keep-or-sum-out lattice; the
     per-mask routes check it on seeded masks (``lattice_max_err``).
     """
-    t0 = time.time()
     rng = generator_for(SUITE_SEED, 6)
     sp8 = uniform_space(8)
     margins = {"tv_lower": np.inf, "tv_upper": np.inf, "i_lower": np.inf, "i_upper": np.inf}
@@ -411,7 +388,6 @@ def sandwiches_suite() -> SuiteReport:
             )
     if lattice_err > LATTICE_TOL:
         violations.append({"lattice_max_err": lattice_err})
-    passed = all(margins[k] >= -1e-10 for k in margins) and bool(lattice_err <= LATTICE_TOL)
     details = {k: float(v) for k, v in margins.items()}
     details["lattice_max_err"] = float(lattice_err)
     details["tv_upper_max_ratio"] = float(max_ratio)
@@ -423,18 +399,21 @@ def sandwiches_suite() -> SuiteReport:
         "form 2/p_min * clue is false for weak subsets (tv ~ sqrt(clue)) and is "
         "reported as tv_upper_linear_gap, not asserted"
     )
-    return SuiteReport("sandwiches", passed, details, violations, time.time() - t0)
+    return details, violations
 
 
 # ---------------------------------------------------------------------------
 # 7. revealment
 # ---------------------------------------------------------------------------
-def revealment_suite() -> SuiteReport:
-    t0 = time.time()
+def revealment_suite() -> tuple[dict, list]:
+    """Expected clue against revealment on Bernoulli and cyclic-translate
+    laws.  ``worst_fiber_err`` checks each expected clue against the law's
+    probabilities dotted with the fiber clue of every subset."""
     rng = generator_for(SUITE_SEED, 7)
     violations = []
     worst_gap = -np.inf
     worst_identity = 0.0
+    worst_fiber = 0.0
     tables = [zoo.majority(7).table, zoo.tribes(2, 4).table]
     for trial in range(6):
         sp = uniform_space(int(rng.integers(5, 9)))
@@ -444,30 +423,32 @@ def revealment_suite() -> SuiteReport:
         n = f.n
         prof = spectral.stability_profile(f)
         var = variance(f)
+        fiber = _direct_clue_all(f)
         for p in p_grid:
             dist = bernoulli_sets(n, p)
             ec = expected_clue(f, dist)
             gap = ec - revealment(dist)
-            worst_gap = max(worst_gap, gap)
             identity_err = abs(ec - spectral.stability(prof, p) / var)
+            fiber_err = abs(ec - float(dist.probs @ fiber))
+            worst_gap = max(worst_gap, gap)
             worst_identity = max(worst_identity, identity_err)
-            if gap > 1e-10 or identity_err > 1e-10:
-                violations.append({"n": n, "p": p, "gap": gap, "identity_err": identity_err})
+            worst_fiber = max(worst_fiber, fiber_err)
+            if gap > 1e-10 or identity_err > 1e-10 or fiber_err > 1e-10:
+                violations.append({"n": n, "p": p, "gap": gap, "identity_err": identity_err,
+                                   "fiber_err": fiber_err})
         cyc = symmetry.cyclic_group(n)
         for _ in range(4):
             mask = int(rng.integers(1, 1 << n))
             dist = translate_sets(mask, cyc.elements(), n)
-            gap = expected_clue(f, dist) - revealment(dist)
+            ec = expected_clue(f, dist)
+            gap = ec - revealment(dist)
+            fiber_err = abs(ec - float(dist.probs @ fiber))
             worst_gap = max(worst_gap, gap)
-            if gap > 1e-10:
-                violations.append({"n": n, "translate_mask": mask, "gap": gap})
-    return SuiteReport(
-        "revealment",
-        not violations,
-        {"worst_gap": float(worst_gap), "worst_bernoulli_identity_err": float(worst_identity)},
-        violations,
-        time.time() - t0,
-    )
+            worst_fiber = max(worst_fiber, fiber_err)
+            if gap > 1e-10 or fiber_err > 1e-10:
+                violations.append({"n": n, "translate_mask": mask, "gap": gap, "fiber_err": fiber_err})
+    return {"worst_gap": float(worst_gap), "worst_bernoulli_identity_err": float(worst_identity),
+            "worst_fiber_err": float(worst_fiber)}, violations
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +463,7 @@ def _random_monotone(sp: ProductSpace, rng) -> FunctionTable:
     return FunctionTable(sp, vals)
 
 
-def covariance_lemma_suite() -> SuiteReport:
-    t0 = time.time()
+def covariance_lemma_suite() -> tuple[dict, list]:
     rng = generator_for(SUITE_SEED, 8)
     violations = []
     d = zoo.dictator(3, 0).table
@@ -502,22 +482,16 @@ def covariance_lemma_suite() -> SuiteReport:
         worst = max(worst, err)
         if err > 1e-9:
             violations.append({"trial": trial, "n": n, "lhs": lhs, "rhs": rhs})
-    return SuiteReport(
-        "covariance-lemma",
-        not violations,
-        {
-            "identity_constant": 1.0,
-            "dictator_pins_constant": dictator_pins,
-            "worst_abs_err": float(worst),
-            "note": (
-                "integral of the expected pivotal overlap equals Cov(f,g) with "
-                "constant 1; the variant normalization carrying an extra 1/4 "
-                "fails the dictator case and is rejected by this oracle"
-            ),
-        },
-        violations,
-        time.time() - t0,
-    )
+    return {
+        "identity_constant": 1.0,
+        "dictator_pins_constant": dictator_pins,
+        "worst_abs_err": float(worst),
+        "note": (
+            "integral of the expected pivotal overlap equals Cov(f,g) with "
+            "constant 1; the variant normalization carrying an extra 1/4 "
+            "fails the dictator case and is rejected by this oracle"
+        ),
+    }, violations
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +543,7 @@ def _scalar_crossing(rect: perco.RectangleSpec, open_row, dual: bool = False) ->
     return False
 
 
-def perco_suite() -> SuiteReport:
-    t0 = time.time()
+def perco_suite() -> tuple[dict, list]:
     rng = generator_for(SUITE_SEED, 9)
     violations = []
     r32, r43 = perco.RectangleSpec(3, 2), perco.RectangleSpec(4, 3)
@@ -612,28 +585,21 @@ def perco_suite() -> SuiteReport:
     estimate, stderr = perco.crossing_probability_mc(r43, 200_000, seed=SUITE_SEED)
     if abs(estimate - exact43) > 3.0 * stderr:
         violations.append({"case": "mc crossing", "exact": exact43, "estimate": estimate, "stderr": stderr})
-    return SuiteReport(
-        "perco",
-        not violations,
-        {
-            "self_dual_probability": str(p_exact),
-            "bound_worst_slack": float(worst_slack),
-            "masks_checked": len(masks),
-            "mc_estimate": estimate,
-            "mc_stderr": stderr,
-            "exact_4x3": exact43,
-            "kernel_mismatches": kernel_mismatches,
-        },
-        violations,
-        time.time() - t0,
-    )
+    return {
+        "self_dual_probability": str(p_exact),
+        "bound_worst_slack": float(worst_slack),
+        "masks_checked": len(masks),
+        "mc_estimate": estimate,
+        "mc_stderr": stderr,
+        "exact_4x3": exact43,
+        "kernel_mismatches": kernel_mismatches,
+    }, violations
 
 
 # ---------------------------------------------------------------------------
 # 10. Monte Carlo calibration
 # ---------------------------------------------------------------------------
-def montecarlo_suite() -> SuiteReport:
-    t0 = time.time()
+def montecarlo_suite() -> tuple[dict, list]:
     n_reps = 200
     violations = []
     sp3 = uniform_space(3)
@@ -674,17 +640,16 @@ def montecarlo_suite() -> SuiteReport:
     details["thread_determinism"] = deterministic
     if not deterministic:
         violations.append({"case": "determinism", "estimates": [r.estimate for r in runs]})
-    return SuiteReport("montecarlo", not violations, details, violations, time.time() - t0)
+    return details, violations
 
 
 # ---------------------------------------------------------------------------
 # 11. finite-size surrogate of the steered-majority mechanism
 # ---------------------------------------------------------------------------
-def composite_trend_suite() -> SuiteReport:
+def composite_trend_suite() -> tuple[dict, list]:
     """clue of the steering block must grow along the coupled size sequence,
     with Monte Carlo gaps significant at 3 sigma and each estimate consistent
     with the exact two-point formula."""
-    t0 = time.time()
     violations = []
     points = []
     for t in (40, 80, 160):
@@ -704,9 +669,7 @@ def composite_trend_suite() -> SuiteReport:
         noise = np.hypot(hi["stderr"], lo["stderr"])
         if gap < 3 * noise:
             violations.append({"case": "trend", "from": lo["t"], "to": hi["t"], "gap": gap, "noise": noise})
-    return SuiteReport(
-        "composite-trend", not violations, {"points": points}, violations, time.time() - t0
-    )
+    return {"points": points}, violations
 
 
 def composite_t_part_clue(m: int, t: int, shift: float) -> float:
@@ -750,6 +713,10 @@ SUITES = {
 
 
 def run_suite(name: str) -> SuiteReport:
+    """Run the suite registered under ``name`` and time it; each suite returns
+    its details and violations, and passes when it has no violations."""
     if name not in SUITES:
         raise KeyError(name)
-    return SUITES[name]()
+    t0 = time.time()
+    details, violations = SUITES[name]()
+    return SuiteReport(name, details, violations, time.time() - t0)

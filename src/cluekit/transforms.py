@@ -4,6 +4,8 @@ and information modules.
 The subset zeta / Moebius pair runs along axis 0, which must have
 power-of-two length 2^n and be indexed by subset bitmask; trailing axes ride
 along.  Cost is O(n 2^n) rows via the standard per-bit butterfly sweep.
+:func:`containing_sums` totals such a vector over the masks that contain
+each coordinate.
 
 The keep-or-sum-out lattice runs along the last axis, a table over q^n
 configurations (coordinate 0 least significant); leading axes ride along.
@@ -90,6 +92,14 @@ def kept_sums(lattice: np.ndarray, q: int) -> np.ndarray:
             kept += t[at + (d,)]
         t = t[at + (slice(q, None, -q),)]
     return t.reshape(lead + (1 << n,))
+
+
+def containing_sums(values: np.ndarray) -> np.ndarray:
+    """Map a 2^n vector indexed by subset bitmask to the n totals over the
+    masks that contain each coordinate."""
+    n = _bits(len(values))
+    # masks containing coordinate j are the upper half of each 2^(j+1) block
+    return np.array([values.reshape(-1, 2, 1 << j)[:, 1].sum() for j in range(n)])
 
 
 def popcounts(n: int) -> np.ndarray:

@@ -21,26 +21,26 @@ def _report(number: int, rep: suites.SuiteReport) -> None:
     print(f"ACCEPTANCE {number:02d} [{rep.suite}] {status} ({rep.seconds:.1f}s) {rep.details}")
 
 
-def _run(number: int, suite_fn):
-    rep = suite_fn()
+def _run(number: int, name: str):
+    rep = suites.run_suite(name)
     _report(number, rep)
     assert rep.passed, f"criterion {number} violations: {rep.violations[:5]}"
     return rep
 
 
 def test_criterion_01_transitive_clue_bound():
-    rep = _run(1, suites.transitive_bound_suite)
+    rep = _run(1, "transitive-bound")
     assert rep.seconds < 30.0
     assert rep.details["sum_sharpness_err"] <= 1e-10
 
 
 def test_criterion_02_spectral_identity():
-    rep = _run(2, suites.spectral_identity_suite)
+    rep = _run(2, "spectral-identity")
     assert rep.details["worst_err"] <= 1e-10
 
 
 def test_criterion_03_efron_stein():
-    rep = _run(3, suites.efron_stein_suite)
+    rep = _run(3, "efron-stein")
     assert rep.details["min_mass"] >= -1e-12
     assert rep.details["worst_sum_err"] <= 1e-9
     assert rep.details["worst_orth"] <= 1e-9
@@ -48,12 +48,12 @@ def test_criterion_03_efron_stein():
 
 
 def test_criterion_04_games():
-    rep = _run(4, suites.games_suite)
+    rep = _run(4, "games")
     assert rep.details["worst_shapley_vs_marginal"] <= 1e-9
 
 
 def test_criterion_05_information_bounds():
-    rep = _run(5, suites.shearer_suite)
+    rep = _run(5, "shearer")
     assert rep.details["worst_i_slack"] <= 1e-10
     assert rep.details["worst_kl_slack"] <= 1e-10
     assert rep.details["worst_cover_deficit"] >= -1e-10
@@ -61,7 +61,7 @@ def test_criterion_05_information_bounds():
 
 
 def test_criterion_06_sandwiches():
-    rep = _run(6, suites.sandwiches_suite)
+    rep = _run(6, "sandwiches")
     assert rep.details["tv_lower"] >= -1e-10
     assert rep.details["tv_upper"] >= -1e-10
     assert rep.details["i_lower"] >= -1e-10
@@ -73,13 +73,14 @@ def test_criterion_06_sandwiches():
 
 
 def test_criterion_07_revealment():
-    rep = _run(7, suites.revealment_suite)
+    rep = _run(7, "revealment")
     assert rep.details["worst_gap"] <= 1e-10
     assert rep.details["worst_bernoulli_identity_err"] <= 1e-10
+    assert rep.details["worst_fiber_err"] <= 1e-10
 
 
 def test_criterion_08_covariance_identity():
-    rep = _run(8, suites.covariance_lemma_suite)
+    rep = _run(8, "covariance-lemma")
     assert rep.details["identity_constant"] == 1.0
     assert rep.details["dictator_pins_constant"]
     assert rep.details["worst_abs_err"] <= 1e-9
@@ -87,7 +88,7 @@ def test_criterion_08_covariance_identity():
 
 
 def test_criterion_09_percolation():
-    rep = _run(9, suites.perco_suite)
+    rep = _run(9, "perco")
     assert rep.details["self_dual_probability"] == "1/2"
     assert rep.details["bound_worst_slack"] <= 1e-9
     assert rep.details["masks_checked"] >= 18 + 153 + 500
@@ -95,7 +96,7 @@ def test_criterion_09_percolation():
 
 
 def test_criterion_10_monte_carlo_calibration():
-    rep = _run(10, suites.montecarlo_suite)
+    rep = _run(10, "montecarlo")
     for case in ("maj3", "sum16"):
         stats = rep.details[case]
         assert abs(stats["mean"] - 0.25) <= 3 * stats["sem"]
@@ -104,7 +105,7 @@ def test_criterion_10_monte_carlo_calibration():
 
 
 def test_criterion_11_finite_size_surrogates():
-    rep = _run(11, suites.composite_trend_suite)
+    rep = _run(11, "composite-trend")
     points = rep.details["points"]
     assert [p["t"] for p in points] == [40, 80, 160]
     estimates = [p["estimate"] for p in points]

@@ -7,7 +7,7 @@ import pytest
 from cluekit import spectral
 from cluekit.cli import _emit, main
 from cluekit.clue import clue_all_subsets_table
-from cluekit.core import FunctionTable, biased_bits, uniform_space
+from cluekit.core import FunctionTable, biased_bits, uniform_space, variance
 from cluekit.fnio import load_function, save_function, table_from_dict, table_to_dict
 from cluekit.errors import ParseError
 from cluekit.zoo import majority
@@ -34,6 +34,21 @@ def test_analyze_maj3(capsys):
     assert payload["metrics"]["l2_clue"] == pytest.approx(0.25)
 
 
+def test_analyze_maj3_coordinate_metrics(capsys):
+    code, payload, _ = run_cli(
+        capsys, "analyze", "--fn", "maj:3", "--subset", "0", "--metrics", "l2,sig,inf,wit,tv"
+    )
+    assert code == 0
+    metrics = payload["metrics"]
+    assert metrics["l2_clue"] == pytest.approx(0.25)
+    assert metrics["sig"] == pytest.approx(0.5)
+    assert metrics["influence_set"] == pytest.approx(0.5)
+    assert metrics["witness"] == pytest.approx(0.0)
+    assert metrics["tv_clue"] == pytest.approx(0.5)
+    assert payload["p_min"] == pytest.approx(0.5)
+    assert payload["degenerate_fibers"] is False
+
+
 def test_analyze_parity_both_zero(capsys):
     code, payload, _ = run_cli(
         capsys, "analyze", "--fn", "parity:4", "--subset", "0,1,2", "--metrics", "l2,i"
@@ -54,6 +69,17 @@ def test_analyze_bernoulli_reports_revealment(capsys):
     assert code == 0
     assert payload["expected_clue"] == pytest.approx(13 / 32, abs=1e-10)
     assert payload["revealment"] == pytest.approx(0.5)
+
+
+def test_analyze_bernoulli_reaches_maj21(capsys):
+    """One all-subsets transform, so n = 21 answers (the per-subset route
+    stopped at n = 20)."""
+    code, payload, _ = run_cli(capsys, "analyze", "--fn", "maj:21", "--subset", "bernoulli:0.3")
+    assert code == 0
+    f = majority(21).table
+    exact = spectral.stability(spectral.stability_profile(f), 0.3) / variance(f)
+    assert payload["expected_clue"] == pytest.approx(exact, abs=1e-10)
+    assert payload["revealment"] == pytest.approx(0.3, abs=1e-12)
 
 
 def test_parse_error_exit_2(capsys):

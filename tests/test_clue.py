@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cluekit.clue import (
     clue,
     clue_all_subsets_table,
-    clue_report,
     clue_spectral,
     expected_clue,
     influence_coordinate,
@@ -253,13 +252,3 @@ def test_projection_distortion_random_pairs():
         report = projection_distortion_check(f, g, mask)
         assert report.min_clue_bound_ok and report.transfer_bound_ok
 
-
-def test_clue_report_bundle():
-    rep = clue_report(majority(3).table, 0b001)
-    assert rep.l2_clue == pytest.approx(0.25)
-    assert rep.sig == pytest.approx(0.5)
-    assert rep.influence_set == pytest.approx(0.5)
-    assert rep.witness == pytest.approx(0.0)
-    assert rep.tv_clue == pytest.approx(0.5)
-    assert rep.p_min == pytest.approx(0.5)
-    assert not rep.degenerate_fibers

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,8 +153,10 @@ def test_exact_guard_blocks_large_tables():
     "noise_pair_weights(14, 0.5)",
     # two lattices of 3^17 entries, 1.03 GB each, for every coalition's information
     "main(['game', '--fn', PATH17, '--iclue'])",
+    # 2^27 subset probabilities, 1 GiB, beside the half-size array they are built from
+    "bernoulli_sets(27, 0.3)",
 ], ids=["clue-cli-joint-law", "materialized-components", "digit-matrix", "noise-pair-law",
-        "iclue-game-lattice"])
+        "iclue-game-lattice", "bernoulli-set-law"])
 def test_over_budget_arrays_are_refused_before_allocation(code, tmp_path, run_python):
     """Each request needs 1.4 GiB or more at once (one array, or the two
     lattices of the information game), which a 2 GiB
@@ -167,7 +171,7 @@ def test_over_budget_arrays_are_refused_before_allocation(code, tmp_path, run_py
     prelude = (
         "import sys\nimport numpy as np\n"
         "from cluekit.cli import main\n"
-        "from cluekit.core import FunctionTable, uniform_space\n"
+        "from cluekit.core import FunctionTable, bernoulli_sets, uniform_space\n"
         "from cluekit.errors import GuardError\n"
         "from cluekit.spectral import efron_stein, noise_pair_weights\n"
         f"PATH = {str(path)!r}\nPATH17 = {str(path17)!r}\nrng = np.random.default_rng(0)\n"
@@ -215,8 +219,9 @@ def test_revealment_singletons():
 
 
 def test_revealment_point_mass_full():
-    dist = RandomSetDistribution(4, (((1 << 4) - 1, 1.0),))
-    assert revealment(dist) == pytest.approx(1.0)
+    probs = np.zeros(1 << 4)
+    probs[full_mask(4)] = 1.0
+    assert revealment(RandomSetDistribution(probs)) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
@@ -225,13 +230,24 @@ def test_revealment_bernoulli(p):
 
 
 def test_random_set_distribution_must_normalize():
-    with pytest.raises(ValueError):
-        RandomSetDistribution(2, ((0b01, 0.5), (0b10, 0.6)))
+    with pytest.raises(ValueError, match="sum to"):
+        RandomSetDistribution([0.0, 0.5, 0.6, 0.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        RandomSetDistribution([0.0, 1.5, -0.5, 0.0])
 
 
-def test_bernoulli_sets_normalizes_below_its_gate():
-    dist = bernoulli_sets(18, 0.3)
-    assert len(dist.atoms) == 1 << 18
+@pytest.mark.parametrize("probs", [[0.5, 0.25, 0.25], [], [[0.5, 0.5]]], ids=["three", "empty", "matrix"])
+def test_random_set_distribution_needs_one_entry_per_mask(probs):
+    with pytest.raises(ValueError, match="length 2\\^n"):
+        RandomSetDistribution(probs)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.7])
+def test_bernoulli_sets_normalizes_within_the_byte_budget(p):
+    dist = bernoulli_sets(20, p)
+    assert dist.probs.shape == (1 << 20,)
+    assert math.fsum(dist.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
+    assert dist.probs[full_mask(20)] == pytest.approx(p**20, rel=1e-12)
 
 
 def test_biased_bits_weights():
