@@ -171,7 +171,7 @@ def _cmd_spectrum(args) -> int:
         values = weights = spectral.efron_stein(f).norms
         kind = "component_norms"
     else:
-        values = spectral.walsh_hadamard(f).coeffs
+        values = spectral.walsh_hadamard(f)
         weights = values**2
         kind = "coefficients"
     if args.csv:
@@ -249,10 +249,6 @@ def _cmd_game(args) -> int:
             }
         else:
             raise ParseError(f"unknown check '{check}'")
-    if args.power is not None:
-        ok, pair = games.is_supermodular(games.power_clue_game(f, args.power))
-        payload["power_game"] = {"k": args.power, "supermodular": ok,
-                                 "witness": list(pair) if pair else None}
     _emit(payload)
     return 0
 
@@ -363,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--action", default=None,
                    help="group spec for the bound check: cyclic:n, symmetric:n, "
                         "tribes:l,k, torus:n, or @perms.json")
-    p.add_argument("--power", type=int, default=None,
-                   help="also test supermodularity of clue^k")
     p.set_defaults(func=_cmd_game)
 
     p = sub.add_parser("perco", help="percolation crossings and torus bounds")

@@ -1,6 +1,6 @@
 """Variance-based measures of how much a coordinate subset tells about a
-function: clue, significance, set influence, witness, coordinate influence,
-the total-variation variant, and expected clue of random subsets.
+function: clue, significance, set influence, witness, the total-variation
+variant, and expected clue of random subsets.
 
 clue(f | U) = Var(E[f | U]) / Var(f) is the master quantity; everything else
 is either a dual (sig), a combinatorial relative (influence / witness), or a
@@ -9,17 +9,13 @@ renormalization (TV).  A degenerate (constant) function raises
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
     FunctionTable,
     RandomSetDistribution,
     complement_mask,
-    conditional_expectation,
     conditional_marginal,
-    correlation,
     expectation,
     fibers,
     require_lattices,
@@ -32,7 +28,6 @@ from .spectral import SpectralDistribution, projected_variances
 from .transforms import keep_or_sum, kept_sums
 
 _VAR_FLOOR = 1e-14
-DISTORTION_TOL = 1e-9
 
 
 def _checked_variance(f: FunctionTable) -> float:
@@ -83,12 +78,6 @@ def sig(f: FunctionTable, mask: int) -> float:
     return 1.0 - clue(f, complement_mask(mask, f.n))
 
 
-def sig_spectral(dist: SpectralDistribution, mask: int) -> float:
-    """P[sample meets mask], the spectral form of significance."""
-    n = dist.space.n
-    return 1.0 - clue_spectral(dist, complement_mask(mask, n))
-
-
 # ---------------------------------------------------------------------------
 # determinacy: set influence and witness
 # ---------------------------------------------------------------------------
@@ -122,17 +111,6 @@ def witness(f: FunctionTable, mask: int) -> float:
     _require_boolean(f)
     validate_mask(mask, f.n)
     return _fiber_constancy_probability(f, mask)
-
-
-def influence_coordinate(f: FunctionTable, coord: int) -> float:
-    """Flip-disagreement probability of a single coordinate (binary spaces)."""
-    _require_boolean(f)
-    space = f.space
-    if space.q != 2:
-        raise ValueError("coordinate influence needs a binary space")
-    idx = np.arange(space.size)
-    flipped = f.values[idx ^ (1 << coord)]
-    return float(space.config_weights() @ (f.values != flipped).astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -187,71 +165,3 @@ def expected_clue(f: FunctionTable, dist: RandomSetDistribution) -> float:
     if dist.probs.size != 1 << f.n:
         raise ValueError("distribution and table disagree on n")
     return float(dist.probs @ clue_all_subsets_table(f))
-
-
-# ---------------------------------------------------------------------------
-# projection distortion
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ProjectionDistortionReport:
-    eps: float
-    clue_f: float
-    clue_g: float
-    corr_fg: float
-    corr_projected: float | None
-    min_clue_bound_ok: bool
-    transfer_bound_ok: bool
-    naive_transfer_gap: float
-
-
-def _transfer_floor(c: float, eps: float) -> float:
-    """Provable lower bound on the partner's clue when Corr >= 1 - eps and
-    one clue is >= c.  Standardize both functions: the distance between them
-    is sqrt(2 eps), and by the triangle inequality the residual of g is at
-    most (sqrt(2 eps) + sqrt(1 - c))^2.  The cross term cannot be dropped,
-    so the floor is c - 2 eps - 2 sqrt(2 eps (1 - c)), not c - 2 eps.
-    """
-    eps = max(eps, 0.0)
-    return c - 2.0 * eps - 2.0 * np.sqrt(2.0 * eps * max(1.0 - c, 0.0))
-
-
-def projection_distortion_check(
-    f: FunctionTable, g: FunctionTable, mask: int
-) -> ProjectionDistortionReport:
-    """Check the two projection bounds on a concrete pair.
-
-    With eps = 1 - Corr(f, g) and c = min clue of the pair on ``mask``:
-    the projected pair keeps Corr(Pf, Pg) >= 1 - eps/c whenever c > 0, and
-    each function's clue is at least the other's transfer floor
-    (see :func:`_transfer_floor`).  Both clue and correlation are affine
-    invariant, so the check normalizes nothing.  ``naive_transfer_gap``
-    records min(clue_g - (clue_f - 2 eps), symmetric counterpart): it is
-    reported because the simpler floor c - 2 eps is sometimes quoted, but
-    it can go slightly negative and is not asserted.  Every comparison
-    allows ``DISTORTION_TOL`` of rounding.
-    """
-    cf = clue(f, mask)
-    cg = clue(g, mask)
-    eps = 1.0 - correlation(f, g)
-    pf = conditional_expectation(f, mask)
-    pg = conditional_expectation(g, mask)
-    c = min(cf, cg)
-    corr_projected = None
-    min_clue_bound_ok = True
-    if c > DISTORTION_TOL:
-        corr_projected = correlation(pf, pg)
-        min_clue_bound_ok = corr_projected >= 1.0 - eps / c - DISTORTION_TOL
-    transfer_bound_ok = (cg >= _transfer_floor(cf, eps) - DISTORTION_TOL) and (
-        cf >= _transfer_floor(cg, eps) - DISTORTION_TOL
-    )
-    return ProjectionDistortionReport(
-        eps=eps,
-        clue_f=cf,
-        clue_g=cg,
-        corr_fg=1.0 - eps,
-        corr_projected=corr_projected,
-        min_clue_bound_ok=bool(min_clue_bound_ok),
-        transfer_bound_ok=bool(transfer_bound_ok),
-        naive_transfer_gap=float(min(cg - (cf - 2 * eps), cf - (cg - 2 * eps))),
-    )
-

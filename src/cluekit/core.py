@@ -186,25 +186,6 @@ class ProductSpace:
     def tensor_shape(self) -> tuple[int, ...]:
         return (self.q,) * self.n
 
-    # -- index codec ----------------------------------------------------------
-    def encode(self, digits: Sequence[int]) -> int:
-        index = 0
-        for v in reversed(range(self.n)):
-            d = int(digits[v])
-            if not 0 <= d < self.q:
-                raise ValueError(f"digit {d} out of range for q={self.q}")
-            index = index * self.q + d
-        return index
-
-    def decode(self, index: int) -> list[int]:
-        if not 0 <= index < self.size:
-            raise ValueError("configuration index out of range")
-        digits = []
-        for _ in range(self.n):
-            digits.append(index % self.q)
-            index //= self.q
-        return digits
-
     def spins(self) -> np.ndarray:
         """(q^n, n) matrix of +-1 spins; binary spaces only."""
         if self.q != 2:

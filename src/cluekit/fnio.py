@@ -1,4 +1,4 @@
-"""JSON interchange for function tables.
+"""Function tables read from JSON files.
 
 Format: {"n": int, "q": int, "measure": [[p_0..p_{q-1}] x n], "values":
 [q^n reals in configuration-index order]} with coordinate 0 as the least
@@ -15,15 +15,6 @@ from .core import FunctionTable, ProductSpace
 from .errors import ParseError
 
 
-def table_to_dict(f: FunctionTable) -> dict:
-    return {
-        "n": f.space.n,
-        "q": f.space.q,
-        "measure": f.space.pi.tolist(),
-        "values": f.values.tolist(),
-    }
-
-
 def table_from_dict(data: dict) -> FunctionTable:
     try:
         n = int(data["n"])
@@ -37,10 +28,6 @@ def table_from_dict(data: dict) -> FunctionTable:
         return FunctionTable(space, values)
     except ValueError as exc:
         raise ParseError(f"invalid function file: {exc}") from exc
-
-
-def save_function(f: FunctionTable, path: str | Path):
-    Path(path).write_text(json.dumps(table_to_dict(f)))
 
 
 def load_function(path: str | Path) -> FunctionTable:

@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 
-from .core import FunctionTable, fibers, mask_indices, uniform_space
+from .core import FunctionTable, fibers, uniform_space
 from .errors import GuardError
 from .infotheory import mutual_information_all_subsets
 from .spectral import projected_variances
@@ -109,30 +109,8 @@ def restrict_game(game: CooperativeGame, mask: int) -> CooperativeGame:
     return CooperativeGame(mask.bit_count(), fibers(game.v, uniform_space(game.n), mask)[:, 0])
 
 
-def subgame_shapley_monotone(game: CooperativeGame, small: int, large: int) -> bool:
-    """For supermodular games, growing the player pool can only raise each
-    remaining player's Shapley value.  Refuses non-supermodular input."""
-    if small & ~large:
-        raise ValueError("first mask must be a subset of the second")
-    ok, witness_pair = is_supermodular(game)
-    if not ok:
-        raise ValueError(f"game is not supermodular (witness pair {witness_pair})")
-    phi_small = shapley(restrict_game(game, small)).phi
-    phi_large = shapley(restrict_game(game, large)).phi
-    small_players = mask_indices(small)
-    large_players = mask_indices(large)
-    pos_in_large = {p: i for i, p in enumerate(large_players)}
-    return all(
-        phi_small[i] <= phi_large[pos_in_large[p]] + GAME_TOL
-        for i, p in enumerate(small_players)
-    )
-
-
 @dataclass(frozen=True)
 class TransitiveBoundReport:
-    invariant: bool
-    transitive: bool
-    shapley_in_core: bool
     bound_holds: bool
     max_violation: float
 
@@ -141,28 +119,13 @@ def transitive_game_bound(game: CooperativeGame, action) -> TransitiveBoundRepor
     """Check v(S) <= (|S|/n) v(V) for a game invariant under a transitive
     action whose Shapley vector sits in the core.  Invariance reads the game
     as a table over n uniform bits, coalition S at configuration S."""
-    invariant = is_invariant(FunctionTable(uniform_space(game.n), game.v), action)
-    transitive = is_transitive(action)
-    in_core = shapley_in_core(game)
-    if not (invariant and transitive and in_core):
+    table = FunctionTable(uniform_space(game.n), game.v)
+    if not (is_invariant(table, action) and is_transitive(action) and shapley_in_core(game)):
         raise ValueError("hypotheses not met: need an invariant transitive game with Shapley in core")
     pc = popcounts(game.n)
     bound = pc / game.n * game.grand_value
     gaps = game.v - bound
     return TransitiveBoundReport(
-        invariant=invariant,
-        transitive=transitive,
-        shapley_in_core=in_core,
         bound_holds=bool(np.all(gaps <= GAME_TOL)),
         max_violation=float(gaps.max()),
     )
-
-
-def power_clue_game(f: FunctionTable, k: int) -> CooperativeGame:
-    """Exploratory: v(S) = clue(f|S)^k.  Exposed so users can probe for which
-    k supermodularity survives; nothing in the test suite asserts it."""
-    base = build_clue_game(f)
-    grand = base.grand_value
-    if grand <= 0.0:
-        raise ValueError("degenerate function")
-    return CooperativeGame(f.n, (base.v / grand) ** k)

@@ -30,7 +30,7 @@ from math import sqrt
 
 import numpy as np
 
-from .core import ProductSpace, mask_indices
+from .core import ProductSpace, mask_indices, validate_mask
 from .errors import DegenerateError
 
 GENERATOR_ID = "philox4x64/splitmix64"
@@ -157,6 +157,7 @@ def mc_clue(
     from batch means.  A corrected numerator that lands at or below 0 is
     clamped and flagged.
     """
+    validate_mask(mask, space.n)
     if n_outer < 2 or m_inner < 2:
         raise ValueError("need n_outer >= 2 and m_inner >= 2")
     inside = mask_indices(mask)

@@ -183,12 +183,6 @@ def crossing_batch(rect: RectangleSpec, open_matrix: np.ndarray) -> np.ndarray:
     return _connected_batch(_rect_graph(rect), open_matrix)
 
 
-def lr_crossing(config: int, rect: RectangleSpec) -> bool:
-    """Does the open-edge bitmask contain a left-right crossing?"""
-    open_row = _mask_to_bools(config, rect.edge_count)
-    return bool(crossing_batch(rect, open_row[None, :])[0])
-
-
 def _dual_crossing_edges(rect: RectangleSpec):
     """Top-bottom dual connectivity: dual vertices are the inner faces plus
     virtual top/bottom nodes; the dual edge of a primal edge is open when the
@@ -221,15 +215,6 @@ def _dual_graph(rect: RectangleSpec) -> _Graph:
 def dual_crossing_batch(rect: RectangleSpec, open_matrix: np.ndarray) -> np.ndarray:
     """Top-bottom crossing of the dual by closed edges, per row."""
     return _connected_batch(_dual_graph(rect), ~open_matrix)
-
-
-def dual_crossing(config: int, rect: RectangleSpec) -> bool:
-    open_row = _mask_to_bools(config, rect.edge_count)
-    return bool(dual_crossing_batch(rect, open_row[None, :])[0])
-
-
-def _mask_to_bools(config: int, n_edges: int) -> np.ndarray:
-    return np.array([(config >> e) & 1 for e in range(n_edges)], dtype=bool)
 
 
 def _all_configs(n_edges: int) -> np.ndarray:

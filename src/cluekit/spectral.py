@@ -71,30 +71,19 @@ def _transform(space: ProductSpace, values: np.ndarray, inverse: bool = False) -
     return dst
 
 
-@dataclass(frozen=True, eq=False)
-class FourierExpansion:
-    """Character coefficients per subset mask; coeffs[0] is the mean."""
-
-    space: ProductSpace
-    coeffs: np.ndarray = field(repr=False)
-
-
-def walsh_hadamard(f: FunctionTable) -> FourierExpansion:
-    """Product-basis coefficients of a table on a uniform binary space.
+def walsh_hadamard(f: FunctionTable) -> np.ndarray:
+    """Character coefficients of a table on a uniform binary space, one per
+    subset mask; entry 0 is the mean.
 
     The character of mask S at a configuration is the product of the spins in
-    S (digit 0 = spin -1).  Inverse is :func:`inverse_walsh_hadamard`.
+    S (digit 0 = spin -1).
     """
     if not f.space.is_uniform_binary:
         raise GuardError(
             "walsh_hadamard requires q=2 with the uniform measure; "
             "use efron_stein for general product measures"
         )
-    return FourierExpansion(f.space, _transform(f.space, f.values))
-
-
-def inverse_walsh_hadamard(expansion: FourierExpansion) -> FunctionTable:
-    return FunctionTable(expansion.space, _transform(expansion.space, expansion.coeffs, inverse=True))
+    return _transform(f.space, f.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,27 +172,12 @@ def distribution_from_weights(space: ProductSpace, weights: np.ndarray) -> Spect
     return SpectralDistribution(space, weights / total)
 
 
-def spectral_marginal(dist: SpectralDistribution, coord: int) -> float:
-    """P[X = coord] for X a uniform element of the conditioned sample:
-    sum over masks containing coord of mass/|mask|."""
-    return float(spectral_marginals(dist)[coord])
-
-
 def spectral_marginals(dist: SpectralDistribution) -> np.ndarray:
-    """:func:`spectral_marginal` of every coordinate, in O(n 2^n)."""
+    """P[X = j] for every coordinate j, X a uniform element of the
+    conditioned sample: the sum over masks containing j of mass/|mask|, in
+    O(n 2^n)."""
     pc = popcounts(dist.space.n)
     return containing_sums(np.divide(dist.mass, pc, out=np.zeros_like(dist.mass), where=pc > 0))
-
-
-def sample_spectral(dist: SpectralDistribution, rng: np.random.Generator, size: int | None = None):
-    """Inverse-CDF sampling over masks in ascending index order."""
-    cdf = np.cumsum(dist.mass)
-    u = rng.random(size if size is not None else 1)
-    picks = np.searchsorted(cdf, u, side="right")
-    picks = np.minimum(picks, dist.mass.size - 1)
-    if size is None:
-        return int(picks[0])
-    return picks.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +235,6 @@ def pivotal_masks(f: FunctionTable) -> np.ndarray:
         flipped = f.values[idx ^ (1 << v)]
         piv |= (f.values != flipped).astype(np.int64) << v
     return piv
-
-
-def pivotal_set(f: FunctionTable, config: int) -> int:
-    return int(pivotal_masks(f)[config])
 
 
 def is_monotone(f: FunctionTable) -> bool:

@@ -16,19 +16,25 @@ import numpy as np
 
 from . import games, infotheory, perco, spectral, symmetry, zoo
 from .clue import (
+    clue,
     clue_all_subsets_table,
     clue_spectral,
     expected_clue,
+    influence_set,
     p_min,
     tv_clue,
     tv_clue_all_subsets,
+    witness,
 )
 from .core import (
     FunctionTable,
     ProductSpace,
     bernoulli_sets,
+    conditional_expectation,
     conditional_marginal,
+    correlation,
     l2_norm_sq,
+    mask_indices,
     revealment,
     translate_sets,
     uniform_space,
@@ -44,6 +50,11 @@ SUITE_SEED = 20240917  # fixed stream root: suites check pinned instances
 ORACLE_STREAM = 100
 ORACLE_MASKS = 8
 LATTICE_TOL = 1e-12
+# Checks that joined a suite after its draws were pinned take streams of their
+# own, PAIR_STREAM or CHAIN_STREAM + suite number, for the same reason.
+PAIR_STREAM = 200
+CHAIN_STREAM = 300
+PROJECTION_TOL = 1e-9  # rounding allowance of the projection transfer bounds
 
 
 @dataclass
@@ -199,7 +210,7 @@ def efron_stein_suite() -> tuple[dict, list]:
     characters = np.where(in_mask, sp8.spins()[:, None, :], 1).prod(axis=2)
     for trial in range(5):
         f = FunctionTable(sp8, rng.standard_normal(sp8.size))
-        coeffs = spectral.walsh_hadamard(f).coeffs
+        coeffs = spectral.walsh_hadamard(f)
         err = float(np.max(np.abs(coeffs - f.values @ characters / sp8.size)))
         stats["worst_walsh_err"] = max(stats["worst_walsh_err"], err)
         if err > 1e-10:
@@ -210,9 +221,32 @@ def efron_stein_suite() -> tuple[dict, list]:
 # ---------------------------------------------------------------------------
 # 4. games
 # ---------------------------------------------------------------------------
+def _subgame_shapley_gain(game: games.CooperativeGame, small: int, large: int) -> float:
+    """Least rise of a player's Shapley value when the player pool grows from
+    ``small`` to ``large``.  Supermodularity makes it nonnegative, so a game
+    that is not supermodular is refused."""
+    if small & ~large:
+        raise ValueError("first mask must be a subset of the second")
+    ok, witness_pair = games.is_supermodular(game)
+    if not ok:
+        raise ValueError(f"game is not supermodular (witness pair {witness_pair})")
+    phi_small = games.shapley(games.restrict_game(game, small)).phi
+    phi_large = games.shapley(games.restrict_game(game, large)).phi
+    pos_in_large = {p: i for i, p in enumerate(mask_indices(large))}
+    gains = [phi_large[pos_in_large[p]] - phi_small[i] for i, p in enumerate(mask_indices(small))]
+    return float(min(gains, default=np.inf))
+
+
 def games_suite() -> tuple[dict, list]:
+    """Shapley values against spectral marginals, supermodularity of the
+    variance and information games, and the transitive bound on zoo games.
+    ``min_subgame_shapley_gain`` is the least rise of a player's Shapley
+    value from a seeded coalition to a seeded strict superset, over the
+    variance games; supermodularity makes it nonnegative."""
     rng = generator_for(SUITE_SEED, 4)
+    pair_rng = generator_for(SUITE_SEED, PAIR_STREAM + 4)
     violations = []
+    min_gain = np.inf
     sp8 = uniform_space(8)
     worst_marg = 0.0
     for trial in range(10):
@@ -230,9 +264,19 @@ def games_suite() -> tuple[dict, list]:
             q = 3 if trial % 2 else 2
             sp = ProductSpace(5, q, rng.dirichlet(np.ones(q) * 3.0, size=5))
             f = FunctionTable(sp, vals)
-            ok, pair = games.is_supermodular(games.build_clue_game(f))
+            game = games.build_clue_game(f)
+            large = int(pair_rng.integers(1, 1 << 5))
+            dropped = 1 << int(pair_rng.choice(mask_indices(large)))
+            small = large & ~dropped & int(pair_rng.integers(0, 1 << 5))
+            ok, pair = games.is_supermodular(game)
             if not ok:
                 violations.append({"trial": trial, "rep": rep, "game": "variance", "pair": pair})
+            else:
+                gain = _subgame_shapley_gain(game, small, large)
+                min_gain = min(min_gain, gain)
+                if gain < -games.GAME_TOL:
+                    violations.append({"trial": trial, "rep": rep, "small": small, "large": large,
+                                       "subgame_shapley_gain": gain})
             fb = FunctionTable(sp, (vals > np.median(vals)).astype(float))
             ok, pair = games.is_supermodular(games.build_iclue_game(fb))
             if not ok:
@@ -248,7 +292,8 @@ def games_suite() -> tuple[dict, list]:
         eff = abs(games.shapley(game).total - game.grand_value)
         if eff > 1e-10:
             violations.append({"fn": entry.name, "efficiency_err": eff})
-    return {"worst_shapley_vs_marginal": worst_marg, "zoo": [e.name for e in zoo_entries]}, violations
+    return {"worst_shapley_vs_marginal": worst_marg, "zoo": [e.name for e in zoo_entries],
+            "min_subgame_shapley_gain": min_gain}, violations
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +360,49 @@ def shearer_suite() -> tuple[dict, list]:
 # ---------------------------------------------------------------------------
 # 6. sandwiches
 # ---------------------------------------------------------------------------
+def _transfer_floor(c: float, eps: float) -> float:
+    """Provable lower bound on the partner's clue when Corr >= 1 - eps and
+    one clue is >= c.  Standardize both functions: the distance between them
+    is sqrt(2 eps), and by the triangle inequality the residual of g is at
+    most (sqrt(2 eps) + sqrt(1 - c))^2.  The cross term cannot be dropped,
+    so the floor is c - 2 eps - 2 sqrt(2 eps (1 - c)), not c - 2 eps.
+    """
+    eps = max(eps, 0.0)
+    return c - 2.0 * eps - 2.0 * np.sqrt(2.0 * eps * max(1.0 - c, 0.0))
+
+
+def _projection_bounds(f: FunctionTable, g: FunctionTable, mask: int) -> dict:
+    """Slacks of the two projection bounds on one pair.
+
+    With eps = 1 - Corr(f, g) and c the smaller clue of the pair on
+    ``mask``: ``floor_slack`` is the smaller margin of either clue over the
+    other's :func:`_transfer_floor`, and ``corr_slack`` the margin of
+    Corr(Pf, Pg) over 1 - eps/c (None when c is at most ``PROJECTION_TOL``).
+    ``naive_gap`` is the smaller margin over the simpler floor c - 2 eps,
+    which drops the cross term and fails on some pairs.  Clue and
+    correlation are affine invariant, so nothing is normalized.
+    """
+    cf, cg = clue(f, mask), clue(g, mask)
+    eps = float(1.0 - correlation(f, g))
+    c = min(cf, cg)
+    corr_slack = None
+    if c > PROJECTION_TOL:
+        pf, pg = conditional_expectation(f, mask), conditional_expectation(g, mask)
+        corr_slack = float(correlation(pf, pg) - (1.0 - eps / c))
+    return {
+        "eps": eps,
+        "clue_f": cf,
+        "clue_g": cg,
+        "floor_slack": float(min(cg - _transfer_floor(cf, eps), cf - _transfer_floor(cg, eps))),
+        "corr_slack": corr_slack,
+        "naive_gap": float(min(cg - (cf - 2 * eps), cf - (cg - 2 * eps))),
+    }
+
+
 def sandwiches_suite() -> tuple[dict, list]:
     """Two-sided comparisons of the TV and entropy clue against the variance
-    clue, on random Boolean functions with p_min >= 0.05.
+    clue, on random Boolean functions with p_min >= 0.05, and the two other
+    bounds whose provable form differs from a commonly quoted one.
 
     Four bounds are asserted: the entropy sandwich, the TV lower bound
     tv >= p_min/2 * clue, and the TV upper bound
@@ -336,6 +421,23 @@ def sandwiches_suite() -> tuple[dict, list]:
 
     Every subset's TV and I-clue come off the keep-or-sum-out lattice; the
     per-mask routes check it on seeded masks (``lattice_max_err``).
+
+    Projection transfer, on pairs g = f + noise (n = 2..6, a seeded mask):
+    each clue is at least the other's triangle-inequality floor
+    c - 2 eps - 2 sqrt(2 eps (1 - c)) (``projection_floor_margin``), and
+    Corr(Pf, Pg) >= 1 - eps/c (``projection_corr_margin``, which a mask
+    holding every coordinate attains), both within ``PROJECTION_TOL``.  The
+    naive floor c - 2 eps is false (a pair whose clues differ by more than
+    2 eps breaks it); its worst margin is reported as
+    ``naive_transfer_gap``, unasserted.
+
+    Order chain, on balanced Boolean tables of 6 uniform bits and every
+    mask: witness <= clue <= sig <= influence_set within 1e-12, one margin
+    per link (``chain_witness_clue``, ``chain_clue_sig``,
+    ``chain_sig_influence``).  The empty mask meets every link with
+    equality, so each margin reads 0.  Unbalanced tables break the chain:
+    with f the AND of 8 bits, 7 coordinates witness f with probability
+    127/128 while their clue is 0.498.
     """
     rng = generator_for(SUITE_SEED, 6)
     sp8 = uniform_space(8)
@@ -388,11 +490,48 @@ def sandwiches_suite() -> tuple[dict, list]:
             )
     if lattice_err > LATTICE_TOL:
         violations.append({"lattice_max_err": lattice_err})
+    projection = {"floor_slack": np.inf, "corr_slack": np.inf, "naive_gap": np.inf}
+    pair_rng = generator_for(SUITE_SEED, PAIR_STREAM + 6)
+    for trial in range(100):
+        n = int(pair_rng.integers(2, 7))
+        sp = uniform_space(n)
+        f = FunctionTable(sp, pair_rng.standard_normal(sp.size))
+        g = FunctionTable(sp, f.values + pair_rng.uniform(0, 2) * pair_rng.standard_normal(sp.size))
+        mask = int(pair_rng.integers(0, 1 << n))
+        bounds = _projection_bounds(f, g, mask)
+        for key in projection:
+            if bounds[key] is not None:
+                projection[key] = min(projection[key], bounds[key])
+        if min(bounds["floor_slack"], bounds["corr_slack"] or 0.0) < -PROJECTION_TOL:
+            violations.append({"bound": "projection", "trial": trial, "mask": mask, **bounds})
+    chain = {"witness_clue": np.inf, "clue_sig": np.inf, "sig_influence": np.inf}
+    chain_rng = generator_for(SUITE_SEED, CHAIN_STREAM + 6)
+    sp6 = uniform_space(6)
+    for trial in range(20):
+        vals = np.zeros(sp6.size)
+        vals[chain_rng.permutation(sp6.size)[: sp6.size // 2]] = 1.0
+        f = FunctionTable(sp6, vals)
+        c = clue_all_subsets_table(f)
+        sig = 1.0 - c[::-1]  # the complement of mask m is 63 - m
+        links = {
+            "witness_clue": c - np.array([witness(f, mask) for mask in range(sp6.size)]),
+            "clue_sig": sig - c,
+            "sig_influence": np.array([influence_set(f, mask) for mask in range(sp6.size)]) - sig,
+        }
+        for key, slack in links.items():
+            chain[key] = min(chain[key], float(slack.min()))
+            if slack.min() < -1e-12:
+                violations.append({"bound": f"chain_{key}", "trial": trial,
+                                   "mask": int(slack.argmin()), "slack": float(slack.min())})
     details = {k: float(v) for k, v in margins.items()}
     details["lattice_max_err"] = float(lattice_err)
     details["tv_upper_max_ratio"] = float(max_ratio)
     details["tv_upper_linear_gap"] = float(linear_gap)
     details["tv_upper_linear_counterexamples"] = linear_counterexamples
+    details["projection_floor_margin"] = projection["floor_slack"]
+    details["projection_corr_margin"] = projection["corr_slack"]
+    details["naive_transfer_gap"] = projection["naive_gap"]
+    details.update({f"chain_{key}": margin for key, margin in chain.items()})
     details["note"] = (
         "tv_upper is the slack of tv <= sqrt(clue) / (2 sqrt(p_min (1 - p_min))), "
         "which Cauchy-Schwarz proves and single coordinates attain; the linear "

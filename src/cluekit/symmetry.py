@@ -1,5 +1,5 @@
-"""Coordinate permutation groups: invariance and transitivity checks, the
-averaging operator that symmetrizes a function, and subset orbit unions.
+"""Coordinate permutation groups: invariance and transitivity checks, and
+the averaging operator that symmetrizes a function.
 
 A permutation gamma maps coordinate v to gamma[v].  It acts on configurations
 by relocating values, (gamma.w)_{gamma(v)} = w_v, and on functions by
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FunctionTable, mask_image, permute, validate_mask
+from .core import FunctionTable, permute
 from .errors import GuardError
 
 CLOSURE_CAP = 10**6
@@ -98,10 +98,6 @@ def from_generators(gens, n: int) -> GroupAction:
 
 
 # -- stock groups ------------------------------------------------------------
-def trivial_group(n: int) -> GroupAction:
-    return from_elements([tuple(range(n))], n)
-
-
 def cyclic_group(n: int) -> GroupAction:
     shift = tuple((v + 1) % n for v in range(n))
     return from_generators([shift], n)
@@ -163,12 +159,6 @@ def tribes_group(tribe_size: int, tribe_count: int) -> GroupAction:
 
 
 # -- applying permutations to tables -----------------------------------------
-def translate_table(f: FunctionTable, perm: tuple[int, ...]) -> FunctionTable:
-    """The translate of f by the permutation (f composed with the inverse
-    relocation), as a new table."""
-    return FunctionTable(f.space, permute(f.values, f.space, perm))
-
-
 def is_invariant(f: FunctionTable, action: GroupAction) -> bool:
     for perm in action.generators:
         moved = permute(f.values, f.space, perm)
@@ -212,17 +202,6 @@ def average(f: FunctionTable, elements) -> FunctionTable:
     for perm in elements:
         acc += permute(f.values, f.space, perm)
     return FunctionTable(f.space, acc / len(elements))
-
-
-def subset_orbit_union(mask: int, elements, n: int) -> int:
-    """Union of the images of a coordinate subset under the permutations."""
-    if isinstance(elements, GroupAction):
-        elements = elements.elements()
-    validate_mask(mask, n)
-    out = 0
-    for perm in elements:
-        out |= mask_image(mask, perm)
-    return out
 
 
 def group_from_spec(text: str) -> GroupAction:

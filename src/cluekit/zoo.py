@@ -135,16 +135,8 @@ def majority(n: int) -> ZooEntry:
     return _entry("maj", (n,))
 
 
-def asym_majority(n: int, shift: float) -> ZooEntry:
-    return _entry("amaj", (n, shift))
-
-
 def tribes(tribe_size: int, tribe_count: int) -> ZooEntry:
     return _entry("tribes", (tribe_size, tribe_count))
-
-
-def composite(m: int, t: int, shift: float, tribe_size: int | None = None) -> ZooEntry:
-    return _entry("composite", (m, t, shift), composite_evaluator(m, t, shift, tribe_size))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ uniform bits), and the test asserts that the bound is attained.  The linear form
 ``tv <= (2/p_min) clue`` is false for weakly informative subsets, where the TV
 ratio scales like ``sqrt(clue)``; the suite reports its gap and
 counterexamples, and the test asserts only that the gap stays negative.
+Criterion 6 also asserts the projection transfer bound in its
+triangle-inequality form and the witness <= clue <= sig <= influence order
+chain on balanced tables; the naive transfer floor is reported unasserted.
 """
 import inspect
 
@@ -50,6 +53,7 @@ def test_criterion_03_efron_stein():
 def test_criterion_04_games():
     rep = _run(4, "games")
     assert rep.details["worst_shapley_vs_marginal"] <= 1e-9
+    assert rep.details["min_subgame_shapley_gain"] >= -1e-10
 
 
 def test_criterion_05_information_bounds():
@@ -70,6 +74,12 @@ def test_criterion_06_sandwiches():
     assert rep.details["tv_upper_max_ratio"] >= 1 - 1e-9
     # the linear form 2/p_min * clue stays reported as false
     assert rep.details["tv_upper_linear_gap"] < 0
+    assert rep.details["projection_floor_margin"] >= -1e-9
+    assert rep.details["projection_corr_margin"] >= -1e-9
+    # the naive floor c - 2 eps stays reported as false
+    assert rep.details["naive_transfer_gap"] < 0
+    for link in ("witness_clue", "clue_sig", "sig_influence"):
+        assert rep.details[f"chain_{link}"] >= -1e-12
 
 
 def test_criterion_07_revealment():

@@ -8,9 +8,10 @@ from cluekit import spectral
 from cluekit.cli import _emit, main
 from cluekit.clue import clue_all_subsets_table
 from cluekit.core import FunctionTable, biased_bits, uniform_space, variance
-from cluekit.fnio import load_function, save_function, table_from_dict, table_to_dict
+from cluekit.fnio import load_function, table_from_dict
 from cluekit.errors import ParseError
 from cluekit.zoo import majority
+from conftest import save_table, table_dict
 
 
 def run_cli(capsys, *argv):
@@ -96,7 +97,7 @@ def test_guard_error_exit_3(capsys):
 def test_degenerate_error_exit_4(capsys, tmp_path):
     f = FunctionTable(uniform_space(2), np.ones(4))
     path = tmp_path / "const.json"
-    save_function(f, path)
+    save_table(f, path)
     code, payload, _ = run_cli(capsys, "analyze", "--fn", str(path), "--subset", "0")
     assert code == 4
 
@@ -137,7 +138,7 @@ def test_sweep_output_bytes_match_the_row_by_row_format(capsys):
     row per mask and of the streaming encoder."""
     f = majority(9).table
     clues = clue_all_subsets_table(f)
-    coeffs = spectral.walsh_hadamard(f).coeffs
+    coeffs = spectral.walsh_hadamard(f)
     _, _, out = run_cli(capsys, "clue", "--fn", "maj:9", "--all-subsets", "--csv")
     assert out == "mask,clue\n" + "".join(f"{m:#x},{float(v)!r}\n" for m, v in enumerate(clues))
     _, _, out = run_cli(capsys, "spectrum", "--fn", "maj:9", "--csv")
@@ -163,7 +164,7 @@ def test_game_command(capsys):
 def test_game_with_explicit_action(capsys, tmp_path):
     f = majority(3).table
     path = tmp_path / "maj3.json"
-    save_function(f, path)
+    save_table(f, path)
     code, payload, _ = run_cli(
         capsys, "game", "--fn", str(path), "--checks", "bound", "--action", "cyclic:3"
     )
@@ -251,7 +252,7 @@ def test_spectrum_runs_the_transform_once(capsys, monkeypatch):
 def test_round_trip_preserves_metrics(tmp_path, capsys):
     f = majority(3).table
     path = tmp_path / "maj3.json"
-    save_function(f, path)
+    save_table(f, path)
     g = load_function(path)
     np.testing.assert_array_equal(f.values, g.values)
     code, payload, _ = run_cli(capsys, "analyze", "--fn", str(path), "--subset", "0", "--metrics", "l2,tv")
@@ -273,11 +274,11 @@ def test_fnio_round_trip_biased(tmp_path):
     space = biased_bits(2, 0.3)
     f = FunctionTable(space, np.array([0.5, -1.25, 3.0, 2.0**-45]))
     path = tmp_path / "t.json"
-    save_function(f, path)
+    save_table(f, path)
     g = load_function(path)
     np.testing.assert_array_equal(g.values, f.values)
     np.testing.assert_array_equal(g.space.pi, f.space.pi)
-    assert table_to_dict(g) == table_to_dict(f)
+    assert table_dict(g) == table_dict(f)
 
 
 def test_zoo_list(capsys):

@@ -8,12 +8,9 @@ from cluekit.clue import (
     clue_all_subsets_table,
     clue_spectral,
     expected_clue,
-    influence_coordinate,
     influence_set,
     p_min,
-    projection_distortion_check,
     sig,
-    sig_spectral,
     tv_clue,
     witness,
 )
@@ -29,6 +26,7 @@ from cluekit.core import (
 )
 from cluekit.errors import DegenerateError
 from cluekit.spectral import spectral_distribution, stability, stability_profile
+from cluekit.suites import PROJECTION_TOL, _projection_bounds
 from cluekit.symmetry import cyclic_group
 from cluekit.transforms import popcounts
 from cluekit.zoo import dictator, majority, parity, sum_function, tribes
@@ -105,7 +103,8 @@ def test_sig_duality_and_spectral_form():
     for mask in rng.integers(0, 64, size=20):
         mask = int(mask)
         assert sig(f, mask) == 1.0 - clue(f, complement_mask(mask, 6))
-        assert sig_spectral(dist, mask) == pytest.approx(sig(f, mask), abs=1e-10)
+        # P[sample meets mask], the spectral form of significance
+        assert 1.0 - clue_spectral(dist, complement_mask(mask, 6)) == pytest.approx(sig(f, mask), abs=1e-10)
 
 
 def test_influence_set_examples():
@@ -129,10 +128,10 @@ def test_witness_influence_need_boolean():
 
 
 def test_influence_coordinate_examples():
-    assert influence_coordinate(dictator(4, 2).table, 2) == pytest.approx(1.0)
-    assert influence_coordinate(parity(4).table, 1) == pytest.approx(1.0)
+    assert influence_set(dictator(4, 2).table, 1 << 2) == pytest.approx(1.0)
+    assert influence_set(parity(4).table, 1 << 1) == pytest.approx(1.0)
     for j in range(3):
-        assert influence_coordinate(majority(3).table, j) == pytest.approx(0.5)
+        assert influence_set(majority(3).table, 1 << j) == pytest.approx(0.5)
 
 
 def test_tv_clue_examples():
@@ -225,20 +224,25 @@ def test_clue_equals_squared_correlation_with_projection():
         assert clue(f, mask) == pytest.approx(correlation(f, proj) ** 2, abs=1e-12)
 
 
+def _projection_bounds_hold(bounds: dict) -> bool:
+    corr_ok = bounds["corr_slack"] is None or bounds["corr_slack"] >= -PROJECTION_TOL
+    return corr_ok and bounds["floor_slack"] >= -PROJECTION_TOL
+
+
 def test_projection_distortion_identical_functions():
     f = majority(3).table
-    report = projection_distortion_check(f, f, 0b011)
-    assert report.eps == pytest.approx(0.0, abs=1e-12)
-    assert report.min_clue_bound_ok and report.transfer_bound_ok
+    report = _projection_bounds(f, f, 0b011)
+    assert report["eps"] == pytest.approx(0.0, abs=1e-12)
+    assert _projection_bounds_hold(report)
 
 
 def test_projection_distortion_affine_pair():
     f = majority(3).table
     g = FunctionTable(f.space, 2.0 * f.values + 3.0)
-    report = projection_distortion_check(f, g, 0b001)
-    assert report.eps == pytest.approx(0.0, abs=1e-12)
-    assert report.clue_f == pytest.approx(report.clue_g, abs=1e-12)
-    assert report.min_clue_bound_ok and report.transfer_bound_ok
+    report = _projection_bounds(f, g, 0b001)
+    assert report["eps"] == pytest.approx(0.0, abs=1e-12)
+    assert report["clue_f"] == pytest.approx(report["clue_g"], abs=1e-12)
+    assert _projection_bounds_hold(report)
 
 
 def test_projection_distortion_random_pairs():
@@ -249,6 +253,5 @@ def test_projection_distortion_random_pairs():
         f = FunctionTable(sp, rng.standard_normal(1 << n))
         g = FunctionTable(sp, f.values + rng.uniform(0, 2) * rng.standard_normal(1 << n))
         mask = int(rng.integers(0, 1 << n))
-        report = projection_distortion_check(f, g, mask)
-        assert report.min_clue_bound_ok and report.transfer_bound_ok
+        assert _projection_bounds_hold(_projection_bounds(f, g, mask))
 

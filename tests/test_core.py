@@ -26,8 +26,30 @@ from cluekit.core import (
     variance,
 )
 from cluekit.errors import GuardError
-from cluekit.fnio import save_function
 from cluekit.zoo import majority, parity, sum_function
+from conftest import save_table
+
+
+def encode(space: ProductSpace, digits) -> int:
+    """Configuration index of a digit list, coordinate 0 least significant:
+    the digit-loop oracle of the table layout."""
+    index = 0
+    for v in reversed(range(space.n)):
+        d = int(digits[v])
+        if not 0 <= d < space.q:
+            raise ValueError(f"digit {d} out of range for q={space.q}")
+        index = index * space.q + d
+    return index
+
+
+def decode(space: ProductSpace, index: int) -> list[int]:
+    if not 0 <= index < space.size:
+        raise ValueError("configuration index out of range")
+    digits = []
+    for _ in range(space.n):
+        digits.append(index % space.q)
+        index //= space.q
+    return digits
 
 
 def test_parity_expectation_zero():
@@ -106,10 +128,10 @@ def test_tower_identity(data, n, q):
 def test_config_codec_round_trip(n, q):
     space = uniform_space(n, q)
     for index in range(space.size):
-        assert space.encode(space.decode(index)) == index
+        assert encode(space, decode(space, index)) == index
     digits = space.digits()
     for index in (0, 1, space.size // 2, space.size - 1):
-        assert list(digits[index]) == space.decode(index)
+        assert list(digits[index]) == decode(space, index)
 
 
 @pytest.mark.parametrize("n,q", [(5, 2), (4, 3), (3, 4)])
@@ -117,7 +139,7 @@ def test_fibers_extend_permute_follow_the_index_layout(n, q):
     rng = np.random.default_rng(10 * n + q)
     space = uniform_space(n, q)
     values = rng.normal(size=space.size)
-    configs = [space.decode(c) for c in range(space.size)]
+    configs = [decode(space, c) for c in range(space.size)]
 
     def code(digits, coords):
         return sum(digits[v] * q**i for i, v in enumerate(coords))
@@ -163,11 +185,11 @@ def test_over_budget_arrays_are_refused_before_allocation(code, tmp_path, run_py
     address-space cap cannot hold beside the interpreter: it must be refused
     (GuardError, exit 3) before allocation, never die of MemoryError."""
     path = tmp_path / "normal14.json"
-    save_function(FunctionTable(uniform_space(14), np.random.default_rng(0).standard_normal(1 << 14)), path)
+    save_table(FunctionTable(uniform_space(14), np.random.default_rng(0).standard_normal(1 << 14)), path)
     path17 = tmp_path / "signs17.json"
     if "PATH17" in code:
         signs = np.random.default_rng(0).choice([-1.0, 1.0], 1 << 17)
-        save_function(FunctionTable(uniform_space(17), signs), path17)
+        save_table(FunctionTable(uniform_space(17), signs), path17)
     prelude = (
         "import sys\nimport numpy as np\n"
         "from cluekit.cli import main\n"

@@ -65,6 +65,12 @@ def test_mc_clue_rejects_tiny_samples():
         mc_clue(majority_evaluator(3), uniform_space(3), 0b1, 10, 1, seed=1)
 
 
+@pytest.mark.parametrize("mask", [-1, 1 << 4])
+def test_mc_clue_rejects_masks_off_the_space(mask):
+    with pytest.raises(ValueError):
+        mc_clue(sum_evaluator(4), uniform_space(4), mask, 100, 4, seed=1)
+
+
 def test_mc_clue_degenerate_function():
     const = lambda digits: np.zeros(len(digits))
     with pytest.raises(DegenerateError):

@@ -15,9 +15,7 @@ from cluekit.perco import (
     crossing_batch,
     crossing_probability_exact,
     crossing_probability_mc,
-    dual_crossing,
     dual_crossing_batch,
-    lr_crossing,
     torus_lr_evaluator,
     torus_lr_table,
     torus_lr_values,
@@ -26,6 +24,7 @@ from cluekit.perco import (
 )
 from cluekit.suites import _scalar_crossing
 from cluekit.symmetry import is_invariant
+from conftest import subset_orbit_union
 
 
 def test_rectangle_edge_count():
@@ -37,22 +36,22 @@ def test_rectangle_edge_count():
 
 def test_all_open_crosses_all_closed_does_not():
     rect = RectangleSpec(4, 3)
-    assert lr_crossing((1 << rect.edge_count) - 1, rect)
-    assert not lr_crossing(0, rect)
+    assert crossing_batch(rect, np.ones((1, rect.edge_count), dtype=bool))[0]
+    assert not crossing_batch(rect, np.zeros((1, rect.edge_count), dtype=bool))[0]
 
 
 def test_single_open_row_crosses():
     rect = RectangleSpec(4, 3)
-    config = 0
+    row = np.zeros((1, rect.edge_count), dtype=bool)
     for x in range(3):
-        config |= 1 << rect.horizontal_edge(x, 1)
-    assert lr_crossing(config, rect)
+        row[0, rect.horizontal_edge(x, 1)] = True
+    assert crossing_batch(rect, row)[0]
 
 
 def test_dual_examples():
     rect = RectangleSpec(3, 2)
-    assert not dual_crossing((1 << 7) - 1, rect)
-    assert dual_crossing(0, rect)
+    assert not dual_crossing_batch(rect, np.ones((1, 7), dtype=bool))[0]
+    assert dual_crossing_batch(rect, np.zeros((1, 7), dtype=bool))[0]
 
 
 def test_duality_xor_exhaustive():
@@ -127,8 +126,6 @@ def test_averaged_clue_bound_examples():
     single = averaged_crossing_clue_bound(torus, 1 << torus.h_edge(1, 1))
     assert single.bound == pytest.approx(2 / 9)
     assert single.holds
-
-    from cluekit.symmetry import subset_orbit_union
 
     orbit = subset_orbit_union(1 << torus.h_edge(0, 0), torus.translation_group(), 18)
     report = averaged_crossing_clue_bound(torus, orbit)

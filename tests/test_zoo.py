@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from cluekit.clue import clue
+from cluekit.clue import clue, influence_set
 from cluekit.core import expectation, mask_from_indices, table_from_digits, uniform_space
 from cluekit.errors import ParseError
 from cluekit.symmetry import is_invariant, is_transitive
 from cluekit.zoo import (
-    asym_majority,
     asym_majority_influence,
     balanced_tribe_size,
-    composite,
+    composite_evaluator,
     coupled_majority_size,
     dictator,
     FAMILIES,
@@ -27,6 +26,14 @@ from cluekit.zoo import (
 
 def spins_to_index(spins):
     return sum(1 << v for v, s in enumerate(spins) if s > 0)
+
+
+def asym_majority_table(n, a):
+    return from_spec(f"amaj:{n},{a}").table
+
+
+def composite_table(m, t, a, tribe_size=None):
+    return table_from_digits(uniform_space(m + t), composite_evaluator(m, t, a, tribe_size))
 
 
 def test_majority_values():
@@ -54,23 +61,23 @@ def test_majority_needs_odd():
 
 def test_asym_majority_reduces_to_majority():
     np.testing.assert_array_equal(
-        asym_majority(5, 0.0).table.values, majority(5).table.values
+        asym_majority_table(5, 0.0).values, majority(5).table.values
     )
 
 
 def test_asym_majority_large_shift_constant():
-    f = asym_majority(4, 2.5).table  # threshold 5 > 4
+    f = asym_majority_table(4, 2.5)  # threshold 5 > 4
     assert np.all(f.values == -1.0)
 
 
 def test_asym_majority_expectation_example():
     # n=4, a=1/2: +1 iff sum > 1, i.e. sum >= 2, with P = 5/16
-    f = asym_majority(4, 0.5).table
+    f = asym_majority_table(4, 0.5)
     assert expectation(f) == pytest.approx(-6 / 16, abs=1e-14)
 
 
 def test_asym_majority_tie_maps_to_minus_one():
-    f = asym_majority(4, 0.0).table
+    f = asym_majority_table(4, 0.0)
     assert f.values[spins_to_index([+1, +1, -1, -1])] == -1.0  # sum == threshold
 
 
@@ -103,19 +110,19 @@ def test_zoo_actions_invariant_and_transitive():
 
 def test_composite_all_ones_tribes_block():
     m, t, a = 3, 2, 0.5
-    entry = composite(m, t, a, tribe_size=2)
-    up = asym_majority(m, a).table.values
+    table = composite_table(m, t, a, tribe_size=2)
+    up = asym_majority_table(m, a).values
     # tribes part all ones: top t digits = 1
     for idx in range(1 << m):
         full = idx | (((1 << t) - 1) << m)
-        assert entry.table.values[full] == up[idx]
+        assert table.values[full] == up[idx]
 
 
 def test_composite_zero_shift_is_plain_majority():
-    entry = composite(3, 2, 0.0, tribe_size=2)
+    table = composite_table(3, 2, 0.0, tribe_size=2)
     maj = majority(3).table.values
     for idx in range(1 << 5):
-        assert entry.table.values[idx] == maj[idx & 0b111]
+        assert table.values[idx] == maj[idx & 0b111]
 
 
 def test_composite_block_clues_exact():
@@ -125,10 +132,10 @@ def test_composite_block_clues_exact():
     # majorities, e.g. at a = 3/2.
     t_mask = mask_from_indices(range(4, 8), 8)
     m_mask = mask_from_indices(range(0, 4), 8)
-    weak = composite(4, 4, 0.5).table
+    weak = composite_table(4, 4, 0.5)
     assert clue(weak, t_mask) == pytest.approx(567 / 4087, abs=1e-12)
     assert clue(weak, t_mask) < clue(weak, m_mask)
-    strong = composite(4, 4, 1.5).table
+    strong = composite_table(4, 4, 1.5)
     assert clue(strong, t_mask) > clue(strong, m_mask)
     assert clue(strong, t_mask) > 0.7
 
@@ -144,13 +151,9 @@ def test_coupled_majority_size():
 
 
 def test_asym_majority_influence_matches_flip_count():
-    from cluekit.clue import influence_coordinate
-
     for n, a in ((5, 0.0), (6, 0.5), (7, 1.0)):
-        f = asym_majority(n, a).table
-        assert asym_majority_influence(n, a) == pytest.approx(
-            influence_coordinate(f, 0), abs=1e-12
-        )
+        f = asym_majority_table(n, a)
+        assert asym_majority_influence(n, a) == pytest.approx(influence_set(f, 1 << 0), abs=1e-12)
 
 
 def test_find_a_hits_reachable_targets():
