@@ -23,6 +23,7 @@ from .core import (
     full_mask,
     mask_from_indices,
     mask_indices,
+    require_varying,
     revealment,
     singleton_sets,
     uniform_space,
@@ -168,7 +169,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_spectrum(args) -> int:
     f = _load_table(args.fn)
     if args.efron_stein or not f.space.is_uniform_binary:
-        values = weights = spectral.efron_stein(f).norms
+        values = weights = spectral.efron_stein(f)
         kind = "component_norms"
     else:
         values = spectral.walsh_hadamard(f)
@@ -177,7 +178,8 @@ def _cmd_spectrum(args) -> int:
     if args.csv:
         _emit_csv("mask,value", values)
         return 0
-    dist = spectral.distribution_from_weights(f.space, weights)
+    require_varying(f)
+    dist = spectral.distribution_from_weights(weights)
     _emit(
         {
             "fn": args.fn,
@@ -227,9 +229,9 @@ def _cmd_game(args) -> int:
             action = entry.action
     for check in checks:
         if check == "shapley":
-            vec = games.shapley(game)
-            payload["shapley"] = vec.phi.tolist()
-            payload["efficiency_gap"] = abs(vec.total - game.grand_value)
+            phi = games.shapley(game)
+            payload["shapley"] = phi.tolist()
+            payload["efficiency_gap"] = abs(phi.sum() - game.grand_value)
         elif check == "supermod":
             ok, pair = games.is_supermodular(game)
             payload["supermodular"] = ok

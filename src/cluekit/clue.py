@@ -19,13 +19,14 @@ from .core import (
     expectation,
     fibers,
     require_lattices,
+    require_varying,
     validate_mask,
     variance,
     weighted_variance,
 )
 from .errors import DegenerateError
-from .spectral import SpectralDistribution, projected_variances
-from .transforms import keep_or_sum, kept_sums
+from .spectral import projected_variances
+from .transforms import keep_or_sum, kept_sums, kept_weights
 
 _VAR_FLOOR = 1e-14
 
@@ -34,6 +35,7 @@ def _checked_variance(f: FunctionTable) -> float:
     """Var f, refusing a function that is constant up to rounding.  The floor
     scales with max |f - E f|^2, so adding a constant to f never changes the
     verdict."""
+    require_varying(f)
     var = variance(f)
     dev = f.values - expectation(f)
     spread = float(max(dev.max(), -dev.min()))
@@ -55,12 +57,12 @@ def clue(f: FunctionTable, mask: int) -> float:
     return weighted_variance(*conditional_marginal(f, mask)) / var
 
 
-def clue_spectral(dist: SpectralDistribution, mask: int) -> float:
-    """P[sample subseteq mask | sample nonempty], from the spectral
-    distribution.  Agrees with :func:`clue` on product measures."""
-    validate_mask(mask, dist.space.n)
-    masks = np.arange(dist.mass.size)
-    return float(dist.mass[(masks | mask) == mask].sum())
+def clue_spectral(dist: RandomSetDistribution, mask: int) -> float:
+    """P[sample subseteq mask | sample nonempty], from the spectral sample.
+    Agrees with :func:`clue` on product measures."""
+    validate_mask(mask, dist.probs.size.bit_length() - 1)
+    masks = np.arange(dist.probs.size)
+    return float(dist.probs[(masks | mask) == mask].sum())
 
 
 def clue_all_subsets_table(f: FunctionTable) -> np.ndarray:
@@ -119,41 +121,43 @@ def witness(f: FunctionTable, mask: int) -> float:
 def tv_clue(f: FunctionTable, mask: int) -> float:
     """E|E[f|mask] - E[f]| / E|f - E[f]| (symmetric and asymmetric variants
     of the underlying distance coincide in this ratio)."""
+    require_varying(f)
     validate_mask(mask, f.n)
     w = f.space.config_weights()
     mean = expectation(f)
     denom = float(w @ np.abs(f.values - mean))
-    if denom <= 0.0:
-        raise DegenerateError("constant function: TV clue undefined")
     values, weights = conditional_marginal(f, mask)
     num = float(weights @ np.abs(values - mean))
     return num / denom
 
 
 def tv_clue_all_subsets(f: FunctionTable) -> np.ndarray:
-    """tv_clue(f, U) for every mask U.  With S the lattice of w (f - E f),
-    E|E[f|U] - E f| is the sum of |S| over the kept slots of U.
+    """tv_clue(f, U) for every mask U.  With S the lattice of w f less E f
+    times :func:`~cluekit.transforms.kept_weights`, E|E[f|U] - E f| is the
+    sum of |S| over the kept slots of U.
 
-    O(n (q+1)^n) time; holds two lattice-sized arrays at once (S and the
-    copy that :func:`~cluekit.transforms.kept_sums` folds).
+    O(n (q+1)^n) time; holds two lattice-sized arrays at once.
     """
+    require_varying(f)
     space = f.space
     w = space.config_weights()
     mean = expectation(f)
     denom = float(w @ np.abs(f.values - mean))
-    if denom <= 0.0:
-        raise DegenerateError("constant function: TV clue undefined")
     require_lattices(space, 2, "the TV clue of every subset")
-    s = keep_or_sum(w * (f.values - mean), space.q)
+    s = keep_or_sum(w * f.values, space.q)
+    centre = kept_weights(space.pi)
+    centre *= mean
+    s -= centre
+    del centre
     np.abs(s, out=s)
     return kept_sums(s, space.q) / denom
 
 
 def p_min(f: FunctionTable) -> float:
-    """min(P[f=1], P[f=0]) of the {0,1} normalization of a Boolean table."""
-    ind = f.as_indicator()
-    p = expectation(ind)
-    return min(p, 1.0 - p)
+    """min(P[f=1], P[f=0]) of the {0,1} normalization of a Boolean table,
+    never below 0."""
+    p = expectation(f.as_indicator())
+    return max(min(p, 1.0 - p), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import DegenerateError, GuardError
 from .transforms import containing_sums
 
 BYTE_BUDGET = 1 << 30
@@ -347,6 +347,18 @@ def l2_norm_sq(f: FunctionTable) -> float:
     return float(f.space.config_weights() @ (f.values**2))
 
 
+def require_varying(f: FunctionTable):
+    """Refuse a table that is constant on the configurations of positive
+    weight, by exact comparison: weights that sum to 1 only up to rounding
+    give it denominators that need not read 0."""
+    w = f.space.config_weights()
+    support = True if w.min() > 0.0 else w > 0.0  # a mask only where a weight is 0
+    lo = np.min(f.values, where=support, initial=np.inf)
+    hi = np.max(f.values, where=support, initial=-np.inf)
+    if not lo < hi:
+        raise DegenerateError("constant function: clue-type ratios are undefined")
+
+
 def conditional_marginal(f: FunctionTable, mask: int) -> tuple[np.ndarray, np.ndarray]:
     """Average out the coordinates not in ``mask``.
 
@@ -378,12 +390,15 @@ def conditional_expectation(f: FunctionTable, mask: int) -> FunctionTable:
 @dataclass(frozen=True, eq=False)
 class RandomSetDistribution:
     """Distribution over the subsets of n coordinates: ``probs[mask]`` is
-    P[U = mask], one entry per subset mask (length 2^n)."""
+    P[U = mask], one entry per subset mask (length 2^n).
+
+    The constructor takes ownership of a float64 vector: it is frozen in
+    place, not copied, so the caller must not write to it afterwards."""
 
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=float)
+        probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size == 0 or probs.size & (probs.size - 1):
             raise ValueError("need one probability per subset mask, a vector of length 2^n")
         if probs.min() < -PROB_TOL:

@@ -42,15 +42,6 @@ class CooperativeGame:
         return float(self.v[-1])
 
 
-@dataclass(frozen=True, eq=False)
-class ShapleyVector:
-    phi: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.phi.sum())
-
-
 def build_clue_game(f: FunctionTable) -> CooperativeGame:
     """v(S) = Var(E[f | S]) (see :func:`~cluekit.spectral.projected_variances`)."""
     return CooperativeGame(f.n, projected_variances(f))
@@ -65,8 +56,9 @@ def build_iclue_game(f: FunctionTable) -> CooperativeGame:
     return CooperativeGame(f.n, v)
 
 
-def shapley(game: CooperativeGame) -> ShapleyVector:
-    """Exact average-marginal-contribution allocation, O(n 2^n)."""
+def shapley(game: CooperativeGame) -> np.ndarray:
+    """Exact average-marginal-contribution allocation, one entry per player,
+    O(n 2^n)."""
     n = game.n
     v = game.v
     pc = popcounts(n)
@@ -77,7 +69,7 @@ def shapley(game: CooperativeGame) -> ShapleyVector:
         without = masks[(masks >> i) & 1 == 0]
         gains = v[without | (1 << i)] - v[without]
         phi[i] = float(np.sum(gains * inv_choose[pc[without]])) / n
-    return ShapleyVector(phi)
+    return phi
 
 
 def is_supermodular(game: CooperativeGame) -> tuple[bool, tuple[int, int] | None]:
@@ -99,7 +91,7 @@ def shapley_in_core(game: CooperativeGame) -> bool:
     """Every coalition receives at least its characteristic value under the
     Shapley allocation (efficiency holds by construction)."""
     singletons = np.zeros(1 << game.n)
-    singletons[1 << np.arange(game.n)] = shapley(game).phi
+    singletons[1 << np.arange(game.n)] = shapley(game)
     return bool(np.all(subset_zeta(singletons) >= game.v - GAME_TOL))
 
 

@@ -10,8 +10,6 @@ off the keep-or-sum-out lattice of :mod:`cluekit.transforms`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .core import (
@@ -22,10 +20,11 @@ from .core import (
     extend,
     require_bytes,
     require_lattices,
+    require_varying,
     validate_mask,
 )
 from .errors import DegenerateError
-from .transforms import keep_or_sum, kept_sums
+from .transforms import keep_or_sum, kept_sums, kept_weights
 
 VALUE_GROUP_TOL = 1e-12
 
@@ -54,22 +53,9 @@ def group_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, reps
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteJoint:
-    """Exact joint law of (function value group, coordinate marginal)."""
-
-    table: np.ndarray = field(repr=False)  # shape (n_values, n_marginal_configs)
-    value_reps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        if np.any(t < 0.0):
-            raise ValueError("joint probabilities must be nonnegative")
-        if abs(t.sum() - 1.0) > 1e-12:
-            raise ValueError("joint probabilities must sum to 1")
-
-
-def joint_with_subset(f: FunctionTable, mask: int) -> DiscreteJoint:
+def joint_with_subset(f: FunctionTable, mask: int) -> np.ndarray:
+    """Exact joint law of (value group of f, configuration of the ``mask``
+    coordinates), shape (value groups, q^|mask|)."""
     space = f.space
     validate_mask(mask, space.n)
     codes, reps = group_values(f.values)
@@ -79,12 +65,12 @@ def joint_with_subset(f: FunctionTable, mask: int) -> DiscreteJoint:
     flat = np.bincount(
         codes * n_u + u_codes, weights=space.config_weights(), minlength=n_z * n_u
     )
-    return DiscreteJoint(flat.reshape(n_z, n_u), reps)
+    return flat.reshape(n_z, n_u)
 
 
 def mutual_information(f: FunctionTable, mask: int) -> float:
     """I(Z : X_mask) where Z groups the values of f; never below -1e-12."""
-    joint = joint_with_subset(f, mask).table
+    joint = joint_with_subset(f, mask)
     h_z = entropy(joint.sum(axis=1))
     h_u = entropy(joint.sum(axis=0))
     h_joint = entropy(joint.reshape(-1))
@@ -128,19 +114,23 @@ def mutual_information_all_subsets(f: FunctionTable) -> np.ndarray:
     return np.maximum(h_joint[0] + h_u - h_joint, 0.0)
 
 
+def _value_probs(f: FunctionTable) -> np.ndarray:
+    codes, reps = group_values(f.values)
+    return np.bincount(codes, weights=f.space.config_weights(), minlength=len(reps))
+
+
 def value_entropy(f: FunctionTable) -> float:
     """Entropy of the grouped value distribution of f."""
-    codes, reps = group_values(f.values)
-    probs = np.bincount(codes, weights=f.space.config_weights(), minlength=len(reps))
-    return entropy(probs)
+    return entropy(_value_probs(f))
 
 
 def i_clue(f: FunctionTable, mask: int) -> float:
-    """I(Z : X_mask) / H(Z), in [0, 1]."""
-    h_z = value_entropy(f)
-    if h_z <= 0.0:
+    """I(Z : X_mask) / H(Z), in [0, 1]; needs two value groups of positive
+    weight."""
+    probs = _value_probs(f)
+    if np.count_nonzero(probs) < 2:
         raise DegenerateError("constant function: I-clue undefined")
-    return min(mutual_information(f, mask) / h_z, 1.0)
+    return min(mutual_information(f, mask) / entropy(probs), 1.0)
 
 
 def sig_i(f: FunctionTable, mask: int) -> float:
@@ -178,6 +168,7 @@ def _ent_of_marginal(f: FunctionTable, mask: int) -> float:
 
 def kl_clue(f: FunctionTable, mask: int) -> float:
     """Ent(E[f | mask]) / Ent(f), in [0, 1], for f >= 0."""
+    require_varying(f)
     validate_mask(mask, f.n)
     if np.any(f.values < 0.0):
         raise ValueError("kl_clue needs f >= 0")
@@ -188,12 +179,14 @@ def kl_clue(f: FunctionTable, mask: int) -> float:
 
 
 def kl_clue_all_subsets(f: FunctionTable) -> np.ndarray:
-    """kl_clue(f, U) for every mask U, f >= 0.  With A and W the lattices of
-    w f and w, Ent(E[f | U]) sums A ln(A / W) over the kept slots of U.
+    """kl_clue(f, U) for every mask U, f >= 0.  With A the lattice of w f and
+    W = :func:`~cluekit.transforms.kept_weights`, Ent(E[f | U]) sums A ln(A / W)
+    over the kept slots of U.
 
     O(n (q+1)^n) time; holds two lattice-sized arrays at once (A and W,
     then A and the copy that kept_sums folds).
     """
+    require_varying(f)
     if np.any(f.values < 0.0):
         raise ValueError("kl_clue needs f >= 0")
     denom = ent_functional(f)
@@ -203,7 +196,7 @@ def kl_clue_all_subsets(f: FunctionTable) -> np.ndarray:
     require_lattices(space, 2, "the KL clue of every subset")
     w = space.config_weights()
     a = keep_or_sum(w * f.values, space.q)
-    ratio = keep_or_sum(w, space.q)
+    ratio = kept_weights(space.pi)
     np.maximum(ratio, 1e-300, out=ratio)
     np.divide(a, ratio, out=ratio)  # E[f | kept slots], 0 where A is 0
     np.maximum(ratio, 1e-300, out=ratio)

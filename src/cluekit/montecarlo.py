@@ -264,6 +264,8 @@ def mc_expected_clue_bernoulli(
 ) -> McEstimate:
     """Average of mc_clue over coordinate sets drawn Bernoulli(p) per
     coordinate; estimates the expected clue of a random density-p subset."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
     mask_rng = generator_for(seed, 1 << 32)
     estimates = []
     clamped = False

@@ -12,21 +12,28 @@ coordinates S belongs to the Efron-Stein component f_S, so ||f_S||^2 is the
 sum of those coefficients squared.  On uniform bits the basis is the Walsh
 basis and the coefficients are the character coefficients.
 
-Squared weights normalized to a probability measure form the spectral
-distribution; a uniformly random element of a sample from it drives the
-transitive upper bounds checked in the clue module.
+Squared weights with the empty set's dropped, normalized to a probability
+measure, form the spectral sample: a :class:`~cluekit.core.RandomSetDistribution`
+like any other subset law.  A uniformly random element of it drives the
+transitive upper bounds that the ``transitive-bound`` suite checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionTable, ProductSpace, covariance, require_bytes
+from .core import (
+    FunctionTable,
+    ProductSpace,
+    RandomSetDistribution,
+    covariance,
+    require_bytes,
+    require_varying,
+)
 from .errors import DegenerateError, GuardError
 from .transforms import containing_sums, popcounts, subset_zeta
 
-NEG_CLAMP = 1e-12
 MONOTONE_GATE = 8
 
 
@@ -86,49 +93,34 @@ def walsh_hadamard(f: FunctionTable) -> np.ndarray:
     return _transform(f.space, f.values)
 
 
-@dataclass(frozen=True, eq=False)
-class EfronSteinComponents:
-    """Squared norms of the orthogonal components, one per subset mask.
-
-    ``tables`` is only materialized on request (full component functions,
-    shape (2^n, q^n)); the norms alone feed every downstream formula.
-    """
-
-    space: ProductSpace
-    norms: np.ndarray = field(repr=False)
-    tables: np.ndarray | None = field(default=None, repr=False)
-
-
-def efron_stein(f: FunctionTable, materialize: bool = False) -> EfronSteinComponents:
+def efron_stein(f: FunctionTable) -> np.ndarray:
     """||f_S||^2 for every mask S, from the product-basis coefficients.
-
-    Basis slots 1..q-1 of each coordinate fold into one "v in S" slot.  With
-    ``materialize``, component S is the inverse transform of the coefficients
-    whose support is S; its values on zero-probability configurations carry
-    no meaning.
-    """
+    Basis slots 1..q-1 of each coordinate fold into one "v in S" slot."""
     space = f.space
-    if materialize:
-        require_bytes(8 * 2**space.n * space.size, "a (2^n, q^n) component stack")
-    coeffs = _transform(space, f.values)
-    norms = coeffs**2
+    norms = _transform(space, f.values) ** 2
     if space.q > 2:
         for v in range(space.n):
             t = norms.reshape(-1, space.q, 1 << v)
             norms = np.stack([t[:, 0], t[:, 1:].sum(axis=1)], axis=1).reshape(-1)
-    tables = None
-    if materialize:
-        support = (space.digits() != 0) @ (1 << np.arange(space.n))
-        split = np.zeros((1 << space.n, space.size))
-        split[support, np.arange(space.size)] = coeffs
-        tables = _transform(space, split, inverse=True)
-    return EfronSteinComponents(space, norms, tables)
+    return norms
+
+
+def efron_stein_components(f: FunctionTable) -> np.ndarray:
+    """The (2^n, q^n) stack of component functions: row S is f_S, the inverse
+    transform of the coefficients whose support is S.  Its values on
+    zero-probability configurations carry no meaning."""
+    space = f.space
+    require_bytes(8 * 2**space.n * space.size, "a (2^n, q^n) component stack")
+    support = (space.digits() != 0) @ (1 << np.arange(space.n))
+    split = np.zeros((1 << space.n, space.size))
+    split[support, np.arange(space.size)] = _transform(space, f.values)
+    return _transform(space, split, inverse=True)
 
 
 def projected_variances(f: FunctionTable) -> np.ndarray:
     """Var(E[f | S]) for every mask S: the subset-zeta of the squared weights
     ||f_S||^2 with the constant component left out."""
-    weights = efron_stein(f).norms
+    weights = efron_stein(f)
     weights[0] = 0.0
     return subset_zeta(weights)
 
@@ -136,48 +128,30 @@ def projected_variances(f: FunctionTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # spectral distribution over subset masks
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True, eq=False)
-class SpectralDistribution:
-    """Probability mass per subset mask, conditioned on being nonempty
-    (mass[0] = 0, normalized by the variance)."""
-
-    space: ProductSpace
-    mass: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        mass = np.asarray(self.mass, dtype=float)
-        if mass.min() < -NEG_CLAMP:
-            raise ValueError("spectral masses must be nonnegative")
-        mass = np.maximum(mass, 0.0)
-        if abs(mass.sum() - 1.0) > 1e-10:
-            raise ValueError("spectral masses must sum to 1")
-        if mass[0] != 0.0:
-            raise ValueError("spectral mass must be conditioned on nonempty masks (mass[0] = 0)")
-        mass.setflags(write=False)
-        object.__setattr__(self, "mass", mass)
+def spectral_distribution(f: FunctionTable) -> RandomSetDistribution:
+    """The spectral sample of f conditioned on being nonempty (probs[0] = 0)."""
+    require_varying(f)
+    return distribution_from_weights(efron_stein(f))
 
 
-def spectral_distribution(f: FunctionTable) -> SpectralDistribution:
-    return distribution_from_weights(f.space, efron_stein(f).norms)
-
-
-def distribution_from_weights(space: ProductSpace, weights: np.ndarray) -> SpectralDistribution:
-    """Spectral distribution of subset weights ||f_S||^2, the empty set's
-    weight dropped (the input array is left unmodified)."""
+def distribution_from_weights(weights: np.ndarray) -> RandomSetDistribution:
+    """Spectral sample of subset weights ||f_S||^2, the empty set's weight
+    dropped (the input array is left unmodified)."""
     weights = np.array(weights, dtype=float)
     weights[0] = 0.0
     total = weights.sum()
     if total <= 0.0:
         raise DegenerateError("constant function: conditioned spectral sample undefined")
-    return SpectralDistribution(space, weights / total)
+    return RandomSetDistribution(weights / total)
 
 
-def spectral_marginals(dist: SpectralDistribution) -> np.ndarray:
+def spectral_marginals(dist: RandomSetDistribution) -> np.ndarray:
     """P[X = j] for every coordinate j, X a uniform element of the
-    conditioned sample: the sum over masks containing j of mass/|mask|, in
+    conditioned sample: the sum over masks containing j of probs/|mask|, in
     O(n 2^n)."""
-    pc = popcounts(dist.space.n)
-    return containing_sums(np.divide(dist.mass, pc, out=np.zeros_like(dist.mass), where=pc > 0))
+    probs = dist.probs
+    pc = popcounts(probs.size.bit_length() - 1)
+    return containing_sums(np.divide(probs, pc, out=np.zeros_like(probs), where=pc > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +169,7 @@ class StabilityProfile:
 
 
 def stability_profile(f: FunctionTable) -> StabilityProfile:
-    return profile_from_weights(efron_stein(f).norms)
+    return profile_from_weights(efron_stein(f))
 
 
 def profile_from_weights(weights: np.ndarray) -> StabilityProfile:

@@ -182,26 +182,27 @@ def efron_stein_suite() -> tuple[dict, list]:
     for trial in range(20):
         sp = _random_space(6, rng)
         f = FunctionTable(sp, rng.standard_normal(sp.size))
-        comp = spectral.efron_stein(f, materialize=True)
+        norms = spectral.efron_stein(f)
+        tables = spectral.efron_stein_components(f)
         # independent oracle: Moebius inversion of the fiber projected variances
         fiber = subset_mobius(_direct_clue_all(f) * variance(f))
-        fiber_err = float(np.max(np.abs(comp.norms[1:] - fiber[1:])))
+        fiber_err = float(np.max(np.abs(norms[1:] - fiber[1:])))
         stats["worst_fiber_err"] = max(stats["worst_fiber_err"], fiber_err)
         if fiber_err > 1e-10:
             violations.append({"trial": trial, "fiber_err": fiber_err})
-        stats["min_mass"] = min(stats["min_mass"], float(comp.norms.min()))
-        sum_err = abs(float(comp.norms.sum()) - l2_norm_sq(f))
+        stats["min_mass"] = min(stats["min_mass"], float(norms.min()))
+        sum_err = abs(float(norms.sum()) - l2_norm_sq(f))
         stats["worst_sum_err"] = max(stats["worst_sum_err"], sum_err)
-        if comp.norms.min() < -1e-12 or sum_err > 1e-9:
-            violations.append({"trial": trial, "min_mass": float(comp.norms.min()), "sum_err": sum_err})
+        if norms.min() < -1e-12 or sum_err > 1e-9:
+            violations.append({"trial": trial, "min_mass": float(norms.min()), "sum_err": sum_err})
         w = sp.config_weights()
-        gram = (comp.tables * w) @ comp.tables.T
+        gram = (tables * w) @ tables.T
         np.fill_diagonal(gram, 0.0)
         orth = float(np.max(np.abs(gram)))
         stats["worst_orth"] = max(stats["worst_orth"], orth)
         if orth > 1e-9:
             violations.append({"trial": trial, "orthogonality": orth})
-        recon = float(np.max(np.abs(comp.tables.sum(axis=0) - f.values)))
+        recon = float(np.max(np.abs(tables.sum(axis=0) - f.values)))
         if recon > 1e-10:
             violations.append({"trial": trial, "reconstruction": recon})
     sp8 = uniform_space(8)
@@ -230,8 +231,8 @@ def _subgame_shapley_gain(game: games.CooperativeGame, small: int, large: int) -
     ok, witness_pair = games.is_supermodular(game)
     if not ok:
         raise ValueError(f"game is not supermodular (witness pair {witness_pair})")
-    phi_small = games.shapley(games.restrict_game(game, small)).phi
-    phi_large = games.shapley(games.restrict_game(game, large)).phi
+    phi_small = games.shapley(games.restrict_game(game, small))
+    phi_large = games.shapley(games.restrict_game(game, large))
     pos_in_large = {p: i for i, p in enumerate(mask_indices(large))}
     gains = [phi_large[pos_in_large[p]] - phi_small[i] for i, p in enumerate(mask_indices(small))]
     return float(min(gains, default=np.inf))
@@ -251,7 +252,7 @@ def games_suite() -> tuple[dict, list]:
     worst_marg = 0.0
     for trial in range(10):
         f = FunctionTable(sp8, rng.standard_normal(sp8.size))
-        phi = games.shapley(games.build_clue_game(f)).phi
+        phi = games.shapley(games.build_clue_game(f))
         dist = spectral.spectral_distribution(f)
         marg = spectral.spectral_marginals(dist)
         err = float(np.max(np.abs(phi / variance(f) - marg)))
@@ -289,7 +290,7 @@ def games_suite() -> tuple[dict, list]:
         report = games.transitive_game_bound(game, entry.action)
         if not report.bound_holds:
             violations.append({"fn": entry.name, "problem": "transitive bound", "excess": report.max_violation})
-        eff = abs(games.shapley(game).total - game.grand_value)
+        eff = abs(games.shapley(game).sum() - game.grand_value)
         if eff > 1e-10:
             violations.append({"fn": entry.name, "efficiency_err": eff})
     return {"worst_shapley_vs_marginal": worst_marg, "zoo": [e.name for e in zoo_entries],

@@ -196,8 +196,6 @@ def average(f: FunctionTable, elements) -> FunctionTable:
     """Mean of the translates of f over a list of permutations.  When the
     list is a subgroup this is the orthogonal projection onto its invariant
     functions (idempotent, variance contracting)."""
-    if isinstance(elements, GroupAction):
-        elements = elements.elements()
     acc = np.zeros_like(f.values)
     for perm in elements:
         acc += permute(f.values, f.space, perm)

@@ -71,6 +71,20 @@ def keep_or_sum(values: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
+def kept_weights(pi: np.ndarray) -> np.ndarray:
+    """The (q+1)^n lattice of a product measure with rows ``pi`` (shape
+    (n, q)) that weighs only the kept digits: slot q of a coordinate weighs
+    1, not the row sum that :func:`keep_or_sum` gives it, which is 1 only up
+    to rounding."""
+    n, q = pi.shape
+    out = np.ones((q + 1) ** n)
+    t = out.reshape((q + 1,) * n)
+    for v in range(n):
+        # axis n-1-v of the tensor view is coordinate v
+        t *= np.append(pi[v], 1.0).reshape((q + 1,) + (1,) * v)
+    return out
+
+
 def kept_sums(lattice: np.ndarray, q: int) -> np.ndarray:
     """Map a (..., (q+1)^n) lattice to (..., 2^n): entry [mask] sums the
     lattice entries whose coordinates in ``mask`` sit at a real digit and

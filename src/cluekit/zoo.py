@@ -91,12 +91,10 @@ def tribes_evaluator(tribe_size: int, tribe_count: int):
     return evaluate
 
 
-def composite_evaluator(m: int, t: int, shift: float, tribe_size: int | None = None):
+def composite_evaluator(m: int, t: int, shift: float):
     """Asymmetric majority on the first m coordinates, with the sign of the
     shift steered by a tribes function on the remaining t coordinates."""
-    l = tribe_size if tribe_size is not None else balanced_tribe_size(t)
-    if t % l:
-        raise ValueError(f"tribe size {l} does not divide t={t}")
+    l = balanced_tribe_size(t)
     tribes_part = tribes_evaluator(l, t // l)
     up = shift * math.sqrt(m)
 

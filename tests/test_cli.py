@@ -7,9 +7,10 @@ import pytest
 from cluekit import spectral
 from cluekit.cli import _emit, main
 from cluekit.clue import clue_all_subsets_table
-from cluekit.core import FunctionTable, biased_bits, uniform_space, variance
+from cluekit.core import FunctionTable, ProductSpace, biased_bits, uniform_space, variance
 from cluekit.fnio import load_function, table_from_dict
 from cluekit.errors import ParseError
+from cluekit.infotheory import mutual_information_all_subsets, value_entropy
 from cluekit.zoo import majority
 from conftest import save_table, table_dict
 
@@ -100,6 +101,32 @@ def test_degenerate_error_exit_4(capsys, tmp_path):
     save_table(f, path)
     code, payload, _ = run_cli(capsys, "analyze", "--fn", str(path), "--subset", "0")
     assert code == 4
+
+
+def test_spectrum_refuses_a_constant_table_on_biased_bits(capsys, tmp_path):
+    # the weights sum to 1 only up to rounding, so the marginals would be noise
+    f = FunctionTable(biased_bits(3, [0.7, 0.4, 0.75]), np.ones(8))
+    path = tmp_path / "const.json"
+    save_table(f, path)
+    code, payload, _ = run_cli(capsys, "spectrum", "--fn", str(path))
+    assert code == 4
+    assert payload["exit"] == 4
+    code, _, out = run_cli(capsys, "spectrum", "--fn", str(path), "--csv")
+    assert code == 0
+    assert out.splitlines()[1] == "0x0,1.0"
+
+
+def test_information_metrics_on_rows_within_rounding_of_one(capsys, tmp_path):
+    # six rows 9e-13 short of 1: the weights sum to 1 - 5.4e-12
+    space = ProductSpace(6, 2, np.tile([0.5, 0.4999999999991], (6, 1)))
+    f = FunctionTable(space, np.random.default_rng(1).integers(0, 2, 64).astype(float))
+    path = tmp_path / "tight.json"
+    save_table(f, path)
+    code, payload, _ = run_cli(capsys, "analyze", "--fn", str(path), "--subset", "0,2", "--metrics", "i,sig")
+    assert code == 0
+    lattice = mutual_information_all_subsets(f) / value_entropy(f)
+    assert payload["metrics"]["i_clue"] == pytest.approx(lattice[0b101], abs=1e-12)
+    assert payload["metrics"]["sig_i"] == pytest.approx(1 - lattice[0b111010], abs=1e-12)
 
 
 def test_verify_unknown_suite_exit_2(capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cluekit.clue import (
@@ -12,10 +12,12 @@ from cluekit.clue import (
     p_min,
     sig,
     tv_clue,
+    tv_clue_all_subsets,
     witness,
 )
 from cluekit.core import (
     FunctionTable,
+    ProductSpace,
     bernoulli_sets,
     biased_bits,
     complement_mask,
@@ -25,6 +27,14 @@ from cluekit.core import (
     uniform_space,
 )
 from cluekit.errors import DegenerateError
+from cluekit.infotheory import (
+    i_clue,
+    kl_clue,
+    kl_clue_all_subsets,
+    mutual_information_all_subsets,
+    sig_i,
+    value_entropy,
+)
 from cluekit.spectral import spectral_distribution, stability, stability_profile
 from cluekit.suites import PROJECTION_TOL, _projection_bounds
 from cluekit.symmetry import cyclic_group
@@ -255,3 +265,70 @@ def test_projection_distortion_random_pairs():
         mask = int(rng.integers(0, 1 << n))
         assert _projection_bounds_hold(_projection_bounds(f, g, mask))
 
+
+# ---------------------------------------------------------------------------
+# non-uniform measures, whose weights sum to 1 only up to rounding
+# ---------------------------------------------------------------------------
+def random_product_space(n: int, q: int, kind: str, seed: int) -> ProductSpace:
+    """Dirichlet rows; ``zero-atom`` zeroes one atom of coordinate 0, and
+    ``tight`` scales every row to within 1e-12 of 1."""
+    rng = np.random.default_rng(seed)
+    pi = rng.dirichlet(np.ones(q), size=n)
+    if kind == "zero-atom":
+        pi[0] = np.r_[0.0, rng.dirichlet(np.ones(q - 1))]
+    elif kind == "tight":
+        pi *= 1.0 - 9e-13
+    return ProductSpace(n, q, pi)
+
+
+MEASURES = dict(
+    n=st.integers(2, 4),
+    q=st.sampled_from([2, 3]),
+    kind=st.sampled_from(["dirichlet", "zero-atom", "tight"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+RATIO_ROUTES = {
+    "clue": clue,
+    "sig": sig,
+    "clue_all_subsets": lambda f, m: clue_all_subsets_table(f),
+    "expected_clue": lambda f, m: expected_clue(f, bernoulli_sets(f.n, 0.5)),
+    "spectral": lambda f, m: spectral_distribution(f),
+    "tv": tv_clue,
+    "tv_all_subsets": lambda f, m: tv_clue_all_subsets(f),
+    "i": i_clue,
+    "sig_i": sig_i,
+    "kl": kl_clue,
+    "kl_all_subsets": lambda f, m: kl_clue_all_subsets(f),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(offset=st.sampled_from([0.0, 1.0, 0.3, 12345.678]), **MEASURES)
+def test_constant_tables_are_refused_on_every_ratio_route(offset, n, q, kind, seed):
+    space = random_product_space(n, q, kind, seed)
+    values = np.full(space.size, offset)
+    values[space.config_weights() == 0.0] = offset + 1.0  # off the support: any value
+    f = FunctionTable(space, values)
+    mask = seed % (1 << n)
+    for name, route in RATIO_ROUTES.items():
+        with pytest.raises(DegenerateError):
+            route(f, mask)
+            pytest.fail(f"{name} answered on a constant table")
+
+
+@settings(max_examples=60, deadline=None)
+@given(**MEASURES)
+def test_per_mask_routes_match_the_all_subsets_routes(n, q, kind, seed):
+    space = random_product_space(n, q, kind, seed)
+    rng = np.random.default_rng(seed)
+    f = FunctionTable(space, rng.integers(0, 3, space.size).astype(float))
+    support = space.config_weights() > 0.0
+    assume(f.values[support].min() < f.values[support].max())
+    tv = tv_clue_all_subsets(f)
+    icl = np.minimum(mutual_information_all_subsets(f) / value_entropy(f), 1.0)
+    kl = kl_clue_all_subsets(f)
+    for mask in {0, (1 << n) - 1, *rng.integers(0, 1 << n, size=4).tolist()}:
+        assert tv_clue(f, mask) == pytest.approx(tv[mask], abs=1e-12)
+        assert i_clue(f, mask) == pytest.approx(icl[mask], abs=1e-12)
+        assert kl_clue(f, mask) == pytest.approx(kl[mask], abs=1e-12)

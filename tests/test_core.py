@@ -170,7 +170,7 @@ def test_exact_guard_blocks_large_tables():
 @pytest.mark.parametrize("code", [
     # sig_i asks for the joint law of 2^14 distinct values by 2^14 configurations
     "main(['clue', '--fn', PATH, '--subset', 'empty'])",
-    "efron_stein(FunctionTable(uniform_space(10, 4), rng.standard_normal(4**10)), materialize=True)",
+    "efron_stein_components(FunctionTable(uniform_space(10, 4), rng.standard_normal(4**10)))",
     "uniform_space(23).digits()",
     "noise_pair_weights(14, 0.5)",
     # two lattices of 3^17 entries, 1.03 GB each, for every coalition's information
@@ -195,7 +195,7 @@ def test_over_budget_arrays_are_refused_before_allocation(code, tmp_path, run_py
         "from cluekit.cli import main\n"
         "from cluekit.core import FunctionTable, bernoulli_sets, uniform_space\n"
         "from cluekit.errors import GuardError\n"
-        "from cluekit.spectral import efron_stein, noise_pair_weights\n"
+        "from cluekit.spectral import efron_stein_components, noise_pair_weights\n"
         f"PATH = {str(path)!r}\nPATH17 = {str(path17)!r}\nrng = np.random.default_rng(0)\n"
     )
     out = run_python(f"{prelude}try:\n    sys.exit({code})\nexcept GuardError:\n    sys.exit(3)\n",
@@ -256,6 +256,13 @@ def test_random_set_distribution_must_normalize():
         RandomSetDistribution([0.0, 0.5, 0.6, 0.0])
     with pytest.raises(ValueError, match="nonnegative"):
         RandomSetDistribution([0.0, 1.5, -0.5, 0.0])
+
+
+def test_random_set_distribution_takes_its_vector_without_a_copy():
+    probs = np.full(1 << 4, 1 / 16)
+    dist = RandomSetDistribution(probs)
+    assert np.shares_memory(dist.probs, probs)
+    assert not probs.flags.writeable
 
 
 @pytest.mark.parametrize("probs", [[0.5, 0.25, 0.25], [], [[0.5, 0.5]]], ids=["three", "empty", "matrix"])

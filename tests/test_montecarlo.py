@@ -100,6 +100,12 @@ def test_mc_expected_clue_bernoulli_endpoints():
     assert bottom.estimate <= 0.02
 
 
+@pytest.mark.parametrize("p", [-0.5, 1.5])
+def test_mc_expected_clue_bernoulli_rejects_p_outside_the_unit_interval(p):
+    with pytest.raises(ValueError):
+        mc_expected_clue_bernoulli(majority_evaluator(5), uniform_space(5), p, 4, 300, 4, seed=1)
+
+
 def test_mc_expected_clue_bernoulli_matches_stability():
     ev = majority_evaluator(3)
     sp = uniform_space(3)

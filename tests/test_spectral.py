@@ -4,6 +4,7 @@ import pytest
 from cluekit.core import (
     FunctionTable,
     ProductSpace,
+    RandomSetDistribution,
     biased_bits,
     conditional_expectation,
     expectation,
@@ -13,9 +14,9 @@ from cluekit.core import (
 )
 from cluekit.errors import DegenerateError, GuardError
 from cluekit.spectral import (
-    SpectralDistribution,
     covariance_lemma_check,
     efron_stein,
+    efron_stein_components,
     is_monotone,
     noise_pair_weights,
     pivotal_masks,
@@ -31,10 +32,10 @@ from cluekit.transforms import popcounts, subset_mobius
 from cluekit.zoo import dictator, majority, parity, sum_function
 
 
-def sample_spectral(dist: SpectralDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
+def sample_spectral(dist: RandomSetDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
     """Inverse-CDF sampling over masks in ascending index order."""
-    picks = np.searchsorted(np.cumsum(dist.mass), rng.random(size), side="right")
-    return np.minimum(picks, dist.mass.size - 1)
+    picks = np.searchsorted(np.cumsum(dist.probs), rng.random(size), side="right")
+    return np.minimum(picks, dist.probs.size - 1)
 
 
 def test_walsh_dictator():
@@ -62,7 +63,7 @@ def test_walsh_maj3():
 def test_walsh_inverse_round_trip():
     rng = np.random.default_rng(0)
     f = FunctionTable(uniform_space(7), rng.standard_normal(128))
-    back = efron_stein(f, materialize=True).tables.sum(axis=0)
+    back = efron_stein_components(f).sum(axis=0)
     np.testing.assert_allclose(back, f.values, atol=1e-12)
 
 
@@ -92,13 +93,13 @@ def test_efron_stein_matches_walsh_on_uniform():
     rng = np.random.default_rng(2)
     f = FunctionTable(uniform_space(6), rng.standard_normal(64))
     np.testing.assert_allclose(
-        efron_stein(f).norms, walsh_hadamard(f) ** 2, atol=1e-10
+        efron_stein(f), walsh_hadamard(f) ** 2, atol=1e-10
     )
 
 
 def test_efron_stein_constant_function():
     f = FunctionTable(uniform_space(4), np.full(16, 2.5))
-    norms = efron_stein(f).norms
+    norms = efron_stein(f)
     assert norms[0] == pytest.approx(2.5**2)
     np.testing.assert_allclose(norms[1:], 0.0, atol=1e-12)
 
@@ -106,7 +107,7 @@ def test_efron_stein_constant_function():
 def test_efron_stein_biased_bit():
     space = biased_bits(1, 0.75)
     f = FunctionTable(space, np.array([0.0, 1.0]))
-    norms = efron_stein(f).norms
+    norms = efron_stein(f)
     assert norms[0] == pytest.approx(0.75**2, abs=1e-14)
     assert norms[1] == pytest.approx(3 / 16, abs=1e-14)
 
@@ -117,28 +118,28 @@ def test_efron_stein_nonnegative_on_random_measures():
         q = int(rng.choice([2, 3]))
         space = ProductSpace(6, q, rng.dirichlet(np.ones(q), size=6))
         f = FunctionTable(space, rng.standard_normal(space.size))
-        comp = efron_stein(f)
-        assert comp.norms.min() >= 0.0
-        assert comp.norms.sum() == pytest.approx(l2_norm_sq(f), abs=1e-9)
+        norms = efron_stein(f)
+        assert norms.min() >= 0.0
+        assert norms.sum() == pytest.approx(l2_norm_sq(f), abs=1e-9)
 
 
 def test_efron_stein_nonnegative_at_gate_boundary():
     rng = np.random.default_rng(13)
     space = ProductSpace(8, 3, rng.dirichlet(np.ones(3), size=8))
     f = FunctionTable(space, rng.standard_normal(space.size))
-    comp = efron_stein(f)
-    assert comp.norms.min() >= 0.0
-    assert comp.norms.sum() == pytest.approx(l2_norm_sq(f), abs=1e-9)
+    norms = efron_stein(f)
+    assert norms.min() >= 0.0
+    assert norms.sum() == pytest.approx(l2_norm_sq(f), abs=1e-9)
 
 
 def test_efron_stein_components_reconstruct_and_orthogonal():
     rng = np.random.default_rng(4)
     space = ProductSpace(4, 3, rng.dirichlet(np.ones(3), size=4))
     f = FunctionTable(space, rng.standard_normal(space.size))
-    comp = efron_stein(f, materialize=True)
-    np.testing.assert_allclose(comp.tables.sum(axis=0), f.values, atol=1e-10)
+    tables = efron_stein_components(f)
+    np.testing.assert_allclose(tables.sum(axis=0), f.values, atol=1e-10)
     w = space.config_weights()
-    gram = (comp.tables * w) @ comp.tables.T
+    gram = (tables * w) @ tables.T
     np.fill_diagonal(gram, 0.0)
     assert np.max(np.abs(gram)) < 1e-9
 
@@ -164,7 +165,7 @@ def test_component_norms_match_fiber_oracle(space):
     f = FunctionTable(space, rng.standard_normal(space.size))
     projected = [variance(conditional_expectation(f, mask)) for mask in range(1 << space.n)]
     oracle = subset_mobius(np.array(projected))
-    norms = efron_stein(f).norms
+    norms = efron_stein(f)
     np.testing.assert_allclose(norms[1:], oracle[1:], rtol=0, atol=1e-12)
     assert norms[0] == pytest.approx(expectation(f) ** 2, abs=1e-12)
 
@@ -182,31 +183,28 @@ def test_walsh_matches_character_sums():
 
 def test_spectral_distribution_maj3():
     dist = spectral_distribution(majority(3).table)
+    assert isinstance(dist, RandomSetDistribution)
+    assert dist.probs[0] == 0.0
     np.testing.assert_allclose(
-        dist.mass[[0b001, 0b010, 0b100, 0b111]], 0.25, atol=1e-12
+        dist.probs[[0b001, 0b010, 0b100, 0b111]], 0.25, atol=1e-12
     )
 
 
 def test_spectral_distribution_parity_point_mass():
     dist = spectral_distribution(parity(4).table)
-    assert dist.mass[0b1111] == pytest.approx(1.0)
+    assert dist.probs[0b1111] == pytest.approx(1.0)
 
 
 def test_spectral_distribution_sum_uniform_on_singletons():
     dist = spectral_distribution(sum_function(5).table)
     for j in range(5):
-        assert dist.mass[1 << j] == pytest.approx(1 / 5, abs=1e-12)
+        assert dist.probs[1 << j] == pytest.approx(1 / 5, abs=1e-12)
 
 
 def test_spectral_distribution_degenerate():
     f = FunctionTable(uniform_space(3), np.ones(8))
     with pytest.raises(DegenerateError):
         spectral_distribution(f)
-
-
-def test_spectral_distribution_refuses_mass_on_the_empty_set():
-    with pytest.raises(ValueError):
-        SpectralDistribution(uniform_space(1), np.array([0.5, 0.5]))
 
 
 def test_spectral_marginal_examples():

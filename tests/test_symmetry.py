@@ -54,13 +54,13 @@ def test_tribes_group_is_transitive():
 
 def test_average_fixes_invariant_function():
     f = majority(3).table
-    avg = average(f, cyclic_group(3))
+    avg = average(f, cyclic_group(3).elements())
     np.testing.assert_allclose(avg.values, f.values, atol=1e-14)
 
 
 def test_average_symmetrizes_dictator():
     n = 4
-    avg = average(dictator(n, 0).table, symmetric_group_action(n))
+    avg = average(dictator(n, 0).table, symmetric_group_action(n).elements())
     expected = sum_function(n).table.values / n
     np.testing.assert_allclose(avg.values, expected, atol=1e-12)
 
@@ -69,8 +69,8 @@ def test_average_idempotent_and_contracts_variance():
     rng = np.random.default_rng(0)
     f = FunctionTable(uniform_space(5), rng.standard_normal(32))
     grp = cyclic_group(5)
-    once = average(f, grp)
-    twice = average(once, grp)
+    once = average(f, grp.elements())
+    twice = average(once, grp.elements())
     np.testing.assert_allclose(once.values, twice.values, atol=1e-12)
     assert variance(once) <= variance(f) + 1e-12
     assert expectation(once) == pytest.approx(expectation(f), abs=1e-12)

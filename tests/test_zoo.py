@@ -32,8 +32,8 @@ def asym_majority_table(n, a):
     return from_spec(f"amaj:{n},{a}").table
 
 
-def composite_table(m, t, a, tribe_size=None):
-    return table_from_digits(uniform_space(m + t), composite_evaluator(m, t, a, tribe_size))
+def composite_table(m, t, a):
+    return table_from_digits(uniform_space(m + t), composite_evaluator(m, t, a))
 
 
 def test_majority_values():
@@ -110,7 +110,7 @@ def test_zoo_actions_invariant_and_transitive():
 
 def test_composite_all_ones_tribes_block():
     m, t, a = 3, 2, 0.5
-    table = composite_table(m, t, a, tribe_size=2)
+    table = composite_table(m, t, a)
     up = asym_majority_table(m, a).values
     # tribes part all ones: top t digits = 1
     for idx in range(1 << m):
@@ -119,7 +119,7 @@ def test_composite_all_ones_tribes_block():
 
 
 def test_composite_zero_shift_is_plain_majority():
-    table = composite_table(3, 2, 0.0, tribe_size=2)
+    table = composite_table(3, 2, 0.0)
     maj = majority(3).table.values
     for idx in range(1 << 5):
         assert table.values[idx] == maj[idx & 0b111]
