@@ -43,11 +43,27 @@ def _emit(payload: dict):
 
 
 def _emit_csv(header: str, values: np.ndarray):
-    """One ``mask,value`` row per mask, written in blocks of CSV_BLOCK rows."""
+    """One ``mask,value`` row per mask, written in blocks of CSV_BLOCK rows.
+
+    Each distinct value of a block is formatted once, and the block's rows
+    gather those strings.  Values are told apart by bit pattern, so 0.0 and
+    -0.0 keep their own text, and numbered by their first row, so the
+    strings are made and read in row order."""
+    values = np.ascontiguousarray(values, dtype=float)
     sys.stdout.write(header + "\n")
     for start in range(0, len(values), CSV_BLOCK):
-        block = values[start:start + CSV_BLOCK].tolist()
-        sys.stdout.write("".join(f"{hex(m)},{v!r}\n" for m, v in enumerate(block, start)))
+        block = values[start:start + CSV_BLOCK]
+        _, label = np.unique(block.view(np.uint64), return_inverse=True)
+        first = np.full(label.max() + 1, len(block))
+        np.minimum.at(first, label, np.arange(len(block)))
+        first.sort()
+        rank = np.empty_like(first)
+        rank[label[first]] = np.arange(len(first))
+        texts = [f",{v!r}\n" for v in block[first].tolist()]
+        rows = [""] * (2 * len(block))
+        rows[::2] = map(hex, range(start, start + len(block)))
+        rows[1::2] = map(texts.__getitem__, rank[label].tolist())
+        sys.stdout.write("".join(rows))
 
 
 def _by_mask(values: np.ndarray) -> dict:

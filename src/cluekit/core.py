@@ -16,7 +16,9 @@ Other modules reach this layout only through :func:`fibers`, :func:`extend`,
 :func:`permute` and the digit matrices that one private helper builds for
 :meth:`ProductSpace.digits` and :func:`table_from_digits`; the exceptions are
 the product-basis transform in :mod:`cluekit.spectral` and bit flips on binary
-indices.
+indices.  :func:`table_from_digits` evaluates blocks of q^k <= ``TABLE_BLOCK``
+rows: the k low digit columns are the same in every block and are built once,
+and each block only refills its n-k high columns, which are constant on it.
 
 Memory has one rule: :func:`require_bytes` refuses (GuardError) any array of
 at least :data:`BYTE_BUDGET` bytes before it is allocated.  Every
@@ -181,7 +183,7 @@ class ProductSpace:
     def digits(self) -> np.ndarray:
         """(q^n, n) uint8 matrix: digits()[c, v] is coordinate v of config c
         (built on demand, not cached)."""
-        return _block_digits(self, 0, self.size)
+        return _block_digits(self.q, self.n)
 
     def tensor_shape(self) -> tuple[int, ...]:
         return (self.q,) * self.n
@@ -210,21 +212,24 @@ def biased_bits(n: int, p_plus: float | Sequence[float]) -> ProductSpace:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True, eq=False)
 class FunctionTable:
-    """Dense real-valued function over all configurations of a space."""
+    """Dense real-valued function over all configurations of a space.
+
+    The constructor takes ownership of a contiguous float64 vector: it is
+    frozen in place, not copied, so the caller must not write to it
+    afterwards."""
 
     space: ProductSpace
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.space.check_exact_guard()
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.ascontiguousarray(self.values, dtype=float)
         if vals.shape != (self.space.size,):
             raise ValueError(
                 f"values must have length q^n = {self.space.size}, got {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -259,22 +264,34 @@ class FunctionTable:
         return evaluate
 
 
-def _block_digits(space: ProductSpace, start: int, stop: int) -> np.ndarray:
-    """(stop - start, n) uint8 digits of configurations start..stop-1."""
-    require_bytes(8 * space.n * (stop - start), f"a {stop - start}-row digit matrix")
-    idx = np.arange(start, stop, dtype=np.int64)
-    return (idx[:, None] // space.q ** np.arange(space.n) % space.q).astype(np.uint8)
+def _block_digits(q: int, n: int) -> np.ndarray:
+    """(q^n, n) uint8 digits of every configuration of n coordinates."""
+    require_bytes(8 * n * q**n, f"a {q}^{n}-row digit matrix")
+    idx = np.arange(q**n, dtype=np.int64)
+    return (idx[:, None] // q ** np.arange(n) % q).astype(np.uint8)
 
 
 def table_from_digits(space: ProductSpace, fn) -> FunctionTable:
-    """Build a table by evaluating ``fn`` on blocks of ``TABLE_BLOCK`` rows of
-    the (q^n, n) digit matrix, which never exists whole.  ``fn`` must be
-    row-wise: output row i depends on input row i only."""
+    """Build a table by evaluating ``fn`` on blocks of the (q^n, n) digit
+    matrix, which never exists whole.  ``fn`` must be row-wise: output row i
+    depends on input row i only, and it must not keep its input.
+
+    A block holds the q^k <= ``TABLE_BLOCK`` configurations that share their
+    n-k high digits, so its k low digit columns are the same in every block:
+    they are built once, and one reused buffer takes each block's constant
+    high digits, with no division per row."""
     space.check_exact_guard()
+    q, n = space.q, space.n
+    k = 0
+    while k < n and q ** (k + 1) <= TABLE_BLOCK:
+        k += 1
+    rows = q**k
+    block = np.empty((rows, n), dtype=np.uint8)
+    block[:, :k] = _block_digits(q, k)
     values = np.empty(space.size)
-    for start in range(0, space.size, TABLE_BLOCK):
-        stop = min(start + TABLE_BLOCK, space.size)
-        values[start:stop] = fn(_block_digits(space, start, stop))
+    for b, high in enumerate(_block_digits(q, n - k)):
+        block[:, k:] = high
+        values[b * rows:(b + 1) * rows] = fn(block)
     return FunctionTable(space, values)
 
 

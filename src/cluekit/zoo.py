@@ -32,8 +32,10 @@ class ZooEntry:
     action: GroupAction | None
 
 
-def _spins(digits: np.ndarray) -> np.ndarray:
-    return digits.astype(np.int64) * 2 - 1
+def _spin_sum(digits: np.ndarray) -> np.ndarray:
+    """Row sums of the +-1 spins of a uint8 digit matrix, without widening
+    the matrix: 2 (digit sum) - (column count)."""
+    return 2 * digits.sum(axis=1, dtype=np.int64) - digits.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -44,21 +46,22 @@ def dictator_evaluator(n: int, coord: int):
         raise ValueError(f"dictator coordinate {coord} outside 0..{n - 1}")
 
     def evaluate(digits):
-        return _spins(digits[:, coord]).astype(float)
+        return digits[:, coord] * 2.0 - 1.0
 
     return evaluate
 
 
 def parity_evaluator(n: int):
     def evaluate(digits):
-        return np.prod(_spins(digits), axis=1).astype(float)
+        # the product of the spins is -1 to the number of 0 digits
+        return 1.0 - 2.0 * ((n - digits.sum(axis=1, dtype=np.int64)) & 1)
 
     return evaluate
 
 
 def sum_evaluator(n: int):
     def evaluate(digits):
-        return _spins(digits).sum(axis=1).astype(float)
+        return _spin_sum(digits).astype(float)
 
     return evaluate
 
@@ -68,7 +71,7 @@ def majority_evaluator(n: int):
         raise ValueError("majority needs an odd number of coordinates")
 
     def evaluate(digits):
-        return np.sign(_spins(digits).sum(axis=1)).astype(float)
+        return np.sign(_spin_sum(digits)).astype(float)
 
     return evaluate
 
@@ -77,8 +80,7 @@ def asym_majority_evaluator(n: int, shift: float):
     threshold = shift * math.sqrt(n)
 
     def evaluate(digits):
-        s = _spins(digits).sum(axis=1)
-        return np.where(s > threshold, 1.0, -1.0)
+        return np.where(_spin_sum(digits) > threshold, 1.0, -1.0)
 
     return evaluate
 
@@ -99,7 +101,7 @@ def composite_evaluator(m: int, t: int, shift: float):
     up = shift * math.sqrt(m)
 
     def evaluate(digits):
-        s = _spins(digits[:, :m]).sum(axis=1)
+        s = _spin_sum(digits[:, :m])
         steer = tribes_part(digits[:, m:])
         threshold = np.where(steer == 1.0, up, -up)
         return np.where(s > threshold, 1.0, -1.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cluekit import spectral
-from cluekit.cli import _emit, main
+from cluekit.cli import _emit, _emit_csv, main
 from cluekit.clue import clue_all_subsets_table
 from cluekit.core import FunctionTable, ProductSpace, biased_bits, uniform_space, variance
 from cluekit.fnio import load_function, table_from_dict
@@ -95,6 +95,12 @@ def test_guard_error_exit_3(capsys):
     assert code == 3
 
 
+def test_over_budget_zoo_table_exits_3(capsys):
+    code, payload, _ = run_cli(capsys, "analyze", "--fn", "maj:27", "--subset", "0")
+    assert code == 3
+    assert "GiB" in payload["error"]
+
+
 def test_degenerate_error_exit_4(capsys, tmp_path):
     f = FunctionTable(uniform_space(2), np.ones(4))
     path = tmp_path / "const.json"
@@ -177,6 +183,28 @@ def test_sweep_output_bytes_match_the_row_by_row_format(capsys):
     assert out == ref.getvalue() + "\n"
 
 
+def _csv_cases():
+    rng = np.random.default_rng(12)
+    signed_zeros = np.array([0.0, -0.0, 1.0, -0.0, 0.0, 0.5, -0.0, -1.0])
+    return {
+        "maj9-clue": clue_all_subsets_table(majority(9).table),
+        "all-distinct": rng.standard_normal(1 << 12),
+        "signed-zeros": signed_zeros,
+        # three blocks, the last one short, with values repeated across them
+        "blocks": rng.integers(0, 5, (1 << 17) + 3) / 3.0,
+    }
+
+
+@pytest.mark.parametrize("case", ["maj9-clue", "all-distinct", "signed-zeros", "blocks"])
+def test_emit_csv_matches_one_row_per_mask(capsys, case):
+    """Formatting each distinct value once gives the bytes of one f-string
+    per row; 0.0 and -0.0 compare equal but print apart."""
+    values = _csv_cases()[case]
+    _emit_csv("mask,value", values)
+    out = capsys.readouterr().out
+    assert out == "mask,value\n" + "".join(f"{hex(m)},{v!r}\n" for m, v in enumerate(values.tolist()))
+
+
 def test_game_command(capsys):
     code, payload, _ = run_cli(
         capsys, "game", "--fn", "maj:3", "--checks", "shapley,supermod,core,bound"
@@ -246,6 +274,32 @@ def test_mc_clue_command_deterministic(capsys):
     assert code1 == code2 == 0
     assert payload1["estimate"] == payload2["estimate"]
     assert payload1["generator"] == "philox4x64/splitmix64"
+
+
+# stdout recorded with evaluators that widened the digits to int64 spins (the
+# reference in test_zoo.py): the digit-sum evaluators must reproduce it bitwise
+MC_CLUE_PINS = [
+    (["--fn", "parity:33", "--subset", ",".join(map(str, range(17))), "--outer", "512",
+      "--inner", "8", "--seed", "5"],
+     '{"schema": 1, "fn": "parity:33", "subset": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, '
+     '14, 15, 16], "estimate": 0.0016120971310022247, "stderr": 0.0057728622412250115, '
+     '"batches": 2, "outer": 512, "inner": 8, "seed": 5, "generator": "philox4x64/splitmix64", '
+     '"clamped": false}\n'),
+    (["--fn", "maj:21", "--subset", ",".join(map(str, range(0, 20, 2))), "--outer", "512",
+      "--inner", "16", "--seed", "9"],
+     '{"schema": 1, "fn": "maj:21", "subset": [0, 2, 4, 6, 8, 10, 12, 14, 16, 18], '
+     '"estimate": 0.33120654396728016, "stderr": 0.027894147168834316, "batches": 2, '
+     '"outer": 512, "inner": 16, "seed": 9, "generator": "philox4x64/splitmix64", '
+     '"clamped": false}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", MC_CLUE_PINS, ids=["parity33", "maj21"])
+def test_mc_clue_output_is_pinned(capsys, monkeypatch, argv, expected):
+    monkeypatch.delenv("CLUEKIT_THREADS", raising=False)
+    code, _, out = run_cli(capsys, "mc-clue", *argv)
+    assert code == 0
+    assert out == expected
 
 
 def test_mc_clue_reports_missing_error_bar(capsys):

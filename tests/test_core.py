@@ -22,6 +22,7 @@ from cluekit.core import (
     permute,
     revealment,
     singleton_sets,
+    table_from_digits,
     uniform_space,
     variance,
 )
@@ -134,6 +135,22 @@ def test_config_codec_round_trip(n, q):
         assert list(digits[index]) == decode(space, index)
 
 
+# n below, at and above the block exponent k, the largest with q^k <= TABLE_BLOCK
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 16), (2, 17), (2, 19), (3, 10), (3, 11), (4, 8), (4, 9), (5, 8)])
+def test_table_from_digits_blocks_follow_the_digit_matrix(q, n):
+    space = uniform_space(n, q)
+    weights = np.random.default_rng(10 * n + q).normal(size=n)
+    seen = []
+
+    def fn(digits):
+        seen.append(digits.copy())
+        return digits @ weights
+
+    oracle = space.digits()
+    np.testing.assert_array_equal(table_from_digits(space, fn).values, oracle @ weights)
+    np.testing.assert_array_equal(np.concatenate(seen), oracle)
+
+
 @pytest.mark.parametrize("n,q", [(5, 2), (4, 3), (3, 4)])
 def test_fibers_extend_permute_follow_the_index_layout(n, q):
     rng = np.random.default_rng(10 * n + q)
@@ -177,8 +194,10 @@ def test_exact_guard_blocks_large_tables():
     "main(['game', '--fn', PATH17, '--iclue'])",
     # 2^27 subset probabilities, 1 GiB, beside the half-size array they are built from
     "bernoulli_sets(27, 0.3)",
+    # a 2 GiB zoo table, refused before its block buffer exists
+    "zoo.from_spec('sum:28')",
 ], ids=["clue-cli-joint-law", "materialized-components", "digit-matrix", "noise-pair-law",
-        "iclue-game-lattice", "bernoulli-set-law"])
+        "iclue-game-lattice", "bernoulli-set-law", "zoo-table"])
 def test_over_budget_arrays_are_refused_before_allocation(code, tmp_path, run_python):
     """Each request needs 1.4 GiB or more at once (one array, or the two
     lattices of the information game), which a 2 GiB
@@ -192,7 +211,7 @@ def test_over_budget_arrays_are_refused_before_allocation(code, tmp_path, run_py
         save_table(FunctionTable(uniform_space(17), signs), path17)
     prelude = (
         "import sys\nimport numpy as np\n"
-        "from cluekit.cli import main\n"
+        "from cluekit import zoo\nfrom cluekit.cli import main\n"
         "from cluekit.core import FunctionTable, bernoulli_sets, uniform_space\n"
         "from cluekit.errors import GuardError\n"
         "from cluekit.spectral import efron_stein_components, noise_pair_weights\n"
@@ -210,6 +229,13 @@ def test_zero_probability_fibers_give_zero_and_flag():
     ce = conditional_expectation(f, 0b01)
     # conditioning on coordinate 0 = digit 0 has probability zero
     assert ce.values[0] == 0.0 and ce.values[2] == 0.0
+
+
+def test_function_table_takes_its_values_without_a_copy():
+    values = np.arange(8, dtype=float)
+    f = FunctionTable(uniform_space(3), values)
+    assert np.shares_memory(f.values, values)
+    assert not values.flags.writeable
 
 
 def test_function_table_validation():

@@ -166,6 +166,67 @@ def test_find_a_hits_reachable_targets():
     assert find_a(n, 1.0) == pytest.approx(0.0, abs=1e-6)
 
 
+def _spins(digits):
+    return digits.astype(np.int64) * 2 - 1
+
+
+def reference_evaluator(spec):
+    """The evaluator of a zoo spec, computed on the digits widened to int64
+    +-1 spins."""
+    head, _, tail = spec.partition(":")
+    args = [float(a) if "." in a else int(a) for a in tail.split(",")]
+
+    def tribes_of(digits, size, count):
+        return np.any(np.all(digits.reshape(len(digits), count, size) == 1, axis=2), axis=1)
+
+    if head == "dictator":
+        return lambda d: _spins(d[:, args[1]]).astype(float)
+    if head == "parity":
+        return lambda d: np.prod(_spins(d), axis=1).astype(float)
+    if head == "sum":
+        return lambda d: _spins(d).sum(axis=1).astype(float)
+    if head == "maj":
+        return lambda d: np.sign(_spins(d).sum(axis=1)).astype(float)
+    if head == "amaj":
+        threshold = args[1] * math.sqrt(args[0])
+        return lambda d: np.where(_spins(d).sum(axis=1) > threshold, 1.0, -1.0)
+    if head == "tribes":
+        return lambda d: tribes_of(d, *args).astype(float)
+    m, t, a = args
+    size = balanced_tribe_size(t)
+    up = a * math.sqrt(m)
+
+    def composite(d):
+        threshold = np.where(tribes_of(d[:, m:], size, t // size), up, -up)
+        return np.where(_spins(d[:, :m]).sum(axis=1) > threshold, 1.0, -1.0)
+
+    return composite
+
+
+def reference_specs(n):
+    specs = [f"dictator:{n},0", f"dictator:{n},{n - 1}", f"parity:{n}", f"sum:{n}",
+             f"amaj:{n},0.5", f"amaj:{n},0.0"]
+    if n % 2:
+        specs.append(f"maj:{n}")
+    if n > 1:
+        specs.append(f"composite:{n - n // 2},{n // 2},0.5")
+    size = next(l for l in (4, 3, 2, 1) if n % l == 0)
+    return specs + [f"tribes:{size},{n // size}"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 33, 76])
+def test_evaluators_match_the_spin_reference(n):
+    rng = np.random.default_rng(n)
+    # near-balanced rows put spin sums on the majority and shift thresholds
+    digits = np.concatenate([rng.integers(0, 2, (300, n), dtype=np.uint8),
+                             np.tile(np.arange(n, dtype=np.uint8) % 2, (5, 1)),
+                             np.ones((2, n), dtype=np.uint8), np.zeros((2, n), dtype=np.uint8)])
+    for spec in reference_specs(n):
+        got = evaluator_from_spec(spec)[1](digits)
+        assert got.dtype == np.float64, spec
+        np.testing.assert_array_equal(got, reference_evaluator(spec)(digits), err_msg=spec)
+
+
 def test_evaluator_matches_table():
     for spec in ("maj:5", "parity:4", "sum:4", "tribes:2,2", "amaj:4,0.5", "composite:3,2,0.5",
                  "maj:17"):
