@@ -10,6 +10,7 @@ caps internal parallelism.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -345,7 +346,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    :func:`main` call in the process: parsing reads it and never writes it."""
     parser = argparse.ArgumentParser(prog="cluekit")
     sub = parser.add_subparsers(dest="command", required=True)
 

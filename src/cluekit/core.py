@@ -16,9 +16,11 @@ Other modules reach this layout only through :func:`fibers`, :func:`extend`,
 :func:`permute` and the digit matrices that one private helper builds for
 :meth:`ProductSpace.digits` and :func:`table_from_digits`; the exceptions are
 the product-basis transform in :mod:`cluekit.spectral` and bit flips on binary
-indices.  :func:`table_from_digits` evaluates blocks of q^k <= ``TABLE_BLOCK``
-rows: the k low digit columns are the same in every block and are built once,
-and each block only refills its n-k high columns, which are constant on it.
+indices.  The helper builds a digit matrix without division: it writes each
+column as runs of 0..q-1.  :func:`table_from_digits` evaluates blocks of
+q^k <= ``TABLE_BLOCK`` rows: the k low digit columns are the same in every
+block and are built once, and each block only refills its n-k high columns,
+which are constant on it.
 
 Memory has one rule: :func:`require_bytes` refuses (GuardError) any array of
 at least :data:`BYTE_BUDGET` bytes before it is allocated.  Every
@@ -174,10 +176,22 @@ class ProductSpace:
         return w
 
     def config_weights(self) -> np.ndarray:
-        """Product-measure weight of every configuration, length q^n."""
+        """Product-measure weight of every configuration, length q^n.
+
+        When all entries of ``pi`` are equal the vector is filled with the
+        value every entry of :meth:`marginal_weights` takes, 1.0 times
+        ``pi[0, 0]`` n times in sequence, so it is bitwise the same."""
         cached = self._cache.get("weights")
         if cached is None:
-            cached = self._cache["weights"] = self.marginal_weights(full_mask(self.n))
+            p = self.pi[0, 0]
+            if np.all(self.pi == p):
+                c = 1.0
+                for _ in range(self.n):
+                    c *= p
+                cached = np.full(self.size, c)
+            else:
+                cached = self.marginal_weights(full_mask(self.n))
+            self._cache["weights"] = cached
         return cached
 
     def digits(self) -> np.ndarray:
@@ -265,10 +279,13 @@ class FunctionTable:
 
 
 def _block_digits(q: int, n: int) -> np.ndarray:
-    """(q^n, n) uint8 digits of every configuration of n coordinates."""
+    """(q^n, n) uint8 digits of every configuration of n coordinates, built
+    without division: column v is 0..q-1 repeated in runs of q^v rows."""
     require_bytes(8 * n * q**n, f"a {q}^{n}-row digit matrix")
-    idx = np.arange(q**n, dtype=np.int64)
-    return (idx[:, None] // q ** np.arange(n) % q).astype(np.uint8)
+    out = np.empty((q**n, n), dtype=np.uint8)
+    for v in range(n):
+        out[:, v].reshape(-1, q, q**v)[:] = np.arange(q, dtype=np.uint8)[:, None]
+    return out
 
 
 def table_from_digits(space: ProductSpace, fn) -> FunctionTable:

@@ -4,8 +4,8 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from cluekit import spectral
-from cluekit.cli import _emit, _emit_csv, main
+from cluekit import cli, spectral
+from cluekit.cli import _emit, _emit_csv, build_parser, main
 from cluekit.clue import clue_all_subsets_table
 from cluekit.core import FunctionTable, ProductSpace, biased_bits, uniform_space, variance
 from cluekit.fnio import load_function, table_from_dict
@@ -88,6 +88,39 @@ def test_parse_error_exit_2(capsys):
     code, payload, _ = run_cli(capsys, "analyze", "--fn", "maj:oops", "--subset", "0")
     assert code == 2
     assert "expected" in payload["error"]
+
+
+# later calls omit flags an earlier call set; a parse error precedes a valid call
+PARSER_REUSE_CALLS = [
+    ("clue", "--fn", "maj:5", "--all-subsets", "--csv"),
+    ("clue", "--fn", "maj:5", "--subset", "0,1", "--metrics", "l2"),
+    ("perco", "--rect", "3x2", "--mc", "200", "--seed", "4"),
+    ("perco", "--rect", "3x2"),
+    ("spectrum", "--fn", "maj:5", "--efron-stein"),
+    ("spectrum", "--fn", "maj:5"),
+    ("analyze", "--fn", "maj:5"),
+    ("analyze", "--fn", "maj:5", "--subset", "0"),
+    ("analyze", "--fn", "maj:oops", "--subset", "0"),
+    ("clue", "--fn", "maj:5", "--all-subsets"),
+]
+
+
+def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+
+    def run_all():
+        runs = []
+        for argv in PARSER_REUSE_CALLS:
+            code, _, out = run_cli(capsys, *argv)
+            runs.append((code, out))
+        return runs
+
+    shared = run_all()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = run_all()
+    assert [code for code, _ in shared] == [0, 0, 0, 0, 0, 0, 2, 0, 2, 0]
+    assert shared == fresh
 
 
 def test_guard_error_exit_3(capsys):

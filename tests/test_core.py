@@ -9,6 +9,7 @@ from cluekit.core import (
     FunctionTable,
     ProductSpace,
     RandomSetDistribution,
+    _block_digits,
     bernoulli_sets,
     biased_bits,
     complement_mask,
@@ -149,6 +150,17 @@ def test_table_from_digits_blocks_follow_the_digit_matrix(q, n):
     oracle = space.digits()
     np.testing.assert_array_equal(table_from_digits(space, fn).values, oracle @ weights)
     np.testing.assert_array_equal(np.concatenate(seen), oracle)
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in range(2, 6) for n in range(10)] + [(2, 16)])
+def test_block_digits_match_integer_division(q, n):
+    idx = np.arange(q**n, dtype=np.int64)
+    digits = _block_digits(q, n)
+    assert digits.dtype == np.uint8
+    assert digits.shape == (q**n, n)  # (1, 0) for n = 0
+    # idx[:, None] // q**arange(n) % q, a column at a time: whole, it is 280 MB at 5^9
+    for v in range(n):
+        np.testing.assert_array_equal(digits[:, v], idx // q**v % q)
 
 
 @pytest.mark.parametrize("n,q", [(5, 2), (4, 3), (3, 4)])
@@ -312,6 +324,35 @@ def test_biased_bits_weights():
     assert w[0] == pytest.approx(0.25 * 0.75)
     assert w[3] == pytest.approx(0.75 * 0.25)
     assert w.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_uniform_config_weights_equal_the_product_chain_bitwise(q):
+    for n in range(1, 8):
+        space = uniform_space(n, q)
+        assert np.array_equal(space.config_weights(), space.marginal_weights(full_mask(n)))
+
+
+def _moved_row(n: int) -> ProductSpace:
+    pi = np.full((n, 2), 0.5)
+    pi[1] += [1e-13, -1e-13]
+    return ProductSpace(n, 2, pi)
+
+
+@pytest.mark.parametrize("space", [biased_bits(5, 0.3), biased_bits(5, [0.5] * 4 + [0.6]), _moved_row(5)],
+                         ids=["biased", "one-biased-coordinate", "row-moved-1e-13"])
+def test_nonuniform_config_weights_take_the_product_chain(space, monkeypatch):
+    masks = []
+    product_chain = ProductSpace.marginal_weights
+
+    def spy(self, mask):
+        masks.append(mask)
+        return product_chain(self, mask)
+
+    monkeypatch.setattr(ProductSpace, "marginal_weights", spy)
+    w = space.config_weights()
+    assert masks == [full_mask(5)]
+    assert len(np.unique(w)) > 1
 
 
 def test_marginal_weights_are_the_marginals_of_config_weights():
