@@ -18,9 +18,10 @@ Other modules reach this layout only through :func:`fibers`, :func:`extend`,
 the product-basis transform in :mod:`cluekit.spectral` and bit flips on binary
 indices.  The helper builds a digit matrix without division: it writes each
 column as runs of 0..q-1.  :func:`table_from_digits` evaluates blocks of
-q^k <= ``TABLE_BLOCK`` rows: the k low digit columns are the same in every
-block and are built once, and each block only refills its n-k high columns,
-which are constant on it.
+q^k <= ``TABLE_BLOCK`` rows held column-major, each coordinate's digits
+contiguous: the k low digit columns are the same in every block and are built
+once, and each block only refills its n-k high columns, which are constant on
+it.
 
 Memory has one rule: :func:`require_bytes` refuses (GuardError) any array of
 at least :data:`BYTE_BUDGET` bytes before it is allocated.  Every
@@ -296,19 +297,21 @@ def table_from_digits(space: ProductSpace, fn) -> FunctionTable:
     A block holds the q^k <= ``TABLE_BLOCK`` configurations that share their
     n-k high digits, so its k low digit columns are the same in every block:
     they are built once, and one reused buffer takes each block's constant
-    high digits, with no division per row."""
+    high digits, with no division per row.  The buffer is (n, q^k), one
+    coordinate's digits per contiguous row, and ``fn`` gets its transpose: a
+    column-major (q^k, n) matrix."""
     space.check_exact_guard()
     q, n = space.q, space.n
     k = 0
     while k < n and q ** (k + 1) <= TABLE_BLOCK:
         k += 1
     rows = q**k
-    block = np.empty((rows, n), dtype=np.uint8)
-    block[:, :k] = _block_digits(q, k)
+    columns = np.empty((n, rows), dtype=np.uint8)
+    columns[:k] = _block_digits(q, k).T
     values = np.empty(space.size)
     for b, high in enumerate(_block_digits(q, n - k)):
-        block[:, k:] = high
-        values[b * rows:(b + 1) * rows] = fn(block)
+        columns[k:] = high[:, None]
+        values[b * rows:(b + 1) * rows] = fn(columns.T)
     return FunctionTable(space, values)
 
 

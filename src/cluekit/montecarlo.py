@@ -16,6 +16,11 @@ the thread count (capped by the CLUEKIT_THREADS environment variable) only
 maps chunks onto workers and results are bitwise identical at any
 parallelism.  Child seeds of the Bernoulli estimator come from the same mix.
 
+Digits are drawn as (coordinates, rows) matrices, and :func:`mc_clue` scatters
+them into an (n, rows) buffer, one coordinate's digits per contiguous row.
+Evaluators get its transpose, a column-major (rows, n) matrix, so their
+reductions over coordinates add contiguous vectors.
+
 Error bars come from batch means (:func:`batch_stderr`) over the batches
 holding at least 2 rows.  Below 2 such batches (for instance n_outer <= 256
 with the default chunk of 256 rows) there is no error bar: stderr is None,
@@ -80,11 +85,17 @@ class McEstimate:
 
 
 def _sample_digits(space: ProductSpace, coords: list[int], rows: int, rng) -> np.ndarray:
-    """(rows, len(coords)) digit matrix drawn from the product marginals."""
+    """(len(coords), rows) digit matrix drawn from the product marginals: row j
+    holds the digits of coordinate coords[j].  It is a transposed view of
+    digits computed in the draw's (rows, len(coords)) layout; callers copy it
+    into contiguous rows."""
     u = rng.random((rows, len(coords)))
     cdf = np.cumsum(space.pi[coords], axis=1)
     # the digit counts the interior cdf breakpoints at or below u
-    return (u[:, :, None] >= cdf[:, :-1]).sum(axis=2, dtype=np.uint8)
+    digits = np.zeros(u.shape, dtype=np.uint8)
+    for b in range(space.q - 1):
+        digits += u >= cdf[:, b]
+    return digits.T
 
 
 def _pairwise_sum(chunks: list[np.ndarray]) -> np.ndarray:
@@ -164,13 +175,12 @@ def mc_clue(
     outside = [v for v in range(space.n) if v not in inside]
 
     def sample(rng, rows: int) -> list[float]:
-        u_part = _sample_digits(space, inside, rows, rng)
-        digits = np.empty((rows * m_inner, space.n), dtype=np.uint8)
+        columns = np.empty((space.n, rows * m_inner), dtype=np.uint8)
         if inside:
-            digits[:, inside] = np.repeat(u_part, m_inner, axis=0)
+            columns[inside] = np.repeat(_sample_digits(space, inside, rows, rng), m_inner, axis=1)
         if outside:
-            digits[:, outside] = _sample_digits(space, outside, rows * m_inner, rng)
-        values = np.asarray(evaluator(digits), dtype=float).reshape(rows, m_inner)
+            columns[outside] = _sample_digits(space, outside, rows * m_inner, rng)
+        values = np.asarray(evaluator(columns.T), dtype=float).reshape(rows, m_inner)
         fiber_means = values.mean(axis=1)
         within_ss = float(np.sum((values - fiber_means[:, None]) ** 2))
         return [rows, fiber_means.sum(), float(fiber_means @ fiber_means), within_ss]

@@ -34,12 +34,15 @@ class ZooEntry:
 
 def _spin_sum(digits: np.ndarray) -> np.ndarray:
     """Row sums of the +-1 spins of a uint8 digit matrix, without widening
-    the matrix: 2 (digit sum) - (column count)."""
-    return 2 * digits.sum(axis=1, dtype=np.int64) - digits.shape[1]
+    the matrix: 2 (digit sum) - (column count).  int32 holds the digit sum of
+    fewer than 2^23 columns."""
+    return 2 * digits.sum(axis=1, dtype=np.int32) - digits.shape[1]
 
 
 # ---------------------------------------------------------------------------
-# evaluators (work on any (N, n) digit matrix)
+# evaluators: each works on any (N, n) digit matrix, whatever its memory
+# layout; the engines hand them column-major ones, each coordinate's digits
+# contiguous, where reducing over coordinates adds contiguous vectors
 # ---------------------------------------------------------------------------
 def dictator_evaluator(n: int, coord: int):
     if not 0 <= coord < n:
@@ -54,7 +57,7 @@ def dictator_evaluator(n: int, coord: int):
 def parity_evaluator(n: int):
     def evaluate(digits):
         # the product of the spins is -1 to the number of 0 digits
-        return 1.0 - 2.0 * ((n - digits.sum(axis=1, dtype=np.int64)) & 1)
+        return 1.0 - 2.0 * ((n - digits.sum(axis=1, dtype=np.int32)) & 1)
 
     return evaluate
 

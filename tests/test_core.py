@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cluekit.core import (
     FunctionTable,
     ProductSpace,
+    TABLE_BLOCK,
     RandomSetDistribution,
     _block_digits,
     bernoulli_sets,
@@ -139,17 +140,22 @@ def test_config_codec_round_trip(n, q):
 # n below, at and above the block exponent k, the largest with q^k <= TABLE_BLOCK
 @pytest.mark.parametrize("q,n", [(2, 3), (2, 16), (2, 17), (2, 19), (3, 10), (3, 11), (4, 8), (4, 9), (5, 8)])
 def test_table_from_digits_blocks_follow_the_digit_matrix(q, n):
+    """Each block reaches ``fn`` as an F-contiguous (q^k, n) uint8 matrix, so
+    every coordinate's digits are contiguous."""
     space = uniform_space(n, q)
     weights = np.random.default_rng(10 * n + q).normal(size=n)
     seen = []
 
     def fn(digits):
+        assert digits.dtype == np.uint8 and digits.flags.f_contiguous
         seen.append(digits.copy())
         return digits @ weights
 
     oracle = space.digits()
     np.testing.assert_array_equal(table_from_digits(space, fn).values, oracle @ weights)
     np.testing.assert_array_equal(np.concatenate(seen), oracle)
+    k = max(k for k in range(n + 1) if q**k <= TABLE_BLOCK)
+    assert [len(block) for block in seen] == [q**k] * q ** (n - k)
 
 
 @pytest.mark.parametrize("q,n", [(q, n) for q in range(2, 6) for n in range(10)] + [(2, 16)])

@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from cluekit.core import uniform_space
+from cluekit.core import FunctionTable, ProductSpace, biased_bits, uniform_space
 from cluekit.errors import DegenerateError
 from cluekit.montecarlo import (
+    CHUNK,
+    _sample_digits,
     generator_for,
     mc_clue,
     mc_expected_clue_bernoulli,
@@ -168,3 +172,77 @@ def test_mc_stability_and_expected_clue_report_batches():
     assert est.batches == 16 and est.stderr > 0.0
     single = mc_expected_clue_bernoulli(ev, uniform_space(3), 0.5, 1, 400, 10, seed=2)
     assert single.stderr is None and single.batches == 1
+
+
+def breakpoint_digits(u, cdf):
+    """(rows, coords) digits of the uniform draws ``u``: each counts the
+    interior breakpoints of its coordinate's cdf at or below its draw."""
+    return (u[:, :, None] >= cdf[:, :-1]).sum(axis=2, dtype=np.uint8)
+
+
+# zero atoms: coordinate 1 never takes digit 1, coordinate 4 never digit 2
+ZERO_ATOM_Q3 = ProductSpace(5, 3, np.array([[0.2, 0.5, 0.3], [0.5, 0.0, 0.5], [0.1, 0.3, 0.6],
+                                            [1 / 3, 1 / 3, 1 / 3], [0.6, 0.4, 0.0]]))
+SAMPLING_SPACES = {
+    "uniform q=2": uniform_space(5),
+    "biased q=2": biased_bits(5, [0.1, 0.3, 0.5, 0.7, 0.9]),
+    "zero atom q=3": ZERO_ATOM_Q3,
+    "q=4": ProductSpace(5, 4, np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25],
+                                        [0.0, 0.5, 0.0, 0.5], [0.7, 0.1, 0.1, 0.1],
+                                        [0.4, 0.3, 0.3, 0.0]])),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLING_SPACES)
+@pytest.mark.parametrize("coords", [[0, 1, 2, 3, 4], [1, 4], [3]])
+def test_sample_digits_match_the_breakpoint_oracle(name, coords):
+    space = SAMPLING_SPACES[name]
+    cdf = np.cumsum(space.pi[coords], axis=1)
+    for rows in (1, 7, 1000):
+        got = _sample_digits(space, coords, rows, generator_for(3, rows))
+        u = generator_for(3, rows).random((rows, len(coords)))
+        assert got.dtype == np.uint8 and got.shape == (len(coords), rows)
+        np.testing.assert_array_equal(got, breakpoint_digits(u, cdf).T)
+        for j, v in enumerate(coords):
+            assert not np.isin(got[j], np.flatnonzero(space.pi[v] == 0.0)).any()
+    # draws on the breakpoints themselves count them
+    u = np.repeat(np.concatenate([[0.0], cdf[:, :-1].ravel(), [0.5, 0.999]])[:, None], len(coords), axis=1)
+    got = _sample_digits(space, coords, len(u), SimpleNamespace(random=lambda shape: u))
+    np.testing.assert_array_equal(got, breakpoint_digits(u, cdf).T)
+
+
+# q=3 with zero atoms and biased bits: no benchmark job samples off q=2.
+# Hex floats recorded before the digit matrices became column-major.
+OFF_Q2_PINS = [
+    (ZERO_ATOM_Q3, 13, 0b00101, 600, 8, 5,
+     ("0x1.7bbbcdc398a00p-6", "0x1.bce90943ef4f8p-9", "0x1.29888a8164b18p-3")),
+    (biased_bits(8, [0.1, 0.3, 0.5, 0.7, 0.9, 0.25, 0.6, 0.85]), 11, 0b10110010, 700, 6, 6,
+     ("0x1.c46daafb755c3p-6", "0x1.b1cd3a607ae60p-7", "0x1.84761724dc39ap-3")),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", range(len(OFF_Q2_PINS)))
+def test_mc_clue_off_q2_is_pinned(case, threads):
+    space, modulus, mask, outer, inner, seed, pins = OFF_Q2_PINS[case]
+    table = FunctionTable(space, (np.arange(space.size) * 7919 % modulus).astype(float))
+    est = mc_clue(table.evaluator(), space, mask, outer, inner, seed, threads=threads)
+    assert (est.estimate.hex(), est.stderr.hex(), est.uncorrected.hex()) == pins
+    assert est.batches == 3 and not est.clamped
+
+
+@pytest.mark.parametrize("space", [uniform_space(6), ZERO_ATOM_Q3], ids=["q=2", "q=3"])
+def test_mc_clue_hands_evaluators_column_major_digits(space):
+    """Every chunk reaches the evaluator as an F-contiguous (rows * m_inner, n)
+    uint8 matrix, so every coordinate's digits are contiguous."""
+    seen = []
+
+    def record(digits):
+        seen.append((digits.shape, digits.dtype, digits.flags.f_contiguous))
+        return digits[:, 0] * 2.0 - 1.0
+
+    n, inner = space.n, 4
+    for mask in (0, 0b101, (1 << n) - 1):  # no inside, both, no outside coordinates
+        seen.clear()
+        mc_clue(record, space, mask, CHUNK + 44, inner, seed=1)
+        assert seen == [((CHUNK * inner, n), np.uint8, True), ((44 * inner, n), np.uint8, True)]

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from cluekit.clue import clue, influence_set
-from cluekit.core import expectation, mask_from_indices, table_from_digits, uniform_space
+from cluekit.core import (
+    FunctionTable,
+    biased_bits,
+    expectation,
+    mask_from_indices,
+    table_from_digits,
+    uniform_space,
+)
 from cluekit.errors import ParseError
+from cluekit.perco import TorusSpec, torus_lr_evaluator
 from cluekit.symmetry import is_invariant, is_transitive
 from cluekit.zoo import (
     asym_majority_influence,
@@ -214,17 +222,58 @@ def reference_specs(n):
     return specs + [f"tribes:{size},{n // size}"]
 
 
-@pytest.mark.parametrize("n", [1, 2, 20, 33, 76])
-def test_evaluators_match_the_spin_reference(n):
+def reference_digits(n):
     rng = np.random.default_rng(n)
     # near-balanced rows put spin sums on the majority and shift thresholds
-    digits = np.concatenate([rng.integers(0, 2, (300, n), dtype=np.uint8),
-                             np.tile(np.arange(n, dtype=np.uint8) % 2, (5, 1)),
-                             np.ones((2, n), dtype=np.uint8), np.zeros((2, n), dtype=np.uint8)])
+    return np.concatenate([rng.integers(0, 2, (300, n), dtype=np.uint8),
+                           np.tile(np.arange(n, dtype=np.uint8) % 2, (5, 1)),
+                           np.ones((2, n), dtype=np.uint8), np.zeros((2, n), dtype=np.uint8)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 33, 76])
+def test_evaluators_match_the_spin_reference(n):
+    digits = reference_digits(n)
     for spec in reference_specs(n):
         got = evaluator_from_spec(spec)[1](digits)
         assert got.dtype == np.float64, spec
         np.testing.assert_array_equal(got, reference_evaluator(spec)(digits), err_msg=spec)
+
+
+def layouts(digits):
+    """The same (N, n) digit rows as a C-order matrix, its Fortran-order copy,
+    and the transpose of an (n, N) buffer, as the engines hand them over."""
+    return [np.ascontiguousarray(digits), np.asfortranarray(digits),
+            np.ascontiguousarray(digits.T).T]
+
+
+def assert_layout_free(evaluator, digits, what):
+    c_order, *others = (evaluator(d) for d in layouts(digits))
+    for got in others:
+        assert got.dtype == c_order.dtype and got.shape == c_order.shape, what
+        assert got.tobytes() == c_order.tobytes(), what
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 33, 76])
+def test_evaluators_do_not_depend_on_layout(n):
+    digits = reference_digits(n)
+    for spec in reference_specs(n):
+        assert_layout_free(evaluator_from_spec(spec)[1], digits, spec)
+
+
+@pytest.mark.parametrize("space", [uniform_space(1), biased_bits(2, 0.3), biased_bits(20, 0.6),
+                                   uniform_space(5, 3)], ids=["n=1", "n=2", "n=20", "q=3"])
+def test_table_evaluator_does_not_depend_on_layout(space):
+    rng = np.random.default_rng(space.size)
+    table = FunctionTable(space, rng.normal(size=space.size))
+    digits = rng.integers(0, space.q, (500, space.n), dtype=np.uint8)
+    assert_layout_free(table.evaluator(), digits, space)
+
+
+@pytest.mark.parametrize("side", [2, 3, 4])
+def test_torus_evaluator_does_not_depend_on_layout(side):
+    torus = TorusSpec(side)
+    digits = np.random.default_rng(side).integers(0, 2, (500, torus.edge_count), dtype=np.uint8)
+    assert_layout_free(torus_lr_evaluator(torus), digits, side)
 
 
 def test_evaluator_matches_table():
@@ -277,8 +326,11 @@ def test_empty_spec_argument_is_refused(spec):
 
 def test_majority_21_builds_in_bounded_memory(run_python):
     """The table is built block by block: the (2^21, 21) digit matrix, 44 MB
-    as uint8 and 350 MB once widened to spins, never exists."""
-    out = run_python("import resource; from cluekit.zoo import majority; majority(21); "
-                     "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    as uint8 and 350 MB once widened to spins, never exists.  The child reads
+    its own peak, VmHWM: on Linux its ru_maxrss starts at the spawning test
+    process's high-water mark."""
+    out = run_python("from cluekit.zoo import majority; majority(21)\n"
+                     "print(next(line.split()[1] for line in open('/proc/self/status') "
+                     "if line.startswith('VmHWM:')))")
     assert out.returncode == 0, out.stderr
-    assert int(out.stdout) < 300 * 1024  # ru_maxrss is in KiB on Linux
+    assert int(out.stdout) < 300 * 1024  # VmHWM is in kB
