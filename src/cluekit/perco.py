@@ -8,13 +8,17 @@ edge (x,y)-(x+1,y) for x < w-1, vertical edge (x,y)-(x,y+1) for y < h-1.
 A crossing joins any leftmost vertex to any rightmost vertex (both boundary
 columns fully wired).  The shape is self-dual exactly when w = h + 1, which
 forces crossing probability 1/2 at p = 1/2.
+
+One grid kernel decides every crossing, primal and dual.  It packs the
+configurations 64 to a uint64 word, one word array per edge, and spreads
+"joined to the left column" over the vertex grid with whole-grid bitwise
+operations, so a batch of up to 64 configurations costs one word's work.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -65,156 +69,95 @@ class RectangleSpec:
             raise ValueError("vertical edge out of range")
         return self.n_horizontal + y * self.w + x
 
-    def vertex(self, x: int, y: int) -> int:
-        return y * self.w + x
 
-    def edge_endpoints(self) -> list[tuple[int, int]]:
-        # order must match edge indices
-        ordered = [None] * self.edge_count
-        for y in range(self.h):
-            for x in range(self.w - 1):
-                ordered[self.horizontal_edge(x, y)] = (self.vertex(x, y), self.vertex(x + 1, y))
-        for y in range(self.h - 1):
-            for x in range(self.w):
-                ordered[self.vertical_edge(x, y)] = (self.vertex(x, y), self.vertex(x, y + 1))
-        return ordered
-
-
-_ROW_BLOCK = 1 << 13  # rows per kernel pass: bounds the per-edge temporaries
+# ---------------------------------------------------------------------------
+# crossing kernel
+# ---------------------------------------------------------------------------
+def _pack(open_matrix: np.ndarray) -> np.ndarray:
+    """(edges, words) uint64: row e holds column e of the (N, edges) bool
+    matrix, eight configurations to a byte by ``np.packbits`` and eight
+    bytes to a word; the padding bits of the last word are zero."""
+    packed = np.packbits(np.ascontiguousarray(open_matrix.T), axis=1, bitorder="little")
+    words = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view(np.uint64)
 
 
-@dataclass(frozen=True)
-class _Graph:
-    """A connectivity question compiled once per shape: the switchable
-    edges' endpoints ``a``, ``b`` and open-matrix columns ``col`` (int64),
-    and the initial labels ``lab0`` with the always-open wiring merged."""
-
-    a: np.ndarray
-    b: np.ndarray
-    col: np.ndarray
-    lab0: np.ndarray
-    src: int
-    dst: int
+def _spans(links: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(s, S_s) for s = 1, 2, 4, ... below the number of vertices along
+    axis 0, where ``S_s[k]`` is the AND of links k .. k+s-1: vertex k and
+    vertex k+s are joined by open links all the way."""
+    spans = [(1, np.ascontiguousarray(links))]
+    while 2 * spans[-1][0] <= len(links):
+        s, span = spans[-1]
+        spans.append((2 * s, span[:-s] & span[s:]))
+    return spans
 
 
-def _compile(n_nodes: int, edges, src: int, dst: int) -> _Graph:
-    """Compile an edge list of (a, b, col), where col indexes open-matrix
-    columns, or (a, b, None) for always-open wiring.  ``lab0`` gives each
-    node the smallest node of its wired component."""
-    wired = np.array([(a, b) for a, b, col in edges if col is None], dtype=np.int64).reshape(-1, 2)
-    switched = np.array([e for e in edges if e[2] is not None], dtype=np.int64).reshape(-1, 3)
-    lab0 = _hook_and_compress(np.arange(n_nodes, dtype=np.int64), wired[:, 0], wired[:, 1])
-    arrays = (switched[:, 0], switched[:, 1], switched[:, 2], lab0)
-    for arr in arrays:
-        arr.flags.writeable = False  # shared by every caller of the cache
-    return _Graph(*arrays, src, dst)
+def _scan(reached: np.ndarray, spans) -> None:
+    """Carry ``reached`` along axis 0 over open links, forward then
+    backward, by Hillis-Steele doubling: after the step of span s every
+    vertex holds what reached any vertex up to 2s-1 places behind it."""
+    for s, span in spans:
+        reached[s:] |= reached[:-s] & span
+    for s, span in spans:
+        reached[:-s] |= reached[s:] & span
 
 
-def _hook_and_compress(lab: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Merge the components of the edges (u, v) into the labels ``lab``, a
-    forest of depth one (``lab[lab] == lab``, ``lab[x] <= x``); returns the
-    new labels, again of depth one.  Each round hooks both roots of every
-    edge whose roots differ onto the smaller of the two with
-    ``np.minimum.at``, then jumps pointers (``lab = lab[lab]``) until every
-    node points at a root.
-    A label only ever moves to a smaller node, so no cycle can form, and
-    each round removes at least one root, so the loop ends."""
+def _sweep(x_links: np.ndarray, y_links: np.ndarray, n_rows: int) -> np.ndarray:
+    """Left-right crossing of a grid of ``cols`` x ``rows`` vertices, one
+    bool for each of the first ``n_rows`` configurations packed into the
+    link words: x-links (cols-1, rows, words) join (x, y)-(x+1, y), y-links
+    (rows-1, cols, words) join (x, y)-(x, y+1).
+
+    ``reached`` holds, bit for bit, the vertices joined to the left column
+    so far.  A round scans the x axis, then the y axis, forward and
+    backward, each direction log2(side) whole-grid operations on span
+    arrays built once per batch; rounds repeat until ``reached`` stops
+    changing.  A bit only ever travels over open links, so every set bit is
+    a true connection, and at the fixed point both ends of every open link
+    agree, so ``reached`` is the left column's component."""
+    cols, rows, words = x_links.shape[0] + 1, x_links.shape[1], x_links.shape[2]
+    reached = np.zeros((cols, rows, words), dtype=np.uint64)
+    reached[0] = ~np.uint64(0)
+    x_spans, y_spans = _spans(x_links), _spans(y_links)
+    before = np.empty_like(reached)
     while True:
-        lu, lv = lab[u], lab[v]
-        live = lu != lv
-        if not live.any():
-            return lab
-        u, v, lu, lv = u[live], v[live], lu[live], lv[live]
-        m = np.minimum(lu, lv)
-        np.minimum.at(lab, lu, m)
-        np.minimum.at(lab, lv, m)
-        while True:
-            jumped = lab[lab]
-            if np.array_equal(jumped, lab):
-                break
-            lab = jumped
-
-
-def _connected_batch(graph: _Graph, open_matrix: np.ndarray) -> np.ndarray:
-    """Is ``graph.src`` connected to ``graph.dst``?  One bool per row of
-    open_matrix.
-
-    Connected components by hook-and-compress (Shiloach & Vishkin,
-    J. Algorithms 3, 1982) over a block of at most ``_ROW_BLOCK`` rows at a
-    time: the block's rows are disjoint copies of the graph, node x of row
-    r being ``r * n_nodes + x``, and every open edge of the block enters one
-    vectorized ``_hook_and_compress`` pass.  The block bounds the per-edge
-    temporaries (a few int64 arrays per open edge), so memory does not grow
-    with the batch.
-    """
-    n_nodes = len(graph.lab0)
-    out = np.empty(len(open_matrix), dtype=bool)
-    for start in range(0, len(open_matrix), _ROW_BLOCK):
-        rows, idx = np.nonzero(open_matrix[start:start + _ROW_BLOCK][:, graph.col])
-        n_rows = min(_ROW_BLOCK, len(open_matrix) - start)
-        offsets = np.arange(n_rows, dtype=np.int64)[:, None] * n_nodes
-        lab = _hook_and_compress(
-            (offsets + graph.lab0).ravel(),
-            rows * n_nodes + graph.a[idx],
-            rows * n_nodes + graph.b[idx],
-        ).reshape(n_rows, n_nodes)
-        out[start:start + n_rows] = lab[:, graph.src] == lab[:, graph.dst]
-    return out
-
-
-def _rect_crossing_edges(rect: RectangleSpec):
-    n_vertices = rect.w * rect.h
-    left, right = n_vertices, n_vertices + 1
-    edges = [(left, rect.vertex(0, y), None) for y in range(rect.h)]
-    edges += [(right, rect.vertex(rect.w - 1, y), None) for y in range(rect.h)]
-    for idx, (a, b) in enumerate(rect.edge_endpoints()):
-        edges.append((a, b, idx))
-    return n_vertices + 2, edges, left, right
-
-
-@lru_cache(maxsize=64)
-def _rect_graph(rect: RectangleSpec) -> _Graph:
-    return _compile(*_rect_crossing_edges(rect))
+        before[...] = reached
+        _scan(reached, x_spans)
+        _scan(reached.swapaxes(0, 1), y_spans)
+        if np.array_equal(before, reached):
+            break
+    right = np.bitwise_or.reduce(reached[-1], axis=0)
+    return np.unpackbits(right.view(np.uint8), count=n_rows, bitorder="little").astype(bool)
 
 
 def crossing_batch(rect: RectangleSpec, open_matrix: np.ndarray) -> np.ndarray:
     """Left-right crossing indicator for each row of a (N, edge_count) bool
-    matrix of open edges."""
-    return _connected_batch(_rect_graph(rect), open_matrix)
-
-
-def _dual_crossing_edges(rect: RectangleSpec):
-    """Top-bottom dual connectivity: dual vertices are the inner faces plus
-    virtual top/bottom nodes; the dual edge of a primal edge is open when the
-    primal edge is closed.  Vertical primal edges in the boundary columns
-    border the outer side face and carry no dual edge."""
-    faces_w, faces_h = rect.w - 1, rect.h - 1
-
-    def face(x: int, y: int) -> int:
-        return y * faces_w + x
-
-    n_faces = faces_w * faces_h
-    bottom, top = n_faces, n_faces + 1
-    edges = []
-    for y in range(rect.h):
-        for x in range(rect.w - 1):
-            below = bottom if y == 0 else face(x, y - 1)
-            above = top if y == rect.h - 1 else face(x, y)
-            edges.append((below, above, rect.horizontal_edge(x, y)))
-    for y in range(rect.h - 1):
-        for x in range(1, rect.w - 1):
-            edges.append((face(x - 1, y), face(x, y), rect.vertical_edge(x, y)))
-    return n_faces + 2, edges, bottom, top
-
-
-@lru_cache(maxsize=64)
-def _dual_graph(rect: RectangleSpec) -> _Graph:
-    return _compile(*_dual_crossing_edges(rect))
+    matrix of open edges: the kernel on the w x h vertex grid itself."""
+    words = _pack(open_matrix)
+    n_h, w, h, n_words = rect.n_horizontal, rect.w, rect.h, words.shape[1]
+    x_links = words[:n_h].reshape(h, w - 1, n_words).swapaxes(0, 1)
+    y_links = words[n_h:].reshape(h - 1, w, n_words)
+    return _sweep(x_links, y_links, len(open_matrix))
 
 
 def dual_crossing_batch(rect: RectangleSpec, open_matrix: np.ndarray) -> np.ndarray:
-    """Top-bottom crossing of the dual by closed edges, per row."""
-    return _connected_batch(_dual_graph(rect), ~open_matrix)
+    """Top-bottom crossing of the dual by closed edges, per row.
+
+    The dual is the same left-right question on a grid of h+1 columns and
+    w-1 rows: column 0 is the bottom side, column h the top side, and
+    column y+1 the inner faces of height y.  Its x-links are the closed
+    horizontal edges, its y-links in columns 1..h-1 the closed interior
+    vertical edges; the vertical edges of the two boundary columns border
+    the outer side faces and carry no dual link, and the wired bottom and
+    top columns need none."""
+    closed = ~_pack(open_matrix)
+    n_h, w, h, n_words = rect.n_horizontal, rect.w, rect.h, closed.shape[1]
+    x_links = closed[:n_h].reshape(h, w - 1, n_words)
+    y_links = np.zeros((w - 2, h + 1, n_words), dtype=np.uint64)
+    y_links[:, 1:-1] = closed[n_h:].reshape(h - 1, w, n_words)[:, 1:-1].swapaxes(0, 1)
+    return _sweep(x_links, y_links, len(open_matrix))
 
 
 def _all_configs(n_edges: int) -> np.ndarray:
@@ -315,18 +258,29 @@ class TorusSpec:
         return from_generators(gens, self.edge_count)
 
 
+def _moved_lr_values(torus: TorusSpec, open_matrix: np.ndarray, perms) -> np.ndarray:
+    """(len(perms), N) +-1 crossing values of the rows of a (N, 2n^2) bool
+    matrix moved by each edge permutation: row k reads
+    ``open_matrix[:, perms[k]]``.  The moved copies enter the kernel as one
+    batch."""
+    sources = np.asarray(perms)[:, torus.rect_edge_sources()]
+    stacked = open_matrix.T[sources.T].reshape(sources.shape[1], -1).T
+    return np.where(crossing_batch(torus.rectangle(), stacked), 1.0, -1.0).reshape(len(sources), -1)
+
+
 def torus_lr_values(torus: TorusSpec, open_matrix: np.ndarray) -> np.ndarray:
     """+-1 crossing values for (N, 2n^2) bool matrices of torus edge states."""
-    rect = torus.rectangle()
-    rect_open = open_matrix[:, torus.rect_edge_sources()]
-    return np.where(crossing_batch(rect, rect_open), 1.0, -1.0)
+    return _moved_lr_values(torus, open_matrix, [np.arange(torus.edge_count)])[0]
 
 
-def torus_lr_evaluator(torus: TorusSpec):
-    """Batch evaluator over torus edge digit matrices (digit 1 = open)."""
+def torus_lr_evaluator(torus: TorusSpec, translations=None):
+    """Batch evaluator over torus edge digit matrices (digit 1 = open): the
+    +-1 crossing value or, given edge permutations, its mean over the moved
+    copies.  Sums of +-1 are exact, so their order cannot move the mean."""
+    perms = [np.arange(torus.edge_count)] if translations is None else translations
 
     def evaluate(digits):
-        return torus_lr_values(torus, digits.astype(bool))
+        return _moved_lr_values(torus, digits.astype(bool), perms).sum(axis=0) / len(perms)
 
     return evaluate
 
@@ -378,15 +332,7 @@ def averaged_crossing_clue_bound(
         return AveragedClueReport(value, bound, None, value <= bound + EXACT_BOUND_TOL)
     if seed is None:
         raise ValueError("Monte Carlo regime needs a seed")
-    base = torus_lr_evaluator(torus)
-    perms = [np.asarray(p) for p in torus.translations()]
-
-    def averaged(digits):
-        acc = np.zeros(len(digits))
-        for perm in perms:
-            acc += base(digits[:, perm])
-        return acc / len(perms)
-
+    averaged = torus_lr_evaluator(torus, torus.translations())
     est = mc_clue(averaged, uniform_space(torus.edge_count), mask, mc_outer, mc_inner, seed)
     if est.stderr is None:
         raise ValueError(f"mc_outer={mc_outer} leaves {est.batches} batch: no error bar "
@@ -415,11 +361,11 @@ def translate_disagreement(
     true size of this probability is an asymptotic statement."""
     torus = TorusSpec(n)
     inv = np.argsort(np.asarray(torus.translation_permutation(*displacement)))
+    perms = [np.arange(torus.edge_count), inv]
 
     def sample(rng, rows: int) -> list[int]:
-        open_matrix = rng.random((rows, torus.edge_count)) < 0.5
-        moved = torus_lr_values(torus, open_matrix[:, inv])
-        return [np.sum(torus_lr_values(torus, open_matrix) != moved)]
+        values, moved = _moved_lr_values(torus, rng.random((rows, torus.edge_count)) < 0.5, perms)
+        return [np.sum(values != moved)]
 
     disagreements = run_chunks(sample, samples, seed, chunk=1 << 13).sum()
     p_hat = float(disagreements / samples)

@@ -268,6 +268,25 @@ def test_perco_exact(capsys):
     assert payload["self_dual"] is True
 
 
+# stdout recorded before the bit-packed grid kernel; the torus job runs the
+# default 100k samples
+PERCO_PINNED = [
+    (("perco", "--rect", "4x3"),
+     '{"schema": 1, "rect": [4, 3], "probability": 0.5, "probability_exact": "1/2", '
+     '"self_dual": true}\n'),
+    (("perco", "--torus", "3", "--disagree", "1,0", "--seed", "7"),
+     '{"schema": 1, "torus": 3, "displacement": [1, 0], "estimate": 0.10433, '
+     '"ci": [0.10245050005535464, 0.10623989889427934], "samples": 100000, "seed": 7, '
+     '"generator": "philox4x64/splitmix64"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", PERCO_PINNED, ids=["rect-4x3", "torus-3-disagree"])
+def test_perco_stdout_is_pinned(capsys, argv, stdout):
+    code, _, out = run_cli(capsys, *argv)
+    assert (code, out) == (0, stdout)
+
+
 def test_perco_mc_requires_seed(capsys):
     code, payload, _ = run_cli(capsys, "perco", "--rect", "4x3", "--mc", "1000")
     assert code == 2

@@ -181,20 +181,32 @@ def _oracle(rect, rows, dual=False):
     return np.array([_scalar_crossing(rect, row, dual) for row in rows], dtype=bool)
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (4, 2), (2, 5)])
+def _assert_kernels_match_oracle(rect, rows):
+    for dual, batch in ((False, crossing_batch), (True, dual_crossing_batch)):
+        got = batch(rect, rows)
+        assert got.dtype == bool and got.shape == (len(rows),)
+        np.testing.assert_array_equal(got, _oracle(rect, rows, dual))
+
+
+# the last four have one row of vertices (no vertical edges, no faces) or two
+# columns (no interior dual links)
+@pytest.mark.parametrize("shape", [(3, 3), (4, 2), (2, 5), (2, 1), (3, 1), (5, 1), (2, 4)])
 def test_kernel_matches_oracle_on_every_configuration(shape):
     rect = RectangleSpec(*shape)
-    configs = _all_configs(rect.edge_count)
-    np.testing.assert_array_equal(crossing_batch(rect, configs), _oracle(rect, configs))
-    np.testing.assert_array_equal(dual_crossing_batch(rect, configs), _oracle(rect, configs, dual=True))
+    _assert_kernels_match_oracle(rect, _all_configs(rect.edge_count))
 
 
 @pytest.mark.parametrize("shape", [(22, 21), (34, 33)])
 def test_kernel_matches_oracle_on_large_rectangles(shape):
     rect = RectangleSpec(*shape)
-    rows = generator_for(11, rect.w).random((60, rect.edge_count)) < 0.5
-    np.testing.assert_array_equal(crossing_batch(rect, rows), _oracle(rect, rows))
-    np.testing.assert_array_equal(dual_crossing_batch(rect, rows), _oracle(rect, rows, dual=True))
+    _assert_kernels_match_oracle(rect, generator_for(11, rect.w).random((60, rect.edge_count)) < 0.5)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 128, (1 << 13) + 17])
+def test_kernel_across_word_seams(n_rows):
+    # 64 rows share a machine word: counts on either side of a word boundary
+    rect = RectangleSpec(4, 3)
+    _assert_kernels_match_oracle(rect, generator_for(13, 0).random((n_rows, rect.edge_count)) < 0.5)
 
 
 def test_torus_evaluator_matches_oracle():
@@ -205,15 +217,28 @@ def test_torus_evaluator_matches_oracle():
     np.testing.assert_array_equal(torus_lr_evaluator(torus)(digits), expected)
 
 
-def test_kernel_across_the_row_block_seam():
-    rect = RectangleSpec(4, 3)
-    rows = generator_for(13, 0).random(((1 << 13) + 17, rect.edge_count)) < 0.5
-    np.testing.assert_array_equal(crossing_batch(rect, rows), _oracle(rect, rows))
+def test_kernel_does_not_depend_on_layout():
+    rect = RectangleSpec(7, 6)
+    wide = generator_for(14, 0).random((200, 3 * rect.edge_count)) < 0.5
+    every_third = np.arange(0, 3 * rect.edge_count, 3)
+    layouts = (np.ascontiguousarray(wide[:, every_third]), np.asfortranarray(wide[:, every_third]),
+               wide[:, ::3], wide[:, every_third])
+    for batch in (crossing_batch, dual_crossing_batch):
+        c_order, *others = (batch(rect, rows) for rows in layouts)
+        for got in others:
+            assert got.tobytes() == c_order.tobytes()
+
+    torus = TorusSpec(4)
+    evaluate = torus_lr_evaluator(torus)
+    gathered = wide[:, every_third[:torus.edge_count]].astype(np.uint8)
+    c_order = evaluate(np.ascontiguousarray(gathered))
+    for digits in (np.asfortranarray(gathered), gathered):
+        assert evaluate(digits).tobytes() == c_order.tobytes()
 
 
 def test_percolation_estimates_are_pinned():
-    # values of the per-edge min-label kernel that the hook-and-compress
-    # kernel replaced: the crossings, hence the estimates, must not move
+    # values recorded before the bit-packed grid kernel, from the same draws:
+    # the crossings, hence the estimates, must not move
     assert crossing_probability_mc(RectangleSpec(4, 3), 40_000, seed=1) == (0.5006, 0.002499998199999352)
     est = translate_disagreement(3, (1, 0), 20_000, seed=5)
     assert (est.estimate, est.ci_low, est.ci_high) == (0.1035, 0.09935417323553036, 0.10779811695257033)
