@@ -169,7 +169,12 @@ def _cmd_analyze(args) -> int:
         if args.subset == "singletons":
             dist = singleton_sets(f.n)
         else:
-            dist = bernoulli_sets(f.n, float(args.subset.split(":")[1]))
+            tail = args.subset.split(":", 1)[1]
+            try:
+                p = float(tail)
+            except ValueError as exc:
+                raise ParseError(f"bad Bernoulli probability '{tail}'") from exc
+            dist = bernoulli_sets(f.n, p)
         payload["expected_clue"] = clue_mod.expected_clue(f, dist)
         payload["revealment"] = revealment(dist)
     else:

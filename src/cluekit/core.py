@@ -28,8 +28,7 @@ at least :data:`BYTE_BUDGET` bytes before it is allocated.  Every
 :class:`FunctionTable` (8 q^n bytes) is checked, and engines check each larger
 array they build; the all-subsets routes check, with :func:`require_lattices`,
 every keep-or-sum-out lattice they hold at once.  The other gates bound time:
-``games.SUPERMODULAR_GATE``, ``spectral.MONOTONE_GATE`` and
-``symmetry.CLOSURE_CAP``.
+``games.SUPERMODULAR_GATE`` and ``symmetry.CLOSURE_CAP``.
 """
 from __future__ import annotations
 

@@ -34,8 +34,6 @@ from .core import (
 from .errors import DegenerateError, GuardError
 from .transforms import containing_sums, popcounts, subset_zeta
 
-MONOTONE_GATE = 8
-
 
 # ---------------------------------------------------------------------------
 # the product-basis transform
@@ -223,43 +221,30 @@ def is_monotone(f: FunctionTable) -> bool:
     return True
 
 
-def noise_pair_weights(n: int, p: float) -> np.ndarray:
-    """Joint law of (w, w') on a uniform binary space where w' keeps each
-    spin with probability p and refreshes it otherwise; shape (2^n, 2^n)."""
-    require_bytes(8 * 4**n, "a (2^n, 2^n) noise pair law")
-    idx = np.arange(1 << n)
-    agree = n - popcounts(n)[idx[:, None] ^ idx[None, :]]
-    return ((1.0 + p) / 4.0) ** agree * ((1.0 - p) / 4.0) ** (n - agree)
-
-
 def covariance_lemma_check(f: FunctionTable, g: FunctionTable) -> tuple[float, float]:
     """Exact evaluation of both sides of the pivotal-overlap identity.
 
     lhs: integral over p in [0,1] of E|Piv_f(w) ∩ Piv_g(w')| for the
-    p-correlated pair (w, w'), computed by joint enumeration at
-    Gauss-Legendre nodes (the integrand is a polynomial of degree < n, so
-    ceil(n/2)+1 nodes integrate it exactly).  rhs: Cov(f, g).
+    p-correlated pair (w, w').  The noise operator is diagonal in the Walsh
+    basis, T_p chi_S = p^|S| chi_S, so with a_j and b_j the indicators that j
+    is pivotal for f and for g, E[a_j(w) b_j(w')] = sum_S â_j(S) b̂_j(S) p^|S|
+    and the integral is sum_j sum_S â_j(S) b̂_j(S) / (|S|+1).  It runs one
+    coordinate at a time, holding a few table-size vectors.  rhs: Cov(f, g).
 
     For the conventions above the two sides agree with constant 1; the
     dictator pair pins this (both sides equal 1).
     """
-    n = f.space.n
-    if n > MONOTONE_GATE:
-        raise GuardError("covariance identity check gated at n <= 8")
-    if f.space != g.space or not f.space.is_uniform_binary:
+    space = f.space
+    if space != g.space or not space.is_uniform_binary:
         raise ValueError("both tables must live on the same uniform binary space")
     if not (is_monotone(f) and is_monotone(g)):
         raise ValueError("covariance identity requires monotone inputs")
     piv_f = pivotal_masks(f)
     piv_g = pivotal_masks(g)
-    pc = popcounts(n)
-    overlap = pc[piv_f[:, None] & piv_g[None, :]].astype(float)
-    nodes, gl_weights = np.polynomial.legendre.leggauss((n + 1) // 2 + 1)
-    nodes = 0.5 * (nodes + 1.0)  # map [-1,1] -> [0,1]
-    gl_weights = 0.5 * gl_weights
+    integral = 1.0 / (popcounts(space.n) + 1)  # of p^|S| over [0, 1]
     lhs = 0.0
-    for p, wq in zip(nodes, gl_weights):
-        lhs += wq * float(np.sum(noise_pair_weights(n, p) * overlap))
-    rhs = covariance(f, g)
-    return lhs, rhs
-
+    for j in range(space.n):
+        a = _transform(space, (piv_f >> j) & 1)
+        b = _transform(space, (piv_g >> j) & 1)
+        lhs += float((a * b) @ integral)
+    return lhs, covariance(f, g)

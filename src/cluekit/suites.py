@@ -603,6 +603,17 @@ def _random_monotone(sp: ProductSpace, rng) -> FunctionTable:
     return FunctionTable(sp, vals)
 
 
+def _random_threshold(sp: ProductSpace, rng) -> FunctionTable:
+    """sign(spins @ w - theta) for positive weights w and theta a random
+    quantile of spins @ w; monotone because every weight is positive."""
+    sums = sp.spins() @ rng.uniform(0.1, 1.0, sp.n)
+    return FunctionTable(sp, np.where(sums > np.quantile(sums, rng.uniform(0.25, 0.75)), 1.0, -1.0))
+
+
+def _varies(f: FunctionTable) -> bool:
+    return bool(f.values.min() < f.values.max())
+
+
 def covariance_lemma_suite() -> tuple[dict, list]:
     rng = generator_for(SUITE_SEED, 8)
     violations = []
@@ -611,21 +622,28 @@ def covariance_lemma_suite() -> tuple[dict, list]:
     dictator_pins = abs(lhs - 1.0) < 1e-9 and abs(rhs - 1.0) < 1e-9
     if not dictator_pins:
         violations.append({"case": "dictator", "lhs": lhs, "rhs": rhs})
-    worst = 0.0
+    pairs = []
     for trial in range(50):
-        n = int(rng.integers(2, 7))
-        sp = uniform_space(n)
-        f = _random_monotone(sp, rng)
-        g = _random_monotone(sp, rng)
+        sp = uniform_space(int(rng.integers(2, 7)))
+        pairs.append((trial, _random_monotone(sp, rng), _random_monotone(sp, rng)))
+    # the closure of random signs is mostly constant; threshold pairs vary
+    pair_rng = generator_for(SUITE_SEED, PAIR_STREAM + 8)
+    thresholds = [(f"threshold-{n}", _random_threshold(uniform_space(n), pair_rng),
+                   _random_threshold(uniform_space(n), pair_rng)) for n in range(9, 17)]
+    worst = 0.0
+    for trial, f, g in pairs + thresholds:
         lhs, rhs = spectral.covariance_lemma_check(f, g)
         err = abs(lhs - rhs)
         worst = max(worst, err)
         if err > 1e-9:
-            violations.append({"trial": trial, "n": n, "lhs": lhs, "rhs": rhs})
+            violations.append({"trial": trial, "n": f.n, "lhs": lhs, "rhs": rhs})
     return {
         "identity_constant": 1.0,
         "dictator_pins_constant": dictator_pins,
         "worst_abs_err": float(worst),
+        "nondegenerate_trials": sum(_varies(f) and _varies(g) for _, f, g in pairs),
+        "threshold_pairs_vary": all(_varies(f) and _varies(g) for _, f, g in thresholds),
+        "max_n": max(f.n for _, f, _ in pairs + thresholds),
         "note": (
             "integral of the expected pivotal overlap equals Cov(f,g) with "
             "constant 1; the variant normalization carrying an extra 1/4 "

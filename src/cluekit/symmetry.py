@@ -160,6 +160,8 @@ def tribes_group(tribe_size: int, tribe_count: int) -> GroupAction:
 
 # -- applying permutations to tables -----------------------------------------
 def is_invariant(f: FunctionTable, action: GroupAction) -> bool:
+    if action.n != f.n:
+        raise ValueError(f"group acts on {action.n} coordinates but the function has {f.n}")
     for perm in action.generators:
         moved = permute(f.values, f.space, perm)
         if np.max(np.abs(moved - f.values)) > INVARIANCE_TOL:

@@ -119,8 +119,9 @@ def containing_sums(values: np.ndarray) -> np.ndarray:
 def popcounts(n: int) -> np.ndarray:
     """Popcount of every mask in [0, 2^n), as an int array."""
     pc = np.zeros(1 << n, dtype=np.int64)
+    # masks with top bit v are the masks below 2^v plus that bit
     for v in range(n):
-        pc[(np.arange(1 << n) >> v) & 1 == 1] += 1
+        pc[1 << v : 2 << v] = pc[: 1 << v] + 1
     return pc
 
 

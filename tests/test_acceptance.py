@@ -95,6 +95,8 @@ def test_criterion_08_covariance_identity():
     assert rep.details["dictator_pins_constant"]
     assert rep.details["worst_abs_err"] <= 1e-9
     assert "1/4" in rep.details["note"]  # the rejected variant is documented
+    assert rep.details["threshold_pairs_vary"]
+    assert rep.details["max_n"] == 16
 
 
 def test_criterion_09_percolation():

@@ -260,6 +260,18 @@ def test_game_with_explicit_action(capsys, tmp_path):
     assert payload["transitive_bound"]["holds"] is True
 
 
+def test_game_bound_refuses_an_action_on_another_number_of_coordinates(capsys):
+    code, payload, _ = run_cli(capsys, "game", "--fn", "maj:5", "--checks", "bound", "--action", "cyclic:3")
+    assert code == 2
+    assert payload["error"] == "group acts on 3 coordinates but the function has 5"
+
+
+def test_analyze_refuses_a_malformed_bernoulli_probability(capsys):
+    code, payload, _ = run_cli(capsys, "analyze", "--fn", "maj:5", "--subset", "bernoulli:0.3:junk")
+    assert code == 2
+    assert "'0.3:junk'" in payload["error"]
+
+
 def test_perco_exact(capsys):
     code, payload, _ = run_cli(capsys, "perco", "--rect", "3x2")
     assert code == 0

@@ -207,15 +207,14 @@ def test_exact_guard_blocks_large_tables():
     "main(['clue', '--fn', PATH, '--subset', 'empty'])",
     "efron_stein_components(FunctionTable(uniform_space(10, 4), rng.standard_normal(4**10)))",
     "uniform_space(23).digits()",
-    "noise_pair_weights(14, 0.5)",
     # two lattices of 3^17 entries, 1.03 GB each, for every coalition's information
     "main(['game', '--fn', PATH17, '--iclue'])",
     # 2^27 subset probabilities, 1 GiB, beside the half-size array they are built from
     "bernoulli_sets(27, 0.3)",
     # a 2 GiB zoo table, refused before its block buffer exists
     "zoo.from_spec('sum:28')",
-], ids=["clue-cli-joint-law", "materialized-components", "digit-matrix", "noise-pair-law",
-        "iclue-game-lattice", "bernoulli-set-law", "zoo-table"])
+], ids=["clue-cli-joint-law", "materialized-components", "digit-matrix", "iclue-game-lattice",
+        "bernoulli-set-law", "zoo-table"])
 def test_over_budget_arrays_are_refused_before_allocation(code, tmp_path, run_python):
     """Each request needs 1.4 GiB or more at once (one array, or the two
     lattices of the information game), which a 2 GiB
@@ -232,7 +231,7 @@ def test_over_budget_arrays_are_refused_before_allocation(code, tmp_path, run_py
         "from cluekit import zoo\nfrom cluekit.cli import main\n"
         "from cluekit.core import FunctionTable, bernoulli_sets, uniform_space\n"
         "from cluekit.errors import GuardError\n"
-        "from cluekit.spectral import efron_stein_components, noise_pair_weights\n"
+        "from cluekit.spectral import efron_stein_components\n"
         f"PATH = {str(path)!r}\nPATH17 = {str(path17)!r}\nrng = np.random.default_rng(0)\n"
     )
     out = run_python(f"{prelude}try:\n    sys.exit({code})\nexcept GuardError:\n    sys.exit(3)\n",

@@ -18,7 +18,6 @@ from cluekit.spectral import (
     efron_stein,
     efron_stein_components,
     is_monotone,
-    noise_pair_weights,
     pivotal_masks,
     projected_variances,
     spectral_distribution,
@@ -27,6 +26,8 @@ from cluekit.spectral import (
     stability_profile,
     walsh_hadamard,
 )
+from cluekit import suites
+from cluekit.core import covariance
 from cluekit.montecarlo import generator_for
 from cluekit.transforms import popcounts, subset_mobius
 from cluekit.zoo import dictator, majority, parity, sum_function
@@ -306,11 +307,31 @@ def test_covariance_identity_refuses_non_monotone():
     assert is_monotone(majority(3).table)
 
 
+def _noise_pair_weights(n: int, p: float) -> np.ndarray:
+    """Joint law of (w, w') on n uniform bits where w' keeps each spin with
+    probability p and refreshes it otherwise; shape (2^n, 2^n)."""
+    idx = np.arange(1 << n)
+    agree = n - popcounts(n)[idx[:, None] ^ idx[None, :]]
+    return ((1.0 + p) / 4.0) ** agree * ((1.0 - p) / 4.0) ** (n - agree)
+
+
+def _enumerated_overlap_integral(f, g) -> float:
+    """Oracle for the covariance lemma's left side, n <= 8: the integral over
+    p in [0,1] of E|Piv_f(w) ∩ Piv_g(w')| by joint enumeration of the pair law
+    at Gauss-Legendre nodes (the integrand is a polynomial of degree < n, so
+    ceil(n/2)+1 nodes integrate it exactly)."""
+    n = f.n
+    overlap = popcounts(n)[pivotal_masks(f)[:, None] & pivotal_masks(g)[None, :]].astype(float)
+    nodes, weights = np.polynomial.legendre.leggauss((n + 1) // 2 + 1)
+    return sum(0.5 * w * float(np.sum(_noise_pair_weights(n, 0.5 * (x + 1.0)) * overlap))
+               for x, w in zip(nodes, weights))
+
+
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_noise_pair_character_identity(p):
     n = 5
     idx = np.arange(1 << n)
-    weights = noise_pair_weights(n, p)
+    weights = _noise_pair_weights(n, p)
     chi = np.ones((1 << n, 1 << n))
     for mask in range(1 << n):
         for v in range(n):
@@ -321,7 +342,42 @@ def test_noise_pair_character_identity(p):
     np.testing.assert_allclose(cross, expected, atol=1e-12)
 
 
-def test_covariance_identity_gate():
-    big = majority(9).table
-    with pytest.raises(GuardError):
-        covariance_lemma_check(big, big)
+def test_covariance_lemma_matches_enumeration_on_the_suite_draws():
+    rng = generator_for(suites.SUITE_SEED, 8)
+    for _ in range(50):
+        sp = uniform_space(int(rng.integers(2, 7)))
+        f, g = suites._random_monotone(sp, rng), suites._random_monotone(sp, rng)
+        lhs, _ = covariance_lemma_check(f, g)
+        assert abs(lhs - _enumerated_overlap_integral(f, g)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_covariance_lemma_matches_enumeration_on_threshold_pairs(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        f = suites._random_threshold(uniform_space(n), rng)
+        g = suites._random_threshold(uniform_space(n), rng)
+        lhs, rhs = covariance_lemma_check(f, g)
+        assert abs(lhs - _enumerated_overlap_integral(f, g)) <= 1e-12
+        assert abs(lhs - rhs) <= 1e-12
+
+
+def test_covariance_lemma_past_the_enumeration_range():
+    rng = np.random.default_rng(16)
+    f = suites._random_threshold(uniform_space(16), rng)
+    g = suites._random_threshold(uniform_space(16), rng)
+    assert f.values.min() < f.values.max() and g.values.min() < g.values.max()
+    lhs, rhs = covariance_lemma_check(f, g)
+    assert rhs == covariance(f, g)
+    assert abs(lhs - rhs) <= 1e-12
+    maj = majority(15).table
+    lhs, rhs = covariance_lemma_check(maj, maj)
+    assert rhs == pytest.approx(1.0, abs=1e-12)
+    assert abs(lhs - rhs) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_popcounts_counts_the_bits_of_every_mask(n):
+    pc = popcounts(n)
+    assert pc.dtype == np.int64
+    assert pc.tolist() == [bin(m).count("1") for m in range(1 << n)]
