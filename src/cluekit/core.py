@@ -158,7 +158,10 @@ class ProductSpace:
 
     @property
     def is_uniform_binary(self) -> bool:
-        return self.q == 2 and bool(np.all(self.pi == 0.5))
+        cached = self._cache.get("uniform_binary")
+        if cached is None:
+            cached = self._cache["uniform_binary"] = self.q == 2 and bool(np.all(self.pi == 0.5))
+        return cached
 
     @property
     def has_zero_atoms(self) -> bool:

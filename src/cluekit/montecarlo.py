@@ -13,13 +13,30 @@ from the generator addressed by (master seed, c) through a SplitMix64 mix
 feeding a Philox generator, and its statistics vector is added into batch
 c % BATCHES.  Per-chunk results are reduced in a fixed pairwise order, so
 the thread count (capped by the CLUEKIT_THREADS environment variable) only
-maps chunks onto workers and results are bitwise identical at any
-parallelism.  Child seeds of the Bernoulli estimator come from the same mix.
+maps chunks onto workers and results are bitwise reproducible for a given
+seed at any thread count.  Child seeds of the Bernoulli estimator come from
+the same mix.
 
-Digits are drawn as (coordinates, rows) matrices, and :func:`mc_clue` scatters
-them into an (n, rows) buffer, one coordinate's digits per contiguous row.
-Evaluators get its transpose, a column-major (rows, n) matrix, so their
-reductions over coordinates add contiguous vectors.
+One sampler, :func:`sample_digits`, turns a chunk's raw 64-bit Philox words
+into digits, by one of two rules:
+
+* fair spaces (q = 2, every coordinate (1/2, 1/2)): every bit of a
+  counter-based generator's output word is an independent fair bit, so each
+  coordinate draws ceil(rows / 64) words and takes bits 0 .. rows-1 of them,
+  least significant first;
+* every other space: one word per digit, which counts the coordinate's cut
+  points ceil(c * 2^53) of its interior cdf breakpoints c at or below
+  word >> 11.  numpy's double from a word is exactly (word >> 11) * 2^-53, so
+  this is the digit that comparing ``rng.random()`` with the breakpoints
+  gives, bit for bit.
+
+GENERATOR_ID names this stream; every estimate reports it.
+
+Digits are drawn as contiguous (coordinates, rows) matrices, and
+:func:`mc_clue` scatters them into an (n, rows) buffer, one coordinate's
+digits per contiguous row.  Evaluators get its transpose, a column-major
+(rows, n) matrix, so their reductions over coordinates add contiguous
+vectors.
 
 Error bars come from batch means (:func:`batch_stderr`) over the batches
 holding at least 2 rows.  Below 2 such batches (for instance n_outer <= 256
@@ -31,17 +48,21 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from math import sqrt
 
 import numpy as np
 
-from .core import ProductSpace, mask_indices, validate_mask
+from .core import ProductSpace, mask_indices, uniform_space, validate_mask
 from .errors import DegenerateError
 
-GENERATOR_ID = "philox4x64/splitmix64"
+GENERATOR_ID = "philox4x64/splitmix64/bits64"
 CHUNK = 256
 BATCHES = 16
 MASK64 = (1 << 64) - 1
+WORD_BITS = 64
+CUT_SCALE = 2.0**53  # numpy's double from a raw word w is (w >> 11) / CUT_SCALE
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 
 
 def splitmix64(x: int) -> int:
@@ -56,9 +77,29 @@ def _stream_key(seed: int, stream: int) -> int:
     return splitmix64((seed & MASK64) ^ splitmix64(stream & MASK64))
 
 
+@cache
+def _placeholder_seed() -> np.random.SeedSequence:
+    """Seed sequence for Philox's constructor, which derives a key from it;
+    generator_for overwrites the key at once, so a fixed sequence spares an
+    OS entropy read.  Built on first use, since numpy imports np.random
+    lazily."""
+    return np.random.SeedSequence(0)
+
+
 def generator_for(seed: int, stream: int) -> np.random.Generator:
-    """Independent generator for (seed, stream), reproducible by contract."""
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed, stream)))
+    """Independent generator for (seed, stream), reproducible by contract:
+    Philox4x64 at counter 0 with key [_stream_key(seed, stream), 0], the
+    stream of ``np.random.Philox(key=_stream_key(seed, stream))``."""
+    bit_generator = np.random.Philox(_placeholder_seed())
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": np.array([_stream_key(seed, stream), 0], dtype=np.uint64)},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bit_generator)
 
 
 def thread_count(requested: int | None = None) -> int:
@@ -84,18 +125,46 @@ class McEstimate:
     batches: int = 0
 
 
-def _sample_digits(space: ProductSpace, coords: list[int], rows: int, rng) -> np.ndarray:
-    """(len(coords), rows) digit matrix drawn from the product marginals: row j
-    holds the digits of coordinate coords[j].  It is a transposed view of
-    digits computed in the draw's (rows, len(coords)) layout; callers copy it
-    into contiguous rows."""
-    u = rng.random((rows, len(coords)))
+def _cut_points(breakpoints) -> np.ndarray:
+    """ceil(c * 2^53) for each breakpoint c, as uint64: a raw word w gives a
+    double at or above c exactly when w >> 11 reaches it."""
+    return np.ceil(np.asarray(breakpoints, dtype=float) * CUT_SCALE).astype(np.uint64)
+
+
+def _cut_digits(rng, cuts: np.ndarray, rows: int) -> np.ndarray:
+    """(len(cuts), rows) uint8 digits from one raw word each, drawn in
+    (rows, len(cuts)) order: digit j of a row counts the cut points
+    ``cuts[j]`` at or below its word >> 11."""
+    words = rng.bit_generator.random_raw(rows * len(cuts)).reshape(rows, len(cuts)) >> 11
+    high = np.ascontiguousarray(words.T)
+    digits = np.zeros(high.shape, dtype=np.uint8)
+    for b in range(cuts.shape[1]):
+        digits += high >= cuts[:, b, None]
+    return digits
+
+
+def _coins(rng, p: float, coords: int, rows: int) -> np.ndarray:
+    """(coords, rows) bool, each True with probability p: digit 0 of the
+    cut rule on a (p, 1 - p) marginal, the draw ``rng.random() < p``."""
+    return _cut_digits(rng, _cut_points(np.full((coords, 1), p)), rows) == 0
+
+
+def sample_digits(space: ProductSpace, coords: list[int], rows: int, rng) -> np.ndarray:
+    """Contiguous (len(coords), rows) uint8 matrix of ``rows`` draws from the
+    product marginals: row j holds the digits of coordinate coords[j].
+
+    On a fair space coordinate j reads bits 0 .. rows-1, least significant
+    first, of its own ceil(rows / 64) raw words.  On any other space every
+    digit takes one raw word and counts its coordinate's cut points, which
+    gives the digits ``rng.random((rows, len(coords)))`` compared with the
+    interior cdf breakpoints would."""
+    if space.is_uniform_binary:
+        words = -(-rows // WORD_BITS)
+        raw = rng.bit_generator.random_raw(len(coords) * words).astype("<u8", copy=False)
+        octets = raw.view(np.uint8).reshape(len(coords), words * 8)
+        return np.unpackbits(octets, axis=1, count=rows, bitorder="little")
     cdf = np.cumsum(space.pi[coords], axis=1)
-    # the digit counts the interior cdf breakpoints at or below u
-    digits = np.zeros(u.shape, dtype=np.uint8)
-    for b in range(space.q - 1):
-        digits += u >= cdf[:, b]
-    return digits.T
+    return _cut_digits(rng, _cut_points(cdf[:, :-1]), rows)
 
 
 def _pairwise_sum(chunks: list[np.ndarray]) -> np.ndarray:
@@ -177,9 +246,9 @@ def mc_clue(
     def sample(rng, rows: int) -> list[float]:
         columns = np.empty((space.n, rows * m_inner), dtype=np.uint8)
         if inside:
-            columns[inside] = np.repeat(_sample_digits(space, inside, rows, rng), m_inner, axis=1)
+            columns[inside] = np.repeat(sample_digits(space, inside, rows, rng), m_inner, axis=1)
         if outside:
-            columns[outside] = _sample_digits(space, outside, rows * m_inner, rng)
+            columns[outside] = sample_digits(space, outside, rows * m_inner, rng)
         values = np.asarray(evaluator(columns.T), dtype=float).reshape(rows, m_inner)
         fiber_means = values.mean(axis=1)
         within_ss = float(np.sum((values - fiber_means[:, None]) ** 2))
@@ -231,13 +300,15 @@ def mc_stability(
     if not 0.0 <= p <= 1.0:
         raise ValueError("noise level p must lie in [0, 1]")
 
+    fair, every = uniform_space(n), list(range(n))
+
     def sample(rng, rows: int) -> list[float]:
-        base = (rng.random((rows, n)) < 0.5).astype(np.uint8)
-        keep = rng.random((rows, n)) < p
-        fresh = (rng.random((rows, n)) < 0.5).astype(np.uint8)
+        base = sample_digits(fair, every, rows, rng)
+        keep = _coins(rng, p, n, rows)
+        fresh = sample_digits(fair, every, rows, rng)
         noisy = np.where(keep, base, fresh)
-        x = np.asarray(evaluator(base), dtype=float)
-        y = np.asarray(evaluator(noisy), dtype=float)
+        x = np.asarray(evaluator(base.T), dtype=float)
+        y = np.asarray(evaluator(noisy.T), dtype=float)
         return [rows, x.sum(), y.sum(), float(x @ y), float(x @ x), float(y @ y)]
 
     stats = run_chunks(sample, samples, seed, threads)
@@ -280,7 +351,7 @@ def mc_expected_clue_bernoulli(
     estimates = []
     clamped = False
     for k in range(n_sets):
-        bits = mask_rng.random(space.n) < p
+        bits = _coins(mask_rng, p, space.n, 1)[:, 0]
         mask = int(sum(1 << v for v in range(space.n) if bits[v]))
         child_seed = _stream_key(seed, (1 << 33) + k)  # streams apart from the mask stream
         est = mc_clue(evaluator, space, mask, n_outer, m_inner, child_seed, threads)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .clue import clue
 from .core import FunctionTable, extend, fits_budget, mask_from_indices, require_bytes, uniform_space
-from .montecarlo import mc_clue, run_chunks
+from .montecarlo import mc_clue, run_chunks, sample_digits
 from .symmetry import average, from_generators
 
 EXACT_BOUND_TOL = 1e-9  # rounding allowance of the exact two-orbit verdict
@@ -173,12 +173,21 @@ def crossing_probability_exact(rect: RectangleSpec) -> Fraction:
     return Fraction(hits, 1 << e)
 
 
+def _fair_edges(edge_count: int):
+    """Draw of (rows, edge_count) bool matrices of open edges at p = 1/2: the
+    transpose of the sampler's contiguous (edges, rows) digits, which is the
+    layout the kernel packs."""
+    space, edges = uniform_space(edge_count), list(range(edge_count))
+    return lambda rng, rows: sample_digits(space, edges, rows, rng).T.view(bool)
+
+
 def crossing_probability_mc(rect: RectangleSpec, samples: int, seed: int) -> tuple[float, float]:
     """(estimate, stderr) of the crossing probability from iid configurations;
     the stderr is binomial, exact for iid Bernoulli samples."""
+    draw = _fair_edges(rect.edge_count)
 
     def sample(rng, rows: int) -> list[int]:
-        return [rows, crossing_batch(rect, rng.random((rows, rect.edge_count)) < 0.5).sum()]
+        return [rows, crossing_batch(rect, draw(rng, rows)).sum()]
 
     total, hits = run_chunks(sample, samples, seed, chunk=1 << 14).sum(axis=0)
     p_hat = float(hits / total)
@@ -362,9 +371,10 @@ def translate_disagreement(
     torus = TorusSpec(n)
     inv = np.argsort(np.asarray(torus.translation_permutation(*displacement)))
     perms = [np.arange(torus.edge_count), inv]
+    draw = _fair_edges(torus.edge_count)
 
     def sample(rng, rows: int) -> list[int]:
-        values, moved = _moved_lr_values(torus, rng.random((rows, torus.edge_count)) < 0.5, perms)
+        values, moved = _moved_lr_values(torus, draw(rng, rows), perms)
         return [np.sum(values != moved)]
 
     disagreements = run_chunks(sample, samples, seed, chunk=1 << 13).sum()

@@ -280,16 +280,16 @@ def test_perco_exact(capsys):
     assert payload["self_dual"] is True
 
 
-# stdout recorded before the bit-packed grid kernel; the torus job runs the
-# default 100k samples
+# the torus job runs the default 100k samples; its stdout was recorded on the
+# stream of 64 fair bits per Philox word
 PERCO_PINNED = [
     (("perco", "--rect", "4x3"),
      '{"schema": 1, "rect": [4, 3], "probability": 0.5, "probability_exact": "1/2", '
      '"self_dual": true}\n'),
     (("perco", "--torus", "3", "--disagree", "1,0", "--seed", "7"),
-     '{"schema": 1, "torus": 3, "displacement": [1, 0], "estimate": 0.10433, '
-     '"ci": [0.10245050005535464, 0.10623989889427934], "samples": 100000, "seed": 7, '
-     '"generator": "philox4x64/splitmix64"}\n'),
+     '{"schema": 1, "torus": 3, "displacement": [1, 0], "estimate": 0.10446, '
+     '"ci": [0.10257945268612292, 0.10637093627573474], "samples": 100000, "seed": 7, '
+     '"generator": "philox4x64/splitmix64/bits64"}\n'),
 ]
 
 
@@ -337,23 +337,25 @@ def test_mc_clue_command_deterministic(capsys):
     code2, payload2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert payload1["estimate"] == payload2["estimate"]
-    assert payload1["generator"] == "philox4x64/splitmix64"
+    assert payload1["generator"] == "philox4x64/splitmix64/bits64"
 
 
-# stdout recorded with evaluators that widened the digits to int64 spins (the
-# reference in test_zoo.py): the digit-sum evaluators must reproduce it bitwise
+# stdout recorded on the stream of 64 fair bits per Philox word, where the
+# evaluators that widen the digits to int64 spins (the reference in
+# test_zoo.py) give the same estimates: the digit-sum evaluators must
+# reproduce it bitwise
 MC_CLUE_PINS = [
     (["--fn", "parity:33", "--subset", ",".join(map(str, range(17))), "--outer", "512",
       "--inner", "8", "--seed", "5"],
      '{"schema": 1, "fn": "parity:33", "subset": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, '
-     '14, 15, 16], "estimate": 0.0016120971310022247, "stderr": 0.0057728622412250115, '
-     '"batches": 2, "outer": 512, "inner": 8, "seed": 5, "generator": "philox4x64/splitmix64", '
-     '"clamped": false}\n'),
+     '14, 15, 16], "estimate": 0.0, "stderr": 0.0, '
+     '"batches": 2, "outer": 512, "inner": 8, "seed": 5, "generator": "philox4x64/splitmix64/bits64", '
+     '"clamped": true}\n'),
     (["--fn", "maj:21", "--subset", ",".join(map(str, range(0, 20, 2))), "--outer", "512",
       "--inner", "16", "--seed", "9"],
      '{"schema": 1, "fn": "maj:21", "subset": [0, 2, 4, 6, 8, 10, 12, 14, 16, 18], '
-     '"estimate": 0.33120654396728016, "stderr": 0.027894147168834316, "batches": 2, '
-     '"outer": 512, "inner": 16, "seed": 9, "generator": "philox4x64/splitmix64", '
+     '"estimate": 0.31036875263103203, "stderr": 0.005403429570775275, "batches": 2, '
+     '"outer": 512, "inner": 16, "seed": 9, "generator": "philox4x64/splitmix64/bits64", '
      '"clamped": false}\n'),
 ]
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+from math import ceil
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,11 +9,13 @@ from cluekit.core import FunctionTable, ProductSpace, biased_bits, uniform_space
 from cluekit.errors import DegenerateError
 from cluekit.montecarlo import (
     CHUNK,
-    _sample_digits,
+    _coins,
+    _stream_key,
     generator_for,
     mc_clue,
     mc_expected_clue_bernoulli,
     mc_stability,
+    sample_digits,
     splitmix64,
     thread_count,
 )
@@ -29,6 +33,14 @@ def test_generator_streams_differ():
     c = generator_for(1, 0).random(4)
     assert not np.allclose(a, b)
     np.testing.assert_array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (1, 5), (3, 1000), (7919, 1 << 32),
+                                          ((1 << 64) - 1, (1 << 33) + 3)])
+def test_generator_for_is_the_philox_key_stream(seed, stream):
+    key = _stream_key(seed, stream)
+    expected = np.random.Philox(key=key).random_raw(1000)
+    np.testing.assert_array_equal(generator_for(seed, stream).bit_generator.random_raw(1000), expected)
 
 
 def test_mc_clue_dictator_exact():
@@ -54,12 +66,12 @@ def test_mc_clue_empty_subset_clamps_to_zero():
 
 
 def test_mc_clue_thread_determinism():
-    runs = [
-        mc_clue(sum_evaluator(12), uniform_space(12), 0b111, 1200, 16, seed=5, threads=k)
-        for k in (1, 2, 8)
-    ]
-    assert runs[0].estimate == runs[1].estimate == runs[2].estimate
-    assert runs[0].stderr == runs[1].stderr == runs[2].stderr
+    for space in (uniform_space(12), biased_bits(12, 0.3)):  # fair bits and the cut rule
+        runs = [
+            mc_clue(sum_evaluator(12), space, 0b111, 1200, 16, seed=5, threads=k)
+            for k in (1, 2, 3, 8)
+        ]
+        assert len({(run.estimate, run.stderr, run.uncorrected) for run in runs}) == 1
 
 
 def test_mc_clue_rejects_tiny_samples():
@@ -193,22 +205,74 @@ SAMPLING_SPACES = {
 }
 
 
+def _raw_words(words):
+    """Stand-in generator whose raw words are ``words``, in order."""
+    return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda size: words[:size]))
+
+
+def _words_around_the_cuts(cdf):
+    """Raw words on both sides of every cut point ceil(c * 2^53), zero
+    atoms (c = 0 and c = 1) included: the lowest word whose double reaches
+    c and, below it, the highest word whose double does not."""
+    words = {0, (1 << 64) - 1}
+    for c in cdf[:, :-1].ravel():
+        cut = ceil(Fraction(float(c)) * (1 << 53))
+        if cut < 1 << 53:
+            words.add(cut << 11)
+        if cut > 0:
+            words.add(((cut - 1) << 11) | 0x7FF)
+    return np.array(sorted(words), dtype=np.uint64)
+
+
+def word_bits(words: np.ndarray, rows: int) -> np.ndarray:
+    """(len(words), rows) bits of a (coords, words) uint64 matrix, row by
+    row, least significant bit of the first word first."""
+    bits = (words[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    return bits.reshape(len(words), -1)[:, :rows].astype(np.uint8)
+
+
+def oracle_digits(space, coords, rows, rng):
+    """(len(coords), rows) digits by the sampling contract, computed apart
+    from the sampler: on a fair space the bits of each coordinate's own
+    ceil(rows / 64) raw words, elsewhere the breakpoint count of float
+    draws."""
+    if np.all(space.pi == 0.5):
+        words = -(-rows // 64)
+        return word_bits(rng.bit_generator.random_raw(len(coords) * words).reshape(len(coords), words), rows)
+    return breakpoint_digits(rng.random((rows, len(coords))), np.cumsum(space.pi[coords], axis=1)).T
+
+
 @pytest.mark.parametrize("name", SAMPLING_SPACES)
 @pytest.mark.parametrize("coords", [[0, 1, 2, 3, 4], [1, 4], [3]])
 def test_sample_digits_match_the_breakpoint_oracle(name, coords):
     space = SAMPLING_SPACES[name]
-    cdf = np.cumsum(space.pi[coords], axis=1)
-    for rows in (1, 7, 1000):
-        got = _sample_digits(space, coords, rows, generator_for(3, rows))
-        u = generator_for(3, rows).random((rows, len(coords)))
-        assert got.dtype == np.uint8 and got.shape == (len(coords), rows)
-        np.testing.assert_array_equal(got, breakpoint_digits(u, cdf).T)
+    for rows in (1, 7, 63, 64, 65, 1000):
+        got = sample_digits(space, coords, rows, generator_for(3, rows))
+        assert got.dtype == np.uint8 and got.shape == (len(coords), rows) and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, oracle_digits(space, coords, rows, generator_for(3, rows)))
         for j, v in enumerate(coords):
             assert not np.isin(got[j], np.flatnonzero(space.pi[v] == 0.0)).any()
-    # draws on the breakpoints themselves count them
-    u = np.repeat(np.concatenate([[0.0], cdf[:, :-1].ravel(), [0.5, 0.999]])[:, None], len(coords), axis=1)
-    got = _sample_digits(space, coords, len(u), SimpleNamespace(random=lambda shape: u))
+    if name == "uniform q=2":
+        return
+    # words on either side of each cut point land on either side of its breakpoint
+    cdf = np.cumsum(space.pi[coords], axis=1)
+    words = np.repeat(_words_around_the_cuts(cdf), len(coords))
+    got = sample_digits(space, coords, len(words) // len(coords), _raw_words(words))
+    u = (words >> np.uint64(11)).astype(float).reshape(-1, len(coords)) / 2.0**53
     np.testing.assert_array_equal(got, breakpoint_digits(u, cdf).T)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1 / 3, 0.5, 1.0])
+def test_coins_are_the_float_draws_below_p(p):
+    got = _coins(generator_for(4, 0), p, 7, 300)
+    np.testing.assert_array_equal(got, (generator_for(4, 0).random((300, 7)) < p).T)
+
+
+def test_fair_digits_are_fair():
+    # share of ones per coordinate within 6 sigma of 1/2 over 2^20 draws
+    rows = 1 << 20
+    shares = sample_digits(uniform_space(8), list(range(8)), rows, generator_for(17, 0)).mean(axis=1)
+    assert np.all(np.abs(shares - 0.5) <= 6 * 0.5 / np.sqrt(rows))
 
 
 # q=3 with zero atoms and biased bits: no benchmark job samples off q=2.

@@ -166,8 +166,13 @@ def test_perco_mc_ignores_thread_count(monkeypatch):
 
 
 def test_one_chunk_crossing_mc_is_the_seed_stream():
+    # chunk 0 gives edge e the bits of raw words e*w .. e*w+w-1 of the seed's
+    # stream 0, w = ceil(samples / 64), least significant bit first
     rect, samples, seed = RectangleSpec(4, 3), 3000, 8
-    open_matrix = generator_for(seed, 0).random((samples, rect.edge_count)) < 0.5
+    words = -(-samples // 64)
+    raw = generator_for(seed, 0).bit_generator.random_raw(rect.edge_count * words)
+    bits = (raw.reshape(rect.edge_count, words, 1) >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    open_matrix = bits.reshape(rect.edge_count, -1)[:, :samples].T == 1
     estimate, _ = crossing_probability_mc(rect, samples, seed)
     assert estimate == float(np.mean(crossing_batch(rect, open_matrix)))
 
@@ -237,10 +242,10 @@ def test_kernel_does_not_depend_on_layout():
 
 
 def test_percolation_estimates_are_pinned():
-    # values recorded before the bit-packed grid kernel, from the same draws:
-    # the crossings, hence the estimates, must not move
-    assert crossing_probability_mc(RectangleSpec(4, 3), 40_000, seed=1) == (0.5006, 0.002499998199999352)
+    # values recorded on the stream of 64 fair bits per Philox word: for the
+    # same draws the crossings, hence the estimates, must not move
+    assert crossing_probability_mc(RectangleSpec(4, 3), 40_000, seed=1) == (0.500775, 0.002499996996873196)
     est = translate_disagreement(3, (1, 0), 20_000, seed=5)
-    assert (est.estimate, est.ci_low, est.ci_high) == (0.1035, 0.09935417323553036, 0.10779811695257033)
+    assert (est.estimate, est.ci_low, est.ci_high) == (0.1041, 0.09994326081979597, 0.10840879891656989)
     report = averaged_crossing_clue_bound(TorusSpec(4), 0b1011, mc_outer=300, mc_inner=8, seed=7)
-    assert (report.clue, report.stderr, report.holds) == (0.09316800882352817, 0.01109884561833118, True)
+    assert (report.clue, report.stderr, report.holds) == (0.10130712845955483, 0.03041926010210985, True)
