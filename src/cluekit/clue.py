@@ -18,10 +18,11 @@ from .core import (
     conditional_marginal,
     expectation,
     fibers,
+    per_table,
     require_lattices,
     require_varying,
     validate_mask,
-    variance,
+    variance_and_spread,
     weighted_variance,
 )
 from .errors import DegenerateError
@@ -36,9 +37,7 @@ def _checked_variance(f: FunctionTable) -> float:
     scales with max |f - E f|^2, so adding a constant to f never changes the
     verdict."""
     require_varying(f)
-    var = variance(f)
-    dev = f.values - expectation(f)
-    spread = float(max(dev.max(), -dev.min()))
+    var, spread = variance_and_spread(f)
     if var <= _VAR_FLOOR * spread**2:
         raise DegenerateError("constant function: clue-type ratios are undefined")
     return var
@@ -123,12 +122,14 @@ def tv_clue(f: FunctionTable, mask: int) -> float:
     of the underlying distance coincide in this ratio)."""
     require_varying(f)
     validate_mask(mask, f.n)
-    w = f.space.config_weights()
-    mean = expectation(f)
-    denom = float(w @ np.abs(f.values - mean))
     values, weights = conditional_marginal(f, mask)
-    num = float(weights @ np.abs(values - mean))
-    return num / denom
+    num = float(weights @ np.abs(values - expectation(f)))
+    return num / _mean_absolute_deviation(f)
+
+
+@per_table
+def _mean_absolute_deviation(f: FunctionTable) -> float:
+    return float(f.space.config_weights() @ np.abs(f.values - expectation(f)))
 
 
 def tv_clue_all_subsets(f: FunctionTable) -> np.ndarray:
@@ -142,7 +143,7 @@ def tv_clue_all_subsets(f: FunctionTable) -> np.ndarray:
     space = f.space
     w = space.config_weights()
     mean = expectation(f)
-    denom = float(w @ np.abs(f.values - mean))
+    denom = _mean_absolute_deviation(f)
     require_lattices(space, 2, "the TV clue of every subset")
     s = keep_or_sum(w * f.values, space.q)
     centre = kept_weights(space.pi)

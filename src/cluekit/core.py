@@ -29,9 +29,19 @@ at least :data:`BYTE_BUDGET` bytes before it is allocated.  Every
 array they build; the all-subsets routes check, with :func:`require_lattices`,
 every keep-or-sum-out lattice they hold at once.  The other gates bound time:
 ``games.SUPERMODULAR_GATE`` and ``symmetry.CLOSURE_CAP``.
+
+Per-table facts have one rule too: a :class:`FunctionTable`'s values are
+frozen read-only, so what depends on the table alone (its value range, mean,
+variance and spread, Boolean levels, {0,1} normalization, value groups and
+value law, entropy functional) is computed on first use and kept in the
+table's private cache, through :func:`per_table`.  A cached entry never holds
+the table itself: that would be a reference cycle, and the table would wait
+for the cyclic garbage collector instead of going when its last user does.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -171,30 +181,30 @@ class ProductSpace:
     def marginal_weights(self, mask: int) -> np.ndarray:
         """Product-measure weight of every configuration of the coordinates in
         ``mask`` (re-indexed in increasing order, least significant first),
-        length q^|mask|."""
+        length q^|mask|.
+
+        When all entries of ``pi`` are equal, every entry is 1.0 times
+        ``pi[0, 0]`` |mask| times in sequence, the product the outer products
+        would form, so the vector is filled with it: bitwise the same."""
         validate_mask(mask, self.n)
+        equal = self._cache.get("equal_atoms")
+        if equal is None:
+            equal = self._cache["equal_atoms"] = bool(np.all(self.pi == self.pi[0, 0]))
+        if equal:
+            c = 1.0
+            for _ in range(mask.bit_count()):
+                c *= self.pi[0, 0]
+            return np.full(self.q ** mask.bit_count(), c)
         w = np.array([1.0])
         for v in reversed(mask_indices(mask)):
             w = np.multiply.outer(w, self.pi[v]).reshape(-1)
         return w
 
     def config_weights(self) -> np.ndarray:
-        """Product-measure weight of every configuration, length q^n.
-
-        When all entries of ``pi`` are equal the vector is filled with the
-        value every entry of :meth:`marginal_weights` takes, 1.0 times
-        ``pi[0, 0]`` n times in sequence, so it is bitwise the same."""
+        """Product-measure weight of every configuration, length q^n."""
         cached = self._cache.get("weights")
         if cached is None:
-            p = self.pi[0, 0]
-            if np.all(self.pi == p):
-                c = 1.0
-                for _ in range(self.n):
-                    c *= p
-                cached = np.full(self.size, c)
-            else:
-                cached = self.marginal_weights(full_mask(self.n))
-            self._cache["weights"] = cached
+            cached = self._cache["weights"] = self.marginal_weights(full_mask(self.n))
         return cached
 
     def digits(self) -> np.ndarray:
@@ -227,13 +237,29 @@ def biased_bits(n: int, p_plus: float | Sequence[float]) -> ProductSpace:
 # ---------------------------------------------------------------------------
 # function tables
 # ---------------------------------------------------------------------------
+def per_table(fn):
+    """Cache ``fn(f)`` in the table's own cache: ``fn`` runs on the first call
+    for a table and later calls return its result.  A call that raises stores
+    nothing.  The result must not hold ``f`` (see the module docstring)."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def cached(f):
+        if key not in f._cache:
+            f._cache[key] = fn(f)
+        return f._cache[key]
+
+    return cached
+
+
 @dataclass(frozen=True, eq=False)
 class FunctionTable:
     """Dense real-valued function over all configurations of a space.
 
     The constructor takes ownership of a contiguous float64 vector: it is
     frozen in place, not copied, so the caller must not write to it
-    afterwards."""
+    afterwards.  Facts of the values alone are cached per table (see
+    :func:`per_table`)."""
 
     space: ProductSpace
     values: np.ndarray = field(repr=False)
@@ -245,31 +271,52 @@ class FunctionTable:
             raise ValueError(
                 f"values must have length q^n = {self.space.size}, got {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        lo, hi = float(vals.min()), float(vals.max())  # NaN and +-inf propagate
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_cache", {"range": (lo, hi)})
 
     @property
     def n(self) -> int:
         return self.space.n
 
+    def value_range(self) -> tuple[float, float]:
+        """(min, max) of the values, taken when the table was built."""
+        return self._cache["range"]
+
+    @per_table
+    def _boolean_levels(self) -> tuple[float, float] | None:
+        """(0, 1) or (-1, 1) when every value is one of the pair, by exact
+        comparison ((0, 1) for a table of ones), else None."""
+        lo, hi = self.value_range()
+        for levels in ((0.0, 1.0), (-1.0, 1.0)):
+            if lo in levels and hi in levels and (
+                lo == hi
+                or np.count_nonzero(self.values == lo) + np.count_nonzero(self.values == hi)
+                == self.values.size
+            ):
+                return levels
+        return None
+
     def is_boolean(self) -> bool:
         """True for {0,1}- or {-1,+1}-valued tables (exact comparison)."""
-        u = np.unique(self.values)
-        return (
-            u.size <= 2
-            and (set(u.tolist()) <= {0.0, 1.0} or set(u.tolist()) <= {-1.0, 1.0})
-        )
+        return self._boolean_levels() is not None
 
     def as_indicator(self) -> "FunctionTable":
-        """Map a Boolean table to its {0,1} normalization."""
-        if not self.is_boolean():
+        """Map a Boolean table to its {0,1} normalization: the table itself
+        when it is {0,1}-valued, else a table built once per table."""
+        levels = self._boolean_levels()
+        if levels is None:
             raise ValueError("table is not Boolean")
-        vals = self.values
-        if set(np.unique(vals).tolist()) <= {-1.0, 1.0}:
-            vals = (vals + 1.0) / 2.0
-        return FunctionTable(self.space, vals)
+        if levels == (0.0, 1.0):
+            return self
+        return self._indicator()
+
+    @per_table
+    def _indicator(self) -> "FunctionTable":
+        return FunctionTable(self.space, (self.values + 1.0) / 2.0)
 
     def evaluator(self):
         """Batch evaluator digits->(values), for the Monte Carlo engine."""
@@ -350,22 +397,36 @@ def permute(values: np.ndarray, space: ProductSpace, perm: Sequence[int]) -> np.
 # ---------------------------------------------------------------------------
 # moments and conditional expectation
 # ---------------------------------------------------------------------------
+@per_table
 def expectation(f: FunctionTable) -> float:
     return float(f.space.config_weights() @ f.values)
 
 
-def weighted_variance(values: np.ndarray, weights: np.ndarray) -> float:
-    """Corrected two-pass variance: centered before squaring, so a large
-    offset does not cancel it away, minus the squared mean of the deviations,
-    which removes the rounding error of the mean (zero for constant values)."""
-    dev = values - float(weights @ values)
+def _deviation_pass(values: np.ndarray, weights: np.ndarray, mean: float) -> tuple[float, float]:
+    """(variance, max |value - mean|), with ``mean`` = weights @ values.
+
+    Corrected two-pass variance: centered before squaring, so a large offset
+    does not cancel it away, minus the squared mean of the deviations, which
+    removes the rounding error of the mean (zero for constant values)."""
+    dev = values - mean
+    spread = float(max(dev.max(), -dev.min()))
     mean_dev = float(weights @ dev)
     np.square(dev, out=dev)
-    return max(float(weights @ dev) - mean_dev**2, 0.0)
+    return max(float(weights @ dev) - mean_dev**2, 0.0), spread
+
+
+def weighted_variance(values: np.ndarray, weights: np.ndarray) -> float:
+    return _deviation_pass(values, weights, float(weights @ values))[0]
+
+
+@per_table
+def variance_and_spread(f: FunctionTable) -> tuple[float, float]:
+    """(Var f, max |f - E f|) from one deviation pass."""
+    return _deviation_pass(f.values, f.space.config_weights(), expectation(f))
 
 
 def variance(f: FunctionTable) -> float:
-    return weighted_variance(f.values, f.space.config_weights())
+    return variance_and_spread(f)[0]
 
 
 def covariance(f: FunctionTable, g: FunctionTable) -> float:
@@ -386,14 +447,18 @@ def l2_norm_sq(f: FunctionTable) -> float:
     return float(f.space.config_weights() @ (f.values**2))
 
 
+@per_table
 def require_varying(f: FunctionTable):
     """Refuse a table that is constant on the configurations of positive
     weight, by exact comparison: weights that sum to 1 only up to rounding
     give it denominators that need not read 0."""
     w = f.space.config_weights()
-    support = True if w.min() > 0.0 else w > 0.0  # a mask only where a weight is 0
-    lo = np.min(f.values, where=support, initial=np.inf)
-    hi = np.max(f.values, where=support, initial=-np.inf)
+    if w.min() > 0.0:
+        lo, hi = f.value_range()
+    else:
+        support = w > 0.0
+        lo = np.min(f.values, where=support, initial=np.inf)
+        hi = np.max(f.values, where=support, initial=-np.inf)
     if not lo < hi:
         raise DegenerateError("constant function: clue-type ratios are undefined")
 

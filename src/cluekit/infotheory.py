@@ -18,6 +18,7 @@ from .core import (
     conditional_marginal,
     expectation,
     extend,
+    per_table,
     require_bytes,
     require_lattices,
     require_varying,
@@ -53,12 +54,34 @@ def group_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, reps
 
 
+@per_table
+def _value_groups(f: FunctionTable) -> tuple[np.ndarray, np.ndarray]:
+    codes, reps = group_values(f.values)
+    codes.setflags(write=False)
+    reps.setflags(write=False)
+    return codes, reps
+
+
+@per_table
+def _value_probs(f: FunctionTable) -> np.ndarray:
+    codes, reps = _value_groups(f)
+    probs = np.bincount(codes, weights=f.space.config_weights(), minlength=len(reps))
+    probs.setflags(write=False)
+    return probs
+
+
+@per_table
+def value_entropy(f: FunctionTable) -> float:
+    """Entropy of the grouped value distribution of f."""
+    return entropy(_value_probs(f))
+
+
 def joint_with_subset(f: FunctionTable, mask: int) -> np.ndarray:
     """Exact joint law of (value group of f, configuration of the ``mask``
     coordinates), shape (value groups, q^|mask|)."""
     space = f.space
     validate_mask(mask, space.n)
-    codes, reps = group_values(f.values)
+    codes, reps = _value_groups(f)
     n_u, n_z = space.q ** mask.bit_count(), len(reps)
     require_bytes(8 * n_z * n_u, f"a joint law of {n_z} values by {n_u} configurations")
     u_codes = extend(np.arange(n_u), space, mask)
@@ -103,7 +126,7 @@ def mutual_information_all_subsets(f: FunctionTable) -> np.ndarray:
     """
     space = f.space
     require_lattices(space, 2, "the information of every subset")
-    codes, reps = group_values(f.values)
+    codes, reps = _value_groups(f)
     w = space.config_weights()
     h_u = _entropy_by_mask(w, space.q)
     support = np.bincount(codes, weights=w > 0.0, minlength=len(reps))
@@ -114,23 +137,12 @@ def mutual_information_all_subsets(f: FunctionTable) -> np.ndarray:
     return np.maximum(h_joint[0] + h_u - h_joint, 0.0)
 
 
-def _value_probs(f: FunctionTable) -> np.ndarray:
-    codes, reps = group_values(f.values)
-    return np.bincount(codes, weights=f.space.config_weights(), minlength=len(reps))
-
-
-def value_entropy(f: FunctionTable) -> float:
-    """Entropy of the grouped value distribution of f."""
-    return entropy(_value_probs(f))
-
-
 def i_clue(f: FunctionTable, mask: int) -> float:
     """I(Z : X_mask) / H(Z), in [0, 1]; needs two value groups of positive
     weight."""
-    probs = _value_probs(f)
-    if np.count_nonzero(probs) < 2:
+    if np.count_nonzero(_value_probs(f)) < 2:
         raise DegenerateError("constant function: I-clue undefined")
-    return min(mutual_information(f, mask) / entropy(probs), 1.0)
+    return min(mutual_information(f, mask) / value_entropy(f), 1.0)
 
 
 def sig_i(f: FunctionTable, mask: int) -> float:
@@ -145,19 +157,23 @@ def _xlogx(vals: np.ndarray) -> np.ndarray:
     return np.where(vals > 0.0, vals * np.log(np.maximum(vals, 1e-300)), 0.0)
 
 
+@per_table
 def ent_functional(f: FunctionTable) -> float:
     """E[f ln f] - E[f] ln E[f] for f >= 0, with 0 ln 0 = 0.
 
     Nonnegative by convexity; equals the relative entropy of the f-biased
     measure against the base measure, scaled by E[f].
     """
-    vals = f.values
-    if np.any(vals < 0.0):
-        raise ValueError("ent_functional needs f >= 0")
+    _require_nonnegative(f, "ent_functional")
     mean = expectation(f)
     if mean <= 0.0:
         raise DegenerateError("ent_functional needs E[f] > 0")
-    return float(f.space.config_weights() @ _xlogx(vals)) - mean * np.log(mean)
+    return float(f.space.config_weights() @ _xlogx(f.values)) - mean * np.log(mean)
+
+
+def _require_nonnegative(f: FunctionTable, what: str):
+    if f.value_range()[0] < 0.0:
+        raise ValueError(f"{what} needs f >= 0")
 
 
 def _ent_of_marginal(f: FunctionTable, mask: int) -> float:
@@ -170,8 +186,7 @@ def kl_clue(f: FunctionTable, mask: int) -> float:
     """Ent(E[f | mask]) / Ent(f), in [0, 1], for f >= 0."""
     require_varying(f)
     validate_mask(mask, f.n)
-    if np.any(f.values < 0.0):
-        raise ValueError("kl_clue needs f >= 0")
+    _require_nonnegative(f, "kl_clue")
     denom = ent_functional(f)
     if denom <= 0.0:
         raise DegenerateError("constant function: KL clue undefined")
@@ -187,8 +202,7 @@ def kl_clue_all_subsets(f: FunctionTable) -> np.ndarray:
     then A and the copy that kept_sums folds).
     """
     require_varying(f)
-    if np.any(f.values < 0.0):
-        raise ValueError("kl_clue needs f >= 0")
+    _require_nonnegative(f, "kl_clue")
     denom = ent_functional(f)
     if denom <= 0.0:
         raise DegenerateError("constant function: KL clue undefined")
@@ -233,8 +247,7 @@ def shearer_deficit(f: FunctionTable, cover: list[int], k: int) -> float:
 def kl_cover_deficit(f: FunctionTable, cover: list[int], k: int) -> float:
     """k Ent(f) - sum_j Ent(E[f | S_j]) for f >= 0; the marginal relative
     entropies of the f-biased measure cannot exceed k times the total."""
-    if np.any(f.values < 0.0):
-        raise ValueError("kl_cover_deficit needs f >= 0")
+    _require_nonnegative(f, "kl_cover_deficit")
     _check_cover(f.n, cover, k)
     total = ent_functional(f)
     return k * total - float(sum(_ent_of_marginal(f, mask) for mask in cover))

@@ -40,35 +40,48 @@ from .transforms import containing_sums, popcounts, subset_zeta
 # ---------------------------------------------------------------------------
 def _bases(space: ProductSpace) -> np.ndarray:
     """(n, q, q) array: row k of entry v is basis function k of coordinate v.
-    Rows past the number of positive atoms stay zero."""
+    Rows past the number of positive atoms stay zero.  Coordinates with the
+    same ``pi`` row share one Gram-Schmidt run."""
     cached = space._cache.get("bases")
     if cached is None:
-        cached = np.zeros((space.n, space.q, space.q))
+        cached = np.empty((space.n, space.q, space.q))
+        by_row = {}
         for v, pi in enumerate(space.pi):
-            rows = [np.ones(space.q)]
-            # the smallest positive atom is spanned by the others
-            for j in np.flatnonzero(pi)[:0:-1]:
-                u = np.eye(space.q)[j]
-                for r in rows:
-                    u = u - float(pi @ (u * r)) * r
-                rows.append(u / np.sqrt(float(pi @ (u * u))))
-            cached[v, : len(rows)] = rows
+            key = pi.tobytes()
+            if key not in by_row:
+                by_row[key] = _gram_schmidt(pi)
+            cached[v] = by_row[key]
         space._cache["bases"] = cached
     return cached
+
+
+def _gram_schmidt(pi: np.ndarray) -> np.ndarray:
+    basis = np.zeros((len(pi), len(pi)))
+    rows = [np.ones(len(pi))]
+    # the smallest positive atom is spanned by the others
+    for j in np.flatnonzero(pi)[:0:-1]:
+        u = np.eye(len(pi))[j]
+        for r in rows:
+            u = u - float(pi @ (u * r)) * r
+        rows.append(u / np.sqrt(float(pi @ (u * u))))
+    basis[: len(rows)] = rows
+    return basis
 
 
 def _transform(space: ProductSpace, values: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Product-basis coefficients of a table, indexed like configurations
     with basis index k in place of digit k; ``inverse`` maps coefficients
     back.  The last axis of ``values`` is transformed, leading axes ride
-    along."""
+    along.  The first contraction reads ``values`` in place; the others
+    alternate between two buffers."""
     bases = _bases(space)
     mats = bases.transpose(0, 2, 1) if inverse else bases * space.pi[:, None, :]
-    src = np.array(values, dtype=float)
-    dst = np.empty_like(src)
+    src = np.asarray(values, dtype=float)
+    dst = np.empty(src.shape)
     lead, q = src.shape[:-1], space.q
     # coordinate 0 is the fastest axis: one (q^(n-1), q) @ (q, q) product
     np.matmul(src.reshape(lead + (-1, q)), mats[0].T, out=dst.reshape(lead + (-1, q)))
+    src = np.empty_like(dst) if space.n > 1 else None
     for v in range(1, space.n):
         src, dst = dst, src
         shape = lead + (-1, q, q**v)

@@ -263,6 +263,15 @@ def test_function_table_validation():
         FunctionTable(space, np.array([1.0, np.inf, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "plus-inf", "minus-inf"])
+def test_function_table_refuses_every_non_finite_value(bad):
+    for at in (0, 5, 7):
+        values = np.arange(8, dtype=float)
+        values[at] = bad
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            FunctionTable(uniform_space(3), values)
+
+
 def test_product_space_validation():
     with pytest.raises(ValueError):
         ProductSpace(2, 2, np.array([[0.6, 0.6], [0.5, 0.5]]))
@@ -331,11 +340,21 @@ def test_biased_bits_weights():
     assert w.sum() == pytest.approx(1.0)
 
 
+def _product_chain(space: ProductSpace, mask: int) -> np.ndarray:
+    chain = np.array([1.0])
+    for v in reversed(mask_indices(mask)):
+        chain = np.multiply.outer(chain, space.pi[v]).reshape(-1)
+    return chain
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_uniform_config_weights_equal_the_product_chain_bitwise(q):
     for n in range(1, 8):
         space = uniform_space(n, q)
-        assert np.array_equal(space.config_weights(), space.marginal_weights(full_mask(n)))
+        assert np.array_equal(space.config_weights(), _product_chain(space, full_mask(n)))
+        if n <= 5:
+            for mask in range(1 << n):
+                assert np.array_equal(space.marginal_weights(mask), _product_chain(space, mask))
 
 
 def _moved_row(n: int) -> ProductSpace:

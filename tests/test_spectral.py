@@ -26,7 +26,7 @@ from cluekit.spectral import (
     stability_profile,
     walsh_hadamard,
 )
-from cluekit import suites
+from cluekit import spectral, suites
 from cluekit.core import covariance
 from cluekit.montecarlo import generator_for
 from cluekit.transforms import popcounts, subset_mobius
@@ -381,3 +381,61 @@ def test_popcounts_counts_the_bits_of_every_mask(n):
     pc = popcounts(n)
     assert pc.dtype == np.int64
     assert pc.tolist() == [bin(m).count("1") for m in range(1 << n)]
+
+
+def _per_coordinate_bases(space: ProductSpace) -> np.ndarray:
+    """One weighted Gram-Schmidt run per coordinate, e_{q-1} down to e_0 over
+    the positive atoms: the loop the shared bases must equal bitwise."""
+    out = np.zeros((space.n, space.q, space.q))
+    for v, pi in enumerate(space.pi):
+        rows = [np.ones(space.q)]
+        for j in np.flatnonzero(pi)[:0:-1]:
+            u = np.eye(space.q)[j]
+            for r in rows:
+                u = u - float(pi @ (u * r)) * r
+            rows.append(u / np.sqrt(float(pi @ (u * u))))
+        out[v, : len(rows)] = rows
+    return out
+
+
+@pytest.mark.parametrize("pi", [
+    [[0.2, 0.0, 0.8], [1 / 3, 1 / 3, 1 / 3], [0.2, 0.0, 0.8], [0.5, 0.25, 0.25], [1 / 3, 1 / 3, 1 / 3]],
+    [[0.5, 0.5]] * 6,
+    [[0.3, 0.7], [0.3, 0.7], [0.0, 1.0], [0.6, 0.4]],
+], ids=["q3-zero-atom-repeated-rows", "uniform-bits", "biased-with-point-mass"])
+def test_bases_shared_between_equal_rows_equal_the_per_coordinate_loop(pi):
+    space = ProductSpace(len(pi), len(pi[0]), np.array(pi))
+    assert np.array_equal(spectral._bases(space), _per_coordinate_bases(space))
+
+
+def _copying_transform(space: ProductSpace, values: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The transform with its input copied into one of its two buffers first."""
+    bases = _per_coordinate_bases(space)
+    mats = bases.transpose(0, 2, 1) if inverse else bases * space.pi[:, None, :]
+    src = np.array(values, dtype=float)
+    dst = np.empty_like(src)
+    lead, q = src.shape[:-1], space.q
+    np.matmul(src.reshape(lead + (-1, q)), mats[0].T, out=dst.reshape(lead + (-1, q)))
+    for v in range(1, space.n):
+        src, dst = dst, src
+        shape = lead + (-1, q, q**v)
+        np.matmul(mats[v], src.reshape(shape), out=dst.reshape(shape))
+    return dst
+
+
+@pytest.mark.parametrize("space", [uniform_space(1), uniform_space(9), biased_bits(7, 0.3),
+                                   ProductSpace(4, 3, np.array([[0.2, 0.0, 0.8]] * 4))],
+                         ids=["n1", "uniform", "biased", "q3-zero-atom"])
+def test_transform_reads_its_input_in_place_with_the_same_bits(space):
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=space.size)
+    values.setflags(write=False)
+    kept = values.copy()
+    for inverse in (False, True):
+        assert np.array_equal(spectral._transform(space, values, inverse),
+                              _copying_transform(space, values, inverse))
+    stack = rng.normal(size=(3, space.size))
+    assert np.array_equal(spectral._transform(space, stack), _copying_transform(space, stack))
+    ints = rng.integers(0, 2, size=space.size)
+    assert np.array_equal(spectral._transform(space, ints), _copying_transform(space, ints))
+    assert np.array_equal(values, kept)
