@@ -4,8 +4,8 @@ Commands: analyze, spectrum, clue, game, perco, mc-clue, zoo, verify.
 Output is JSON on stdout (schema version 1); ``--csv`` switches sweep-style
 outputs to CSV.  Exit codes: 0 ok, 1 verification failure, 2 parse error,
 3 guard violation, 4 degenerate function.  Randomized estimators always
-require an explicit ``--seed``.  The CLUEKIT_THREADS environment variable
-caps internal parallelism.
+require an explicit ``--seed`` in [0, 2^64); their Monte Carlo chunks run in
+order in the calling thread, so results depend on the seed alone.
 """
 from __future__ import annotations
 

@@ -11,11 +11,11 @@ One runner, :func:`run_chunks`, draws every sample here and in the
 percolation estimators.  Work is cut into fixed-size chunks; chunk c draws
 from the generator addressed by (master seed, c) through a SplitMix64 mix
 feeding a Philox generator, and its statistics vector is added into batch
-c % BATCHES.  Per-chunk results are reduced in a fixed pairwise order, so
-the thread count (capped by the CLUEKIT_THREADS environment variable) only
-maps chunks onto workers and results are bitwise reproducible for a given
-seed at any thread count.  Child seeds of the Bernoulli estimator come from
-the same mix.
+c % BATCHES.  Chunks run in order in the calling thread and per-chunk
+results are reduced in a fixed pairwise order, so results depend on the seed
+alone and are bitwise reproducible.  A seed outside [0, 2^64) is refused
+rather than reduced, so two seeds never alias one stream.  Child seeds of
+the Bernoulli estimator come from the same mix.
 
 One sampler, :func:`sample_digits`, turns a chunk's raw 64-bit Philox words
 into digits, by one of two rules:
@@ -45,8 +45,6 @@ never a silent 0, and every estimate reports how many batches it used.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 from math import sqrt
@@ -74,7 +72,9 @@ def splitmix64(x: int) -> int:
 
 
 def _stream_key(seed: int, stream: int) -> int:
-    return splitmix64((seed & MASK64) ^ splitmix64(stream & MASK64))
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed {seed} outside [0, 2^64)")
+    return splitmix64(seed ^ splitmix64(stream & MASK64))
 
 
 @cache
@@ -89,7 +89,8 @@ def _placeholder_seed() -> np.random.SeedSequence:
 def generator_for(seed: int, stream: int) -> np.random.Generator:
     """Independent generator for (seed, stream), reproducible by contract:
     Philox4x64 at counter 0 with key [_stream_key(seed, stream), 0], the
-    stream of ``np.random.Philox(key=_stream_key(seed, stream))``."""
+    stream of ``np.random.Philox(key=_stream_key(seed, stream))``.  Raises
+    ValueError for a seed outside [0, 2^64)."""
     bit_generator = np.random.Philox(_placeholder_seed())
     bit_generator.state = {
         "bit_generator": "Philox",
@@ -100,16 +101,6 @@ def generator_for(seed: int, stream: int) -> np.random.Generator:
         "uinteger": 0,
     }
     return np.random.Generator(bit_generator)
-
-
-def thread_count(requested: int | None = None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("CLUEKIT_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -178,13 +169,12 @@ def _pairwise_sum(chunks: list[np.ndarray]) -> np.ndarray:
     return items[0]
 
 
-def run_chunks(
-    sample, total: int, seed: int, threads: int | None = None, chunk: int = CHUNK
-) -> np.ndarray:
+def run_chunks(sample, total: int, seed: int, chunk: int = CHUNK) -> np.ndarray:
     """(BATCHES, k) statistics of ``total`` rows drawn in chunks of ``chunk``.
 
-    Chunk c calls ``sample(generator_for(seed, c), rows)``, which returns that
-    chunk's length-k statistics vector; it is added into batch c % BATCHES.
+    Chunk c, run in order in the calling thread, calls
+    ``sample(generator_for(seed, c), rows)``, which returns that chunk's
+    length-k statistics vector; it is added into batch c % BATCHES.
     """
     if total < 1:
         raise ValueError("need at least one sample")
@@ -197,11 +187,7 @@ def run_chunks(
         out[c % BATCHES] = stats
         return out
 
-    workers = thread_count(threads)
-    if workers <= 1:
-        return _pairwise_sum([work(c) for c in range(n_chunks)])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _pairwise_sum(list(pool.map(work, range(n_chunks))))
+    return _pairwise_sum([work(c) for c in range(n_chunks)])
 
 
 def _standard_error(values: list[float]) -> tuple[float | None, int]:
@@ -235,7 +221,8 @@ def mc_clue(
     (within variance / m_inner) estimates the numerator without nesting bias;
     adding back the within variance estimates the denominator.  stderr comes
     from batch means.  A corrected numerator that lands at or below 0 is
-    clamped and flagged.
+    clamped and flagged.  ``threads`` is accepted and ignored: chunks run in
+    the calling thread.
     """
     validate_mask(mask, space.n)
     if n_outer < 2 or m_inner < 2:
@@ -254,7 +241,7 @@ def mc_clue(
         within_ss = float(np.sum((values - fiber_means[:, None]) ** 2))
         return [rows, fiber_means.sum(), float(fiber_means @ fiber_means), within_ss]
 
-    stats = run_chunks(sample, n_outer, seed, threads)
+    stats = run_chunks(sample, n_outer, seed)
 
     def ratio(rows_sums: np.ndarray) -> tuple[float, float, bool]:
         count, s1, s2, within_ss = rows_sums
@@ -294,7 +281,8 @@ def mc_stability(
     threads: int | None = None,
 ) -> McEstimate:
     """Normalized noise stability Cov(f(w), f(w')) / Var(f), where w' keeps
-    each fair bit with probability p and refreshes it otherwise."""
+    each fair bit with probability p and refreshes it otherwise.  ``threads``
+    is accepted and ignored."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
     if not 0.0 <= p <= 1.0:
@@ -306,12 +294,12 @@ def mc_stability(
         base = sample_digits(fair, every, rows, rng)
         keep = _coins(rng, p, n, rows)
         fresh = sample_digits(fair, every, rows, rng)
-        noisy = np.where(keep, base, fresh)
+        noisy = fresh ^ ((base ^ fresh) & keep.view(np.uint8))  # keep ? base : fresh on 0/1 bytes
         x = np.asarray(evaluator(base.T), dtype=float)
         y = np.asarray(evaluator(noisy.T), dtype=float)
         return [rows, x.sum(), y.sum(), float(x @ y), float(x @ x), float(y @ y)]
 
-    stats = run_chunks(sample, samples, seed, threads)
+    stats = run_chunks(sample, samples, seed)
 
     def ratio(row: np.ndarray) -> float:
         count, sx, sy, sxy, sxx, _ = row
@@ -344,9 +332,12 @@ def mc_expected_clue_bernoulli(
     threads: int | None = None,
 ) -> McEstimate:
     """Average of mc_clue over coordinate sets drawn Bernoulli(p) per
-    coordinate; estimates the expected clue of a random density-p subset."""
+    coordinate; estimates the expected clue of a random density-p subset.
+    ``threads`` is accepted and ignored."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    if n_sets < 1:
+        raise ValueError("need n_sets >= 1")
     mask_rng = generator_for(seed, 1 << 32)
     estimates = []
     clamped = False
@@ -354,7 +345,7 @@ def mc_expected_clue_bernoulli(
         bits = _coins(mask_rng, p, space.n, 1)[:, 0]
         mask = int(sum(1 << v for v in range(space.n) if bits[v]))
         child_seed = _stream_key(seed, (1 << 33) + k)  # streams apart from the mask stream
-        est = mc_clue(evaluator, space, mask, n_outer, m_inner, child_seed, threads)
+        est = mc_clue(evaluator, space, mask, n_outer, m_inner, child_seed)
         estimates.append(est.estimate)
         clamped = clamped or est.clamped
     stderr, batches = _standard_error(estimates)

@@ -361,11 +361,31 @@ MC_CLUE_PINS = [
 
 
 @pytest.mark.parametrize("argv, expected", MC_CLUE_PINS, ids=["parity33", "maj21"])
-def test_mc_clue_output_is_pinned(capsys, monkeypatch, argv, expected):
-    monkeypatch.delenv("CLUEKIT_THREADS", raising=False)
+def test_mc_clue_output_is_pinned(capsys, argv, expected):
     code, _, out = run_cli(capsys, "mc-clue", *argv)
     assert code == 0
     assert out == expected
+
+
+SEED_ARGV = {
+    "mc-clue": ["mc-clue", "--fn", "maj:21", "--subset", "0,1,2,3", "--outer", "600", "--inner", "4"],
+    "perco": ["perco", "--rect", "4x3", "--mc", "100"],
+}
+
+
+@pytest.mark.parametrize("command", SEED_ARGV)
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seeds_off_64_bits_exit_2(capsys, command, seed):
+    code, payload, out = run_cli(capsys, *SEED_ARGV[command], "--seed", str(seed))
+    assert code == 2 and out == ""
+    assert payload["exit"] == 2 and "seed" in payload["error"]
+
+
+@pytest.mark.parametrize("command", SEED_ARGV)
+def test_the_largest_seed_runs(capsys, command):
+    code, payload, _ = run_cli(capsys, *SEED_ARGV[command], "--seed", str((1 << 64) - 1))
+    assert code == 0
+    assert payload["seed"] == (1 << 64) - 1
 
 
 def test_mc_clue_reports_missing_error_bar(capsys):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import ceil
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,9 +18,9 @@ from cluekit.montecarlo import (
     mc_stability,
     sample_digits,
     splitmix64,
-    thread_count,
 )
-from cluekit.zoo import dictator_evaluator, majority_evaluator, sum_evaluator
+from cluekit.perco import RectangleSpec, crossing_probability_mc
+from cluekit.zoo import dictator_evaluator, evaluator_from_spec, majority_evaluator, sum_evaluator
 
 
 def test_splitmix64_reference_vector():
@@ -41,6 +42,15 @@ def test_generator_for_is_the_philox_key_stream(seed, stream):
     key = _stream_key(seed, stream)
     expected = np.random.Philox(key=key).random_raw(1000)
     np.testing.assert_array_equal(generator_for(seed, stream).bit_generator.random_raw(1000), expected)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 5])
+def test_generator_for_refuses_seeds_off_64_bits(seed):
+    # seed and seed mod 2^64 once shared a stream
+    with pytest.raises(ValueError):
+        generator_for(seed, 0)
+    with pytest.raises(ValueError):
+        mc_clue(majority_evaluator(3), uniform_space(3), 0b001, 300, 4, seed=seed)
 
 
 def test_mc_clue_dictator_exact():
@@ -158,12 +168,39 @@ def test_mc_expected_clue_child_seeds_do_not_collide(monkeypatch):
     assert len(set(seen)) == 3
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("CLUEKIT_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("CLUEKIT_THREADS", "bogus")
-    assert thread_count() == 1
-    assert thread_count(6) == 6
+@pytest.mark.parametrize("n_sets", [0, -1])
+def test_mc_expected_clue_bernoulli_needs_a_set(n_sets):
+    with pytest.raises(ValueError):
+        mc_expected_clue_bernoulli(majority_evaluator(3), uniform_space(3), 0.5, n_sets, 300, 4, seed=1)
+
+
+def test_estimators_run_in_the_calling_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("estimator started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    ev, sp = sum_evaluator(6), uniform_space(6)
+    assert mc_clue(ev, sp, 0b111, 600, 4, seed=1, threads=2).batches == 3
+    assert mc_stability(ev, 6, 0.5, 1000, seed=1, threads=2).batches == 4
+    assert mc_expected_clue_bernoulli(ev, sp, 0.5, 2, 300, 4, seed=1, threads=2).batches == 2
+    estimate, _ = crossing_probability_mc(RectangleSpec(4, 3), 40_000, seed=1)
+    assert 0.0 < estimate < 1.0
+
+
+# (spec, p, samples, seed) -> (estimate, stderr) as hex, recorded while the
+# noisy copy was an np.where
+STABILITY_PINS = [
+    ("sum:40", 0.3, 20_000, 17, ("0x1.2e43a1bfdef3dp-2", "0x1.bbd637ee15aacp-8")),
+    ("maj:31", 0.7, 20_000, 23, ("0x1.03fc125d5983bp-1", "0x1.710995976c6f5p-8")),
+]
+
+
+@pytest.mark.parametrize("spec, p, samples, seed, pins", STABILITY_PINS, ids=["sum40", "maj31"])
+def test_mc_stability_is_pinned(spec, p, samples, seed, pins):
+    n, ev = evaluator_from_spec(spec)
+    est = mc_stability(ev, n, p, samples, seed)
+    assert (est.estimate.hex(), est.stderr.hex()) == pins
+    assert est.batches == 16
 
 
 def test_mc_clue_without_two_batches_has_no_error_bar():
