@@ -156,8 +156,12 @@ def tv_clue_all_subsets(f: FunctionTable) -> np.ndarray:
 
 def p_min(f: FunctionTable) -> float:
     """min(P[f=1], P[f=0]) of the {0,1} normalization of a Boolean table,
-    never below 0."""
-    p = expectation(f.as_indicator())
+    never below 0, read off the table's mean: P[f=1] is E f on {0,1} levels
+    and (1 + E f)/2 on {-1,1} levels."""
+    if not f.is_boolean():
+        raise ValueError("table is not Boolean")
+    mean = expectation(f)
+    p = (1.0 + mean) / 2.0 if f.value_range()[0] < 0.0 else mean
     return max(min(p, 1.0 - p), 0.0)
 
 

@@ -27,8 +27,8 @@ Memory has one rule: :func:`require_bytes` refuses (GuardError) any array of
 at least :data:`BYTE_BUDGET` bytes before it is allocated.  Every
 :class:`FunctionTable` (8 q^n bytes) is checked, and engines check each larger
 array they build; the all-subsets routes check, with :func:`require_lattices`,
-every keep-or-sum-out lattice they hold at once.  The other gates bound time:
-``games.SUPERMODULAR_GATE`` and ``symmetry.CLOSURE_CAP``.
+every keep-or-sum-out lattice they hold at once.  The one other gate bounds
+time: ``symmetry.CLOSURE_CAP``.
 
 Per-table facts have one rule too: a :class:`FunctionTable`'s values are
 frozen read-only, so what depends on the table alone (its value range, mean,

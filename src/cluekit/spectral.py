@@ -32,7 +32,7 @@ from .core import (
     require_varying,
 )
 from .errors import DegenerateError, GuardError
-from .transforms import containing_sums, popcounts, subset_zeta
+from .transforms import dividend_shares, popcounts, subset_zeta
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +160,7 @@ def spectral_marginals(dist: RandomSetDistribution) -> np.ndarray:
     """P[X = j] for every coordinate j, X a uniform element of the
     conditioned sample: the sum over masks containing j of probs/|mask|, in
     O(n 2^n)."""
-    probs = dist.probs
-    pc = popcounts(probs.size.bit_length() - 1)
-    return containing_sums(np.divide(probs, pc, out=np.zeros_like(probs), where=pc > 0))
+    return dividend_shares(dist.probs)
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,11 @@ def games_suite() -> tuple[dict, list]:
     variance and information games, and the transitive bound on zoo games.
     ``min_subgame_shapley_gain`` is the least rise of a player's Shapley
     value from a seeded coalition to a seeded strict superset, over the
-    variance games; supermodularity makes it nonnegative."""
+    variance games; supermodularity makes it nonnegative.  ``large_games``
+    checks a variance game at n = 16 and an information game at n = 12:
+    supermodularity, the efficiency gap, and the Shapley shares phi / v(N)
+    against the spectral marginals, equal for any variance game and, on a
+    transitive function, for its information game too (both are 1/n)."""
     rng = generator_for(SUITE_SEED, 4)
     pair_rng = generator_for(SUITE_SEED, PAIR_STREAM + 4)
     violations = []
@@ -293,8 +297,21 @@ def games_suite() -> tuple[dict, list]:
         eff = abs(games.shapley(game).sum() - game.grand_value)
         if eff > 1e-10:
             violations.append({"fn": entry.name, "efficiency_err": eff})
+    large = []
+    for entry, kind, build in ((zoo.tribes(4, 4), "variance", games.build_clue_game),
+                               (zoo.tribes(3, 4), "information", games.build_iclue_game)):
+        game = build(entry.table)
+        phi = games.shapley(game)
+        marg = spectral.spectral_marginals(spectral.spectral_distribution(entry.table))
+        row = {"fn": entry.name, "kind": kind,
+               "supermodular": games.is_supermodular(game)[0],
+               "efficiency_gap": abs(float(phi.sum()) - game.grand_value),
+               "shares_vs_marginal": float(np.max(np.abs(phi / game.grand_value - marg)))}
+        large.append(row)
+        if not row["supermodular"] or max(row["efficiency_gap"], row["shares_vs_marginal"]) > 1e-12:
+            violations.append({"large_game": row})
     return {"worst_shapley_vs_marginal": worst_marg, "zoo": [e.name for e in zoo_entries],
-            "min_subgame_shapley_gain": min_gain}, violations
+            "min_subgame_shapley_gain": min_gain, "large_games": large}, violations
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ The subset zeta / Moebius pair runs along axis 0, which must have
 power-of-two length 2^n and be indexed by subset bitmask; trailing axes ride
 along.  Cost is O(n 2^n) rows via the standard per-bit butterfly sweep.
 :func:`containing_sums` totals such a vector over the masks that contain
-each coordinate.
+each coordinate; :func:`dividend_shares` does so after splitting each mask's
+entry equally among its members (Shapley values, spectral marginals).
 
 The keep-or-sum-out lattice runs along the last axis, a table over q^n
 configurations (coordinate 0 least significant); leading axes ride along.
@@ -114,6 +115,14 @@ def containing_sums(values: np.ndarray) -> np.ndarray:
     n = _bits(len(values))
     # masks containing coordinate j are the upper half of each 2^(j+1) block
     return np.array([values.reshape(-1, 2, 1 << j)[:, 1].sum() for j in range(n)])
+
+
+def dividend_shares(values: np.ndarray) -> np.ndarray:
+    """Map a 2^n vector indexed by subset bitmask to the n totals
+    sum_{S containing j} values[S] / |S|: each mask's entry split equally
+    among its members (the empty mask's entry is dropped)."""
+    pc = popcounts(_bits(len(values)))
+    return containing_sums(np.divide(values, pc, out=np.zeros_like(values), where=pc > 0))
 
 
 def popcounts(n: int) -> np.ndarray:

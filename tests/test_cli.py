@@ -249,6 +249,19 @@ def test_game_command(capsys):
     assert payload["transitive_bound"]["holds"] is True
 
 
+def test_game_command_past_ten_players(capsys):
+    code, payload, _ = run_cli(
+        capsys, "game", "--fn", "maj:13", "--checks", "shapley,supermod,core,bound"
+    )
+    assert code == 0
+    assert payload["supermodular"] is True
+    assert "supermodular_witness" not in payload
+    assert payload["shapley"] == pytest.approx([payload["shapley"][0]] * 13)
+    assert payload["efficiency_gap"] <= 1e-12
+    assert payload["shapley_in_core"] is True
+    assert payload["transitive_bound"]["holds"] is True
+
+
 def test_game_with_explicit_action(capsys, tmp_path):
     f = majority(3).table
     path = tmp_path / "maj3.json"

@@ -21,6 +21,7 @@ from cluekit.core import (
     bernoulli_sets,
     biased_bits,
     complement_mask,
+    expectation,
     revealment,
     singleton_sets,
     translate_sets,
@@ -222,6 +223,31 @@ def test_clue_affine_invariance(seed, a, b):
 def test_p_min():
     assert p_min(majority(3).table) == pytest.approx(0.5)
     assert p_min(tribes(2, 2).table) == pytest.approx(7 / 16)
+
+
+def test_p_min_reads_the_mean_without_the_indicator_table(monkeypatch):
+    """P[f=1] comes from E f, so a +-1 table never builds its {0,1}
+    normalization; the normalization's mean, taken before it is patched out,
+    is the reference."""
+    rng = np.random.default_rng(21)
+    sp = ProductSpace(6, 2, rng.dirichlet(np.ones(2), size=6))
+    tables = [majority(7).table, tribes(3, 3).table, majority(7).table.as_indicator(),
+              FunctionTable(sp, np.where(rng.random(sp.size) < 0.3, 1.0, -1.0)),
+              FunctionTable(sp, (rng.random(sp.size) < 0.8).astype(float))]
+    expected = []
+    for f in tables:
+        p = expectation(f.as_indicator())
+        expected.append(min(p, 1.0 - p))
+    fresh = [FunctionTable(f.space, f.values.copy()) for f in tables]
+
+    def refuse(self):
+        raise AssertionError("indicator table built")
+
+    monkeypatch.setattr(FunctionTable, "_indicator", refuse)
+    for f, want in zip(fresh, expected):
+        assert abs(p_min(f) - want) <= 1e-15
+    with pytest.raises(ValueError):
+        p_min(FunctionTable(uniform_space(2), np.array([0.0, 1.0, 2.0, 1.0])))
 
 
 def test_clue_equals_squared_correlation_with_projection():

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,57 @@ from cluekit.games import (
 from cluekit.spectral import spectral_distribution, spectral_marginals
 from cluekit.suites import _subgame_shapley_gain
 from cluekit.symmetry import is_invariant
-from cluekit.transforms import popcounts
+from cluekit.transforms import popcounts, subset_zeta
 from cluekit.zoo import dictator, majority, parity, sum_function, tribes
 
 
 def sqrt_game(n=3):
     return CooperativeGame(n, np.sqrt(popcounts(n).astype(float)))
+
+
+def loop_shapley(game):
+    """Oracle: each player's marginal contributions weighted by
+    1 / (n C(n-1, |S|)), one player at a time."""
+    n, v = game.n, game.v
+    pc = popcounts(n)
+    inv_choose = np.array([1.0 / comb(n - 1, s) for s in range(n)])
+    masks = np.arange(1 << n)
+    phi = np.empty(n)
+    for i in range(n):
+        without = masks[(masks >> i) & 1 == 0]
+        gains = v[without | (1 << i)] - v[without]
+        phi[i] = float(np.sum(gains * inv_choose[pc[without]])) / n
+    return phi
+
+
+def pair_gap(v, s, t):
+    """v(S|T) + v(S&T) - v(S) - v(T): negative on a violating pair."""
+    return v[s | t] + v[s & t] - v[s] - v[t]
+
+
+def pair_supermodular(game):
+    """Oracle: the pair definition on all 4^n pairs of coalitions."""
+    v = game.v
+    masks = np.arange(1 << game.n)
+    return all(np.all(pair_gap(v, s, masks) >= -GAME_TOL) for s in range(1 << game.n))
+
+
+def oracle_games():
+    """Clue and information games of random Boolean and q = 3 spaces, and
+    random games near the supermodular boundary (nonnegative dividends plus
+    noise), n 2 to 8, with one clue game at n = 10."""
+    rng = np.random.default_rng(2101)
+    for _ in range(40):
+        n, q = int(rng.integers(2, 9)), int(rng.choice([2, 3]))
+        sp = ProductSpace(n, q, rng.dirichlet(np.ones(q), size=n))
+        yield build_clue_game(FunctionTable(sp, rng.standard_normal(sp.size)))
+        yield build_iclue_game(FunctionTable(sp, rng.integers(0, q, sp.size).astype(float)))
+        dividends = rng.random(1 << n) * (rng.random(1 << n) < 0.5)
+        dividends[0] = 0.0
+        v = subset_zeta(dividends) + rng.choice([0.0, 1e-3, 1e-1]) * rng.standard_normal(1 << n)
+        v[0] = 0.0
+        yield CooperativeGame(n, v)
+    yield build_clue_game(FunctionTable(uniform_space(10), rng.standard_normal(1 << 10)))
 
 
 def test_game_requires_zero_at_empty():
@@ -60,10 +107,39 @@ def test_shapley_efficiency():
 
 def test_shapley_matches_spectral_marginal():
     rng = np.random.default_rng(1)
-    f = FunctionTable(uniform_space(6), rng.standard_normal(64))
+    sp = ProductSpace(6, 3, rng.dirichlet(np.ones(3), size=6))
+    f = FunctionTable(sp, rng.standard_normal(sp.size))
     phi = shapley(build_clue_game(f))
     marg = spectral_marginals(spectral_distribution(f))
-    np.testing.assert_allclose(phi / variance(f), marg, atol=1e-9)
+    np.testing.assert_allclose(phi / variance(f), marg, rtol=1e-12, atol=0)
+
+
+def test_dividends_and_squares_match_the_oracles():
+    verdicts = set()
+    for game in oracle_games():
+        np.testing.assert_allclose(shapley(game), loop_shapley(game), rtol=0, atol=1e-12)
+        ok, witness_pair = is_supermodular(game)
+        assert ok == pair_supermodular(game)
+        verdicts.add(ok)
+        if not ok:
+            s, t = witness_pair
+            assert (s & ~t).bit_count() == 1 and (t & ~s).bit_count() == 1
+            assert pair_gap(game.v, s, t) < -GAME_TOL
+    assert verdicts == {True, False}
+
+
+def test_non_supermodular_game_past_the_pair_oracle():
+    """n = 12: the square check runs where the pair check was gated, and its
+    witness violates the pair definition."""
+    rng = np.random.default_rng(12)
+    dividends = rng.random(1 << 12)
+    dividends[0] = 0.0
+    v = subset_zeta(dividends)
+    assert is_supermodular(CooperativeGame(12, v)) == (True, None)
+    v[0b101101011011] -= 1e3
+    ok, (s, t) = is_supermodular(CooperativeGame(12, v))
+    assert not ok
+    assert pair_gap(v, s, t) < -GAME_TOL
 
 
 def test_supermodularity_examples():
