@@ -24,7 +24,6 @@ from .core import (
     full_mask,
     mask_from_indices,
     mask_indices,
-    require_varying,
     revealment,
     singleton_sets,
     uniform_space,
@@ -191,23 +190,21 @@ def _cmd_analyze(args) -> int:
 def _cmd_spectrum(args) -> int:
     f = _load_table(args.fn)
     if args.efron_stein or not f.space.is_uniform_binary:
-        values = weights = spectral.efron_stein(f)
+        values = spectral.efron_stein(f)
         kind = "component_norms"
     else:
         values = spectral.walsh_hadamard(f)
-        weights = values**2
         kind = "coefficients"
     if args.csv:
         _emit_csv("mask,value", values)
         return 0
-    require_varying(f)
-    dist = spectral.distribution_from_weights(weights)
+    dist = spectral.spectral_distribution(f)
     _emit(
         {
             "fn": args.fn,
             "kind": kind,
             "values": _by_mask(values),
-            "level_weights": spectral.profile_from_weights(weights).level_weights.tolist(),
+            "level_weights": spectral.stability_profile(f).level_weights.tolist(),
             "marginals": spectral.spectral_marginals(dist).tolist(),
         }
     )

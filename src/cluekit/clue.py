@@ -18,7 +18,7 @@ from .core import (
     conditional_marginal,
     expectation,
     fibers,
-    per_table,
+    per_object,
     require_lattices,
     require_varying,
     validate_mask,
@@ -127,7 +127,7 @@ def tv_clue(f: FunctionTable, mask: int) -> float:
     return num / _mean_absolute_deviation(f)
 
 
-@per_table
+@per_object
 def _mean_absolute_deviation(f: FunctionTable) -> float:
     return float(f.space.config_weights() @ np.abs(f.values - expectation(f)))
 

@@ -30,13 +30,14 @@ array they build; the all-subsets routes check, with :func:`require_lattices`,
 every keep-or-sum-out lattice they hold at once.  The one other gate bounds
 time: ``symmetry.CLOSURE_CAP``.
 
-Per-table facts have one rule too: a :class:`FunctionTable`'s values are
-frozen read-only, so what depends on the table alone (its value range, mean,
-variance and spread, Boolean levels, {0,1} normalization, value groups and
-value law, entropy functional) is computed on first use and kept in the
-table's private cache, through :func:`per_table`.  A cached entry never holds
-the table itself: that would be a reference cycle, and the table would wait
-for the cyclic garbage collector instead of going when its last user does.
+Per-object facts have one rule too: tables, spaces, groups and games are
+frozen, so what depends on one alone (a table's moments, value law and
+product-basis coefficients, a space's weights and bases, a group's elements,
+a game's Shapley values and supermodularity) is computed on first use, kept
+read-only in the object's private cache through :func:`per_object`, and
+touched by no other module.  A cached entry never holds its object: that
+would be a reference cycle, and the object would wait for the cyclic garbage
+collector instead of going when its last user does.
 """
 from __future__ import annotations
 
@@ -76,6 +77,26 @@ def require_lattices(space: "ProductSpace", count: int, what: str):
         8 * count * (space.q + 1) ** space.n,
         f"{what} ({count} lattices of (q+1)^n = {space.q + 1}^{space.n} entries)",
     )
+
+
+def per_object(fn):
+    """Cache ``fn(obj)`` in the frozen object's own cache: ``fn`` runs on the
+    first call and later calls return its result, whose arrays (or a tuple's)
+    are made read-only.  A call that raises stores nothing.  The result must
+    not hold ``obj`` (see the module docstring)."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def cached(obj):
+        if key not in obj._cache:
+            result = fn(obj)
+            for part in result if isinstance(result, tuple) else (result,):
+                if isinstance(part, np.ndarray):
+                    part.setflags(write=False)
+            obj._cache[key] = result
+        return obj._cache[key]
+
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +188,13 @@ class ProductSpace:
         require_bytes(8 * self.size, f"a dense table over q^n = {self.q}^{self.n} configurations")
 
     @property
+    @per_object
     def is_uniform_binary(self) -> bool:
-        cached = self._cache.get("uniform_binary")
-        if cached is None:
-            cached = self._cache["uniform_binary"] = self.q == 2 and bool(np.all(self.pi == 0.5))
-        return cached
+        return self.q == 2 and bool(np.all(self.pi == 0.5))
+
+    @per_object
+    def _equal_atoms(self) -> bool:
+        return bool(np.all(self.pi == self.pi[0, 0]))
 
     @property
     def has_zero_atoms(self) -> bool:
@@ -187,10 +210,7 @@ class ProductSpace:
         ``pi[0, 0]`` |mask| times in sequence, the product the outer products
         would form, so the vector is filled with it: bitwise the same."""
         validate_mask(mask, self.n)
-        equal = self._cache.get("equal_atoms")
-        if equal is None:
-            equal = self._cache["equal_atoms"] = bool(np.all(self.pi == self.pi[0, 0]))
-        if equal:
+        if self._equal_atoms():
             c = 1.0
             for _ in range(mask.bit_count()):
                 c *= self.pi[0, 0]
@@ -200,12 +220,10 @@ class ProductSpace:
             w = np.multiply.outer(w, self.pi[v]).reshape(-1)
         return w
 
+    @per_object
     def config_weights(self) -> np.ndarray:
         """Product-measure weight of every configuration, length q^n."""
-        cached = self._cache.get("weights")
-        if cached is None:
-            cached = self._cache["weights"] = self.marginal_weights(full_mask(self.n))
-        return cached
+        return self.marginal_weights(full_mask(self.n))
 
     def digits(self) -> np.ndarray:
         """(q^n, n) uint8 matrix: digits()[c, v] is coordinate v of config c
@@ -237,21 +255,6 @@ def biased_bits(n: int, p_plus: float | Sequence[float]) -> ProductSpace:
 # ---------------------------------------------------------------------------
 # function tables
 # ---------------------------------------------------------------------------
-def per_table(fn):
-    """Cache ``fn(f)`` in the table's own cache: ``fn`` runs on the first call
-    for a table and later calls return its result.  A call that raises stores
-    nothing.  The result must not hold ``f`` (see the module docstring)."""
-    key = f"{fn.__module__}.{fn.__qualname__}"
-
-    @functools.wraps(fn)
-    def cached(f):
-        if key not in f._cache:
-            f._cache[key] = fn(f)
-        return f._cache[key]
-
-    return cached
-
-
 @dataclass(frozen=True, eq=False)
 class FunctionTable:
     """Dense real-valued function over all configurations of a space.
@@ -259,7 +262,7 @@ class FunctionTable:
     The constructor takes ownership of a contiguous float64 vector: it is
     frozen in place, not copied, so the caller must not write to it
     afterwards.  Facts of the values alone are cached per table (see
-    :func:`per_table`)."""
+    :func:`per_object`)."""
 
     space: ProductSpace
     values: np.ndarray = field(repr=False)
@@ -286,7 +289,7 @@ class FunctionTable:
         """(min, max) of the values, taken when the table was built."""
         return self._cache["range"]
 
-    @per_table
+    @per_object
     def _boolean_levels(self) -> tuple[float, float] | None:
         """(0, 1) or (-1, 1) when every value is one of the pair, by exact
         comparison ((0, 1) for a table of ones), else None."""
@@ -314,7 +317,7 @@ class FunctionTable:
             return self
         return self._indicator()
 
-    @per_table
+    @per_object
     def _indicator(self) -> "FunctionTable":
         return FunctionTable(self.space, (self.values + 1.0) / 2.0)
 
@@ -397,7 +400,7 @@ def permute(values: np.ndarray, space: ProductSpace, perm: Sequence[int]) -> np.
 # ---------------------------------------------------------------------------
 # moments and conditional expectation
 # ---------------------------------------------------------------------------
-@per_table
+@per_object
 def expectation(f: FunctionTable) -> float:
     return float(f.space.config_weights() @ f.values)
 
@@ -419,7 +422,7 @@ def weighted_variance(values: np.ndarray, weights: np.ndarray) -> float:
     return _deviation_pass(values, weights, float(weights @ values))[0]
 
 
-@per_table
+@per_object
 def variance_and_spread(f: FunctionTable) -> tuple[float, float]:
     """(Var f, max |f - E f|) from one deviation pass."""
     return _deviation_pass(f.values, f.space.config_weights(), expectation(f))
@@ -447,7 +450,7 @@ def l2_norm_sq(f: FunctionTable) -> float:
     return float(f.space.config_weights() @ (f.values**2))
 
 
-@per_table
+@per_object
 def require_varying(f: FunctionTable):
     """Refuse a table that is constant on the configurations of positive
     weight, by exact comparison: weights that sum to 1 only up to rounding

@@ -8,7 +8,7 @@ subset Moebius transform of v) split equally among each coalition's members
 (Harsanyi 1963), the same share route the spectral marginals take.
 Supermodularity is read off the squares of the Boolean lattice, the second
 differences v(S+i+j) - v(S+i) - v(S+j) + v(S) (Topkis 1978), not off all
-4^n pairs of coalitions.
+4^n pairs of coalitions.  Both are computed once per game.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FunctionTable, fibers, uniform_space
+from .core import FunctionTable, fibers, per_object, uniform_space
 from .infotheory import mutual_information_all_subsets
 from .spectral import projected_variances
 from .symmetry import is_invariant, is_transitive
@@ -41,6 +41,7 @@ class CooperativeGame:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "v", vals)
+        object.__setattr__(self, "_cache", {})
 
     @property
     def grand_value(self) -> float:
@@ -61,6 +62,7 @@ def build_iclue_game(f: FunctionTable) -> CooperativeGame:
     return CooperativeGame(f.n, v)
 
 
+@per_object
 def shapley(game: CooperativeGame) -> np.ndarray:
     """Exact average-marginal-contribution allocation, one entry per player:
     the Harsanyi dividends split equally among each coalition's members,
@@ -68,6 +70,7 @@ def shapley(game: CooperativeGame) -> np.ndarray:
     return dividend_shares(subset_mobius(game.v))
 
 
+@per_object
 def is_supermodular(game: CooperativeGame) -> tuple[bool, tuple[int, int] | None]:
     """Check v(S)+v(T) <= v(S|T)+v(S&T) on the squares of the lattice: every
     v(S+i+j) - v(S+i) - v(S+j) + v(S) must be at least -GAME_TOL,
@@ -115,12 +118,15 @@ class TransitiveBoundReport:
 
 
 def transitive_game_bound(game: CooperativeGame, action) -> TransitiveBoundReport:
-    """Check v(S) <= (|S|/n) v(V) for a game invariant under a transitive
-    action whose Shapley vector sits in the core.  Invariance reads the game
-    as a table over n uniform bits, coalition S at configuration S."""
+    """Check v(S) <= (|S|/n) v(V) for a supermodular game invariant under a
+    transitive action.  The chain: a supermodular game has its Shapley value
+    in the core (Shapley 1971), an invariant game under a transitive action
+    gives every player the same Shapley value v(V)/n, so the core inequality
+    v(S) <= sum_{i in S} phi_i is the bound.  Invariance reads the game as a
+    table over n uniform bits, coalition S at configuration S."""
     table = FunctionTable(uniform_space(game.n), game.v)
-    if not (is_invariant(table, action) and is_transitive(action) and shapley_in_core(game)):
-        raise ValueError("hypotheses not met: need an invariant transitive game with Shapley in core")
+    if not (is_invariant(table, action) and is_transitive(action) and is_supermodular(game)[0]):
+        raise ValueError("hypotheses not met: need a supermodular game invariant under a transitive action")
     pc = popcounts(game.n)
     bound = pc / game.n * game.grand_value
     gaps = game.v - bound

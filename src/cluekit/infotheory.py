@@ -18,7 +18,7 @@ from .core import (
     conditional_marginal,
     expectation,
     extend,
-    per_table,
+    per_object,
     require_bytes,
     require_lattices,
     require_varying,
@@ -54,23 +54,18 @@ def group_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, reps
 
 
-@per_table
+@per_object
 def _value_groups(f: FunctionTable) -> tuple[np.ndarray, np.ndarray]:
-    codes, reps = group_values(f.values)
-    codes.setflags(write=False)
-    reps.setflags(write=False)
-    return codes, reps
+    return group_values(f.values)
 
 
-@per_table
+@per_object
 def _value_probs(f: FunctionTable) -> np.ndarray:
     codes, reps = _value_groups(f)
-    probs = np.bincount(codes, weights=f.space.config_weights(), minlength=len(reps))
-    probs.setflags(write=False)
-    return probs
+    return np.bincount(codes, weights=f.space.config_weights(), minlength=len(reps))
 
 
-@per_table
+@per_object
 def value_entropy(f: FunctionTable) -> float:
     """Entropy of the grouped value distribution of f."""
     return entropy(_value_probs(f))
@@ -157,7 +152,7 @@ def _xlogx(vals: np.ndarray) -> np.ndarray:
     return np.where(vals > 0.0, vals * np.log(np.maximum(vals, 1e-300)), 0.0)
 
 
-@per_table
+@per_object
 def ent_functional(f: FunctionTable) -> float:
     """E[f ln f] - E[f] ln E[f] for f >= 0, with 0 ln 0 = 0.
 

@@ -10,7 +10,9 @@ product basis in O(n q^n); contracting with B_v^T inverts it (on the
 support).  A coefficient whose non-constant basis indices sit on the
 coordinates S belongs to the Efron-Stein component f_S, so ||f_S||^2 is the
 sum of those coefficients squared.  On uniform bits the basis is the Walsh
-basis and the coefficients are the character coefficients.
+basis and the coefficients are the character coefficients.  A table's
+coefficients are computed once and kept; the weights ||f_S||^2 are squared
+from them on each call, since on bits they are as long as the table.
 
 Squared weights with the empty set's dropped, normalized to a probability
 measure, form the spectral sample: a :class:`~cluekit.core.RandomSetDistribution`
@@ -28,6 +30,7 @@ from .core import (
     ProductSpace,
     RandomSetDistribution,
     covariance,
+    per_object,
     require_bytes,
     require_varying,
 )
@@ -38,21 +41,19 @@ from .transforms import dividend_shares, popcounts, subset_zeta
 # ---------------------------------------------------------------------------
 # the product-basis transform
 # ---------------------------------------------------------------------------
+@per_object
 def _bases(space: ProductSpace) -> np.ndarray:
     """(n, q, q) array: row k of entry v is basis function k of coordinate v.
     Rows past the number of positive atoms stay zero.  Coordinates with the
     same ``pi`` row share one Gram-Schmidt run."""
-    cached = space._cache.get("bases")
-    if cached is None:
-        cached = np.empty((space.n, space.q, space.q))
-        by_row = {}
-        for v, pi in enumerate(space.pi):
-            key = pi.tobytes()
-            if key not in by_row:
-                by_row[key] = _gram_schmidt(pi)
-            cached[v] = by_row[key]
-        space._cache["bases"] = cached
-    return cached
+    bases = np.empty((space.n, space.q, space.q))
+    by_row = {}
+    for v, pi in enumerate(space.pi):
+        key = pi.tobytes()
+        if key not in by_row:
+            by_row[key] = _gram_schmidt(pi)
+        bases[v] = by_row[key]
+    return bases
 
 
 def _gram_schmidt(pi: np.ndarray) -> np.ndarray:
@@ -89,6 +90,12 @@ def _transform(space: ProductSpace, values: np.ndarray, inverse: bool = False) -
     return dst
 
 
+@per_object
+def _coefficients(f: FunctionTable) -> np.ndarray:
+    """The table's product-basis coefficients, transformed once per table."""
+    return _transform(f.space, f.values)
+
+
 def walsh_hadamard(f: FunctionTable) -> np.ndarray:
     """Character coefficients of a table on a uniform binary space, one per
     subset mask; entry 0 is the mean.
@@ -101,14 +108,15 @@ def walsh_hadamard(f: FunctionTable) -> np.ndarray:
             "walsh_hadamard requires q=2 with the uniform measure; "
             "use efron_stein for general product measures"
         )
-    return _transform(f.space, f.values)
+    return _coefficients(f)
 
 
 def efron_stein(f: FunctionTable) -> np.ndarray:
-    """||f_S||^2 for every mask S, from the product-basis coefficients.
-    Basis slots 1..q-1 of each coordinate fold into one "v in S" slot."""
+    """||f_S||^2 for every mask S, a new array on each call, from the kept
+    product-basis coefficients.  Basis slots 1..q-1 of each coordinate fold
+    into one "v in S" slot."""
     space = f.space
-    norms = _transform(space, f.values) ** 2
+    norms = _coefficients(f) ** 2
     if space.q > 2:
         for v in range(space.n):
             t = norms.reshape(-1, space.q, 1 << v)
@@ -124,7 +132,7 @@ def efron_stein_components(f: FunctionTable) -> np.ndarray:
     require_bytes(8 * 2**space.n * space.size, "a (2^n, q^n) component stack")
     support = (space.digits() != 0) @ (1 << np.arange(space.n))
     split = np.zeros((1 << space.n, space.size))
-    split[support, np.arange(space.size)] = _transform(space, f.values)
+    split[support, np.arange(space.size)] = _coefficients(f)
     return _transform(space, split, inverse=True)
 
 
@@ -142,18 +150,13 @@ def projected_variances(f: FunctionTable) -> np.ndarray:
 def spectral_distribution(f: FunctionTable) -> RandomSetDistribution:
     """The spectral sample of f conditioned on being nonempty (probs[0] = 0)."""
     require_varying(f)
-    return distribution_from_weights(efron_stein(f))
-
-
-def distribution_from_weights(weights: np.ndarray) -> RandomSetDistribution:
-    """Spectral sample of subset weights ||f_S||^2, the empty set's weight
-    dropped (the input array is left unmodified)."""
-    weights = np.array(weights, dtype=float)
+    weights = efron_stein(f)
     weights[0] = 0.0
     total = weights.sum()
     if total <= 0.0:
         raise DegenerateError("constant function: conditioned spectral sample undefined")
-    return RandomSetDistribution(weights / total)
+    weights /= total
+    return RandomSetDistribution(weights)
 
 
 def spectral_marginals(dist: RandomSetDistribution) -> np.ndarray:
@@ -178,13 +181,9 @@ class StabilityProfile:
 
 
 def stability_profile(f: FunctionTable) -> StabilityProfile:
-    return profile_from_weights(efron_stein(f))
-
-
-def profile_from_weights(weights: np.ndarray) -> StabilityProfile:
-    """Level weights W_k of subset weights ||f_S||^2, one per mask."""
-    n = len(weights).bit_length() - 1
-    return StabilityProfile(np.bincount(popcounts(n), weights=weights, minlength=n + 1))
+    """Level weights W_k of the subset weights ||f_S||^2."""
+    n = f.n
+    return StabilityProfile(np.bincount(popcounts(n), weights=efron_stein(f), minlength=n + 1))
 
 
 def stability(profile: StabilityProfile, p: float) -> float:
@@ -203,7 +202,8 @@ def stability(profile: StabilityProfile, p: float) -> float:
 def _require_pm_one(f: FunctionTable):
     if f.space.q != 2:
         raise ValueError("pivotal sets need a binary space")
-    if not set(np.unique(f.values).tolist()) <= {-1.0, 1.0}:
+    # Boolean levels are (0, 1) or (-1, 1), so a Boolean table without a 0 is ±1
+    if not (f.is_boolean() and f.value_range()[0] != 0.0):
         raise ValueError("pivotal sets need a {-1,+1}-valued table")
 
 

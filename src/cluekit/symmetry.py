@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FunctionTable, permute
+from .core import FunctionTable, per_object, permute
 from .errors import GuardError
 
 CLOSURE_CAP = 10**6
@@ -25,7 +25,7 @@ class GroupAction:
     """Permutation group on [n], stored as explicit element tuples.
 
     ``generators`` is the defining set (== elements when given explicitly);
-    ``elements`` is the full closure, computed lazily and capped at 10^6.
+    ``elements`` is the full closure, computed once and capped at 10^6.
     """
 
     n: int
@@ -35,16 +35,13 @@ class GroupAction:
     def __post_init__(self):
         for perm in self.generators:
             _check_perm(perm, self.n)
+        object.__setattr__(self, "_cache", {})
 
+    @per_object
     def elements(self) -> tuple[tuple[int, ...], ...]:
-        cached = getattr(self, "_elements_cache", None)
-        if cached is None:
-            if self._explicit is not None:
-                cached = self._explicit
-            else:
-                cached = _closure(self.generators, self.n)
-            object.__setattr__(self, "_elements_cache", cached)
-        return cached
+        if self._explicit is not None:
+            return self._explicit
+        return _closure(self.generators, self.n)
 
     def __len__(self):
         return len(self.elements())

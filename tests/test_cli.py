@@ -410,9 +410,13 @@ def test_mc_clue_reports_missing_error_bar(capsys):
     assert payload["batches"] == 1
 
 
-def test_spectrum_runs_the_transform_once(capsys, monkeypatch):
-    from cluekit import spectral
-
+def test_spectrum_runs_the_transform_once(capsys, monkeypatch, tmp_path):
+    """Uniform bits, biased bits and q = 3 with a zero atom: the values, the
+    spectral sample and the level weights all read one kept transform."""
+    rng = np.random.default_rng(5)
+    pi = np.array([[0.2, 0.0, 0.8], [0.5, 0.25, 0.25], [0.1, 0.6, 0.3], [0.2, 0.0, 0.8]])
+    for name, space in (("biased", biased_bits(6, 0.3)), ("q3", ProductSpace(4, 3, pi))):
+        save_table(FunctionTable(space, rng.standard_normal(space.size)), tmp_path / f"{name}.json")
     calls = []
     real = spectral._transform
 
@@ -421,12 +425,14 @@ def test_spectrum_runs_the_transform_once(capsys, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "_transform", counted)
-    for extra in ((), ("--efron-stein",)):
+    for fn, extra in (("maj:11", ()), ("maj:11", ("--efron-stein",)), ("maj:11", ("--csv",)),
+                      (str(tmp_path / "biased.json"), ()), (str(tmp_path / "q3.json"), ())):
         calls.clear()
-        code, payload, _ = run_cli(capsys, "spectrum", "--fn", "maj:11", *extra)
+        code, payload, _ = run_cli(capsys, "spectrum", "--fn", fn, *extra)
         assert code == 0
         assert len(calls) == 1
-        assert sum(payload["marginals"]) == pytest.approx(1.0)
+        if payload is not None:
+            assert sum(payload["marginals"]) == pytest.approx(1.0)
 
 
 def test_round_trip_preserves_metrics(tmp_path, capsys):

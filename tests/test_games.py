@@ -248,6 +248,20 @@ def test_transitive_game_bound_rejects_bad_hypotheses():
         transitive_game_bound(game, cyclic_group(3))
 
 
+def test_transitive_game_bound_refuses_a_symmetric_game_that_is_not_supermodular():
+    # Shapley gives each player 1/3, in the core, and every v(S) <= |S|/3:
+    # a Shapley-in-core hypothesis would accept it, and the report could
+    # never read False; its first square is .3 - .2 - .2 + 0 < 0
+    from cluekit.symmetry import cyclic_group
+
+    game = CooperativeGame(3, [0, 0.2, 0.2, 0.3, 0.2, 0.3, 0.3, 1.0])
+    assert is_invariant(FunctionTable(uniform_space(3), game.v), cyclic_group(3))
+    assert shapley_in_core(game)
+    assert is_supermodular(game) == (False, (1, 2))
+    with pytest.raises(ValueError, match="supermodular"):
+        transitive_game_bound(game, cyclic_group(3))
+
+
 def test_game_invariance_check():
     m = majority(3)
     game = build_clue_game(m.table)

@@ -1,9 +1,11 @@
-"""Per-table invariants are computed once and kept in the table's own cache.
+"""Per-object facts are computed once and kept in the object's own cache.
 
 The cached values must equal a first computation on a copied table and the
-plain formulas they replace; a full-metric ``analyze`` groups the values once
-and never sorts for a Boolean check; and a table's cache never keeps the
-table alive.
+plain formulas they replace; cached arrays are read-only and a second call
+returns the same object, for tables, spaces, groups and games; a
+full-metric ``analyze`` groups the values once and never sorts for a
+Boolean check; ``game`` computes the Shapley values and the second
+differences once; and an object's cache never keeps the object alive.
 """
 import gc
 import io
@@ -13,9 +15,10 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from cluekit import cli, clue, core, infotheory
-from cluekit.core import FunctionTable, ProductSpace, uniform_space
+from cluekit import cli, clue, core, games, infotheory, spectral
+from cluekit.core import FunctionTable, ProductSpace, biased_bits, uniform_space
 from cluekit.errors import DegenerateError
+from cluekit.symmetry import GroupAction, cyclic_group, group_from_spec
 from cluekit.zoo import from_spec
 from conftest import save_table
 
@@ -121,6 +124,110 @@ def test_cached_arrays_are_read_only():
         assert not array.flags.writeable
 
 
+def _memoized_facts():
+    """A zero-argument call for every array or tuple kept through
+    per_object on a space, a table, a group or a game, with its name as the
+    test id."""
+    space = ProductSpace(3, 3, np.array([[0.2, 0.0, 0.8], [0.5, 0.25, 0.25], [0.1, 0.6, 0.3]]))
+    f = from_spec("maj:7").table
+    g = FunctionTable(space, np.arange(27.0))
+    game = games.build_clue_game(f)
+    facts = {
+        "uniform-config-weights": f.space.config_weights,
+        "product-config-weights": space.config_weights,
+        "bases": lambda: spectral._bases(space),
+        "walsh-hadamard": lambda: spectral.walsh_hadamard(f),
+        "q3-coefficients": lambda: spectral._coefficients(g),
+        "shapley": lambda: games.shapley(game),
+        "is-supermodular": lambda: games.is_supermodular(game),
+        "elements": cyclic_group(7).elements,
+        "explicit-elements": group_from_spec("symmetric:3").elements,
+    }
+    return [pytest.param(fact, id=name) for name, fact in facts.items()]
+
+
+@pytest.mark.parametrize("fact", _memoized_facts())
+def test_memoized_facts_are_kept_and_read_only(fact):
+    first = fact()
+    assert fact() is first
+    if isinstance(first, np.ndarray):
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
+
+def test_efron_stein_weights_are_fresh_squares_of_the_kept_coefficients():
+    f = FunctionTable(biased_bits(6, 0.3), np.random.default_rng(1).standard_normal(64))
+    weights = spectral.efron_stein(f)
+    again = spectral.efron_stein(f)
+    assert weights is not again and weights.flags.writeable
+    assert np.array_equal(weights, again)
+    assert np.array_equal(weights, spectral._coefficients(f) ** 2)
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_game_computes_shapley_values_and_second_differences_once(monkeypatch):
+    """With every check on, the Shapley values are one Moebius transform and
+    the supermodularity test one pass over the squares, however many checks
+    (the bound's hypothesis among them) read them."""
+    mobius = _count_calls(monkeypatch, games, "subset_mobius")
+    diffs = _count_calls(monkeypatch, np, "diff")
+    argv = ["game", "--fn", "maj:9", "--checks", "shapley,supermod,core,bound"]
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert len(mobius) == 1
+    job_diffs = len(diffs)
+    diffs.clear()
+    games.is_supermodular.__wrapped__(games.build_clue_game(from_spec("maj:9").table))
+    assert job_diffs == len(diffs) > 0
+
+
+def test_subgame_gain_reuses_the_supermodularity_test(monkeypatch):
+    from cluekit.suites import _subgame_shapley_gain
+
+    game = games.build_clue_game(from_spec("maj:5").table)
+    assert games.is_supermodular(game)[0]
+    diffs = _count_calls(monkeypatch, np, "diff")
+    _subgame_shapley_gain(game, 0b00011, 0b01111)
+    assert diffs == []
+
+
+def test_covariance_lemma_never_sorts_for_the_value_check(monkeypatch):
+    f, g = from_spec("maj:7").table, from_spec("dictator:7,0").table
+    unique = _count_calls(monkeypatch, np, "unique")
+    lhs, rhs = spectral.covariance_lemma_check(f, g)
+    assert unique == []
+    assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+@pytest.mark.parametrize("values, accepted", [
+    pytest.param(np.ones(8), True, id="all-plus-one"),
+    pytest.param(-np.ones(8), True, id="all-minus-one"),
+    pytest.param(np.where(np.arange(8) % 3 == 0, 1.0, -1.0), True, id="plus-minus-one"),
+    pytest.param(np.zeros(8), False, id="all-zero"),
+    pytest.param((np.arange(8) % 2).astype(float), False, id="zero-one"),
+    pytest.param(np.where(np.arange(8) % 3 == 0, 1.0, 0.5), False, id="not-boolean"),
+])
+def test_pivotal_sets_accept_exactly_the_plus_minus_one_tables(values, accepted):
+    f = FunctionTable(uniform_space(3), values)
+    if accepted:
+        spectral.pivotal_masks(f)
+    else:
+        with pytest.raises(ValueError, match="-1"):
+            spectral.pivotal_masks(f)
+
+
 def test_a_zero_one_table_is_its_own_indicator():
     f = _zero_one()
     assert f.as_indicator() is f
@@ -148,30 +255,44 @@ def test_full_metric_analyze_groups_values_once_and_never_sorts_for_booleans(mon
     assert calls == {"group_values": 1, "unique": 0}
 
 
-@pytest.mark.parametrize("spec, metrics, tables", [
-    ("maj:9", ALL_METRICS, 2),  # the table and its {0,1} normalization
-    ("sum:8", "l2,spectral,sig,tv,i", 1),
-    ("zero-one.json", ALL_METRICS, 1),  # its own normalization
+def _analyze(spec, metrics):
+    return ["analyze", "--fn", spec, "--subset", "0,1,2", "--metrics", metrics]
+
+
+@pytest.mark.parametrize("argv, tables, others", [
+    # the table and its {0,1} normalization; the zoo entry's group
+    pytest.param(_analyze("maj:9", ALL_METRICS), 2, 1, id=f"maj:9-{ALL_METRICS}-2"),
+    pytest.param(_analyze("sum:8", "l2,spectral,sig,tv,i"), 1, 1, id="sum:8-l2,spectral,sig,tv,i-1"),
+    # its own normalization
+    pytest.param(_analyze("zero-one.json", ALL_METRICS), 1, 0, id=f"zero-one.json-{ALL_METRICS}-1"),
+    pytest.param(["spectrum", "--fn", "maj:9"], 1, 1, id="spectrum-maj:9"),
+    # the table and the game read as a table for the invariance test; the
+    # game and the group
+    pytest.param(["game", "--fn", "maj:9", "--checks", "shapley,supermod,core,bound"], 2, 2,
+                 id="game-maj:9-bound"),
 ])
-def test_tables_of_a_job_are_freed_without_the_cycle_collector(spec, metrics, tables, tmp_path, monkeypatch):
-    if spec.endswith(".json"):
-        spec = str(tmp_path / spec)
-        save_table(_zero_one(), spec)
-    refs = []
-    post_init = FunctionTable.__post_init__
+def test_tables_of_a_job_are_freed_without_the_cycle_collector(argv, tables, others, tmp_path, monkeypatch):
+    """Tables, games and groups all keep caches; none of them may wait for
+    the cyclic garbage collector."""
+    if argv[2].endswith(".json"):
+        argv = argv[:2] + [str(tmp_path / argv[2])] + argv[3:]
+        save_table(_zero_one(), argv[2])
+    refs = {FunctionTable: [], games.CooperativeGame: [], GroupAction: []}
+    for cls, made in refs.items():
+        post_init = cls.__post_init__
 
-    def tracked(self):
-        post_init(self)
-        refs.append(weakref.ref(self))
+        def tracked(self, post_init=post_init, made=made):
+            post_init(self)
+            made.append(weakref.ref(self))
 
-    monkeypatch.setattr(FunctionTable, "__post_init__", tracked)
-    argv = ["analyze", "--fn", spec, "--subset", "0,1,2", "--metrics", metrics]
+        monkeypatch.setattr(cls, "__post_init__", tracked)
     gc.collect()
     gc.disable()
     try:
         with redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
-        assert len(refs) == tables
-        assert [r() for r in refs] == [None] * tables
+        made = [refs[FunctionTable], refs[games.CooperativeGame] + refs[GroupAction]]
+        assert [len(m) for m in made] == [tables, others]
+        assert [r() for m in made for r in m] == [None] * (tables + others)
     finally:
         gc.enable()
