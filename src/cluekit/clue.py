@@ -27,7 +27,7 @@ from .core import (
 )
 from .errors import DegenerateError
 from .spectral import projected_variances
-from .transforms import keep_or_sum, kept_sums, kept_weights
+from .transforms import keep_or_sum, kept_sums
 
 _VAR_FLOOR = 1e-14
 
@@ -122,34 +122,39 @@ def tv_clue(f: FunctionTable, mask: int) -> float:
     of the underlying distance coincide in this ratio)."""
     require_varying(f)
     validate_mask(mask, f.n)
-    values, weights = conditional_marginal(f, mask)
-    num = float(weights @ np.abs(values - expectation(f)))
-    return num / _mean_absolute_deviation(f)
+    fiber_sums = fibers(_weighted_deviation(f), f.space, mask).sum(axis=1)
+    return float(np.abs(fiber_sums).sum()) / _mean_absolute_deviation(f)
+
+
+def _weighted_deviation(f: FunctionTable) -> np.ndarray:
+    """w (f - m), m the mean under w / sum w: centred before any fiber sums
+    it, so that a sum carries rounding of the size of E|f - E f|, not of
+    E f.  One refinement step takes the rounding of E f out of m, so the
+    deviations sum to 0 up to rounding of their own size."""
+    w = f.space.config_weights()
+    total = w.sum()
+    dev = f.values - expectation(f) / total
+    dev -= float(w @ dev) / total
+    dev *= w
+    return dev
 
 
 @per_object
 def _mean_absolute_deviation(f: FunctionTable) -> float:
-    return float(f.space.config_weights() @ np.abs(f.values - expectation(f)))
+    return float(np.abs(_weighted_deviation(f)).sum())
 
 
 def tv_clue_all_subsets(f: FunctionTable) -> np.ndarray:
-    """tv_clue(f, U) for every mask U.  With S the lattice of w f less E f
-    times :func:`~cluekit.transforms.kept_weights`, E|E[f|U] - E f| is the
-    sum of |S| over the kept slots of U.
+    """tv_clue(f, U) for every mask U.  With S the lattice of w (f - E f),
+    E|E[f|U] - E f| is the sum of |S| over the kept slots of U.
 
     O(n (q+1)^n) time; holds two lattice-sized arrays at once.
     """
     require_varying(f)
     space = f.space
-    w = space.config_weights()
-    mean = expectation(f)
     denom = _mean_absolute_deviation(f)
     require_lattices(space, 2, "the TV clue of every subset")
-    s = keep_or_sum(w * f.values, space.q)
-    centre = kept_weights(space.pi)
-    centre *= mean
-    s -= centre
-    del centre
+    s = keep_or_sum(_weighted_deviation(f), space.q)
     np.abs(s, out=s)
     return kept_sums(s, space.q) / denom
 

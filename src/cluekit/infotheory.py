@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    TABLE_BLOCK,
     FunctionTable,
     complement_mask,
     conditional_marginal,
@@ -102,7 +103,7 @@ def _entropy_by_mask(probs: np.ndarray, q: int) -> np.ndarray:
     lattice = keep_or_sum(probs, q)
     log = np.maximum(lattice, 1e-300)
     np.log(log, out=log)
-    lattice *= log  # x ln x, with 0 ln 0 = 0 as in _xlogx
+    lattice *= log  # x ln x, with 0 ln 0 = 0
     del log
     return -kept_sums(lattice, q)
 
@@ -148,8 +149,17 @@ def sig_i(f: FunctionTable, mask: int) -> float:
 # ---------------------------------------------------------------------------
 # the multiplicative entropy functional and the KL-clue
 # ---------------------------------------------------------------------------
-def _xlogx(vals: np.ndarray) -> np.ndarray:
-    return np.where(vals > 0.0, vals * np.log(np.maximum(vals, 1e-300)), 0.0)
+def _entropy_gaps(vals: np.ndarray, mean: float) -> np.ndarray:
+    """v ln(v / mean) - v + mean for each v >= 0 (0 ln 0 = 0), mean > 0.
+
+    Every term is nonnegative, and under weights w with w @ vals = mean and
+    unit total they sum to E[v ln v] - mean ln mean without that difference's
+    cancellation: the ratio's log is log1p((v - mean) / mean), so a term near
+    v = mean carries rounding of the size of |v - mean|, not of v ln v.
+    """
+    gap = vals - mean
+    log = np.log1p(np.maximum(gap / mean, np.nextafter(-1.0, 0.0)))
+    return vals * log - gap
 
 
 @per_object
@@ -163,7 +173,7 @@ def ent_functional(f: FunctionTable) -> float:
     mean = expectation(f)
     if mean <= 0.0:
         raise DegenerateError("ent_functional needs E[f] > 0")
-    return float(f.space.config_weights() @ _xlogx(f.values)) - mean * np.log(mean)
+    return float(f.space.config_weights() @ _entropy_gaps(f.values, mean))
 
 
 def _require_nonnegative(f: FunctionTable, what: str):
@@ -173,8 +183,7 @@ def _require_nonnegative(f: FunctionTable, what: str):
 
 def _ent_of_marginal(f: FunctionTable, mask: int) -> float:
     vals, w = conditional_marginal(f, mask)
-    mean = float(w @ vals)
-    return float(w @ _xlogx(vals)) - mean * np.log(mean)
+    return float(w @ _entropy_gaps(vals, expectation(f)))
 
 
 def kl_clue(f: FunctionTable, mask: int) -> float:
@@ -190,11 +199,12 @@ def kl_clue(f: FunctionTable, mask: int) -> float:
 
 def kl_clue_all_subsets(f: FunctionTable) -> np.ndarray:
     """kl_clue(f, U) for every mask U, f >= 0.  With A the lattice of w f and
-    W = :func:`~cluekit.transforms.kept_weights`, Ent(E[f | U]) sums A ln(A / W)
-    over the kept slots of U.
+    W = :func:`~cluekit.transforms.kept_weights`, Ent(E[f | U]) sums
+    W times the entropy gap of A / W over the kept slots of U, the terms
+    that :func:`kl_clue` sums for one U.
 
     O(n (q+1)^n) time; holds two lattice-sized arrays at once (A and W,
-    then A and the copy that kept_sums folds).
+    then A and the copy that kept_sums folds) and block-sized temporaries.
     """
     require_varying(f)
     _require_nonnegative(f, "kl_clue")
@@ -203,17 +213,16 @@ def kl_clue_all_subsets(f: FunctionTable) -> np.ndarray:
         raise DegenerateError("constant function: KL clue undefined")
     space = f.space
     require_lattices(space, 2, "the KL clue of every subset")
-    w = space.config_weights()
-    a = keep_or_sum(w * f.values, space.q)
-    ratio = kept_weights(space.pi)
-    np.maximum(ratio, 1e-300, out=ratio)
-    np.divide(a, ratio, out=ratio)  # E[f | kept slots], 0 where A is 0
-    np.maximum(ratio, 1e-300, out=ratio)
-    np.log(ratio, out=ratio)
-    a *= ratio
-    del ratio
+    a = keep_or_sum(space.config_weights() * f.values, space.q)
+    weights = kept_weights(space.pi)
+    # E[f | kept slots]; A is 0 where W is 0
+    np.divide(a, weights, out=a, where=weights > 0.0)
     mean = expectation(f)
-    ent = kept_sums(a, space.q) - mean * np.log(mean)
+    for start in range(0, a.size, TABLE_BLOCK):
+        block = slice(start, start + TABLE_BLOCK)
+        a[block] = weights[block] * _entropy_gaps(a[block], mean)
+    del weights
+    ent = kept_sums(a, space.q)
     return np.minimum(np.maximum(ent, 0.0) / denom, 1.0)
 
 
