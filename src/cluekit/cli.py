@@ -6,12 +6,19 @@ outputs to CSV.  Exit codes: 0 ok, 1 verification failure, 2 parse error,
 3 guard violation, 4 degenerate function.  Randomized estimators always
 require an explicit ``--seed`` in [0, 2^64); their Monte Carlo chunks run in
 order in the calling thread, so results depend on the seed alone.
+
+A sweep (``spectrum``, ``clue --all-subsets``) has one entry per subset mask,
+in mask order, keyed by ``hex(mask)``: CSV rows, or a JSON object written in
+its place in the payload.  Both come from :func:`_mask_rows`, which formats
+each distinct value of a block once and gathers the block's rows from those
+strings by value label.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -33,41 +40,85 @@ from .fnio import load_function
 from .montecarlo import GENERATOR_ID, mc_clue
 
 SCHEMA = 1
-CSV_BLOCK = 1 << 16
+MASK_BLOCK = 1 << 16  # past the first block, keys share all but four hex digits
+
+
+class _ByMask:
+    """A vector indexed by subset mask, which :func:`_emit` writes in its
+    place as the JSON object ``{hex(mask): value}``."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
 
 
 def _emit(payload: dict):
-    # json.dumps takes the C encoder; json.dump would stream through Python
+    """Write the payload as one JSON line, the bytes of ``json.dumps``.  A
+    :class:`_ByMask` value is written by :func:`_mask_rows`, never built as
+    a dict; the other values go through the C encoder (``json.dump`` would
+    stream through Python), the whole payload at once when none is by mask."""
     payload = {"schema": SCHEMA, **payload}
-    sys.stdout.write(json.dumps(payload, default=_jsonable) + "\n")
+    write = sys.stdout.write
+    if not any(isinstance(value, _ByMask) for value in payload.values()):
+        write(json.dumps(payload, default=_jsonable) + "\n")
+        return
+    sep = "{"
+    for key, value in payload.items():
+        write(f"{sep}{json.dumps(key)}: ")
+        sep = ", "
+        if not isinstance(value, _ByMask):
+            write(json.dumps(value, default=_jsonable))
+            continue
+        # rows end with ', "', the start of the next key: the first row
+        # needs its opening quote, and the last row loses that end
+        last = ""
+        for block in _mask_rows(value.values, '": ', ', "', _json_float):
+            write(last or '{"')
+            last = block
+        write(last.removesuffix(', "') + "}" if last else "{}")
+    write("}\n")
 
 
 def _emit_csv(header: str, values: np.ndarray):
-    """One ``mask,value`` row per mask, written in blocks of CSV_BLOCK rows.
-
-    Each distinct value of a block is formatted once, and the block's rows
-    gather those strings.  Values are told apart by bit pattern, so 0.0 and
-    -0.0 keep their own text, and numbered by their first row, so the
-    strings are made and read in row order."""
-    values = np.ascontiguousarray(values, dtype=float)
+    """One ``mask,value`` row per mask, ``value`` spelled by ``repr``."""
     sys.stdout.write(header + "\n")
-    for start in range(0, len(values), CSV_BLOCK):
-        block = values[start:start + CSV_BLOCK]
-        _, label = np.unique(block.view(np.uint64), return_inverse=True)
-        first = np.full(label.max() + 1, len(block))
-        np.minimum.at(first, label, np.arange(len(block)))
-        first.sort()
-        rank = np.empty_like(first)
-        rank[label[first]] = np.arange(len(first))
-        texts = [f",{v!r}\n" for v in block[first].tolist()]
+    sys.stdout.writelines(_mask_rows(values, ",", "\n", repr))
+
+
+def _json_float(value: float) -> str:
+    """A float as ``json.dumps`` spells it."""
+    if math.isfinite(value):
+        return repr(value)
+    return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
+
+
+def _mask_rows(values: np.ndarray, sep: str, end: str, fmt):
+    """Yield the rows ``hex(mask) + sep + fmt(value) + end`` of a vector
+    indexed by mask, joined into one string per block of MASK_BLOCK rows.
+
+    Values are told apart by bit pattern, so 0.0 and -0.0 keep their own
+    text, and each distinct pattern of a block is formatted once.  Past the
+    first block, every key of a block is the prefix ``hex(start >> 16)``
+    plus four hex digits, from one suffix list made per call.  So that a
+    row takes two list slots, each text carries the prefix of the key after
+    it, and the block starts with its first key's prefix."""
+    values = np.ascontiguousarray(values, dtype=float)
+    suffixes = None
+    for start in range(0, len(values), MASK_BLOCK):
+        block = values[start:start + MASK_BLOCK]
+        patterns, label = np.unique(block.view(np.uint64), return_inverse=True)
+        texts = [sep + fmt(v) + end for v in patterns.view(float).tolist()]
+        if start == 0:
+            prefix, keys = "", list(map(hex, range(len(block))))
+        else:
+            if suffixes is None:
+                pairs = [f"{b:02x}" for b in range(256)]
+                suffixes = [high + low for high in pairs for low in pairs]
+            prefix, keys = hex(start >> 16), suffixes
         rows = [""] * (2 * len(block))
-        rows[::2] = map(hex, range(start, start + len(block)))
-        rows[1::2] = map(texts.__getitem__, rank[label].tolist())
-        sys.stdout.write("".join(rows))
-
-
-def _by_mask(values: np.ndarray) -> dict:
-    return dict(zip(map(hex, range(len(values))), values.tolist()))
+        rows[::2] = keys[:len(block)]
+        rows[1::2] = np.array([text + prefix for text in texts], dtype=object)[label].tolist()
+        rows[-1] = texts[label[-1]]
+        yield prefix + "".join(rows)
 
 
 def _jsonable(obj):
@@ -203,7 +254,7 @@ def _cmd_spectrum(args) -> int:
         {
             "fn": args.fn,
             "kind": kind,
-            "values": _by_mask(values),
+            "values": _ByMask(values),
             "level_weights": spectral.stability_profile(f).level_weights.tolist(),
             "marginals": spectral.spectral_marginals(dist).tolist(),
         }
@@ -218,7 +269,7 @@ def _cmd_clue(args) -> int:
         if args.csv:
             _emit_csv("mask,clue", values)
             return 0
-        _emit({"fn": args.fn, "clue": _by_mask(values)})
+        _emit({"fn": args.fn, "clue": _ByMask(values)})
         return 0
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     mask = _parse_subset(args.subset, f.n)

@@ -67,7 +67,9 @@ def clue_spectral(dist: RandomSetDistribution, mask: int) -> float:
 def clue_all_subsets_table(f: FunctionTable) -> np.ndarray:
     """clue(f | mask) for every mask, via subset weights (any product measure)."""
     var = _checked_variance(f)
-    return projected_variances(f) / var
+    values = projected_variances(f)
+    values /= var
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -138,10 +138,10 @@ def efron_stein_components(f: FunctionTable) -> np.ndarray:
 
 def projected_variances(f: FunctionTable) -> np.ndarray:
     """Var(E[f | S]) for every mask S: the subset-zeta of the squared weights
-    ||f_S||^2 with the constant component left out."""
+    ||f_S||^2 with the constant component left out, summed in place."""
     weights = efron_stein(f)
     weights[0] = 0.0
-    return subset_zeta(weights)
+    return subset_zeta(weights, out=weights)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def subset_zeta(values: np.ndarray) -> np.ndarray:
-    """Return g with g[T] = sum_{S subseteq T} values[S] (along axis 0)."""
-    out = np.array(values, dtype=float, copy=True)
+def subset_zeta(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Return g with g[T] = sum_{S subseteq T} values[S] (along axis 0).
+
+    ``out``, a C-contiguous float array of the same shape (``values`` itself
+    sums in place), takes g instead of a new array."""
+    if out is None:
+        out = np.array(values, dtype=float, copy=True)
+    elif out.dtype != float or out.shape != np.shape(values) or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float array shaped like values")
+    elif out is not values:
+        out[...] = values
     n = _bits(out.shape[0])
     tail = out[0].size if out.ndim > 1 else 1
     for v in range(n):

@@ -5,6 +5,11 @@ Sign conventions: dictator / parity / majority / asymmetric majority take
 values in {-1,+1}; the coordinate sum is integer valued; tribes is {0,1}.
 Thresholded families use strict inequality, so a sum landing exactly on the
 threshold maps to -1.
+
+The symmetric families (parity, sum, maj, amaj) depend on a configuration
+only through its count w of digits equal to 1, so each also has a count law,
+the n+1 values it takes at w = 0..n, and its dense table is that law
+gathered by popcount; the other families tabulate their evaluator.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionTable, table_from_digits, uniform_space
+from .core import TABLE_BLOCK, FunctionTable, table_from_digits, uniform_space
 from .errors import ParseError
 from .symmetry import (
     GroupAction,
@@ -22,6 +27,7 @@ from .symmetry import (
     symmetric_group_action,
     tribes_group,
 )
+from .transforms import popcounts
 
 
 @dataclass(frozen=True)
@@ -112,14 +118,43 @@ def composite_evaluator(m: int, t: int, shift: float):
     return evaluate
 
 
+def _count_law(evaluator_factory):
+    """The count law of a symmetric family whose first argument is n: its
+    evaluator on the n+1 digit rows w = 0..n, row w with w digits equal to 1,
+    so every value is the evaluator's own."""
+
+    def by_count(n: int, *rest) -> np.ndarray:
+        return evaluator_factory(n, *rest)(np.tri(n + 1, n, -1, dtype=np.uint8))
+
+    return by_count
+
+
 # ---------------------------------------------------------------------------
 # dense-table constructors with tagged symmetry groups
 # ---------------------------------------------------------------------------
 def _entry(head: str, args: tuple, evaluator=None) -> ZooEntry:
     family = FAMILIES[head]
     n = family.n(*args)
-    table = table_from_digits(uniform_space(n), evaluator or family.evaluator(*args))
+    space = uniform_space(n)
+    if family.by_count is None:
+        table = table_from_digits(space, evaluator or family.evaluator(*args))
+    else:
+        space.check_exact_guard()
+        table = FunctionTable(space, _gather_by_popcount(n, family.by_count(*args)))
     return ZooEntry(f"{head}:{','.join(map(str, args))}", n, table, family.action(*args))
+
+
+def _gather_by_popcount(n: int, by_count: np.ndarray) -> np.ndarray:
+    """The 2^n table ``by_count[popcount(i)]`` of a count law, in blocks of
+    TABLE_BLOCK rows that share their high bits: a block gathers from the
+    law shifted by its high bits' count, through the low bits' popcounts, so
+    no table-sized index array exists."""
+    low = popcounts(min(n, TABLE_BLOCK.bit_length() - 1))
+    values = np.empty(1 << n)
+    for b, block in enumerate(values.reshape(-1, len(low))):
+        # the indices are in range: "clip" only spares np.take a buffered copy
+        np.take(by_count[b.bit_count():], low, out=block, mode="clip")
+    return values
 
 
 def dictator(n: int, coord: int = 0) -> ZooEntry:
@@ -211,8 +246,8 @@ def find_a(n: int, target_influence: float) -> float:
 @dataclass(frozen=True)
 class Family:
     """One zoo family: spec form, argument types (trailing ones may take
-    ``defaults``), and n, evaluator and symmetry action as functions of the
-    parsed arguments."""
+    ``defaults``), and n, evaluator, symmetry action and, for the symmetric
+    families, count law as functions of the parsed arguments."""
 
     form: str
     types: tuple
@@ -220,16 +255,20 @@ class Family:
     evaluator: Callable
     action: Callable[..., GroupAction | None]
     defaults: tuple = ()
+    by_count: Callable[..., np.ndarray] | None = None
 
 
 FAMILIES = {
     "dictator": Family("dictator:n[,j]", (int, int), lambda n, j: n, dictator_evaluator,
                        lambda n, j: stabilizer_of(j, n), defaults=(0,)),
-    "parity": Family("parity:n", (int,), lambda n: n, parity_evaluator, symmetric_group_action),
-    "sum": Family("sum:n", (int,), lambda n: n, sum_evaluator, symmetric_group_action),
-    "maj": Family("maj:n", (int,), lambda n: n, majority_evaluator, symmetric_group_action),
+    "parity": Family("parity:n", (int,), lambda n: n, parity_evaluator, symmetric_group_action,
+                     by_count=_count_law(parity_evaluator)),
+    "sum": Family("sum:n", (int,), lambda n: n, sum_evaluator, symmetric_group_action,
+                  by_count=_count_law(sum_evaluator)),
+    "maj": Family("maj:n", (int,), lambda n: n, majority_evaluator, symmetric_group_action,
+                  by_count=_count_law(majority_evaluator)),
     "amaj": Family("amaj:n,a", (int, float), lambda n, a: n, asym_majority_evaluator,
-                   lambda n, a: symmetric_group_action(n)),
+                   lambda n, a: symmetric_group_action(n), by_count=_count_law(asym_majority_evaluator)),
     "tribes": Family("tribes:l,k", (int, int), lambda l, k: l * k, tribes_evaluator, tribes_group),
     "composite": Family("composite:m,t,a", (int, int, float), lambda m, t, a: m + t,
                         composite_evaluator, lambda m, t, a: None),

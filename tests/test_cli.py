@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cluekit import cli, spectral
-from cluekit.cli import _emit, _emit_csv, build_parser, main
+from cluekit.cli import _ByMask, _emit, _emit_csv, build_parser, main
 from cluekit.clue import clue_all_subsets_table
 from cluekit.core import FunctionTable, ProductSpace, biased_bits, uniform_space, variance
 from cluekit.fnio import load_function, table_from_dict
@@ -225,17 +225,62 @@ def _csv_cases():
         "signed-zeros": signed_zeros,
         # three blocks, the last one short, with values repeated across them
         "blocks": rng.integers(0, 5, (1 << 17) + 3) / 3.0,
+        # no row, one row, one full block, and one row past it
+        "rows-0": np.array([]),
+        "rows-1": np.array([-0.0]),
+        "rows-65536": rng.integers(0, 3, 1 << 16) - 1.0,
+        "rows-65537": rng.integers(0, 3, (1 << 16) + 1) - 1.0,
+        "specials": np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308,
+                              -np.nan, np.inf, 0.0]),
     }
 
 
-@pytest.mark.parametrize("case", ["maj9-clue", "all-distinct", "signed-zeros", "blocks"])
+def assert_same_text(got: str, expected: str):
+    """Equality of long outputs, reported at the first differing character
+    (pytest's own diff of megabyte strings would take minutes)."""
+    if got != expected:
+        at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+                  min(len(got), len(expected)))
+        near = slice(max(at - 30, 0), at + 30)
+        pytest.fail(f"lengths {len(got)}, {len(expected)}; first difference at {at}: "
+                    f"{got[near]!r} against {expected[near]!r}")
+
+
+CSV_CASES = ["maj9-clue", "all-distinct", "signed-zeros", "blocks", "rows-0", "rows-1",
+             "rows-65536", "rows-65537", "specials"]
+
+
+@pytest.mark.parametrize("case", CSV_CASES)
 def test_emit_csv_matches_one_row_per_mask(capsys, case):
     """Formatting each distinct value once gives the bytes of one f-string
     per row; 0.0 and -0.0 compare equal but print apart."""
     values = _csv_cases()[case]
     _emit_csv("mask,value", values)
-    out = capsys.readouterr().out
-    assert out == "mask,value\n" + "".join(f"{hex(m)},{v!r}\n" for m, v in enumerate(values.tolist()))
+    rows = "".join(f"{hex(m)},{v!r}\n" for m, v in enumerate(values.tolist()))
+    assert_same_text(capsys.readouterr().out, "mask,value\n" + rows)
+
+
+@pytest.mark.parametrize("case", CSV_CASES)
+def test_emit_by_mask_matches_json_dumps(capsys, case):
+    """A by-mask vector is written as the object json.dumps gives for the
+    dict {hex(mask): value}, NaN and infinities spelled as json spells them."""
+    values = _csv_cases()[case]
+    _emit({"fn": "f", "clue": _ByMask(values)})
+    by_mask = dict(zip(map(hex, range(len(values))), values.tolist()))
+    assert_same_text(capsys.readouterr().out, json.dumps({"schema": 1, "fn": "f", "clue": by_mask}) + "\n")
+
+
+def test_emit_writes_a_by_mask_vector_in_its_place(capsys):
+    """Keys before and after the vector keep their order and their json.dumps
+    bytes, numpy values included."""
+    values = spectral.walsh_hadamard(majority(5).table)
+    payload = {"fn": "maj:5", "kind": "coefficients", "values": _ByMask(values),
+               "level_weights": [0.0, 0.5, np.float64(0.25)], "marginals": np.array([0.2, 0.8]),
+               "ok": np.bool_(True)}
+    _emit(payload)
+    expected = {**payload, "values": dict(zip(map(hex, range(32)), values.tolist())),
+                "level_weights": [0.0, 0.5, 0.25], "marginals": [0.2, 0.8], "ok": True}
+    assert capsys.readouterr().out == json.dumps({"schema": 1, **expected}) + "\n"
 
 
 def test_game_command(capsys):

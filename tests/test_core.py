@@ -213,13 +213,16 @@ def test_exact_guard_blocks_large_tables():
     "bernoulli_sets(27, 0.3)",
     # a 2 GiB zoo table, refused before its block buffer exists
     "zoo.from_spec('sum:28')",
+    # a 1 GiB table of a count law, refused through the command line
+    "main(['analyze', '--fn', 'maj:27', '--subset', '0'])",
 ], ids=["clue-cli-joint-law", "materialized-components", "digit-matrix", "iclue-game-lattice",
-        "bernoulli-set-law", "zoo-table"])
+        "bernoulli-set-law", "zoo-table", "zoo-table-cli"])
 def test_over_budget_arrays_are_refused_before_allocation(code, tmp_path, run_python):
-    """Each request needs 1.4 GiB or more at once (one array, or the two
-    lattices of the information game), which a 2 GiB
-    address-space cap cannot hold beside the interpreter: it must be refused
-    (GuardError, exit 3) before allocation, never die of MemoryError."""
+    """Each request needs 1 GiB or more at once (one array, or the two
+    lattices of the information game), all but the 1 GiB table of maj:27
+    1.4 GiB or more, which a 2 GiB address-space cap cannot hold beside the
+    interpreter: it must be refused (GuardError, exit 3) before allocation,
+    never die of MemoryError."""
     path = tmp_path / "normal14.json"
     save_table(FunctionTable(uniform_space(14), np.random.default_rng(0).standard_normal(1 << 14)), path)
     path17 = tmp_path / "signs17.json"

@@ -12,7 +12,7 @@ from cluekit.infotheory import (
     mutual_information,
     mutual_information_all_subsets,
 )
-from cluekit.transforms import keep_or_sum, kept_sums
+from cluekit.transforms import keep_or_sum, kept_sums, subset_zeta
 
 
 def _space(n, q, seed, zero_atom=False):
@@ -65,6 +65,20 @@ def test_lattice_rejects_wrong_lengths():
         keep_or_sum(np.ones(6), 4)
     with pytest.raises(ValueError):
         kept_sums(np.ones(8), 2)
+
+
+def test_subset_zeta_into_out_matches_a_new_array():
+    values = np.random.default_rng(5).standard_normal((16, 3))
+    expected = subset_zeta(values)
+    np.testing.assert_allclose(expected[0b1010], values[[0, 0b10, 0b1000, 0b1010]].sum(axis=0))
+    buffer = np.empty_like(values)
+    assert subset_zeta(values, out=buffer) is buffer
+    assert buffer.tobytes() == expected.tobytes()
+    assert subset_zeta(values, out=values) is values
+    assert values.tobytes() == expected.tobytes()
+    for bad in (np.empty((16, 6))[:, ::2], np.empty((16, 3), dtype=np.float32), np.empty((8, 3))):
+        with pytest.raises(ValueError):
+            subset_zeta(expected, out=bad)
 
 
 @pytest.mark.parametrize("name", list(CASES))

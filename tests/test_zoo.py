@@ -309,6 +309,33 @@ def test_every_family_tabulates_its_evaluator(spec, malformed):
         evaluator_from_spec(malformed)
 
 
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 19])
+def test_count_law_tables_equal_the_evaluator_tables(n):
+    """Symmetric tables gathered from the count law are bitwise the tables
+    of their evaluators, below, at and past the 2^16-row block edge."""
+    specs = [f"parity:{n}", f"sum:{n}", f"amaj:{n},0.5", f"amaj:{n},-0.3"]
+    specs += [f"maj:{n}"] if n % 2 else []
+    for spec in specs:
+        _, evaluator = evaluator_from_spec(spec)
+        expected = table_from_digits(uniform_space(n), evaluator).values
+        assert from_spec(spec).table.values.tobytes() == expected.tobytes(), spec
+
+
+def test_count_laws_of_the_symmetric_families():
+    by_count = {head: family.by_count for head, family in FAMILIES.items()}
+    assert {head for head, law in by_count.items() if law is None} == {"dictator", "tribes", "composite"}
+    np.testing.assert_array_equal(by_count["parity"](4), [1.0, -1.0, 1.0, -1.0, 1.0])
+    np.testing.assert_array_equal(by_count["parity"](3), [-1.0, 1.0, -1.0, 1.0])
+    np.testing.assert_array_equal(by_count["sum"](3), [-3.0, -1.0, 1.0, 3.0])
+    np.testing.assert_array_equal(by_count["maj"](3), [-1.0, -1.0, 1.0, 1.0])
+    # threshold 0.5 sqrt(16) = 2 is the spin sum at w = 9: strict > gives -1
+    law = by_count["amaj"](16, 0.5)
+    assert law.shape == (17,) and law[9] == -1.0 and law[10] == 1.0
+    np.testing.assert_array_equal(law, np.where(np.arange(17) >= 10, 1.0, -1.0))
+    with pytest.raises(ValueError):
+        by_count["maj"](4)
+
+
 def test_from_spec_errors():
     with pytest.raises(ParseError):
         from_spec("nosuch:3")
