@@ -6,13 +6,25 @@ R^q that is orthonormal under pi_v: row 0 is the constant function, the
 others come from weighted Gram-Schmidt over e_{q-1}, ..., e_0, skipping
 zero-probability atoms.  Contracting axis v of a table with
 B_v diag(pi_v), for every v, gives the coefficients of the function in the
-product basis in O(n q^n); contracting with B_v^T inverts it (on the
-support).  A coefficient whose non-constant basis indices sit on the
-coordinates S belongs to the Efron-Stein component f_S, so ||f_S||^2 is the
-sum of those coefficients squared.  On uniform bits the basis is the Walsh
-basis and the coefficients are the character coefficients.  A table's
-coefficients are computed once and kept; the weights ||f_S||^2 are squared
-from them on each call, since on bits they are as long as the table.
+product basis; contracting with B_v^T inverts it (on the support).  A
+coefficient whose non-constant basis indices sit on the coordinates S
+belongs to the Efron-Stein component f_S, so ||f_S||^2 is the sum of those
+coefficients squared.  On uniform bits the basis is the Walsh basis and the
+coefficients are the character coefficients.  A table's coefficients are
+computed once and kept; the weights ||f_S||^2 are squared from them on each
+call, since on bits they are as long as the table.
+
+The contractions go in blocks of consecutive coordinates: one matrix
+product per block with the Kronecker square of its coordinates' matrices,
+at most BLOCK_ROWS rows (four coordinates on bits, two for q = 3 or 4, one
+above), as in blocked Walsh-Hadamard transforms (Johnson and Pueschel,
+ICASSP 2000).  A block of k coordinates costs q^k multiplications per
+entry where k single coordinates cost k q, but takes one product instead
+of k; on bits, where a single coordinate is a 2x2 product, the call count
+is what costs.  On uniform bits an integer-valued table, every zoo table
+among them, transforms exactly in either order; elsewhere the blocked sums
+differ from the per-coordinate ones by a few ulps of the largest
+coefficient.
 
 Squared weights with the empty set's dropped, normalized to a probability
 measure, form the spectral sample: a :class:`~cluekit.core.RandomSetDistribution`
@@ -69,24 +81,67 @@ def _gram_schmidt(pi: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _transform(space: ProductSpace, values: np.ndarray, inverse: bool = False) -> np.ndarray:
+# rows of the largest Kronecker square: 4 bits, 2 coordinates for q = 3 or 4
+BLOCK_ROWS = 16
+
+
+def _kron_squares(mats: np.ndarray) -> tuple:
+    """Kronecker squares of runs of consecutive matrices of an (n, q, q)
+    stack, the most coordinates a BLOCK_ROWS-row square holds per run (one
+    for q > 4); the higher coordinate is the more significant index."""
+    n, q = mats.shape[:2]
+    per = 1
+    while q ** (per + 1) <= BLOCK_ROWS:
+        per += 1
+    squares = []
+    for v in range(0, n, per):
+        square = mats[v]
+        for m in mats[v + 1 : v + per]:
+            k = len(square)
+            square = (m[:, None, :, None] * square[None, :, None, :]).reshape(q * k, q * k)
+        squares.append(square)
+    return tuple(squares)
+
+
+@per_object
+def _forward_squares(space: ProductSpace) -> tuple:
+    return _kron_squares(_bases(space) * space.pi[:, None, :])
+
+
+@per_object
+def _inverse_squares(space: ProductSpace) -> tuple:
+    return _kron_squares(_bases(space).transpose(0, 2, 1))
+
+
+def _transform(space: ProductSpace, values: np.ndarray, inverse: bool = False,
+               overwrite: bool = False) -> np.ndarray:
     """Product-basis coefficients of a table, indexed like configurations
     with basis index k in place of digit k; ``inverse`` maps coefficients
     back.  The last axis of ``values`` is transformed, leading axes ride
-    along.  The first contraction reads ``values`` in place; the others
-    alternate between two buffers."""
-    bases = _bases(space)
-    mats = bases.transpose(0, 2, 1) if inverse else bases * space.pi[:, None, :]
+    along.
+
+    Coordinates go in blocks of consecutive ones, each contracted at once
+    with the Kronecker square of their matrices (at most BLOCK_ROWS rows):
+    four coordinates per product on bits.  The first product reads
+    ``values`` in place; the others alternate between two buffers, and
+    ``overwrite`` lets a C-contiguous float ``values`` be the second.  On
+    uniform bits the squares hold +-2^-k (forward) or +-1 (inverse), so an
+    integer-valued table transforms exactly; elsewhere the blocks sum in
+    another order than one coordinate at a time, which moves results by a
+    few ulps of the largest coefficient."""
+    squares = _inverse_squares(space) if inverse else _forward_squares(space)
     src = np.asarray(values, dtype=float)
     dst = np.empty(src.shape)
-    lead, q = src.shape[:-1], space.q
-    # coordinate 0 is the fastest axis: one (q^(n-1), q) @ (q, q) product
-    np.matmul(src.reshape(lead + (-1, q)), mats[0].T, out=dst.reshape(lead + (-1, q)))
-    src = np.empty_like(dst) if space.n > 1 else None
-    for v in range(1, space.n):
+    lead, width = src.shape[:-1], len(squares[0])
+    # the fastest block: one (q^(n-k), q^k) @ (q^k, q^k) product
+    np.matmul(src.reshape(lead + (-1, width)), squares[0].T, out=dst.reshape(lead + (-1, width)))
+    if len(squares) > 1 and not (overwrite and src.flags.c_contiguous):
+        src = np.empty_like(dst)
+    for square in squares[1:]:
         src, dst = dst, src
-        shape = lead + (-1, q, q**v)
-        np.matmul(mats[v], src.reshape(shape), out=dst.reshape(shape))
+        shape = lead + (-1, len(square), width)
+        np.matmul(square, src.reshape(shape), out=dst.reshape(shape))
+        width *= len(square)
     return dst
 
 
@@ -133,7 +188,7 @@ def efron_stein_components(f: FunctionTable) -> np.ndarray:
     support = (space.digits() != 0) @ (1 << np.arange(space.n))
     split = np.zeros((1 << space.n, space.size))
     split[support, np.arange(space.size)] = _coefficients(f)
-    return _transform(space, split, inverse=True)
+    return _transform(space, split, inverse=True, overwrite=True)
 
 
 def projected_variances(f: FunctionTable) -> np.ndarray:

@@ -25,33 +25,46 @@ from __future__ import annotations
 import numpy as np
 
 
+# a row narrower than this runs as that many strided 1-D passes
+NARROW_ROW = 16
+
+
 def subset_zeta(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Return g with g[T] = sum_{S subseteq T} values[S] (along axis 0).
 
     ``out``, a C-contiguous float array of the same shape (``values`` itself
     sums in place), takes g instead of a new array."""
     if out is None:
-        out = np.array(values, dtype=float, copy=True)
+        out = np.array(values, dtype=float, order="C")
     elif out.dtype != float or out.shape != np.shape(values) or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous float array shaped like values")
     elif out is not values:
         out[...] = values
-    n = _bits(out.shape[0])
-    tail = out[0].size if out.ndim > 1 else 1
-    for v in range(n):
-        view = out.reshape(-1, 2, (1 << v) * tail)
-        view[:, 1, :] += view[:, 0, :]
-    return out
+    return _butterfly(out, np.add)
 
 
 def subset_mobius(values: np.ndarray) -> np.ndarray:
     """Inverse of :func:`subset_zeta`: f[S] = sum_{T subseteq S} (-1)^{|S\\T|} g[T]."""
-    out = np.array(values, dtype=float, copy=True)
+    return _butterfly(np.array(values, dtype=float, order="C"), np.subtract)
+
+
+def _butterfly(out: np.ndarray, op) -> np.ndarray:
+    """For every bit v of axis 0, in place: row T with bit v set becomes
+    op(row T, row T without bit v).  Bit v pairs runs of w = 2^v rows times
+    the trailing size; while w is below NARROW_ROW the pairs go as w strided
+    1-D passes over the flat array rather than (size / 2w) runs w wide."""
     n = _bits(out.shape[0])
     tail = out[0].size if out.ndim > 1 else 1
+    flat = out.reshape(-1)
     for v in range(n):
-        view = out.reshape(-1, 2, (1 << v) * tail)
-        view[:, 1, :] -= view[:, 0, :]
+        w = (1 << v) * tail
+        if w < NARROW_ROW:
+            for j in range(w):
+                upper = flat[w + j :: 2 * w]
+                op(upper, flat[j :: 2 * w], out=upper)
+        else:
+            view = out.reshape(-1, 2, w)
+            op(view[:, 1], view[:, 0], out=view[:, 1])
     return out
 
 

@@ -12,7 +12,7 @@ from cluekit.infotheory import (
     mutual_information,
     mutual_information_all_subsets,
 )
-from cluekit.transforms import keep_or_sum, kept_sums, subset_zeta
+from cluekit.transforms import keep_or_sum, kept_sums, subset_mobius, subset_zeta
 
 
 def _space(n, q, seed, zero_atom=False):
@@ -79,6 +79,31 @@ def test_subset_zeta_into_out_matches_a_new_array():
     for bad in (np.empty((16, 6))[:, ::2], np.empty((16, 3), dtype=np.float32), np.empty((8, 3))):
         with pytest.raises(ValueError):
             subset_zeta(expected, out=bad)
+
+
+def _per_axis_sweep(values: np.ndarray, sign: float) -> np.ndarray:
+    """Subset zeta (sign 1) or Moebius (sign -1) one bit at a time over
+    rows 2^v times the trailing size wide, however narrow."""
+    out = np.array(values, dtype=float)
+    for v in range(out.shape[0].bit_length() - 1):
+        view = out.reshape(-1, 2, (1 << v) * (out[0].size if out.ndim > 1 else 1))
+        view[:, 1, :] += sign * view[:, 0, :]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (1 << 9,), (1 << 6, 3), (1 << 5, 2, 2), (8, 16)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_subset_sweeps_give_the_per_axis_bits(shape):
+    """Rows narrower than NARROW_ROW go as strided 1-D passes: the same
+    additions, so the same bits, in place and with trailing axes."""
+    values = np.random.default_rng(len(shape)).standard_normal(shape)
+    zeta = _per_axis_sweep(values, 1.0)
+    assert subset_zeta(values).tobytes() == zeta.tobytes()
+    assert subset_mobius(values).tobytes() == _per_axis_sweep(values, -1.0).tobytes()
+    buffer = np.empty(shape)
+    assert subset_zeta(values, out=buffer) is buffer and buffer.tobytes() == zeta.tobytes()
+    assert subset_zeta(np.asfortranarray(values)).tobytes() == zeta.tobytes()
+    assert subset_mobius(np.asfortranarray(values)).tobytes() == _per_axis_sweep(values, -1.0).tobytes()
 
 
 @pytest.mark.parametrize("name", list(CASES))

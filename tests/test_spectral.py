@@ -423,19 +423,84 @@ def _copying_transform(space: ProductSpace, values: np.ndarray, inverse: bool = 
     return dst
 
 
-@pytest.mark.parametrize("space", [uniform_space(1), uniform_space(9), biased_bits(7, 0.3),
-                                   ProductSpace(4, 3, np.array([[0.2, 0.0, 0.8]] * 4))],
-                         ids=["n1", "uniform", "biased", "q3-zero-atom"])
+def _space_with_weights(q, n, zero_atom):
+    pi = np.random.default_rng(q * 10 + n).uniform(0.2, 1.0, size=(n, q))
+    if zero_atom:
+        pi[::2, 1] = 0.0
+    return ProductSpace(n, q, pi / pi.sum(axis=1, keepdims=True))
+
+
+TRANSFORM_SPACES = [
+    pytest.param(uniform_space(1), id="n1"),
+    pytest.param(uniform_space(9), id="uniform"),
+    pytest.param(biased_bits(7, 0.3), id="biased"),
+    pytest.param(ProductSpace(4, 3, np.array([[0.2, 0.0, 0.8]] * 4)), id="q3-zero-atom"),
+    *[pytest.param(uniform_space(n), id=f"uniform-n{n}") for n in (3, 4, 5, 8, 13)],
+    *[pytest.param(_space_with_weights(q, n, zero), id=f"q{q}-n{n}" + ("-zero-atom" if zero else ""))
+      for q in (2, 3, 4, 5) for n in (1, 3, 4, 5, 8, 9) for zero in (False, True)
+      if q**n <= 5**8],  # q = 5 takes one coordinate per block, as at n = 8
+]
+
+
+@pytest.mark.parametrize("space", TRANSFORM_SPACES)
 def test_transform_reads_its_input_in_place_with_the_same_bits(space):
+    """The transform against the per-coordinate sweep, forward and inverse,
+    on one table and on a stack of leading rows; the input is read in place
+    and left as it was.  On uniform bits every entry of a Kronecker square is
+    +-2^-k or +-1, so an integer-valued table gives the sweep's bits in any
+    summation order.  Elsewhere the blocks sum in another order than one
+    coordinate at a time: the coefficients may move by at most 8 eps of the
+    largest one."""
     rng = np.random.default_rng(5)
     values = rng.normal(size=space.size)
     values.setflags(write=False)
     kept = values.copy()
-    for inverse in (False, True):
-        assert np.array_equal(spectral._transform(space, values, inverse),
-                              _copying_transform(space, values, inverse))
-    stack = rng.normal(size=(3, space.size))
-    assert np.array_equal(spectral._transform(space, stack), _copying_transform(space, stack))
-    ints = rng.integers(0, 2, size=space.size)
-    assert np.array_equal(spectral._transform(space, ints), _copying_transform(space, ints))
+    ints = rng.integers(-40, 40, size=(2, space.size))
+    for x in (values, rng.normal(size=(3, space.size)), ints):
+        for inverse in (False, True):
+            expected = _copying_transform(space, x, inverse)
+            got = spectral._transform(space, x, inverse)
+            assert got.shape == expected.shape
+            if x is ints and space.is_uniform_binary:
+                assert np.array_equal(got, expected)
+            else:
+                assert np.abs(got - expected).max() <= 8 * np.finfo(float).eps * np.abs(expected).max()
     assert np.array_equal(values, kept)
+
+
+def test_transform_makes_one_product_per_block_of_coordinates(monkeypatch):
+    """maj:15 on bits goes in blocks of 4, 4, 4 and 3 coordinates: four
+    products where one coordinate at a time would make fifteen."""
+    f = majority(15).table
+    calls = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    spectral._transform(f.space, f.values)
+    assert len(calls) == 4
+
+
+def test_component_stack_is_transformed_in_its_own_buffer(run_python):
+    """efron_stein_components hands its fresh coefficient stack to the
+    inverse transform as the second buffer, so the call peaks at two
+    (2^n, q^n) arrays, not three.  At n = 11 a stack is 32 MB; the child
+    reads its own VmHWM before and after the call."""
+    out = run_python(
+        "import numpy as np\n"
+        "from cluekit.core import FunctionTable, uniform_space\n"
+        "from cluekit.spectral import _coefficients, efron_stein_components\n"
+        "def peak():\n"
+        "    return next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+        "                if line.startswith('VmHWM:'))\n"
+        "f = FunctionTable(uniform_space(11), np.random.default_rng(0).standard_normal(1 << 11))\n"
+        "_coefficients(f)\n"
+        "before = peak()\n"
+        "efron_stein_components(f)\n"
+        "print(peak() - before)")
+    assert out.returncode == 0, out.stderr
+    stack_kb = 8 * 4**11 // 1024
+    assert int(out.stdout) < 2.5 * stack_kb  # VmHWM is in kB

@@ -136,6 +136,8 @@ def _memoized_facts():
         "uniform-config-weights": f.space.config_weights,
         "product-config-weights": space.config_weights,
         "bases": lambda: spectral._bases(space),
+        "forward-squares": lambda: spectral._forward_squares(space),
+        "inverse-squares": lambda: spectral._inverse_squares(space),
         "walsh-hadamard": lambda: spectral.walsh_hadamard(f),
         "q3-coefficients": lambda: spectral._coefficients(g),
         "shapley": lambda: games.shapley(game),
@@ -150,10 +152,11 @@ def _memoized_facts():
 def test_memoized_facts_are_kept_and_read_only(fact):
     first = fact()
     assert fact() is first
-    if isinstance(first, np.ndarray):
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0] = 0.0
+    for part in first if isinstance(first, tuple) else (first,):
+        if isinstance(part, np.ndarray):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 0.0
 
 
 def test_efron_stein_weights_are_fresh_squares_of_the_kept_coefficients():
