@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="shapley,supermod,core")
     p.add_argument("--action", default=None,
                    help="group spec for the bound check: cyclic:n, symmetric:n, "
-                        "tribes:l,k, torus:n, or @perms.json")
+                        "tribes:l,k, torus:n, or @perms.json listing its generators")
     p.set_defaults(func=_cmd_game)
 
     p = sub.add_parser("perco", help="percolation crossings and torus bounds")

@@ -27,17 +27,17 @@ Memory has one rule: :func:`require_bytes` refuses (GuardError) any array of
 at least :data:`BYTE_BUDGET` bytes before it is allocated.  Every
 :class:`FunctionTable` (8 q^n bytes) is checked, and engines check each larger
 array they build; the all-subsets routes check, with :func:`require_lattices`,
-every keep-or-sum-out lattice they hold at once.  The one other gate bounds
-time: ``symmetry.CLOSURE_CAP``.
+every keep-or-sum-out lattice they hold at once.  The budget is the only gate:
+groups are handled through their generators and never list their elements.
 
-Per-object facts have one rule too: tables, spaces, groups and games are
-frozen, so what depends on one alone (a table's moments, value law and
-product-basis coefficients, a space's weights and bases, a group's elements,
-a game's Shapley values and supermodularity) is computed on first use, kept
-read-only in the object's private cache through :func:`per_object`, and
-touched by no other module.  A cached entry never holds its object: that
-would be a reference cycle, and the object would wait for the cyclic garbage
-collector instead of going when its last user does.
+Per-object facts have one rule too: tables, spaces and games are frozen, so
+what depends on one alone (a table's moments, value law and product-basis
+coefficients, a space's weights and bases, a game's Shapley values and
+supermodularity) is computed on first use, kept read-only in the object's
+private cache through :func:`per_object`, and touched by no other module.  A
+cached entry never holds its object: that would be a reference cycle, and the
+object would wait for the cyclic garbage collector instead of going when its
+last user does.
 """
 from __future__ import annotations
 

@@ -282,11 +282,11 @@ def torus_lr_values(torus: TorusSpec, open_matrix: np.ndarray) -> np.ndarray:
     return _moved_lr_values(torus, open_matrix, [np.arange(torus.edge_count)])[0]
 
 
-def torus_lr_evaluator(torus: TorusSpec, translations=None):
+def torus_lr_evaluator(torus: TorusSpec):
     """Batch evaluator over torus edge digit matrices (digit 1 = open): the
-    +-1 crossing value or, given edge permutations, its mean over the moved
-    copies.  Sums of +-1 are exact, so their order cannot move the mean."""
-    perms = [np.arange(torus.edge_count)] if translations is None else translations
+    mean of the +-1 crossing value over the n^2 translated copies.  Sums of
+    +-1 are exact, so their order cannot move the mean."""
+    perms = torus.translations()
 
     def evaluate(digits):
         return _moved_lr_values(torus, digits.astype(bool), perms).sum(axis=0) / len(perms)
@@ -341,7 +341,7 @@ def averaged_crossing_clue_bound(
         return AveragedClueReport(value, bound, None, value <= bound + EXACT_BOUND_TOL)
     if seed is None:
         raise ValueError("Monte Carlo regime needs a seed")
-    averaged = torus_lr_evaluator(torus, torus.translations())
+    averaged = torus_lr_evaluator(torus)
     est = mc_clue(averaged, uniform_space(torus.edge_count), mask, mc_outer, mc_inner, seed)
     if est.stderr is None:
         raise ValueError(f"mc_outer={mc_outer} leaves {est.batches} batch: no error bar "

@@ -593,10 +593,10 @@ def revealment_suite() -> tuple[dict, list]:
             if gap > 1e-10 or identity_err > 1e-10 or fiber_err > 1e-10:
                 violations.append({"n": n, "p": p, "gap": gap, "identity_err": identity_err,
                                    "fiber_err": fiber_err})
-        cyc = symmetry.cyclic_group(n)
+        rotations = [[(v + k) % n for v in range(n)] for k in range(n)]
         for _ in range(4):
             mask = int(rng.integers(1, 1 << n))
-            dist = translate_sets(mask, cyc.elements(), n)
+            dist = translate_sets(mask, rotations, n)
             ec = expected_clue(f, dist)
             gap = ec - revealment(dist)
             fiber_err = abs(ec - float(dist.probs @ fiber))
@@ -805,14 +805,11 @@ def montecarlo_suite() -> tuple[dict, list]:
             violations.append({"case": name, "problem": "corrected mean off", **details[name]})
         if bias < 3 * bias_sem:
             violations.append({"case": name, "problem": "nesting bias not detected", **details[name]})
-    runs = [
-        mc_clue(zoo.sum_evaluator(16), sp16, 0b1111, 1500, 20, seed=SUITE_SEED, threads=k)
-        for k in (1, 2, 8)
-    ]
+    runs = [mc_clue(zoo.sum_evaluator(16), sp16, 0b1111, 1500, 20, seed=SUITE_SEED) for _ in range(2)]
     deterministic = all(
         r.estimate == runs[0].estimate and r.stderr == runs[0].stderr for r in runs
     )
-    details["thread_determinism"] = deterministic
+    details["seed_determinism"] = deterministic
     if not deterministic:
         violations.append({"case": "determinism", "estimates": [r.estimate for r in runs]})
     return details, violations

@@ -1,97 +1,60 @@
-"""Coordinate permutation groups: invariance and transitivity checks, and
-the averaging operator that symmetrizes a function.
+"""Coordinate permutation groups, given by generating sets: invariance and
+transitivity checks, and the averaging operator that symmetrizes a function.
 
 A permutation gamma maps coordinate v to gamma[v].  It acts on configurations
 by relocating values, (gamma.w)_{gamma(v)} = w_v, and on functions by
 (gamma.f)(w) = f(gamma^{-1}.w); a function is invariant when every group
 element fixes it.  Invariance under a generating set implies invariance
-under the whole group, so checks run over generators.
+under the whole group, and the orbits of the generated group are those of
+its generators, so both hypotheses of a transitive-function bound are
+checked on generators and no group element is ever listed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionTable, per_object, permute
-from .errors import GuardError
+from .core import FunctionTable, permute
 
-CLOSURE_CAP = 10**6
 INVARIANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class GroupAction:
-    """Permutation group on [n], stored as explicit element tuples.
-
-    ``generators`` is the defining set (== elements when given explicitly);
-    ``elements`` is the full closure, computed once and capped at 10^6.
-    """
+    """The permutation group on [n] generated by ``generators``, each checked
+    to be a permutation.  A group with no generators is the trivial group."""
 
     n: int
     generators: tuple[tuple[int, ...], ...]
-    _explicit: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for perm in self.generators:
             _check_perm(perm, self.n)
-        object.__setattr__(self, "_cache", {})
-
-    @per_object
-    def elements(self) -> tuple[tuple[int, ...], ...]:
-        if self._explicit is not None:
-            return self._explicit
-        return _closure(self.generators, self.n)
-
-    def __len__(self):
-        return len(self.elements())
 
 
 def _check_perm(perm: tuple[int, ...], n: int):
-    if len(perm) != n or sorted(perm) != list(range(n)):
+    integers = all(isinstance(v, (int, np.integer)) for v in perm)
+    if not integers or len(perm) != n or sorted(perm) != list(range(n)):
         raise ValueError(f"{perm} is not a permutation of range({n})")
-
-
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """(a after b): v -> a[b[v]]."""
-    return tuple(a[b[v]] for v in range(len(a)))
-
-
-def _closure(generators, n) -> tuple[tuple[int, ...], ...]:
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for elem in frontier:
-            for gen in generators:
-                composed = _compose(gen, elem)
-                if composed not in seen:
-                    seen.add(composed)
-                    nxt.append(composed)
-                    if len(seen) > CLOSURE_CAP:
-                        raise GuardError("group closure exceeds the 10^6 element cap")
-        frontier = nxt
-    return tuple(sorted(seen))
-
-
-def from_elements(perms, n: int) -> GroupAction:
-    """Build from an explicit element list; verifies identity and closure."""
-    elems = tuple(tuple(p) for p in perms)
-    for p in elems:
-        _check_perm(p, n)
-    elem_set = set(elems)
-    if tuple(range(n)) not in elem_set:
-        raise ValueError("element list must contain the identity")
-    for a in elems:
-        for b in elems:
-            if _compose(a, b) not in elem_set:
-                raise ValueError("element list is not closed under composition")
-    return GroupAction(n, elems, _explicit=elems)
 
 
 def from_generators(gens, n: int) -> GroupAction:
     return GroupAction(n, tuple(tuple(g) for g in gens))
+
+
+def _swap_and_cycle(coords: list[int], n: int) -> list[tuple[int, ...]]:
+    """Permutations of [n] generating every shuffle of ``coords``: the swap of
+    its first two and the cycle coords[i] -> coords[i + 1] through all of
+    them; none when fewer than two coordinates move."""
+    if len(coords) < 2:
+        return []
+    swap = list(range(n))
+    swap[coords[0]], swap[coords[1]] = coords[1], coords[0]
+    cycle = list(range(n))
+    for i, v in enumerate(coords):
+        cycle[v] = coords[(i + 1) % len(coords)]
+    return [tuple(swap), tuple(cycle)]
 
 
 # -- stock groups ------------------------------------------------------------
@@ -101,48 +64,20 @@ def cyclic_group(n: int) -> GroupAction:
 
 
 def symmetric_group_action(n: int) -> GroupAction:
-    """Full symmetric group via its two standard generators (closure gated)."""
-    gens = []
-    if n >= 2:
-        swap = list(range(n))
-        swap[0], swap[1] = swap[1], swap[0]
-        gens.append(tuple(swap))
-        gens.append(tuple((v + 1) % n for v in range(n)))
-    else:
-        gens.append((0,))
-    return from_generators(gens, n)
+    """Full symmetric group via its two standard generators."""
+    return from_generators(_swap_and_cycle(list(range(n)), n), n)
 
 
 def stabilizer_of(coord: int, n: int) -> GroupAction:
     """All permutations fixing one coordinate, via generators on the rest."""
-    others = [v for v in range(n) if v != coord]
-    gens = []
-    if len(others) >= 2:
-        swap = list(range(n))
-        swap[others[0]], swap[others[1]] = swap[others[1]], swap[others[0]]
-        gens.append(tuple(swap))
-        cycle = list(range(n))
-        for i, v in enumerate(others):
-            cycle[v] = others[(i + 1) % len(others)]
-        gens.append(tuple(cycle))
-    else:
-        gens.append(tuple(range(n)))
-    return from_generators(gens, n)
+    return from_generators(_swap_and_cycle([v for v in range(n) if v != coord], n), n)
 
 
 def tribes_group(tribe_size: int, tribe_count: int) -> GroupAction:
     """Permutations preserving the tribe partition: within-tribe shuffles plus
     tribe swaps (transitive on the l*k coordinates)."""
     n = tribe_size * tribe_count
-    gens = []
-    if tribe_size >= 2:
-        swap = list(range(n))
-        swap[0], swap[1] = swap[1], swap[0]
-        gens.append(tuple(swap))
-        cycle = list(range(n))
-        for i in range(tribe_size):
-            cycle[i] = (i + 1) % tribe_size
-        gens.append(tuple(cycle))
+    gens = _swap_and_cycle(list(range(tribe_size)), n)
     if tribe_count >= 2:
         block = list(range(n))
         for i in range(tribe_size):
@@ -150,8 +85,6 @@ def tribes_group(tribe_size: int, tribe_count: int) -> GroupAction:
         gens.append(tuple(block))
         rotate = [(v + tribe_size) % n for v in range(n)]
         gens.append(tuple(rotate))
-    if not gens:
-        gens.append(tuple(range(n)))
     return from_generators(gens, n)
 
 
@@ -204,7 +137,8 @@ def average(f: FunctionTable, elements) -> FunctionTable:
 def group_from_spec(text: str) -> GroupAction:
     """Group mini-language used by the CLI: ``cyclic:n``, ``symmetric:n``,
     ``tribes:l,k``, ``torus:n`` (translations acting on the 2n^2 edges), or
-    ``@file.json`` holding an explicit list of permutations."""
+    ``@file.json`` holding a non-empty list of permutations, read as
+    generators: the group they generate need not be listed whole."""
     from .errors import ParseError
 
     text = text.strip()
@@ -214,8 +148,10 @@ def group_from_spec(text: str) -> GroupAction:
 
         try:
             perms = json.loads(Path(text[1:]).read_text())
-            return from_elements([tuple(p) for p in perms], len(perms[0]))
-        except (OSError, ValueError, IndexError, TypeError) as exc:
+            if not isinstance(perms, list) or not perms:
+                raise ValueError("expected a non-empty list of permutations")
+            return from_generators(perms, len(perms[0]))
+        except (OSError, ValueError, TypeError) as exc:
             raise ParseError(f"bad permutation list file '{text[1:]}': {exc}") from exc
     head, _, tail = text.partition(":")
     try:

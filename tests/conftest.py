@@ -20,11 +20,30 @@ def save_table(f, path):
     Path(path).write_text(json.dumps(table_dict(f)))
 
 
+def group_elements(action) -> list[tuple[int, ...]]:
+    """Every element of the group generated by ``action.generators``, sorted:
+    a breadth-first closure from the identity, for groups small enough to
+    list."""
+    identity = tuple(range(action.n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for elem in frontier:
+            for gen in action.generators:
+                composed = tuple(gen[v] for v in elem)  # gen after elem
+                if composed not in seen:
+                    seen.add(composed)
+                    nxt.append(composed)
+        frontier = nxt
+    return sorted(seen)
+
+
 def subset_orbit_union(mask: int, group, n: int) -> int:
     """Union of the images of a coordinate subset under a group's elements."""
     validate_mask(mask, n)
     out = 0
-    for perm in group.elements():
+    for perm in group_elements(group):
         out |= mask_image(mask, perm)
     return out
 

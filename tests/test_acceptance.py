@@ -119,7 +119,7 @@ def test_criterion_10_monte_carlo_calibration():
         stats = rep.details[case]
         assert abs(stats["mean"] - 0.25) <= 3 * stats["sem"]
         assert stats["nesting_bias"] > 0.0
-    assert rep.details["thread_determinism"] is True
+    assert rep.details["seed_determinism"] is True
 
 
 def test_criterion_11_finite_size_surrogates():

@@ -1,11 +1,12 @@
 """Only ``core`` reads or writes the private caches of frozen objects.
 
-Facts of a table, a space, a group or a game are kept through one
-decorator, ``core.per_object``, so every cached array is frozen the same
-way and no module invents its own cache key.  Any other module of
-``src/cluekit`` that accesses an attribute named ``_cache``, or names it in
-a ``getattr``-style call, fails this test; a constructor that creates the
-empty cache with ``object.__setattr__(self, "_cache", {})`` is allowed.
+Facts of a table, a space or a game are kept through one decorator,
+``core.per_object``, so every cached array is frozen the same way and no
+module invents its own cache key; a group is its generating set and keeps no
+cache.  Any other module of ``src/cluekit`` that accesses an attribute named
+``_cache``, or names it in a ``getattr``-style call, fails this test; a
+constructor that creates the empty cache with
+``object.__setattr__(self, "_cache", {})`` is allowed.
 """
 import ast
 from pathlib import Path

@@ -318,6 +318,30 @@ def test_game_with_explicit_action(capsys, tmp_path):
     assert payload["transitive_bound"]["holds"] is True
 
 
+def _game_bound_with_action_file(capsys, tmp_path, perms):
+    path = tmp_path / "perms.json"
+    path.write_text(json.dumps(perms))
+    return run_cli(capsys, "game", "--fn", "maj:3", "--checks", "bound", "--action", f"@{path}")
+
+
+def test_game_bound_reads_an_action_file_as_generators(capsys, tmp_path):
+    listed = _game_bound_with_action_file(capsys, tmp_path, [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    generated = _game_bound_with_action_file(capsys, tmp_path, [[1, 2, 0]])
+    assert listed[0] == generated[0] == 0
+    assert generated[2] == listed[2]
+    assert generated[1]["transitive_bound"] == {"holds": True, "max_violation": 0.0}
+    # a swap alone generates a group that is not transitive on 3 coordinates
+    code, payload, _ = _game_bound_with_action_file(capsys, tmp_path, [[1, 0, 2]])
+    assert code == 2 and payload["error"].startswith("hypotheses not met")
+
+
+@pytest.mark.parametrize("perms", [[[1, 2, 0], [0, 0, 1]], []], ids=["not-a-permutation", "empty"])
+def test_game_bound_refuses_a_bad_action_file(capsys, tmp_path, perms):
+    code, payload, _ = _game_bound_with_action_file(capsys, tmp_path, perms)
+    assert code == 2
+    assert payload["error"].startswith("bad permutation list file")
+
+
 def test_game_bound_refuses_an_action_on_another_number_of_coordinates(capsys):
     code, payload, _ = run_cli(capsys, "game", "--fn", "maj:5", "--checks", "bound", "--action", "cyclic:3")
     assert code == 2

@@ -41,6 +41,7 @@ from cluekit.suites import PROJECTION_TOL, _projection_bounds
 from cluekit.symmetry import cyclic_group
 from cluekit.transforms import popcounts
 from cluekit.zoo import dictator, majority, parity, sum_function, tribes
+from conftest import group_elements
 
 
 def test_clue_sum_is_exactly_proportional():
@@ -174,7 +175,7 @@ def test_expected_clue_translate_bound():
     rng = np.random.default_rng(2)
     n = 7
     f = FunctionTable(uniform_space(n), rng.standard_normal(1 << n))
-    cyc = cyclic_group(n).elements()
+    cyc = group_elements(cyclic_group(n))
     for _ in range(10):
         mask = int(rng.integers(1, 1 << n))
         dist = translate_sets(mask, cyc, n)

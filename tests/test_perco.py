@@ -155,16 +155,6 @@ def test_translate_disagreement_reports_interval():
     assert est.estimate > 0.0
 
 
-def test_perco_mc_ignores_thread_count(monkeypatch):
-    rect = RectangleSpec(4, 3)
-    runs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("CLUEKIT_THREADS", threads)
-        runs.append((crossing_probability_mc(rect, 40_000, seed=5),
-                     translate_disagreement(3, (1, 0), 20_000, seed=5)))
-    assert runs[0] == runs[1]
-
-
 def test_one_chunk_crossing_mc_is_the_seed_stream():
     # chunk 0 gives edge e the bits of raw words e*w .. e*w+w-1 of the seed's
     # stream 0, w = ceil(samples / 64), least significant bit first
@@ -219,7 +209,13 @@ def test_torus_evaluator_matches_oracle():
     digits = generator_for(12, 0).integers(0, 2, (300, torus.edge_count))
     rect_rows = digits.astype(bool)[:, torus.rect_edge_sources()]
     expected = np.where(_oracle(torus.rectangle(), rect_rows), 1.0, -1.0)
-    np.testing.assert_array_equal(torus_lr_evaluator(torus)(digits), expected)
+    np.testing.assert_array_equal(torus_lr_values(torus, digits.astype(bool)), expected)
+    # the evaluator averages the crossing over the moved copies, row k of a
+    # copy reading open_matrix[:, perm]
+    rows = digits[:40].astype(bool)
+    copies = [np.where(_oracle(torus.rectangle(), rows[:, list(perm)][:, torus.rect_edge_sources()]), 1.0, -1.0)
+              for perm in torus.translations()]
+    np.testing.assert_array_equal(torus_lr_evaluator(torus)(digits[:40]), np.mean(copies, axis=0))
 
 
 def test_kernel_does_not_depend_on_layout():

@@ -7,20 +7,20 @@ from cluekit.perco import TorusSpec
 from cluekit.symmetry import (
     average,
     cyclic_group,
-    from_elements,
     from_generators,
     is_invariant,
     is_transitive,
     orbits,
+    stabilizer_of,
     symmetric_group_action,
     tribes_group,
 )
 from cluekit.zoo import dictator, majority, sum_function, tribes
-from conftest import subset_orbit_union
+from conftest import group_elements, subset_orbit_union
 
 
 def trivial_group(n: int):
-    return from_elements([tuple(range(n))], n)
+    return from_generators([], n)
 
 
 def test_invariance_examples():
@@ -32,7 +32,7 @@ def test_invariance_examples():
 def test_invariance_under_full_group_elements():
     grp = tribes_group(2, 2)
     f = tribes(2, 2).table
-    for perm in grp.elements():
+    for perm in group_elements(grp):
         moved = permute(f.values, f.space, perm)
         np.testing.assert_array_equal(moved, f.values)
 
@@ -49,18 +49,47 @@ def test_transitivity_examples():
 
 def test_tribes_group_is_transitive():
     assert is_transitive(tribes_group(3, 4))
-    assert len(tribes_group(2, 2).elements()) == 8  # (2!)^2 * 2!
+
+
+@pytest.mark.parametrize("group, order", [
+    pytest.param(tribes_group(2, 2), 8, id="tribes-2,2"),  # (2!)^2 * 2!
+    pytest.param(tribes_group(1, 3), 6, id="tribes-1,3"),
+    pytest.param(tribes_group(3, 1), 6, id="tribes-3,1"),
+    pytest.param(stabilizer_of(0, 4), 6, id="stabilizer-0,4"),
+    pytest.param(stabilizer_of(2, 4), 6, id="stabilizer-2,4"),
+    pytest.param(symmetric_group_action(4), 24, id="symmetric-4"),
+    pytest.param(symmetric_group_action(2), 2, id="symmetric-2"),
+    pytest.param(cyclic_group(5), 5, id="cyclic-5"),
+])
+def test_stock_groups_generate_their_order(group, order):
+    assert len(group_elements(group)) == order
+
+
+@pytest.mark.parametrize("group", [
+    pytest.param(symmetric_group_action(1), id="symmetric-1"),
+    pytest.param(stabilizer_of(0, 1), id="stabilizer-0,1"),
+    pytest.param(stabilizer_of(1, 2), id="stabilizer-1,2"),
+    pytest.param(tribes_group(1, 1), id="tribes-1,1"),
+])
+def test_groups_moving_fewer_than_two_coordinates_have_no_generators(group):
+    assert group.generators == ()
+    assert group_elements(group) == [tuple(range(group.n))]
+
+
+def test_symmetric_generators_are_swap_then_cycle():
+    assert symmetric_group_action(4).generators == ((1, 0, 2, 3), (1, 2, 3, 0))
+    assert stabilizer_of(1, 4).generators == ((2, 1, 0, 3), (2, 1, 3, 0))
 
 
 def test_average_fixes_invariant_function():
     f = majority(3).table
-    avg = average(f, cyclic_group(3).elements())
+    avg = average(f, group_elements(cyclic_group(3)))
     np.testing.assert_allclose(avg.values, f.values, atol=1e-14)
 
 
 def test_average_symmetrizes_dictator():
     n = 4
-    avg = average(dictator(n, 0).table, symmetric_group_action(n).elements())
+    avg = average(dictator(n, 0).table, group_elements(symmetric_group_action(n)))
     expected = sum_function(n).table.values / n
     np.testing.assert_allclose(avg.values, expected, atol=1e-12)
 
@@ -69,8 +98,8 @@ def test_average_idempotent_and_contracts_variance():
     rng = np.random.default_rng(0)
     f = FunctionTable(uniform_space(5), rng.standard_normal(32))
     grp = cyclic_group(5)
-    once = average(f, grp.elements())
-    twice = average(once, grp.elements())
+    once = average(f, group_elements(grp))
+    twice = average(once, group_elements(grp))
     np.testing.assert_allclose(once.values, twice.values, atol=1e-12)
     assert variance(once) <= variance(f) + 1e-12
     assert expectation(once) == pytest.approx(expectation(f), abs=1e-12)
@@ -84,19 +113,6 @@ def test_subset_orbit_union_examples():
     grp = torus.translation_group()
     union = subset_orbit_union(1 << torus.h_edge(0, 0), grp, torus.edge_count)
     assert union.bit_count() == 9
-
-
-def test_from_elements_requires_closure():
-    shift = (1, 2, 0)
-    with pytest.raises(ValueError):
-        from_elements([(0, 1, 2), shift], 3)  # missing shift^2
-    grp = from_elements([(0, 1, 2), (1, 2, 0), (2, 0, 1)], 3)
-    assert len(grp.elements()) == 3
-
-
-def test_from_elements_requires_identity():
-    with pytest.raises(ValueError):
-        from_elements([(1, 2, 0), (2, 0, 1)], 3)
 
 
 def test_bad_permutation_rejected():
@@ -140,12 +156,33 @@ def test_group_from_spec_explicit_file(tmp_path):
 
     from cluekit.symmetry import group_from_spec
 
-    perms = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    for perms in ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], [[1, 2, 0]]):
+        path = tmp_path / "perms.json"
+        path.write_text(json.dumps(perms))
+        grp = group_from_spec(f"@{path}")
+        assert grp.generators == tuple(tuple(p) for p in perms)
+        assert group_elements(grp) == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+        assert is_transitive(grp)
+
+
+@pytest.mark.parametrize("perms", [
+    pytest.param([[0, 0, 1]], id="not-a-permutation"),
+    pytest.param([[1.0, 2.0, 0.0]], id="floats"),
+    pytest.param([[0, 1, 2], [1, 2]], id="two-lengths"),
+    pytest.param([], id="empty"),
+    pytest.param({"0": [0, 1]}, id="object"),
+    pytest.param(3, id="number"),
+])
+def test_group_from_spec_refuses_a_bad_permutation_list(tmp_path, perms):
+    import json
+
+    from cluekit.errors import ParseError
+    from cluekit.symmetry import group_from_spec
+
     path = tmp_path / "perms.json"
     path.write_text(json.dumps(perms))
-    grp = group_from_spec(f"@{path}")
-    assert len(grp.elements()) == 3
-    assert is_transitive(grp)
+    with pytest.raises(ParseError):
+        group_from_spec(f"@{path}")
 
 
 def test_translate_table_orientation_composes():

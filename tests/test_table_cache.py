@@ -2,10 +2,10 @@
 
 The cached values must equal a first computation on a copied table and the
 plain formulas they replace; cached arrays are read-only and a second call
-returns the same object, for tables, spaces, groups and games; a
-full-metric ``analyze`` groups the values once and never sorts for a
-Boolean check; ``game`` computes the Shapley values and the second
-differences once; and an object's cache never keeps the object alive.
+returns the same object, for tables, spaces and games; a full-metric
+``analyze`` groups the values once and never sorts for a Boolean check;
+``game`` computes the Shapley values and the second differences once; and an
+object's cache never keeps the object alive.
 """
 import gc
 import io
@@ -18,7 +18,7 @@ import pytest
 from cluekit import cli, clue, core, games, infotheory, spectral
 from cluekit.core import FunctionTable, ProductSpace, biased_bits, uniform_space
 from cluekit.errors import DegenerateError
-from cluekit.symmetry import GroupAction, cyclic_group, group_from_spec
+from cluekit.symmetry import GroupAction
 from cluekit.zoo import from_spec
 from conftest import save_table
 
@@ -126,8 +126,7 @@ def test_cached_arrays_are_read_only():
 
 def _memoized_facts():
     """A zero-argument call for every array or tuple kept through
-    per_object on a space, a table, a group or a game, with its name as the
-    test id."""
+    per_object on a space, a table or a game, with its name as the test id."""
     space = ProductSpace(3, 3, np.array([[0.2, 0.0, 0.8], [0.5, 0.25, 0.25], [0.1, 0.6, 0.3]]))
     f = from_spec("maj:7").table
     g = FunctionTable(space, np.arange(27.0))
@@ -142,8 +141,6 @@ def _memoized_facts():
         "q3-coefficients": lambda: spectral._coefficients(g),
         "shapley": lambda: games.shapley(game),
         "is-supermodular": lambda: games.is_supermodular(game),
-        "elements": cyclic_group(7).elements,
-        "explicit-elements": group_from_spec("symmetric:3").elements,
     }
     return [pytest.param(fact, id=name) for name, fact in facts.items()]
 
@@ -275,8 +272,8 @@ def _analyze(spec, metrics):
                  id="game-maj:9-bound"),
 ])
 def test_tables_of_a_job_are_freed_without_the_cycle_collector(argv, tables, others, tmp_path, monkeypatch):
-    """Tables, games and groups all keep caches; none of them may wait for
-    the cyclic garbage collector."""
+    """Tables and games keep caches, and a group is made alongside them; none
+    of them may wait for the cyclic garbage collector."""
     if argv[2].endswith(".json"):
         argv = argv[:2] + [str(tmp_path / argv[2])] + argv[3:]
         save_table(_zero_one(), argv[2])
