@@ -322,11 +322,17 @@ class FunctionTable:
         return FunctionTable(self.space, (self.values + 1.0) / 2.0)
 
     def evaluator(self):
-        """Batch evaluator digits->(values), for the Monte Carlo engine."""
-        values, place = self.values, self.space.q ** np.arange(self.n)
+        """Batch evaluator digits->(values), for the Monte Carlo engine.  The
+        configuration index is built by Horner's rule in uint32, which holds
+        every index of a table below the byte budget."""
+        values, q, n = self.values, self.space.q, self.n
 
         def evaluate(digits: np.ndarray) -> np.ndarray:
-            return values[digits.astype(np.int64) @ place]
+            index = digits[:, n - 1].astype(np.uint32)
+            for v in range(n - 2, -1, -1):
+                index *= q
+                index += digits[:, v]
+            return values.take(index)
 
         return evaluate
 

@@ -35,8 +35,10 @@ GENERATOR_ID names this stream; every estimate reports it.
 Digits are drawn as contiguous (coordinates, rows) matrices, and
 :func:`mc_clue` scatters them into an (n, rows) buffer, one coordinate's
 digits per contiguous row.  Evaluators get its transpose, a column-major
-(rows, n) matrix, so their reductions over coordinates add contiguous
-vectors.
+(rows, n) uint8 matrix of 0/1 digits (q-ary digits off q = 2), so their
+reductions over coordinates add contiguous vectors; the zoo evaluators
+count those digits in uint8 (uint16 from 256 coordinates) without widening
+the matrix.
 
 Error bars come from batch means (:func:`batch_stderr`) over the batches
 holding at least 2 rows.  Below 2 such batches (for instance n_outer <= 256
@@ -117,20 +119,34 @@ class McEstimate:
 
 
 def _cut_points(breakpoints) -> np.ndarray:
-    """ceil(c * 2^53) for each breakpoint c, as uint64: a raw word w gives a
-    double at or above c exactly when w >> 11 reaches it."""
-    return np.ceil(np.asarray(breakpoints, dtype=float) * CUT_SCALE).astype(np.uint64)
+    """ceil(c * 2^53) for each breakpoint c, at most 2^53, as uint64: a raw
+    word w gives a double at or above c exactly when w >> 11 reaches it, and
+    no word reaches a breakpoint at or above 1."""
+    return np.minimum(np.ceil(np.asarray(breakpoints, dtype=float) * CUT_SCALE), CUT_SCALE).astype(np.uint64)
 
 
 def _cut_digits(rng, cuts: np.ndarray, rows: int) -> np.ndarray:
     """(len(cuts), rows) uint8 digits from one raw word each, drawn in
     (rows, len(cuts)) order: digit j of a row counts the cut points
-    ``cuts[j]`` at or below its word >> 11."""
-    words = rng.bit_generator.random_raw(rows * len(cuts)).reshape(rows, len(cuts)) >> 11
-    high = np.ascontiguousarray(words.T)
-    digits = np.zeros(high.shape, dtype=np.uint8)
-    for b in range(cuts.shape[1]):
-        digits += high >= cuts[:, b, None]
+    ``cuts[j]`` at or below its word >> 11.
+
+    The words are compared where they were drawn, read through their
+    transpose, so each comparison writes one coordinate's digits
+    contiguously and no word is shifted: w >> 11 reaches a cut c < 2^53
+    exactly when w reaches c << 11.  With more than one cut point per
+    coordinate the words are first copied into coordinate order, so that
+    the later comparisons do not read them strided again.  A cut of 2^53 is
+    reached by no word, but its shifted limit wraps to 0, which every word
+    reaches, so those counts are taken back at the end."""
+    words = rng.bit_generator.random_raw(rows * len(cuts)).reshape(rows, len(cuts)).T
+    if cuts.shape[1] > 1:
+        words = np.ascontiguousarray(words)
+    limits = cuts << 11
+    digits = np.greater_equal(words, limits[:, :1], order="C").view(np.uint8)
+    for b in range(1, cuts.shape[1]):
+        digits += np.greater_equal(words, limits[:, b, None], order="C").view(np.uint8)
+    if cuts.max() >> 53:
+        digits -= (cuts >> 53).sum(axis=1, dtype=np.uint8)[:, None]
     return digits
 
 
@@ -238,7 +254,8 @@ def mc_clue(
             columns[outside] = sample_digits(space, outside, rows * m_inner, rng)
         values = np.asarray(evaluator(columns.T), dtype=float).reshape(rows, m_inner)
         fiber_means = values.mean(axis=1)
-        within_ss = float(np.sum((values - fiber_means[:, None]) ** 2))
+        deviations = values - fiber_means[:, None]
+        within_ss = float(np.sum(np.multiply(deviations, deviations, out=deviations)))
         return [rows, fiber_means.sum(), float(fiber_means @ fiber_means), within_ss]
 
     stats = run_chunks(sample, n_outer, seed)

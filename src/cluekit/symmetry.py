@@ -155,17 +155,20 @@ def group_from_spec(text: str) -> GroupAction:
             raise ParseError(f"bad permutation list file '{text[1:]}': {exc}") from exc
     head, _, tail = text.partition(":")
     try:
+        if head in ("cyclic", "symmetric", "tribes", "torus"):
+            sizes = [int(tok) for tok in tail.split(",")]
+            if min(sizes) < 1:
+                raise ValueError("group sizes must be at least 1")
         if head == "cyclic":
-            return cyclic_group(int(tail))
+            return cyclic_group(*sizes)
         if head == "symmetric":
-            return symmetric_group_action(int(tail))
+            return symmetric_group_action(*sizes)
         if head == "tribes":
-            l, k = (int(tok) for tok in tail.split(","))
-            return tribes_group(l, k)
+            return tribes_group(*sizes)
         if head == "torus":
             from .perco import TorusSpec
 
-            return TorusSpec(int(tail)).translation_group()
+            return TorusSpec(*sizes).translation_group()
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad group spec '{text}'") from exc
     raise ParseError(f"unknown group spec '{text}' (cyclic:n, symmetric:n, tribes:l,k, torus:n, @file)")

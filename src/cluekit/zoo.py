@@ -10,6 +10,11 @@ The symmetric families (parity, sum, maj, amaj) depend on a configuration
 only through its count w of digits equal to 1, so each also has a count law,
 the n+1 values it takes at w = 0..n, and its dense table is that law
 gathered by popcount; the other families tabulate their evaluator.
+
+Evaluators only ever see 0/1 uint8 digits (every zoo space is uniform
+bits), so they count ones without widening the digit matrix, take tribes as
+bitwise and/or reductions, and map a flag to +-1 as ``flag * 2.0 - 1.0``
+(np.where on two scalars costs several times as much).
 """
 from __future__ import annotations
 
@@ -38,11 +43,26 @@ class ZooEntry:
     action: GroupAction | None
 
 
+def _digit_count(digits: np.ndarray) -> np.ndarray:
+    """Row counts of the ones of a 0/1 uint8 digit matrix, summed in the
+    narrowest unsigned type that holds the column count n: uint8 below 256
+    columns, then uint16, then uint32.  n itself fits that type, so ``n -
+    count`` cannot wrap; ``2 * count`` can."""
+    n = digits.shape[1]
+    dtype = np.uint8 if n < 1 << 8 else np.uint16 if n < 1 << 16 else np.uint32
+    return digits.sum(axis=1, dtype=dtype)
+
+
 def _spin_sum(digits: np.ndarray) -> np.ndarray:
-    """Row sums of the +-1 spins of a uint8 digit matrix, without widening
-    the matrix: 2 (digit sum) - (column count).  int32 holds the digit sum of
-    fewer than 2^23 columns."""
-    return 2 * digits.sum(axis=1, dtype=np.int32) - digits.shape[1]
+    """Row sums of the +-1 spins of a 0/1 digit matrix, as floats:
+    2 (digit count) - (column count), exact below 2^53 columns."""
+    return 2.0 * _digit_count(digits) - digits.shape[1]
+
+
+def _tribes(digits: np.ndarray, tribe_size: int, tribe_count: int) -> np.ndarray:
+    """uint8 row flags: some tribe of consecutive columns is all ones."""
+    grouped = digits.reshape(len(digits), tribe_count, tribe_size)
+    return np.bitwise_or.reduce(np.bitwise_and.reduce(grouped, axis=2), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -63,14 +83,14 @@ def dictator_evaluator(n: int, coord: int):
 def parity_evaluator(n: int):
     def evaluate(digits):
         # the product of the spins is -1 to the number of 0 digits
-        return 1.0 - 2.0 * ((n - digits.sum(axis=1, dtype=np.int32)) & 1)
+        return 1.0 - 2.0 * ((n - _digit_count(digits)) & 1)
 
     return evaluate
 
 
 def sum_evaluator(n: int):
     def evaluate(digits):
-        return _spin_sum(digits).astype(float)
+        return _spin_sum(digits)
 
     return evaluate
 
@@ -80,7 +100,8 @@ def majority_evaluator(n: int):
         raise ValueError("majority needs an odd number of coordinates")
 
     def evaluate(digits):
-        return np.sign(_spin_sum(digits)).astype(float)
+        # n odd: the spin sum 2w - n is positive exactly when w > n // 2
+        return (_digit_count(digits) > n // 2) * 2.0 - 1.0
 
     return evaluate
 
@@ -89,15 +110,14 @@ def asym_majority_evaluator(n: int, shift: float):
     threshold = shift * math.sqrt(n)
 
     def evaluate(digits):
-        return np.where(_spin_sum(digits) > threshold, 1.0, -1.0)
+        return (_spin_sum(digits) > threshold) * 2.0 - 1.0
 
     return evaluate
 
 
 def tribes_evaluator(tribe_size: int, tribe_count: int):
     def evaluate(digits):
-        grouped = digits.reshape(len(digits), tribe_count, tribe_size)
-        return np.any(np.all(grouped == 1, axis=2), axis=1).astype(float)
+        return _tribes(digits, tribe_size, tribe_count).astype(float)
 
     return evaluate
 
@@ -106,14 +126,11 @@ def composite_evaluator(m: int, t: int, shift: float):
     """Asymmetric majority on the first m coordinates, with the sign of the
     shift steered by a tribes function on the remaining t coordinates."""
     l = balanced_tribe_size(t)
-    tribes_part = tribes_evaluator(l, t // l)
     up = shift * math.sqrt(m)
 
     def evaluate(digits):
-        s = _spin_sum(digits[:, :m])
-        steer = tribes_part(digits[:, m:])
-        threshold = np.where(steer == 1.0, up, -up)
-        return np.where(s > threshold, 1.0, -1.0)
+        steer = _tribes(digits[:, m:], l, t // l) * 2.0 - 1.0
+        return (_spin_sum(digits[:, :m]) > steer * up) * 2.0 - 1.0
 
     return evaluate
 

@@ -348,6 +348,14 @@ def test_game_bound_refuses_an_action_on_another_number_of_coordinates(capsys):
     assert payload["error"] == "group acts on 3 coordinates but the function has 5"
 
 
+@pytest.mark.parametrize("spec", ["cyclic:0", "symmetric:-1", "tribes:0,3", "tribes:2,0", "tribes:2,-1",
+                                  "torus:-1", "cyclic:3,1", "tribes:3"])
+def test_game_bound_refuses_a_group_spec_off_its_sizes(capsys, spec):
+    code, payload, _ = run_cli(capsys, "game", "--fn", "maj:3", "--checks", "bound", "--action", spec)
+    assert code == 2
+    assert payload["error"] == f"bad group spec '{spec}'"
+
+
 def test_analyze_refuses_a_malformed_bernoulli_probability(capsys):
     code, payload, _ = run_cli(capsys, "analyze", "--fn", "maj:5", "--subset", "bernoulli:0.3:junk")
     assert code == 2
@@ -447,6 +455,24 @@ def test_mc_clue_output_is_pinned(capsys, argv, expected):
     code, _, out = run_cli(capsys, "mc-clue", *argv)
     assert code == 0
     assert out == expected
+
+
+def test_mc_clue_on_a_biased_table_file_is_pinned(capsys, tmp_path):
+    """A 0/1 table on 12 biased bits, the shape of the monte_carlo
+    benchmark's table jobs, sampled by the cut rule; stdout recorded while
+    the table evaluator indexed through int64 digits."""
+    gen = np.random.default_rng(12)
+    p = gen.uniform(0.25, 0.75, size=12)
+    table = FunctionTable(ProductSpace(12, 2, np.stack([1 - p, p], axis=1)),
+                          gen.integers(0, 2, size=2**12).astype(float))
+    path = tmp_path / "mc12.json"
+    save_table(table, path)
+    code, _, out = run_cli(capsys, "mc-clue", "--fn", str(path), "--subset", "0,2,3,7,11", "--seed", "43")
+    assert code == 0
+    assert out.replace(str(path), "<table>") == (
+        '{"schema": 1, "fn": "<table>", "subset": [0, 2, 3, 7, 11], "estimate": 0.015113756379986838, '
+        '"stderr": 0.0017904551516566168, "batches": 8, "outer": 2000, "inner": 50, "seed": 43, '
+        '"generator": "philox4x64/splitmix64/bits64", "clamped": false}\n')
 
 
 SEED_ARGV = {

@@ -192,10 +192,12 @@ def test_estimators_run_in_the_calling_thread(monkeypatch):
 STABILITY_PINS = [
     ("sum:40", 0.3, 20_000, 17, ("0x1.2e43a1bfdef3dp-2", "0x1.bbd637ee15aacp-8")),
     ("maj:31", 0.7, 20_000, 23, ("0x1.03fc125d5983bp-1", "0x1.710995976c6f5p-8")),
+    # recorded while the zoo evaluators summed digits in int32
+    ("parity:12", 0.8, 20_000, 41, ("0x1.159be3356d28bp-4", "0x1.aa4d20248441dp-8")),
 ]
 
 
-@pytest.mark.parametrize("spec, p, samples, seed, pins", STABILITY_PINS, ids=["sum40", "maj31"])
+@pytest.mark.parametrize("spec, p, samples, seed, pins", STABILITY_PINS, ids=["sum40", "maj31", "parity12"])
 def test_mc_stability_is_pinned(spec, p, samples, seed, pins):
     n, ev = evaluator_from_spec(spec)
     est = mc_stability(ev, n, p, samples, seed)
@@ -239,6 +241,10 @@ SAMPLING_SPACES = {
     "q=4": ProductSpace(5, 4, np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25],
                                         [0.0, 0.5, 0.0, 0.5], [0.7, 0.1, 0.1, 0.1],
                                         [0.4, 0.3, 0.3, 0.0]])),
+    # rows summing to 1 within tolerance put breakpoints just above 1
+    "cdf above 1 q=3": ProductSpace(5, 3, np.array([[0.6, 0.4 + 1e-13, 0.0], [0.5, 0.5, 0.0],
+                                                    [0.3, 0.7 + 5e-13, 0.0], [0.2, 0.3, 0.5],
+                                                    [1.0 + 1e-13, 0.0, 0.0]])),
 }
 
 
@@ -257,7 +263,7 @@ def _words_around_the_cuts(cdf):
         if cut < 1 << 53:
             words.add(cut << 11)
         if cut > 0:
-            words.add(((cut - 1) << 11) | 0x7FF)
+            words.add((min(cut - 1, (1 << 53) - 1) << 11) | 0x7FF)
     return np.array(sorted(words), dtype=np.uint64)
 
 
@@ -312,8 +318,9 @@ def test_fair_digits_are_fair():
     assert np.all(np.abs(shares - 0.5) <= 6 * 0.5 / np.sqrt(rows))
 
 
-# q=3 with zero atoms and biased bits: no benchmark job samples off q=2.
-# Hex floats recorded before the digit matrices became column-major.
+# q=3 with zero atoms and biased bits, both drawn by the cut rule, as the
+# biased 12-bit table jobs of the monte_carlo benchmark are.  Hex floats
+# recorded before the digit matrices became column-major.
 OFF_Q2_PINS = [
     (ZERO_ATOM_Q3, 13, 0b00101, 600, 8, 5,
      ("0x1.7bbbcdc398a00p-6", "0x1.bce90943ef4f8p-9", "0x1.29888a8164b18p-3")),
@@ -328,6 +335,30 @@ def test_mc_clue_off_q2_is_pinned(case, threads):
     space, modulus, mask, outer, inner, seed, pins = OFF_Q2_PINS[case]
     table = FunctionTable(space, (np.arange(space.size) * 7919 % modulus).astype(float))
     est = mc_clue(table.evaluator(), space, mask, outer, inner, seed, threads=threads)
+    assert (est.estimate.hex(), est.stderr.hex(), est.uncorrected.hex()) == pins
+    assert est.batches == 3 and not est.clamped
+
+
+# (spec, mask, outer, inner, seed) -> (estimate, stderr, uncorrected) as hex,
+# recorded while the zoo evaluators summed digits in int32 and tribes
+# compared them with 1
+ZOO_MC_CLUE_PINS = [
+    ("tribes:4,5", 0b10101010101010101010, 600, 8, 31,
+     ("0x1.8440c9c7ec128p-3", "0x1.f52470e2ddb79p-7", "0x1.29dc584777481p-2")),
+    ("composite:20,16,0.5", (1 << 18) - 1, 600, 8, 32,
+     ("0x1.e1f047ad430bap-2", "0x1.f81cf5856d6c6p-6", "0x1.12d91f5bcd552p-1")),
+    ("amaj:21,0.5", 0b101010101010101010101, 600, 8, 33,
+     ("0x1.7959f5f66d07dp-2", "0x1.843129f9570dcp-7", "0x1.ca2eb7379f66dp-2")),
+    ("sum:76", int("1011" * 19, 2), 600, 8, 34,
+     ("0x1.8b50c03467ea9p-1", "0x1.1be9473763baap-7", "0x1.99e6a82ddaed3p-1")),
+]
+
+
+@pytest.mark.parametrize("spec, mask, outer, inner, seed, pins", ZOO_MC_CLUE_PINS,
+                         ids=["tribes4x5", "composite20+16", "amaj21", "sum76"])
+def test_mc_clue_on_zoo_evaluators_is_pinned(spec, mask, outer, inner, seed, pins):
+    n, ev = evaluator_from_spec(spec)
+    est = mc_clue(ev, uniform_space(n), mask, outer, inner, seed)
     assert (est.estimate.hex(), est.stderr.hex(), est.uncorrected.hex()) == pins
     assert est.batches == 3 and not est.clamped
 

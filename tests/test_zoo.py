@@ -224,13 +224,15 @@ def reference_specs(n):
 
 def reference_digits(n):
     rng = np.random.default_rng(n)
-    # near-balanced rows put spin sums on the majority and shift thresholds
+    # near-balanced rows put spin sums on the majority and shift thresholds;
+    # all-ones rows count n ones, which wraps a uint8 count at n = 256
     return np.concatenate([rng.integers(0, 2, (300, n), dtype=np.uint8),
                            np.tile(np.arange(n, dtype=np.uint8) % 2, (5, 1)),
                            np.ones((2, n), dtype=np.uint8), np.zeros((2, n), dtype=np.uint8)])
 
 
-@pytest.mark.parametrize("n", [1, 2, 20, 33, 76])
+# 255, 256 and 257 put the digit count on either side of its uint8 limit
+@pytest.mark.parametrize("n", [1, 2, 20, 33, 76, 255, 256, 257])
 def test_evaluators_match_the_spin_reference(n):
     digits = reference_digits(n)
     for spec in reference_specs(n):
@@ -253,7 +255,7 @@ def assert_layout_free(evaluator, digits, what):
         assert got.tobytes() == c_order.tobytes(), what
 
 
-@pytest.mark.parametrize("n", [1, 2, 20, 33, 76])
+@pytest.mark.parametrize("n", [1, 2, 20, 33, 76, 256])
 def test_evaluators_do_not_depend_on_layout(n):
     digits = reference_digits(n)
     for spec in reference_specs(n):
@@ -267,6 +269,21 @@ def test_table_evaluator_does_not_depend_on_layout(space):
     table = FunctionTable(space, rng.normal(size=space.size))
     digits = rng.integers(0, space.q, (500, space.n), dtype=np.uint8)
     assert_layout_free(table.evaluator(), digits, space)
+
+
+@pytest.mark.parametrize("space", [biased_bits(12, 0.3), uniform_space(17), uniform_space(7, 3),
+                                   uniform_space(6, 4), uniform_space(1)],
+                         ids=["q=2", "17 bits", "q=3", "q=4", "n=1"])
+def test_table_evaluator_matches_the_place_value_index(space):
+    """Against the index as int64 digits dotted with the place values q^v;
+    the last rows take the highest index q^n - 1 and index 0."""
+    rng = np.random.default_rng(space.size)
+    table = FunctionTable(space, rng.normal(size=space.size))
+    digits = np.concatenate([rng.integers(0, space.q, (2000, space.n), dtype=np.uint8),
+                             np.full((1, space.n), space.q - 1, dtype=np.uint8),
+                             np.zeros((1, space.n), dtype=np.uint8)])
+    expected = table.values[digits.astype(np.int64) @ space.q ** np.arange(space.n)]
+    np.testing.assert_array_equal(table.evaluator()(np.asfortranarray(digits)), expected)
 
 
 @pytest.mark.parametrize("side", [2, 3, 4])
