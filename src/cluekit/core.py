@@ -16,12 +16,14 @@ Other modules reach this layout only through :func:`fibers`, :func:`extend`,
 :func:`permute` and the digit matrices that one private helper builds for
 :meth:`ProductSpace.digits` and :func:`table_from_digits`; the exceptions are
 the product-basis transform in :mod:`cluekit.spectral` and bit flips on binary
-indices.  The helper builds a digit matrix without division: it writes each
-column as runs of 0..q-1.  :func:`table_from_digits` evaluates blocks of
-q^k <= ``TABLE_BLOCK`` rows held column-major, each coordinate's digits
-contiguous: the k low digit columns are the same in every block and are built
-once, and each block only refills its n-k high columns, which are constant on
-it.
+indices.  The helper builds a digit matrix without division, and
+coordinate-major: each coordinate's digits are one contiguous row of runs of
+0..q-1, and the (q^n, n) matrix is that row stack's transpose.  Exact
+percolation enumerates its configurations from it, and the crossing kernel
+packs its contiguous rows directly.  :func:`table_from_digits` evaluates
+blocks of q^k <= ``TABLE_BLOCK`` rows held the same way: the k low digit
+columns are the same in every block and are built once, and each block only
+refills its n-k high columns, which are constant on it.
 
 Memory has one rule: :func:`require_bytes` refuses (GuardError) any array of
 at least :data:`BYTE_BUDGET` bytes before it is allocated.  Every
@@ -227,7 +229,8 @@ class ProductSpace:
 
     def digits(self) -> np.ndarray:
         """(q^n, n) uint8 matrix: digits()[c, v] is coordinate v of config c
-        (built on demand, not cached)."""
+        (built on demand, not cached).  It is coordinate-major, each
+        coordinate's digits contiguous: its transpose is C-contiguous."""
         return _block_digits(self.q, self.n)
 
     def tensor_shape(self) -> tuple[int, ...]:
@@ -338,13 +341,18 @@ class FunctionTable:
 
 
 def _block_digits(q: int, n: int) -> np.ndarray:
-    """(q^n, n) uint8 digits of every configuration of n coordinates, built
-    without division: column v is 0..q-1 repeated in runs of q^v rows."""
+    """(q^n, n) uint8 digits of every configuration of n coordinates, held
+    coordinate-major: the transpose of a C-contiguous (n, q^n) matrix whose
+    row v, coordinate v's digits, is 0..q-1 in runs of q^v.  It is built
+    without division by doubling blocks: the first q^(v+1) configurations
+    are q copies of the first q^v, with digit v constant on each copy."""
     require_bytes(8 * n * q**n, f"a {q}^{n}-row digit matrix")
-    out = np.empty((q**n, n), dtype=np.uint8)
+    out = np.empty((n, q**n), dtype=np.uint8)
     for v in range(n):
-        out[:, v].reshape(-1, q, q**v)[:] = np.arange(q, dtype=np.uint8)[:, None]
-    return out
+        grown = out[:v + 1, :q ** (v + 1)].reshape(v + 1, q, q**v)
+        grown[:v, 1:] = grown[:v, :1]
+        grown[v] = np.arange(q, dtype=np.uint8)[:, None]
+    return out.T
 
 
 def table_from_digits(space: ProductSpace, fn) -> FunctionTable:
@@ -356,8 +364,9 @@ def table_from_digits(space: ProductSpace, fn) -> FunctionTable:
     n-k high digits, so its k low digit columns are the same in every block:
     they are built once, and one reused buffer takes each block's constant
     high digits, with no division per row.  The buffer is (n, q^k), one
-    coordinate's digits per contiguous row, and ``fn`` gets its transpose: a
-    column-major (q^k, n) matrix."""
+    coordinate's digits per contiguous row, like the helper's own rows, which
+    fill its low rows; ``fn`` gets its transpose: a column-major (q^k, n)
+    matrix."""
     space.check_exact_guard()
     q, n = space.q, space.n
     k = 0

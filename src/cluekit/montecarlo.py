@@ -18,7 +18,9 @@ rather than reduced, so two seeds never alias one stream.  Child seeds of
 the Bernoulli estimator come from the same mix.
 
 One sampler, :func:`sample_digits`, turns a chunk's raw 64-bit Philox words
-into digits, by one of two rules:
+into digits.  An estimator builds its draw once per call, with whatever
+depends on the space and coordinates alone, and each chunk only draws.  Two
+rules:
 
 * fair spaces (q = 2, every coordinate (1/2, 1/2)): every bit of a
   counter-based generator's output word is an independent fair bit, so each
@@ -150,28 +152,36 @@ def _cut_digits(rng, cuts: np.ndarray, rows: int) -> np.ndarray:
     return digits
 
 
-def _coins(rng, p: float, coords: int, rows: int) -> np.ndarray:
-    """(coords, rows) bool, each True with probability p: digit 0 of the
-    cut rule on a (p, 1 - p) marginal, the draw ``rng.random() < p``."""
-    return _cut_digits(rng, _cut_points(np.full((coords, 1), p)), rows) == 0
+def _coins(p: float, coords: int):
+    """``coins(rng, rows)``: (coords, rows) bool, each True with probability
+    p: digit 0 of the cut rule on a (p, 1 - p) marginal, the draw
+    ``rng.random() < p``.  The cut points are built once, not per draw."""
+    cuts = _cut_points(np.full((coords, 1), p))
+    return lambda rng, rows: _cut_digits(rng, cuts, rows) == 0
 
 
-def sample_digits(space: ProductSpace, coords: list[int], rows: int, rng) -> np.ndarray:
-    """Contiguous (len(coords), rows) uint8 matrix of ``rows`` draws from the
-    product marginals: row j holds the digits of coordinate coords[j].
+def sample_digits(space: ProductSpace, coords: list[int]):
+    """``draw(rng, rows)``: a contiguous (len(coords), rows) uint8 matrix of
+    ``rows`` draws from the product marginals, row j the digits of
+    coordinate coords[j].  What depends on the space and the coordinates
+    alone, the cut points, is built here, not per draw.
 
     On a fair space coordinate j reads bits 0 .. rows-1, least significant
     first, of its own ceil(rows / 64) raw words.  On any other space every
     digit takes one raw word and counts its coordinate's cut points, which
     gives the digits ``rng.random((rows, len(coords)))`` compared with the
     interior cdf breakpoints would."""
-    if space.is_uniform_binary:
+    if not space.is_uniform_binary:
+        cuts = _cut_points(np.cumsum(space.pi[coords], axis=1)[:, :-1])
+        return lambda rng, rows: _cut_digits(rng, cuts, rows)
+
+    def draw(rng, rows: int) -> np.ndarray:
         words = -(-rows // WORD_BITS)
         raw = rng.bit_generator.random_raw(len(coords) * words).astype("<u8", copy=False)
         octets = raw.view(np.uint8).reshape(len(coords), words * 8)
         return np.unpackbits(octets, axis=1, count=rows, bitorder="little")
-    cdf = np.cumsum(space.pi[coords], axis=1)
-    return _cut_digits(rng, _cut_points(cdf[:, :-1]), rows)
+
+    return draw
 
 
 def _pairwise_sum(chunks: list[np.ndarray]) -> np.ndarray:
@@ -245,13 +255,14 @@ def mc_clue(
         raise ValueError("need n_outer >= 2 and m_inner >= 2")
     inside = mask_indices(mask)
     outside = [v for v in range(space.n) if v not in inside]
+    draw_inside, draw_outside = sample_digits(space, inside), sample_digits(space, outside)
 
     def sample(rng, rows: int) -> list[float]:
         columns = np.empty((space.n, rows * m_inner), dtype=np.uint8)
         if inside:
-            columns[inside] = np.repeat(sample_digits(space, inside, rows, rng), m_inner, axis=1)
+            columns[inside] = np.repeat(draw_inside(rng, rows), m_inner, axis=1)
         if outside:
-            columns[outside] = sample_digits(space, outside, rows * m_inner, rng)
+            columns[outside] = draw_outside(rng, rows * m_inner)
         values = np.asarray(evaluator(columns.T), dtype=float).reshape(rows, m_inner)
         fiber_means = values.mean(axis=1)
         deviations = values - fiber_means[:, None]
@@ -305,12 +316,12 @@ def mc_stability(
     if not 0.0 <= p <= 1.0:
         raise ValueError("noise level p must lie in [0, 1]")
 
-    fair, every = uniform_space(n), list(range(n))
+    draw, coins = sample_digits(uniform_space(n), list(range(n))), _coins(p, n)
 
     def sample(rng, rows: int) -> list[float]:
-        base = sample_digits(fair, every, rows, rng)
-        keep = _coins(rng, p, n, rows)
-        fresh = sample_digits(fair, every, rows, rng)
+        base = draw(rng, rows)
+        keep = coins(rng, rows)
+        fresh = draw(rng, rows)
         noisy = fresh ^ ((base ^ fresh) & keep.view(np.uint8))  # keep ? base : fresh on 0/1 bytes
         x = np.asarray(evaluator(base.T), dtype=float)
         y = np.asarray(evaluator(noisy.T), dtype=float)
@@ -355,11 +366,11 @@ def mc_expected_clue_bernoulli(
         raise ValueError("p must lie in [0, 1]")
     if n_sets < 1:
         raise ValueError("need n_sets >= 1")
-    mask_rng = generator_for(seed, 1 << 32)
+    mask_rng, coins = generator_for(seed, 1 << 32), _coins(p, space.n)
     estimates = []
     clamped = False
     for k in range(n_sets):
-        bits = _coins(mask_rng, p, space.n, 1)[:, 0]
+        bits = coins(mask_rng, 1)[:, 0]
         mask = int(sum(1 << v for v in range(space.n) if bits[v]))
         child_seed = _stream_key(seed, (1 << 33) + k)  # streams apart from the mask stream
         est = mc_clue(evaluator, space, mask, n_outer, m_inner, child_seed)

@@ -3,6 +3,11 @@ dual crossings, exact crossing probabilities by enumeration, the torus
 embedding of the crossing function, and the two-orbit clue bound for its
 translation average.
 
+Enumerations take their configurations from the digit matrix of the uniform
+binary space (:meth:`cluekit.core.ProductSpace.digits`), viewed as bool.  It
+is coordinate-major, so its transpose is the contiguous (edges, rows) array
+that the kernel packs, with no copy.
+
 Rectangle convention: ``w`` columns and ``h`` rows of vertices, horizontal
 edge (x,y)-(x+1,y) for x < w-1, vertical edge (x,y)-(x,y+1) for y < h-1.
 A crossing joins any leftmost vertex to any rightmost vertex (both boundary
@@ -23,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .clue import clue
-from .core import FunctionTable, extend, fits_budget, mask_from_indices, require_bytes, uniform_space
+from .core import FunctionTable, extend, fits_budget, mask_from_indices, uniform_space
 from .montecarlo import mc_clue, run_chunks, sample_digits
 from .symmetry import average, from_generators
 
@@ -161,14 +166,16 @@ def dual_crossing_batch(rect: RectangleSpec, open_matrix: np.ndarray) -> np.ndar
 
 
 def _all_configs(n_edges: int) -> np.ndarray:
-    idx = np.arange(1 << n_edges, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(n_edges)[None, :]) & 1).astype(bool)
+    """(2^n_edges, n_edges) bool matrix of every configuration, row c open on
+    the set bits of c: the uniform space's digit matrix, whose guard refuses
+    it from 23 edges on."""
+    return uniform_space(n_edges).digits().view(bool)
 
 
 def crossing_probability_exact(rect: RectangleSpec) -> Fraction:
-    """Exact crossing probability at p = 1/2 by full enumeration."""
+    """Exact crossing probability at p = 1/2 by full enumeration: one kernel
+    batch over the rows of the digit matrix of every configuration."""
     e = rect.edge_count
-    require_bytes(8 * e << e, f"the (2^{e}, {e}) int64 bit matrix of every configuration")
     hits = int(crossing_batch(rect, _all_configs(e)).sum())
     return Fraction(hits, 1 << e)
 
@@ -177,8 +184,8 @@ def _fair_edges(edge_count: int):
     """Draw of (rows, edge_count) bool matrices of open edges at p = 1/2: the
     transpose of the sampler's contiguous (edges, rows) digits, which is the
     layout the kernel packs."""
-    space, edges = uniform_space(edge_count), list(range(edge_count))
-    return lambda rng, rows: sample_digits(space, edges, rows, rng).T.view(bool)
+    draw = sample_digits(uniform_space(edge_count), list(range(edge_count)))
+    return lambda rng, rows: draw(rng, rows).T.view(bool)
 
 
 def crossing_probability_mc(rect: RectangleSpec, samples: int, seed: int) -> tuple[float, float]:
@@ -274,7 +281,7 @@ def _moved_lr_values(torus: TorusSpec, open_matrix: np.ndarray, perms) -> np.nda
     batch."""
     sources = np.asarray(perms)[:, torus.rect_edge_sources()]
     stacked = open_matrix.T[sources.T].reshape(sources.shape[1], -1).T
-    return np.where(crossing_batch(torus.rectangle(), stacked), 1.0, -1.0).reshape(len(sources), -1)
+    return (crossing_batch(torus.rectangle(), stacked) * 2.0 - 1.0).reshape(len(sources), -1)
 
 
 def torus_lr_values(torus: TorusSpec, open_matrix: np.ndarray) -> np.ndarray:
@@ -298,15 +305,16 @@ def torus_lr_table(torus: TorusSpec) -> FunctionTable:
     """Dense +-1 table over all 2^(2n^2) torus-edge configurations.
 
     Built by enumerating only the support edges and broadcasting: flipping a
-    non-support edge never changes the value.
+    non-support edge never changes the value.  The enumeration is held
+    edge-major, one contiguous row per torus edge, as the kernel reads it.
     """
     m = torus.edge_count
     space = uniform_space(m)
     space.check_exact_guard()  # before the support enumeration: 2^25 rows at side 4
     support = torus.support_edges()
-    open_support = np.zeros((1 << len(support), m), dtype=bool)
-    open_support[:, support] = _all_configs(len(support))
-    values = extend(torus_lr_values(torus, open_support), space, mask_from_indices(support, m))
+    open_support = np.zeros((m, 1 << len(support)), dtype=bool)
+    open_support[support] = _all_configs(len(support)).T
+    values = extend(torus_lr_values(torus, open_support.T), space, mask_from_indices(support, m))
     return FunctionTable(space, values)
 
 

@@ -389,6 +389,12 @@ def test_perco_stdout_is_pinned(capsys, argv, stdout):
     assert (code, out) == (0, stdout)
 
 
+def test_perco_exact_refuses_23_edges(capsys):
+    code, payload, _ = run_cli(capsys, "perco", "--rect", "24x1")
+    assert code == 3
+    assert "digit matrix" in payload["error"]
+
+
 def test_perco_mc_requires_seed(capsys):
     code, payload, _ = run_cli(capsys, "perco", "--rect", "4x3", "--mc", "1000")
     assert code == 2

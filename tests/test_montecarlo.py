@@ -290,7 +290,7 @@ def oracle_digits(space, coords, rows, rng):
 def test_sample_digits_match_the_breakpoint_oracle(name, coords):
     space = SAMPLING_SPACES[name]
     for rows in (1, 7, 63, 64, 65, 1000):
-        got = sample_digits(space, coords, rows, generator_for(3, rows))
+        got = sample_digits(space, coords)(generator_for(3, rows), rows)
         assert got.dtype == np.uint8 and got.shape == (len(coords), rows) and got.flags.c_contiguous
         np.testing.assert_array_equal(got, oracle_digits(space, coords, rows, generator_for(3, rows)))
         for j, v in enumerate(coords):
@@ -300,21 +300,21 @@ def test_sample_digits_match_the_breakpoint_oracle(name, coords):
     # words on either side of each cut point land on either side of its breakpoint
     cdf = np.cumsum(space.pi[coords], axis=1)
     words = np.repeat(_words_around_the_cuts(cdf), len(coords))
-    got = sample_digits(space, coords, len(words) // len(coords), _raw_words(words))
+    got = sample_digits(space, coords)(_raw_words(words), len(words) // len(coords))
     u = (words >> np.uint64(11)).astype(float).reshape(-1, len(coords)) / 2.0**53
     np.testing.assert_array_equal(got, breakpoint_digits(u, cdf).T)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 1 / 3, 0.5, 1.0])
 def test_coins_are_the_float_draws_below_p(p):
-    got = _coins(generator_for(4, 0), p, 7, 300)
+    got = _coins(p, 7)(generator_for(4, 0), 300)
     np.testing.assert_array_equal(got, (generator_for(4, 0).random((300, 7)) < p).T)
 
 
 def test_fair_digits_are_fair():
     # share of ones per coordinate within 6 sigma of 1/2 over 2^20 draws
     rows = 1 << 20
-    shares = sample_digits(uniform_space(8), list(range(8)), rows, generator_for(17, 0)).mean(axis=1)
+    shares = sample_digits(uniform_space(8), list(range(8)))(generator_for(17, 0), rows).mean(axis=1)
     assert np.all(np.abs(shares - 0.5) <= 6 * 0.5 / np.sqrt(rows))
 
 

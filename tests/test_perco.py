@@ -54,6 +54,22 @@ def test_dual_examples():
     assert dual_crossing_batch(rect, np.zeros((1, 7), dtype=bool))[0]
 
 
+def _shift_and_mask_configs(n_edges: int) -> np.ndarray:
+    """Row c open on the set bits of c, from an int64 arange shifted and
+    masked: the enumerator the digit matrix replaced, kept as its oracle."""
+    idx = np.arange(1 << n_edges, dtype=np.int64)
+    return ((idx[:, None] >> np.arange(n_edges)[None, :]) & 1).astype(bool)
+
+
+def test_enumeration_matches_shift_and_mask():
+    for e in range(1, 19):
+        configs = _all_configs(e)
+        assert configs.dtype == bool and configs.shape == (1 << e, e)
+        np.testing.assert_array_equal(configs, _shift_and_mask_configs(e))
+        # edge-major: the (edges, rows) array that _pack packs needs no copy
+        assert configs.T.flags.c_contiguous
+
+
 def test_duality_xor_exhaustive():
     rect = RectangleSpec(3, 2)
     configs = _all_configs(rect.edge_count)
@@ -73,9 +89,28 @@ def test_crossing_probability_guard():
 
 
 def test_exact_enumeration_refuses_23_edges():
-    # the (2^23, 23) int64 bit matrix of every configuration would take 1.44 GiB
-    with pytest.raises(GuardError):
+    # the digit matrix of every configuration is declared at 8 bytes a digit:
+    # 8 * 23 * 2^23 bytes, 1.44 GiB, as the int64 enumerator it replaced took
+    with pytest.raises(GuardError, match="digit matrix"):
         crossing_probability_exact(RectangleSpec(24, 1))
+
+
+def test_exact_enumeration_of_22_edges_is_pinned():
+    assert crossing_probability_exact(RectangleSpec(5, 3)) == Fraction(48449, 131072)
+
+
+def test_exact_5x3_enumerates_in_bounded_memory(run_python):
+    """``perco --rect 5x3`` enumerates 2^22 configurations: 88 MiB of digits,
+    viewed as bool and packed without a copy.  The int64 shift-and-mask
+    matrix alone took 704 MiB, and the command peaked at 856 MiB.  The child
+    reads its own peak, VmHWM (in kB), after the JSON line."""
+    out = run_python("from cluekit.cli import main; main(['perco', '--rect', '5x3'])\n"
+                     "print(next(line.split()[1] for line in open('/proc/self/status') "
+                     "if line.startswith('VmHWM:')))")
+    assert out.returncode == 0, out.stderr
+    payload, peak_kb = out.stdout.splitlines()
+    assert '"probability_exact": "48449/131072"' in payload
+    assert int(peak_kb) < 400 * 1024
 
 
 def test_crossing_probability_mc_agrees():
@@ -209,7 +244,9 @@ def test_torus_evaluator_matches_oracle():
     digits = generator_for(12, 0).integers(0, 2, (300, torus.edge_count))
     rect_rows = digits.astype(bool)[:, torus.rect_edge_sources()]
     expected = np.where(_oracle(torus.rectangle(), rect_rows), 1.0, -1.0)
-    np.testing.assert_array_equal(torus_lr_values(torus, digits.astype(bool)), expected)
+    got = torus_lr_values(torus, digits.astype(bool))
+    assert got.dtype == np.float64 and set(np.unique(got)) == {-1.0, 1.0}
+    np.testing.assert_array_equal(got, expected)
     # the evaluator averages the crossing over the moved copies, row k of a
     # copy reading open_matrix[:, perm]
     rows = digits[:40].astype(bool)
