@@ -14,6 +14,7 @@ import numpy as np
 from .core import (
     FunctionTable,
     RandomSetDistribution,
+    _contract,
     complement_mask,
     conditional_marginal,
     expectation,
@@ -53,7 +54,7 @@ def clue(f: FunctionTable, mask: int) -> float:
     """
     validate_mask(mask, f.n)
     var = _checked_variance(f)
-    return weighted_variance(*conditional_marginal(f, mask)) / var
+    return weighted_variance(*conditional_marginal(f, mask), f.space.q) / var
 
 
 def clue_spectral(dist: RandomSetDistribution, mask: int) -> float:
@@ -94,7 +95,7 @@ def _fiber_constancy_probability(f: FunctionTable, fixed: int) -> float:
         return 1.0
     cols = fibers(f.values, space, fixed)[:, support]
     constant = cols.max(axis=1) == cols.min(axis=1)
-    return float(space.marginal_weights(fixed) @ constant.astype(float))
+    return float(_contract(constant.astype(float), space.marginal_weights(fixed), space.q))
 
 
 def _require_boolean(f: FunctionTable):
@@ -136,7 +137,7 @@ def _weighted_deviation(f: FunctionTable) -> np.ndarray:
     w = f.space.config_weights()
     total = w.sum()
     dev = f.values - expectation(f) / total
-    dev -= float(w @ dev) / total
+    dev -= float(_contract(dev, w, f.space.q)) / total
     dev *= w
     return dev
 
@@ -180,4 +181,4 @@ def expected_clue(f: FunctionTable, dist: RandomSetDistribution) -> float:
     the law's probabilities against every subset's clue."""
     if dist.probs.size != 1 << f.n:
         raise ValueError("distribution and table disagree on n")
-    return float(dist.probs @ clue_all_subsets_table(f))
+    return float(_contract(clue_all_subsets_table(f), dist.probs, 2))

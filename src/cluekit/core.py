@@ -32,6 +32,19 @@ array they build; the all-subsets routes check, with :func:`require_lattices`,
 every keep-or-sum-out lattice they hold at once.  The budget is the only gate:
 groups are handled through their generators and never list their elements.
 
+Exact routes run in the calling thread, as Monte Carlo chunks do: no BLAS
+call they make is large enough for OpenBLAS to hand it to its thread pool,
+whose worker spins about 0.12 s of CPU time after each such call before it
+sleeps.  Every weighted sum and matrix-vector product goes through
+:func:`_contract`, which cuts it into stacked pieces of at most
+``BLAS_PIECE`` = 2^13 entries, and the product-basis transform cuts its
+products the same way (``spectral.PIECE_SPAN``).  The bounds come from a
+probe, not from OpenBLAS's source: the process CPU time during a 0.2 s sleep
+right after one call, about 120 ms when a worker ran it.  On OpenBLAS 0.3.31
+(Haswell kernels) a dot product ran serially up to 10000 entries and a
+matrix-vector product of 64 x 4096, while 1024 x 1024 and 1 x 262144 went to
+the pool.
+
 Per-object facts have one rule too: tables, spaces and games are frozen, so
 what depends on one alone (a table's moments, value law and product-basis
 coefficients, a space's weights and bases, a game's Shapley values and
@@ -56,6 +69,8 @@ from .transforms import containing_sums
 BYTE_BUDGET = 1 << 30
 TABLE_BLOCK = 1 << 16
 PROB_TOL = 1e-12
+# the most entries one dot or matrix-vector product reads (module docstring)
+BLAS_PIECE = 1 << 13
 
 
 def fits_budget(nbytes: int) -> bool:
@@ -413,14 +428,50 @@ def permute(values: np.ndarray, space: ProductSpace, perm: Sequence[int]) -> np.
 
 
 # ---------------------------------------------------------------------------
+# weighted sums below the BLAS threading bound
+# ---------------------------------------------------------------------------
+def _piece(size: int, q: int, cap: int) -> int:
+    """The largest power of q at most ``min(size, cap)``: it divides
+    ``size`` when ``size`` is a power of q."""
+    piece = 1
+    while piece * q <= min(size, cap):
+        piece *= q
+    return piece
+
+
+def _contract(a: np.ndarray, w: np.ndarray, q: int):
+    """``a @ w`` for an (m,) or (r, m) array ``a`` of any strides and an (m,)
+    vector ``w``, r and m powers of q, with no BLAS call reading more than
+    ``BLAS_PIECE`` entries of ``a``.
+
+    A larger product is one stacked ``np.matmul`` over tiles of b rows by c
+    columns, b c <= BLAS_PIECE, which numpy loops in C; the tiles' partial
+    sums along each row are then added.  A tile takes up to
+    isqrt(BLAS_PIECE) rows, then the columns that fit, then more rows if
+    the columns ran out: near square, so a column-major view such as
+    :func:`fibers` gives for low kept coordinates reads whole cache lines
+    too.  The sums are those of ``a @ w`` in another order."""
+    if a.size <= BLAS_PIECE:
+        return a @ w
+    rows = a.reshape(-1, a.shape[-1])
+    r, m = rows.shape
+    c = _piece(m, q, BLAS_PIECE // _piece(r, q, math.isqrt(BLAS_PIECE)))
+    b = _piece(r, q, BLAS_PIECE // c)
+    tiles = rows.reshape(r // b, b, m // c, c).swapaxes(1, 2)
+    sums = np.matmul(tiles, w.reshape(m // c, c, 1))
+    return (sums.sum(axis=1) if m > c else sums).reshape(a.shape[:-1])
+
+
+# ---------------------------------------------------------------------------
 # moments and conditional expectation
 # ---------------------------------------------------------------------------
 @per_object
 def expectation(f: FunctionTable) -> float:
-    return float(f.space.config_weights() @ f.values)
+    return float(_contract(f.values, f.space.config_weights(), f.space.q))
 
 
-def _deviation_pass(values: np.ndarray, weights: np.ndarray, mean: float) -> tuple[float, float]:
+def _deviation_pass(values: np.ndarray, weights: np.ndarray, mean: float,
+                    q: int) -> tuple[float, float]:
     """(variance, max |value - mean|), with ``mean`` = weights @ values.
 
     Corrected two-pass variance: centered before squaring, so a large offset
@@ -428,19 +479,20 @@ def _deviation_pass(values: np.ndarray, weights: np.ndarray, mean: float) -> tup
     removes the rounding error of the mean (zero for constant values)."""
     dev = values - mean
     spread = float(max(dev.max(), -dev.min()))
-    mean_dev = float(weights @ dev)
+    mean_dev = float(_contract(dev, weights, q))
     np.square(dev, out=dev)
-    return max(float(weights @ dev) - mean_dev**2, 0.0), spread
+    return max(float(_contract(dev, weights, q)) - mean_dev**2, 0.0), spread
 
 
-def weighted_variance(values: np.ndarray, weights: np.ndarray) -> float:
-    return _deviation_pass(values, weights, float(weights @ values))[0]
+def weighted_variance(values: np.ndarray, weights: np.ndarray, q: int) -> float:
+    """Variance of ``values`` under ``weights``, both of a power-of-q length."""
+    return _deviation_pass(values, weights, float(_contract(values, weights, q)), q)[0]
 
 
 @per_object
 def variance_and_spread(f: FunctionTable) -> tuple[float, float]:
     """(Var f, max |f - E f|) from one deviation pass."""
-    return _deviation_pass(f.values, f.space.config_weights(), expectation(f))
+    return _deviation_pass(f.values, f.space.config_weights(), expectation(f), f.space.q)
 
 
 def variance(f: FunctionTable) -> float:
@@ -450,8 +502,8 @@ def variance(f: FunctionTable) -> float:
 def covariance(f: FunctionTable, g: FunctionTable) -> float:
     if f.space is not g.space and f.space != g.space:
         raise ValueError("tables live on different spaces")
-    w = f.space.config_weights()
-    return float(w @ ((f.values - expectation(f)) * (g.values - expectation(g))))
+    product = (f.values - expectation(f)) * (g.values - expectation(g))
+    return float(_contract(product, f.space.config_weights(), f.space.q))
 
 
 def correlation(f: FunctionTable, g: FunctionTable) -> float:
@@ -462,7 +514,7 @@ def correlation(f: FunctionTable, g: FunctionTable) -> float:
 
 
 def l2_norm_sq(f: FunctionTable) -> float:
-    return float(f.space.config_weights() @ (f.values**2))
+    return float(_contract(f.values**2, f.space.config_weights(), f.space.q))
 
 
 @per_object
@@ -491,7 +543,8 @@ def conditional_marginal(f: FunctionTable, mask: int) -> tuple[np.ndarray, np.nd
     zero-probability marginals are set to 0.
     """
     space = f.space
-    values = fibers(f.values, space, mask) @ space.marginal_weights(complement_mask(mask, space.n))
+    rest = space.marginal_weights(complement_mask(mask, space.n))
+    values = _contract(fibers(f.values, space, mask), rest, space.q)
     w = space.marginal_weights(mask)
     values[w == 0.0] = 0.0
     return values, w

@@ -15,6 +15,7 @@ import numpy as np
 from .core import (
     TABLE_BLOCK,
     FunctionTable,
+    _contract,
     complement_mask,
     conditional_marginal,
     expectation,
@@ -57,7 +58,13 @@ def group_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @per_object
 def _value_groups(f: FunctionTable) -> tuple[np.ndarray, np.ndarray]:
-    return group_values(f.values)
+    """:func:`group_values` of the table's values.  A Boolean table needs no
+    sort: its groups are its two levels, or one for a constant table, and a
+    value's code is whether it is the higher one."""
+    if not f.is_boolean():
+        return group_values(f.values)
+    lo, hi = f.value_range()
+    return f.values != lo, np.array([lo, hi][: 1 + (lo < hi)])
 
 
 @per_object
@@ -173,7 +180,7 @@ def ent_functional(f: FunctionTable) -> float:
     mean = expectation(f)
     if mean <= 0.0:
         raise DegenerateError("ent_functional needs E[f] > 0")
-    return float(f.space.config_weights() @ _entropy_gaps(f.values, mean))
+    return float(_contract(_entropy_gaps(f.values, mean), f.space.config_weights(), f.space.q))
 
 
 def _require_nonnegative(f: FunctionTable, what: str):
@@ -183,7 +190,7 @@ def _require_nonnegative(f: FunctionTable, what: str):
 
 def _ent_of_marginal(f: FunctionTable, mask: int) -> float:
     vals, w = conditional_marginal(f, mask)
-    return float(w @ _entropy_gaps(vals, expectation(f)))
+    return float(_contract(_entropy_gaps(vals, expectation(f)), w, f.space.q))
 
 
 def kl_clue(f: FunctionTable, mask: int) -> float:

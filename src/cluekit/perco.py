@@ -274,29 +274,34 @@ class TorusSpec:
         return from_generators(gens, self.edge_count)
 
 
-def _moved_lr_values(torus: TorusSpec, open_matrix: np.ndarray, perms) -> np.ndarray:
-    """(len(perms), N) +-1 crossing values of the rows of a (N, 2n^2) bool
-    matrix moved by each edge permutation: row k reads
-    ``open_matrix[:, perms[k]]``.  The moved copies enter the kernel as one
+def _moved_sources(torus: TorusSpec, perms) -> np.ndarray:
+    """(len(perms), rectangle edges) matrix: entry (k, e) is the torus edge
+    that rectangle edge e reads once the edges are moved by ``perms[k]``."""
+    return np.asarray(perms)[:, torus.rect_edge_sources()]
+
+
+def _moved_lr_values(torus: TorusSpec, open_matrix: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """(len(sources), N) +-1 crossing values of the rows of a (N, 2n^2)
+    bool matrix moved by each edge permutation, given as its
+    :func:`_moved_sources` row.  The moved copies enter the kernel as one
     batch."""
-    sources = np.asarray(perms)[:, torus.rect_edge_sources()]
     stacked = open_matrix.T[sources.T].reshape(sources.shape[1], -1).T
     return (crossing_batch(torus.rectangle(), stacked) * 2.0 - 1.0).reshape(len(sources), -1)
 
 
 def torus_lr_values(torus: TorusSpec, open_matrix: np.ndarray) -> np.ndarray:
     """+-1 crossing values for (N, 2n^2) bool matrices of torus edge states."""
-    return _moved_lr_values(torus, open_matrix, [np.arange(torus.edge_count)])[0]
+    return _moved_lr_values(torus, open_matrix, torus.rect_edge_sources()[None])[0]
 
 
 def torus_lr_evaluator(torus: TorusSpec):
     """Batch evaluator over torus edge digit matrices (digit 1 = open): the
     mean of the +-1 crossing value over the n^2 translated copies.  Sums of
     +-1 are exact, so their order cannot move the mean."""
-    perms = torus.translations()
+    sources = _moved_sources(torus, torus.translations())
 
     def evaluate(digits):
-        return _moved_lr_values(torus, digits.astype(bool), perms).sum(axis=0) / len(perms)
+        return _moved_lr_values(torus, digits.astype(bool), sources).sum(axis=0) / len(sources)
 
     return evaluate
 
@@ -378,11 +383,11 @@ def translate_disagreement(
     true size of this probability is an asymptotic statement."""
     torus = TorusSpec(n)
     inv = np.argsort(np.asarray(torus.translation_permutation(*displacement)))
-    perms = [np.arange(torus.edge_count), inv]
+    sources = _moved_sources(torus, [np.arange(torus.edge_count), inv])
     draw = _fair_edges(torus.edge_count)
 
     def sample(rng, rows: int) -> list[int]:
-        values, moved = _moved_lr_values(torus, draw(rng, rows), perms)
+        values, moved = _moved_lr_values(torus, draw(rng, rows), sources)
         return [np.sum(values != moved)]
 
     disagreements = run_chunks(sample, samples, seed, chunk=1 << 13).sum()

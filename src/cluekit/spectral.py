@@ -26,6 +26,13 @@ among them, transforms exactly in either order; elsewhere the blocked sums
 differ from the per-coordinate ones by a few ulps of the largest
 coefficient.
 
+Each block's product is one stacked ``np.matmul`` whose items hold at most
+PIECE_SPAN = 1024 table rows (the first block) or columns (the later ones),
+so OpenBLAS runs every item in the calling thread (see :mod:`cluekit.core`).
+The spin probe found a (3840, 16) @ K product serial but (2048, 16) @ K.T
+and (16, 16) @ (16, 8192) handed to the pool; 1024 x 16 x 16 multiply-adds
+ran serially in every operand order.
+
 Squared weights with the empty set's dropped, normalized to a probability
 measure, form the spectral sample: a :class:`~cluekit.core.RandomSetDistribution`
 like any other subset law.  A uniformly random element of it drives the
@@ -41,6 +48,8 @@ from .core import (
     FunctionTable,
     ProductSpace,
     RandomSetDistribution,
+    _contract,
+    _piece,
     covariance,
     per_object,
     require_bytes,
@@ -83,6 +92,9 @@ def _gram_schmidt(pi: np.ndarray) -> np.ndarray:
 
 # rows of the largest Kronecker square: 4 bits, 2 coordinates for q = 3 or 4
 BLOCK_ROWS = 16
+# the most table rows (first block) or columns (later blocks) one product
+# item holds (module docstring)
+PIECE_SPAN = 1024
 
 
 def _kron_squares(mats: np.ndarray) -> tuple:
@@ -133,14 +145,19 @@ def _transform(space: ProductSpace, values: np.ndarray, inverse: bool = False,
     src = np.asarray(values, dtype=float)
     dst = np.empty(src.shape)
     lead, width = src.shape[:-1], len(squares[0])
-    # the fastest block: one (q^(n-k), q^k) @ (q^k, q^k) product
-    np.matmul(src.reshape(lead + (-1, width)), squares[0].T, out=dst.reshape(lead + (-1, width)))
+    # the fastest block: (q^(n-k), q^k) @ (q^k, q^k), in items of PIECE_SPAN rows
+    rows = _piece(space.size // width, space.q, PIECE_SPAN)
+    shape = lead + (-1, rows, width)
+    np.matmul(src.reshape(shape), squares[0].T, out=dst.reshape(shape))
     if len(squares) > 1 and not (overwrite and src.flags.c_contiguous):
         src = np.empty_like(dst)
     for square in squares[1:]:
         src, dst = dst, src
-        shape = lead + (-1, len(square), width)
-        np.matmul(square, src.reshape(shape), out=dst.reshape(shape))
+        # items of PIECE_SPAN columns of the (block, lower coordinates) matrix
+        cols = _piece(width, space.q, PIECE_SPAN)
+        shape = lead + (-1, len(square), width // cols, cols)
+        np.matmul(square, src.reshape(shape).swapaxes(-2, -3),
+                  out=dst.reshape(shape).swapaxes(-2, -3))
         width *= len(square)
     return dst
 
@@ -312,5 +329,5 @@ def covariance_lemma_check(f: FunctionTable, g: FunctionTable) -> tuple[float, f
     for j in range(space.n):
         a = _transform(space, (piv_f >> j) & 1)
         b = _transform(space, (piv_g >> j) & 1)
-        lhs += float((a * b) @ integral)
+        lhs += float(_contract(a * b, integral, 2))
     return lhs, covariance(f, g)

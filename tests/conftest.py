@@ -48,14 +48,17 @@ def subset_orbit_union(mask: int, group, n: int) -> int:
     return out
 
 
-def _run_python(code: str, address_space: int | None = None, timeout: float = 300):
+def _run_python(code: str, address_space: int | None = None, timeout: float = 300,
+                unset: tuple[str, ...] = ()):
     """Run ``code`` in a fresh interpreter that imports cluekit from ``src``.
     ``address_space`` caps the child's virtual memory in bytes; the child sets
-    the limit on itself, so the test process keeps its own."""
+    the limit on itself, so the test process keeps its own.  The variables
+    named in ``unset`` are left out of the child's environment."""
     if address_space is not None:
         code = (f"import resource; resource.setrlimit(resource.RLIMIT_AS, "
                 f"({address_space}, {address_space}))\n{code}")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=timeout)
 

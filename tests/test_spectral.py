@@ -435,7 +435,7 @@ TRANSFORM_SPACES = [
     pytest.param(uniform_space(9), id="uniform"),
     pytest.param(biased_bits(7, 0.3), id="biased"),
     pytest.param(ProductSpace(4, 3, np.array([[0.2, 0.0, 0.8]] * 4)), id="q3-zero-atom"),
-    *[pytest.param(uniform_space(n), id=f"uniform-n{n}") for n in (3, 4, 5, 8, 13)],
+    *[pytest.param(uniform_space(n), id=f"uniform-n{n}") for n in (3, 4, 5, 8, 13, 16)],
     *[pytest.param(_space_with_weights(q, n, zero), id=f"q{q}-n{n}" + ("-zero-atom" if zero else ""))
       for q in (2, 3, 4, 5) for n in (1, 3, 4, 5, 8, 9) for zero in (False, True)
       if q**n <= 5**8],  # q = 5 takes one coordinate per block, as at n = 8

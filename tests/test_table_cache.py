@@ -247,9 +247,16 @@ def test_full_metric_analyze_groups_values_once_and_never_sorts_for_booleans(mon
         calls["unique"] += 1
         return unique(*args, **kwargs)
 
+    """A Boolean table's value groups are its levels, read off its value
+    range, so a full-metric analyze sorts nothing; a real-valued table is
+    grouped by sorting, once for every metric that needs its groups."""
     monkeypatch.setattr(infotheory, "group_values", counted_group_values)
     monkeypatch.setattr(np, "unique", counted_unique)
     argv = ["analyze", "--fn", "maj:15", "--subset", "0,1,2,3,4,5,6", "--metrics", ALL_METRICS]
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert calls == {"group_values": 0, "unique": 0}
+    argv = ["analyze", "--fn", "sum:12", "--subset", "0,1,2,3,4,5", "--metrics", "l2,spectral,sig,tv,i"]
     with redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     assert calls == {"group_values": 1, "unique": 0}
