@@ -25,16 +25,7 @@ import numpy as np
 
 from . import clue as clue_mod
 from . import games, infotheory, perco, spectral, suites, zoo
-from .core import (
-    FunctionTable,
-    bernoulli_sets,
-    full_mask,
-    mask_from_indices,
-    mask_indices,
-    revealment,
-    singleton_sets,
-    uniform_space,
-)
+from .core import FunctionTable, full_mask, mask_from_indices, mask_indices, uniform_space
 from .errors import DegenerateError, GuardError, ParseError
 from .fnio import load_function
 from .montecarlo import GENERATOR_ID, mc_clue
@@ -216,17 +207,19 @@ def _cmd_analyze(args) -> int:
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     payload = {"fn": args.fn, "n": f.n}
     if args.subset.startswith("bernoulli:") or args.subset == "singletons":
-        if args.subset == "singletons":
-            dist = singleton_sets(f.n)
+        if args.subset == "singletons":  # inclusion[k] = P(S subseteq U), |S| = k
+            inclusion = np.r_[1.0, 1.0 / f.n, np.zeros(f.n - 1)]
         else:
             tail = args.subset.split(":", 1)[1]
             try:
                 p = float(tail)
             except ValueError as exc:
                 raise ParseError(f"bad Bernoulli probability '{tail}'") from exc
-            dist = bernoulli_sets(f.n, p)
-        payload["expected_clue"] = clue_mod.expected_clue(f, dist)
-        payload["revealment"] = revealment(dist)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError("p must lie in [0, 1]")
+            inclusion = p ** np.arange(f.n + 1)
+        payload["expected_clue"] = clue_mod.expected_clue(f, inclusion)
+        payload["revealment"] = float(inclusion[1])
     else:
         mask = _parse_subset(args.subset, f.n)
         payload["subset"] = mask_indices(mask)

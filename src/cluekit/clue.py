@@ -1,6 +1,6 @@
 """Variance-based measures of how much a coordinate subset tells about a
 function: clue, significance, set influence, witness, the total-variation
-variant, and expected clue of random subsets.
+variant, and the expected clue of random subsets from the level weights.
 
 clue(f | U) = Var(E[f | U]) / Var(f) is the master quantity; everything else
 is either a dual (sig), a combinatorial relative (influence / witness), or a
@@ -27,7 +27,7 @@ from .core import (
     weighted_variance,
 )
 from .errors import DegenerateError
-from .spectral import projected_variances
+from .spectral import projected_variances, stability_profile
 from .transforms import keep_or_sum, kept_sums
 
 _VAR_FLOOR = 1e-14
@@ -176,9 +176,13 @@ def p_min(f: FunctionTable) -> float:
 # ---------------------------------------------------------------------------
 # random subsets
 # ---------------------------------------------------------------------------
-def expected_clue(f: FunctionTable, dist: RandomSetDistribution) -> float:
-    """Average clue over a random subset drawn independently of the input:
-    the law's probabilities against every subset's clue."""
-    if dist.probs.size != 1 << f.n:
-        raise ValueError("distribution and table disagree on n")
-    return float(_contract(clue_all_subsets_table(f), dist.probs, 2))
+def expected_clue(f: FunctionTable, inclusion: np.ndarray) -> float:
+    """Average clue over a random subset U, drawn independently of the input
+    from a law that depends on |U| alone: ``inclusion[k]`` = P(S subseteq U)
+    for |S| = k = 0..n.  ||f_S||^2 counts in Var(E[f | U]) exactly when
+    S subseteq U, so this is sum_{k>=1} W_k inclusion[k] / Var f over the
+    level weights W_k (O'Donnell, *Analysis of Boolean Functions*, ch. 2)."""
+    if np.shape(inclusion) != (f.n + 1,):
+        raise ValueError("need one containment probability per subset size 0..n")
+    weights = stability_profile(f).level_weights  # first: its temporaries go before Var f's
+    return float(weights[1:] @ inclusion[1:]) / _checked_variance(f)

@@ -450,7 +450,10 @@ def _contract(a: np.ndarray, w: np.ndarray, q: int):
     isqrt(BLAS_PIECE) rows, then the columns that fit, then more rows if
     the columns ran out: near square, so a column-major view such as
     :func:`fibers` gives for low kept coordinates reads whole cache lines
-    too.  The sums are those of ``a @ w`` in another order."""
+    too.  The sums are those of ``a @ w`` in another order; over one column
+    the product is a scale, bitwise the same."""
+    if a.shape[-1] == 1:
+        return a[..., 0] * w[0]
     if a.size <= BLAS_PIECE:
         return a @ w
     rows = a.reshape(-1, a.shape[-1])
@@ -593,13 +596,6 @@ def _require_subset_law(n: int):
 def revealment(dist: RandomSetDistribution) -> float:
     """max_j P[j in U]: the largest single-coordinate inclusion probability."""
     return float(containing_sums(dist.probs).max(initial=0.0))
-
-
-def singleton_sets(n: int) -> RandomSetDistribution:
-    _require_subset_law(n)
-    probs = np.zeros(1 << n)
-    probs[1 << np.arange(n)] = 1.0 / n
-    return RandomSetDistribution(probs)
 
 
 def bernoulli_sets(n: int, p: float) -> RandomSetDistribution:

@@ -45,7 +45,10 @@ the matrix.
 Error bars come from batch means (:func:`batch_stderr`) over the batches
 holding at least 2 rows.  Below 2 such batches (for instance n_outer <= 256
 with the default chunk of 256 rows) there is no error bar: stderr is None,
-never a silent 0, and every estimate reports how many batches it used.
+and every estimate reports how many batches it used.  But when every batch's
+corrected numerator clamps at 0, :func:`mc_clue` reports stderr 0.0 with
+``clamped`` set (``mc-clue --fn parity:33 --subset 0,...,16 --outer 512
+--inner 8 --seed 5``; ROADMAP item 4).
 """
 from __future__ import annotations
 

@@ -265,7 +265,7 @@ def stability(profile: StabilityProfile, p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError("noise level p must lie in [0, 1]")
     w = profile.level_weights
-    return float(sum(w[k] * p**k for k in range(1, len(w))))
+    return float(w[1:] @ p ** np.arange(1, len(w)))
 
 
 # ---------------------------------------------------------------------------

@@ -564,8 +564,10 @@ def sandwiches_suite() -> tuple[dict, list]:
 # ---------------------------------------------------------------------------
 def revealment_suite() -> tuple[dict, list]:
     """Expected clue against revealment on Bernoulli and cyclic-translate
-    laws.  ``worst_fiber_err`` checks each expected clue against the law's
-    probabilities dotted with the fiber clue of every subset."""
+    laws.  ``worst_fiber_err`` checks each expected clue (on Bernoulli sets,
+    the level route) against the law dotted with every subset's fiber clue;
+    the identity error checks the 2^n Bernoulli law dotted with every
+    subset's clue against stability(p) / Var f."""
     rng = generator_for(SUITE_SEED, 7)
     violations = []
     worst_gap = -np.inf
@@ -580,12 +582,13 @@ def revealment_suite() -> tuple[dict, list]:
         n = f.n
         prof = spectral.stability_profile(f)
         var = variance(f)
+        every = clue_all_subsets_table(f)
         fiber = _direct_clue_all(f)
         for p in p_grid:
             dist = bernoulli_sets(n, p)
-            ec = expected_clue(f, dist)
+            ec = expected_clue(f, p ** np.arange(n + 1))
             gap = ec - revealment(dist)
-            identity_err = abs(ec - spectral.stability(prof, p) / var)
+            identity_err = abs(float(dist.probs @ every) - spectral.stability(prof, p) / var)
             fiber_err = abs(ec - float(dist.probs @ fiber))
             worst_gap = max(worst_gap, gap)
             worst_identity = max(worst_identity, identity_err)
@@ -597,7 +600,7 @@ def revealment_suite() -> tuple[dict, list]:
         for _ in range(4):
             mask = int(rng.integers(1, 1 << n))
             dist = translate_sets(mask, rotations, n)
-            ec = expected_clue(f, dist)
+            ec = float(dist.probs @ every)
             gap = ec - revealment(dist)
             fiber_err = abs(ec - float(dist.probs @ fiber))
             worst_gap = max(worst_gap, gap)

@@ -4,9 +4,10 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from cluekit import cli, spectral
+from cluekit import cli, core, spectral, transforms
+from cluekit import clue as clue_mod
 from cluekit.cli import _ByMask, _emit, _emit_csv, build_parser, main
-from cluekit.clue import clue_all_subsets_table
+from cluekit.clue import clue, clue_all_subsets_table
 from cluekit.core import FunctionTable, ProductSpace, biased_bits, uniform_space, variance
 from cluekit.fnio import load_function, table_from_dict
 from cluekit.errors import ParseError
@@ -82,6 +83,69 @@ def test_analyze_bernoulli_reaches_maj21(capsys):
     exact = spectral.stability(spectral.stability_profile(f), 0.3) / variance(f)
     assert payload["expected_clue"] == pytest.approx(exact, abs=1e-10)
     assert payload["revealment"] == pytest.approx(0.3, abs=1e-12)
+
+
+def _random_set_tables(tmp_path) -> dict:
+    """maj:5, a biased table file and a q = 3 table file, by CLI spec."""
+    rng = np.random.default_rng(29)
+    biased = FunctionTable(biased_bits(5, [0.2, 0.7, 0.45, 0.9, 0.6]), rng.standard_normal(32))
+    pi = rng.dirichlet(np.ones(3), size=4)
+    ternary = FunctionTable(ProductSpace(4, 3, pi), rng.integers(0, 3, 81).astype(float))
+    tables = {"maj:5": majority(5).table}
+    for name, f in (("biased", biased), ("q3", ternary)):
+        save_table(f, tmp_path / f"{name}.json")
+        tables[str(tmp_path / f"{name}.json")] = f
+    return tables
+
+
+def test_analyze_singletons_is_the_mean_single_coordinate_clue(capsys, tmp_path):
+    for fn, f in _random_set_tables(tmp_path).items():
+        code, payload, _ = run_cli(capsys, "analyze", "--fn", fn, "--subset", "singletons")
+        assert code == 0
+        mean = np.mean([clue(f, 1 << v) for v in range(f.n)])
+        assert payload["expected_clue"] == pytest.approx(mean, rel=1e-12)
+        assert payload["revealment"] == 1 / f.n
+
+
+@pytest.mark.parametrize("p, want", [("0", 0.0), ("1", 1.0)])
+def test_analyze_bernoulli_endpoints(capsys, p, want):
+    code, payload, _ = run_cli(capsys, "analyze", "--fn", "maj:5", "--subset", f"bernoulli:{p}")
+    assert code == 0
+    assert payload["expected_clue"] == want
+    assert payload["revealment"] == want
+
+
+@pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
+def test_analyze_refuses_a_bernoulli_probability_off_the_unit_interval(capsys, p):
+    code, payload, _ = run_cli(capsys, "analyze", "--fn", "maj:5", "--subset", f"bernoulli:{p}")
+    assert code == 2
+    assert "[0, 1]" in payload["error"]
+
+
+def test_random_set_forms_refuse_a_constant_table(capsys, tmp_path):
+    save_table(FunctionTable(biased_bits(3, 0.3), np.full(8, 2.5)), tmp_path / "const.json")
+    for subset in ("bernoulli:0.4", "singletons"):
+        code, payload, _ = run_cli(capsys, "analyze", "--fn", str(tmp_path / "const.json"),
+                                   "--subset", subset)
+        assert code == 4
+        assert payload["exit"] == 4
+
+
+def test_random_set_forms_build_no_subset_law(capsys, monkeypatch, tmp_path):
+    """Both forms read the n+1 level weights: no law over the 2^n subsets, no
+    all-subsets clue and no zeta over the masks."""
+    tables = _random_set_tables(tmp_path)
+    want = {(fn, subset): run_cli(capsys, "analyze", "--fn", fn, "--subset", subset)[1]
+            for fn in tables for subset in ("bernoulli:0.3", "singletons")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2^n route ran")
+
+    for module, name in ((core, "bernoulli_sets"), (clue_mod, "clue_all_subsets_table"),
+                         (transforms, "subset_zeta"), (spectral, "subset_zeta")):
+        monkeypatch.setattr(module, name, refuse)
+    for (fn, subset), payload in want.items():
+        assert run_cli(capsys, "analyze", "--fn", fn, "--subset", subset)[1] == payload
 
 
 def test_parse_error_exit_2(capsys):

@@ -16,14 +16,15 @@ from cluekit.clue import (
     witness,
 )
 from cluekit.core import (
+    BLAS_PIECE,
     FunctionTable,
     ProductSpace,
     bernoulli_sets,
     biased_bits,
     complement_mask,
+    conditional_marginal,
     expectation,
     revealment,
-    singleton_sets,
     translate_sets,
     uniform_space,
 )
@@ -85,10 +86,12 @@ def test_clue_survives_large_offset_on_both_routes(offset):
     rng = np.random.default_rng(25)
     values = rng.standard_normal(1 << 10)
     mask = 0b111
-    base = clue(FunctionTable(uniform_space(10), values), mask)
+    inclusion = 0.3 ** np.arange(11)
+    base = FunctionTable(uniform_space(10), values)
     shifted = FunctionTable(uniform_space(10), values + offset)
-    assert clue(shifted, mask) == pytest.approx(base, rel=1e-5)
-    assert clue_all_subsets_table(shifted)[mask] == pytest.approx(base, rel=1e-5)
+    assert clue(shifted, mask) == pytest.approx(clue(base, mask), rel=1e-5)
+    assert clue_all_subsets_table(shifted)[mask] == pytest.approx(clue(base, mask), rel=1e-5)
+    assert expected_clue(shifted, inclusion) == pytest.approx(expected_clue(base, inclusion), rel=1e-5)
 
 
 def test_clue_all_subsets_biased_n16_matches_fibers():
@@ -106,6 +109,22 @@ def test_sig_examples():
     d = dictator(3, 0).table
     assert sig(d, 0b110) == pytest.approx(0.0, abs=1e-12)
     assert sig(majority(3).table, 0b001) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_full_mask_marginal_is_the_table_bitwise_above_a_blas_piece():
+    """Conditioning on every coordinate contracts each fiber over one column
+    of weight 1.0: the marginal is the table itself, bitwise, so clue reads
+    exactly 1.0 and sig on the empty mask exactly 0.0."""
+    rng = np.random.default_rng(7)
+    biased = FunctionTable(biased_bits(14, np.linspace(0.2, 0.8, 14)), rng.standard_normal(1 << 14))
+    for f in (majority(15).table, biased):
+        assert f.values.size > BLAS_PIECE
+        full = (1 << f.n) - 1
+        values, weights = conditional_marginal(f, full)
+        assert np.array_equal(values, f.values)
+        assert np.array_equal(weights, f.space.config_weights())
+        assert clue(f, full) == 1.0
+        assert sig(f, 0) == 0.0
 
 
 def test_sig_duality_and_spectral_form():
@@ -155,31 +174,37 @@ def test_tv_clue_examples():
 
 def test_expected_clue_examples():
     f = majority(3).table
-    singles = singleton_sets(3)
-    ec = expected_clue(f, singles)
-    assert ec == pytest.approx(0.25, abs=1e-12)
-    assert revealment(singles) == pytest.approx(1 / 3)
-    assert ec <= revealment(singles)
+    singles = np.array([1.0, 1 / 3, 0.0, 0.0])
+    assert expected_clue(f, singles) == pytest.approx(0.25, abs=1e-12)
+    assert expected_clue(f, singles) == pytest.approx(np.mean([clue(f, 1 << v) for v in range(3)]))
 
-    bern = bernoulli_sets(3, 0.5)
-    assert expected_clue(f, bern) == pytest.approx(13 / 32, abs=1e-10)
-    assert expected_clue(f, bern) == pytest.approx(
-        stability(stability_profile(f), 0.5), abs=1e-10
-    )
+    half = 0.5 ** np.arange(4)
+    assert expected_clue(f, half) == pytest.approx(13 / 32, abs=1e-10)
+    assert expected_clue(f, half) == pytest.approx(stability(stability_profile(f), 0.5), abs=1e-10)
+    # the revealment suite's oracle: the 2^n law dotted with every subset's clue
+    oracle = bernoulli_sets(3, 0.5).probs @ clue_all_subsets_table(f)
+    assert expected_clue(f, half) == pytest.approx(oracle, rel=1e-12)
 
     d = dictator(4, 0).table
-    assert expected_clue(d, singleton_sets(4)) == pytest.approx(revealment(singleton_sets(4)))
+    assert expected_clue(d, np.array([1.0, 0.25, 0.0, 0.0, 0.0])) == pytest.approx(0.25)
+    with pytest.raises(ValueError, match="per subset size"):
+        expected_clue(d, half)
 
 
 def test_expected_clue_translate_bound():
     rng = np.random.default_rng(2)
     n = 7
     f = FunctionTable(uniform_space(n), rng.standard_normal(1 << n))
+    every = clue_all_subsets_table(f)
     cyc = group_elements(cyclic_group(n))
     for _ in range(10):
         mask = int(rng.integers(1, 1 << n))
         dist = translate_sets(mask, cyc, n)
-        assert expected_clue(f, dist) <= revealment(dist) + 1e-10
+        assert dist.probs @ every <= revealment(dist) + 1e-10
+    for p in (0.1, 0.5, 0.9):
+        level = expected_clue(f, p ** np.arange(n + 1))
+        assert level <= p + 1e-10
+        assert level == pytest.approx(bernoulli_sets(n, p).probs @ every, rel=1e-12)
 
 
 def test_order_chain_on_balanced_functions():
@@ -319,7 +344,7 @@ RATIO_ROUTES = {
     "clue": clue,
     "sig": sig,
     "clue_all_subsets": lambda f, m: clue_all_subsets_table(f),
-    "expected_clue": lambda f, m: expected_clue(f, bernoulli_sets(f.n, 0.5)),
+    "expected_clue": lambda f, m: expected_clue(f, 0.5 ** np.arange(f.n + 1)),
     "spectral": lambda f, m: spectral_distribution(f),
     "tv": tv_clue,
     "tv_all_subsets": lambda f, m: tv_clue_all_subsets(f),

@@ -25,7 +25,6 @@ from cluekit.core import (
     mask_indices,
     permute,
     revealment,
-    singleton_sets,
     table_from_digits,
     uniform_space,
     variance,
@@ -325,7 +324,9 @@ def test_mask_helpers():
 
 
 def test_revealment_singletons():
-    assert revealment(singleton_sets(5)) == pytest.approx(1 / 5)
+    probs = np.zeros(1 << 5)
+    probs[1 << np.arange(5)] = 1 / 5
+    assert revealment(RandomSetDistribution(probs)) == pytest.approx(1 / 5)
 
 
 def test_revealment_point_mass_full():
