@@ -20,7 +20,6 @@ from .core import (
     expectation,
     fibers,
     per_object,
-    require_lattices,
     require_varying,
     validate_mask,
     variance_and_spread,
@@ -28,7 +27,7 @@ from .core import (
 )
 from .errors import DegenerateError
 from .spectral import projected_variances, stability_profile
-from .transforms import keep_or_sum, kept_sums
+from .transforms import lattice_sums
 
 _VAR_FLOOR = 1e-14
 
@@ -151,15 +150,11 @@ def tv_clue_all_subsets(f: FunctionTable) -> np.ndarray:
     """tv_clue(f, U) for every mask U.  With S the lattice of w (f - E f),
     E|E[f|U] - E f| is the sum of |S| over the kept slots of U.
 
-    O(n (q+1)^n) time; holds two lattice-sized arrays at once.
+    O(n (q+1)^n) time, in the slabs of :func:`~cluekit.transforms.lattice_sums`.
     """
     require_varying(f)
-    space = f.space
     denom = _mean_absolute_deviation(f)
-    require_lattices(space, 2, "the TV clue of every subset")
-    s = keep_or_sum(_weighted_deviation(f), space.q)
-    np.abs(s, out=s)
-    return kept_sums(s, space.q) / denom
+    return lattice_sums(_weighted_deviation(f), f.space.q, np.abs) / denom
 
 
 def p_min(f: FunctionTable) -> float:

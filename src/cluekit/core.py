@@ -28,9 +28,8 @@ refills its n-k high columns, which are constant on it.
 Memory has one rule: :func:`require_bytes` refuses (GuardError) any array of
 at least :data:`BYTE_BUDGET` bytes before it is allocated.  Every
 :class:`FunctionTable` (8 q^n bytes) is checked, and engines check each larger
-array they build; the all-subsets routes check, with :func:`require_lattices`,
-every keep-or-sum-out lattice they hold at once.  The budget is the only gate:
-groups are handled through their generators and never list their elements.
+array they build.  The budget is the only gate: groups are handled through
+their generators and never list their elements.
 
 Exact routes run in the calling thread, as Monte Carlo chunks do: no BLAS
 call they make is large enough for OpenBLAS to hand it to its thread pool,
@@ -85,15 +84,6 @@ def require_bytes(nbytes: int, what: str):
             f"{what} needs {nbytes / 2**30:.2f} GiB; the byte budget admits arrays "
             f"below {BYTE_BUDGET >> 30} GiB, use the montecarlo module"
         )
-
-
-def require_lattices(space: "ProductSpace", count: int, what: str):
-    """Refuse ``count`` keep-or-sum-out lattices over ``space`` (8 (q+1)^n
-    bytes each) that one routine holds at once."""
-    require_bytes(
-        8 * count * (space.q + 1) ** space.n,
-        f"{what} ({count} lattices of (q+1)^n = {space.q + 1}^{space.n} entries)",
-    )
 
 
 def per_object(fn):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    TABLE_BLOCK,
     FunctionTable,
     _contract,
     complement_mask,
@@ -22,12 +21,11 @@ from .core import (
     extend,
     per_object,
     require_bytes,
-    require_lattices,
     require_varying,
     validate_mask,
 )
 from .errors import DegenerateError
-from .transforms import keep_or_sum, kept_sums, kept_weights
+from .transforms import lattice_sums
 
 VALUE_GROUP_TOL = 1e-12
 
@@ -103,16 +101,12 @@ def mutual_information(f: FunctionTable, mask: int) -> float:
     return max(h_z + h_u - h_joint, 0.0)
 
 
-def _entropy_by_mask(probs: np.ndarray, q: int) -> np.ndarray:
-    """-sum x ln x of the lattice of ``probs``, by kept-coordinate mask;
-    holds two lattice-sized arrays at once (the lattice and its log, then
-    the lattice and the copy that kept_sums folds)."""
-    lattice = keep_or_sum(probs, q)
+def _x_log_x(lattice: np.ndarray) -> np.ndarray:
+    """x ln x of every entry, in place, with 0 ln 0 = 0."""
     log = np.maximum(lattice, 1e-300)
     np.log(log, out=log)
-    lattice *= log  # x ln x, with 0 ln 0 = 0
-    del log
-    return -kept_sums(lattice, q)
+    lattice *= log
+    return lattice
 
 
 def mutual_information_all_subsets(f: FunctionTable) -> np.ndarray:
@@ -124,18 +118,17 @@ def mutual_information_all_subsets(f: FunctionTable) -> np.ndarray:
     at x_U = c_U for every U: it adds the same -w(c) ln w(c) to every
     H(Z, X_U), H(Z) included, so it cancels and needs no lattice.
     O(n (q+1)^n) time per group of two or more positive-weight
-    configurations, plus one lattice for H(X_U); holds two lattice-sized
-    arrays at once.
+    configurations, plus one lattice for H(X_U), each in the slabs of
+    :func:`~cluekit.transforms.lattice_sums`.
     """
     space = f.space
-    require_lattices(space, 2, "the information of every subset")
     codes, reps = _value_groups(f)
     w = space.config_weights()
-    h_u = _entropy_by_mask(w, space.q)
+    h_u = -lattice_sums(w, space.q, _x_log_x)
     support = np.bincount(codes, weights=w > 0.0, minlength=len(reps))
     h_joint = np.zeros(1 << space.n)
     for z in np.flatnonzero(support > 1):
-        h_joint += _entropy_by_mask(np.where(codes == z, w, 0.0), space.q)
+        h_joint -= lattice_sums(np.where(codes == z, w, 0.0), space.q, _x_log_x)
     # the empty mask sums every coordinate out: H(Z, X_empty) = H(Z)
     return np.maximum(h_joint[0] + h_u - h_joint, 0.0)
 
@@ -210,26 +203,21 @@ def kl_clue_all_subsets(f: FunctionTable) -> np.ndarray:
     W times the entropy gap of A / W over the kept slots of U, the terms
     that :func:`kl_clue` sums for one U.
 
-    O(n (q+1)^n) time; holds two lattice-sized arrays at once (A and W,
-    then A and the copy that kept_sums folds) and block-sized temporaries.
+    O(n (q+1)^n) time, in the slabs of :func:`~cluekit.transforms.lattice_sums`.
     """
     require_varying(f)
     _require_nonnegative(f, "kl_clue")
     denom = ent_functional(f)
     if denom <= 0.0:
         raise DegenerateError("constant function: KL clue undefined")
-    space = f.space
-    require_lattices(space, 2, "the KL clue of every subset")
-    a = keep_or_sum(space.config_weights() * f.values, space.q)
-    weights = kept_weights(space.pi)
-    # E[f | kept slots]; A is 0 where W is 0
-    np.divide(a, weights, out=a, where=weights > 0.0)
     mean = expectation(f)
-    for start in range(0, a.size, TABLE_BLOCK):
-        block = slice(start, start + TABLE_BLOCK)
-        a[block] = weights[block] * _entropy_gaps(a[block], mean)
-    del weights
-    ent = kept_sums(a, space.q)
+
+    def gaps(a, weights):
+        # E[f | kept slots]; A is 0 where W is 0
+        np.divide(a, weights, out=a, where=weights > 0.0)
+        return weights * _entropy_gaps(a, mean)
+
+    ent = lattice_sums(f.space.config_weights() * f.values, f.space.q, gaps, f.space.pi)
     return np.minimum(np.maximum(ent, 0.0) / denom, 1.0)
 
 

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    TABLE_BLOCK,
     FunctionTable,
     ProductSpace,
     RandomSetDistribution,
@@ -253,9 +254,16 @@ class StabilityProfile:
 
 
 def stability_profile(f: FunctionTable) -> StabilityProfile:
-    """Level weights W_k of the subset weights ||f_S||^2."""
+    """Level weights W_k of the subset weights ||f_S||^2.  Blocks of
+    TABLE_BLOCK masks bin through the low bits' popcounts, shifted by the
+    block's high-bit count, so no 2^n popcount vector exists; ``np.add.at``
+    adds in mask order, as ``np.bincount`` would."""
     n = f.n
-    return StabilityProfile(np.bincount(popcounts(n), weights=efron_stein(f), minlength=n + 1))
+    low = popcounts(min(n, TABLE_BLOCK.bit_length() - 1))
+    weights = np.zeros(n + 1)
+    for b, block in enumerate(efron_stein(f).reshape(-1, len(low))):
+        np.add.at(weights[b.bit_count():], low, block)
+    return StabilityProfile(weights)
 
 
 def stability(profile: StabilityProfile, p: float) -> float:

@@ -244,7 +244,7 @@ def games_suite() -> tuple[dict, list]:
     ``min_subgame_shapley_gain`` is the least rise of a player's Shapley
     value from a seeded coalition to a seeded strict superset, over the
     variance games; supermodularity makes it nonnegative.  ``large_games``
-    checks a variance game at n = 16 and an information game at n = 12:
+    checks a variance game at n = 16 and information games at n = 12 and 16:
     supermodularity, the efficiency gap, and the Shapley shares phi / v(N)
     against the spectral marginals, equal for any variance game and, on a
     transitive function, for its information game too (both are 1/n)."""
@@ -299,7 +299,8 @@ def games_suite() -> tuple[dict, list]:
             violations.append({"fn": entry.name, "efficiency_err": eff})
     large = []
     for entry, kind, build in ((zoo.tribes(4, 4), "variance", games.build_clue_game),
-                               (zoo.tribes(3, 4), "information", games.build_iclue_game)):
+                               (zoo.tribes(3, 4), "information", games.build_iclue_game),
+                               (zoo.tribes(4, 4), "information", games.build_iclue_game)):
         game = build(entry.table)
         phi = games.shapley(game)
         marg = spectral.spectral_marginals(spectral.spectral_distribution(entry.table))

@@ -18,7 +18,8 @@ kept-coordinate pattern into a vector indexed by subset bitmask.  This is
 Yates' algorithm (Yates 1937) on the lattice of partial assignments, the
 q-ary relative of the subset zeta (Bjorklund, Husfeldt, Kaski and Koivisto,
 "Fourier meets Moebius", STOC 2007); each runs one axis at a time in
-O(n (q+1)^n).
+O(n (q+1)^n).  :func:`lattice_sums`, the one route that builds lattices, runs
+the pair in slabs, with a per-entry map between them.
 """
 from __future__ import annotations
 
@@ -27,6 +28,8 @@ import numpy as np
 
 # a row narrower than this runs as that many strided 1-D passes
 NARROW_ROW = 16
+# the most lattice entries one slab of lattice_sums holds
+SLAB = 1 << 20
 
 
 def subset_zeta(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -123,11 +126,34 @@ def kept_sums(lattice: np.ndarray, q: int) -> np.ndarray:
     t = lattice.reshape(lead + (q + 1,) * n).copy()
     for axis in range(len(lead), t.ndim):
         at = (slice(None),) * axis
-        kept = t[at + (0,)]
+        kept = t[at + (0, ...)]  # a view even on the last axis
         for d in range(1, q):
             kept += t[at + (d,)]
         t = t[at + (slice(q, None, -q),)]
     return t.reshape(lead + (1 << n,))
+
+
+def lattice_sums(values: np.ndarray, q: int, entry, pi: np.ndarray | None = None) -> np.ndarray:
+    """``kept_sums(entry(keep_or_sum(values, q)), q)`` of a q^n table, in slabs.
+    ``entry`` maps lattice entries one by one; given ``pi`` (the measure's rows)
+    it also takes their :func:`kept_weights`.  The top rows keep or sum out the
+    fewest top coordinates that leave the lattice of one row, a slab, within
+    ``SLAB`` entries.  A lone slab runs the unsplit route, bit for bit."""
+    from .core import require_bytes  # core imports this module
+
+    n = _digits(np.size(values), q)
+    low = next(m for m in range(n, -1, -1) if (q + 1) ** m <= SLAB)
+    require_bytes(8 * ((q + 1) ** (n - low) * q**low + (1 << n)), f"lattice top rows over {q}^{n}")
+    top = keep_or_sum(np.reshape(values, (-1, q**low)).T, q)
+    if pi is not None:
+        low_weights, top_weights = kept_weights(pi[:low]), kept_weights(pi[low:])
+    out = np.full(1 << n, -0.0)  # -0.0 + x is x: a lone slab keeps kept_sums' bits
+    blocks = out.reshape(-1, 1 << low)
+    for row, slots in enumerate(np.ndindex((q + 1,) * (n - low))):
+        weights = () if pi is None else (low_weights * top_weights[row],)
+        kept = sum(1 << j for j, d in enumerate(reversed(slots)) if d < q)
+        blocks[kept] += kept_sums(entry(keep_or_sum(top[:, row], q), *weights), q)
+    return out
 
 
 def containing_sums(values: np.ndarray) -> np.ndarray:

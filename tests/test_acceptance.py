@@ -55,7 +55,8 @@ def test_criterion_04_games():
     assert rep.details["worst_shapley_vs_marginal"] <= 1e-9
     assert rep.details["min_subgame_shapley_gain"] >= -1e-10
     large = {(row["fn"], row["kind"]): row for row in rep.details["large_games"]}
-    assert set(large) == {("tribes:4,4", "variance"), ("tribes:3,4", "information")}
+    assert set(large) == {("tribes:4,4", "variance"), ("tribes:3,4", "information"),
+                          ("tribes:4,4", "information")}
     for row in large.values():
         assert row["supermodular"] is True
         assert row["efficiency_gap"] <= 1e-12

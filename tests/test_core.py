@@ -239,8 +239,9 @@ def test_exact_guard_blocks_large_tables():
     "main(['clue', '--fn', PATH, '--subset', 'empty'])",
     "efron_stein_components(FunctionTable(uniform_space(10, 4), rng.standard_normal(4**10)))",
     "uniform_space(23).digits()",
-    # two lattices of 3^17 entries, 1.03 GB each, for every coalition's information
-    "main(['game', '--fn', PATH17, '--iclue'])",
+    # the lattice's top rows for every coalition's information: 3^10 rows of
+    # 2^12 entries, 1.8 GiB, the first n on bits whose top rows pass the budget
+    "main(['game', '--fn', 'parity:22', '--iclue'])",
     # 2^27 subset probabilities, 1 GiB, beside the half-size array they are built from
     "bernoulli_sets(27, 0.3)",
     # a 2 GiB zoo table, refused before its block buffer exists
@@ -250,24 +251,20 @@ def test_exact_guard_blocks_large_tables():
 ], ids=["clue-cli-joint-law", "materialized-components", "digit-matrix", "iclue-game-lattice",
         "bernoulli-set-law", "zoo-table", "zoo-table-cli"])
 def test_over_budget_arrays_are_refused_before_allocation(code, tmp_path, run_python):
-    """Each request needs 1 GiB or more at once (one array, or the two
-    lattices of the information game), all but the 1 GiB table of maj:27
-    1.4 GiB or more, which a 2 GiB address-space cap cannot hold beside the
-    interpreter: it must be refused (GuardError, exit 3) before allocation,
-    never die of MemoryError."""
+    """Each request needs 1 GiB or more at once (one array, or the lattice
+    top rows of the information game beside its sums), all but the 1 GiB
+    table of maj:27 1.4 GiB or more, which a 2 GiB address-space cap cannot
+    hold beside the interpreter: it must be refused (GuardError, exit 3)
+    before allocation, never die of MemoryError."""
     path = tmp_path / "normal14.json"
     save_table(FunctionTable(uniform_space(14), np.random.default_rng(0).standard_normal(1 << 14)), path)
-    path17 = tmp_path / "signs17.json"
-    if "PATH17" in code:
-        signs = np.random.default_rng(0).choice([-1.0, 1.0], 1 << 17)
-        save_table(FunctionTable(uniform_space(17), signs), path17)
     prelude = (
         "import sys\nimport numpy as np\n"
         "from cluekit import zoo\nfrom cluekit.cli import main\n"
         "from cluekit.core import FunctionTable, bernoulli_sets, uniform_space\n"
         "from cluekit.errors import GuardError\n"
         "from cluekit.spectral import efron_stein_components\n"
-        f"PATH = {str(path)!r}\nPATH17 = {str(path17)!r}\nrng = np.random.default_rng(0)\n"
+        f"PATH = {str(path)!r}\nrng = np.random.default_rng(0)\n"
     )
     out = run_python(f"{prelude}try:\n    sys.exit({code})\nexcept GuardError:\n    sys.exit(3)\n",
                      address_space=2 << 30)

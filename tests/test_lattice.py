@@ -1,8 +1,11 @@
 """The keep-or-sum-out lattice and the all-subsets routes built on it,
 checked on every mask against brute force and the per-mask routes."""
+import json
+
 import numpy as np
 import pytest
 
+from cluekit import transforms
 from cluekit.clue import tv_clue, tv_clue_all_subsets
 from cluekit.core import FunctionTable, ProductSpace, biased_bits, uniform_space
 from cluekit.errors import DegenerateError
@@ -33,6 +36,9 @@ def _cases():
     # every value distinct: single-configuration groups, some of zero weight
     yield "distinct-q3-zero-atom", FunctionTable(_space(5, 3, 4, zero_atom=True),
                                                  rng.standard_normal(3**5))
+    # one coordinate: kept_sums folds the lattice's only axis
+    yield "dictator-n1", FunctionTable(uniform_space(1), np.array([-1.0, 1.0]))
+    yield "q3-n1", FunctionTable(_space(1, 3, 5), np.array([0.0, 2.0, 0.5]))
 
 
 CASES = dict(_cases())
@@ -42,22 +48,25 @@ def _digits(index, base, n):
     return [index // base**v % base for v in range(n)]
 
 
-@pytest.mark.parametrize("q,n", [(2, 1), (2, 4), (3, 3), (4, 2)])
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (2, 4), (3, 3), (4, 2)])
 def test_lattice_matches_brute_force(q, n):
     values = np.random.default_rng(q * 10 + n).standard_normal((2, q**n))
-    lattice = keep_or_sum(values, q)
-    assert lattice.shape == (2, (q + 1) ** n)
     configs = [_digits(c, q, n) for c in range(q**n)]
     slots = [_digits(s, q + 1, n) for s in range((q + 1) ** n)]
-    for s, slot in enumerate(slots):
-        members = [c for c, cd in enumerate(configs)
-                   if all(d == q or d == x for d, x in zip(slot, cd))]
-        np.testing.assert_allclose(lattice[:, s], values[:, members].sum(axis=1), atol=1e-13)
-    by_mask = kept_sums(lattice, q)
-    for mask in range(1 << n):
-        members = [s for s, slot in enumerate(slots)
-                   if all((slot[v] < q) == bool(mask >> v & 1) for v in range(n))]
-        np.testing.assert_allclose(by_mask[:, mask], lattice[:, members].sum(axis=1), atol=1e-13)
+    for table in (values, values[0]):  # with a leading axis and without
+        lattice = keep_or_sum(table, q)
+        assert lattice.shape == table.shape[:-1] + ((q + 1) ** n,)
+        for s, slot in enumerate(slots):
+            members = [c for c, cd in enumerate(configs)
+                       if all(d == q or d == x for d, x in zip(slot, cd))]
+            np.testing.assert_allclose(lattice[..., s], table[..., members].sum(axis=-1), atol=1e-13)
+        by_mask = kept_sums(lattice, q)
+        assert by_mask.shape == table.shape[:-1] + (1 << n,)
+        for mask in range(1 << n):
+            members = [s for s, slot in enumerate(slots)
+                       if all((slot[v] < q) == bool(mask >> v & 1) for v in range(n))]
+            np.testing.assert_allclose(by_mask[..., mask], lattice[..., members].sum(axis=-1),
+                                       atol=1e-13)
 
 
 def test_lattice_rejects_wrong_lengths():
@@ -130,6 +139,37 @@ def test_kl_lattice_matches_every_mask_on_nonnegative_tables(name):
     bulk = kl_clue_all_subsets(f)
     ref = [kl_clue(f, mask) for mask in range(1 << f.n)]
     np.testing.assert_allclose(bulk, ref, rtol=0, atol=1e-13)
+
+
+def _lattice_routes(f):
+    g = FunctionTable(f.space, f.values - f.values.min())
+    return [mutual_information_all_subsets(f), tv_clue_all_subsets(f), kl_clue_all_subsets(g)]
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_slab_splits_agree_with_one_slab(name, monkeypatch):
+    """Small slabs fix more top coordinates first and regroup the sums; a
+    slab of 1 entry keeps or sums out every coordinate in the top rows."""
+    f = CASES[name]
+    whole = _lattice_routes(f)
+    for slab in (1, 3, 9, 27, 64):
+        monkeypatch.setattr(transforms, "SLAB", slab)
+        for got, expected in zip(_lattice_routes(f), whole):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+
+def test_information_game_of_16_bits_runs_in_bounded_memory(run_python):
+    """Slabs of at most 2^20 lattice entries: the game's top rows (3^4
+    rows of 2^12 entries) and 2^16 sums, not two whole lattices of 3^16
+    entries (the unsplit route peaked at 694 MB).  The child reads its own
+    peak, VmHWM (in kB), after the JSON line."""
+    out = run_python("from cluekit.cli import main; main(['game', '--fn', 'tribes:4,4', '--iclue'])\n"
+                     "print(next(line.split()[1] for line in open('/proc/self/status') "
+                     "if line.startswith('VmHWM:')))")
+    assert out.returncode == 0, out.stderr
+    payload, peak_kb = out.stdout.splitlines()
+    assert len(json.loads(payload)["shapley"]) == 16
+    assert int(peak_kb) < 150 * 1024
 
 
 def test_kl_lattice_refuses_negative_and_constant_tables():

@@ -383,6 +383,17 @@ def test_popcounts_counts_the_bits_of_every_mask(n):
     assert pc.tolist() == [bin(m).count("1") for m in range(1 << n)]
 
 
+@pytest.mark.parametrize("n", [15, 16, 17, 20])
+def test_level_weights_equal_the_popcount_bincount_bitwise(n):
+    """The level weights bin in blocks of TABLE_BLOCK masks through the low
+    bits' popcounts; np.add.at adds in mask order, as a bincount over every
+    mask's popcount does, so the two agree bit for bit on one block and on
+    many."""
+    f = FunctionTable(uniform_space(n), np.random.default_rng(n).standard_normal(1 << n))
+    expected = np.bincount(popcounts(n), weights=efron_stein(f), minlength=n + 1)
+    assert stability_profile(f).level_weights.tobytes() == expected.tobytes()
+
+
 def _per_coordinate_bases(space: ProductSpace) -> np.ndarray:
     """One weighted Gram-Schmidt run per coordinate, e_{q-1} down to e_0 over
     the positive atoms: the loop the shared bases must equal bitwise."""
