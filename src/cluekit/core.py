@@ -76,13 +76,14 @@ def fits_budget(nbytes: int) -> bool:
     return nbytes < BYTE_BUDGET
 
 
-def require_bytes(nbytes: int, what: str):
+def require_bytes(nbytes: int, what: str, instead: str | None = None):
     """Refuse an array of ``nbytes`` bytes, described by ``what``, before it
-    is allocated."""
+    is allocated.  ``instead`` names a sampling route that serves the same
+    request, where one does; the refusal names no route otherwise."""
     if not fits_budget(nbytes):
         raise GuardError(
             f"{what} needs {nbytes / 2**30:.2f} GiB; the byte budget admits arrays "
-            f"below {BYTE_BUDGET >> 30} GiB, use the montecarlo module"
+            f"below {BYTE_BUDGET >> 30} GiB" + (f", {instead}" if instead else "")
         )
 
 
@@ -192,7 +193,8 @@ class ProductSpace:
         return self.q**self.n
 
     def check_exact_guard(self):
-        require_bytes(8 * self.size, f"a dense table over q^n = {self.q}^{self.n} configurations")
+        require_bytes(8 * self.size, f"a dense table over q^n = {self.q}^{self.n} configurations",
+                      "estimate clue with mc-clue")
 
     @property
     @per_object
@@ -232,11 +234,12 @@ class ProductSpace:
         """Product-measure weight of every configuration, length q^n."""
         return self.marginal_weights(full_mask(self.n))
 
-    def digits(self) -> np.ndarray:
+    def digits(self, instead: str | None = None) -> np.ndarray:
         """(q^n, n) uint8 matrix: digits()[c, v] is coordinate v of config c
         (built on demand, not cached).  It is coordinate-major, each
-        coordinate's digits contiguous: its transpose is C-contiguous."""
-        return _block_digits(self.q, self.n)
+        coordinate's digits contiguous: its transpose is C-contiguous.
+        ``instead`` is the sampling route a refusal names (require_bytes)."""
+        return _block_digits(self.q, self.n, instead)
 
     def tensor_shape(self) -> tuple[int, ...]:
         return (self.q,) * self.n
@@ -258,6 +261,41 @@ def biased_bits(n: int, p_plus: float | Sequence[float]) -> ProductSpace:
     p = np.broadcast_to(np.asarray(p_plus, dtype=float), (n,))
     pi = np.stack([1.0 - p, p], axis=1)
     return ProductSpace(n, 2, pi)
+
+
+# ---------------------------------------------------------------------------
+# block evaluators
+# ---------------------------------------------------------------------------
+SPIN_LEVELS = (-1.0, 1.0)
+BIT_LEVELS = (0.0, 1.0)
+
+
+class BlockEvaluator:
+    """Batch evaluator digits -> values through a state that adds over
+    disjoint coordinate sets.
+
+    ``state_of(coords)``, for increasing coordinates, gives ``state(digits)``:
+    the state of a (len(coords), rows) digit matrix of those coordinates, a
+    fresh array whose last axis holds the rows.  The states of disjoint
+    coordinate sets add up to the state of their union, and ``finish(state)``
+    gives the values.  A two-valued evaluator declares ``levels``
+    (SPIN_LEVELS or BIT_LEVELS) and ``upper(state)``, 0/1 or bool flags of
+    the rows at level 1; its finish, unless given, maps the flags to the
+    levels.
+    Called on an (N, n) digit matrix, as every batch evaluator is, it gives
+    ``finish`` of the state of all n coordinates."""
+
+    def __init__(self, n: int, state_of, finish=None, *, upper=None, levels=None):
+        if finish is None:
+            if levels == SPIN_LEVELS:
+                finish = lambda state: upper(state) * 2.0 - 1.0  # noqa: E731
+            else:
+                finish = lambda state: upper(state).astype(float)  # noqa: E731
+        self.state_of, self.finish, self.upper, self.levels = state_of, finish, upper, levels
+        self._whole = state_of(range(n))
+
+    def __call__(self, digits: np.ndarray) -> np.ndarray:
+        return self.finish(self._whole(digits.T))
 
 
 # ---------------------------------------------------------------------------
@@ -329,29 +367,45 @@ class FunctionTable:
     def _indicator(self) -> "FunctionTable":
         return FunctionTable(self.space, (self.values + 1.0) / 2.0)
 
-    def evaluator(self):
-        """Batch evaluator digits->(values), for the Monte Carlo engine.  The
-        configuration index is built by Horner's rule in uint32, which holds
-        every index of a table below the byte budget."""
-        values, q, n = self.values, self.space.q, self.n
+    def evaluator(self) -> BlockEvaluator:
+        """Batch evaluator digits->(values), for the Monte Carlo engine.  Its
+        state is the partial configuration index sum(digit[v] q^v) over the
+        coordinates at hand, built by Horner's rule in uint32, which holds
+        every index of a table below the byte budget; the finish looks the
+        index up.  A Boolean table declares its levels, and its upper flags
+        are looked up in a flag table kept beside the evaluator."""
+        values, q = self.values, self.space.q
 
-        def evaluate(digits: np.ndarray) -> np.ndarray:
-            index = digits[:, n - 1].astype(np.uint32)
-            for v in range(n - 2, -1, -1):
-                index *= q
-                index += digits[:, v]
-            return values.take(index)
+        def state_of(coords):
+            coords = list(coords)
 
-        return evaluate
+            def state(digits: np.ndarray) -> np.ndarray:
+                if not coords:
+                    return np.zeros(digits.shape[1], dtype=np.uint32)
+                index = digits[-1].astype(np.uint32)
+                for j in range(len(coords) - 2, -1, -1):
+                    index *= q ** (coords[j + 1] - coords[j])
+                    index += digits[j]
+                if coords[0]:
+                    index *= q ** coords[0]
+                return index
+
+            return state
+
+        levels = self._boolean_levels()
+        if levels is None:
+            return BlockEvaluator(self.n, state_of, values.take)
+        flags = values == 1.0
+        return BlockEvaluator(self.n, state_of, values.take, upper=flags.take, levels=levels)
 
 
-def _block_digits(q: int, n: int) -> np.ndarray:
+def _block_digits(q: int, n: int, instead: str | None = None) -> np.ndarray:
     """(q^n, n) uint8 digits of every configuration of n coordinates, held
     coordinate-major: the transpose of a C-contiguous (n, q^n) matrix whose
     row v, coordinate v's digits, is 0..q-1 in runs of q^v.  It is built
     without division by doubling blocks: the first q^(v+1) configurations
     are q copies of the first q^v, with digit v constant on each copy."""
-    require_bytes(8 * n * q**n, f"a {q}^{n}-row digit matrix")
+    require_bytes(8 * n * q**n, f"a {q}^{n}-row digit matrix", instead)
     out = np.empty((n, q**n), dtype=np.uint8)
     for v in range(n):
         grown = out[:v + 1, :q ** (v + 1)].reshape(v + 1, q, q**v)

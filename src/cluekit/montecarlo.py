@@ -32,15 +32,32 @@ rules:
   this is the digit that comparing ``rng.random()`` with the breakpoints
   gives, bit for bit.
 
-GENERATOR_ID names this stream; every estimate reports it.
+GENERATOR_ID names this stream; every estimate reports it.  Block states
+and integer fiber statistics (below) changed how a chunk's draws are
+evaluated, not the draws, so the id stayed.
 
-Digits are drawn as contiguous (coordinates, rows) matrices, and
-:func:`mc_clue` scatters them into an (n, rows) buffer, one coordinate's
-digits per contiguous row.  Evaluators get its transpose, a column-major
-(rows, n) uint8 matrix of 0/1 digits (q-ary digits off q = 2), so their
-reductions over coordinates add contiguous vectors; the zoo evaluators
-count those digits in uint8 (uint16 from 256 coordinates) without widening
-the matrix.
+Digits are drawn as contiguous (coordinates, rows) matrices.  Every zoo
+evaluator and every table's evaluator is a :class:`~cluekit.core.BlockEvaluator`,
+a finish of a state that adds over disjoint coordinate sets: per-block
+counts of ones for the zoo, the partial Horner index in uint32 for a table.
+A :func:`mc_clue` chunk takes the inside state of its outer rows once and
+the outside state of its rows * m_inner inner rows, adds each outer row's
+inside state to its m_inner inner rows and finishes, so no (n, rows *
+m_inner) digit matrix is built.  A plain callable is the degenerate case
+whose state is its digits placed among zeros: the joined state is that
+digit matrix, handed to the evaluator as its column-major transpose, a
+(rows, n) uint8 matrix of 0/1 digits (q-ary digits off q = 2).
+
+Evaluators that declare two levels, (-1, 1) or (0, 1) (every zoo family
+but sum, and Boolean tables), take their fiber statistics from the integer
+count k of rows at level 1 in each fiber: the fiber sum s is 2k - m or k,
+so the fiber means s / m are the float means bit for bit, and the within
+sum of squares is sum(m - s^2 / m) or sum(k - k^2 / m).  That one sum
+differs from the sum of squared deviations in its last bits (at most about
+1e-14 relative in the estimates), a second sanctioned exception to
+seed-bitwise reproducibility beside the 64-bits-per-word one.  Other
+evaluators keep the deviations from the fiber means of their float values.
+:func:`mc_stability` calls its evaluator on whole digit matrices.
 
 Error bars come from batch means (:func:`batch_stderr`) over the batches
 holding at least 2 rows.  Below 2 such batches (for instance n_outer <= 256
@@ -58,7 +75,7 @@ from math import sqrt
 
 import numpy as np
 
-from .core import ProductSpace, mask_indices, uniform_space, validate_mask
+from .core import SPIN_LEVELS, BlockEvaluator, ProductSpace, mask_indices, uniform_space, validate_mask
 from .errors import DegenerateError
 
 GENERATOR_ID = "philox4x64/splitmix64/bits64"
@@ -173,7 +190,9 @@ def sample_digits(space: ProductSpace, coords: list[int]):
     first, of its own ceil(rows / 64) raw words.  On any other space every
     digit takes one raw word and counts its coordinate's cut points, which
     gives the digits ``rng.random((rows, len(coords)))`` compared with the
-    interior cdf breakpoints would."""
+    interior cdf breakpoints would.  No coordinates draw nothing."""
+    if not coords:
+        return lambda rng, rows: np.empty((0, rows), dtype=np.uint8)
     if not space.is_uniform_binary:
         cuts = _cut_points(np.cumsum(space.pi[coords], axis=1)[:, :-1])
         return lambda rng, rows: _cut_digits(rng, cuts, rows)
@@ -234,6 +253,47 @@ def batch_stderr(stats: np.ndarray, estimate) -> tuple[float | None, int]:
     return _standard_error([estimate(row) for row in stats if row[0] >= 2])
 
 
+def _digit_states(evaluator, n: int) -> BlockEvaluator:
+    """A plain evaluator as a block evaluator whose state is its digits: the
+    state of a coordinate set is its digits placed in an (n, rows) uint8
+    matrix of zeros, so a joined state is the whole digit matrix, and the
+    finish hands its transpose, column-major, to the evaluator."""
+
+    def state_of(coords):
+        coords = list(coords)
+
+        def state(digits: np.ndarray) -> np.ndarray:
+            placed = np.zeros((n, digits.shape[1]), dtype=np.uint8)
+            placed[coords] = digits
+            return placed
+
+        return state
+
+    return BlockEvaluator(n, state_of, lambda placed: evaluator(placed.T))
+
+
+def _fiber_stats(blocks: BlockEvaluator, state: np.ndarray, rows: int, m: int) -> list[float]:
+    """[rows, sum of fiber means, sum of their squares, within-fiber sum of
+    squares] of one chunk's state, ``m`` inner rows per outer row.
+
+    A two-valued evaluator counts the k rows at level 1 in each fiber: the
+    fiber sum s is 2k - m on (-1, 1) and k on (0, 1), exact, so the fiber
+    means s / m are the float means bit for bit, and the within sum of
+    squares is sum(m - s^2 / m) or sum(k - k^2 / m).  Other evaluators take
+    the deviations from the fiber means of their float values."""
+    if blocks.levels is None:
+        values = np.asarray(blocks.finish(state), dtype=float).reshape(rows, m)
+        fiber_means = values.mean(axis=1)
+        deviations = values - fiber_means[:, None]
+        within_ss = float(np.sum(np.multiply(deviations, deviations, out=deviations)))
+    else:
+        k = np.add.reduce(blocks.upper(state).reshape(rows, m), axis=1, dtype=np.intp)
+        s, squares = (2 * k - m, m) if blocks.levels == SPIN_LEVELS else (k, k)
+        fiber_means = s / m
+        within_ss = float((squares - s * s / m).sum())
+    return [rows, fiber_means.sum(), float(fiber_means @ fiber_means), within_ss]
+
+
 def mc_clue(
     evaluator,
     space: ProductSpace,
@@ -259,18 +319,15 @@ def mc_clue(
     inside = mask_indices(mask)
     outside = [v for v in range(space.n) if v not in inside]
     draw_inside, draw_outside = sample_digits(space, inside), sample_digits(space, outside)
+    blocks = evaluator if isinstance(evaluator, BlockEvaluator) else _digit_states(evaluator, space.n)
+    state_inside, state_outside = blocks.state_of(inside), blocks.state_of(outside)
 
     def sample(rng, rows: int) -> list[float]:
-        columns = np.empty((space.n, rows * m_inner), dtype=np.uint8)
-        if inside:
-            columns[inside] = np.repeat(draw_inside(rng, rows), m_inner, axis=1)
-        if outside:
-            columns[outside] = draw_outside(rng, rows * m_inner)
-        values = np.asarray(evaluator(columns.T), dtype=float).reshape(rows, m_inner)
-        fiber_means = values.mean(axis=1)
-        deviations = values - fiber_means[:, None]
-        within_ss = float(np.sum(np.multiply(deviations, deviations, out=deviations)))
-        return [rows, fiber_means.sum(), float(fiber_means @ fiber_means), within_ss]
+        inner = state_inside(draw_inside(rng, rows))
+        state = state_outside(draw_outside(rng, rows * m_inner))
+        joined = state.reshape(*state.shape[:-1], rows, m_inner)
+        joined += inner[..., None]  # each outer row's inside state, once per inner row
+        return _fiber_stats(blocks, joined.reshape(state.shape), rows, m_inner)
 
     stats = run_chunks(sample, n_outer, seed)
 

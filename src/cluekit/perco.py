@@ -169,7 +169,7 @@ def _all_configs(n_edges: int) -> np.ndarray:
     """(2^n_edges, n_edges) bool matrix of every configuration, row c open on
     the set bits of c: the uniform space's digit matrix, whose guard refuses
     it from 23 edges on."""
-    return uniform_space(n_edges).digits().view(bool)
+    return uniform_space(n_edges).digits("estimate the crossing probability with perco --mc").view(bool)
 
 
 def crossing_probability_exact(rect: RectangleSpec) -> Fraction:

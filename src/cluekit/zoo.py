@@ -6,25 +6,43 @@ values in {-1,+1}; the coordinate sum is integer valued; tribes is {0,1}.
 Thresholded families use strict inequality, so a sum landing exactly on the
 threshold maps to -1.
 
+Every evaluator is a :class:`~cluekit.core.BlockEvaluator`: its state is
+the count of digits equal to 1 in each block of consecutive coordinates (one
+block of all n for parity, sum, maj and amaj, the one coordinate for
+dictator, one per tribe, and 1 + t/l for composite: the majority block and
+its steering tribes), which adds over disjoint coordinate sets, and a finish
+maps the counts to values.  So Monte Carlo can count an outer row's inside
+coordinates once for all its inner rows.  Every family but sum declares two
+levels and finishes through its upper-level flags.
+
 The symmetric families (parity, sum, maj, amaj) depend on a configuration
-only through its count w of digits equal to 1, so each also has a count law,
-the n+1 values it takes at w = 0..n, and its dense table is that law
-gathered by popcount; the other families tabulate their evaluator.
+only through its count w, so each also has a count law, its finish on the
+counts w = 0..n, and its dense table is that law gathered by popcount; the
+other families tabulate their evaluator.
 
 Evaluators only ever see 0/1 uint8 digits (every zoo space is uniform
-bits), so they count ones without widening the digit matrix, take tribes as
-bitwise and/or reductions, and map a flag to +-1 as ``flag * 2.0 - 1.0``
-(np.where on two scalars costs several times as much).
+bits), so they count ones in the narrowest unsigned type that holds n,
+without widening the digit matrix, and map a flag to +-1 as ``flag * 2.0 -
+1.0`` (np.where on two scalars costs several times as much).
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TABLE_BLOCK, FunctionTable, table_from_digits, uniform_space
+from .core import (
+    BIT_LEVELS,
+    SPIN_LEVELS,
+    TABLE_BLOCK,
+    BlockEvaluator,
+    FunctionTable,
+    table_from_digits,
+    uniform_space,
+)
 from .errors import ParseError
 from .symmetry import (
     GroupAction,
@@ -43,83 +61,92 @@ class ZooEntry:
     action: GroupAction | None
 
 
-def _digit_count(digits: np.ndarray) -> np.ndarray:
-    """Row counts of the ones of a 0/1 uint8 digit matrix, summed in the
-    narrowest unsigned type that holds the column count n: uint8 below 256
-    columns, then uint16, then uint32.  n itself fits that type, so ``n -
-    count`` cannot wrap; ``2 * count`` can."""
-    n = digits.shape[1]
-    dtype = np.uint8 if n < 1 << 8 else np.uint16 if n < 1 << 16 else np.uint32
-    return digits.sum(axis=1, dtype=dtype)
+def _count_dtype(n: int):
+    """The narrowest unsigned type that holds every count of n digits, n
+    itself included: uint8 below 256 coordinates, then uint16, then uint32."""
+    return np.uint8 if n < 1 << 8 else np.uint16 if n < 1 << 16 else np.uint32
 
 
-def _spin_sum(digits: np.ndarray) -> np.ndarray:
-    """Row sums of the +-1 spins of a 0/1 digit matrix, as floats:
-    2 (digit count) - (column count), exact below 2^53 columns."""
-    return 2.0 * _digit_count(digits) - digits.shape[1]
+def _count_states(n: int, blocks: list[range]):
+    """``state_of`` for per-block counts of ones: the state of a set of
+    coordinates is a (len(blocks), rows) matrix of the counts of its digits
+    equal to 1 in each block (0 for a block it misses), in _count_dtype(n).
+    Every block is a run of consecutive coordinates, so its digits are one
+    run of rows of the coordinate-major matrix, summed as contiguous vectors
+    without widening."""
+    dtype = _count_dtype(n)
+
+    def state_of(coords):
+        coords = list(coords)
+        runs = [slice(bisect_left(coords, block.start), bisect_left(coords, block.stop)) for block in blocks]
+        whole = len(blocks) == 1 and runs[0] == slice(0, len(coords))
+
+        def state(digits: np.ndarray) -> np.ndarray:
+            if whole:
+                return np.add.reduce(digits, axis=0, dtype=dtype, keepdims=True)
+            counts = np.empty((len(blocks), digits.shape[1]), dtype=dtype)
+            for b, run in enumerate(runs):
+                np.add.reduce(digits[run], axis=0, dtype=dtype, out=counts[b])  # 0 on an empty run
+            return counts
+
+        return state
+
+    return state_of
 
 
-def _tribes(digits: np.ndarray, tribe_size: int, tribe_count: int) -> np.ndarray:
-    """uint8 row flags: some tribe of consecutive columns is all ones."""
-    grouped = digits.reshape(len(digits), tribe_count, tribe_size)
-    return np.bitwise_or.reduce(np.bitwise_and.reduce(grouped, axis=2), axis=1)
+def _tribe_blocks(start: int, tribe_size: int, tribe_count: int) -> list[range]:
+    return [range(start + i * tribe_size, start + (i + 1) * tribe_size) for i in range(tribe_count)]
+
+
+def _some_tribe(counts: np.ndarray, tribe_size: int) -> np.ndarray:
+    """Row flags: some tribe's count of ones is its size."""
+    return (counts == tribe_size).any(axis=0)
 
 
 # ---------------------------------------------------------------------------
-# evaluators: each works on any (N, n) digit matrix, whatever its memory
-# layout; the engines hand them column-major ones, each coordinate's digits
-# contiguous, where reducing over coordinates adds contiguous vectors
+# evaluators: block evaluators (core.BlockEvaluator) over per-block counts of
+# ones, one block for dictator, parity, sum, maj and amaj, one per tribe, and
+# 1 + t/l for composite.  Called on an (N, n) digit matrix, whatever its
+# memory layout, they reduce over coordinates; the engines hand them
+# column-major ones, each coordinate's digits contiguous, where that adds
+# contiguous vectors
 # ---------------------------------------------------------------------------
 def dictator_evaluator(n: int, coord: int):
     if not 0 <= coord < n:
         raise ValueError(f"dictator coordinate {coord} outside 0..{n - 1}")
-
-    def evaluate(digits):
-        return digits[:, coord] * 2.0 - 1.0
-
-    return evaluate
+    return BlockEvaluator(n, _count_states(n, [range(coord, coord + 1)]),
+                          upper=lambda counts: counts[0], levels=SPIN_LEVELS)
 
 
 def parity_evaluator(n: int):
-    def evaluate(digits):
-        # the product of the spins is -1 to the number of 0 digits
-        return 1.0 - 2.0 * ((n - _digit_count(digits)) & 1)
-
-    return evaluate
+    # the product of the spins is +1 when the number of 0 digits, n - count, is even
+    return BlockEvaluator(n, _count_states(n, [range(n)]),
+                          upper=lambda counts: (counts[0] & 1) == n % 2, levels=SPIN_LEVELS)
 
 
 def sum_evaluator(n: int):
-    def evaluate(digits):
-        return _spin_sum(digits)
-
-    return evaluate
+    # the spin sum 2 count - n, exact below 2^53 coordinates
+    return BlockEvaluator(n, _count_states(n, [range(n)]), lambda counts: 2.0 * counts[0] - n)
 
 
 def majority_evaluator(n: int):
     if n % 2 == 0:
         raise ValueError("majority needs an odd number of coordinates")
-
-    def evaluate(digits):
-        # n odd: the spin sum 2w - n is positive exactly when w > n // 2
-        return (_digit_count(digits) > n // 2) * 2.0 - 1.0
-
-    return evaluate
+    # n odd: the spin sum 2 count - n is positive exactly when count > n // 2
+    return BlockEvaluator(n, _count_states(n, [range(n)]),
+                          upper=lambda counts: counts[0] > n // 2, levels=SPIN_LEVELS)
 
 
 def asym_majority_evaluator(n: int, shift: float):
     threshold = shift * math.sqrt(n)
-
-    def evaluate(digits):
-        return (_spin_sum(digits) > threshold) * 2.0 - 1.0
-
-    return evaluate
+    return BlockEvaluator(n, _count_states(n, [range(n)]),
+                          upper=lambda counts: 2.0 * counts[0] - n > threshold, levels=SPIN_LEVELS)
 
 
 def tribes_evaluator(tribe_size: int, tribe_count: int):
-    def evaluate(digits):
-        return _tribes(digits, tribe_size, tribe_count).astype(float)
-
-    return evaluate
+    n = tribe_size * tribe_count
+    return BlockEvaluator(n, _count_states(n, _tribe_blocks(0, tribe_size, tribe_count)),
+                          upper=lambda counts: _some_tribe(counts, tribe_size), levels=BIT_LEVELS)
 
 
 def composite_evaluator(m: int, t: int, shift: float):
@@ -128,20 +155,21 @@ def composite_evaluator(m: int, t: int, shift: float):
     l = balanced_tribe_size(t)
     up = shift * math.sqrt(m)
 
-    def evaluate(digits):
-        steer = _tribes(digits[:, m:], l, t // l) * 2.0 - 1.0
-        return (_spin_sum(digits[:, :m]) > steer * up) * 2.0 - 1.0
+    def upper(counts):
+        steer = _some_tribe(counts[1:], l) * 2.0 - 1.0
+        return 2.0 * counts[0] - m > steer * up
 
-    return evaluate
+    blocks = [range(m)] + _tribe_blocks(m, l, t // l)
+    return BlockEvaluator(m + t, _count_states(m + t, blocks), upper=upper, levels=SPIN_LEVELS)
 
 
 def _count_law(evaluator_factory):
     """The count law of a symmetric family whose first argument is n: its
-    evaluator on the n+1 digit rows w = 0..n, row w with w digits equal to 1,
-    so every value is the evaluator's own."""
+    evaluator's finish on the one-block counts w = 0..n, so every value is
+    the evaluator's own."""
 
     def by_count(n: int, *rest) -> np.ndarray:
-        return evaluator_factory(n, *rest)(np.tri(n + 1, n, -1, dtype=np.uint8))
+        return evaluator_factory(n, *rest).finish(np.arange(n + 1, dtype=_count_dtype(n))[None])
 
     return by_count
 

@@ -4,11 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cluekit.core import mask_image, validate_mask
+from cluekit.core import ProductSpace, mask_image, validate_mask
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# zero atoms: coordinate 1 never takes digit 1, coordinate 4 never digit 2
+ZERO_ATOM_Q3 = ProductSpace(5, 3, np.array([[0.2, 0.5, 0.3], [0.5, 0.0, 0.5], [0.1, 0.3, 0.6],
+                                            [1 / 3, 1 / 3, 1 / 3], [0.6, 0.4, 0.0]]))
 
 
 def table_dict(f) -> dict:

@@ -198,6 +198,19 @@ def test_over_budget_zoo_table_exits_3(capsys):
     assert "GiB" in payload["error"]
 
 
+def test_refusals_name_a_sampling_route_only_where_one_serves(capsys):
+    """The dense-table guard names mc-clue and exact enumeration perco --mc;
+    the information game's lattice has no sampling route, and its refusal
+    names none."""
+    code, payload, _ = run_cli(capsys, "analyze", "--fn", "maj:27", "--subset", "0")
+    assert code == 3 and "mc-clue" in payload["error"]
+    code, payload, _ = run_cli(capsys, "perco", "--rect", "24x1")
+    assert code == 3 and "perco --mc" in payload["error"]
+    code, payload, _ = run_cli(capsys, "game", "--fn", "parity:22", "--iclue")
+    assert code == 3 and "lattice" in payload["error"]
+    assert not any(word in payload["error"].lower() for word in ("montecarlo", "monte carlo", "mc-clue", "--mc"))
+
+
 def test_degenerate_error_exit_4(capsys, tmp_path):
     f = FunctionTable(uniform_space(2), np.ones(4))
     path = tmp_path / "const.json"
@@ -529,8 +542,9 @@ def test_mc_clue_output_is_pinned(capsys, argv, expected):
 
 def test_mc_clue_on_a_biased_table_file_is_pinned(capsys, tmp_path):
     """A 0/1 table on 12 biased bits, the shape of the monte_carlo
-    benchmark's table jobs, sampled by the cut rule; stdout recorded while
-    the table evaluator indexed through int64 digits."""
+    benchmark's table jobs, sampled by the cut rule; stdout recorded once
+    the fiber statistics of two-valued evaluators came from integer fiber
+    counts (stderr ...566168 before, on the same draws)."""
     gen = np.random.default_rng(12)
     p = gen.uniform(0.25, 0.75, size=12)
     table = FunctionTable(ProductSpace(12, 2, np.stack([1 - p, p], axis=1)),
@@ -541,7 +555,7 @@ def test_mc_clue_on_a_biased_table_file_is_pinned(capsys, tmp_path):
     assert code == 0
     assert out.replace(str(path), "<table>") == (
         '{"schema": 1, "fn": "<table>", "subset": [0, 2, 3, 7, 11], "estimate": 0.015113756379986838, '
-        '"stderr": 0.0017904551516566168, "batches": 8, "outer": 2000, "inner": 50, "seed": 43, '
+        '"stderr": 0.001790455151656617, "batches": 8, "outer": 2000, "inner": 50, "seed": 43, '
         '"generator": "philox4x64/splitmix64/bits64", "clamped": false}\n')
 
 

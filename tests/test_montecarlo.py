@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cluekit.core import FunctionTable, ProductSpace, biased_bits, uniform_space
+from cluekit.core import FunctionTable, ProductSpace, biased_bits, mask_indices, uniform_space
 from cluekit.errors import DegenerateError
 from cluekit.montecarlo import (
     CHUNK,
@@ -16,11 +16,13 @@ from cluekit.montecarlo import (
     mc_clue,
     mc_expected_clue_bernoulli,
     mc_stability,
+    run_chunks,
     sample_digits,
     splitmix64,
 )
 from cluekit.perco import RectangleSpec, crossing_probability_mc
 from cluekit.zoo import dictator_evaluator, evaluator_from_spec, majority_evaluator, sum_evaluator
+from conftest import ZERO_ATOM_Q3
 
 
 def test_splitmix64_reference_vector():
@@ -231,9 +233,6 @@ def breakpoint_digits(u, cdf):
     return (u[:, :, None] >= cdf[:, :-1]).sum(axis=2, dtype=np.uint8)
 
 
-# zero atoms: coordinate 1 never takes digit 1, coordinate 4 never digit 2
-ZERO_ATOM_Q3 = ProductSpace(5, 3, np.array([[0.2, 0.5, 0.3], [0.5, 0.0, 0.5], [0.1, 0.3, 0.6],
-                                            [1 / 3, 1 / 3, 1 / 3], [0.6, 0.4, 0.0]]))
 SAMPLING_SPACES = {
     "uniform q=2": uniform_space(5),
     "biased q=2": biased_bits(5, [0.1, 0.3, 0.5, 0.7, 0.9]),
@@ -378,3 +377,84 @@ def test_mc_clue_hands_evaluators_column_major_digits(space):
         seen.clear()
         mc_clue(record, space, mask, CHUNK + 44, inner, seed=1)
         assert seen == [((CHUNK * inner, n), np.uint8, True), ((44 * inner, n), np.uint8, True)]
+
+
+def deviation_oracle(evaluator, space, mask, n_outer, m_inner, seed):
+    """(estimate, stderr, uncorrected) of mc_clue on the same draws, with
+    the float statistics it took before integer fiber counts: the whole
+    (n, rows * m_inner) digit matrix through the plain evaluator, and the
+    within sum of squares from the deviations about the fiber means."""
+    inside = mask_indices(mask)
+    outside = [v for v in range(space.n) if v not in inside]
+    draw_inside, draw_outside = sample_digits(space, inside), sample_digits(space, outside)
+
+    def sample(rng, rows):
+        columns = np.empty((space.n, rows * m_inner), dtype=np.uint8)
+        if inside:
+            columns[inside] = np.repeat(draw_inside(rng, rows), m_inner, axis=1)
+        if outside:
+            columns[outside] = draw_outside(rng, rows * m_inner)
+        values = np.asarray(evaluator(columns.T), dtype=float).reshape(rows, m_inner)
+        fiber_means = values.mean(axis=1)
+        deviations = values - fiber_means[:, None]
+        return [rows, fiber_means.sum(), fiber_means @ fiber_means, (deviations * deviations).sum()]
+
+    def ratio(row):
+        count, s1, s2, within_ss = row
+        between = (s2 - count * (s1 / count) ** 2) / (count - 1)
+        within = within_ss / (count * (m_inner - 1))
+        numerator = between - within / m_inner
+        total = numerator + within
+        return max(numerator, 0.0) / total, between / total
+
+    stats = run_chunks(sample, n_outer, seed)
+    estimate, uncorrected = ratio(stats.sum(axis=0))
+    per_batch = [ratio(row)[0] for row in stats if row[0] >= 2]
+    stderr = float(np.std(per_batch, ddof=1) / np.sqrt(len(per_batch))) if len(per_batch) > 1 else None
+    return estimate, stderr, uncorrected
+
+
+def assert_close_to_oracle(got, oracle, rel=1e-12):
+    for name, a, b in zip(("estimate", "stderr", "uncorrected"), (got.estimate, got.stderr, got.uncorrected), oracle):
+        assert abs(a - b) <= rel * max(abs(a), abs(b)), (name, a, b)
+
+
+def _zoo(spec):
+    n, ev = evaluator_from_spec(spec)
+    return uniform_space(n), ev
+
+
+def _boolean_table(space, levels, seed):
+    values = np.asarray(levels)[np.random.default_rng(seed).integers(0, 2, space.size)]
+    return space, FunctionTable(space, values).evaluator()
+
+
+# name -> (space, two-valued evaluator)
+TWO_VALUED = {
+    **{spec: (lambda spec=spec: _zoo(spec)) for spec in
+       ("maj:21", "parity:20", "amaj:21,0.5", "tribes:4,5", "composite:20,16,0.5", "dictator:30,7")},
+    "bits table": lambda: _boolean_table(biased_bits(12, np.linspace(0.25, 0.75, 12)), (0.0, 1.0), 1),
+    "spins table": lambda: _boolean_table(uniform_space(10), (-1.0, 1.0), 2),
+}
+
+
+@pytest.mark.parametrize("m_inner", [2, 256])
+@pytest.mark.parametrize("name", TWO_VALUED)
+def test_integer_fiber_statistics_match_the_deviation_oracle(name, m_inner):
+    """Two-valued evaluators take their fiber statistics from integer
+    counts; estimate, stderr and uncorrected stay within 1e-12 relative of
+    the float statistics, across seeds and subsets."""
+    space, ev = TWO_VALUED[name]()
+    assert ev.levels is not None
+    rng = np.random.default_rng(space.n + m_inner)
+    for seed in (1, 2, 3):
+        mask = int(sum(1 << int(v) for v in rng.choice(space.n, space.n // 2, replace=False)))
+        est = mc_clue(ev, space, mask, 600, m_inner, seed)
+        assert_close_to_oracle(est, deviation_oracle(ev, space, mask, 600, m_inner, seed))
+
+
+def test_the_all_clamped_parity_case_matches_the_deviation_oracle():
+    ev, space, mask = evaluator_from_spec("parity:33")[1], uniform_space(33), (1 << 17) - 1
+    est = mc_clue(ev, space, mask, 512, 8, 5)
+    assert est.clamped and est.estimate == 0.0 and est.stderr == 0.0
+    assert_close_to_oracle(est, deviation_oracle(ev, space, mask, 512, 8, 5))

@@ -30,6 +30,7 @@ from cluekit.zoo import (
     sum_function,
     tribes,
 )
+from conftest import ZERO_ATOM_Q3
 
 
 def spins_to_index(spins):
@@ -260,6 +261,69 @@ def test_evaluators_do_not_depend_on_layout(n):
     digits = reference_digits(n)
     for spec in reference_specs(n):
         assert_layout_free(evaluator_from_spec(spec)[1], digits, spec)
+
+
+def split_masks(n):
+    """Empty, full and random coordinate sets, and coordinates 0 and n - 1
+    (dictator's coordinates) each alone and each left out."""
+    full = (1 << n) - 1
+    rng = np.random.default_rng(n + 1)
+    random_masks = [int(sum(1 << int(v) for v in np.flatnonzero(rng.random(n) < p))) for p in (0.3, 0.7)]
+    return [0, full, *random_masks, 1, full ^ 1, 1 << (n - 1), full ^ (1 << (n - 1))]
+
+
+def split_values(evaluator, digits, mask):
+    """The values from the state of the coordinates in ``mask`` plus the
+    state of the rest, finished; both states are taken from the
+    coordinate-major digit rows of their own coordinates."""
+    n = digits.shape[1]
+    inside = [v for v in range(n) if mask >> v & 1]
+    outside = [v for v in range(n) if not mask >> v & 1]
+    rows = np.ascontiguousarray(digits.T)
+    state = evaluator.state_of(inside)(rows[inside]) + evaluator.state_of(outside)(rows[outside])
+    return evaluator.finish(state), state
+
+
+def assert_split_is_plain(evaluator, digits, what):
+    plain = evaluator(np.asfortranarray(digits))
+    for mask in split_masks(digits.shape[1]):
+        values, state = split_values(evaluator, digits, mask)
+        assert values.dtype == plain.dtype and values.tobytes() == plain.tobytes(), (what, mask)
+        if evaluator.levels is not None:
+            upper = evaluator.upper(state)
+            np.testing.assert_array_equal(np.where(upper, evaluator.levels[1], evaluator.levels[0]), plain)
+
+
+# 255, 256 and 300 put the counts on either side of their uint8 limit
+@pytest.mark.parametrize("n", [1, 2, 20, 33, 76, 255, 256, 300])
+def test_split_states_give_the_plain_values(n):
+    digits = reference_digits(n)
+    for spec in reference_specs(n):
+        assert_split_is_plain(evaluator_from_spec(spec)[1], digits, spec)
+
+
+def test_two_valued_families_declare_their_levels():
+    levels = {spec.partition(":")[0]: evaluator_from_spec(spec)[1].levels
+              for spec in ("dictator:3", "parity:3", "sum:3", "maj:3", "amaj:3,0.5", "tribes:2,2",
+                           "composite:3,2,0.5")}
+    assert levels == {"dictator": (-1.0, 1.0), "parity": (-1.0, 1.0), "sum": None, "maj": (-1.0, 1.0),
+                      "amaj": (-1.0, 1.0), "tribes": (0.0, 1.0), "composite": (-1.0, 1.0)}
+
+
+@pytest.mark.parametrize("values", ["normal", "spins", "bits"])
+@pytest.mark.parametrize("space", [ZERO_ATOM_Q3, biased_bits(12, 0.3), uniform_space(1)], ids=["q=3", "q=2", "n=1"])
+def test_table_split_states_give_the_plain_values(space, values):
+    """The partial Horner index of each part adds to the whole index; a
+    Boolean table declares its levels and flags its upper level."""
+    rng = np.random.default_rng(space.size)
+    table = FunctionTable(space, {"normal": rng.normal(size=space.size),
+                                  "spins": rng.integers(0, 2, space.size) * 2.0 - 1.0,
+                                  "bits": rng.integers(0, 2, space.size) * 1.0}[values])
+    digits = np.concatenate([rng.integers(0, space.q, (500, space.n), dtype=np.uint8),
+                             np.full((1, space.n), space.q - 1, dtype=np.uint8)])
+    evaluator = table.evaluator()
+    assert evaluator.levels == {"normal": None, "spins": (-1.0, 1.0), "bits": (0.0, 1.0)}[values]
+    assert_split_is_plain(evaluator, digits, space)
 
 
 @pytest.mark.parametrize("space", [uniform_space(1), biased_bits(2, 0.3), biased_bits(20, 0.6),
