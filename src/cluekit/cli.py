@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import clue as clue_mod
-from . import games, infotheory, perco, spectral, suites, zoo
+from . import games, infotheory, perco, spectral, suites, transforms, zoo
 from .core import FunctionTable, full_mask, mask_from_indices, mask_indices, uniform_space
 from .errors import DegenerateError, GuardError, ParseError
 from .fnio import load_function
@@ -249,7 +249,7 @@ def _cmd_spectrum(args) -> int:
             "kind": kind,
             "values": _ByMask(values),
             "level_weights": spectral.stability_profile(f).level_weights.tolist(),
-            "marginals": spectral.spectral_marginals(dist).tolist(),
+            "marginals": transforms.dividend_shares(dist).tolist(),
         }
     )
     return 0

@@ -13,7 +13,6 @@ import numpy as np
 
 from .core import (
     FunctionTable,
-    RandomSetDistribution,
     _contract,
     complement_mask,
     conditional_marginal,
@@ -49,23 +48,28 @@ def _checked_variance(f: FunctionTable) -> float:
 def clue(f: FunctionTable, mask: int) -> float:
     """Fraction of the variance of f explained by the coordinates in mask.
 
-    Equals the squared correlation between f and E[f | mask].
+    Equals the squared correlation between f and E[f | mask].  The ratio is
+    conditioned by Var f: its absolute error is a few ulps of
+    max |f - E f|^2 over Var f, large only for a nearly constant f.
     """
     validate_mask(mask, f.n)
     var = _checked_variance(f)
     return weighted_variance(*conditional_marginal(f, mask), f.space.q) / var
 
 
-def clue_spectral(dist: RandomSetDistribution, mask: int) -> float:
-    """P[sample subseteq mask | sample nonempty], from the spectral sample.
+def clue_spectral(sample: np.ndarray, mask: int) -> float:
+    """P[sample subseteq mask | sample nonempty], from the spectral sample
+    (the 2^n vector of :func:`~cluekit.spectral.spectral_distribution`).
     Agrees with :func:`clue` on product measures."""
-    validate_mask(mask, dist.probs.size.bit_length() - 1)
-    masks = np.arange(dist.probs.size)
-    return float(dist.probs[(masks | mask) == mask].sum())
+    validate_mask(mask, sample.size.bit_length() - 1)
+    masks = np.arange(sample.size)
+    return float(sample[(masks | mask) == mask].sum())
 
 
 def clue_all_subsets_table(f: FunctionTable) -> np.ndarray:
-    """clue(f | mask) for every mask, via subset weights (any product measure)."""
+    """clue(f | mask) for every mask, via subset weights (any product measure).
+    Conditioned by Var f as :func:`clue` is: a few ulps of max |f - E f|^2
+    over Var f."""
     var = _checked_variance(f)
     values = projected_variances(f)
     values /= var
@@ -121,7 +125,9 @@ def witness(f: FunctionTable, mask: int) -> float:
 # ---------------------------------------------------------------------------
 def tv_clue(f: FunctionTable, mask: int) -> float:
     """E|E[f|mask] - E[f]| / E|f - E[f]| (symmetric and asymmetric variants
-    of the underlying distance coincide in this ratio)."""
+    of the underlying distance coincide in this ratio).  The ratio is
+    conditioned by E|f - E f|: its absolute error is a few ulps of
+    max |f - E f| over E|f - E f|."""
     require_varying(f)
     validate_mask(mask, f.n)
     fiber_sums = fibers(_weighted_deviation(f), f.space, mask).sum(axis=1)
@@ -148,7 +154,9 @@ def _mean_absolute_deviation(f: FunctionTable) -> float:
 
 def tv_clue_all_subsets(f: FunctionTable) -> np.ndarray:
     """tv_clue(f, U) for every mask U.  With S the lattice of w (f - E f),
-    E|E[f|U] - E f| is the sum of |S| over the kept slots of U.
+    E|E[f|U] - E f| is the sum of |S| over the kept slots of U.  Conditioned
+    by E|f - E f| as :func:`tv_clue` is: a few ulps of max |f - E f| over
+    E|f - E f|.
 
     O(n (q+1)^n) time, in the slabs of :func:`~cluekit.transforms.lattice_sums`.
     """

@@ -10,7 +10,7 @@ Conventions used everywhere in the package:
   ``digit 1 -> spin +1``.
 * Coordinate subsets are plain Python ints used as bitmasks (bit v set means
   coordinate v belongs to the subset); a quantity over every subset, such as
-  a :class:`RandomSetDistribution`, is a 2^n vector indexed by mask.
+  a law of a random subset, is a plain 2^n vector indexed by mask.
 
 Other modules reach this layout only through :func:`fibers`, :func:`extend`,
 :func:`permute` and the digit matrices that one private helper builds for
@@ -63,7 +63,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateError, GuardError
-from .transforms import containing_sums
 
 BYTE_BUDGET = 1 << 30
 TABLE_BLOCK = 1 << 16
@@ -153,8 +152,9 @@ class ProductSpace:
     """Finite product configuration space with a per-coordinate measure.
 
     ``pi`` has shape (n, q): row v is the probability vector of coordinate v.
-    Zero-probability atoms are allowed; rows must sum to 1 within 1e-12.
-    Instances are immutable and safe to share between threads.
+    Entries must be finite; zero-probability atoms are allowed; rows must
+    sum to 1 within 1e-12.  Instances are immutable and safe to share between
+    threads.
     """
 
     n: int
@@ -180,8 +180,9 @@ class ProductSpace:
         pi = np.asarray(self.pi, dtype=float)
         if pi.shape != (self.n, self.q):
             raise ValueError(f"pi must have shape ({self.n}, {self.q})")
-        if np.any(pi < -PROB_TOL) or np.any(pi > 1 + PROB_TOL):
-            raise ValueError("probabilities must lie in [0, 1]")
+        # asks that pi lie inside the range, not outside it: NaN fails every comparison
+        if not np.all((pi >= -PROB_TOL) & (pi <= 1 + PROB_TOL)):
+            raise ValueError("probabilities must be finite and lie in [0, 1]")
         if np.any(np.abs(pi.sum(axis=1) - 1.0) > PROB_TOL):
             raise ValueError("each coordinate's probabilities must sum to 1")
         object.__setattr__(self, "pi", np.clip(pi, 0.0, 1.0))
@@ -605,56 +606,3 @@ def conditional_expectation(f: FunctionTable, mask: int) -> FunctionTable:
     marg, _ = conditional_marginal(f, mask)
     return FunctionTable(f.space, extend(marg, f.space, mask))
 
-
-# ---------------------------------------------------------------------------
-# random coordinate subsets
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True, eq=False)
-class RandomSetDistribution:
-    """Distribution over the subsets of n coordinates: ``probs[mask]`` is
-    P[U = mask], one entry per subset mask (length 2^n).
-
-    The constructor takes ownership of a float64 vector: it is frozen in
-    place, not copied, so the caller must not write to it afterwards."""
-
-    probs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size == 0 or probs.size & (probs.size - 1):
-            raise ValueError("need one probability per subset mask, a vector of length 2^n")
-        if probs.min() < -PROB_TOL:
-            raise ValueError("subset probabilities must be nonnegative")
-        # numpy sums pairwise, so 2^n terms drift by O(n) roundings, not O(2^n)
-        total = float(probs.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"subset probabilities sum to {total}, not 1")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-
-
-def _require_subset_law(n: int):
-    require_bytes(8 << n, f"a law over the 2^{n} subsets of {n} coordinates")
-
-
-def revealment(dist: RandomSetDistribution) -> float:
-    """max_j P[j in U]: the largest single-coordinate inclusion probability."""
-    return float(containing_sums(dist.probs).max(initial=0.0))
-
-
-def bernoulli_sets(n: int, p: float) -> RandomSetDistribution:
-    """Each coordinate included independently with probability p: the
-    product measure on inclusion bits."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    _require_subset_law(n)
-    return RandomSetDistribution(biased_bits(n, p).marginal_weights(full_mask(n)))
-
-
-def translate_sets(mask: int, perms: Sequence[Sequence[int]], n: int) -> RandomSetDistribution:
-    """Uniform distribution over the images of ``mask`` under the given
-    coordinate permutations."""
-    validate_mask(mask, n)
-    _require_subset_law(n)
-    images = [mask_image(mask, perm) for perm in perms]
-    return RandomSetDistribution(np.bincount(images, minlength=1 << n) / len(perms))

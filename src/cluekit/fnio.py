@@ -15,10 +15,19 @@ from .core import FunctionTable, ProductSpace
 from .errors import ParseError
 
 
+def _whole(data: dict, key: str) -> int:
+    """An integer field: a JSON integer, or a float with no fractional part.
+    Not ``int(x)``, which reads 2.9 as 2 and ``true`` as 1."""
+    x = data[key]
+    if isinstance(x, bool) or not (isinstance(x, int) or (isinstance(x, float) and x.is_integer())):
+        raise ValueError(f"{key} = {x!r} is not an integer")
+    return int(x)
+
+
 def table_from_dict(data: dict) -> FunctionTable:
     try:
-        n = int(data["n"])
-        q = int(data["q"])
+        n = _whole(data, "n")
+        q = _whole(data, "q")
         pi = np.asarray(data["measure"], dtype=float)
         values = np.asarray(data["values"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

@@ -120,6 +120,10 @@ def mutual_information_all_subsets(f: FunctionTable) -> np.ndarray:
     O(n (q+1)^n) time per group of two or more positive-weight
     configurations, plus one lattice for H(X_U), each in the slabs of
     :func:`~cluekit.transforms.lattice_sums`.
+
+    Each entry's absolute error is a few ulps of H(Z, X_U) <= H(Z) + |U| ln q,
+    so an I-clue formed by dividing by H(Z) is conditioned by H(Z) as
+    :func:`i_clue` is.
     """
     space = f.space
     codes, reps = _value_groups(f)
@@ -135,7 +139,10 @@ def mutual_information_all_subsets(f: FunctionTable) -> np.ndarray:
 
 def i_clue(f: FunctionTable, mask: int) -> float:
     """I(Z : X_mask) / H(Z), in [0, 1]; needs two value groups of positive
-    weight."""
+    weight.  The ratio is conditioned by H(Z): I is a difference of
+    entropies as large as H(Z, X_mask) <= H(Z) + |mask| ln q, so its absolute
+    error is a few ulps of that over H(Z), large when Z is nearly
+    deterministic."""
     if np.count_nonzero(_value_probs(f)) < 2:
         raise DegenerateError("constant function: I-clue undefined")
     return min(mutual_information(f, mask) / value_entropy(f), 1.0)
@@ -187,7 +194,9 @@ def _ent_of_marginal(f: FunctionTable, mask: int) -> float:
 
 
 def kl_clue(f: FunctionTable, mask: int) -> float:
-    """Ent(E[f | mask]) / Ent(f), in [0, 1], for f >= 0."""
+    """Ent(E[f | mask]) / Ent(f), in [0, 1], for f >= 0.  The ratio is
+    conditioned by Ent(f): its absolute error is a few ulps of max f (times
+    the log of max f / E f) over Ent(f), large when f is nearly constant."""
     require_varying(f)
     validate_mask(mask, f.n)
     _require_nonnegative(f, "kl_clue")
@@ -201,7 +210,9 @@ def kl_clue_all_subsets(f: FunctionTable) -> np.ndarray:
     """kl_clue(f, U) for every mask U, f >= 0.  With A the lattice of w f and
     W = :func:`~cluekit.transforms.kept_weights`, Ent(E[f | U]) sums
     W times the entropy gap of A / W over the kept slots of U, the terms
-    that :func:`kl_clue` sums for one U.
+    that :func:`kl_clue` sums for one U.  Conditioned by Ent(f) as
+    :func:`kl_clue` is: a few ulps of max f (times the log of max f / E f)
+    over Ent(f).
 
     O(n (q+1)^n) time, in the slabs of :func:`~cluekit.transforms.lattice_sums`.
     """

@@ -34,9 +34,10 @@ and (16, 16) @ (16, 8192) handed to the pool; 1024 x 16 x 16 multiply-adds
 ran serially in every operand order.
 
 Squared weights with the empty set's dropped, normalized to a probability
-measure, form the spectral sample: a :class:`~cluekit.core.RandomSetDistribution`
-like any other subset law.  A uniformly random element of it drives the
-transitive upper bounds that the ``transitive-bound`` suite checks.
+measure, form the spectral sample: a law of a random subset, held like every
+other subset quantity as a plain 2^n vector indexed by mask.  A uniformly
+random element of it drives the transitive upper bounds that the
+``transitive-bound`` suite checks.
 """
 from __future__ import annotations
 
@@ -48,7 +49,6 @@ from .core import (
     TABLE_BLOCK,
     FunctionTable,
     ProductSpace,
-    RandomSetDistribution,
     _contract,
     _piece,
     covariance,
@@ -57,7 +57,7 @@ from .core import (
     require_varying,
 )
 from .errors import DegenerateError, GuardError
-from .transforms import dividend_shares, popcounts, subset_zeta
+from .transforms import popcounts, subset_zeta
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +220,9 @@ def projected_variances(f: FunctionTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # spectral distribution over subset masks
 # ---------------------------------------------------------------------------
-def spectral_distribution(f: FunctionTable) -> RandomSetDistribution:
-    """The spectral sample of f conditioned on being nonempty (probs[0] = 0)."""
+def spectral_distribution(f: FunctionTable) -> np.ndarray:
+    """The spectral sample of f conditioned on being nonempty: the squared
+    weights ||f_S||^2 normalized to sum to 1, entry 0 set to 0."""
     require_varying(f)
     weights = efron_stein(f)
     weights[0] = 0.0
@@ -229,14 +230,7 @@ def spectral_distribution(f: FunctionTable) -> RandomSetDistribution:
     if total <= 0.0:
         raise DegenerateError("constant function: conditioned spectral sample undefined")
     weights /= total
-    return RandomSetDistribution(weights)
-
-
-def spectral_marginals(dist: RandomSetDistribution) -> np.ndarray:
-    """P[X = j] for every coordinate j, X a uniform element of the
-    conditioned sample: the sum over masks containing j of probs/|mask|, in
-    O(n 2^n)."""
-    return dividend_shares(dist.probs)
+    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -29,19 +29,19 @@ from .clue import (
 from .core import (
     FunctionTable,
     ProductSpace,
-    bernoulli_sets,
+    biased_bits,
     conditional_expectation,
     conditional_marginal,
     correlation,
+    full_mask,
     l2_norm_sq,
+    mask_image,
     mask_indices,
-    revealment,
-    translate_sets,
     uniform_space,
     variance,
 )
 from .montecarlo import generator_for, mc_clue
-from .transforms import popcounts, subset_mobius
+from .transforms import containing_sums, dividend_shares, popcounts, subset_mobius
 
 SUITE_SEED = 20240917  # fixed stream root: suites check pinned instances
 # Suites that read every subset off the keep-or-sum-out lattice compare it
@@ -257,8 +257,7 @@ def games_suite() -> tuple[dict, list]:
     for trial in range(10):
         f = FunctionTable(sp8, rng.standard_normal(sp8.size))
         phi = games.shapley(games.build_clue_game(f))
-        dist = spectral.spectral_distribution(f)
-        marg = spectral.spectral_marginals(dist)
+        marg = dividend_shares(spectral.spectral_distribution(f))
         err = float(np.max(np.abs(phi / variance(f) - marg)))
         worst_marg = max(worst_marg, err)
         if err > 1e-9:
@@ -303,7 +302,7 @@ def games_suite() -> tuple[dict, list]:
                                (zoo.tribes(4, 4), "information", games.build_iclue_game)):
         game = build(entry.table)
         phi = games.shapley(game)
-        marg = spectral.spectral_marginals(spectral.spectral_distribution(entry.table))
+        marg = dividend_shares(spectral.spectral_distribution(entry.table))
         row = {"fn": entry.name, "kind": kind,
                "supermodular": games.is_supermodular(game)[0],
                "efficiency_gap": abs(float(phi.sum()) - game.grand_value),
@@ -563,6 +562,25 @@ def sandwiches_suite() -> tuple[dict, list]:
 # ---------------------------------------------------------------------------
 # 7. revealment
 # ---------------------------------------------------------------------------
+# A law of a random subset U is a 2^n vector: law[mask] = P[U = mask].
+def _bernoulli_sets(n: int, p: float) -> np.ndarray:
+    """Each coordinate included independently with probability p: the
+    product measure on inclusion bits."""
+    return biased_bits(n, p).marginal_weights(full_mask(n))
+
+
+def _translate_sets(mask: int, perms: list[list[int]], n: int) -> np.ndarray:
+    """Uniform law over the images of ``mask`` under the given coordinate
+    permutations."""
+    images = [mask_image(mask, perm) for perm in perms]
+    return np.bincount(images, minlength=1 << n) / len(perms)
+
+
+def _revealment(law: np.ndarray) -> float:
+    """max_j P[j in U]: the largest single-coordinate inclusion probability."""
+    return float(containing_sums(law).max(initial=0.0))
+
+
 def revealment_suite() -> tuple[dict, list]:
     """Expected clue against revealment on Bernoulli and cyclic-translate
     laws.  ``worst_fiber_err`` checks each expected clue (on Bernoulli sets,
@@ -586,11 +604,11 @@ def revealment_suite() -> tuple[dict, list]:
         every = clue_all_subsets_table(f)
         fiber = _direct_clue_all(f)
         for p in p_grid:
-            dist = bernoulli_sets(n, p)
+            law = _bernoulli_sets(n, p)
             ec = expected_clue(f, p ** np.arange(n + 1))
-            gap = ec - revealment(dist)
-            identity_err = abs(float(dist.probs @ every) - spectral.stability(prof, p) / var)
-            fiber_err = abs(ec - float(dist.probs @ fiber))
+            gap = ec - _revealment(law)
+            identity_err = abs(float(law @ every) - spectral.stability(prof, p) / var)
+            fiber_err = abs(ec - float(law @ fiber))
             worst_gap = max(worst_gap, gap)
             worst_identity = max(worst_identity, identity_err)
             worst_fiber = max(worst_fiber, fiber_err)
@@ -600,10 +618,10 @@ def revealment_suite() -> tuple[dict, list]:
         rotations = [[(v + k) % n for v in range(n)] for k in range(n)]
         for _ in range(4):
             mask = int(rng.integers(1, 1 << n))
-            dist = translate_sets(mask, rotations, n)
-            ec = float(dist.probs @ every)
-            gap = ec - revealment(dist)
-            fiber_err = abs(ec - float(dist.probs @ fiber))
+            law = _translate_sets(mask, rotations, n)
+            ec = float(law @ every)
+            gap = ec - _revealment(law)
+            fiber_err = abs(ec - float(law @ fiber))
             worst_gap = max(worst_gap, gap)
             worst_fiber = max(worst_fiber, fiber_err)
             if gap > 1e-10 or fiber_err > 1e-10:

@@ -4,7 +4,7 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from cluekit import cli, core, spectral, transforms
+from cluekit import cli, spectral, suites, transforms
 from cluekit import clue as clue_mod
 from cluekit.cli import _ByMask, _emit, _emit_csv, build_parser, main
 from cluekit.clue import clue, clue_all_subsets_table
@@ -132,8 +132,9 @@ def test_random_set_forms_refuse_a_constant_table(capsys, tmp_path):
 
 
 def test_random_set_forms_build_no_subset_law(capsys, monkeypatch, tmp_path):
-    """Both forms read the n+1 level weights: no law over the 2^n subsets, no
-    all-subsets clue and no zeta over the masks."""
+    """Both forms read the n+1 level weights: no law over the 2^n subsets
+    (the revealment suite's builder is the canary), no all-subsets clue and no
+    zeta over the masks."""
     tables = _random_set_tables(tmp_path)
     want = {(fn, subset): run_cli(capsys, "analyze", "--fn", fn, "--subset", subset)[1]
             for fn in tables for subset in ("bernoulli:0.3", "singletons")}
@@ -141,7 +142,7 @@ def test_random_set_forms_build_no_subset_law(capsys, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("a 2^n route ran")
 
-    for module, name in ((core, "bernoulli_sets"), (clue_mod, "clue_all_subsets_table"),
+    for module, name in ((suites, "_bernoulli_sets"), (clue_mod, "clue_all_subsets_table"),
                          (transforms, "subset_zeta"), (spectral, "subset_zeta")):
         monkeypatch.setattr(module, name, refuse)
     for (fn, subset), payload in want.items():
@@ -633,6 +634,33 @@ def test_fnio_validates(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ParseError):
         load_function(path)
+
+
+BAD_FILES = {
+    "nan-measure": '{"n": 2, "q": 2, "measure": [[NaN, NaN], [0.5, 0.5]], "values": [0, 1, 1, 0]}',
+    "fractional-n": '{"n": 2.9, "q": 2, "measure": [[0.5, 0.5], [0.5, 0.5]], "values": [0, 1, 1, 0]}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_FILES))
+def test_every_table_command_refuses_a_bad_function_file(kind, capsys, tmp_path):
+    """Exit 2, not a finite estimate (mc-clue) or a constant-function verdict
+    (analyze, spectrum, exit 4)."""
+    path = tmp_path / "bad.json"
+    path.write_text(BAD_FILES[kind])
+    for argv in (("analyze", "--subset", "0"), ("spectrum",), ("mc-clue", "--subset", "0", "--seed", "1")):
+        code, payload, _ = run_cli(capsys, argv[0], "--fn", str(path), *argv[1:])
+        assert code == 2, argv
+        assert payload["exit"] == 2
+
+
+@pytest.mark.parametrize("bad", [2.9, True, "2"], ids=["fraction", "boolean", "string"])
+def test_fnio_refuses_a_count_that_is_not_an_integer(bad):
+    data = {"n": 2, "q": 2, "measure": [[0.5, 0.5], [0.5, 0.5]], "values": [0, 1, 1, 0]}
+    for key in ("n", "q"):
+        with pytest.raises(ParseError, match=f"{key} = .* is not an integer"):
+            table_from_dict({**data, key: bad})
+    assert table_from_dict({**data, "n": 2.0, "q": 2.0}).n == 2  # a whole float still loads
 
 
 def test_fnio_round_trip_biased(tmp_path):

@@ -19,13 +19,10 @@ from cluekit.core import (
     BLAS_PIECE,
     FunctionTable,
     ProductSpace,
-    bernoulli_sets,
     biased_bits,
     complement_mask,
     conditional_marginal,
     expectation,
-    revealment,
-    translate_sets,
     uniform_space,
 )
 from cluekit.errors import DegenerateError
@@ -38,7 +35,13 @@ from cluekit.infotheory import (
     value_entropy,
 )
 from cluekit.spectral import spectral_distribution, stability, stability_profile
-from cluekit.suites import PROJECTION_TOL, _projection_bounds
+from cluekit.suites import (
+    PROJECTION_TOL,
+    _bernoulli_sets,
+    _projection_bounds,
+    _revealment,
+    _translate_sets,
+)
 from cluekit.symmetry import cyclic_group
 from cluekit.transforms import popcounts
 from cluekit.zoo import dictator, majority, parity, sum_function, tribes
@@ -182,7 +185,7 @@ def test_expected_clue_examples():
     assert expected_clue(f, half) == pytest.approx(13 / 32, abs=1e-10)
     assert expected_clue(f, half) == pytest.approx(stability(stability_profile(f), 0.5), abs=1e-10)
     # the revealment suite's oracle: the 2^n law dotted with every subset's clue
-    oracle = bernoulli_sets(3, 0.5).probs @ clue_all_subsets_table(f)
+    oracle = _bernoulli_sets(3, 0.5) @ clue_all_subsets_table(f)
     assert expected_clue(f, half) == pytest.approx(oracle, rel=1e-12)
 
     d = dictator(4, 0).table
@@ -199,12 +202,12 @@ def test_expected_clue_translate_bound():
     cyc = group_elements(cyclic_group(n))
     for _ in range(10):
         mask = int(rng.integers(1, 1 << n))
-        dist = translate_sets(mask, cyc, n)
-        assert dist.probs @ every <= revealment(dist) + 1e-10
+        law = _translate_sets(mask, cyc, n)
+        assert law @ every <= _revealment(law) + 1e-10
     for p in (0.1, 0.5, 0.9):
         level = expected_clue(f, p ** np.arange(n + 1))
         assert level <= p + 1e-10
-        assert level == pytest.approx(bernoulli_sets(n, p).probs @ every, rel=1e-12)
+        assert level == pytest.approx(_bernoulli_sets(n, p) @ every, rel=1e-12)
 
 
 def test_order_chain_on_balanced_functions():

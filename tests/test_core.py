@@ -10,10 +10,8 @@ from cluekit.core import (
     ProductSpace,
     TABLE_BLOCK,
     BLAS_PIECE,
-    RandomSetDistribution,
     _block_digits,
     _contract,
-    bernoulli_sets,
     biased_bits,
     complement_mask,
     conditional_expectation,
@@ -24,12 +22,12 @@ from cluekit.core import (
     mask_from_indices,
     mask_indices,
     permute,
-    revealment,
     table_from_digits,
     uniform_space,
     variance,
 )
 from cluekit.errors import GuardError
+from cluekit.suites import _bernoulli_sets, _revealment
 from cluekit.zoo import majority, parity, sum_function
 from conftest import save_table
 
@@ -242,14 +240,12 @@ def test_exact_guard_blocks_large_tables():
     # the lattice's top rows for every coalition's information: 3^10 rows of
     # 2^12 entries, 1.8 GiB, the first n on bits whose top rows pass the budget
     "main(['game', '--fn', 'parity:22', '--iclue'])",
-    # 2^27 subset probabilities, 1 GiB, beside the half-size array they are built from
-    "bernoulli_sets(27, 0.3)",
     # a 2 GiB zoo table, refused before its block buffer exists
     "zoo.from_spec('sum:28')",
     # a 1 GiB table of a count law, refused through the command line
     "main(['analyze', '--fn', 'maj:27', '--subset', '0'])",
 ], ids=["clue-cli-joint-law", "materialized-components", "digit-matrix", "iclue-game-lattice",
-        "bernoulli-set-law", "zoo-table", "zoo-table-cli"])
+        "zoo-table", "zoo-table-cli"])
 def test_over_budget_arrays_are_refused_before_allocation(code, tmp_path, run_python):
     """Each request needs 1 GiB or more at once (one array, or the lattice
     top rows of the information game beside its sums), all but the 1 GiB
@@ -261,7 +257,7 @@ def test_over_budget_arrays_are_refused_before_allocation(code, tmp_path, run_py
     prelude = (
         "import sys\nimport numpy as np\n"
         "from cluekit import zoo\nfrom cluekit.cli import main\n"
-        "from cluekit.core import FunctionTable, bernoulli_sets, uniform_space\n"
+        "from cluekit.core import FunctionTable, uniform_space\n"
         "from cluekit.errors import GuardError\n"
         "from cluekit.spectral import efron_stein_components\n"
         f"PATH = {str(path)!r}\nrng = np.random.default_rng(0)\n"
@@ -311,6 +307,13 @@ def test_product_space_validation():
         ProductSpace(0, 2, np.zeros((0, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "plus-inf", "minus-inf"])
+def test_product_space_refuses_every_non_finite_probability(bad):
+    for row in ([bad, bad], [bad, 0.5], [0.5, bad]):
+        with pytest.raises(ValueError, match="^probabilities must be finite and lie in"):
+            ProductSpace(2, 2, np.array([[0.5, 0.5], row]))
+
+
 def test_mask_helpers():
     assert mask_from_indices([0, 2], 3) == 0b101
     assert mask_indices(0b101) == [0, 2]
@@ -320,49 +323,30 @@ def test_mask_helpers():
         mask_from_indices([3], 3)
 
 
+# the revealment suite's subset laws: plain 2^n vectors, law[mask] = P[U = mask]
 def test_revealment_singletons():
-    probs = np.zeros(1 << 5)
-    probs[1 << np.arange(5)] = 1 / 5
-    assert revealment(RandomSetDistribution(probs)) == pytest.approx(1 / 5)
+    law = np.zeros(1 << 5)
+    law[1 << np.arange(5)] = 1 / 5
+    assert _revealment(law) == pytest.approx(1 / 5)
 
 
 def test_revealment_point_mass_full():
-    probs = np.zeros(1 << 4)
-    probs[full_mask(4)] = 1.0
-    assert revealment(RandomSetDistribution(probs)) == pytest.approx(1.0)
+    law = np.zeros(1 << 4)
+    law[full_mask(4)] = 1.0
+    assert _revealment(law) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
 def test_revealment_bernoulli(p):
-    assert revealment(bernoulli_sets(5, p)) == pytest.approx(p, abs=1e-12)
-
-
-def test_random_set_distribution_must_normalize():
-    with pytest.raises(ValueError, match="sum to"):
-        RandomSetDistribution([0.0, 0.5, 0.6, 0.0])
-    with pytest.raises(ValueError, match="nonnegative"):
-        RandomSetDistribution([0.0, 1.5, -0.5, 0.0])
-
-
-def test_random_set_distribution_takes_its_vector_without_a_copy():
-    probs = np.full(1 << 4, 1 / 16)
-    dist = RandomSetDistribution(probs)
-    assert np.shares_memory(dist.probs, probs)
-    assert not probs.flags.writeable
-
-
-@pytest.mark.parametrize("probs", [[0.5, 0.25, 0.25], [], [[0.5, 0.5]]], ids=["three", "empty", "matrix"])
-def test_random_set_distribution_needs_one_entry_per_mask(probs):
-    with pytest.raises(ValueError, match="length 2\\^n"):
-        RandomSetDistribution(probs)
+    assert _revealment(_bernoulli_sets(5, p)) == pytest.approx(p, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.7])
 def test_bernoulli_sets_normalizes_within_the_byte_budget(p):
-    dist = bernoulli_sets(20, p)
-    assert dist.probs.shape == (1 << 20,)
-    assert math.fsum(dist.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
-    assert dist.probs[full_mask(20)] == pytest.approx(p**20, rel=1e-12)
+    law = _bernoulli_sets(20, p)
+    assert law.shape == (1 << 20,)
+    assert math.fsum(law.tolist()) == pytest.approx(1.0, abs=1e-12)
+    assert law[full_mask(20)] == pytest.approx(p**20, rel=1e-12)
 
 
 def test_biased_bits_weights():

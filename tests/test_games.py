@@ -16,10 +16,10 @@ from cluekit.games import (
     shapley_in_core,
     transitive_game_bound,
 )
-from cluekit.spectral import spectral_distribution, spectral_marginals
+from cluekit.spectral import spectral_distribution
 from cluekit.suites import _subgame_shapley_gain
 from cluekit.symmetry import is_invariant
-from cluekit.transforms import popcounts, subset_zeta
+from cluekit.transforms import dividend_shares, popcounts, subset_zeta
 from cluekit.zoo import dictator, majority, parity, sum_function, tribes
 
 
@@ -110,7 +110,7 @@ def test_shapley_matches_spectral_marginal():
     sp = ProductSpace(6, 3, rng.dirichlet(np.ones(3), size=6))
     f = FunctionTable(sp, rng.standard_normal(sp.size))
     phi = shapley(build_clue_game(f))
-    marg = spectral_marginals(spectral_distribution(f))
+    marg = dividend_shares(spectral_distribution(f))
     np.testing.assert_allclose(phi / variance(f), marg, rtol=1e-12, atol=0)
 
 

@@ -4,7 +4,6 @@ import pytest
 from cluekit.core import (
     FunctionTable,
     ProductSpace,
-    RandomSetDistribution,
     biased_bits,
     conditional_expectation,
     expectation,
@@ -21,7 +20,6 @@ from cluekit.spectral import (
     pivotal_masks,
     projected_variances,
     spectral_distribution,
-    spectral_marginals,
     stability,
     stability_profile,
     walsh_hadamard,
@@ -29,14 +27,14 @@ from cluekit.spectral import (
 from cluekit import spectral, suites
 from cluekit.core import covariance
 from cluekit.montecarlo import generator_for
-from cluekit.transforms import popcounts, subset_mobius
+from cluekit.transforms import dividend_shares, popcounts, subset_mobius
 from cluekit.zoo import dictator, majority, parity, sum_function
 
 
-def sample_spectral(dist: RandomSetDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
+def sample_spectral(law: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
     """Inverse-CDF sampling over masks in ascending index order."""
-    picks = np.searchsorted(np.cumsum(dist.probs), rng.random(size), side="right")
-    return np.minimum(picks, dist.probs.size - 1)
+    picks = np.searchsorted(np.cumsum(law), rng.random(size), side="right")
+    return np.minimum(picks, law.size - 1)
 
 
 def test_walsh_dictator():
@@ -184,22 +182,21 @@ def test_walsh_matches_character_sums():
 
 def test_spectral_distribution_maj3():
     dist = spectral_distribution(majority(3).table)
-    assert isinstance(dist, RandomSetDistribution)
-    assert dist.probs[0] == 0.0
-    np.testing.assert_allclose(
-        dist.probs[[0b001, 0b010, 0b100, 0b111]], 0.25, atol=1e-12
-    )
+    assert dist.shape == (8,)
+    assert dist[0] == 0.0
+    assert dist.sum() == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(dist[[0b001, 0b010, 0b100, 0b111]], 0.25, atol=1e-12)
 
 
 def test_spectral_distribution_parity_point_mass():
     dist = spectral_distribution(parity(4).table)
-    assert dist.probs[0b1111] == pytest.approx(1.0)
+    assert dist[0b1111] == pytest.approx(1.0)
 
 
 def test_spectral_distribution_sum_uniform_on_singletons():
     dist = spectral_distribution(sum_function(5).table)
     for j in range(5):
-        assert dist.probs[1 << j] == pytest.approx(1 / 5, abs=1e-12)
+        assert dist[1 << j] == pytest.approx(1 / 5, abs=1e-12)
 
 
 def test_spectral_distribution_degenerate():
@@ -211,11 +208,11 @@ def test_spectral_distribution_degenerate():
 def test_spectral_marginal_examples():
     maj = spectral_distribution(majority(3).table)
     for j in range(3):
-        assert spectral_marginals(maj)[j] == pytest.approx(1 / 3, abs=1e-12)
+        assert dividend_shares(maj)[j] == pytest.approx(1 / 3, abs=1e-12)
     s = spectral_distribution(sum_function(6).table)
-    assert spectral_marginals(s)[2] == pytest.approx(1 / 6, abs=1e-12)
+    assert dividend_shares(s)[2] == pytest.approx(1 / 6, abs=1e-12)
     d = spectral_distribution(dictator(4, 1).table)
-    assert spectral_marginals(d)[1] == pytest.approx(1.0)
+    assert dividend_shares(d)[1] == pytest.approx(1.0)
 
 
 def test_sample_spectral_point_masses():
@@ -245,7 +242,7 @@ def test_sample_spectral_deterministic_per_seed():
 def test_spectral_marginal_matches_empirical_uniform_pick():
     f = FunctionTable(uniform_space(4), np.random.default_rng(7).standard_normal(16))
     dist = spectral_distribution(f)
-    marg = spectral_marginals(dist)
+    marg = dividend_shares(dist)
     rng = generator_for(3, 0)
     draws = sample_spectral(dist, rng, size=100_000)
     counts = np.zeros(4)

@@ -1,5 +1,5 @@
-"""Every public name of the package serves the CLI, a suite, another route or
-the benchmark.
+"""Every public name of the package serves the CLI, another route or the
+benchmark; a name that only the verification suites reach is listed.
 
 A public top-level function or class, or a public method of a top-level
 class, counts as used when a Name or Attribute node outside its own
@@ -9,12 +9,45 @@ the tests: an oracle or fixture that only tests call belongs in ``tests/``.
 perfbench counts for top-level names only, which it reaches as module
 attributes; the method names it calls belong to its own objects
 (``str.encode``), not to the package's.
+
+A name of another module whose every caller is in ``suites`` serves no user
+route.  It must be named in :data:`SUITE_CHECKS`, so that each such name is
+a recorded decision; a check or oracle the suites alone need can instead move
+into ``suites`` as a private helper, as the revealment suite's subset laws
+did.
 """
 import ast
 from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Public names that only the suites reach: lattice and cover routes, spectral
+# checks, core helpers, and the zoo constructors the suites tabulate.
+SUITE_CHECKS = (
+    "clue.tv_clue_all_subsets",
+    "core.ProductSpace.spins",
+    "core.biased_bits",
+    "core.conditional_expectation",
+    "core.correlation",
+    "core.l2_norm_sq",
+    "core.mask_image",
+    "games.restrict_game",
+    "infotheory.kl_clue_all_subsets",
+    "infotheory.kl_cover_deficit",
+    "infotheory.shearer_deficit",
+    "perco.dual_crossing_batch",
+    "spectral.covariance_lemma_check",
+    "spectral.efron_stein_components",
+    "spectral.stability",
+    "zoo.coupled_majority_size",
+    "zoo.dictator",
+    "zoo.find_a",
+    "zoo.majority",
+    "zoo.parity",
+    "zoo.sum_function",
+    "zoo.tribes",
+)
 
 
 def _public_definitions(tree: ast.Module):
@@ -38,7 +71,10 @@ def _references(tree: ast.AST):
             yield node.attr, node.lineno
 
 
-def unused_public_names(root: Path = ROOT) -> list[str]:
+def _callers(root: Path):
+    """(qualified name, module, calling modules) of every public name that
+    perfbench does not reach; the calling modules are those of src with a
+    reference outside the name's own definition."""
     src = {p.stem: ast.parse(p.read_text()) for p in sorted((root / "src" / "cluekit").glob("*.py"))}
     bench = {name for p in sorted((root / "perfbench").glob("*.py")) if not p.name.startswith("test_")
              for name, _ in _references(ast.parse(p.read_text()))}
@@ -46,16 +82,29 @@ def unused_public_names(root: Path = ROOT) -> list[str]:
     for module, tree in src.items():
         for name, line in _references(tree):
             where[name].append((module, line))
-    unused = []
     for module, tree in src.items():
         for qualname, name, node, is_method in _public_definitions(tree):
             if not is_method and name in bench:
                 continue
             body = range(node.lineno, node.end_lineno + 1)
-            if all(m == module and line in body for m, line in where[name]):
-                unused.append(f"{module}.{qualname}")
-    return unused
+            callers = {m for m, line in where[name] if not (m == module and line in body)}
+            yield f"{module}.{qualname}", module, callers
+
+
+def unused_public_names(root: Path = ROOT) -> list[str]:
+    return [qualname for qualname, _, callers in _callers(root) if not callers]
+
+
+def suite_only_names(root: Path = ROOT) -> list[str]:
+    return [qualname for qualname, module, callers in _callers(root)
+            if module != "suites" and callers == {"suites"}]
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     assert unused_public_names() == []
+
+
+def test_names_only_the_suites_reach_are_listed():
+    found = set(suite_only_names())
+    assert sorted(found - set(SUITE_CHECKS)) == [], "reached by the suites alone: list it or give it a route"
+    assert sorted(set(SUITE_CHECKS) - found) == [], "listed but reached elsewhere too: unlist it"
