@@ -175,28 +175,31 @@ METRIC_NAMES = ("l2", "spectral", "sig", "inf", "wit", "tv", "i", "kl")
 
 
 def _metric_values(f: FunctionTable, mask: int, names: list[str]) -> dict:
+    """The requested metrics of one mask, all read off one split of f."""
     out = {}
     dist = None
+    split = clue_mod._Split(f, mask)
     for name in names:
         if name == "l2":
-            out["l2_clue"] = clue_mod.clue(f, mask)
+            out["l2_clue"] = clue_mod.clue(f, split)
         elif name == "spectral":
             if dist is None:
                 dist = spectral.spectral_distribution(f)
             out["spectral_clue"] = clue_mod.clue_spectral(dist, mask)
         elif name == "sig":
-            out["sig"] = clue_mod.sig(f, mask)
-            out["sig_i"] = infotheory.sig_i(f, mask)
+            out["sig"] = clue_mod.sig(f, split)
+            out["sig_i"] = infotheory.sig_i(f, split)
         elif name == "inf":
-            out["influence_set"] = clue_mod.influence_set(f, mask)
+            out["influence_set"] = clue_mod.influence_set(f, split)
         elif name == "wit":
-            out["witness"] = clue_mod.witness(f, mask)
+            out["witness"] = clue_mod.witness(f, split)
         elif name == "tv":
-            out["tv_clue"] = clue_mod.tv_clue(f, mask)
+            out["tv_clue"] = clue_mod.tv_clue(f, split)
         elif name == "i":
-            out["i_clue"] = infotheory.i_clue(f, mask)
+            out["i_clue"] = infotheory.i_clue(f, split)
         elif name == "kl":
-            out["kl_clue"] = infotheory.kl_clue(f.as_indicator() if f.is_boolean() else f, mask)
+            measured = split.indicator() if f.is_boolean() else split
+            out["kl_clue"] = infotheory.kl_clue(measured.f, measured)
         else:
             raise ParseError(f"unknown metric '{name}' (known: {','.join(METRIC_NAMES)})")
     return out

@@ -6,6 +6,16 @@ clue(f | U) = Var(E[f | U]) / Var(f) is the master quantity; everything else
 is either a dual (sig), a combinatorial relative (influence / witness), or a
 renormalization (TV).  A degenerate (constant) function raises
 :class:`~cluekit.errors.DegenerateError` rather than returning 0.
+
+Every per-mask metric, here and in :mod:`cluekit.infotheory`, reads one split
+of the table (:class:`_Split`): f - E f as the fibers matrix of the mask,
+permuted once.  Its rows contracted with the complement's weights give
+E[f - E f | X_U], its columns contracted with the mask's weights
+E[f - E f | X_{U^c}], and its row and column max/min give the witness and
+influence constancy.  Any metric takes the split of a mask in place of the
+mask, so that the metrics of one mask share one permutation of the table.
+The split orders the sums; each ratio is still conditioned by its
+denominator, as its route's docstring states.
 """
 from __future__ import annotations
 
@@ -14,15 +24,14 @@ import numpy as np
 from .core import (
     FunctionTable,
     _contract,
+    _deviation_pass,
     complement_mask,
-    conditional_marginal,
     expectation,
     fibers,
     per_object,
     require_varying,
     validate_mask,
     variance_and_spread,
-    weighted_variance,
 )
 from .errors import DegenerateError
 from .spectral import projected_variances, stability_profile
@@ -43,18 +52,121 @@ def _checked_variance(f: FunctionTable) -> float:
 
 
 # ---------------------------------------------------------------------------
+# one split of a table per mask
+# ---------------------------------------------------------------------------
+class _Split:
+    """A table seen through one mask U, for every metric of U.
+
+    The matrix is :func:`~cluekit.core.fibers` of f - E f for whichever of
+    U and U^c leaves out coordinate n - 1: a row is a configuration of that
+    mask, a column one of the other.  The rows of U are the matrix's rows or
+    its columns, so a metric of U reads the same sums whether it was asked
+    of U or of the complement of U^c, and sig(f, U) is 1 - clue(f, U^c) bit
+    for bit.  The matrix is built on first use, and so is each piece read
+    off it.  The splits of U, of U^c and of the indicator keep the matrix
+    and the pieces in one shared dict, and none holds another, so no split
+    is part of a reference cycle.
+
+    Centring before the sums keeps their rounding of the size of f - E f,
+    not of E f.  ``scale`` is 1, or 1/2 for the indicator (f + 1) / 2 of a
+    {-1, 1} table: a power of 2, so the scaled sums are exact."""
+
+    def __init__(self, f: FunctionTable, mask: int, shared: dict | None = None,
+                 scale: float = 1.0):
+        validate_mask(mask, f.n)
+        self.f, self.mask, self._scale = f, mask, scale
+        self._side = mask >> (f.n - 1)  # 1 when U's rows are the matrix's columns
+        self._shared = {"table": f} if shared is None else shared
+        self.weights = f.space.marginal_weights(mask)
+        self.rest = f.space.marginal_weights(complement_mask(mask, f.n))
+
+    @property
+    def complement(self) -> "_Split":
+        return _Split(self.f, complement_mask(self.mask, self.f.n), self._shared, self._scale)
+
+    def indicator(self) -> "_Split":
+        """The split of ``f.as_indicator()`` on the same mask."""
+        g = self.f.as_indicator()
+        return _Split(g, self.mask, self._shared, 1.0 if g is self.f else 0.5)
+
+    def _matrix(self) -> np.ndarray:
+        matrix = self._shared.get("matrix")
+        if matrix is None:
+            f = self._shared["table"]
+            rows = complement_mask(self.mask, f.n) if self._side else self.mask
+            matrix = fibers(f.values, f.space, rows)
+            mean = expectation(f)
+            if np.may_share_memory(matrix, f.values):  # fibers in table order
+                matrix = matrix - mean
+            else:
+                matrix -= mean
+            self._shared["matrix"] = matrix
+        return matrix.T if self._side else matrix
+
+    def _piece(self, name: str, build):
+        key = (name, self._side)
+        if key not in self._shared:
+            self._shared[key] = build()
+        return self._shared[key]
+
+    @property
+    def centre(self) -> float:
+        """The mean the sums are centred at, in the units of f."""
+        centre = expectation(self._shared["table"])
+        return (centre + 1.0) * self._scale if self._scale != 1.0 else centre
+
+    def marginal(self) -> np.ndarray:
+        """Fiber sums of f less the centre over the complement's weights,
+        sum_c w_{U^c}(c) (f(r, c) - centre): (E[f | X_U] - centre) times
+        the complement's total weight, which is 1 up to rounding."""
+        g = self._piece("marginal", lambda: _contract(self._matrix(), self.rest, self.f.space.q))
+        return g * self._scale if self._scale != 1.0 else g
+
+    def l2(self) -> float:
+        """Var(E[f | X_U]).  On the full mask the marginal is f - E f
+        itself, bitwise, and this is Var f as
+        :func:`~cluekit.core.variance_and_spread` forms it."""
+        return _deviation_pass(self.marginal(), self.weights, 0.0, self.f.space.q)[0]
+
+    def constancy(self) -> float:
+        """P[f is constant on the fiber of X_U], constancy judged exactly
+        over the positive-weight configurations of U^c.  It is read off
+        f - E f, which on two levels is constant exactly where f is."""
+
+        def build():
+            matrix, support = self._matrix(), self.rest > 0.0
+            if support.all():
+                top, bottom = matrix.max(axis=1), matrix.min(axis=1)
+            else:
+                top = np.max(matrix, axis=1, where=support, initial=-np.inf)
+                bottom = np.min(matrix, axis=1, where=support, initial=np.inf)
+            return float(_contract((top == bottom).astype(float), self.weights, self.f.space.q))
+
+        return self._piece("constancy", build)
+
+
+def _split_of(f: FunctionTable, mask) -> _Split:
+    """The split a metric reads: ``mask`` itself when it is a split of f."""
+    if isinstance(mask, _Split):
+        if mask.f is not f:
+            raise ValueError("the split belongs to another table")
+        return mask
+    return _Split(f, mask)
+
+
+# ---------------------------------------------------------------------------
 # the L^2 clue, by fibers and by spectral weights
 # ---------------------------------------------------------------------------
-def clue(f: FunctionTable, mask: int) -> float:
+def clue(f: FunctionTable, mask: int | _Split) -> float:
     """Fraction of the variance of f explained by the coordinates in mask.
 
     Equals the squared correlation between f and E[f | mask].  The ratio is
     conditioned by Var f: its absolute error is a few ulps of
     max |f - E f|^2 over Var f, large only for a nearly constant f.
     """
-    validate_mask(mask, f.n)
+    split = _split_of(f, mask)
     var = _checked_variance(f)
-    return weighted_variance(*conditional_marginal(f, mask), f.space.q) / var
+    return split.l2() / var
 
 
 def clue_spectral(sample: np.ndarray, mask: int) -> float:
@@ -79,63 +191,50 @@ def clue_all_subsets_table(f: FunctionTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # significance: the dual of clue
 # ---------------------------------------------------------------------------
-def sig(f: FunctionTable, mask: int) -> float:
+def sig(f: FunctionTable, mask: int | _Split) -> float:
     """Normalized residual variance left after seeing the complement:
     1 - clue(f | mask^c)."""
-    return 1.0 - clue(f, complement_mask(mask, f.n))
+    return 1.0 - clue(f, _split_of(f, mask).complement)
 
 
 # ---------------------------------------------------------------------------
 # determinacy: set influence and witness
 # ---------------------------------------------------------------------------
-def _fiber_constancy_probability(f: FunctionTable, fixed: int) -> float:
-    """Probability (over the fixed coordinates' marginal) that f is constant
-    on the fiber, constancy judged exactly over positive-probability
-    completions."""
-    space = f.space
-    support = space.marginal_weights(complement_mask(fixed, space.n)) > 0.0
-    if not np.any(support):
-        return 1.0
-    cols = fibers(f.values, space, fixed)[:, support]
-    constant = cols.max(axis=1) == cols.min(axis=1)
-    return float(_contract(constant.astype(float), space.marginal_weights(fixed), space.q))
-
-
 def _require_boolean(f: FunctionTable):
     if not f.is_boolean():
         raise ValueError("this metric is defined for Boolean tables only")
 
 
-def influence_set(f: FunctionTable, mask: int) -> float:
+def influence_set(f: FunctionTable, mask: int | _Split) -> float:
     """P[f is not determined by the coordinates outside mask]."""
     _require_boolean(f)
-    validate_mask(mask, f.n)
-    return 1.0 - _fiber_constancy_probability(f, complement_mask(mask, f.n))
+    return 1.0 - _split_of(f, mask).complement.constancy()
 
 
-def witness(f: FunctionTable, mask: int) -> float:
+def witness(f: FunctionTable, mask: int | _Split) -> float:
     """P[the coordinates in mask alone determine f]."""
     _require_boolean(f)
-    validate_mask(mask, f.n)
-    return _fiber_constancy_probability(f, mask)
+    return _split_of(f, mask).constancy()
 
 
 # ---------------------------------------------------------------------------
 # total-variation clue
 # ---------------------------------------------------------------------------
-def tv_clue(f: FunctionTable, mask: int) -> float:
+def tv_clue(f: FunctionTable, mask: int | _Split) -> float:
     """E|E[f|mask] - E[f]| / E|f - E[f]| (symmetric and asymmetric variants
     of the underlying distance coincide in this ratio).  The ratio is
     conditioned by E|f - E f|: its absolute error is a few ulps of
     max |f - E f| over E|f - E f|."""
     require_varying(f)
-    validate_mask(mask, f.n)
-    fiber_sums = fibers(_weighted_deviation(f), f.space, mask).sum(axis=1)
-    return float(np.abs(fiber_sums).sum()) / _mean_absolute_deviation(f)
+    split = _split_of(f, mask)
+    sums = split.marginal()
+    # their weighted mean is E f less the centre, up to rounding of its size
+    sums = np.abs(sums - float(_contract(sums, split.weights, f.space.q)))
+    return float(_contract(sums, split.weights, f.space.q)) / _mean_absolute_deviation(f)
 
 
 def _weighted_deviation(f: FunctionTable) -> np.ndarray:
-    """w (f - m), m the mean under w / sum w: centred before any fiber sums
+    """w (f - m), m the mean under w / sum w: centred before the lattice sums
     it, so that a sum carries rounding of the size of E|f - E f|, not of
     E f.  One refinement step takes the rounding of E f out of m, so the
     deviations sum to 0 up to rounding of their own size."""

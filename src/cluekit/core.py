@@ -283,20 +283,34 @@ class BlockEvaluator:
     (SPIN_LEVELS or BIT_LEVELS) and ``upper(state)``, 0/1 or bool flags of
     the rows at level 1; its finish, unless given, maps the flags to the
     levels.
+    ``join_of(coords)`` gives ``join(state, inner)``, which puts ``inner``,
+    the state of ``coords`` on some rows, into ``state``, the state of the
+    other coordinates on m rows per row of ``inner``, viewed as
+    (..., rows, m), in place.  By default it adds; an evaluator whose states
+    do not add (a plain callable's digits, in :mod:`cluekit.montecarlo`)
+    gives its own.
     Called on an (N, n) digit matrix, as every batch evaluator is, it gives
     ``finish`` of the state of all n coordinates."""
 
-    def __init__(self, n: int, state_of, finish=None, *, upper=None, levels=None):
+    def __init__(self, n: int, state_of, finish=None, *, upper=None, levels=None, join_of=None):
         if finish is None:
             if levels == SPIN_LEVELS:
                 finish = lambda state: upper(state) * 2.0 - 1.0  # noqa: E731
             else:
                 finish = lambda state: upper(state).astype(float)  # noqa: E731
         self.state_of, self.finish, self.upper, self.levels = state_of, finish, upper, levels
+        self.join_of = join_of or _adding_join
         self._whole = state_of(range(n))
 
     def __call__(self, digits: np.ndarray) -> np.ndarray:
         return self.finish(self._whole(digits.T))
+
+
+def _adding_join(coords):
+    def join(state: np.ndarray, inner: np.ndarray):
+        state += inner[..., None]
+
+    return join
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +534,9 @@ def expectation(f: FunctionTable) -> float:
 
 def _deviation_pass(values: np.ndarray, weights: np.ndarray, mean: float,
                     q: int) -> tuple[float, float]:
-    """(variance, max |value - mean|), with ``mean`` = weights @ values.
+    """(variance, max |value - mean|) of ``values`` under ``weights``, both of
+    a power-of-q length, with ``mean`` = weights @ values or a centre of
+    which the values are already deviations (0.0).
 
     Corrected two-pass variance: centered before squaring, so a large offset
     does not cancel it away, minus the squared mean of the deviations, which
@@ -530,11 +546,6 @@ def _deviation_pass(values: np.ndarray, weights: np.ndarray, mean: float,
     mean_dev = float(_contract(dev, weights, q))
     np.square(dev, out=dev)
     return max(float(_contract(dev, weights, q)) - mean_dev**2, 0.0), spread
-
-
-def weighted_variance(values: np.ndarray, weights: np.ndarray, q: int) -> float:
-    """Variance of ``values`` under ``weights``, both of a power-of-q length."""
-    return _deviation_pass(values, weights, float(_contract(values, weights, q)), q)[0]
 
 
 @per_object

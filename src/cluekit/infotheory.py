@@ -4,9 +4,17 @@ Shearer-type covering inequalities.
 
 All entropies are in nats.  Function values are grouped into a discrete
 variable with absolute tolerance 1e-12, and every quantity is computed from
-the exact joint table (no estimation).  The per-mask routes build the joint
-law of one subset; the ``*_all_subsets`` routes read every subset at once
-off the keep-or-sum-out lattice of :mod:`cluekit.transforms`.
+the exact joint table (no estimation).  The per-mask routes read the split
+of one subset U (:class:`cluekit.clue._Split`), as the clue metrics do: the
+KL-clue sums entropy gaps of its centred marginal E[f | X_U] - E f, and the
+joint law of (Z, X_U) of a Boolean table on levels lo < hi is
+w_U P(f = z | X_U), with P(f = hi | X_U) = (E[f | X_U] - lo) / (hi - lo)
+read off the same marginal (I(Z : X_U) = sum_z Ent(E[1_z | X_U]) depends on
+U only through it).  Other tables group their values and count the joint
+law with ``np.bincount``.  The ``*_all_subsets`` routes read every subset
+at once off the keep-or-sum-out lattice of :mod:`cluekit.transforms`.  The
+routes' docstrings state what each ratio is conditioned by; the split
+changes the order of the sums, not that.
 """
 from __future__ import annotations
 
@@ -15,15 +23,15 @@ import numpy as np
 from .core import (
     FunctionTable,
     _contract,
-    complement_mask,
-    conditional_marginal,
     expectation,
     extend,
+    full_mask,
     per_object,
     require_bytes,
     require_varying,
     validate_mask,
 )
+from .clue import _Split, _split_of
 from .errors import DegenerateError
 from .transforms import lattice_sums
 
@@ -67,8 +75,13 @@ def _value_groups(f: FunctionTable) -> tuple[np.ndarray, np.ndarray]:
 
 @per_object
 def _value_probs(f: FunctionTable) -> np.ndarray:
+    """The weight of each value group; a table on two levels sums the
+    weights of each, so a level off the support weighs exactly 0."""
     codes, reps = _value_groups(f)
-    return np.bincount(codes, weights=f.space.config_weights(), minlength=len(reps))
+    w, q = f.space.config_weights(), f.space.q
+    if f.is_boolean() and len(reps) == 2:
+        return np.array([float(_contract(level.astype(float), w, q)) for level in (~codes, codes)])
+    return np.bincount(codes, weights=w, minlength=len(reps))
 
 
 @per_object
@@ -77,14 +90,26 @@ def value_entropy(f: FunctionTable) -> float:
     return entropy(_value_probs(f))
 
 
-def joint_with_subset(f: FunctionTable, mask: int) -> np.ndarray:
+def joint_with_subset(f: FunctionTable, mask: int | _Split) -> np.ndarray:
     """Exact joint law of (value group of f, configuration of the ``mask``
-    coordinates), shape (value groups, q^|mask|)."""
+    coordinates), shape (value groups, q^|mask|).  A Boolean table that
+    takes both levels has the law w_U P(f = z | X_U), from the marginal of
+    its split."""
     space = f.space
-    validate_mask(mask, space.n)
+    split = _split_of(f, mask)
+    mask = split.mask
     codes, reps = _value_groups(f)
     n_u, n_z = space.q ** mask.bit_count(), len(reps)
     require_bytes(8 * n_z * n_u, f"a joint law of {n_z} values by {n_u} configurations")
+    if f.is_boolean() and n_z == 2:
+        # level hi's weight on each fiber, sum_c w_{U^c}(c) [f(r, c) = hi]
+        lo, hi = reps
+        total = split.rest.sum()
+        upper = (split.marginal() + (split.centre - lo) * total) / (hi - lo)
+        joint = np.stack([total - upper, upper])
+        np.maximum(joint, 0.0, out=joint)
+        joint *= split.weights
+        return joint
     u_codes = extend(np.arange(n_u), space, mask)
     flat = np.bincount(
         codes * n_u + u_codes, weights=space.config_weights(), minlength=n_z * n_u
@@ -92,9 +117,13 @@ def joint_with_subset(f: FunctionTable, mask: int) -> np.ndarray:
     return flat.reshape(n_z, n_u)
 
 
-def mutual_information(f: FunctionTable, mask: int) -> float:
-    """I(Z : X_mask) where Z groups the values of f; never below -1e-12."""
-    joint = joint_with_subset(f, mask)
+def mutual_information(f: FunctionTable, mask: int | _Split) -> float:
+    """I(Z : X_mask) where Z groups the values of f, never below 0.  Z is a
+    function of all coordinates, so on the full mask this is H(Z) itself."""
+    split = _split_of(f, mask)
+    if split.mask == full_mask(f.n):
+        return value_entropy(f)
+    joint = joint_with_subset(f, split)
     h_z = entropy(joint.sum(axis=1))
     h_u = entropy(joint.sum(axis=0))
     h_joint = entropy(joint.reshape(-1))
@@ -137,7 +166,7 @@ def mutual_information_all_subsets(f: FunctionTable) -> np.ndarray:
     return np.maximum(h_joint[0] + h_u - h_joint, 0.0)
 
 
-def i_clue(f: FunctionTable, mask: int) -> float:
+def i_clue(f: FunctionTable, mask: int | _Split) -> float:
     """I(Z : X_mask) / H(Z), in [0, 1]; needs two value groups of positive
     weight.  The ratio is conditioned by H(Z): I is a difference of
     entropies as large as H(Z, X_mask) <= H(Z) + |mask| ln q, so its absolute
@@ -148,23 +177,25 @@ def i_clue(f: FunctionTable, mask: int) -> float:
     return min(mutual_information(f, mask) / value_entropy(f), 1.0)
 
 
-def sig_i(f: FunctionTable, mask: int) -> float:
+def sig_i(f: FunctionTable, mask: int | _Split) -> float:
     """Entropy dual: 1 - I(Z : X_{mask^c}) / H(Z)."""
-    return 1.0 - i_clue(f, complement_mask(mask, f.n))
+    return 1.0 - i_clue(f, _split_of(f, mask).complement)
 
 
 # ---------------------------------------------------------------------------
 # the multiplicative entropy functional and the KL-clue
 # ---------------------------------------------------------------------------
-def _entropy_gaps(vals: np.ndarray, mean: float) -> np.ndarray:
-    """v ln(v / mean) - v + mean for each v >= 0 (0 ln 0 = 0), mean > 0.
+def _entropy_gaps(vals: np.ndarray, mean: float, gap: np.ndarray | None = None) -> np.ndarray:
+    """v ln(v / mean) - v + mean for each v >= 0 (0 ln 0 = 0), mean > 0;
+    ``gap``, when given, is v - mean formed without rounding to mean's size.
 
     Every term is nonnegative, and under weights w with w @ vals = mean and
     unit total they sum to E[v ln v] - mean ln mean without that difference's
     cancellation: the ratio's log is log1p((v - mean) / mean), so a term near
     v = mean carries rounding of the size of |v - mean|, not of v ln v.
     """
-    gap = vals - mean
+    if gap is None:
+        gap = vals - mean
     log = np.log1p(np.maximum(gap / mean, np.nextafter(-1.0, 0.0)))
     return vals * log - gap
 
@@ -188,22 +219,27 @@ def _require_nonnegative(f: FunctionTable, what: str):
         raise ValueError(f"{what} needs f >= 0")
 
 
-def _ent_of_marginal(f: FunctionTable, mask: int) -> float:
-    vals, w = conditional_marginal(f, mask)
-    return float(_contract(_entropy_gaps(vals, expectation(f)), w, f.space.q))
+def _ent_of_marginal(split: _Split) -> float:
+    """Ent(E[f | X_U]), summed over the fiber sums v = sum_c w_{U^c}(c) f(r, c)
+    as :func:`ent_functional` sums the table, so that weights which add up
+    to 1 only up to rounding enter both alike.  v - E f is formed from the
+    split's centred sums."""
+    mean, total, centre = expectation(split.f), split.rest.sum(), split.centre
+    gap = split.marginal() + (centre * (total - 1.0) + (centre - mean))
+    return float(_contract(_entropy_gaps(mean + gap, mean, gap), split.weights, split.f.space.q))
 
 
-def kl_clue(f: FunctionTable, mask: int) -> float:
+def kl_clue(f: FunctionTable, mask: int | _Split) -> float:
     """Ent(E[f | mask]) / Ent(f), in [0, 1], for f >= 0.  The ratio is
     conditioned by Ent(f): its absolute error is a few ulps of max f (times
     the log of max f / E f) over Ent(f), large when f is nearly constant."""
     require_varying(f)
-    validate_mask(mask, f.n)
+    split = _split_of(f, mask)
     _require_nonnegative(f, "kl_clue")
     denom = ent_functional(f)
     if denom <= 0.0:
         raise DegenerateError("constant function: KL clue undefined")
-    return min(max(_ent_of_marginal(f, mask), 0.0) / denom, 1.0)
+    return min(max(_ent_of_marginal(split), 0.0) / denom, 1.0)
 
 
 def kl_clue_all_subsets(f: FunctionTable) -> np.ndarray:
@@ -260,4 +296,4 @@ def kl_cover_deficit(f: FunctionTable, cover: list[int], k: int) -> float:
     _require_nonnegative(f, "kl_cover_deficit")
     _check_cover(f.n, cover, k)
     total = ent_functional(f)
-    return k * total - float(sum(_ent_of_marginal(f, mask) for mask in cover))
+    return k * total - float(sum(_ent_of_marginal(_Split(f, mask)) for mask in cover))

@@ -44,7 +44,8 @@ A :func:`mc_clue` chunk takes the inside state of its outer rows once and
 the outside state of its rows * m_inner inner rows, adds each outer row's
 inside state to its m_inner inner rows and finishes, so no (n, rows *
 m_inner) digit matrix is built.  A plain callable is the degenerate case
-whose state is its digits placed among zeros: the joined state is that
+whose state is its digits on their coordinates' rows, and whose join
+places the inside digits instead of adding them: the joined state is that
 digit matrix, handed to the evaluator as its column-major transpose, a
 (rows, n) uint8 matrix of 0/1 digits (q-ary digits off q = 2).
 
@@ -255,21 +256,31 @@ def batch_stderr(stats: np.ndarray, estimate) -> tuple[float | None, int]:
 
 def _digit_states(evaluator, n: int) -> BlockEvaluator:
     """A plain evaluator as a block evaluator whose state is its digits: the
-    state of a coordinate set is its digits placed in an (n, rows) uint8
-    matrix of zeros, so a joined state is the whole digit matrix, and the
-    finish hands its transpose, column-major, to the evaluator."""
+    state of a coordinate set is an (n, rows) uint8 matrix holding its
+    digits on their coordinates' rows, the other rows unset.  The join places
+    the inside digits on their rows, once per inner row, so a joined state
+    is the whole digit matrix, and the finish hands its transpose,
+    column-major, to the evaluator."""
 
     def state_of(coords):
         coords = list(coords)
 
         def state(digits: np.ndarray) -> np.ndarray:
-            placed = np.zeros((n, digits.shape[1]), dtype=np.uint8)
+            placed = np.empty((n, digits.shape[1]), dtype=np.uint8)
             placed[coords] = digits
             return placed
 
         return state
 
-    return BlockEvaluator(n, state_of, lambda placed: evaluator(placed.T))
+    def join_of(coords):
+        coords = list(coords)
+
+        def join(state: np.ndarray, inner: np.ndarray):
+            state[coords] = inner[coords, :, None]
+
+        return join
+
+    return BlockEvaluator(n, state_of, lambda placed: evaluator(placed.T), join_of=join_of)
 
 
 def _fiber_stats(blocks: BlockEvaluator, state: np.ndarray, rows: int, m: int) -> list[float]:
@@ -321,12 +332,13 @@ def mc_clue(
     draw_inside, draw_outside = sample_digits(space, inside), sample_digits(space, outside)
     blocks = evaluator if isinstance(evaluator, BlockEvaluator) else _digit_states(evaluator, space.n)
     state_inside, state_outside = blocks.state_of(inside), blocks.state_of(outside)
+    join = blocks.join_of(inside)
 
     def sample(rng, rows: int) -> list[float]:
         inner = state_inside(draw_inside(rng, rows))
         state = state_outside(draw_outside(rng, rows * m_inner))
         joined = state.reshape(*state.shape[:-1], rows, m_inner)
-        joined += inner[..., None]  # each outer row's inside state, once per inner row
+        join(joined, inner)  # each outer row's inside state, once per inner row
         return _fiber_stats(blocks, joined.reshape(state.shape), rows, m_inner)
 
     stats = run_chunks(sample, n_outer, seed)

@@ -246,6 +246,18 @@ def test_information_metrics_on_rows_within_rounding_of_one(capsys, tmp_path):
     assert payload["metrics"]["sig_i"] == pytest.approx(1 - lattice[0b111010], abs=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["clue", "--fn", "maj:5", "--subset", "0x0"],
+    ["analyze", "--fn", "tribes:2,3", "--subset", "0x0", "--metrics", "sig,i"],
+], ids=["clue-maj5", "analyze-tribes"])
+def test_sig_i_of_the_empty_subset_is_zero(capsys, argv):
+    # Z is a function of all coordinates: I(Z : X_all) is H(Z) itself
+    code, payload, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert payload["metrics"]["sig"] == 0.0
+    assert payload["metrics"]["sig_i"] == 0.0
+
+
 def test_verify_unknown_suite_exit_2(capsys):
     code, payload, _ = run_cli(capsys, "verify", "nosuchsuite")
     assert code == 2

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cluekit.clue import (
+    _Split,
     clue,
     clue_all_subsets_table,
     clue_spectral,
@@ -95,6 +98,42 @@ def test_clue_survives_large_offset_on_both_routes(offset):
     assert clue(shifted, mask) == pytest.approx(clue(base, mask), rel=1e-5)
     assert clue_all_subsets_table(shifted)[mask] == pytest.approx(clue(base, mask), rel=1e-5)
     assert expected_clue(shifted, inclusion) == pytest.approx(expected_clue(base, inclusion), rel=1e-5)
+
+
+def exact_clue(f: FunctionTable, mask: int) -> float:
+    """clue(f | mask) in rational arithmetic, on the measure the float rows
+    define, each row divided by its exact sum."""
+    space = f.space
+    pi = [[Fraction(float(x)) for x in row] for row in space.pi]
+    pi = [[x / sum(row) for x in row] for row in pi]
+    digits = space.digits()
+    fiber_sums, mean, second = {}, Fraction(0), Fraction(0)
+    for c in range(space.size):
+        p = Fraction(1)
+        for v in range(space.n):
+            p *= pi[v][digits[c, v]]
+        x = Fraction(float(f.values[c]))
+        mean += p * x
+        second += p * x * x
+        sums = fiber_sums.setdefault(tuple(digits[c, v] for v in range(space.n) if mask >> v & 1), [0, 0])
+        sums[0] += p * x
+        sums[1] += p
+    explained = sum(s ** 2 / w for s, w in fiber_sums.values() if w) - mean**2
+    return float(explained / (second - mean**2))
+
+
+def test_clue_under_a_large_offset_matches_an_exact_oracle():
+    # the fibers are summed after E f is taken out, so an offset of 1e6
+    # does not enter the rounding (summing f itself erred by 5.6e-11 here)
+    rng = np.random.default_rng(31)
+    for space in (biased_bits(6, np.linspace(0.2, 0.8, 6)),
+                  ProductSpace(4, 3, rng.dirichlet(np.ones(3), size=4))):
+        f = FunctionTable(space, rng.standard_normal(space.size) + 1e6)
+        full = (1 << space.n) - 1
+        for mask in range(full + 1):
+            exact = exact_clue(f, mask)
+            assert clue(f, mask) == pytest.approx(exact, abs=1e-12)
+            assert sig(f, full ^ mask) == pytest.approx(1.0 - exact, abs=1e-12)
 
 
 def test_clue_all_subsets_biased_n16_matches_fibers():
@@ -372,19 +411,76 @@ def test_constant_tables_are_refused_on_every_ratio_route(offset, n, q, kind, se
             pytest.fail(f"{name} answered on a constant table")
 
 
-@settings(max_examples=60, deadline=None)
-@given(**MEASURES)
-@example(n=2, q=2, kind="dirichlet", seed=421387121)  # an atom of weight 5e-5: Ent(f) ~ 3e-5
-def test_per_mask_routes_match_the_all_subsets_routes(n, q, kind, seed):
+def random_table(space: ProductSpace, levels: str, rng) -> FunctionTable:
+    """Values drawn from {0, 1, 2}, or a Boolean table on {0, 1} or {-1, 1}."""
+    values = rng.integers(0, 3 if levels == "0,1,2" else 2, space.size).astype(float)
+    return FunctionTable(space, 2.0 * values - 1.0 if levels == "-1,1" else values)
+
+
+LEVELS = st.sampled_from(["0,1,2", "0,1", "-1,1"])
+
+
+@settings(max_examples=90, deadline=None)
+@given(levels=LEVELS, **MEASURES)
+@example(levels="0,1,2", n=2, q=2, kind="dirichlet", seed=421387121)  # an atom of weight 5e-5: Ent(f) ~ 3e-5
+def test_per_mask_routes_match_the_all_subsets_routes(levels, n, q, kind, seed):
+    """Every per-mask metric, asked with a mask or with the split the command
+    line shares between metrics, against the lattice routes.  A Boolean
+    table's information comes from its conditional marginal, and the
+    KL-clue of its indicator from the table's own split."""
     space = random_product_space(n, q, kind, seed)
     rng = np.random.default_rng(seed)
-    f = FunctionTable(space, rng.integers(0, 3, space.size).astype(float))
+    f = random_table(space, levels, rng)
     support = space.config_weights() > 0.0
     assume(f.values[support].min() < f.values[support].max())
+    g = f.as_indicator() if f.is_boolean() else f  # f >= 0, for the KL-clue
     tv = tv_clue_all_subsets(f)
     icl = np.minimum(mutual_information_all_subsets(f) / value_entropy(f), 1.0)
-    kl = kl_clue_all_subsets(f)
-    for mask in {0, (1 << n) - 1, *rng.integers(0, 1 << n, size=4).tolist()}:
-        assert tv_clue(f, mask) == pytest.approx(tv[mask], abs=1e-12)
-        assert i_clue(f, mask) == pytest.approx(icl[mask], abs=1e-12)
-        assert kl_clue(f, mask) == pytest.approx(kl[mask], abs=1e-12)
+    kl = kl_clue_all_subsets(g)
+    full = (1 << n) - 1
+    for mask in {0, full, *rng.integers(0, 1 << n, size=4).tolist()}:
+        split = _Split(f, mask)
+        measured = split.indicator() if f.is_boolean() else split
+        assert clue(f, split) == clue(f, mask)
+        assert sig(f, split) == 1.0 - clue(f, full ^ mask)
+        for at in (mask, split):
+            assert tv_clue(f, at) == pytest.approx(tv[mask], abs=1e-12)
+            assert i_clue(f, at) == pytest.approx(icl[mask], abs=1e-12)
+            assert sig_i(f, at) == pytest.approx(1.0 - icl[full ^ mask], abs=1e-12)
+        assert kl_clue(g, mask) == pytest.approx(kl[mask], abs=1e-12)
+        assert kl_clue(g, measured) == pytest.approx(kl[mask], abs=1e-12)
+
+
+def fiber_constancy(f: FunctionTable, fixed: int) -> float:
+    """P[f is constant on the fiber of the ``fixed`` coordinates], by a loop
+    over configurations: a fiber weighs the product of its fixed digits'
+    probabilities, and it is constant when f takes one value on its
+    configurations of positive weight."""
+    space = f.space
+    digits, w = space.digits(), space.config_weights()
+    inside = [v for v in range(space.n) if fixed >> v & 1]
+    seen = {}
+    for c in range(space.size):
+        key = tuple(int(digits[c, v]) for v in inside)
+        seen.setdefault(key, set())
+        if w[c] > 0.0:
+            seen[key].add(float(f.values[c]))
+    total = 0.0
+    for key, values in seen.items():
+        if len(values) <= 1:
+            total += float(np.prod([space.pi[v, d] for v, d in zip(inside, key)]))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels=st.sampled_from(["0,1", "-1,1"]), **MEASURES)
+def test_witness_and_influence_match_a_fiber_loop(levels, n, q, kind, seed):
+    space = random_product_space(n, q, kind, seed)
+    rng = np.random.default_rng(seed)
+    f = random_table(space, levels, rng)
+    full = (1 << n) - 1
+    for mask in range(1 << n):
+        split = _Split(f, mask)
+        for at in (mask, split):
+            assert witness(f, at) == pytest.approx(fiber_constancy(f, mask), abs=1e-12)
+            assert influence_set(f, at) == pytest.approx(1.0 - fiber_constancy(f, full ^ mask), abs=1e-12)

@@ -72,6 +72,18 @@ def test_i_clue_constant_raises():
         i_clue(f, 0b1)
 
 
+def test_information_of_every_coordinate_is_the_value_entropy():
+    # Z is a function of X_all, so I(Z : X_all) = H(Z) with no rounding
+    rng = np.random.default_rng(9)
+    space = ProductSpace(5, 3, rng.dirichlet(np.ones(3), size=5))
+    for f in (majority(5).table, FunctionTable(space, rng.standard_normal(space.size)),
+              FunctionTable(space, rng.integers(0, 2, space.size).astype(float))):
+        full = (1 << f.n) - 1
+        assert mutual_information(f, full) == value_entropy(f)
+        assert i_clue(f, full) == 1.0
+        assert sig_i(f, 0) == 0.0
+
+
 def test_sig_i_dual():
     maj = majority(3).table
     assert sig_i(maj, 0b001) == pytest.approx(1.0 - i_clue(maj, 0b110), abs=1e-12)
