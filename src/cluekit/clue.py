@@ -11,11 +11,13 @@ Every per-mask metric, here and in :mod:`cluekit.infotheory`, reads one split
 of the table (:class:`_Split`): f - E f as the fibers matrix of the mask,
 permuted once.  Its rows contracted with the complement's weights give
 E[f - E f | X_U], its columns contracted with the mask's weights
-E[f - E f | X_{U^c}], and its row and column max/min give the witness and
-influence constancy.  Any metric takes the split of a mask in place of the
-mask, so that the metrics of one mask share one permutation of the table.
-The split orders the sums; each ratio is still conditioned by its
-denominator, as its route's docstring states.
+E[f - E f | X_{U^c}], and for the witness and influence constancy each row
+or column counts its positive-weight cells at the upper level, as exact
+integers.  Any metric takes the split of a mask in place of the mask, so
+that the metrics of one mask share one permutation of the table.  The split
+orders the sums; each ratio is still conditioned by its denominator, as its
+route's docstring states.  A Boolean table's E|f - E f| comes from its two
+level masses, not from a pass over its values.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .core import (
     complement_mask,
     expectation,
     fibers,
+    full_mask,
     per_object,
     require_varying,
     validate_mask,
@@ -69,7 +72,9 @@ class _Split:
 
     Centring before the sums keeps their rounding of the size of f - E f,
     not of E f.  ``scale`` is 1, or 1/2 for the indicator (f + 1) / 2 of a
-    {-1, 1} table: a power of 2, so the scaled sums are exact."""
+    {-1, 1} table: a power of 2, so the scaled sums are exact.  The
+    indicator's cells are at the upper level where the table's are, so its
+    split reads the same level flags and constancy too."""
 
     def __init__(self, f: FunctionTable, mask: int, shared: dict | None = None,
                  scale: float = 1.0):
@@ -128,19 +133,33 @@ class _Split:
         :func:`~cluekit.core.variance_and_spread` forms it."""
         return _deviation_pass(self.marginal(), self.weights, 0.0, self.f.space.q)[0]
 
+    def _upper(self) -> np.ndarray:
+        """0/1 flags of the matrix's cells where f is at its upper level
+        (above the middle of its two levels), as large as the matrix and in
+        its layout; built once for U, U^c and the indicator."""
+        flags = self._shared.get("upper")
+        if flags is None:
+            self._matrix()
+            f, matrix = self._shared["table"], self._shared["matrix"]
+            middle = sum(f.value_range()) / 2.0 - expectation(f)
+            flags = self._shared["upper"] = np.greater(matrix, middle, out=np.empty_like(matrix))
+        return flags.T if self._side else flags
+
     def constancy(self) -> float:
-        """P[f is constant on the fiber of X_U], constancy judged exactly
-        over the positive-weight configurations of U^c.  It is read off
-        f - E f, which on two levels is constant exactly where f is."""
+        """P[f is constant on the fiber of X_U], for a table on two levels,
+        constancy judged over the positive-weight configurations of U^c: a
+        fiber is constant when the count of those cells at the upper level
+        is 0 or all of them.  The counts contract the 0/1 flags with 0/1
+        support weights through :func:`~cluekit.core._contract`.  Every
+        partial sum is a whole number of cells, below q^n < 2^27 (the byte
+        budget admits no larger table), and float64 holds every integer
+        below 2^53, so each count is exact in any order of the sums."""
 
         def build():
-            matrix, support = self._matrix(), self.rest > 0.0
-            if support.all():
-                top, bottom = matrix.max(axis=1), matrix.min(axis=1)
-            else:
-                top = np.max(matrix, axis=1, where=support, initial=-np.inf)
-                bottom = np.min(matrix, axis=1, where=support, initial=np.inf)
-            return float(_contract((top == bottom).astype(float), self.weights, self.f.space.q))
+            support = (self.rest > 0.0).astype(float)
+            counts = _contract(self._upper(), support, self.f.space.q)
+            constant = (counts == 0.0) | (counts == support.sum())
+            return float(_contract(constant.astype(float), self.weights, self.f.space.q))
 
         return self._piece("constancy", build)
 
@@ -173,15 +192,20 @@ def clue_spectral(sample: np.ndarray, mask: int) -> float:
     """P[sample subseteq mask | sample nonempty], from the spectral sample
     (the 2^n vector of :func:`~cluekit.spectral.spectral_distribution`).
     Agrees with :func:`clue` on product measures."""
-    validate_mask(mask, sample.size.bit_length() - 1)
-    masks = np.arange(sample.size)
-    return float(sample[(masks | mask) == mask].sum())
+    n = sample.size.bit_length() - 1
+    validate_mask(mask, n)
+    # the entries S subseteq mask in increasing order of S: axis n-1-v of the
+    # (2,)*n view is coordinate v, held at 0 outside the mask
+    kept = tuple(slice(None) if mask >> v & 1 else 0 for v in reversed(range(n)))
+    return float(sample.reshape((2,) * n)[kept].reshape(-1).sum())
 
 
 def clue_all_subsets_table(f: FunctionTable) -> np.ndarray:
     """clue(f | mask) for every mask, via subset weights (any product measure).
     Conditioned by Var f as :func:`clue` is: a few ulps of max |f - E f|^2
-    over Var f."""
+    over Var f, plus the weights' own rounding: rows that sum to 1 only
+    within d move each entry by about d, so on rows off by 1e-12 the full
+    mask reads 1 minus a few 1e-12, where :func:`clue` reads 1."""
     var = _checked_variance(f)
     values = projected_variances(f)
     values /= var
@@ -224,13 +248,17 @@ def tv_clue(f: FunctionTable, mask: int | _Split) -> float:
     """E|E[f|mask] - E[f]| / E|f - E[f]| (symmetric and asymmetric variants
     of the underlying distance coincide in this ratio).  The ratio is
     conditioned by E|f - E f|: its absolute error is a few ulps of
-    max |f - E f| over E|f - E f|."""
+    max |f - E f| over E|f - E f|.  E[f | X_all] = f, so on the full mask
+    the numerator is the denominator and the ratio reads 1 exactly."""
     require_varying(f)
     split = _split_of(f, mask)
+    denom = _mean_absolute_deviation(f)
+    if split.mask == full_mask(f.n):
+        return denom / denom
     sums = split.marginal()
     # their weighted mean is E f less the centre, up to rounding of its size
     sums = np.abs(sums - float(_contract(sums, split.weights, f.space.q)))
-    return float(_contract(sums, split.weights, f.space.q)) / _mean_absolute_deviation(f)
+    return float(_contract(sums, split.weights, f.space.q)) / denom
 
 
 def _weighted_deviation(f: FunctionTable) -> np.ndarray:
@@ -248,7 +276,18 @@ def _weighted_deviation(f: FunctionTable) -> np.ndarray:
 
 @per_object
 def _mean_absolute_deviation(f: FunctionTable) -> float:
-    return float(np.abs(_weighted_deviation(f)).sum())
+    """E|f - m|, m the mean under w / sum w.  A Boolean table on levels
+    lo < hi has it from its level masses P_lo and P_hi, with T = P_lo + P_hi:
+    E|f - m| = P_lo (m - lo) + P_hi (hi - m) = 2 (hi - lo) P_lo P_hi / T, a
+    product of positive terms, so its relative error is a few ulps over the
+    masses' own, however small one of them is.  Other tables sum
+    |w (f - m)| over every configuration, each term with rounding of the
+    size of max |f - E f|."""
+    masses = f._level_masses()
+    if masses is None:
+        return float(np.abs(_weighted_deviation(f)).sum())
+    (lo, hi), (p_lo, p_hi) = f.value_range(), masses
+    return 2.0 * (hi - lo) * p_lo * p_hi / (p_lo + p_hi)
 
 
 def tv_clue_all_subsets(f: FunctionTable) -> np.ndarray:

@@ -90,7 +90,9 @@ def per_object(fn):
     """Cache ``fn(obj)`` in the frozen object's own cache: ``fn`` runs on the
     first call and later calls return its result, whose arrays (or a tuple's)
     are made read-only.  A call that raises stores nothing.  The result must
-    not hold ``obj`` (see the module docstring)."""
+    not hold ``obj`` (see the module docstring).  ``cached.key`` is the
+    entry's name in the cache, for a fact that an object's maker already
+    knows."""
     key = f"{fn.__module__}.{fn.__qualname__}"
 
     @functools.wraps(fn)
@@ -103,6 +105,7 @@ def per_object(fn):
             obj._cache[key] = result
         return obj._cache[key]
 
+    cached.key = key
     return cached
 
 
@@ -235,6 +238,12 @@ class ProductSpace:
         """Product-measure weight of every configuration, length q^n."""
         return self.marginal_weights(full_mask(self.n))
 
+    @per_object
+    def _positive_weights(self) -> bool:
+        """Whether every configuration has positive weight (a product of
+        positive atoms can still underflow to 0)."""
+        return bool(self.config_weights().min() > 0.0)
+
     def digits(self, instead: str | None = None) -> np.ndarray:
         """(q^n, n) uint8 matrix: digits()[c, v] is coordinate v of config c
         (built on demand, not cached).  It is coordinate-major, each
@@ -364,6 +373,19 @@ class FunctionTable:
                 return levels
         return None
 
+    @per_object
+    def _level_masses(self) -> tuple[float, float] | None:
+        """(P(f = lo), P(f = hi)) of a Boolean table on two levels lo < hi,
+        each the weight sum of its level's configurations through
+        :func:`_contract`, so a level off the support weighs exactly 0;
+        None for a table that is not Boolean or is constant."""
+        levels = self._boolean_levels()
+        if levels is None or self.value_range()[0] == self.value_range()[1]:
+            return None
+        upper = self.values != self.value_range()[0]
+        w, q = self.space.config_weights(), self.space.q
+        return tuple(float(_contract(level.astype(float), w, q)) for level in (~upper, upper))
+
     def is_boolean(self) -> bool:
         """True for {0,1}- or {-1,+1}-valued tables (exact comparison)."""
         return self._boolean_levels() is not None
@@ -380,7 +402,13 @@ class FunctionTable:
 
     @per_object
     def _indicator(self) -> "FunctionTable":
-        return FunctionTable(self.space, (self.values + 1.0) / 2.0)
+        """(f + 1) / 2 of a {-1, 1} table.  Its cells are at the upper level
+        where f's are, so it takes f's levels and level masses as its own
+        instead of counting them again."""
+        g = FunctionTable(self.space, (self.values + 1.0) / 2.0)
+        g._cache[FunctionTable._boolean_levels.key] = BIT_LEVELS
+        g._cache[FunctionTable._level_masses.key] = self._level_masses()
+        return g
 
     def evaluator(self) -> BlockEvaluator:
         """Batch evaluator digits->(values), for the Monte Carlo engine.  Its
@@ -581,11 +609,10 @@ def require_varying(f: FunctionTable):
     """Refuse a table that is constant on the configurations of positive
     weight, by exact comparison: weights that sum to 1 only up to rounding
     give it denominators that need not read 0."""
-    w = f.space.config_weights()
-    if w.min() > 0.0:
+    if f.space._positive_weights():
         lo, hi = f.value_range()
     else:
-        support = w > 0.0
+        support = f.space.config_weights() > 0.0
         lo = np.min(f.values, where=support, initial=np.inf)
         hi = np.max(f.values, where=support, initial=-np.inf)
     if not lo < hi:

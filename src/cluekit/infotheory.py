@@ -10,11 +10,14 @@ KL-clue sums entropy gaps of its centred marginal E[f | X_U] - E f, and the
 joint law of (Z, X_U) of a Boolean table on levels lo < hi is
 w_U P(f = z | X_U), with P(f = hi | X_U) = (E[f | X_U] - lo) / (hi - lo)
 read off the same marginal (I(Z : X_U) = sum_z Ent(E[1_z | X_U]) depends on
-U only through it).  Other tables group their values and count the joint
-law with ``np.bincount``.  The ``*_all_subsets`` routes read every subset
-at once off the keep-or-sum-out lattice of :mod:`cluekit.transforms`.  The
-routes' docstrings state what each ratio is conditioned by; the split
-changes the order of the sums, not that.
+U only through it).  A Boolean table's value law is its two level masses,
+and a functional of the value alone is a sum over them:
+sum_c w_c phi(f_c) = sum_z P(z) phi(z), so H(Z) and Ent(f) take no pass
+over the table's values.  Other tables group their values by one sort and
+count the joint law with ``np.bincount``.  The ``*_all_subsets`` routes
+read every subset at once off the keep-or-sum-out lattice of
+:mod:`cluekit.transforms`.  The routes' docstrings state what each ratio is
+conditioned by; the split changes the order of the sums, not that.
 """
 from __future__ import annotations
 
@@ -49,8 +52,10 @@ def group_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group near-equal reals (ties within ``VALUE_GROUP_TOL`` merge).
 
     Returns (codes, representatives): codes[i] indexes the group of values[i].
+    The sorted values are the same under any sorting permutation, and equal
+    values share a group, so an unstable sort gives the same codes.
     """
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     sorted_vals = values[order]
     new_group = np.empty(len(values), dtype=bool)
     new_group[0] = True
@@ -75,13 +80,13 @@ def _value_groups(f: FunctionTable) -> tuple[np.ndarray, np.ndarray]:
 
 @per_object
 def _value_probs(f: FunctionTable) -> np.ndarray:
-    """The weight of each value group; a table on two levels sums the
-    weights of each, so a level off the support weighs exactly 0."""
+    """The weight of each value group; a Boolean table on two levels has
+    its level masses, so a level off the support weighs exactly 0."""
+    masses = f._level_masses()
+    if masses is not None:
+        return np.array(masses)
     codes, reps = _value_groups(f)
-    w, q = f.space.config_weights(), f.space.q
-    if f.is_boolean() and len(reps) == 2:
-        return np.array([float(_contract(level.astype(float), w, q)) for level in (~codes, codes)])
-    return np.bincount(codes, weights=w, minlength=len(reps))
+    return np.bincount(codes, weights=f.space.config_weights(), minlength=len(reps))
 
 
 @per_object
@@ -202,16 +207,26 @@ def _entropy_gaps(vals: np.ndarray, mean: float, gap: np.ndarray | None = None) 
 
 @per_object
 def ent_functional(f: FunctionTable) -> float:
-    """E[f ln f] - E[f] ln E[f] for f >= 0, with 0 ln 0 = 0.
+    """E[f ln f] - E[f] ln E[f] for f >= 0, with 0 ln 0 = 0, as
+    sum_c w_c gap(f_c, E f) with the entropy gaps of :func:`_entropy_gaps`.
 
     Nonnegative by convexity; equals the relative entropy of the f-biased
-    measure against the base measure, scaled by E[f].
+    measure against the base measure, scaled by E[f].  Every term is
+    nonnegative, so nothing cancels.  A {0, 1} table sums P(z) gap(z, E f)
+    over its two levels z, with its level masses P(z): its relative error
+    is a few ulps over that of the masses, however small one mass is.  Other
+    tables sum the gap of every configuration, each within a few ulps of
+    its own size.
     """
     _require_nonnegative(f, "ent_functional")
     mean = expectation(f)
     if mean <= 0.0:
         raise DegenerateError("ent_functional needs E[f] > 0")
-    return float(_contract(_entropy_gaps(f.values, mean), f.space.config_weights(), f.space.q))
+    masses = f._level_masses()
+    if masses is None:
+        return float(_contract(_entropy_gaps(f.values, mean), f.space.config_weights(), f.space.q))
+    gap_lo, gap_hi = _entropy_gaps(np.array(f.value_range()), mean)
+    return float(masses[0] * gap_lo + masses[1] * gap_hi)
 
 
 def _require_nonnegative(f: FunctionTable, what: str):
@@ -223,7 +238,10 @@ def _ent_of_marginal(split: _Split) -> float:
     """Ent(E[f | X_U]), summed over the fiber sums v = sum_c w_{U^c}(c) f(r, c)
     as :func:`ent_functional` sums the table, so that weights which add up
     to 1 only up to rounding enter both alike.  v - E f is formed from the
-    split's centred sums."""
+    split's centred sums.  E[f | X_all] = f, so the full mask gives Ent(f)
+    itself."""
+    if split.mask == full_mask(split.f.n):
+        return ent_functional(split.f)
     mean, total, centre = expectation(split.f), split.rest.sum(), split.centre
     gap = split.marginal() + (centre * (total - 1.0) + (centre - mean))
     return float(_contract(_entropy_gaps(mean + gap, mean, gap), split.weights, split.f.space.q))
@@ -232,7 +250,8 @@ def _ent_of_marginal(split: _Split) -> float:
 def kl_clue(f: FunctionTable, mask: int | _Split) -> float:
     """Ent(E[f | mask]) / Ent(f), in [0, 1], for f >= 0.  The ratio is
     conditioned by Ent(f): its absolute error is a few ulps of max f (times
-    the log of max f / E f) over Ent(f), large when f is nearly constant."""
+    the log of max f / E f) over Ent(f), large when f is nearly constant.
+    On the full mask the numerator is Ent(f) and the ratio reads 1 exactly."""
     require_varying(f)
     split = _split_of(f, mask)
     _require_nonnegative(f, "kl_clue")

@@ -22,10 +22,12 @@ from cluekit.core import (
     BLAS_PIECE,
     FunctionTable,
     ProductSpace,
+    _contract,
     biased_bits,
     complement_mask,
     conditional_marginal,
     expectation,
+    fibers,
     uniform_space,
 )
 from cluekit.errors import DegenerateError
@@ -74,6 +76,18 @@ def test_clue_degenerate_function_raises():
     f = FunctionTable(uniform_space(3), np.full(8, 1.5))
     with pytest.raises(DegenerateError):
         clue(f, 0b1)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_clue_spectral_reads_the_entries_of_the_mask_in_order(n):
+    """The (2,)*n view sums the entries S subseteq U in increasing order of
+    S, bitwise as the comparison over every mask does."""
+    rng = np.random.default_rng(n)
+    sample = rng.dirichlet(np.ones(1 << n))
+    masks = np.arange(1 << n)
+    full = (1 << n) - 1
+    for mask in {0, full, 1, 1 << (n - 1), full ^ 1, *rng.integers(0, 1 << n, size=12).tolist()}:
+        assert clue_spectral(sample, mask) == float(sample[(masks | mask) == mask].sum())
 
 
 def test_clue_spectral_matches_direct():
@@ -451,6 +465,27 @@ def test_per_mask_routes_match_the_all_subsets_routes(levels, n, q, kind, seed):
         assert kl_clue(g, measured) == pytest.approx(kl[mask], abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(levels=LEVELS, **MEASURES)
+def test_the_full_mask_reads_one_on_every_ratio(levels, n, q, kind, seed):
+    """E[f | X_all] = f: on the full mask every ratio's numerator is its
+    denominator, so TV and KL read 1 exactly, as the L2 and I-clue do."""
+    space = random_product_space(n, q, kind, seed)
+    f = random_table(space, levels, np.random.default_rng(seed))
+    support = space.config_weights() > 0.0
+    assume(f.values[support].min() < f.values[support].max())
+    g = f.as_indicator() if f.is_boolean() else f
+    full = (1 << n) - 1
+    split = _Split(f, full)
+    measured = split.indicator() if f.is_boolean() else split
+    for at in (full, split):
+        assert clue(f, at) == 1.0
+        assert tv_clue(f, at) == 1.0
+        assert i_clue(f, at) == 1.0
+    assert kl_clue(g, full) == 1.0
+    assert kl_clue(g, measured) == 1.0
+
+
 def fiber_constancy(f: FunctionTable, fixed: int) -> float:
     """P[f is constant on the fiber of the ``fixed`` coordinates], by a loop
     over configurations: a fiber weighs the product of its fixed digits'
@@ -484,3 +519,22 @@ def test_witness_and_influence_match_a_fiber_loop(levels, n, q, kind, seed):
         for at in (mask, split):
             assert witness(f, at) == pytest.approx(fiber_constancy(f, mask), abs=1e-12)
             assert influence_set(f, at) == pytest.approx(1.0 - fiber_constancy(f, full ^ mask), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels=st.sampled_from(["0,1", "-1,1"]), **MEASURES)
+def test_witness_and_influence_match_the_extrema_of_the_fibers(levels, n, q, kind, seed):
+    """The level counts find the constant fibers that max == min over the
+    positive-weight cells finds, so the constancy is the same sum, bit for
+    bit."""
+    space = random_product_space(n, q, kind, seed)
+    f = random_table(space, levels, np.random.default_rng(seed))
+    full = (1 << n) - 1
+    for mask in range(1 << n):
+        matrix = fibers(f.values, space, mask)
+        support = space.marginal_weights(full ^ mask) > 0.0
+        top = np.max(matrix, axis=1, where=support, initial=-np.inf)
+        bottom = np.min(matrix, axis=1, where=support, initial=np.inf)
+        extrema = float(_contract((top == bottom).astype(float), space.marginal_weights(mask), q))
+        assert witness(f, mask) == extrema
+        assert influence_set(f, full ^ mask) == 1.0 - extrema

@@ -4,8 +4,12 @@
 requested metric.  With all eight metrics it permutes the table once (one
 call to ``core.fibers``), and a Boolean table's information comes from the
 split's conditional marginal, so nothing is counted with ``np.bincount``.
-An edit that permutes the table again for some metric, or counts a Boolean
-joint law, fails here.
+A Boolean table's Ent(f) and E|f - E f| come from its two level masses, so
+no entropy gap is taken over its q^n values and no weighted deviation is
+formed, and the witness and influence constancy count cells, so no max or
+min runs over the split matrix.  An edit that permutes the table again for
+some metric, counts a Boolean joint law, or brings back one of those sweeps
+fails here.
 """
 import importlib
 import pkgutil
@@ -15,25 +19,57 @@ import numpy as np
 import pytest
 
 import cluekit
-from cluekit import cli, core
+from cluekit import cli, clue, core, infotheory
 from cluekit.core import FunctionTable, ProductSpace, uniform_space
 from cluekit.zoo import majority, tribes
 
 ALL_METRICS = ["l2", "spectral", "sig", "inf", "wit", "tv", "i", "kl"]
 
 
+class _Watched(np.ndarray):
+    """An array that records in ``seen`` every max or min reduction over a
+    2-D array of ``entries`` entries or more; arrays computed from it are
+    watched too."""
+
+    seen: list = []
+    entries = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if method == "reduce" and ufunc in (np.maximum, np.minimum, np.fmax, np.fmin):
+            if inputs[0].ndim == 2 and inputs[0].size >= _Watched.entries:
+                _Watched.seen.append((ufunc.__name__, inputs[0].shape))
+        plain = [x.view(np.ndarray) if isinstance(x, _Watched) else x for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, _Watched) else x for x in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(_Watched) if isinstance(result, np.ndarray) and result.ndim else result
+
+    def argmax(self, *args, **kwargs):
+        _Watched.seen.append(("argmax", self.shape))
+        return self.view(np.ndarray).argmax(*args, **kwargs)
+
+    def argmin(self, *args, **kwargs):
+        _Watched.seen.append(("argmin", self.shape))
+        return self.view(np.ndarray).argmin(*args, **kwargs)
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of ``core.fibers`` and ``np.bincount`` calls, wherever a module
-    of the package holds them."""
+    of the package holds them.  The fibers matrices are handed out watched
+    (:class:`_Watched`)."""
     for info in pkgutil.iter_modules(cluekit.__path__):
         importlib.import_module(f"cluekit.{info.name}")
     counts = {"fibers": 0, "bincount": 0}
     fibers, bincount = core.fibers, np.bincount
+    _Watched.seen = []
 
-    def counted_fibers(*args, **kwargs):
+    def counted_fibers(values, space, mask):
         counts["fibers"] += 1
-        return fibers(*args, **kwargs)
+        _Watched.entries = space.size
+        return fibers(values, space, mask).view(_Watched)
 
     def counted_bincount(*args, **kwargs):
         counts["bincount"] += 1
@@ -44,6 +80,27 @@ def calls(monkeypatch):
             monkeypatch.setattr(module, "fibers", counted_fibers)
     monkeypatch.setattr(np, "bincount", counted_bincount)
     return counts
+
+
+@pytest.fixture
+def sweeps(calls, monkeypatch):
+    """The lengths of the value vectors handed to ``infotheory._entropy_gaps``,
+    the calls of ``clue._weighted_deviation``, and the max and min
+    reductions over a watched fibers matrix."""
+    seen = {"gap_lengths": [], "deviations": 0, "extrema": _Watched.seen}
+    gaps, deviation = infotheory._entropy_gaps, clue._weighted_deviation
+
+    def counted_gaps(vals, *args, **kwargs):
+        seen["gap_lengths"].append(np.size(vals))
+        return gaps(vals, *args, **kwargs)
+
+    def counted_deviation(f):
+        seen["deviations"] += 1
+        return deviation(f)
+
+    monkeypatch.setattr(infotheory, "_entropy_gaps", counted_gaps)
+    monkeypatch.setattr(clue, "_weighted_deviation", counted_deviation)
+    return seen
 
 
 def _bits_table() -> FunctionTable:
@@ -59,13 +116,17 @@ BOOLEAN = {"maj:9": lambda: majority(9).table, "tribes:2,3": lambda: tribes(2, 3
 
 @pytest.mark.parametrize("name", BOOLEAN)
 @pytest.mark.parametrize("which", ["low", "high", "empty", "full"])
-def test_every_metric_of_a_mask_shares_one_permutation(calls, name, which):
+def test_every_metric_of_a_mask_shares_one_permutation(calls, sweeps, name, which):
     f = BOOLEAN[name]()
     n = f.n
     mask = {"low": 0b101, "high": (1 << (n - 1)) | 0b10, "empty": 0, "full": (1 << n) - 1}[which]
     out = cli._metric_values(f, mask, ALL_METRICS)
     assert len(out) == 9  # sig brings sig_i
     assert calls == {"fibers": 1, "bincount": 0}
+    # Ent(f) from the level masses, Ent(E[f | X_U]) from the q^|U| fiber sums
+    assert sweeps["gap_lengths"] and max(sweeps["gap_lengths"]) < f.space.size
+    assert sweeps["deviations"] == 0  # E|f - E f| from the level masses
+    assert sweeps["extrema"] == []  # constancy from level counts
 
 
 def test_a_real_table_permutes_once_and_counts_its_joint_laws(calls):
