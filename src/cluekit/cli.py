@@ -29,6 +29,7 @@ from .core import FunctionTable, full_mask, mask_from_indices, mask_indices, uni
 from .errors import DegenerateError, GuardError, ParseError
 from .fnio import load_function
 from .montecarlo import GENERATOR_ID, mc_clue
+from .symmetry import GroupAction, group_from_spec
 
 SCHEMA = 1
 MASK_BLOCK = 1 << 16  # past the first block, keys share all but four hex digits
@@ -125,10 +126,13 @@ def _fail(code: int, reason: str):
     sys.exit(code)
 
 
-def _load_table(spec: str) -> FunctionTable:
+def _load_table(spec: str) -> tuple[FunctionTable, GroupAction | None]:
+    """The table of a JSON file or a zoo spec, with the zoo entry's symmetry
+    action (None for a file)."""
     if spec.endswith(".json"):
-        return load_function(spec)
-    return zoo.from_spec(spec).table
+        return load_function(spec), None
+    entry = zoo.from_spec(spec)
+    return entry.table, entry.action
 
 
 def _parse_subset(text: str, n: int, torus: perco.TorusSpec | None = None) -> int:
@@ -206,7 +210,7 @@ def _metric_values(f: FunctionTable, mask: int, names: list[str]) -> dict:
 
 
 def _cmd_analyze(args) -> int:
-    f = _load_table(args.fn)
+    f, _ = _load_table(args.fn)
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     payload = {"fn": args.fn, "n": f.n}
     if args.subset.startswith("bernoulli:") or args.subset == "singletons":
@@ -235,7 +239,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    f = _load_table(args.fn)
+    f, _ = _load_table(args.fn)
     if args.efron_stein or not f.space.is_uniform_binary:
         values = spectral.efron_stein(f)
         kind = "component_norms"
@@ -259,7 +263,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_clue(args) -> int:
-    f = _load_table(args.fn)
+    f, _ = _load_table(args.fn)
     if args.all_subsets:
         values = clue_mod.clue_all_subsets_table(f)
         if args.csv:
@@ -280,19 +284,12 @@ def _cmd_clue(args) -> int:
 
 
 def _cmd_game(args) -> int:
-    entry = None if args.fn.endswith(".json") else zoo.from_spec(args.fn)
-    f = load_function(args.fn) if entry is None else entry.table
+    f, action = _load_table(args.fn)
     game = games.build_iclue_game(f) if args.iclue else games.build_clue_game(f)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     payload = {"fn": args.fn, "kind": "information" if args.iclue else "variance"}
-    action = None
-    if "bound" in checks:
-        if args.action:
-            from .symmetry import group_from_spec
-
-            action = group_from_spec(args.action)
-        elif entry is not None:
-            action = entry.action
+    if "bound" in checks and args.action:
+        action = group_from_spec(args.action)
     for check in checks:
         if check == "shapley":
             phi = games.shapley(game)

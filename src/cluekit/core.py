@@ -125,14 +125,6 @@ def mask_indices(mask: int) -> list[int]:
     return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
 
 
-def mask_image(mask: int, perm: Sequence[int]) -> int:
-    """The subset {perm[v] : v in mask}."""
-    img = 0
-    for v in mask_indices(mask):
-        img |= 1 << perm[v]
-    return img
-
-
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -254,23 +246,9 @@ class ProductSpace:
     def tensor_shape(self) -> tuple[int, ...]:
         return (self.q,) * self.n
 
-    def spins(self) -> np.ndarray:
-        """(q^n, n) matrix of +-1 spins; binary spaces only."""
-        if self.q != 2:
-            raise GuardError("spins are defined for q = 2 only")
-        return self.digits().astype(np.int8) * 2 - 1
-
 
 def uniform_space(n: int, q: int = 2) -> ProductSpace:
     return ProductSpace(n, q, np.full((n, q), 1.0 / q))
-
-
-def biased_bits(n: int, p_plus: float | Sequence[float]) -> ProductSpace:
-    """Binary space where coordinate v takes spin +1 with probability
-    ``p_plus`` (scalar or one entry per coordinate)."""
-    p = np.broadcast_to(np.asarray(p_plus, dtype=float), (n,))
-    pi = np.stack([1.0 - p, p], axis=1)
-    return ProductSpace(n, 2, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -580,28 +558,6 @@ def _deviation_pass(values: np.ndarray, weights: np.ndarray, mean: float,
 def variance_and_spread(f: FunctionTable) -> tuple[float, float]:
     """(Var f, max |f - E f|) from one deviation pass."""
     return _deviation_pass(f.values, f.space.config_weights(), expectation(f), f.space.q)
-
-
-def variance(f: FunctionTable) -> float:
-    return variance_and_spread(f)[0]
-
-
-def covariance(f: FunctionTable, g: FunctionTable) -> float:
-    if f.space is not g.space and f.space != g.space:
-        raise ValueError("tables live on different spaces")
-    product = (f.values - expectation(f)) * (g.values - expectation(g))
-    return float(_contract(product, f.space.config_weights(), f.space.q))
-
-
-def correlation(f: FunctionTable, g: FunctionTable) -> float:
-    vf, vg = variance(f), variance(g)
-    if vf <= 0.0 or vg <= 0.0:
-        raise ValueError("correlation undefined for a constant table")
-    return covariance(f, g) / np.sqrt(vf * vg)
-
-
-def l2_norm_sq(f: FunctionTable) -> float:
-    return float(_contract(f.values**2, f.space.config_weights(), f.space.q))
 
 
 @per_object

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FunctionTable, fibers, per_object, uniform_space
+from .core import FunctionTable, per_object, uniform_space
 from .infotheory import mutual_information_all_subsets
 from .spectral import projected_variances
 from .symmetry import is_invariant, is_transitive
@@ -57,9 +57,7 @@ def build_iclue_game(f: FunctionTable) -> CooperativeGame:
     """v(S) = I(Z : X_S) with Z the grouped value of f, every coalition at
     once from the keep-or-sum-out lattice (see
     :func:`~cluekit.infotheory.mutual_information_all_subsets`)."""
-    v = mutual_information_all_subsets(f)
-    v[0] = 0.0
-    return CooperativeGame(f.n, v)
+    return CooperativeGame(f.n, mutual_information_all_subsets(f))
 
 
 @per_object
@@ -103,12 +101,6 @@ def shapley_in_core(game: CooperativeGame) -> bool:
     singletons = np.zeros(1 << game.n)
     singletons[1 << np.arange(game.n)] = shapley(game)
     return bool(np.all(subset_zeta(singletons) >= game.v - GAME_TOL))
-
-
-def restrict_game(game: CooperativeGame, mask: int) -> CooperativeGame:
-    """Subgame on the players in ``mask`` (domain restricted to its subsets,
-    players re-indexed in increasing coordinate order)."""
-    return CooperativeGame(mask.bit_count(), fibers(game.v, uniform_space(game.n), mask)[:, 0])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,5 @@
 """Entropy-based measures: exact mutual information between a function's
-value and a coordinate marginal, the I-clue and KL-clue ratios, and
-Shearer-type covering inequalities.
+value and a coordinate marginal, and the I-clue and KL-clue ratios.
 
 All entropies are in nats.  Function values are grouped into a discrete
 variable with absolute tolerance 1e-12, and every quantity is computed from
@@ -32,7 +31,6 @@ from .core import (
     per_object,
     require_bytes,
     require_varying,
-    validate_mask,
 )
 from .clue import _Split, _split_of
 from .errors import DegenerateError
@@ -124,8 +122,11 @@ def joint_with_subset(f: FunctionTable, mask: int | _Split) -> np.ndarray:
 
 def mutual_information(f: FunctionTable, mask: int | _Split) -> float:
     """I(Z : X_mask) where Z groups the values of f, never below 0.  Z is a
-    function of all coordinates, so on the full mask this is H(Z) itself."""
+    function of all coordinates, so on the full mask this is H(Z) itself,
+    and X_empty is constant, so on the empty mask it is 0 exactly."""
     split = _split_of(f, mask)
+    if split.mask == 0:
+        return 0.0
     if split.mask == full_mask(f.n):
         return value_entropy(f)
     joint = joint_with_subset(f, split)
@@ -144,9 +145,10 @@ def _x_log_x(lattice: np.ndarray) -> np.ndarray:
 
 
 def mutual_information_all_subsets(f: FunctionTable) -> np.ndarray:
-    """I(Z : X_U) for every mask U, each never below 0, as
-    H(Z) + H(X_U) - H(Z, X_U) with every entropy read off the lattice of the
-    (value group x configuration) joint law, one value group at a time.
+    """I(Z : X_U) for every mask U, each never below 0 and 0 on the empty
+    mask, as H(Z) + H(X_U) - H(Z, X_U) with every entropy read off the
+    lattice of the (value group x configuration) joint law, one value group
+    at a time.
 
     A group on a single positive-weight configuration c has P(z, x_U) = w(c)
     at x_U = c_U for every U: it adds the same -w(c) ln w(c) to every
@@ -167,8 +169,11 @@ def mutual_information_all_subsets(f: FunctionTable) -> np.ndarray:
     h_joint = np.zeros(1 << space.n)
     for z in np.flatnonzero(support > 1):
         h_joint -= lattice_sums(np.where(codes == z, w, 0.0), space.q, _x_log_x)
-    # the empty mask sums every coordinate out: H(Z, X_empty) = H(Z)
-    return np.maximum(h_joint[0] + h_u - h_joint, 0.0)
+    # the empty mask sums every coordinate out: H(Z, X_empty) = H(Z), and
+    # X_empty is constant, so I(Z : X_empty) is 0 exactly, as per mask
+    mi = np.maximum(h_joint[0] + h_u - h_joint, 0.0)
+    mi[0] = 0.0
+    return mi
 
 
 def i_clue(f: FunctionTable, mask: int | _Split) -> float:
@@ -239,7 +244,9 @@ def _ent_of_marginal(split: _Split) -> float:
     as :func:`ent_functional` sums the table, so that weights which add up
     to 1 only up to rounding enter both alike.  v - E f is formed from the
     split's centred sums.  E[f | X_all] = f, so the full mask gives Ent(f)
-    itself."""
+    itself, and E[f | X_empty] = E f, so the empty mask gives 0."""
+    if split.mask == 0:
+        return 0.0
     if split.mask == full_mask(split.f.n):
         return ent_functional(split.f)
     mean, total, centre = expectation(split.f), split.rest.sum(), split.centre
@@ -251,7 +258,8 @@ def kl_clue(f: FunctionTable, mask: int | _Split) -> float:
     """Ent(E[f | mask]) / Ent(f), in [0, 1], for f >= 0.  The ratio is
     conditioned by Ent(f): its absolute error is a few ulps of max f (times
     the log of max f / E f) over Ent(f), large when f is nearly constant.
-    On the full mask the numerator is Ent(f) and the ratio reads 1 exactly."""
+    On the full mask the numerator is Ent(f) and the ratio reads 1 exactly,
+    on the empty mask 0 exactly."""
     require_varying(f)
     split = _split_of(f, mask)
     _require_nonnegative(f, "kl_clue")
@@ -285,34 +293,3 @@ def kl_clue_all_subsets(f: FunctionTable) -> np.ndarray:
 
     ent = lattice_sums(f.space.config_weights() * f.values, f.space.q, gaps, f.space.pi)
     return np.minimum(np.maximum(ent, 0.0) / denom, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# covering inequalities
-# ---------------------------------------------------------------------------
-def _check_cover(n: int, cover: list[int], k: int):
-    for mask in cover:
-        validate_mask(mask, n)
-    for j in range(n):
-        mult = sum(1 for mask in cover if (mask >> j) & 1)
-        if mult > k:
-            raise ValueError(
-                f"coordinate {j} appears in {mult} cover sets, more than k={k}"
-            )
-
-
-def shearer_deficit(f: FunctionTable, cover: list[int], k: int) -> float:
-    """k H(Z) - sum_j I(Z : X_{S_j}) for a cover where every coordinate lies
-    in at most k sets; nonnegative on product measures."""
-    _check_cover(f.n, cover, k)
-    h_z = value_entropy(f)
-    return k * h_z - float(sum(mutual_information(f, mask) for mask in cover))
-
-
-def kl_cover_deficit(f: FunctionTable, cover: list[int], k: int) -> float:
-    """k Ent(f) - sum_j Ent(E[f | S_j]) for f >= 0; the marginal relative
-    entropies of the f-biased measure cannot exceed k times the total."""
-    _require_nonnegative(f, "kl_cover_deficit")
-    _check_cover(f.n, cover, k)
-    total = ent_functional(f)
-    return k * total - float(sum(_ent_of_marginal(_Split(f, mask)) for mask in cover))

@@ -49,9 +49,7 @@ from .core import (
     TABLE_BLOCK,
     FunctionTable,
     ProductSpace,
-    _contract,
     _piece,
-    covariance,
     per_object,
     require_bytes,
     require_varying,
@@ -268,68 +266,3 @@ def stability(profile: StabilityProfile, p: float) -> float:
         raise ValueError("noise level p must lie in [0, 1]")
     w = profile.level_weights
     return float(w[1:] @ p ** np.arange(1, len(w)))
-
-
-# ---------------------------------------------------------------------------
-# pivotal sets and the covariance identity
-# ---------------------------------------------------------------------------
-def _require_pm_one(f: FunctionTable):
-    if f.space.q != 2:
-        raise ValueError("pivotal sets need a binary space")
-    # Boolean levels are (0, 1) or (-1, 1), so a Boolean table without a 0 is ±1
-    if not (f.is_boolean() and f.value_range()[0] != 0.0):
-        raise ValueError("pivotal sets need a {-1,+1}-valued table")
-
-
-def pivotal_masks(f: FunctionTable) -> np.ndarray:
-    """For every configuration, the bitmask of coordinates whose flip changes
-    the value."""
-    _require_pm_one(f)
-    n = f.space.n
-    idx = np.arange(1 << n)
-    piv = np.zeros(1 << n, dtype=np.int64)
-    for v in range(n):
-        flipped = f.values[idx ^ (1 << v)]
-        piv |= (f.values != flipped).astype(np.int64) << v
-    return piv
-
-
-def is_monotone(f: FunctionTable) -> bool:
-    """True when raising any spin never lowers the value."""
-    _require_pm_one(f)
-    n = f.space.n
-    idx = np.arange(1 << n)
-    for v in range(n):
-        hi = (idx >> v) & 1 == 1
-        if np.any(f.values[idx[hi]] < f.values[idx[hi] ^ (1 << v)]):
-            return False
-    return True
-
-
-def covariance_lemma_check(f: FunctionTable, g: FunctionTable) -> tuple[float, float]:
-    """Exact evaluation of both sides of the pivotal-overlap identity.
-
-    lhs: integral over p in [0,1] of E|Piv_f(w) ∩ Piv_g(w')| for the
-    p-correlated pair (w, w').  The noise operator is diagonal in the Walsh
-    basis, T_p chi_S = p^|S| chi_S, so with a_j and b_j the indicators that j
-    is pivotal for f and for g, E[a_j(w) b_j(w')] = sum_S â_j(S) b̂_j(S) p^|S|
-    and the integral is sum_j sum_S â_j(S) b̂_j(S) / (|S|+1).  It runs one
-    coordinate at a time, holding a few table-size vectors.  rhs: Cov(f, g).
-
-    For the conventions above the two sides agree with constant 1; the
-    dictator pair pins this (both sides equal 1).
-    """
-    space = f.space
-    if space != g.space or not space.is_uniform_binary:
-        raise ValueError("both tables must live on the same uniform binary space")
-    if not (is_monotone(f) and is_monotone(g)):
-        raise ValueError("covariance identity requires monotone inputs")
-    piv_f = pivotal_masks(f)
-    piv_g = pivotal_masks(g)
-    integral = 1.0 / (popcounts(space.n) + 1)  # of p^|S| over [0, 1]
-    lhs = 0.0
-    for j in range(space.n):
-        a = _transform(space, (piv_f >> j) & 1)
-        b = _transform(space, (piv_g >> j) & 1)
-        lhs += float(_contract(a * b, integral, 2))
-    return lhs, covariance(f, g)

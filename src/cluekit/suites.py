@@ -4,10 +4,15 @@ inequalities at its stated tolerance and returns its details and violations;
 
 The CLI ``verify`` command runs these one at a time; the acceptance test
 module runs all of them.  Random inputs are drawn from fixed, documented
-seed streams so every run checks the same instances.
+seed streams so every run checks the same instances.  The checks and
+oracles that only the suites need (moments of pairs, Shearer-type cover
+deficits, pivotal sets, the composite family's calibration) are private
+helpers here, and no module but the CLI imports this one, so none of them
+becomes a route.
 """
 from __future__ import annotations
 
+import math
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -16,6 +21,7 @@ import numpy as np
 
 from . import games, infotheory, perco, spectral, symmetry, zoo
 from .clue import (
+    _Split,
     clue,
     clue_all_subsets_table,
     clue_spectral,
@@ -29,16 +35,16 @@ from .clue import (
 from .core import (
     FunctionTable,
     ProductSpace,
-    biased_bits,
+    _contract,
     conditional_expectation,
     conditional_marginal,
-    correlation,
+    expectation,
+    fibers,
     full_mask,
-    l2_norm_sq,
-    mask_image,
     mask_indices,
     uniform_space,
-    variance,
+    validate_mask,
+    variance_and_spread,
 )
 from .montecarlo import generator_for, mc_clue
 from .transforms import containing_sums, dividend_shares, popcounts, subset_mobius
@@ -97,9 +103,31 @@ def _oracle_masks(rng, n: int) -> list[int]:
     return rng.choice(1 << n, size=ORACLE_MASKS, replace=False).tolist()
 
 
+def _variance(f: FunctionTable) -> float:
+    return variance_and_spread(f)[0]
+
+
+def _covariance(f: FunctionTable, g: FunctionTable) -> float:
+    if f.space is not g.space and f.space != g.space:
+        raise ValueError("tables live on different spaces")
+    product = (f.values - expectation(f)) * (g.values - expectation(g))
+    return float(_contract(product, f.space.config_weights(), f.space.q))
+
+
+def _correlation(f: FunctionTable, g: FunctionTable) -> float:
+    vf, vg = _variance(f), _variance(g)
+    if vf <= 0.0 or vg <= 0.0:
+        raise ValueError("correlation undefined for a constant table")
+    return _covariance(f, g) / np.sqrt(vf * vg)
+
+
+def _l2_norm_sq(f: FunctionTable) -> float:
+    return float(_contract(f.values**2, f.space.config_weights(), f.space.q))
+
+
 def _direct_clue_all(f: FunctionTable) -> np.ndarray:
     """clue by raw fiber variance for every subset (no spectral shortcut)."""
-    var = variance(f)
+    var = _variance(f)
     out = np.empty(1 << f.n)
     for mask in range(1 << f.n):
         vals, w = conditional_marginal(f, mask)
@@ -113,11 +141,11 @@ def _direct_clue_all(f: FunctionTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 def transitive_bound_suite() -> tuple[dict, list]:
     entries = [
-        zoo.sum_function(12),
-        zoo.parity(12),
-        zoo.majority(11),
-        zoo.tribes(2, 4),
-        zoo.tribes(3, 4),
+        zoo.from_spec("sum:12"),
+        zoo.from_spec("parity:12"),
+        zoo.from_spec("maj:11"),
+        zoo.from_spec("tribes:2,4"),
+        zoo.from_spec("tribes:3,4"),
     ]
     violations = []
     worst_slack = -np.inf
@@ -133,7 +161,7 @@ def transitive_bound_suite() -> tuple[dict, list]:
         if slack.max() > 1e-10:
             mask = int(np.argmax(slack))
             violations.append({"fn": entry.name, "mask": mask, "excess": float(slack.max())})
-    sharp = clue_all_subsets_table(zoo.sum_function(12).table)
+    sharp = clue_all_subsets_table(zoo.from_spec("sum:12").table)
     sharp_err = float(np.max(np.abs(sharp - popcounts(12) / 12)))
     if sharp_err > 1e-10:
         violations.append({"fn": "sum:12", "problem": "sharpness", "err": sharp_err})
@@ -185,13 +213,13 @@ def efron_stein_suite() -> tuple[dict, list]:
         norms = spectral.efron_stein(f)
         tables = spectral.efron_stein_components(f)
         # independent oracle: Moebius inversion of the fiber projected variances
-        fiber = subset_mobius(_direct_clue_all(f) * variance(f))
+        fiber = subset_mobius(_direct_clue_all(f) * _variance(f))
         fiber_err = float(np.max(np.abs(norms[1:] - fiber[1:])))
         stats["worst_fiber_err"] = max(stats["worst_fiber_err"], fiber_err)
         if fiber_err > 1e-10:
             violations.append({"trial": trial, "fiber_err": fiber_err})
         stats["min_mass"] = min(stats["min_mass"], float(norms.min()))
-        sum_err = abs(float(norms.sum()) - l2_norm_sq(f))
+        sum_err = abs(float(norms.sum()) - _l2_norm_sq(f))
         stats["worst_sum_err"] = max(stats["worst_sum_err"], sum_err)
         if norms.min() < -1e-12 or sum_err > 1e-9:
             violations.append({"trial": trial, "min_mass": float(norms.min()), "sum_err": sum_err})
@@ -206,9 +234,10 @@ def efron_stein_suite() -> tuple[dict, list]:
         if recon > 1e-10:
             violations.append({"trial": trial, "reconstruction": recon})
     sp8 = uniform_space(8)
-    # independent oracle: characters[x, S] = prod_{v in S} spin_v(x)
+    # independent oracle: characters[x, S] = prod_{v in S} spin_v(x), digit 0 as spin -1
     in_mask = (np.arange(sp8.size)[:, None] >> np.arange(8)) & 1 == 1
-    characters = np.where(in_mask, sp8.spins()[:, None, :], 1).prod(axis=2)
+    spins = sp8.digits().astype(np.int8) * 2 - 1
+    characters = np.where(in_mask, spins[:, None, :], 1).prod(axis=2)
     for trial in range(5):
         f = FunctionTable(sp8, rng.standard_normal(sp8.size))
         coeffs = spectral.walsh_hadamard(f)
@@ -231,8 +260,10 @@ def _subgame_shapley_gain(game: games.CooperativeGame, small: int, large: int) -
     ok, witness_pair = games.is_supermodular(game)
     if not ok:
         raise ValueError(f"game is not supermodular (witness pair {witness_pair})")
-    phi_small = games.shapley(games.restrict_game(game, small))
-    phi_large = games.shapley(games.restrict_game(game, large))
+    # the subgame on a mask's players is the game on its subsets: column 0 of its fibers
+    space = uniform_space(game.n)
+    phi_small = games.shapley(games.CooperativeGame(small.bit_count(), fibers(game.v, space, small)[:, 0]))
+    phi_large = games.shapley(games.CooperativeGame(large.bit_count(), fibers(game.v, space, large)[:, 0]))
     pos_in_large = {p: i for i, p in enumerate(mask_indices(large))}
     gains = [phi_large[pos_in_large[p]] - phi_small[i] for i, p in enumerate(mask_indices(small))]
     return float(min(gains, default=np.inf))
@@ -258,7 +289,7 @@ def games_suite() -> tuple[dict, list]:
         f = FunctionTable(sp8, rng.standard_normal(sp8.size))
         phi = games.shapley(games.build_clue_game(f))
         marg = dividend_shares(spectral.spectral_distribution(f))
-        err = float(np.max(np.abs(phi / variance(f) - marg)))
+        err = float(np.max(np.abs(phi / _variance(f) - marg)))
         worst_marg = max(worst_marg, err)
         if err > 1e-9:
             violations.append({"trial": trial, "shapley_vs_marginal": err})
@@ -285,7 +316,7 @@ def games_suite() -> tuple[dict, list]:
             ok, pair = games.is_supermodular(games.build_iclue_game(fb))
             if not ok:
                 violations.append({"trial": trial, "rep": rep, "game": "information", "pair": pair})
-    zoo_entries = [zoo.sum_function(8), zoo.parity(8), zoo.majority(7), zoo.tribes(2, 4)]
+    zoo_entries = [zoo.from_spec(spec) for spec in ("sum:8", "parity:8", "maj:7", "tribes:2,4")]
     for entry in zoo_entries:
         game = games.build_clue_game(entry.table)
         if not games.shapley_in_core(game):
@@ -297,9 +328,10 @@ def games_suite() -> tuple[dict, list]:
         if eff > 1e-10:
             violations.append({"fn": entry.name, "efficiency_err": eff})
     large = []
-    for entry, kind, build in ((zoo.tribes(4, 4), "variance", games.build_clue_game),
-                               (zoo.tribes(3, 4), "information", games.build_iclue_game),
-                               (zoo.tribes(4, 4), "information", games.build_iclue_game)):
+    for spec, kind, build in (("tribes:4,4", "variance", games.build_clue_game),
+                              ("tribes:3,4", "information", games.build_iclue_game),
+                              ("tribes:4,4", "information", games.build_iclue_game)):
+        entry = zoo.from_spec(spec)
         game = build(entry.table)
         phi = games.shapley(game)
         marg = dividend_shares(spectral.spectral_distribution(entry.table))
@@ -317,15 +349,43 @@ def games_suite() -> tuple[dict, list]:
 # ---------------------------------------------------------------------------
 # 5. information bounds
 # ---------------------------------------------------------------------------
+def _check_cover(n: int, cover: list[int], k: int):
+    for mask in cover:
+        validate_mask(mask, n)
+    for j in range(n):
+        mult = sum(1 for mask in cover if (mask >> j) & 1)
+        if mult > k:
+            raise ValueError(
+                f"coordinate {j} appears in {mult} cover sets, more than k={k}"
+            )
+
+
+def _shearer_deficit(f: FunctionTable, cover: list[int], k: int) -> float:
+    """k H(Z) - sum_j I(Z : X_{S_j}) for a cover where every coordinate lies
+    in at most k sets; nonnegative on product measures."""
+    _check_cover(f.n, cover, k)
+    h_z = infotheory.value_entropy(f)
+    return k * h_z - float(sum(infotheory.mutual_information(f, mask) for mask in cover))
+
+
+def _kl_cover_deficit(f: FunctionTable, cover: list[int], k: int) -> float:
+    """k Ent(f) - sum_j Ent(E[f | S_j]) for f >= 0; the marginal relative
+    entropies of the f-biased measure cannot exceed k times the total."""
+    infotheory._require_nonnegative(f, "kl_cover_deficit")
+    _check_cover(f.n, cover, k)
+    total = infotheory.ent_functional(f)
+    return k * total - float(sum(infotheory._ent_of_marginal(_Split(f, mask)) for mask in cover))
+
+
 def shearer_suite() -> tuple[dict, list]:
     rng = generator_for(SUITE_SEED, 5)
     violations = []
     entries = [
-        zoo.sum_function(10),
-        zoo.parity(10),
-        zoo.majority(9),
-        zoo.tribes(2, 5),
-        zoo.tribes(3, 3),
+        zoo.from_spec("sum:10"),
+        zoo.from_spec("parity:10"),
+        zoo.from_spec("maj:9"),
+        zoo.from_spec("tribes:2,5"),
+        zoo.from_spec("tribes:3,3"),
     ]
     worst_i = -np.inf
     worst_kl = -np.inf
@@ -360,8 +420,8 @@ def shearer_suite() -> tuple[dict, list]:
             sum(1 for mask in cover if (mask >> j) & 1) for j in range(6)
         )
         k = max(k, 1)
-        deficit = infotheory.shearer_deficit(f, cover, k)
-        kl_deficit = infotheory.kl_cover_deficit(f, cover, k)
+        deficit = _shearer_deficit(f, cover, k)
+        kl_deficit = _kl_cover_deficit(f, cover, k)
         worst_deficit = min(worst_deficit, deficit)
         worst_kl_deficit = min(worst_kl_deficit, kl_deficit)
         if deficit < -1e-10 or kl_deficit < -1e-10:
@@ -401,12 +461,12 @@ def _projection_bounds(f: FunctionTable, g: FunctionTable, mask: int) -> dict:
     correlation are affine invariant, so nothing is normalized.
     """
     cf, cg = clue(f, mask), clue(g, mask)
-    eps = float(1.0 - correlation(f, g))
+    eps = float(1.0 - _correlation(f, g))
     c = min(cf, cg)
     corr_slack = None
     if c > PROJECTION_TOL:
         pf, pg = conditional_expectation(f, mask), conditional_expectation(g, mask)
-        corr_slack = float(correlation(pf, pg) - (1.0 - eps / c))
+        corr_slack = float(_correlation(pf, pg) - (1.0 - eps / c))
     return {
         "eps": eps,
         "clue_f": cf,
@@ -566,13 +626,13 @@ def sandwiches_suite() -> tuple[dict, list]:
 def _bernoulli_sets(n: int, p: float) -> np.ndarray:
     """Each coordinate included independently with probability p: the
     product measure on inclusion bits."""
-    return biased_bits(n, p).marginal_weights(full_mask(n))
+    return ProductSpace(n, 2, np.tile([1.0 - p, p], (n, 1))).marginal_weights(full_mask(n))
 
 
 def _translate_sets(mask: int, perms: list[list[int]], n: int) -> np.ndarray:
     """Uniform law over the images of ``mask`` under the given coordinate
     permutations."""
-    images = [mask_image(mask, perm) for perm in perms]
+    images = [sum(1 << perm[v] for v in mask_indices(mask)) for perm in perms]
     return np.bincount(images, minlength=1 << n) / len(perms)
 
 
@@ -592,7 +652,7 @@ def revealment_suite() -> tuple[dict, list]:
     worst_gap = -np.inf
     worst_identity = 0.0
     worst_fiber = 0.0
-    tables = [zoo.majority(7).table, zoo.tribes(2, 4).table]
+    tables = [zoo.from_spec("maj:7").table, zoo.from_spec("tribes:2,4").table]
     for trial in range(6):
         sp = uniform_space(int(rng.integers(5, 9)))
         tables.append(FunctionTable(sp, rng.standard_normal(sp.size)))
@@ -600,7 +660,7 @@ def revealment_suite() -> tuple[dict, list]:
     for f in tables:
         n = f.n
         prof = spectral.stability_profile(f)
-        var = variance(f)
+        var = prof.variance  # Var f as the sum of the level weights W_k, k >= 1
         every = clue_all_subsets_table(f)
         fiber = _direct_clue_all(f)
         for p in p_grid:
@@ -633,6 +693,68 @@ def revealment_suite() -> tuple[dict, list]:
 # ---------------------------------------------------------------------------
 # 8. covariance identity
 # ---------------------------------------------------------------------------
+def _require_pm_one(f: FunctionTable):
+    if f.space.q != 2:
+        raise ValueError("pivotal sets need a binary space")
+    # Boolean levels are (0, 1) or (-1, 1), so a Boolean table without a 0 is ±1
+    if not (f.is_boolean() and f.value_range()[0] != 0.0):
+        raise ValueError("pivotal sets need a {-1,+1}-valued table")
+
+
+def _pivotal_masks(f: FunctionTable) -> np.ndarray:
+    """For every configuration, the bitmask of coordinates whose flip changes
+    the value."""
+    _require_pm_one(f)
+    n = f.space.n
+    idx = np.arange(1 << n)
+    piv = np.zeros(1 << n, dtype=np.int64)
+    for v in range(n):
+        flipped = f.values[idx ^ (1 << v)]
+        piv |= (f.values != flipped).astype(np.int64) << v
+    return piv
+
+
+def _is_monotone(f: FunctionTable) -> bool:
+    """True when raising any spin never lowers the value."""
+    _require_pm_one(f)
+    n = f.space.n
+    idx = np.arange(1 << n)
+    for v in range(n):
+        hi = (idx >> v) & 1 == 1
+        if np.any(f.values[idx[hi]] < f.values[idx[hi] ^ (1 << v)]):
+            return False
+    return True
+
+
+def _covariance_lemma_check(f: FunctionTable, g: FunctionTable) -> tuple[float, float]:
+    """Exact evaluation of both sides of the pivotal-overlap identity.
+
+    lhs: integral over p in [0,1] of E|Piv_f(w) ∩ Piv_g(w')| for the
+    p-correlated pair (w, w').  The noise operator is diagonal in the Walsh
+    basis, T_p chi_S = p^|S| chi_S, so with a_j and b_j the indicators that j
+    is pivotal for f and for g, E[a_j(w) b_j(w')] = sum_S â_j(S) b̂_j(S) p^|S|
+    and the integral is sum_j sum_S â_j(S) b̂_j(S) / (|S|+1).  It runs one
+    coordinate at a time, holding a few table-size vectors.  rhs: Cov(f, g).
+
+    For the conventions above the two sides agree with constant 1; the
+    dictator pair pins this (both sides equal 1).
+    """
+    space = f.space
+    if space != g.space or not space.is_uniform_binary:
+        raise ValueError("both tables must live on the same uniform binary space")
+    if not (_is_monotone(f) and _is_monotone(g)):
+        raise ValueError("covariance identity requires monotone inputs")
+    piv_f = _pivotal_masks(f)
+    piv_g = _pivotal_masks(g)
+    integral = 1.0 / (popcounts(space.n) + 1)  # of p^|S| over [0, 1]
+    lhs = 0.0
+    for j in range(space.n):
+        a = spectral._transform(space, (piv_f >> j) & 1)
+        b = spectral._transform(space, (piv_g >> j) & 1)
+        lhs += float(_contract(a * b, integral, 2))
+    return lhs, _covariance(f, g)
+
+
 def _random_monotone(sp: ProductSpace, rng) -> FunctionTable:
     vals = np.where(rng.random(sp.size) < rng.uniform(0.25, 0.75), 1.0, -1.0)
     idx = np.arange(sp.size)
@@ -645,7 +767,7 @@ def _random_monotone(sp: ProductSpace, rng) -> FunctionTable:
 def _random_threshold(sp: ProductSpace, rng) -> FunctionTable:
     """sign(spins @ w - theta) for positive weights w and theta a random
     quantile of spins @ w; monotone because every weight is positive."""
-    sums = sp.spins() @ rng.uniform(0.1, 1.0, sp.n)
+    sums = (sp.digits().astype(np.int8) * 2 - 1) @ rng.uniform(0.1, 1.0, sp.n)
     return FunctionTable(sp, np.where(sums > np.quantile(sums, rng.uniform(0.25, 0.75)), 1.0, -1.0))
 
 
@@ -656,8 +778,8 @@ def _varies(f: FunctionTable) -> bool:
 def covariance_lemma_suite() -> tuple[dict, list]:
     rng = generator_for(SUITE_SEED, 8)
     violations = []
-    d = zoo.dictator(3, 0).table
-    lhs, rhs = spectral.covariance_lemma_check(d, d)
+    d = zoo.from_spec("dictator:3,0").table
+    lhs, rhs = _covariance_lemma_check(d, d)
     dictator_pins = abs(lhs - 1.0) < 1e-9 and abs(rhs - 1.0) < 1e-9
     if not dictator_pins:
         violations.append({"case": "dictator", "lhs": lhs, "rhs": rhs})
@@ -671,7 +793,7 @@ def covariance_lemma_suite() -> tuple[dict, list]:
                    _random_threshold(uniform_space(n), pair_rng)) for n in range(9, 17)]
     worst = 0.0
     for trial, f, g in pairs + thresholds:
-        lhs, rhs = spectral.covariance_lemma_check(f, g)
+        lhs, rhs = _covariance_lemma_check(f, g)
         err = abs(lhs - rhs)
         worst = max(worst, err)
         if err > 1e-9:
@@ -847,8 +969,8 @@ def composite_trend_suite() -> tuple[dict, list]:
     violations = []
     points = []
     for t in (40, 80, 160):
-        m = zoo.coupled_majority_size(t)
-        shift = zoo.find_a(m, m ** (-2.0 / 3.0))
+        m = _coupled_majority_size(t)
+        shift = _find_a(m, m ** (-2.0 / 3.0))
         exact = composite_t_part_clue(m, t, shift)
         ev = zoo.composite_evaluator(m, t, shift)
         sp = uniform_space(m + t)
@@ -866,11 +988,52 @@ def composite_trend_suite() -> tuple[dict, list]:
     return {"points": points}, violations
 
 
+def _coupled_majority_size(t: int) -> int:
+    """Majority-block size paired with a tribes block of size t so the two
+    blocks' per-coordinate influences match: m = (t / ln t)^(3/2)."""
+    if t < 2:
+        raise ValueError("need t >= 2")
+    return max(1, round((t / math.log(t)) ** 1.5))
+
+
+def _asym_majority_influence(n: int, shift: float) -> float:
+    """Exact per-coordinate influence of the shifted majority.
+
+    A flip matters exactly when the other n-1 spins sum into the unit window
+    around the threshold, which pins a single attainable sum value.
+    """
+    threshold = shift * math.sqrt(n)
+    lo = math.floor(threshold - 1.0) + 1  # integers s with threshold-1 < s <= threshold+1
+    candidates = [s for s in (lo, lo + 1) if s <= threshold + 1.0]
+    total = 0.0
+    for s in candidates:
+        if abs(s) > n - 1 or (s - (n - 1)) % 2:
+            continue
+        total += math.comb(n - 1, (n - 1 + s) // 2) / 2 ** (n - 1)
+    return total
+
+
+def _find_a(n: int, target_influence: float) -> float:
+    """Shift making the asymmetric majority's coordinate influence as close
+    as possible to the target, by bisection over the (stepwise decreasing)
+    influence curve."""
+    lo, hi = 0.0, math.sqrt(n) + 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _asym_majority_influence(n, mid) > target_influence:
+            lo = mid
+        else:
+            hi = mid
+    if abs(_asym_majority_influence(n, lo) - target_influence) <= abs(
+        _asym_majority_influence(n, hi) - target_influence
+    ):
+        return lo
+    return hi
+
+
 def composite_t_part_clue(m: int, t: int, shift: float) -> float:
     """Exact clue of the steering block: the conditional mean given that
     block takes only two values, so everything reduces to binomial tails."""
-    import math
-
     l = zoo.balanced_tribe_size(t)
     q = 1.0 - (1.0 - 0.5**l) ** (t // l)
     theta = shift * math.sqrt(m)

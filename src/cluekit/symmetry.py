@@ -11,11 +11,14 @@ checked on generators and no group element is ever listed.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .core import FunctionTable, permute
+from .errors import ParseError
 
 INVARIANCE_TOL = 1e-12
 
@@ -139,13 +142,8 @@ def group_from_spec(text: str) -> GroupAction:
     ``tribes:l,k``, ``torus:n`` (translations acting on the 2n^2 edges), or
     ``@file.json`` holding a non-empty list of permutations, read as
     generators: the group they generate need not be listed whole."""
-    from .errors import ParseError
-
     text = text.strip()
     if text.startswith("@"):
-        import json
-        from pathlib import Path
-
         try:
             perms = json.loads(Path(text[1:]).read_text())
             if not isinstance(perms, list) or not perms:
@@ -166,7 +164,7 @@ def group_from_spec(text: str) -> GroupAction:
         if head == "tribes":
             return tribes_group(*sizes)
         if head == "torus":
-            from .perco import TorusSpec
+            from .perco import TorusSpec  # perco imports this module
 
             return TorusSpec(*sizes).translation_group()
     except (ValueError, TypeError) as exc:

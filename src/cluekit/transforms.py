@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import require_bytes
+
 
 # a row narrower than this runs as that many strided 1-D passes
 NARROW_ROW = 16
@@ -139,8 +141,6 @@ def lattice_sums(values: np.ndarray, q: int, entry, pi: np.ndarray | None = None
     it also takes their :func:`kept_weights`.  The top rows keep or sum out the
     fewest top coordinates that leave the lattice of one row, a slab, within
     ``SLAB`` entries.  A lone slab runs the unsplit route, bit for bit."""
-    from .core import require_bytes  # core imports this module
-
     n = _digits(np.size(values), q)
     low = next(m for m in range(n, -1, -1) if (q + 1) ** m <= SLAB)
     require_bytes(8 * ((q + 1) ** (n - low) * q**low + (1 << n)), f"lattice top rows over {q}^{n}")

@@ -175,7 +175,7 @@ def _count_law(evaluator_factory):
 
 
 # ---------------------------------------------------------------------------
-# dense-table constructors with tagged symmetry groups
+# dense tables with tagged symmetry groups, built from a parsed spec
 # ---------------------------------------------------------------------------
 def _entry(head: str, args: tuple, evaluator=None) -> ZooEntry:
     family = FAMILIES[head]
@@ -202,28 +202,8 @@ def _gather_by_popcount(n: int, by_count: np.ndarray) -> np.ndarray:
     return values
 
 
-def dictator(n: int, coord: int = 0) -> ZooEntry:
-    return _entry("dictator", (n, coord))
-
-
-def parity(n: int) -> ZooEntry:
-    return _entry("parity", (n,))
-
-
-def sum_function(n: int) -> ZooEntry:
-    return _entry("sum", (n,))
-
-
-def majority(n: int) -> ZooEntry:
-    return _entry("maj", (n,))
-
-
-def tribes(tribe_size: int, tribe_count: int) -> ZooEntry:
-    return _entry("tribes", (tribe_size, tribe_count))
-
-
 # ---------------------------------------------------------------------------
-# calibration helpers
+# the steering tribes of the composite family
 # ---------------------------------------------------------------------------
 def balanced_tribe_size(t: int) -> int:
     """Divisor of t whose tribes function is closest to balanced.
@@ -240,49 +220,6 @@ def balanced_tribe_size(t: int) -> int:
         if gap < best_gap:
             best_l, best_gap = l, gap
     return best_l
-
-
-def coupled_majority_size(t: int) -> int:
-    """Majority-block size paired with a tribes block of size t so the two
-    blocks' per-coordinate influences match: m = (t / ln t)^(3/2)."""
-    if t < 2:
-        raise ValueError("need t >= 2")
-    return max(1, round((t / math.log(t)) ** 1.5))
-
-
-def asym_majority_influence(n: int, shift: float) -> float:
-    """Exact per-coordinate influence of the shifted majority.
-
-    A flip matters exactly when the other n-1 spins sum into the unit window
-    around the threshold, which pins a single attainable sum value.
-    """
-    threshold = shift * math.sqrt(n)
-    lo = math.floor(threshold - 1.0) + 1  # integers s with threshold-1 < s <= threshold+1
-    candidates = [s for s in (lo, lo + 1) if s <= threshold + 1.0]
-    total = 0.0
-    for s in candidates:
-        if abs(s) > n - 1 or (s - (n - 1)) % 2:
-            continue
-        total += math.comb(n - 1, (n - 1 + s) // 2) / 2 ** (n - 1)
-    return total
-
-
-def find_a(n: int, target_influence: float) -> float:
-    """Shift making the asymmetric majority's coordinate influence as close
-    as possible to the target, by bisection over the (stepwise decreasing)
-    influence curve."""
-    lo, hi = 0.0, math.sqrt(n) + 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if asym_majority_influence(n, mid) > target_influence:
-            lo = mid
-        else:
-            hi = mid
-    if abs(asym_majority_influence(n, lo) - target_influence) <= abs(
-        asym_majority_influence(n, hi) - target_influence
-    ):
-        return lo
-    return hi
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cluekit.core import ProductSpace, mask_image, validate_mask
+from cluekit.core import ProductSpace, mask_indices, validate_mask
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # zero atoms: coordinate 1 never takes digit 1, coordinate 4 never digit 2
 ZERO_ATOM_Q3 = ProductSpace(5, 3, np.array([[0.2, 0.5, 0.3], [0.5, 0.0, 0.5], [0.1, 0.3, 0.6],
                                             [1 / 3, 1 / 3, 1 / 3], [0.6, 0.4, 0.0]]))
+
+
+def biased_bits(n: int, p_plus) -> ProductSpace:
+    """Binary space where coordinate v takes digit 1 (spin +1) with
+    probability ``p_plus``, a scalar or one entry per coordinate."""
+    p = np.broadcast_to(np.asarray(p_plus, dtype=float), (n,))
+    return ProductSpace(n, 2, np.stack([1.0 - p, p], axis=1))
+
+
+def spins(space: ProductSpace) -> np.ndarray:
+    """(2^n, n) int8 matrix of the +-1 spins of a binary space's
+    configurations, digit 0 as spin -1."""
+    return space.digits().astype(np.int8) * 2 - 1
 
 
 def table_dict(f) -> dict:
@@ -49,7 +62,8 @@ def subset_orbit_union(mask: int, group, n: int) -> int:
     validate_mask(mask, n)
     out = 0
     for perm in group_elements(group):
-        out |= mask_image(mask, perm)
+        for v in mask_indices(mask):
+            out |= 1 << perm[v]
     return out
 
 

@@ -8,12 +8,13 @@ from cluekit import cli, spectral, suites, transforms
 from cluekit import clue as clue_mod
 from cluekit.cli import _ByMask, _emit, _emit_csv, build_parser, main
 from cluekit.clue import clue, clue_all_subsets_table
-from cluekit.core import FunctionTable, ProductSpace, biased_bits, uniform_space, variance
+from cluekit.core import FunctionTable, ProductSpace, uniform_space
 from cluekit.fnio import load_function, table_from_dict
 from cluekit.errors import ParseError
 from cluekit.infotheory import mutual_information_all_subsets, value_entropy
-from cluekit.zoo import majority
-from conftest import save_table, table_dict
+from cluekit.suites import _variance
+from cluekit.zoo import from_spec
+from conftest import biased_bits, save_table, table_dict
 
 
 def run_cli(capsys, *argv):
@@ -79,8 +80,8 @@ def test_analyze_bernoulli_reaches_maj21(capsys):
     stopped at n = 20)."""
     code, payload, _ = run_cli(capsys, "analyze", "--fn", "maj:21", "--subset", "bernoulli:0.3")
     assert code == 0
-    f = majority(21).table
-    exact = spectral.stability(spectral.stability_profile(f), 0.3) / variance(f)
+    f = from_spec("maj:21").table
+    exact = spectral.stability(spectral.stability_profile(f), 0.3) / _variance(f)
     assert payload["expected_clue"] == pytest.approx(exact, abs=1e-10)
     assert payload["revealment"] == pytest.approx(0.3, abs=1e-12)
 
@@ -91,7 +92,7 @@ def _random_set_tables(tmp_path) -> dict:
     biased = FunctionTable(biased_bits(5, [0.2, 0.7, 0.45, 0.9, 0.6]), rng.standard_normal(32))
     pi = rng.dirichlet(np.ones(3), size=4)
     ternary = FunctionTable(ProductSpace(4, 3, pi), rng.integers(0, 3, 81).astype(float))
-    tables = {"maj:5": majority(5).table}
+    tables = {"maj:5": from_spec("maj:5").table}
     for name, f in (("biased", biased), ("q3", ternary)):
         save_table(f, tmp_path / f"{name}.json")
         tables[str(tmp_path / f"{name}.json")] = f
@@ -292,7 +293,7 @@ def test_clue_all_subsets_csv(capsys):
 def test_sweep_output_bytes_match_the_row_by_row_format(capsys):
     """Block-written CSV and one-shot JSON give the bytes of one f-string
     row per mask and of the streaming encoder."""
-    f = majority(9).table
+    f = from_spec("maj:9").table
     clues = clue_all_subsets_table(f)
     coeffs = spectral.walsh_hadamard(f)
     _, _, out = run_cli(capsys, "clue", "--fn", "maj:9", "--all-subsets", "--csv")
@@ -310,7 +311,7 @@ def _csv_cases():
     rng = np.random.default_rng(12)
     signed_zeros = np.array([0.0, -0.0, 1.0, -0.0, 0.0, 0.5, -0.0, -1.0])
     return {
-        "maj9-clue": clue_all_subsets_table(majority(9).table),
+        "maj9-clue": clue_all_subsets_table(from_spec("maj:9").table),
         "all-distinct": rng.standard_normal(1 << 12),
         "signed-zeros": signed_zeros,
         # three blocks, the last one short, with values repeated across them
@@ -363,7 +364,7 @@ def test_emit_by_mask_matches_json_dumps(capsys, case):
 def test_emit_writes_a_by_mask_vector_in_its_place(capsys):
     """Keys before and after the vector keep their order and their json.dumps
     bytes, numpy values included."""
-    values = spectral.walsh_hadamard(majority(5).table)
+    values = spectral.walsh_hadamard(from_spec("maj:5").table)
     payload = {"fn": "maj:5", "kind": "coefficients", "values": _ByMask(values),
                "level_weights": [0.0, 0.5, np.float64(0.25)], "marginals": np.array([0.2, 0.8]),
                "ok": np.bool_(True)}
@@ -398,7 +399,7 @@ def test_game_command_past_ten_players(capsys):
 
 
 def test_game_with_explicit_action(capsys, tmp_path):
-    f = majority(3).table
+    f = from_spec("maj:3").table
     path = tmp_path / "maj3.json"
     save_table(f, path)
     code, payload, _ = run_cli(
@@ -628,7 +629,7 @@ def test_spectrum_runs_the_transform_once(capsys, monkeypatch, tmp_path):
 
 
 def test_round_trip_preserves_metrics(tmp_path, capsys):
-    f = majority(3).table
+    f = from_spec("maj:3").table
     path = tmp_path / "maj3.json"
     save_table(f, path)
     g = load_function(path)

@@ -23,7 +23,6 @@ from cluekit.core import (
     FunctionTable,
     ProductSpace,
     _contract,
-    biased_bits,
     complement_mask,
     conditional_marginal,
     expectation,
@@ -49,24 +48,24 @@ from cluekit.suites import (
 )
 from cluekit.symmetry import cyclic_group
 from cluekit.transforms import popcounts
-from cluekit.zoo import dictator, majority, parity, sum_function, tribes
-from conftest import group_elements
+from cluekit.zoo import from_spec
+from conftest import biased_bits, group_elements
 
 
 def test_clue_sum_is_exactly_proportional():
-    f = sum_function(6).table
+    f = from_spec("sum:6").table
     for mask in range(64):
         assert clue(f, mask) == pytest.approx(mask.bit_count() / 6, abs=1e-12)
 
 
 def test_clue_parity_proper_subsets_zero():
-    f = parity(4).table
+    f = from_spec("parity:4").table
     for mask in range(15):
         assert clue(f, mask) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_clue_maj3():
-    f = majority(3).table
+    f = from_spec("maj:3").table
     assert clue(f, 0b001) == pytest.approx(0.25, abs=1e-12)
     assert clue(f, 0b011) == pytest.approx(0.5, abs=1e-12)
     assert clue(f, 0b111) == pytest.approx(1.0, abs=1e-12)
@@ -159,12 +158,12 @@ def test_clue_all_subsets_biased_n16_matches_fibers():
 
 
 def test_sig_examples():
-    f = parity(4).table
+    f = from_spec("parity:4").table
     for mask in (0b1, 0b1010, 0b1111):
         assert sig(f, mask) == pytest.approx(1.0, abs=1e-12)
-    d = dictator(3, 0).table
+    d = from_spec("dictator:3,0").table
     assert sig(d, 0b110) == pytest.approx(0.0, abs=1e-12)
-    assert sig(majority(3).table, 0b001) == pytest.approx(0.5, abs=1e-12)
+    assert sig(from_spec("maj:3").table, 0b001) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_full_mask_marginal_is_the_table_bitwise_above_a_blas_piece():
@@ -173,7 +172,7 @@ def test_full_mask_marginal_is_the_table_bitwise_above_a_blas_piece():
     exactly 1.0 and sig on the empty mask exactly 0.0."""
     rng = np.random.default_rng(7)
     biased = FunctionTable(biased_bits(14, np.linspace(0.2, 0.8, 14)), rng.standard_normal(1 << 14))
-    for f in (majority(15).table, biased):
+    for f in (from_spec("maj:15").table, biased):
         assert f.values.size > BLAS_PIECE
         full = (1 << f.n) - 1
         values, weights = conditional_marginal(f, full)
@@ -195,15 +194,15 @@ def test_sig_duality_and_spectral_form():
 
 
 def test_influence_set_examples():
-    assert influence_set(parity(4).table, 0b0010) == pytest.approx(1.0)
-    assert influence_set(dictator(3, 0).table, 0b001) == pytest.approx(1.0)
-    assert influence_set(majority(3).table, 0b001) == pytest.approx(0.5)
+    assert influence_set(from_spec("parity:4").table, 0b0010) == pytest.approx(1.0)
+    assert influence_set(from_spec("dictator:3,0").table, 0b001) == pytest.approx(1.0)
+    assert influence_set(from_spec("maj:3").table, 0b001) == pytest.approx(0.5)
 
 
 def test_witness_examples():
-    assert witness(dictator(3, 0).table, 0b001) == pytest.approx(1.0)
-    assert witness(parity(4).table, 0b0111) == pytest.approx(0.0)
-    assert witness(majority(3).table, 0b011) == pytest.approx(0.5)
+    assert witness(from_spec("dictator:3,0").table, 0b001) == pytest.approx(1.0)
+    assert witness(from_spec("parity:4").table, 0b0111) == pytest.approx(0.0)
+    assert witness(from_spec("maj:3").table, 0b011) == pytest.approx(0.5)
 
 
 def test_witness_influence_need_boolean():
@@ -215,21 +214,21 @@ def test_witness_influence_need_boolean():
 
 
 def test_influence_coordinate_examples():
-    assert influence_set(dictator(4, 2).table, 1 << 2) == pytest.approx(1.0)
-    assert influence_set(parity(4).table, 1 << 1) == pytest.approx(1.0)
+    assert influence_set(from_spec("dictator:4,2").table, 1 << 2) == pytest.approx(1.0)
+    assert influence_set(from_spec("parity:4").table, 1 << 1) == pytest.approx(1.0)
     for j in range(3):
-        assert influence_set(majority(3).table, 1 << j) == pytest.approx(0.5)
+        assert influence_set(from_spec("maj:3").table, 1 << j) == pytest.approx(0.5)
 
 
 def test_tv_clue_examples():
-    f = majority(3).table.as_indicator()
+    f = from_spec("maj:3").table.as_indicator()
     assert tv_clue(f, 0) == pytest.approx(0.0, abs=1e-14)
     assert tv_clue(f, 0b111) == pytest.approx(1.0, abs=1e-14)
     assert tv_clue(f, 0b001) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_expected_clue_examples():
-    f = majority(3).table
+    f = from_spec("maj:3").table
     singles = np.array([1.0, 1 / 3, 0.0, 0.0])
     assert expected_clue(f, singles) == pytest.approx(0.25, abs=1e-12)
     assert expected_clue(f, singles) == pytest.approx(np.mean([clue(f, 1 << v) for v in range(3)]))
@@ -241,7 +240,7 @@ def test_expected_clue_examples():
     oracle = _bernoulli_sets(3, 0.5) @ clue_all_subsets_table(f)
     assert expected_clue(f, half) == pytest.approx(oracle, rel=1e-12)
 
-    d = dictator(4, 0).table
+    d = from_spec("dictator:4,0").table
     assert expected_clue(d, np.array([1.0, 0.25, 0.0, 0.0, 0.0])) == pytest.approx(0.25)
     with pytest.raises(ValueError, match="per subset size"):
         expected_clue(d, half)
@@ -282,7 +281,7 @@ def test_order_chain_on_balanced_functions():
 
 
 def test_transitive_bound_zoo():
-    for entry in (sum_function(8), parity(8), majority(7), tribes(2, 4)):
+    for entry in (from_spec("sum:8"), from_spec("parity:8"), from_spec("maj:7"), from_spec("tribes:2,4")):
         f = entry.table
         bulk = clue_all_subsets_table(f)
         assert np.max(bulk - popcounts(f.n) / f.n) <= 1e-10
@@ -303,8 +302,8 @@ def test_clue_affine_invariance(seed, a, b):
 
 
 def test_p_min():
-    assert p_min(majority(3).table) == pytest.approx(0.5)
-    assert p_min(tribes(2, 2).table) == pytest.approx(7 / 16)
+    assert p_min(from_spec("maj:3").table) == pytest.approx(0.5)
+    assert p_min(from_spec("tribes:2,2").table) == pytest.approx(7 / 16)
 
 
 def test_p_min_reads_the_mean_without_the_indicator_table(monkeypatch):
@@ -313,7 +312,7 @@ def test_p_min_reads_the_mean_without_the_indicator_table(monkeypatch):
     is the reference."""
     rng = np.random.default_rng(21)
     sp = ProductSpace(6, 2, rng.dirichlet(np.ones(2), size=6))
-    tables = [majority(7).table, tribes(3, 3).table, majority(7).table.as_indicator(),
+    tables = [from_spec("maj:7").table, from_spec("tribes:3,3").table, from_spec("maj:7").table.as_indicator(),
               FunctionTable(sp, np.where(rng.random(sp.size) < 0.3, 1.0, -1.0)),
               FunctionTable(sp, (rng.random(sp.size) < 0.8).astype(float))]
     expected = []
@@ -333,13 +332,14 @@ def test_p_min_reads_the_mean_without_the_indicator_table(monkeypatch):
 
 
 def test_clue_equals_squared_correlation_with_projection():
-    from cluekit.core import conditional_expectation, correlation
+    from cluekit.core import conditional_expectation
+    from cluekit.suites import _correlation
 
     rng = np.random.default_rng(6)
     f = FunctionTable(uniform_space(5), rng.standard_normal(32))
     for mask in (0b1, 0b1010, 0b11011):
         proj = conditional_expectation(f, mask)
-        assert clue(f, mask) == pytest.approx(correlation(f, proj) ** 2, abs=1e-12)
+        assert clue(f, mask) == pytest.approx(_correlation(f, proj) ** 2, abs=1e-12)
 
 
 def _projection_bounds_hold(bounds: dict) -> bool:
@@ -348,14 +348,14 @@ def _projection_bounds_hold(bounds: dict) -> bool:
 
 
 def test_projection_distortion_identical_functions():
-    f = majority(3).table
+    f = from_spec("maj:3").table
     report = _projection_bounds(f, f, 0b011)
     assert report["eps"] == pytest.approx(0.0, abs=1e-12)
     assert _projection_bounds_hold(report)
 
 
 def test_projection_distortion_affine_pair():
-    f = majority(3).table
+    f = from_spec("maj:3").table
     g = FunctionTable(f.space, 2.0 * f.values + 3.0)
     report = _projection_bounds(f, g, 0b001)
     assert report["eps"] == pytest.approx(0.0, abs=1e-12)
@@ -484,6 +484,37 @@ def test_the_full_mask_reads_one_on_every_ratio(levels, n, q, kind, seed):
         assert i_clue(f, at) == 1.0
     assert kl_clue(g, full) == 1.0
     assert kl_clue(g, measured) == 1.0
+
+
+def _assert_the_empty_mask_reads_zero(f: FunctionTable):
+    g = f.as_indicator() if f.is_boolean() else f
+    split = _Split(f, 0)
+    measured = split.indicator() if f.is_boolean() else split
+    for at in (0, split):
+        assert clue(f, at) == 0.0
+        assert tv_clue(f, at) == 0.0
+        assert i_clue(f, at) == 0.0
+    assert kl_clue(g, 0) == 0.0
+    assert kl_clue(g, measured) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels=LEVELS, **MEASURES)
+def test_the_empty_mask_reads_zero_on_every_ratio(levels, n, q, kind, seed):
+    """E[f | X_empty] = E f: on the empty mask every ratio's numerator is 0,
+    so every ratio reads 0 exactly, however small its denominator."""
+    space = random_product_space(n, q, kind, seed)
+    f = random_table(space, levels, np.random.default_rng(seed))
+    support = space.config_weights() > 0.0
+    assume(f.values[support].min() < f.values[support].max())
+    _assert_the_empty_mask_reads_zero(f)
+
+
+def test_the_empty_mask_reads_zero_beside_a_tiny_atom():
+    """An atom of weight 1e-5 leaves H(Z) and Ent(f) near 1e-4: an entropy
+    difference rounded at the size of H(Z, X_U) read 8.5e-13 as the I-clue."""
+    space = ProductSpace(1, 2, np.array([[1.0427006318523482e-05, 0.9999895729936814]]))
+    _assert_the_empty_mask_reads_zero(FunctionTable(space, np.array([0.0, 2.0])))
 
 
 def fiber_constancy(f: FunctionTable, fixed: int) -> float:

@@ -12,7 +12,6 @@ from cluekit.core import (
     BLAS_PIECE,
     _block_digits,
     _contract,
-    biased_bits,
     complement_mask,
     conditional_expectation,
     expectation,
@@ -24,12 +23,11 @@ from cluekit.core import (
     permute,
     table_from_digits,
     uniform_space,
-    variance,
 )
 from cluekit.errors import GuardError
-from cluekit.suites import _bernoulli_sets, _revealment
-from cluekit.zoo import majority, parity, sum_function
-from conftest import save_table
+from cluekit.suites import _bernoulli_sets, _revealment, _variance
+from cluekit.zoo import from_spec
+from conftest import biased_bits, save_table
 
 
 def encode(space: ProductSpace, digits) -> int:
@@ -55,22 +53,22 @@ def decode(space: ProductSpace, index: int) -> list[int]:
 
 
 def test_parity_expectation_zero():
-    assert expectation(parity(3).table) == pytest.approx(0.0, abs=1e-15)
+    assert expectation(from_spec("parity:3").table) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_majority_variance_one():
-    f = majority(3).table
+    f = from_spec("maj:3").table
     assert expectation(f) == pytest.approx(0.0, abs=1e-15)
-    assert variance(f) == pytest.approx(1.0, abs=1e-15)
+    assert _variance(f) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_sum_variance_is_n(n):
-    assert variance(sum_function(n).table) == pytest.approx(n, abs=1e-12)
+    assert _variance(from_spec(f"sum:{n}").table) == pytest.approx(n, abs=1e-12)
 
 
 def test_conditional_expectation_maj3_single_coordinate():
-    f = majority(3).table
+    f = from_spec("maj:3").table
     ce = conditional_expectation(f, 0b001)
     digits = f.space.digits()
     expected = np.where(digits[:, 0] == 1, 0.5, -0.5)
@@ -78,7 +76,7 @@ def test_conditional_expectation_maj3_single_coordinate():
 
 
 def test_conditional_expectation_extremes():
-    f = majority(3).table
+    f = from_spec("maj:3").table
     empty = conditional_expectation(f, 0)
     np.testing.assert_allclose(empty.values, expectation(f), atol=1e-14)
     full = conditional_expectation(f, 0b111)
@@ -92,7 +90,7 @@ def test_conditional_expectation_preserves_mean_and_contracts_variance():
     for mask in range(16):
         ce = conditional_expectation(f, mask)
         assert expectation(ce) == pytest.approx(expectation(f), abs=1e-12)
-        assert variance(ce) <= variance(f) + 1e-12
+        assert _variance(ce) <= _variance(f) + 1e-12
 
 
 @pytest.mark.parametrize("n,q", [(3, 3), (4, 2)])

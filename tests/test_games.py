@@ -4,23 +4,22 @@ import numpy as np
 import pytest
 
 from cluekit import infotheory
-from cluekit.core import FunctionTable, ProductSpace, uniform_space, variance
+from cluekit.core import FunctionTable, ProductSpace, fibers, uniform_space
 from cluekit.games import (
     GAME_TOL,
     CooperativeGame,
     build_clue_game,
     build_iclue_game,
     is_supermodular,
-    restrict_game,
     shapley,
     shapley_in_core,
     transitive_game_bound,
 )
 from cluekit.spectral import spectral_distribution
-from cluekit.suites import _subgame_shapley_gain
+from cluekit.suites import _subgame_shapley_gain, _variance
 from cluekit.symmetry import is_invariant
 from cluekit.transforms import dividend_shares, popcounts, subset_zeta
-from cluekit.zoo import dictator, majority, parity, sum_function, tribes
+from cluekit.zoo import from_spec
 
 
 def sqrt_game(n=3):
@@ -78,23 +77,23 @@ def test_game_requires_zero_at_empty():
 
 
 def test_build_clue_game_examples():
-    g = build_clue_game(sum_function(4).table)
+    g = build_clue_game(from_spec("sum:4").table)
     np.testing.assert_allclose(g.v, popcounts(4).astype(float), atol=1e-10)
-    d = build_clue_game(dictator(3, 0).table)
+    d = build_clue_game(from_spec("dictator:3,0").table)
     np.testing.assert_allclose(d.v, [(m & 1) * 1.0 for m in range(8)], atol=1e-12)
-    maj = build_clue_game(majority(3).table)
+    maj = build_clue_game(from_spec("maj:3").table)
     assert maj.v[0b001] == pytest.approx(0.25, abs=1e-12)
     assert maj.v[0b011] == pytest.approx(0.5, abs=1e-12)
     assert maj.v[0b111] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_shapley_examples():
-    np.testing.assert_allclose(shapley(build_clue_game(sum_function(4).table)), 1.0, atol=1e-10)
+    np.testing.assert_allclose(shapley(build_clue_game(from_spec("sum:4").table)), 1.0, atol=1e-10)
     np.testing.assert_allclose(
-        shapley(build_clue_game(dictator(3, 0).table)), [1.0, 0.0, 0.0], atol=1e-12
+        shapley(build_clue_game(from_spec("dictator:3,0").table)), [1.0, 0.0, 0.0], atol=1e-12
     )
     np.testing.assert_allclose(
-        shapley(build_clue_game(majority(3).table)), 1 / 3, atol=1e-12
+        shapley(build_clue_game(from_spec("maj:3").table)), 1 / 3, atol=1e-12
     )
 
 
@@ -111,7 +110,7 @@ def test_shapley_matches_spectral_marginal():
     f = FunctionTable(sp, rng.standard_normal(sp.size))
     phi = shapley(build_clue_game(f))
     marg = dividend_shares(spectral_distribution(f))
-    np.testing.assert_allclose(phi / variance(f), marg, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(phi / _variance(f), marg, rtol=1e-12, atol=0)
 
 
 def test_dividends_and_squares_match_the_oracles():
@@ -143,7 +142,7 @@ def test_non_supermodular_game_past_the_pair_oracle():
 
 
 def test_supermodularity_examples():
-    assert is_supermodular(build_clue_game(majority(3).table))[0]
+    assert is_supermodular(build_clue_game(from_spec("maj:3").table))[0]
     additive = CooperativeGame(4, popcounts(4).astype(float))
     assert is_supermodular(additive)[0]
     ok, witness_pair = is_supermodular(sqrt_game())
@@ -182,8 +181,8 @@ def test_information_game_never_calls_the_per_mask_route(monkeypatch):
 
 
 def test_shapley_in_core_examples():
-    assert shapley_in_core(build_clue_game(sum_function(4).table))
-    assert shapley_in_core(build_clue_game(majority(3).table))
+    assert shapley_in_core(build_clue_game(from_spec("sum:4").table))
+    assert shapley_in_core(build_clue_game(from_spec("maj:3").table))
     assert not shapley_in_core(sqrt_game())
 
 
@@ -200,9 +199,9 @@ def test_shapley_in_core_random_supermodular_games():
 def test_subgame_shapley_monotone_examples():
     additive = CooperativeGame(4, popcounts(4).astype(float))
     assert _subgame_shapley_gain(additive, 0b0011, 0b1111) >= -GAME_TOL
-    maj_game = build_clue_game(majority(3).table)
+    maj_game = build_clue_game(from_spec("maj:3").table)
     assert _subgame_shapley_gain(maj_game, 0b011, 0b111) >= -GAME_TOL
-    sub = restrict_game(maj_game, 0b011)
+    sub = CooperativeGame(2, fibers(maj_game.v, uniform_space(3), 0b011)[:, 0])
     np.testing.assert_allclose(shapley(sub), [0.25, 0.25], atol=1e-12)
     with pytest.raises(ValueError):
         _subgame_shapley_gain(sqrt_game(), 0b001, 0b111)
@@ -222,25 +221,25 @@ def test_subgame_monotonicity_random_supermodular():
 
 
 def test_transitive_game_bound_examples():
-    s = sum_function(6)
+    s = from_spec("sum:6")
     report = transitive_game_bound(build_clue_game(s.table), s.action)
     assert report.bound_holds
     assert report.max_violation == pytest.approx(0.0, abs=1e-10)  # tight
 
-    p = parity(5)
+    p = from_spec("parity:5")
     game = build_clue_game(p.table)
     assert np.max(game.v[:-1]) == pytest.approx(0.0, abs=1e-12)
     assert transitive_game_bound(game, p.action).bound_holds
 
-    m = majority(3)
+    m = from_spec("maj:3")
     assert transitive_game_bound(build_clue_game(m.table), m.action).bound_holds
 
-    t = tribes(2, 3)
+    t = from_spec("tribes:2,3")
     assert transitive_game_bound(build_clue_game(t.table), t.action).bound_holds
 
 
 def test_transitive_game_bound_rejects_bad_hypotheses():
-    d = dictator(3, 0)
+    d = from_spec("dictator:3,0")
     game = build_clue_game(d.table)
     from cluekit.symmetry import cyclic_group
 
@@ -263,6 +262,6 @@ def test_transitive_game_bound_refuses_a_symmetric_game_that_is_not_supermodular
 
 
 def test_game_invariance_check():
-    m = majority(3)
+    m = from_spec("maj:3")
     game = build_clue_game(m.table)
     assert is_invariant(FunctionTable(uniform_space(3), game.v), m.action)

@@ -18,13 +18,12 @@ from cluekit.infotheory import (
     i_clue,
     joint_with_subset,
     kl_clue,
-    kl_cover_deficit,
     mutual_information,
-    shearer_deficit,
     sig_i,
     value_entropy,
 )
-from cluekit.zoo import dictator, majority, parity, sum_function
+from cluekit.suites import _kl_cover_deficit, _shearer_deficit
+from cluekit.zoo import from_spec
 
 LN2 = math.log(2.0)
 H_QUARTER = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
@@ -43,25 +42,25 @@ def test_group_values_merges_ties():
 
 
 def test_mutual_information_examples():
-    d = dictator(3, 1).table
+    d = from_spec("dictator:3,1").table
     assert mutual_information(d, 0b010) == pytest.approx(LN2, abs=1e-12)
-    p = parity(4).table
+    p = from_spec("parity:4").table
     for mask in (0b1, 0b111, 0b1011):
         assert mutual_information(p, mask) == pytest.approx(0.0, abs=1e-12)
-    maj = majority(3).table
+    maj = from_spec("maj:3").table
     assert mutual_information(maj, 0b001) == pytest.approx(LN2 - H_QUARTER, abs=1e-10)
 
 
 def test_joint_with_subset_normalizes():
-    joint = joint_with_subset(majority(3).table, 0b011)
+    joint = joint_with_subset(from_spec("maj:3").table, 0b011)
     assert joint.sum() == pytest.approx(1.0)
     assert joint.shape == (2, 4)
 
 
 def test_i_clue_examples():
-    maj = majority(3).table
+    maj = from_spec("maj:3").table
     assert i_clue(maj, 0b111) == pytest.approx(1.0, abs=1e-12)
-    assert i_clue(parity(3).table, 0b011) == pytest.approx(0.0, abs=1e-12)
+    assert i_clue(from_spec("parity:3").table, 0b011) == pytest.approx(0.0, abs=1e-12)
     assert i_clue(maj, 0b001) == pytest.approx((LN2 - H_QUARTER) / LN2, abs=1e-6)
     assert i_clue(maj, 0b001) == pytest.approx(0.1887, abs=5e-4)
 
@@ -76,7 +75,7 @@ def test_information_of_every_coordinate_is_the_value_entropy():
     # Z is a function of X_all, so I(Z : X_all) = H(Z) with no rounding
     rng = np.random.default_rng(9)
     space = ProductSpace(5, 3, rng.dirichlet(np.ones(3), size=5))
-    for f in (majority(5).table, FunctionTable(space, rng.standard_normal(space.size)),
+    for f in (from_spec("maj:5").table, FunctionTable(space, rng.standard_normal(space.size)),
               FunctionTable(space, rng.integers(0, 2, space.size).astype(float))):
         full = (1 << f.n) - 1
         assert mutual_information(f, full) == value_entropy(f)
@@ -85,14 +84,14 @@ def test_information_of_every_coordinate_is_the_value_entropy():
 
 
 def test_sig_i_dual():
-    maj = majority(3).table
+    maj = from_spec("maj:3").table
     assert sig_i(maj, 0b001) == pytest.approx(1.0 - i_clue(maj, 0b110), abs=1e-12)
 
 
 def test_ent_functional_examples():
     const = FunctionTable(uniform_space(2), np.full(4, 3.0))
     assert ent_functional(const) == pytest.approx(0.0, abs=1e-12)
-    ind = majority(3).table.as_indicator()
+    ind = from_spec("maj:3").table.as_indicator()
     assert ent_functional(ind) == pytest.approx(0.5 * LN2, abs=1e-12)
     cond = conditional_expectation(ind, 0b001)
     expected = 0.5 * (0.75 * math.log(0.75) + 0.25 * math.log(0.25)) + 0.5 * LN2
@@ -107,38 +106,38 @@ def test_ent_functional_rejects_negative():
 
 
 def test_kl_clue_examples():
-    ind = majority(3).table.as_indicator()
+    ind = from_spec("maj:3").table.as_indicator()
     assert kl_clue(ind, 0b111) == pytest.approx(1.0, abs=1e-12)
     assert kl_clue(ind, 0) == pytest.approx(0.0, abs=1e-12)
     assert kl_clue(ind, 0b001) == pytest.approx(0.1887, abs=5e-4)
 
 
 def test_value_entropy_groups_reals():
-    s = sum_function(3).table
+    s = from_spec("sum:3").table
     # sums -3,-1,1,3 with probabilities 1/8,3/8,3/8,1/8
     expected = entropy(np.array([1 / 8, 3 / 8, 3 / 8, 1 / 8]))
     assert value_entropy(s) == pytest.approx(expected, abs=1e-12)
 
 
 def test_shearer_examples():
-    maj = majority(3).table
+    maj = from_spec("maj:3").table
     h = value_entropy(maj)
     full = 0b111
-    assert shearer_deficit(maj, [full, full], 2) == pytest.approx(0.0, abs=1e-10)
-    par = parity(4).table
-    assert shearer_deficit(par, [0b1, 0b10, 0b100, 0b1000], 1) == pytest.approx(
+    assert _shearer_deficit(maj, [full, full], 2) == pytest.approx(0.0, abs=1e-10)
+    par = from_spec("parity:4").table
+    assert _shearer_deficit(par, [0b1, 0b10, 0b100, 0b1000], 1) == pytest.approx(
         value_entropy(par), abs=1e-10
     )
     pairs = [0b011, 0b101, 0b110]
-    deficit = shearer_deficit(maj, pairs, 2)
+    deficit = _shearer_deficit(maj, pairs, 2)
     assert deficit == pytest.approx(2 * LN2 - 3 * (LN2 / 2), abs=1e-10)
     assert deficit >= -1e-10
 
 
 def test_shearer_rejects_overfull_cover():
-    maj = majority(3).table
+    maj = from_spec("maj:3").table
     with pytest.raises(ValueError):
-        shearer_deficit(maj, [0b001, 0b001, 0b011], 2)
+        _shearer_deficit(maj, [0b001, 0b001, 0b011], 2)
 
 
 def test_kl_cover_deficit_nonnegative():
@@ -148,7 +147,7 @@ def test_kl_cover_deficit_nonnegative():
         f = FunctionTable(sp, rng.uniform(0.0, 2.0, size=32))
         cover = [int(rng.integers(1, 32)) for _ in range(4)]
         k = max(sum((m >> j) & 1 for m in cover) for j in range(5))
-        assert kl_cover_deficit(f, cover, max(k, 1)) >= -1e-10
+        assert _kl_cover_deficit(f, cover, max(k, 1)) >= -1e-10
 
 
 def test_i_clue_monotone_under_inclusion():

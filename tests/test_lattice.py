@@ -7,7 +7,7 @@ import pytest
 
 from cluekit import transforms
 from cluekit.clue import tv_clue, tv_clue_all_subsets
-from cluekit.core import FunctionTable, ProductSpace, biased_bits, uniform_space
+from cluekit.core import FunctionTable, ProductSpace, uniform_space
 from cluekit.errors import DegenerateError
 from cluekit.infotheory import (
     kl_clue,
@@ -16,6 +16,7 @@ from cluekit.infotheory import (
     mutual_information_all_subsets,
 )
 from cluekit.transforms import keep_or_sum, kept_sums, subset_mobius, subset_zeta
+from conftest import biased_bits
 
 
 def _space(n, q, seed, zero_atom=False):

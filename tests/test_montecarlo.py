@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cluekit.core import FunctionTable, ProductSpace, biased_bits, mask_indices, uniform_space
+from cluekit.core import FunctionTable, ProductSpace, mask_indices, uniform_space
 from cluekit.errors import DegenerateError
 from cluekit.montecarlo import (
     CHUNK,
@@ -22,7 +22,7 @@ from cluekit.montecarlo import (
 )
 from cluekit.perco import RectangleSpec, crossing_probability_mc
 from cluekit.zoo import dictator_evaluator, evaluator_from_spec, majority_evaluator, sum_evaluator
-from conftest import ZERO_ATOM_Q3
+from conftest import ZERO_ATOM_Q3, biased_bits
 
 
 def test_splitmix64_reference_vector():

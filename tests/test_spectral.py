@@ -4,20 +4,14 @@ import pytest
 from cluekit.core import (
     FunctionTable,
     ProductSpace,
-    biased_bits,
     conditional_expectation,
     expectation,
-    l2_norm_sq,
     uniform_space,
-    variance,
 )
 from cluekit.errors import DegenerateError, GuardError
 from cluekit.spectral import (
-    covariance_lemma_check,
     efron_stein,
     efron_stein_components,
-    is_monotone,
-    pivotal_masks,
     projected_variances,
     spectral_distribution,
     stability,
@@ -25,10 +19,18 @@ from cluekit.spectral import (
     walsh_hadamard,
 )
 from cluekit import spectral, suites
-from cluekit.core import covariance
 from cluekit.montecarlo import generator_for
 from cluekit.transforms import dividend_shares, popcounts, subset_mobius
-from cluekit.zoo import dictator, majority, parity, sum_function
+from cluekit.suites import (
+    _covariance,
+    _covariance_lemma_check,
+    _is_monotone,
+    _l2_norm_sq,
+    _pivotal_masks,
+    _variance,
+)
+from cluekit.zoo import from_spec
+from conftest import biased_bits, spins
 
 
 def sample_spectral(law: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -38,21 +40,21 @@ def sample_spectral(law: np.ndarray, rng: np.random.Generator, size: int) -> np.
 
 
 def test_walsh_dictator():
-    coeffs = walsh_hadamard(dictator(3, 1).table)
+    coeffs = walsh_hadamard(from_spec("dictator:3,1").table)
     expected = np.zeros(8)
     expected[0b010] = 1.0
     np.testing.assert_allclose(coeffs, expected, atol=1e-14)
 
 
 def test_walsh_parity():
-    coeffs = walsh_hadamard(parity(4).table)
+    coeffs = walsh_hadamard(from_spec("parity:4").table)
     expected = np.zeros(16)
     expected[0b1111] = 1.0
     np.testing.assert_allclose(coeffs, expected, atol=1e-14)
 
 
 def test_walsh_maj3():
-    coeffs = walsh_hadamard(majority(3).table)
+    coeffs = walsh_hadamard(from_spec("maj:3").table)
     expected = np.zeros(8)
     expected[[0b001, 0b010, 0b100]] = 0.5
     expected[0b111] = -0.5
@@ -78,12 +80,12 @@ def test_parseval_and_projected_variance():
     rng = np.random.default_rng(1)
     f = FunctionTable(uniform_space(8), rng.standard_normal(256))
     coeffs = walsh_hadamard(f)
-    assert np.sum(coeffs**2) == pytest.approx(l2_norm_sq(f), abs=1e-10)
+    assert np.sum(coeffs**2) == pytest.approx(_l2_norm_sq(f), abs=1e-10)
     assert coeffs[0] == pytest.approx(expectation(f), abs=1e-12)
     from cluekit.core import conditional_expectation
 
     for mask in rng.integers(0, 256, size=12):
-        direct = variance(conditional_expectation(f, int(mask)))
+        direct = _variance(conditional_expectation(f, int(mask)))
         via = projected_variances(f)[int(mask)]
         assert direct == pytest.approx(via, abs=1e-10)
 
@@ -119,7 +121,7 @@ def test_efron_stein_nonnegative_on_random_measures():
         f = FunctionTable(space, rng.standard_normal(space.size))
         norms = efron_stein(f)
         assert norms.min() >= 0.0
-        assert norms.sum() == pytest.approx(l2_norm_sq(f), abs=1e-9)
+        assert norms.sum() == pytest.approx(_l2_norm_sq(f), abs=1e-9)
 
 
 def test_efron_stein_nonnegative_at_gate_boundary():
@@ -128,7 +130,7 @@ def test_efron_stein_nonnegative_at_gate_boundary():
     f = FunctionTable(space, rng.standard_normal(space.size))
     norms = efron_stein(f)
     assert norms.min() >= 0.0
-    assert norms.sum() == pytest.approx(l2_norm_sq(f), abs=1e-9)
+    assert norms.sum() == pytest.approx(_l2_norm_sq(f), abs=1e-9)
 
 
 def test_efron_stein_components_reconstruct_and_orthogonal():
@@ -162,7 +164,7 @@ def _space_with_zero_atom(n, q, seed):
 def test_component_norms_match_fiber_oracle(space):
     rng = np.random.default_rng(23)
     f = FunctionTable(space, rng.standard_normal(space.size))
-    projected = [variance(conditional_expectation(f, mask)) for mask in range(1 << space.n)]
+    projected = [_variance(conditional_expectation(f, mask)) for mask in range(1 << space.n)]
     oracle = subset_mobius(np.array(projected))
     norms = efron_stein(f)
     np.testing.assert_allclose(norms[1:], oracle[1:], rtol=0, atol=1e-12)
@@ -173,15 +175,15 @@ def test_walsh_matches_character_sums():
     rng = np.random.default_rng(24)
     n = 8
     f = FunctionTable(uniform_space(n), rng.standard_normal(1 << n))
-    spins = f.space.spins().astype(float)
+    signs = spins(f.space).astype(float)
     chars = np.array(
-        [np.prod(spins[:, [v for v in range(n) if (mask >> v) & 1]], axis=1) for mask in range(1 << n)]
+        [np.prod(signs[:, [v for v in range(n) if (mask >> v) & 1]], axis=1) for mask in range(1 << n)]
     )
     np.testing.assert_allclose(walsh_hadamard(f), chars @ f.values / (1 << n), rtol=0, atol=1e-14)
 
 
 def test_spectral_distribution_maj3():
-    dist = spectral_distribution(majority(3).table)
+    dist = spectral_distribution(from_spec("maj:3").table)
     assert dist.shape == (8,)
     assert dist[0] == 0.0
     assert dist.sum() == pytest.approx(1.0, abs=1e-15)
@@ -189,12 +191,12 @@ def test_spectral_distribution_maj3():
 
 
 def test_spectral_distribution_parity_point_mass():
-    dist = spectral_distribution(parity(4).table)
+    dist = spectral_distribution(from_spec("parity:4").table)
     assert dist[0b1111] == pytest.approx(1.0)
 
 
 def test_spectral_distribution_sum_uniform_on_singletons():
-    dist = spectral_distribution(sum_function(5).table)
+    dist = spectral_distribution(from_spec("sum:5").table)
     for j in range(5):
         assert dist[1 << j] == pytest.approx(1 / 5, abs=1e-12)
 
@@ -206,25 +208,25 @@ def test_spectral_distribution_degenerate():
 
 
 def test_spectral_marginal_examples():
-    maj = spectral_distribution(majority(3).table)
+    maj = spectral_distribution(from_spec("maj:3").table)
     for j in range(3):
         assert dividend_shares(maj)[j] == pytest.approx(1 / 3, abs=1e-12)
-    s = spectral_distribution(sum_function(6).table)
+    s = spectral_distribution(from_spec("sum:6").table)
     assert dividend_shares(s)[2] == pytest.approx(1 / 6, abs=1e-12)
-    d = spectral_distribution(dictator(4, 1).table)
+    d = spectral_distribution(from_spec("dictator:4,1").table)
     assert dividend_shares(d)[1] == pytest.approx(1.0)
 
 
 def test_sample_spectral_point_masses():
     rng = generator_for(1, 0)
-    d = spectral_distribution(dictator(3, 1).table)
+    d = spectral_distribution(from_spec("dictator:3,1").table)
     assert all(sample_spectral(d, rng, size=20) == 0b010)
-    p = spectral_distribution(parity(3).table)
+    p = spectral_distribution(from_spec("parity:3").table)
     assert all(sample_spectral(p, rng, size=20) == 0b111)
 
 
 def test_sample_spectral_maj3_frequencies():
-    dist = spectral_distribution(majority(3).table)
+    dist = spectral_distribution(from_spec("maj:3").table)
     draws = sample_spectral(dist, generator_for(2, 0), size=100_000)
     sigma = np.sqrt(0.25 * 0.75 / 100_000)
     for mask in (0b001, 0b010, 0b100, 0b111):
@@ -233,7 +235,7 @@ def test_sample_spectral_maj3_frequencies():
 
 
 def test_sample_spectral_deterministic_per_seed():
-    dist = spectral_distribution(majority(3).table)
+    dist = spectral_distribution(from_spec("maj:3").table)
     a = sample_spectral(dist, generator_for(9, 3), size=50)
     b = sample_spectral(dist, generator_for(9, 3), size=50)
     np.testing.assert_array_equal(a, b)
@@ -256,9 +258,9 @@ def test_spectral_marginal_matches_empirical_uniform_pick():
 
 
 def test_stability_examples():
-    assert stability(stability_profile(dictator(4, 0).table), 0.3) == pytest.approx(0.3)
-    assert stability(stability_profile(parity(5).table), 0.5) == pytest.approx(0.5**5)
-    prof = stability_profile(majority(3).table)
+    assert stability(stability_profile(from_spec("dictator:4,0").table), 0.3) == pytest.approx(0.3)
+    assert stability(stability_profile(from_spec("parity:5").table), 0.5) == pytest.approx(0.5**5)
+    prof = stability_profile(from_spec("maj:3").table)
     assert stability(prof, 0.5) == pytest.approx(13 / 32, abs=1e-12)
     with pytest.raises(ValueError):
         stability(prof, 1.5)
@@ -268,40 +270,40 @@ def test_level_weights_sum_to_variance():
     rng = np.random.default_rng(8)
     f = FunctionTable(uniform_space(6), rng.standard_normal(64))
     prof = stability_profile(f)
-    assert prof.level_weights[1:].sum() == pytest.approx(variance(f), abs=1e-10)
+    assert prof.level_weights[1:].sum() == pytest.approx(_variance(f), abs=1e-10)
     assert np.all(prof.level_weights >= 0)
 
 
 def test_pivotal_examples():
-    assert pivotal_masks(dictator(3, 0).table)[0b101] == 0b001
-    assert pivotal_masks(parity(3).table)[0b010] == 0b111
+    assert _pivotal_masks(from_spec("dictator:3,0").table)[0b101] == 0b001
+    assert _pivotal_masks(from_spec("parity:3").table)[0b010] == 0b111
     # spins (+,+,-) = digits (1,1,0) = index 0b011
-    assert pivotal_masks(majority(3).table)[0b011] == 0b011
+    assert _pivotal_masks(from_spec("maj:3").table)[0b011] == 0b011
 
 
 def test_pivotal_rejects_non_boolean():
     f = FunctionTable(uniform_space(2), np.array([0.0, 1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
-        pivotal_masks(f)
+        _pivotal_masks(f)
 
 
 def test_covariance_identity_examples():
-    d = dictator(3, 0).table
-    assert covariance_lemma_check(d, d) == pytest.approx((1.0, 1.0), abs=1e-12)
-    maj = majority(3).table
-    lhs, rhs = covariance_lemma_check(maj, maj)
+    d = from_spec("dictator:3,0").table
+    assert _covariance_lemma_check(d, d) == pytest.approx((1.0, 1.0), abs=1e-12)
+    maj = from_spec("maj:3").table
+    lhs, rhs = _covariance_lemma_check(maj, maj)
     assert lhs == pytest.approx(1.0, abs=1e-12)
     assert rhs == pytest.approx(1.0, abs=1e-12)
-    lhs, rhs = covariance_lemma_check(maj, d)
+    lhs, rhs = _covariance_lemma_check(maj, d)
     assert lhs == pytest.approx(0.5, abs=1e-12)
     assert rhs == pytest.approx(0.5, abs=1e-12)
 
 
 def test_covariance_identity_refuses_non_monotone():
     with pytest.raises(ValueError):
-        covariance_lemma_check(parity(3).table, parity(3).table)
-    assert not is_monotone(parity(3).table)
-    assert is_monotone(majority(3).table)
+        _covariance_lemma_check(from_spec("parity:3").table, from_spec("parity:3").table)
+    assert not _is_monotone(from_spec("parity:3").table)
+    assert _is_monotone(from_spec("maj:3").table)
 
 
 def _noise_pair_weights(n: int, p: float) -> np.ndarray:
@@ -318,7 +320,7 @@ def _enumerated_overlap_integral(f, g) -> float:
     at Gauss-Legendre nodes (the integrand is a polynomial of degree < n, so
     ceil(n/2)+1 nodes integrate it exactly)."""
     n = f.n
-    overlap = popcounts(n)[pivotal_masks(f)[:, None] & pivotal_masks(g)[None, :]].astype(float)
+    overlap = popcounts(n)[_pivotal_masks(f)[:, None] & _pivotal_masks(g)[None, :]].astype(float)
     nodes, weights = np.polynomial.legendre.leggauss((n + 1) // 2 + 1)
     return sum(0.5 * w * float(np.sum(_noise_pair_weights(n, 0.5 * (x + 1.0)) * overlap))
                for x, w in zip(nodes, weights))
@@ -344,7 +346,7 @@ def test_covariance_lemma_matches_enumeration_on_the_suite_draws():
     for _ in range(50):
         sp = uniform_space(int(rng.integers(2, 7)))
         f, g = suites._random_monotone(sp, rng), suites._random_monotone(sp, rng)
-        lhs, _ = covariance_lemma_check(f, g)
+        lhs, _ = _covariance_lemma_check(f, g)
         assert abs(lhs - _enumerated_overlap_integral(f, g)) <= 1e-12
 
 
@@ -354,7 +356,7 @@ def test_covariance_lemma_matches_enumeration_on_threshold_pairs(n):
     for _ in range(3):
         f = suites._random_threshold(uniform_space(n), rng)
         g = suites._random_threshold(uniform_space(n), rng)
-        lhs, rhs = covariance_lemma_check(f, g)
+        lhs, rhs = _covariance_lemma_check(f, g)
         assert abs(lhs - _enumerated_overlap_integral(f, g)) <= 1e-12
         assert abs(lhs - rhs) <= 1e-12
 
@@ -364,11 +366,11 @@ def test_covariance_lemma_past_the_enumeration_range():
     f = suites._random_threshold(uniform_space(16), rng)
     g = suites._random_threshold(uniform_space(16), rng)
     assert f.values.min() < f.values.max() and g.values.min() < g.values.max()
-    lhs, rhs = covariance_lemma_check(f, g)
-    assert rhs == covariance(f, g)
+    lhs, rhs = _covariance_lemma_check(f, g)
+    assert rhs == _covariance(f, g)
     assert abs(lhs - rhs) <= 1e-12
-    maj = majority(15).table
-    lhs, rhs = covariance_lemma_check(maj, maj)
+    maj = from_spec("maj:15").table
+    lhs, rhs = _covariance_lemma_check(maj, maj)
     assert rhs == pytest.approx(1.0, abs=1e-12)
     assert abs(lhs - rhs) <= 1e-12
 
@@ -479,7 +481,7 @@ def test_transform_reads_its_input_in_place_with_the_same_bits(space):
 def test_transform_makes_one_product_per_block_of_coordinates(monkeypatch):
     """maj:15 on bits goes in blocks of 4, 4, 4 and 3 coordinates: four
     products where one coordinate at a time would make fifteen."""
-    f = majority(15).table
+    f = from_spec("maj:15").table
     calls = []
     matmul = np.matmul
 

@@ -21,7 +21,7 @@ import pytest
 import cluekit
 from cluekit import cli, clue, core, infotheory
 from cluekit.core import FunctionTable, ProductSpace, uniform_space
-from cluekit.zoo import majority, tribes
+from cluekit.zoo import from_spec
 
 ALL_METRICS = ["l2", "spectral", "sig", "inf", "wit", "tv", "i", "kl"]
 
@@ -110,7 +110,7 @@ def _bits_table() -> FunctionTable:
     return FunctionTable(space, np.random.default_rng(5).integers(0, 2, space.size).astype(float))
 
 
-BOOLEAN = {"maj:9": lambda: majority(9).table, "tribes:2,3": lambda: tribes(2, 3).table,
+BOOLEAN = {"maj:9": lambda: from_spec("maj:9").table, "tribes:2,3": lambda: from_spec("tribes:2,3").table,
            "bits-q3-zero-atom": _bits_table}
 
 

@@ -11,10 +11,10 @@ attributes; the method names it calls belong to its own objects
 (``str.encode``), not to the package's.
 
 A name of another module whose every caller is in ``suites`` serves no user
-route.  It must be named in :data:`SUITE_CHECKS`, so that each such name is
-a recorded decision; a check or oracle the suites alone need can instead move
-into ``suites`` as a private helper, as the revealment suite's subset laws
-did.
+route.  It must be named in :data:`SUITE_CHECKS` with the reason it stays,
+so that each such name is a recorded decision; a check or oracle the suites
+alone need belongs in ``suites`` as a private helper instead.  No module but
+the CLI imports ``suites``, so such a helper cannot become a route.
 """
 import ast
 from collections import defaultdict
@@ -22,32 +22,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Public names that only the suites reach: lattice and cover routes, spectral
-# checks, core helpers, and the zoo constructors the suites tabulate.
-SUITE_CHECKS = (
-    "clue.tv_clue_all_subsets",
-    "core.ProductSpace.spins",
-    "core.biased_bits",
-    "core.conditional_expectation",
-    "core.correlation",
-    "core.l2_norm_sq",
-    "core.mask_image",
-    "games.restrict_game",
-    "infotheory.kl_clue_all_subsets",
-    "infotheory.kl_cover_deficit",
-    "infotheory.shearer_deficit",
-    "perco.dual_crossing_batch",
-    "spectral.covariance_lemma_check",
-    "spectral.efron_stein_components",
-    "spectral.stability",
-    "zoo.coupled_majority_size",
-    "zoo.dictator",
-    "zoo.find_a",
-    "zoo.majority",
-    "zoo.parity",
-    "zoo.sum_function",
-    "zoo.tribes",
-)
+# Public names that only the suites reach, each with the reason it stays out
+# of ``suites``.
+SUITE_CHECKS = {
+    "clue.tv_clue_all_subsets": "lattice route, waiting for a --metrics rider on clue --all-subsets",
+    "core.conditional_expectation": "perfbench wraps it (core.conditional_expectation.ms)",
+    "infotheory.kl_clue_all_subsets": "lattice route, waiting for a --metrics rider on clue --all-subsets",
+    "perco.dual_crossing_batch": "perfbench wraps it (perco.crossing_batch.ms)",
+    "spectral.StabilityProfile.variance": "perfbench/test_perfbench.py reads it",
+    "spectral.efron_stein_components": "the inverse product-basis transform, which needs spectral._transform",
+    "spectral.stability": "perfbench/test_perfbench.py calls it",
+}
 
 
 def _public_definitions(tree: ast.Module):
@@ -108,3 +93,22 @@ def test_names_only_the_suites_reach_are_listed():
     found = set(suite_only_names())
     assert sorted(found - set(SUITE_CHECKS)) == [], "reached by the suites alone: list it or give it a route"
     assert sorted(set(SUITE_CHECKS) - found) == [], "listed but reached elsewhere too: unlist it"
+
+
+def _imported(tree: ast.Module):
+    """Every dotted name a module's imports may bind: a relative import is
+    read as one of the package's."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = ".".join(filter(None, ["cluekit" if node.level else None, node.module]))
+            yield package
+            yield from (f"{package}.{alias.name}" for alias in node.names)
+
+
+def test_only_the_cli_imports_the_suites():
+    """A check kept in ``suites`` stays a check: no route can call it."""
+    importers = [path.stem for path in sorted((ROOT / "src" / "cluekit").glob("*.py"))
+                 if "cluekit.suites" in _imported(ast.parse(path.read_text()))]
+    assert importers == ["cli"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cluekit.core import FunctionTable, expectation, permute, uniform_space, variance
+from cluekit.core import FunctionTable, expectation, permute, uniform_space
 from cluekit.infotheory import mutual_information
 from cluekit.perco import TorusSpec
 from cluekit.symmetry import (
@@ -15,7 +15,8 @@ from cluekit.symmetry import (
     symmetric_group_action,
     tribes_group,
 )
-from cluekit.zoo import dictator, majority, sum_function, tribes
+from cluekit.suites import _variance
+from cluekit.zoo import from_spec
 from conftest import group_elements, subset_orbit_union
 
 
@@ -24,14 +25,14 @@ def trivial_group(n: int):
 
 
 def test_invariance_examples():
-    assert is_invariant(majority(3).table, cyclic_group(3))
-    assert not is_invariant(dictator(3, 0).table, cyclic_group(3))
-    assert is_invariant(tribes(2, 2).table, tribes_group(2, 2))
+    assert is_invariant(from_spec("maj:3").table, cyclic_group(3))
+    assert not is_invariant(from_spec("dictator:3,0").table, cyclic_group(3))
+    assert is_invariant(from_spec("tribes:2,2").table, tribes_group(2, 2))
 
 
 def test_invariance_under_full_group_elements():
     grp = tribes_group(2, 2)
-    f = tribes(2, 2).table
+    f = from_spec("tribes:2,2").table
     for perm in group_elements(grp):
         moved = permute(f.values, f.space, perm)
         np.testing.assert_array_equal(moved, f.values)
@@ -82,15 +83,15 @@ def test_symmetric_generators_are_swap_then_cycle():
 
 
 def test_average_fixes_invariant_function():
-    f = majority(3).table
+    f = from_spec("maj:3").table
     avg = average(f, group_elements(cyclic_group(3)))
     np.testing.assert_allclose(avg.values, f.values, atol=1e-14)
 
 
 def test_average_symmetrizes_dictator():
     n = 4
-    avg = average(dictator(n, 0).table, group_elements(symmetric_group_action(n)))
-    expected = sum_function(n).table.values / n
+    avg = average(from_spec(f"dictator:{n},0").table, group_elements(symmetric_group_action(n)))
+    expected = from_spec(f"sum:{n}").table.values / n
     np.testing.assert_allclose(avg.values, expected, atol=1e-12)
 
 
@@ -101,7 +102,7 @@ def test_average_idempotent_and_contracts_variance():
     once = average(f, group_elements(grp))
     twice = average(once, group_elements(grp))
     np.testing.assert_allclose(once.values, twice.values, atol=1e-12)
-    assert variance(once) <= variance(f) + 1e-12
+    assert _variance(once) <= _variance(f) + 1e-12
     assert expectation(once) == pytest.approx(expectation(f), abs=1e-12)
     assert is_invariant(once, grp)
 
@@ -121,7 +122,7 @@ def test_bad_permutation_rejected():
 
 
 def test_mutual_information_invariant_under_action():
-    for entry in (majority(5), tribes(2, 3)):
+    for entry in (from_spec("maj:5"), from_spec("tribes:2,3")):
         f = entry.table
         for perm in entry.action.generators:
             for mask in (0b1, 0b1010, 0b11011):

@@ -15,12 +15,12 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from cluekit import cli, clue, core, games, infotheory, spectral
-from cluekit.core import FunctionTable, ProductSpace, biased_bits, uniform_space
+from cluekit import cli, clue, core, games, infotheory, spectral, suites
+from cluekit.core import FunctionTable, ProductSpace, uniform_space
 from cluekit.errors import DegenerateError
 from cluekit.symmetry import GroupAction
 from cluekit.zoo import from_spec
-from conftest import save_table
+from conftest import biased_bits, save_table
 
 ALL_METRICS = ",".join(cli.METRIC_NAMES)
 
@@ -58,7 +58,7 @@ def _invariants(f: FunctionTable) -> dict:
         "boolean": f.is_boolean,
         "indicator": lambda: f.as_indicator().values.tolist(),
         "mean": lambda: core.expectation(f),
-        "variance": lambda: core.variance(f),
+        "variance": lambda: suites._variance(f),
         "variance_and_spread": lambda: core.variance_and_spread(f),
         "varying": lambda: core.require_varying(f),
         "checked_variance": lambda: clue._checked_variance(f),
@@ -194,19 +194,17 @@ def test_game_computes_shapley_values_and_second_differences_once(monkeypatch):
 
 
 def test_subgame_gain_reuses_the_supermodularity_test(monkeypatch):
-    from cluekit.suites import _subgame_shapley_gain
-
     game = games.build_clue_game(from_spec("maj:5").table)
     assert games.is_supermodular(game)[0]
     diffs = _count_calls(monkeypatch, np, "diff")
-    _subgame_shapley_gain(game, 0b00011, 0b01111)
+    suites._subgame_shapley_gain(game, 0b00011, 0b01111)
     assert diffs == []
 
 
 def test_covariance_lemma_never_sorts_for_the_value_check(monkeypatch):
     f, g = from_spec("maj:7").table, from_spec("dictator:7,0").table
     unique = _count_calls(monkeypatch, np, "unique")
-    lhs, rhs = spectral.covariance_lemma_check(f, g)
+    lhs, rhs = suites._covariance_lemma_check(f, g)
     assert unique == []
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -222,10 +220,10 @@ def test_covariance_lemma_never_sorts_for_the_value_check(monkeypatch):
 def test_pivotal_sets_accept_exactly_the_plus_minus_one_tables(values, accepted):
     f = FunctionTable(uniform_space(3), values)
     if accepted:
-        spectral.pivotal_masks(f)
+        suites._pivotal_masks(f)
     else:
         with pytest.raises(ValueError, match="-1"):
-            spectral.pivotal_masks(f)
+            suites._pivotal_masks(f)
 
 
 def test_a_zero_one_table_is_its_own_indicator():

@@ -6,7 +6,6 @@ import pytest
 from cluekit.clue import clue, influence_set
 from cluekit.core import (
     FunctionTable,
-    biased_bits,
     expectation,
     mask_from_indices,
     table_from_digits,
@@ -15,22 +14,15 @@ from cluekit.core import (
 from cluekit.errors import ParseError
 from cluekit.perco import TorusSpec, torus_lr_evaluator
 from cluekit.symmetry import is_invariant, is_transitive
+from cluekit.suites import _asym_majority_influence, _coupled_majority_size, _find_a
 from cluekit.zoo import (
-    asym_majority_influence,
     balanced_tribe_size,
     composite_evaluator,
-    coupled_majority_size,
-    dictator,
     FAMILIES,
     evaluator_from_spec,
-    find_a,
     from_spec,
-    majority,
-    parity,
-    sum_function,
-    tribes,
 )
-from conftest import ZERO_ATOM_Q3
+from conftest import ZERO_ATOM_Q3, biased_bits
 
 
 def spins_to_index(spins):
@@ -46,31 +38,31 @@ def composite_table(m, t, a):
 
 
 def test_majority_values():
-    f = majority(3).table
+    f = from_spec("maj:3").table
     assert f.values[spins_to_index([+1, +1, -1])] == 1.0
     assert f.values[spins_to_index([-1, +1, -1])] == -1.0
 
 
 def test_parity_values():
-    f = parity(3).table
+    f = from_spec("parity:3").table
     assert f.values[spins_to_index([+1, -1, -1])] == 1.0
     assert f.values[spins_to_index([+1, +1, -1])] == -1.0
 
 
 def test_sum_values():
-    f = sum_function(3).table
+    f = from_spec("sum:3").table
     assert f.values[spins_to_index([+1, +1, +1])] == 3.0
     assert f.values[spins_to_index([-1, +1, -1])] == -1.0
 
 
 def test_majority_needs_odd():
-    with pytest.raises(ValueError):
-        majority(4)
+    with pytest.raises(ParseError):
+        from_spec("maj:4")
 
 
 def test_asym_majority_reduces_to_majority():
     np.testing.assert_array_equal(
-        asym_majority_table(5, 0.0).values, majority(5).table.values
+        asym_majority_table(5, 0.0).values, from_spec("maj:5").table.values
     )
 
 
@@ -91,28 +83,28 @@ def test_asym_majority_tie_maps_to_minus_one():
 
 
 def test_tribes_or():
-    f = tribes(1, 3).table
+    f = from_spec("tribes:1,3").table
     assert expectation(f) == pytest.approx(7 / 8)
     assert f.values[0] == 0.0
 
 
 def test_tribes_expectation_and_all_ones():
-    f = tribes(2, 2).table
+    f = from_spec("tribes:2,2").table
     assert expectation(f) == pytest.approx(7 / 16, abs=1e-14)
     assert f.values[-1] == 1.0
 
 
 def test_tribes_action():
-    entry = tribes(2, 3)
+    entry = from_spec("tribes:2,3")
     assert is_invariant(entry.table, entry.action)
     assert is_transitive(entry.action)
 
 
 def test_zoo_actions_invariant_and_transitive():
-    for entry in (sum_function(5), parity(5), majority(5), tribes(3, 2)):
+    for entry in (from_spec("sum:5"), from_spec("parity:5"), from_spec("maj:5"), from_spec("tribes:3,2")):
         assert is_invariant(entry.table, entry.action)
         assert is_transitive(entry.action)
-    d = dictator(4, 1)
+    d = from_spec("dictator:4,1")
     assert is_invariant(d.table, d.action)
     assert not is_transitive(d.action)
 
@@ -129,7 +121,7 @@ def test_composite_all_ones_tribes_block():
 
 def test_composite_zero_shift_is_plain_majority():
     table = composite_table(3, 2, 0.0)
-    maj = majority(3).table.values
+    maj = from_spec("maj:3").table.values
     for idx in range(1 << 5):
         assert table.values[idx] == maj[idx & 0b111]
 
@@ -156,23 +148,23 @@ def test_balanced_tribe_size():
 
 
 def test_coupled_majority_size():
-    assert coupled_majority_size(40) == round((40 / math.log(40)) ** 1.5)
+    assert _coupled_majority_size(40) == round((40 / math.log(40)) ** 1.5)
 
 
 def test_asym_majority_influence_matches_flip_count():
     for n, a in ((5, 0.0), (6, 0.5), (7, 1.0)):
         f = asym_majority_table(n, a)
-        assert asym_majority_influence(n, a) == pytest.approx(influence_set(f, 1 << 0), abs=1e-12)
+        assert _asym_majority_influence(n, a) == pytest.approx(influence_set(f, 1 << 0), abs=1e-12)
 
 
 def test_find_a_hits_reachable_targets():
     n = 36
     target = n ** (-2 / 3)
-    a = find_a(n, target)
-    achieved = asym_majority_influence(n, a)
+    a = _find_a(n, target)
+    achieved = _asym_majority_influence(n, a)
     # step function: the match is the nearest attainable level
     assert achieved == pytest.approx(target, rel=0.5)
-    assert find_a(n, 1.0) == pytest.approx(0.0, abs=1e-6)
+    assert _find_a(n, 1.0) == pytest.approx(0.0, abs=1e-6)
 
 
 def _spins(digits):
@@ -437,7 +429,7 @@ def test_majority_21_builds_in_bounded_memory(run_python):
     as uint8 and 350 MB once widened to spins, never exists.  The child reads
     its own peak, VmHWM: on Linux its ru_maxrss starts at the spawning test
     process's high-water mark."""
-    out = run_python("from cluekit.zoo import majority; majority(21)\n"
+    out = run_python("from cluekit.zoo import from_spec; from_spec('maj:21')\n"
                      "print(next(line.split()[1] for line in open('/proc/self/status') "
                      "if line.startswith('VmHWM:')))")
     assert out.returncode == 0, out.stderr
