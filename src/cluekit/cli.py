@@ -182,7 +182,7 @@ def _metric_values(f: FunctionTable, mask: int, names: list[str]) -> dict:
     """The requested metrics of one mask, all read off one split of f."""
     out = {}
     dist = None
-    split = clue_mod._Split(f, mask)
+    split = clue_mod._split_of(f, mask)
     for name in names:
         if name == "l2":
             out["l2_clue"] = clue_mod.clue(f, split)

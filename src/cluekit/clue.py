@@ -8,16 +8,27 @@ renormalization (TV).  A degenerate (constant) function raises
 :class:`~cluekit.errors.DegenerateError` rather than returning 0.
 
 Every per-mask metric, here and in :mod:`cluekit.infotheory`, reads one split
-of the table (:class:`_Split`): f - E f as the fibers matrix of the mask,
-permuted once.  Its rows contracted with the complement's weights give
-E[f - E f | X_U], its columns contracted with the mask's weights
-E[f - E f | X_{U^c}], and for the witness and influence constancy each row
-or column counts its positive-weight cells at the upper level, as exact
-integers.  Any metric takes the split of a mask in place of the mask, so
-that the metrics of one mask share one permutation of the table.  The split
-orders the sums; each ratio is still conditioned by its denominator, as its
-route's docstring states.  A Boolean table's E|f - E f| comes from its two
-level masses, not from a pass over its values.
+of the table, which :func:`_split_of` chooses.  Any metric takes the split
+of a mask in place of the mask, so that the metrics of one mask share it.
+
+* A table on two levels on uniform bits is split by counts
+  (:class:`_CountSplit`): the numbers k_r of upper-level cells in each fiber
+  of the mask and of its complement, summed out of the table's 0/1 flags
+  one coordinate at a time (:func:`~cluekit.core.fiber_counts`), with no
+  permutation and no float array of the table's size.  The L2 clue, sig,
+  TV, witness and influence are ratios of integers, correctly rounded; the
+  information and KL-clue sum nonnegative entropy gaps, one log per fiber.
+* Any other table is split by fibers (:class:`_Split`): f - E f as the
+  fibers matrix of the mask, permuted once.  Its rows contracted with the
+  complement's weights give E[f - E f | X_U], its columns contracted with
+  the mask's weights E[f - E f | X_{U^c}], and for the witness and
+  influence constancy each row or column counts its positive-weight cells
+  at the upper level, as exact integers.  The split orders the sums; each
+  ratio is still conditioned by its denominator, as its route's docstring
+  states.
+
+A Boolean table's E|f - E f| comes from its two level masses, not from a
+pass over its values.
 """
 from __future__ import annotations
 
@@ -29,6 +40,7 @@ from .core import (
     _deviation_pass,
     complement_mask,
     expectation,
+    fiber_counts,
     fibers,
     full_mask,
     per_object,
@@ -164,26 +176,101 @@ class _Split:
         return self._piece("constancy", build)
 
 
-def _split_of(f: FunctionTable, mask) -> _Split:
-    """The split a metric reads: ``mask`` itself when it is a split of f."""
-    if isinstance(mask, _Split):
+class _CountSplit:
+    """A table on two levels on uniform bits seen through one mask U, for
+    every metric of U, from integer counts.  N = 2^n cells, K of them at the
+    upper level; fiber r of U holds m = 2^(n - |U|) cells, k_r of them at
+    the upper level (:func:`~cluekit.core.fiber_counts` of the table's
+    flags).  Every metric of U is a function of N, m and the k_r, since
+    P(f = hi | X_U = r) = k_r / m and P(f = hi) = K / N, whatever the two
+    levels.  The splits of U, of U^c and of the indicator keep the flags,
+    one byte per cell, and the counts of each mask in one shared dict,
+    built on first use: the flags of the indicator are the table's."""
+
+    def __init__(self, f: FunctionTable, mask: int, shared: dict | None = None):
+        validate_mask(mask, f.n)
+        self.f, self.mask = f, mask
+        self._shared = {} if shared is None else shared
+
+    @property
+    def complement(self) -> "_CountSplit":
+        return _CountSplit(self.f, complement_mask(self.mask, self.f.n), self._shared)
+
+    def indicator(self) -> "_CountSplit":
+        """The split of ``f.as_indicator()`` on the same mask, whose cells
+        are at the upper level where the table's are."""
+        return _CountSplit(self.f.as_indicator(), self.mask, self._shared)
+
+    def counts(self) -> np.ndarray:
+        """k_r for every configuration r of U, in the order of the rows of
+        :func:`~cluekit.core.fibers`."""
+        counts = self._shared.get(self.mask)
+        if counts is None:
+            if "upper" not in self._shared:
+                self._shared["upper"] = self.f.values != self.f.value_range()[0]
+            counts = self._shared[self.mask] = fiber_counts(self._shared["upper"], self.mask)
+        return counts
+
+    def _sizes(self) -> tuple[int, int, int]:
+        """(N, m, K) as Python ints; the level mass K / N is exact."""
+        n_cells = 1 << self.f.n
+        total = round(self.f._level_masses()[1] * n_cells)
+        return n_cells, n_cells >> self.mask.bit_count(), total
+
+    def clue(self) -> float:
+        """clue(f | U) = (N sum k_r^2 - m K^2) / (m K (N - K)), a ratio of
+        integers, which Python's int division rounds correctly.  Two levels
+        on uniform bits put 0 < K < N, so the ratio is always defined."""
+        n_cells, m, total = self._sizes()
+        k = self.counts().astype(np.int64)  # sum k_r^2 <= N m <= 2^52
+        return (n_cells * int(k @ k) - m * total**2) / (m * total * (n_cells - total))
+
+    def tv(self) -> float:
+        """tv_clue(f, U) = sum_r |N k_r - m K| / (2 K (N - K)), a ratio of
+        integers, correctly rounded as :meth:`clue` is."""
+        n_cells, m, total = self._sizes()
+        deviation = np.abs(self.counts().astype(np.int64) * n_cells - m * total)
+        return int(deviation.sum()) / (2 * total * (n_cells - total))
+
+    def constancy(self) -> float:
+        """P[f is constant on the fiber of X_U]: the share of counts in
+        {0, m}, exact."""
+        k, m = self.counts(), self._sizes()[1]
+        return np.count_nonzero((k == 0) | (k == m)) / k.size
+
+    def shares(self) -> tuple[float, np.ndarray]:
+        """(K / N, the k_r / m): P(f = hi) and P(f = hi | X_U), exact."""
+        n_cells, m, total = self._sizes()
+        return total / n_cells, self.counts() / m
+
+
+def _split_of(f: FunctionTable, mask) -> _Split | _CountSplit:
+    """The split a metric reads: ``mask`` itself when it is a split of f.
+    This is where the route is chosen: a table on two levels on uniform
+    bits is split by counts, any other by fibers."""
+    if isinstance(mask, (_Split, _CountSplit)):
         if mask.f is not f:
             raise ValueError("the split belongs to another table")
         return mask
+    if f.space.is_uniform_binary and f._level_masses() is not None:
+        return _CountSplit(f, mask)
     return _Split(f, mask)
 
 
 # ---------------------------------------------------------------------------
 # the L^2 clue, by fibers and by spectral weights
 # ---------------------------------------------------------------------------
-def clue(f: FunctionTable, mask: int | _Split) -> float:
+def clue(f: FunctionTable, mask: int | _Split | _CountSplit) -> float:
     """Fraction of the variance of f explained by the coordinates in mask.
 
     Equals the squared correlation between f and E[f | mask].  The ratio is
     conditioned by Var f: its absolute error is a few ulps of
-    max |f - E f|^2 over Var f, large only for a nearly constant f.
+    max |f - E f|^2 over Var f, large only for a nearly constant f.  By
+    counts it is correctly rounded.
     """
     split = _split_of(f, mask)
+    if isinstance(split, _CountSplit):
+        return split.clue()
     var = _checked_variance(f)
     return split.l2() / var
 
@@ -215,7 +302,7 @@ def clue_all_subsets_table(f: FunctionTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # significance: the dual of clue
 # ---------------------------------------------------------------------------
-def sig(f: FunctionTable, mask: int | _Split) -> float:
+def sig(f: FunctionTable, mask: int | _Split | _CountSplit) -> float:
     """Normalized residual variance left after seeing the complement:
     1 - clue(f | mask^c)."""
     return 1.0 - clue(f, _split_of(f, mask).complement)
@@ -229,13 +316,18 @@ def _require_boolean(f: FunctionTable):
         raise ValueError("this metric is defined for Boolean tables only")
 
 
-def influence_set(f: FunctionTable, mask: int | _Split) -> float:
-    """P[f is not determined by the coordinates outside mask]."""
+def influence_set(f: FunctionTable, mask: int | _Split | _CountSplit) -> float:
+    """P[f is not determined by the coordinates outside mask].  Outside the
+    empty mask lie all coordinates, which determine f: 0 exactly, however
+    far from 1 the weights' sum is rounded."""
     _require_boolean(f)
-    return 1.0 - _split_of(f, mask).complement.constancy()
+    split = _split_of(f, mask)
+    if split.mask == 0:
+        return 0.0
+    return 1.0 - split.complement.constancy()
 
 
-def witness(f: FunctionTable, mask: int | _Split) -> float:
+def witness(f: FunctionTable, mask: int | _Split | _CountSplit) -> float:
     """P[the coordinates in mask alone determine f]."""
     _require_boolean(f)
     return _split_of(f, mask).constancy()
@@ -244,14 +336,17 @@ def witness(f: FunctionTable, mask: int | _Split) -> float:
 # ---------------------------------------------------------------------------
 # total-variation clue
 # ---------------------------------------------------------------------------
-def tv_clue(f: FunctionTable, mask: int | _Split) -> float:
+def tv_clue(f: FunctionTable, mask: int | _Split | _CountSplit) -> float:
     """E|E[f|mask] - E[f]| / E|f - E[f]| (symmetric and asymmetric variants
     of the underlying distance coincide in this ratio).  The ratio is
     conditioned by E|f - E f|: its absolute error is a few ulps of
-    max |f - E f| over E|f - E f|.  E[f | X_all] = f, so on the full mask
-    the numerator is the denominator and the ratio reads 1 exactly."""
+    max |f - E f| over E|f - E f|.  By counts it is correctly rounded.
+    E[f | X_all] = f, so on the full mask the numerator is the denominator
+    and the ratio reads 1 exactly."""
     require_varying(f)
     split = _split_of(f, mask)
+    if isinstance(split, _CountSplit):
+        return split.tv()
     denom = _mean_absolute_deviation(f)
     if split.mask == full_mask(f.n):
         return denom / denom
@@ -294,13 +389,16 @@ def tv_clue_all_subsets(f: FunctionTable) -> np.ndarray:
     """tv_clue(f, U) for every mask U.  With S the lattice of w (f - E f),
     E|E[f|U] - E f| is the sum of |S| over the kept slots of U.  Conditioned
     by E|f - E f| as :func:`tv_clue` is: a few ulps of max |f - E f| over
-    E|f - E f|.
+    E|f - E f|.  E[f | X_empty] = E f, so the empty mask reads 0 exactly,
+    as per mask.
 
     O(n (q+1)^n) time, in the slabs of :func:`~cluekit.transforms.lattice_sums`.
     """
     require_varying(f)
     denom = _mean_absolute_deviation(f)
-    return lattice_sums(_weighted_deviation(f), f.space.q, np.abs) / denom
+    tv = lattice_sums(_weighted_deviation(f), f.space.q, np.abs) / denom
+    tv[0] = 0.0
+    return tv
 
 
 def p_min(f: FunctionTable) -> float:

@@ -13,17 +13,17 @@ Conventions used everywhere in the package:
   a law of a random subset, is a plain 2^n vector indexed by mask.
 
 Other modules reach this layout only through :func:`fibers`, :func:`extend`,
-:func:`permute` and the digit matrices that one private helper builds for
-:meth:`ProductSpace.digits` and :func:`table_from_digits`; the exceptions are
-the product-basis transform in :mod:`cluekit.spectral` and bit flips on binary
-indices.  The helper builds a digit matrix without division, and
-coordinate-major: each coordinate's digits are one contiguous row of runs of
-0..q-1, and the (q^n, n) matrix is that row stack's transpose.  Exact
-percolation enumerates its configurations from it, and the crossing kernel
-packs its contiguous rows directly.  :func:`table_from_digits` evaluates
-blocks of q^k <= ``TABLE_BLOCK`` rows held the same way: the k low digit
-columns are the same in every block and are built once, and each block only
-refills its n-k high columns, which are constant on it.
+:func:`permute`, :func:`fiber_counts` and the digit matrices that one private
+helper builds for :meth:`ProductSpace.digits` and :func:`table_from_digits`;
+the exceptions are the product-basis transform in :mod:`cluekit.spectral` and
+bit flips on binary indices.  The helper builds a digit matrix without
+division, and coordinate-major: each coordinate's digits are one contiguous
+row of runs of 0..q-1, and the (q^n, n) matrix is that row stack's transpose.
+Exact percolation enumerates its configurations from it, and the crossing
+kernel packs its contiguous rows directly.  :func:`table_from_digits`
+evaluates blocks of q^k <= ``TABLE_BLOCK`` rows held the same way: the k low
+digit columns are the same in every block and are built once, and each block
+only refills its n-k high columns, which are constant on it.
 
 Memory has one rule: :func:`require_bytes` refuses (GuardError) any array of
 at least :data:`BYTE_BUDGET` bytes before it is allocated.  Every
@@ -356,11 +356,16 @@ class FunctionTable:
         """(P(f = lo), P(f = hi)) of a Boolean table on two levels lo < hi,
         each the weight sum of its level's configurations through
         :func:`_contract`, so a level off the support weighs exactly 0;
-        None for a table that is not Boolean or is constant."""
+        None for a table that is not Boolean or is constant.  On uniform
+        bits the upper level holds K of the N = 2^n cells, and the masses
+        are (N - K) / N and K / N: the exact values that sum would give."""
         levels = self._boolean_levels()
         if levels is None or self.value_range()[0] == self.value_range()[1]:
             return None
         upper = self.values != self.value_range()[0]
+        if self.space.is_uniform_binary:
+            size, count = upper.size, int(np.count_nonzero(upper))
+            return (size - count) / size, count / size
         w, q = self.space.config_weights(), self.space.q
         return tuple(float(_contract(level.astype(float), w, q)) for level in (~upper, upper))
 
@@ -484,6 +489,27 @@ def extend(values: np.ndarray, space: ProductSpace, mask: int) -> np.ndarray:
     return np.broadcast_to(np.reshape(values, shape), space.tensor_shape()).reshape(-1)
 
 
+def fiber_counts(flags: np.ndarray, mask: int) -> np.ndarray:
+    """The row sums of the fibers matrix of 0/1 ``flags`` over 2^n binary
+    configurations: entry r counts the flags set in fiber r, indexed like
+    the rows of :func:`fibers`.
+
+    Each coordinate v outside ``mask`` is summed out in turn, high
+    coordinates first, so that every coordinate below v is still in place
+    and v is the middle axis of the (-1, 2, 2^v) view: its two halves add.
+    The counts start as the flags' bytes and widen (uint16, uint32) before
+    a sum could pass the largest value of their type."""
+    n = flags.size.bit_length() - 1
+    validate_mask(mask, n)
+    counts, most = flags.view(np.uint8), 1
+    for v in reversed(mask_indices(complement_mask(mask, n))):
+        most *= 2
+        halves = counts.reshape(-1, 2, 1 << v)
+        dtype = np.promote_types(counts.dtype, np.min_scalar_type(most))
+        counts = np.add(halves[:, 0], halves[:, 1], dtype=dtype).reshape(-1)
+    return counts
+
+
 def permute(values: np.ndarray, space: ProductSpace, perm: Sequence[int]) -> np.ndarray:
     """Relocate coordinates: the table g with g(w) = f(w'), where w'_v reads
     coordinate perm[v] of w, i.e. g = f(gamma^{-1}.w) for the relocation
@@ -535,6 +561,14 @@ def _contract(a: np.ndarray, w: np.ndarray, q: int):
 # ---------------------------------------------------------------------------
 @per_object
 def expectation(f: FunctionTable) -> float:
+    """E f.  A table on two levels lo < hi on uniform bits has it from its
+    level masses, lo P_lo + hi P_hi: every term and partial sum of the
+    weighted sum is a multiple of 2^-n no larger than max |f|, so both are
+    exact and give the same float."""
+    masses = f._level_masses() if f.space.is_uniform_binary else None
+    if masses is not None:
+        lo, hi = f.value_range()
+        return lo * masses[0] + hi * masses[1]
     return float(_contract(f.values, f.space.config_weights(), f.space.q))
 
 

@@ -4,12 +4,16 @@ value and a coordinate marginal, and the I-clue and KL-clue ratios.
 All entropies are in nats.  Function values are grouped into a discrete
 variable with absolute tolerance 1e-12, and every quantity is computed from
 the exact joint table (no estimation).  The per-mask routes read the split
-of one subset U (:class:`cluekit.clue._Split`), as the clue metrics do: the
-KL-clue sums entropy gaps of its centred marginal E[f | X_U] - E f, and the
-joint law of (Z, X_U) of a Boolean table on levels lo < hi is
-w_U P(f = z | X_U), with P(f = hi | X_U) = (E[f | X_U] - lo) / (hi - lo)
-read off the same marginal (I(Z : X_U) = sum_z Ent(E[1_z | X_U]) depends on
-U only through it).  A Boolean table's value law is its two level masses,
+of one subset U that the clue metrics read (:func:`cluekit.clue._split_of`).
+Split by fibers (:class:`cluekit.clue._Split`), the KL-clue sums entropy
+gaps of the centred marginal E[f | X_U] - E f, and the joint law of
+(Z, X_U) of a Boolean table on levels lo < hi is w_U P(f = z | X_U), with
+P(f = hi | X_U) = (E[f | X_U] - lo) / (hi - lo) read off the same marginal
+(I(Z : X_U) = sum_z Ent(E[1_z | X_U]) depends on U only through it).  Split
+by counts (:class:`cluekit.clue._CountSplit`, a table on two levels on
+uniform bits), P(f = hi | X_U = r) = k_r / m is exact, and I(Z : X_U) and
+Ent(E[f | X_U]) are sums of nonnegative entropy gaps over it, one log per
+fiber.  A Boolean table's value law is its two level masses,
 and a functional of the value alone is a sum over them:
 sum_c w_c phi(f_c) = sum_z P(z) phi(z), so H(Z) and Ent(f) take no pass
 over the table's values.  Other tables group their values by one sort and
@@ -32,7 +36,7 @@ from .core import (
     require_bytes,
     require_varying,
 )
-from .clue import _Split, _split_of
+from .clue import _CountSplit, _Split, _split_of
 from .errors import DegenerateError
 from .transforms import lattice_sums
 
@@ -93,17 +97,20 @@ def value_entropy(f: FunctionTable) -> float:
     return entropy(_value_probs(f))
 
 
-def joint_with_subset(f: FunctionTable, mask: int | _Split) -> np.ndarray:
+def joint_with_subset(f: FunctionTable, mask: int | _Split | _CountSplit) -> np.ndarray:
     """Exact joint law of (value group of f, configuration of the ``mask``
     coordinates), shape (value groups, q^|mask|).  A Boolean table that
     takes both levels has the law w_U P(f = z | X_U), from the marginal of
-    its split."""
+    its split or, by counts, from its fiber counts."""
     space = f.space
     split = _split_of(f, mask)
     mask = split.mask
     codes, reps = _value_groups(f)
     n_u, n_z = space.q ** mask.bit_count(), len(reps)
     require_bytes(8 * n_z * n_u, f"a joint law of {n_z} values by {n_u} configurations")
+    if isinstance(split, _CountSplit):  # w_U = 2^-|U|: every entry is exact
+        upper = split.shares()[1]
+        return np.stack([1.0 - upper, upper]) / n_u
     if f.is_boolean() and n_z == 2:
         # level hi's weight on each fiber, sum_c w_{U^c}(c) [f(r, c) = hi]
         lo, hi = reps
@@ -120,15 +127,24 @@ def joint_with_subset(f: FunctionTable, mask: int | _Split) -> np.ndarray:
     return flat.reshape(n_z, n_u)
 
 
-def mutual_information(f: FunctionTable, mask: int | _Split) -> float:
+def mutual_information(f: FunctionTable, mask: int | _Split | _CountSplit) -> float:
     """I(Z : X_mask) where Z groups the values of f, never below 0.  Z is a
     function of all coordinates, so on the full mask this is H(Z) itself,
-    and X_empty is constant, so on the empty mask it is 0 exactly."""
+    and X_empty is constant, so on the empty mask it is 0 exactly.
+
+    By counts, with p = P(f = hi) and p_r = P(f = hi | X_U = r), it is
+    sum_r w_r D(p_r || p), the Bernoulli divergences summed as the entropy
+    gaps of p_r and of 1 - p_r: every term is nonnegative, so its absolute
+    error is a few ulps of H(Z), however small H(Z) is."""
     split = _split_of(f, mask)
     if split.mask == 0:
         return 0.0
     if split.mask == full_mask(f.n):
         return value_entropy(f)
+    if isinstance(split, _CountSplit):
+        p, upper = split.shares()
+        gaps = _entropy_gaps(upper, p) + _entropy_gaps(1.0 - upper, 1.0 - p)
+        return max(float(gaps.mean()), 0.0)
     joint = joint_with_subset(f, split)
     h_z = entropy(joint.sum(axis=1))
     h_u = entropy(joint.sum(axis=0))
@@ -176,18 +192,19 @@ def mutual_information_all_subsets(f: FunctionTable) -> np.ndarray:
     return mi
 
 
-def i_clue(f: FunctionTable, mask: int | _Split) -> float:
+def i_clue(f: FunctionTable, mask: int | _Split | _CountSplit) -> float:
     """I(Z : X_mask) / H(Z), in [0, 1]; needs two value groups of positive
     weight.  The ratio is conditioned by H(Z): I is a difference of
     entropies as large as H(Z, X_mask) <= H(Z) + |mask| ln q, so its absolute
     error is a few ulps of that over H(Z), large when Z is nearly
-    deterministic."""
+    deterministic.  By counts, I is a sum of divergences and the ratio's
+    absolute error is a few ulps."""
     if np.count_nonzero(_value_probs(f)) < 2:
         raise DegenerateError("constant function: I-clue undefined")
     return min(mutual_information(f, mask) / value_entropy(f), 1.0)
 
 
-def sig_i(f: FunctionTable, mask: int | _Split) -> float:
+def sig_i(f: FunctionTable, mask: int | _Split | _CountSplit) -> float:
     """Entropy dual: 1 - I(Z : X_{mask^c}) / H(Z)."""
     return 1.0 - i_clue(f, _split_of(f, mask).complement)
 
@@ -239,27 +256,33 @@ def _require_nonnegative(f: FunctionTable, what: str):
         raise ValueError(f"{what} needs f >= 0")
 
 
-def _ent_of_marginal(split: _Split) -> float:
+def _ent_of_marginal(split: _Split | _CountSplit) -> float:
     """Ent(E[f | X_U]), summed over the fiber sums v = sum_c w_{U^c}(c) f(r, c)
     as :func:`ent_functional` sums the table, so that weights which add up
     to 1 only up to rounding enter both alike.  v - E f is formed from the
-    split's centred sums.  E[f | X_all] = f, so the full mask gives Ent(f)
-    itself, and E[f | X_empty] = E f, so the empty mask gives 0."""
+    split's centred sums.  By counts, f >= 0 is on {0, 1}, and the sum is
+    over the exact p_r = E[f | X_U = r] with p = E f.  E[f | X_all] = f, so
+    the full mask gives Ent(f) itself, and E[f | X_empty] = E f, so the
+    empty mask gives 0."""
     if split.mask == 0:
         return 0.0
     if split.mask == full_mask(split.f.n):
         return ent_functional(split.f)
+    if isinstance(split, _CountSplit):
+        p, upper = split.shares()
+        return float(_entropy_gaps(upper, p).mean())
     mean, total, centre = expectation(split.f), split.rest.sum(), split.centre
     gap = split.marginal() + (centre * (total - 1.0) + (centre - mean))
     return float(_contract(_entropy_gaps(mean + gap, mean, gap), split.weights, split.f.space.q))
 
 
-def kl_clue(f: FunctionTable, mask: int | _Split) -> float:
+def kl_clue(f: FunctionTable, mask: int | _Split | _CountSplit) -> float:
     """Ent(E[f | mask]) / Ent(f), in [0, 1], for f >= 0.  The ratio is
     conditioned by Ent(f): its absolute error is a few ulps of max f (times
     the log of max f / E f) over Ent(f), large when f is nearly constant.
-    On the full mask the numerator is Ent(f) and the ratio reads 1 exactly,
-    on the empty mask 0 exactly."""
+    By counts, every entropy gap is nonnegative and the ratio's absolute
+    error is a few ulps.  On the full mask the numerator is Ent(f) and the
+    ratio reads 1 exactly, on the empty mask 0 exactly."""
     require_varying(f)
     split = _split_of(f, mask)
     _require_nonnegative(f, "kl_clue")
@@ -275,7 +298,8 @@ def kl_clue_all_subsets(f: FunctionTable) -> np.ndarray:
     W times the entropy gap of A / W over the kept slots of U, the terms
     that :func:`kl_clue` sums for one U.  Conditioned by Ent(f) as
     :func:`kl_clue` is: a few ulps of max f (times the log of max f / E f)
-    over Ent(f).
+    over Ent(f).  E[f | X_empty] = E f, so the empty mask reads 0 exactly,
+    as per mask.
 
     O(n (q+1)^n) time, in the slabs of :func:`~cluekit.transforms.lattice_sums`.
     """
@@ -292,4 +316,6 @@ def kl_clue_all_subsets(f: FunctionTable) -> np.ndarray:
         return weights * _entropy_gaps(a, mean)
 
     ent = lattice_sums(f.space.config_weights() * f.values, f.space.q, gaps, f.space.pi)
-    return np.minimum(np.maximum(ent, 0.0) / denom, 1.0)
+    kl = np.minimum(np.maximum(ent, 0.0) / denom, 1.0)
+    kl[0] = 0.0
+    return kl

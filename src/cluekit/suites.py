@@ -21,7 +21,7 @@ import numpy as np
 
 from . import games, infotheory, perco, spectral, symmetry, zoo
 from .clue import (
-    _Split,
+    _split_of,
     clue,
     clue_all_subsets_table,
     clue_spectral,
@@ -374,7 +374,7 @@ def _kl_cover_deficit(f: FunctionTable, cover: list[int], k: int) -> float:
     infotheory._require_nonnegative(f, "kl_cover_deficit")
     _check_cover(f.n, cover, k)
     total = infotheory.ent_functional(f)
-    return k * total - float(sum(infotheory._ent_of_marginal(_Split(f, mask)) for mask in cover))
+    return k * total - float(sum(infotheory._ent_of_marginal(_split_of(f, mask)) for mask in cover))
 
 
 def shearer_suite() -> tuple[dict, list]:

@@ -496,13 +496,17 @@ def _assert_the_empty_mask_reads_zero(f: FunctionTable):
         assert i_clue(f, at) == 0.0
     assert kl_clue(g, 0) == 0.0
     assert kl_clue(g, measured) == 0.0
+    assert tv_clue_all_subsets(f)[0] == 0.0
+    assert mutual_information_all_subsets(f)[0] == 0.0
+    assert kl_clue_all_subsets(g)[0] == 0.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(levels=LEVELS, **MEASURES)
 def test_the_empty_mask_reads_zero_on_every_ratio(levels, n, q, kind, seed):
     """E[f | X_empty] = E f: on the empty mask every ratio's numerator is 0,
-    so every ratio reads 0 exactly, however small its denominator."""
+    so every ratio reads 0 exactly, however small its denominator, by mask,
+    by split and on the lattice routes."""
     space = random_product_space(n, q, kind, seed)
     f = random_table(space, levels, np.random.default_rng(seed))
     support = space.config_weights() > 0.0
@@ -549,7 +553,25 @@ def test_witness_and_influence_match_a_fiber_loop(levels, n, q, kind, seed):
         split = _Split(f, mask)
         for at in (mask, split):
             assert witness(f, at) == pytest.approx(fiber_constancy(f, mask), abs=1e-12)
-            assert influence_set(f, at) == pytest.approx(1.0 - fiber_constancy(f, full ^ mask), abs=1e-12)
+            # the coordinates outside the empty mask determine f: 0 on any rows
+            influence = 1.0 - fiber_constancy(f, full ^ mask) if mask else 0.0
+            assert influence_set(f, at) == pytest.approx(influence, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet-0.2", "tight"])
+def test_the_empty_mask_has_no_influence(kind):
+    """All coordinates lie outside the empty mask, and they determine f: its
+    influence is 0 exactly, also where the weights add up to 1 only up to
+    rounding (Dirichlet(0.2) rows, or rows scaled to 1 - 9e-13)."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, q = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+        pi = rng.dirichlet(np.full(q, 0.2 if kind == "dirichlet-0.2" else 1.0), size=n)
+        space = ProductSpace(n, q, pi * (1.0 - 9e-13) if kind == "tight" else pi)
+        values = rng.integers(0, 2, space.size).astype(float)
+        for f in (FunctionTable(space, values), FunctionTable(space, 2.0 * values - 1.0)):
+            assert influence_set(f, 0) == 0.0
+            assert influence_set(f, _Split(f, 0)) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -568,4 +590,4 @@ def test_witness_and_influence_match_the_extrema_of_the_fibers(levels, n, q, kin
         bottom = np.min(matrix, axis=1, where=support, initial=np.inf)
         extrema = float(_contract((top == bottom).astype(float), space.marginal_weights(mask), q))
         assert witness(f, mask) == extrema
-        assert influence_set(f, full ^ mask) == 1.0 - extrema
+        assert influence_set(f, full ^ mask) == (1.0 - extrema if mask != full else 0.0)

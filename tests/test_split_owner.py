@@ -1,15 +1,18 @@
 """Every metric of one mask reads one split of the table.
 
 ``cli._metric_values`` builds one split per mask and hands it to every
-requested metric.  With all eight metrics it permutes the table once (one
-call to ``core.fibers``), and a Boolean table's information comes from the
-split's conditional marginal, so nothing is counted with ``np.bincount``.
-A Boolean table's Ent(f) and E|f - E f| come from its two level masses, so
-no entropy gap is taken over its q^n values and no weighted deviation is
-formed, and the witness and influence constancy count cells, so no max or
-min runs over the split matrix.  An edit that permutes the table again for
-some metric, counts a Boolean joint law, or brings back one of those sweeps
-fails here.
+requested metric.  A table on two levels on uniform bits is split by
+counts: with all eight metrics it takes no permutation of the table (no
+call to ``core.fibers``), counts no joint law with ``np.bincount`` and
+stacks none with ``np.stack``.  Any other table permutes once, and a Boolean
+one's information comes from the split's conditional marginal, so nothing
+is counted with ``np.bincount``.  A Boolean table's Ent(f) and E|f - E f|
+come from its two level masses, so no entropy gap is taken over its q^n
+values and no weighted deviation is formed, and the witness and influence
+constancy count cells, so no max or min runs over the split matrix.  An
+edit that permutes the table again for some metric, permutes or stacks on
+the count route, counts a Boolean joint law, or brings back one of those
+sweeps fails here.
 """
 import importlib
 import pkgutil
@@ -62,8 +65,8 @@ def calls(monkeypatch):
     (:class:`_Watched`)."""
     for info in pkgutil.iter_modules(cluekit.__path__):
         importlib.import_module(f"cluekit.{info.name}")
-    counts = {"fibers": 0, "bincount": 0}
-    fibers, bincount = core.fibers, np.bincount
+    counts = {"fibers": 0, "bincount": 0, "stack": 0}
+    fibers, bincount, stack = core.fibers, np.bincount, np.stack
     _Watched.seen = []
 
     def counted_fibers(values, space, mask):
@@ -71,14 +74,18 @@ def calls(monkeypatch):
         _Watched.entries = space.size
         return fibers(values, space, mask).view(_Watched)
 
-    def counted_bincount(*args, **kwargs):
-        counts["bincount"] += 1
-        return bincount(*args, **kwargs)
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
 
     for name, module in list(sys.modules.items()):
         if name.startswith("cluekit") and getattr(module, "fibers", None) is fibers:
             monkeypatch.setattr(module, "fibers", counted_fibers)
-    monkeypatch.setattr(np, "bincount", counted_bincount)
+    monkeypatch.setattr(np, "bincount", counted("bincount", bincount))
+    monkeypatch.setattr(np, "stack", counted("stack", stack))
     return counts
 
 
@@ -110,19 +117,24 @@ def _bits_table() -> FunctionTable:
     return FunctionTable(space, np.random.default_rng(5).integers(0, 2, space.size).astype(float))
 
 
-BOOLEAN = {"maj:9": lambda: from_spec("maj:9").table, "tribes:2,3": lambda: from_spec("tribes:2,3").table,
-           "bits-q3-zero-atom": _bits_table}
+# each table, and the permutations one mask takes: none by counts
+BOOLEAN = {"maj:9": (lambda: from_spec("maj:9").table, 0),
+           "tribes:2,3": (lambda: from_spec("tribes:2,3").table, 0),
+           "bits-q3-zero-atom": (_bits_table, 1)}
 
 
 @pytest.mark.parametrize("name", BOOLEAN)
 @pytest.mark.parametrize("which", ["low", "high", "empty", "full"])
 def test_every_metric_of_a_mask_shares_one_permutation(calls, sweeps, name, which):
-    f = BOOLEAN[name]()
+    make, permutations = BOOLEAN[name]
+    f = make()
     n = f.n
     mask = {"low": 0b101, "high": (1 << (n - 1)) | 0b10, "empty": 0, "full": (1 << n) - 1}[which]
     out = cli._metric_values(f, mask, ALL_METRICS)
     assert len(out) == 9  # sig brings sig_i
-    assert calls == {"fibers": 1, "bincount": 0}
+    assert calls["fibers"] == permutations and calls["bincount"] == 0
+    if not permutations:  # by counts: no joint law is formed at all
+        assert calls["stack"] == 0
     # Ent(f) from the level masses, Ent(E[f | X_U]) from the q^|U| fiber sums
     assert sweeps["gap_lengths"] and max(sweeps["gap_lengths"]) < f.space.size
     assert sweeps["deviations"] == 0  # E|f - E f| from the level masses
