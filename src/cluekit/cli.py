@@ -202,8 +202,7 @@ def _metric_values(f: FunctionTable, mask: int, names: list[str]) -> dict:
         elif name == "i":
             out["i_clue"] = infotheory.i_clue(f, split)
         elif name == "kl":
-            measured = split.indicator() if f.is_boolean() else split
-            out["kl_clue"] = infotheory.kl_clue(measured.f, measured)
+            out["kl_clue"] = infotheory.kl_clue(f, split)
         else:
             raise ParseError(f"unknown metric '{name}' (known: {','.join(METRIC_NAMES)})")
     return out

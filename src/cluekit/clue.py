@@ -13,22 +13,24 @@ of a mask in place of the mask, so that the metrics of one mask share it.
 
 * A table on two levels on uniform bits is split by counts
   (:class:`_CountSplit`): the numbers k_r of upper-level cells in each fiber
-  of the mask and of its complement, summed out of the table's 0/1 flags
-  one coordinate at a time (:func:`~cluekit.core.fiber_counts`), with no
-  permutation and no float array of the table's size.  The L2 clue, sig,
-  TV, witness and influence are ratios of integers, correctly rounded; the
-  information and KL-clue sum nonnegative entropy gaps, one log per fiber.
+  of the mask and of its complement, summed out of the table's byte flags
+  f != lo one coordinate at a time (:func:`~cluekit.core.fiber_counts`),
+  with no permutation and no float array of the table's size.  The L2
+  clue, sig, TV, witness and influence are ratios of integers, correctly
+  rounded; the information and KL-clue sum nonnegative entropy gaps, one
+  log per fiber.
 * Any other table is split by fibers (:class:`_Split`): f - E f as the
   fibers matrix of the mask, permuted once.  Its rows contracted with the
-  complement's weights give E[f - E f | X_U], its columns contracted with
-  the mask's weights E[f - E f | X_{U^c}], and for the witness and
-  influence constancy each row or column counts its positive-weight cells
-  at the upper level, as exact integers.  The split orders the sums; each
-  ratio is still conditioned by its denominator, as its route's docstring
-  states.
+  complement's weights give E[f - E f | X_U] and its columns contracted
+  with the mask's weights E[f - E f | X_{U^c}].  The split orders the sums;
+  each ratio is still conditioned by its denominator, as its route's
+  docstring states.
 
-A Boolean table's E|f - E f| comes from its two level masses, not from a
-pass over its values.
+On every space the witness and influence constancy of a Boolean table
+counts its byte flags f != lo per fiber with
+:func:`~cluekit.core.fiber_counts`, exact integers with no float array of
+the table's size, and its E|f - E f| comes from its two level masses, not
+from a pass over its values.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ from .core import (
     _deviation_pass,
     complement_mask,
     expectation,
+    extend,
     fiber_counts,
     fibers,
     full_mask,
@@ -69,6 +72,14 @@ def _checked_variance(f: FunctionTable) -> float:
 # ---------------------------------------------------------------------------
 # one split of a table per mask
 # ---------------------------------------------------------------------------
+def _level_flags(f: FunctionTable, shared: dict) -> np.ndarray:
+    """The byte flags f != lo of a Boolean table's cells, in table order:
+    its upper level.  Built once for the splits that share ``shared``."""
+    if "upper" not in shared:
+        shared["upper"] = f.values != f.value_range()[0]
+    return shared["upper"]
+
+
 class _Split:
     """A table seen through one mask U, for every metric of U.
 
@@ -78,38 +89,29 @@ class _Split:
     its columns, so a metric of U reads the same sums whether it was asked
     of U or of the complement of U^c, and sig(f, U) is 1 - clue(f, U^c) bit
     for bit.  The matrix is built on first use, and so is each piece read
-    off it.  The splits of U, of U^c and of the indicator keep the matrix
-    and the pieces in one shared dict, and none holds another, so no split
+    off it.  The splits of U and of U^c keep the matrix, the level flags and
+    the pieces in one shared dict, and neither holds the other, so no split
     is part of a reference cycle.
 
     Centring before the sums keeps their rounding of the size of f - E f,
-    not of E f.  ``scale`` is 1, or 1/2 for the indicator (f + 1) / 2 of a
-    {-1, 1} table: a power of 2, so the scaled sums are exact.  The
-    indicator's cells are at the upper level where the table's are, so its
-    split reads the same level flags and constancy too."""
+    not of E f."""
 
-    def __init__(self, f: FunctionTable, mask: int, shared: dict | None = None,
-                 scale: float = 1.0):
+    def __init__(self, f: FunctionTable, mask: int, shared: dict | None = None):
         validate_mask(mask, f.n)
-        self.f, self.mask, self._scale = f, mask, scale
+        self.f, self.mask = f, mask
         self._side = mask >> (f.n - 1)  # 1 when U's rows are the matrix's columns
-        self._shared = {"table": f} if shared is None else shared
+        self._shared = {} if shared is None else shared
         self.weights = f.space.marginal_weights(mask)
         self.rest = f.space.marginal_weights(complement_mask(mask, f.n))
 
     @property
     def complement(self) -> "_Split":
-        return _Split(self.f, complement_mask(self.mask, self.f.n), self._shared, self._scale)
-
-    def indicator(self) -> "_Split":
-        """The split of ``f.as_indicator()`` on the same mask."""
-        g = self.f.as_indicator()
-        return _Split(g, self.mask, self._shared, 1.0 if g is self.f else 0.5)
+        return _Split(self.f, complement_mask(self.mask, self.f.n), self._shared)
 
     def _matrix(self) -> np.ndarray:
         matrix = self._shared.get("matrix")
         if matrix is None:
-            f = self._shared["table"]
+            f = self.f
             rows = complement_mask(self.mask, f.n) if self._side else self.mask
             matrix = fibers(f.values, f.space, rows)
             mean = expectation(f)
@@ -126,18 +128,11 @@ class _Split:
             self._shared[key] = build()
         return self._shared[key]
 
-    @property
-    def centre(self) -> float:
-        """The mean the sums are centred at, in the units of f."""
-        centre = expectation(self._shared["table"])
-        return (centre + 1.0) * self._scale if self._scale != 1.0 else centre
-
     def marginal(self) -> np.ndarray:
-        """Fiber sums of f less the centre over the complement's weights,
-        sum_c w_{U^c}(c) (f(r, c) - centre): (E[f | X_U] - centre) times
-        the complement's total weight, which is 1 up to rounding."""
-        g = self._piece("marginal", lambda: _contract(self._matrix(), self.rest, self.f.space.q))
-        return g * self._scale if self._scale != 1.0 else g
+        """Fiber sums of f - E f over the complement's weights,
+        sum_c w_{U^c}(c) (f(r, c) - E f): (E[f | X_U] - E f) times the
+        complement's total weight, which is 1 up to rounding."""
+        return self._piece("marginal", lambda: _contract(self._matrix(), self.rest, self.f.space.q))
 
     def l2(self) -> float:
         """Var(E[f | X_U]).  On the full mask the marginal is f - E f
@@ -145,33 +140,24 @@ class _Split:
         :func:`~cluekit.core.variance_and_spread` forms it."""
         return _deviation_pass(self.marginal(), self.weights, 0.0, self.f.space.q)[0]
 
-    def _upper(self) -> np.ndarray:
-        """0/1 flags of the matrix's cells where f is at its upper level
-        (above the middle of its two levels), as large as the matrix and in
-        its layout; built once for U, U^c and the indicator."""
-        flags = self._shared.get("upper")
-        if flags is None:
-            self._matrix()
-            f, matrix = self._shared["table"], self._shared["matrix"]
-            middle = sum(f.value_range()) / 2.0 - expectation(f)
-            flags = self._shared["upper"] = np.greater(matrix, middle, out=np.empty_like(matrix))
-        return flags.T if self._side else flags
-
     def constancy(self) -> float:
         """P[f is constant on the fiber of X_U], for a table on two levels,
         constancy judged over the positive-weight configurations of U^c: a
         fiber is constant when the count of those cells at the upper level
-        is 0 or all of them.  The counts contract the 0/1 flags with 0/1
-        support weights through :func:`~cluekit.core._contract`.  Every
-        partial sum is a whole number of cells, below q^n < 2^27 (the byte
-        budget admits no larger table), and float64 holds every integer
-        below 2^53, so each count is exact in any order of the sums."""
+        is 0 or all of them.  The counts are
+        :func:`~cluekit.core.fiber_counts` of the table's level flags,
+        cleared on the configurations of U^c of weight 0 (zero atoms, or
+        positive atoms whose product underflows): exact integers, as on the
+        count route."""
 
         def build():
-            support = (self.rest > 0.0).astype(float)
-            counts = _contract(self._upper(), support, self.f.space.q)
-            constant = (counts == 0.0) | (counts == support.sum())
-            return float(_contract(constant.astype(float), self.weights, self.f.space.q))
+            f, support = self.f, self.rest > 0.0
+            flags, kept = _level_flags(f, self._shared), np.count_nonzero(support)
+            if kept < support.size:
+                flags = flags & extend(support, f.space, complement_mask(self.mask, f.n))
+            counts = fiber_counts(flags, f.space, self.mask)
+            constant = (counts == 0) | (counts == kept)
+            return float(_contract(constant.astype(float), self.weights, f.space.q))
 
         return self._piece("constancy", build)
 
@@ -181,11 +167,10 @@ class _CountSplit:
     every metric of U, from integer counts.  N = 2^n cells, K of them at the
     upper level; fiber r of U holds m = 2^(n - |U|) cells, k_r of them at
     the upper level (:func:`~cluekit.core.fiber_counts` of the table's
-    flags).  Every metric of U is a function of N, m and the k_r, since
-    P(f = hi | X_U = r) = k_r / m and P(f = hi) = K / N, whatever the two
-    levels.  The splits of U, of U^c and of the indicator keep the flags,
-    one byte per cell, and the counts of each mask in one shared dict,
-    built on first use: the flags of the indicator are the table's."""
+    level flags).  Every metric of U is a function of N, m and the k_r,
+    since P(f = hi | X_U = r) = k_r / m and P(f = hi) = K / N, whatever the
+    two levels.  The splits of U and of U^c keep the flags and the counts of
+    each mask in one shared dict, built on first use."""
 
     def __init__(self, f: FunctionTable, mask: int, shared: dict | None = None):
         validate_mask(mask, f.n)
@@ -196,19 +181,13 @@ class _CountSplit:
     def complement(self) -> "_CountSplit":
         return _CountSplit(self.f, complement_mask(self.mask, self.f.n), self._shared)
 
-    def indicator(self) -> "_CountSplit":
-        """The split of ``f.as_indicator()`` on the same mask, whose cells
-        are at the upper level where the table's are."""
-        return _CountSplit(self.f.as_indicator(), self.mask, self._shared)
-
     def counts(self) -> np.ndarray:
         """k_r for every configuration r of U, in the order of the rows of
         :func:`~cluekit.core.fibers`."""
         counts = self._shared.get(self.mask)
         if counts is None:
-            if "upper" not in self._shared:
-                self._shared["upper"] = self.f.values != self.f.value_range()[0]
-            counts = self._shared[self.mask] = fiber_counts(self._shared["upper"], self.mask)
+            flags = _level_flags(self.f, self._shared)
+            counts = self._shared[self.mask] = fiber_counts(flags, self.f.space, self.mask)
         return counts
 
     def _sizes(self) -> tuple[int, int, int]:
@@ -351,7 +330,7 @@ def tv_clue(f: FunctionTable, mask: int | _Split | _CountSplit) -> float:
     if split.mask == full_mask(f.n):
         return denom / denom
     sums = split.marginal()
-    # their weighted mean is E f less the centre, up to rounding of its size
+    # their weighted mean is E f less the computed E f, up to rounding of its size
     sums = np.abs(sums - float(_contract(sums, split.weights, f.space.q)))
     return float(_contract(sums, split.weights, f.space.q)) / denom
 

@@ -90,9 +90,7 @@ def per_object(fn):
     """Cache ``fn(obj)`` in the frozen object's own cache: ``fn`` runs on the
     first call and later calls return its result, whose arrays (or a tuple's)
     are made read-only.  A call that raises stores nothing.  The result must
-    not hold ``obj`` (see the module docstring).  ``cached.key`` is the
-    entry's name in the cache, for a fact that an object's maker already
-    knows."""
+    not hold ``obj`` (see the module docstring)."""
     key = f"{fn.__module__}.{fn.__qualname__}"
 
     @functools.wraps(fn)
@@ -105,7 +103,6 @@ def per_object(fn):
             obj._cache[key] = result
         return obj._cache[key]
 
-    cached.key = key
     return cached
 
 
@@ -240,7 +237,8 @@ class ProductSpace:
         """(q^n, n) uint8 matrix: digits()[c, v] is coordinate v of config c
         (built on demand, not cached).  It is coordinate-major, each
         coordinate's digits contiguous: its transpose is C-contiguous.
-        ``instead`` is the sampling route a refusal names (require_bytes)."""
+        ``instead`` is the sampling route a refusal names (require_bytes).
+        An alphabet above 256 letters is refused (ValueError)."""
         return _block_digits(self.q, self.n, instead)
 
     def tensor_shape(self) -> tuple[int, ...]:
@@ -373,26 +371,6 @@ class FunctionTable:
         """True for {0,1}- or {-1,+1}-valued tables (exact comparison)."""
         return self._boolean_levels() is not None
 
-    def as_indicator(self) -> "FunctionTable":
-        """Map a Boolean table to its {0,1} normalization: the table itself
-        when it is {0,1}-valued, else a table built once per table."""
-        levels = self._boolean_levels()
-        if levels is None:
-            raise ValueError("table is not Boolean")
-        if levels == (0.0, 1.0):
-            return self
-        return self._indicator()
-
-    @per_object
-    def _indicator(self) -> "FunctionTable":
-        """(f + 1) / 2 of a {-1, 1} table.  Its cells are at the upper level
-        where f's are, so it takes f's levels and level masses as its own
-        instead of counting them again."""
-        g = FunctionTable(self.space, (self.values + 1.0) / 2.0)
-        g._cache[FunctionTable._boolean_levels.key] = BIT_LEVELS
-        g._cache[FunctionTable._level_masses.key] = self._level_masses()
-        return g
-
     def evaluator(self) -> BlockEvaluator:
         """Batch evaluator digits->(values), for the Monte Carlo engine.  Its
         state is the partial configuration index sum(digit[v] q^v) over the
@@ -430,7 +408,10 @@ def _block_digits(q: int, n: int, instead: str | None = None) -> np.ndarray:
     coordinate-major: the transpose of a C-contiguous (n, q^n) matrix whose
     row v, coordinate v's digits, is 0..q-1 in runs of q^v.  It is built
     without division by doubling blocks: the first q^(v+1) configurations
-    are q copies of the first q^v, with digit v constant on each copy."""
+    are q copies of the first q^v, with digit v constant on each copy.  An
+    alphabet above 256 letters is refused: its digits do not fit a byte."""
+    if q > 256:
+        raise ValueError(f"digits of q = {q} letters do not fit in a byte (q <= 256)")
     require_bytes(8 * n * q**n, f"a {q}^{n}-row digit matrix", instead)
     out = np.empty((n, q**n), dtype=np.uint8)
     for v in range(n):
@@ -489,25 +470,27 @@ def extend(values: np.ndarray, space: ProductSpace, mask: int) -> np.ndarray:
     return np.broadcast_to(np.reshape(values, shape), space.tensor_shape()).reshape(-1)
 
 
-def fiber_counts(flags: np.ndarray, mask: int) -> np.ndarray:
-    """The row sums of the fibers matrix of 0/1 ``flags`` over 2^n binary
-    configurations: entry r counts the flags set in fiber r, indexed like
-    the rows of :func:`fibers`.
+def fiber_counts(flags: np.ndarray, space: ProductSpace, mask: int) -> np.ndarray:
+    """The row sums of the fibers matrix of 0/1 ``flags``, one byte per
+    configuration of ``space``: entry r counts the flags set in fiber r,
+    indexed like the rows of :func:`fibers`.
 
     Each coordinate v outside ``mask`` is summed out in turn, high
     coordinates first, so that every coordinate below v is still in place
-    and v is the middle axis of the (-1, 2, 2^v) view: its two halves add.
+    and v is the middle axis of the (-1, q, q^v) view: its q slices add.
     The counts start as the flags' bytes and widen (uint16, uint32) before
     a sum could pass the largest value of their type."""
-    n = flags.size.bit_length() - 1
-    validate_mask(mask, n)
+    validate_mask(mask, space.n)
+    q = space.q
     counts, most = flags.view(np.uint8), 1
-    for v in reversed(mask_indices(complement_mask(mask, n))):
-        most *= 2
-        halves = counts.reshape(-1, 2, 1 << v)
-        dtype = np.promote_types(counts.dtype, np.min_scalar_type(most))
-        counts = np.add(halves[:, 0], halves[:, 1], dtype=dtype).reshape(-1)
-    return counts
+    for v in reversed(mask_indices(complement_mask(mask, space.n))):
+        most *= q
+        parts = counts.reshape(-1, q, q**v)
+        dtype = np.uint8 if most < 1 << 8 else np.uint16 if most < 1 << 16 else np.uint32
+        counts = np.add(parts[:, 0], parts[:, 1], dtype=dtype)
+        for d in range(2, q):
+            counts += parts[:, d]
+    return counts.reshape(-1)
 
 
 def permute(values: np.ndarray, space: ProductSpace, perm: Sequence[int]) -> np.ndarray:

@@ -13,8 +13,10 @@ P(f = hi | X_U) = (E[f | X_U] - lo) / (hi - lo) read off the same marginal
 by counts (:class:`cluekit.clue._CountSplit`, a table on two levels on
 uniform bits), P(f = hi | X_U = r) = k_r / m is exact, and I(Z : X_U) and
 Ent(E[f | X_U]) are sums of nonnegative entropy gaps over it, one log per
-fiber.  A Boolean table's value law is its two level masses,
-and a functional of the value alone is a sum over them:
+fiber.  The KL clue of a table on two levels is that of the {0, 1}
+indicator of its upper level, read off the table's own split and level
+masses: no second table is built.  A Boolean table's value law is its two
+level masses, and a functional of the value alone is a sum over them:
 sum_c w_c phi(f_c) = sum_z P(z) phi(z), so H(Z) and Ent(f) take no pass
 over the table's values.  Other tables group their values by one sort and
 count the joint law with ``np.bincount``.  The ``*_all_subsets`` routes
@@ -27,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    BIT_LEVELS,
     FunctionTable,
     _contract,
     expectation,
@@ -115,7 +118,7 @@ def joint_with_subset(f: FunctionTable, mask: int | _Split | _CountSplit) -> np.
         # level hi's weight on each fiber, sum_c w_{U^c}(c) [f(r, c) = hi]
         lo, hi = reps
         total = split.rest.sum()
-        upper = (split.marginal() + (split.centre - lo) * total) / (hi - lo)
+        upper = (split.marginal() + (expectation(f) - lo) * total) / (hi - lo)
         joint = np.stack([total - upper, upper])
         np.maximum(joint, 0.0, out=joint)
         joint *= split.weights
@@ -234,9 +237,8 @@ def ent_functional(f: FunctionTable) -> float:
 
     Nonnegative by convexity; equals the relative entropy of the f-biased
     measure against the base measure, scaled by E[f].  Every term is
-    nonnegative, so nothing cancels.  A {0, 1} table sums P(z) gap(z, E f)
-    over its two levels z, with its level masses P(z): its relative error
-    is a few ulps over that of the masses, however small one mass is.  Other
+    nonnegative, so nothing cancels.  A {0, 1} table is the indicator of
+    its upper level and sums over its two levels (:func:`_measured`).  Other
     tables sum the gap of every configuration, each within a few ulps of
     its own size.
     """
@@ -244,11 +246,9 @@ def ent_functional(f: FunctionTable) -> float:
     mean = expectation(f)
     if mean <= 0.0:
         raise DegenerateError("ent_functional needs E[f] > 0")
-    masses = f._level_masses()
-    if masses is None:
-        return float(_contract(_entropy_gaps(f.values, mean), f.space.config_weights(), f.space.q))
-    gap_lo, gap_hi = _entropy_gaps(np.array(f.value_range()), mean)
-    return float(masses[0] * gap_lo + masses[1] * gap_hi)
+    if f._level_masses() is not None:
+        return _measured(f)[1]
+    return float(_contract(_entropy_gaps(f.values, mean), f.space.config_weights(), f.space.q))
 
 
 def _require_nonnegative(f: FunctionTable, what: str):
@@ -256,66 +256,91 @@ def _require_nonnegative(f: FunctionTable, what: str):
         raise ValueError(f"{what} needs f >= 0")
 
 
+def _measured(f: FunctionTable) -> tuple[float, float]:
+    """(mean, Ent) of what the KL clue measures.  A table on two levels
+    lo < hi is measured as the {0, 1} indicator of its upper level, whatever
+    the levels: its mean is P_hi and its Ent sums P(z) gap(z, P_hi) over
+    z = 0, 1 with its level masses, so its relative error is a few ulps over
+    that of the masses, however small one mass is.  Any other table is
+    measured as itself: E f and :func:`ent_functional`, for f >= 0."""
+    masses = f._level_masses()
+    if masses is None:
+        return expectation(f), ent_functional(f)
+    gap_lo, gap_hi = _entropy_gaps(np.array(BIT_LEVELS), masses[1])
+    return masses[1], float(masses[0] * gap_lo + masses[1] * gap_hi)
+
+
 def _ent_of_marginal(split: _Split | _CountSplit) -> float:
-    """Ent(E[f | X_U]), summed over the fiber sums v = sum_c w_{U^c}(c) f(r, c)
-    as :func:`ent_functional` sums the table, so that weights which add up
-    to 1 only up to rounding enter both alike.  v - E f is formed from the
-    split's centred sums.  By counts, f >= 0 is on {0, 1}, and the sum is
-    over the exact p_r = E[f | X_U = r] with p = E f.  E[f | X_all] = f, so
-    the full mask gives Ent(f) itself, and E[f | X_empty] = E f, so the
-    empty mask gives 0."""
+    """Ent(E[g | X_U]) of what the KL clue measures, g = f or the indicator
+    (f - lo) / (hi - lo) of a table on two levels (:func:`_measured`),
+    summed over the fiber sums v = sum_c w_{U^c}(c) g(r, c) as
+    :func:`ent_functional` sums the table, so that weights which add up to
+    1 only up to rounding enter both alike.  v - E g is formed from the
+    split's centred sums of f, divided by hi - lo (1 or 2, so exactly).  By
+    counts, the sum is over the exact p_r = E[g | X_U = r] with p = E g.
+    E[g | X_all] = g, so the full mask gives Ent(g) itself, and
+    E[g | X_empty] = E g, so the empty mask gives 0."""
+    f = split.f
     if split.mask == 0:
         return 0.0
-    if split.mask == full_mask(split.f.n):
-        return ent_functional(split.f)
+    mean, ent = _measured(f)
+    if split.mask == full_mask(f.n):
+        return ent
     if isinstance(split, _CountSplit):
         p, upper = split.shares()
         return float(_entropy_gaps(upper, p).mean())
-    mean, total, centre = expectation(split.f), split.rest.sum(), split.centre
-    gap = split.marginal() + (centre * (total - 1.0) + (centre - mean))
-    return float(_contract(_entropy_gaps(mean + gap, mean, gap), split.weights, split.f.space.q))
+    total, centre, sums = split.rest.sum(), expectation(f), split.marginal()
+    if f._level_masses() is not None:
+        lo, hi = f.value_range()
+        centre, sums = (centre - lo) / (hi - lo), sums / (hi - lo)
+    gap = sums + (centre * (total - 1.0) + (centre - mean))
+    return float(_contract(_entropy_gaps(mean + gap, mean, gap), split.weights, f.space.q))
+
+
+def _kl_denominator(f: FunctionTable) -> float:
+    """Ent of what the KL clue measures (:func:`_measured`), refused when
+    the table is constant on the support or the Ent is not positive."""
+    require_varying(f)
+    denom = _measured(f)[1]
+    if denom <= 0.0:
+        raise DegenerateError("constant function: KL clue undefined")
+    return denom
 
 
 def kl_clue(f: FunctionTable, mask: int | _Split | _CountSplit) -> float:
-    """Ent(E[f | mask]) / Ent(f), in [0, 1], for f >= 0.  The ratio is
-    conditioned by Ent(f): its absolute error is a few ulps of max f (times
-    the log of max f / E f) over Ent(f), large when f is nearly constant.
-    By counts, every entropy gap is nonnegative and the ratio's absolute
-    error is a few ulps.  On the full mask the numerator is Ent(f) and the
-    ratio reads 1 exactly, on the empty mask 0 exactly."""
-    require_varying(f)
-    split = _split_of(f, mask)
-    _require_nonnegative(f, "kl_clue")
-    denom = ent_functional(f)
-    if denom <= 0.0:
-        raise DegenerateError("constant function: KL clue undefined")
-    return min(max(_ent_of_marginal(split), 0.0) / denom, 1.0)
+    """Ent(E[g | mask]) / Ent(g), in [0, 1], for g = f >= 0, or for g the
+    {0, 1} indicator of the upper level of a table on two levels (a {-1, 1}
+    table's KL clue is that of (f + 1) / 2).  The ratio is conditioned by
+    Ent(g): its absolute error is a few ulps of max g (times the log of
+    max g / E g) over Ent(g), large when g is nearly constant.  By counts,
+    every entropy gap is nonnegative and the ratio's absolute error is a few
+    ulps.  On the full mask the numerator is Ent(g) and the ratio reads 1
+    exactly, on the empty mask 0 exactly."""
+    denom = _kl_denominator(f)
+    return min(max(_ent_of_marginal(_split_of(f, mask)), 0.0) / denom, 1.0)
 
 
 def kl_clue_all_subsets(f: FunctionTable) -> np.ndarray:
-    """kl_clue(f, U) for every mask U, f >= 0.  With A the lattice of w f and
-    W = :func:`~cluekit.transforms.kept_weights`, Ent(E[f | U]) sums
-    W times the entropy gap of A / W over the kept slots of U, the terms
-    that :func:`kl_clue` sums for one U.  Conditioned by Ent(f) as
-    :func:`kl_clue` is: a few ulps of max f (times the log of max f / E f)
-    over Ent(f).  E[f | X_empty] = E f, so the empty mask reads 0 exactly,
-    as per mask.
+    """kl_clue(f, U) for every mask U.  With A the lattice of w g (g = f, or
+    the indicator f != lo of a table on two levels) and W =
+    :func:`~cluekit.transforms.kept_weights`, Ent(E[g | U]) sums W times the
+    entropy gap of A / W over the kept slots of U, the terms that
+    :func:`kl_clue` sums for one U.  Conditioned by Ent(g) as :func:`kl_clue`
+    is: a few ulps of max g (times the log of max g / E g) over Ent(g).
+    E[g | X_empty] = E g, so the empty mask reads 0 exactly, as per mask.
 
     O(n (q+1)^n) time, in the slabs of :func:`~cluekit.transforms.lattice_sums`.
     """
-    require_varying(f)
-    _require_nonnegative(f, "kl_clue")
-    denom = ent_functional(f)
-    if denom <= 0.0:
-        raise DegenerateError("constant function: KL clue undefined")
-    mean = expectation(f)
+    denom = _kl_denominator(f)
+    mean = _measured(f)[0]
+    g = f.values if f._level_masses() is None else f.values != f.value_range()[0]
 
     def gaps(a, weights):
-        # E[f | kept slots]; A is 0 where W is 0
+        # E[g | kept slots]; A is 0 where W is 0
         np.divide(a, weights, out=a, where=weights > 0.0)
         return weights * _entropy_gaps(a, mean)
 
-    ent = lattice_sums(f.space.config_weights() * f.values, f.space.q, gaps, f.space.pi)
+    ent = lattice_sums(f.space.config_weights() * g, f.space.q, gaps, f.space.pi)
     kl = np.minimum(np.maximum(ent, 0.0) / denom, 1.0)
     kl[0] = 0.0
     return kl

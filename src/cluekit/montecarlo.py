@@ -191,7 +191,10 @@ def sample_digits(space: ProductSpace, coords: list[int]):
     first, of its own ceil(rows / 64) raw words.  On any other space every
     digit takes one raw word and counts its coordinate's cut points, which
     gives the digits ``rng.random((rows, len(coords)))`` compared with the
-    interior cdf breakpoints would.  No coordinates draw nothing."""
+    interior cdf breakpoints would.  No coordinates draw nothing.  An
+    alphabet above 256 letters is refused: its digits do not fit a byte."""
+    if space.q > 256:
+        raise ValueError(f"digits of q = {space.q} letters do not fit in a byte (q <= 256)")
     if not coords:
         return lambda rng, rows: np.empty((0, rows), dtype=np.uint8)
     if not space.is_uniform_binary:

@@ -50,6 +50,7 @@ from .core import (
     FunctionTable,
     ProductSpace,
     _piece,
+    extend,
     per_object,
     require_bytes,
     require_varying,
@@ -201,7 +202,8 @@ def efron_stein_components(f: FunctionTable) -> np.ndarray:
     zero-probability configurations carry no meaning."""
     space = f.space
     require_bytes(8 * 2**space.n * space.size, "a (2^n, q^n) component stack")
-    support = (space.digits() != 0) @ (1 << np.arange(space.n))
+    # the mask of each configuration's nonzero digits, without a digit matrix
+    support = sum(extend(np.minimum(np.arange(space.q), 1) << v, space, 1 << v) for v in range(space.n))
     split = np.zeros((1 << space.n, space.size))
     split[support, np.arange(space.size)] = _coefficients(f)
     return _transform(space, split, inverse=True, overwrite=True)

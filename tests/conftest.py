@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cluekit.core import ProductSpace, mask_indices, validate_mask
+from cluekit.core import FunctionTable, ProductSpace, mask_indices, validate_mask
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -27,6 +27,12 @@ def spins(space: ProductSpace) -> np.ndarray:
     """(2^n, n) int8 matrix of the +-1 spins of a binary space's
     configurations, digit 0 as spin -1."""
     return space.digits().astype(np.int8) * 2 - 1
+
+
+def upper_indicator(f: FunctionTable) -> FunctionTable:
+    """The {0, 1} table of a Boolean table's upper level, built by hand:
+    (f + 1) / 2 of a {-1, 1} table, and a {0, 1} table itself."""
+    return FunctionTable(f.space, (f.values + 1.0) / 2.0) if f.value_range()[0] < 0.0 else f
 
 
 def table_dict(f) -> dict:

@@ -649,6 +649,22 @@ def test_fnio_validates(tmp_path):
         load_function(path)
 
 
+def test_mc_clue_refuses_an_alphabet_above_a_byte(capsys, tmp_path):
+    """q = 257: a table that is 1 exactly on digit 256 of coordinate 0.
+    Its digits do not fit the samplers' bytes, so mc-clue exits 2 instead
+    of never drawing digit 256; the exact route reads its clue, 1."""
+    values = np.zeros(257)
+    values[256] = 1.0
+    path = tmp_path / "q257.json"
+    save_table(FunctionTable(uniform_space(1, 257), values), path)
+    code, payload, _ = run_cli(capsys, "mc-clue", "--fn", str(path), "--subset", "0", "--seed", "1")
+    assert code == 2 and "q = 257" in payload["error"]
+    code, payload, _ = run_cli(capsys, "analyze", "--fn", str(path), "--subset", "0", "--metrics", "l2")
+    assert code == 0 and payload["metrics"]["l2_clue"] == 1.0
+    with pytest.raises(ValueError, match="q = 257"):
+        uniform_space(1, 257).digits()
+
+
 BAD_FILES = {
     "nan-measure": '{"n": 2, "q": 2, "measure": [[NaN, NaN], [0.5, 0.5]], "values": [0, 1, 1, 0]}',
     "fractional-n": '{"n": 2.9, "q": 2, "measure": [[0.5, 0.5], [0.5, 0.5]], "values": [0, 1, 1, 0]}',

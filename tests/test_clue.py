@@ -26,6 +26,7 @@ from cluekit.core import (
     complement_mask,
     conditional_marginal,
     expectation,
+    fiber_counts,
     fibers,
     uniform_space,
 )
@@ -49,7 +50,7 @@ from cluekit.suites import (
 from cluekit.symmetry import cyclic_group
 from cluekit.transforms import popcounts
 from cluekit.zoo import from_spec
-from conftest import biased_bits, group_elements
+from conftest import biased_bits, group_elements, upper_indicator
 
 
 def test_clue_sum_is_exactly_proportional():
@@ -221,7 +222,7 @@ def test_influence_coordinate_examples():
 
 
 def test_tv_clue_examples():
-    f = from_spec("maj:3").table.as_indicator()
+    f = upper_indicator(from_spec("maj:3").table)
     assert tv_clue(f, 0) == pytest.approx(0.0, abs=1e-14)
     assert tv_clue(f, 0b111) == pytest.approx(1.0, abs=1e-14)
     assert tv_clue(f, 0b001) == pytest.approx(0.5, abs=1e-14)
@@ -306,27 +307,18 @@ def test_p_min():
     assert p_min(from_spec("tribes:2,2").table) == pytest.approx(7 / 16)
 
 
-def test_p_min_reads_the_mean_without_the_indicator_table(monkeypatch):
-    """P[f=1] comes from E f, so a +-1 table never builds its {0,1}
-    normalization; the normalization's mean, taken before it is patched out,
-    is the reference."""
+def test_p_min_reads_the_mean_without_the_indicator_table():
+    """P[f=1] comes from E f: the mean of the {0,1} normalization, built
+    here by hand, is the reference."""
     rng = np.random.default_rng(21)
     sp = ProductSpace(6, 2, rng.dirichlet(np.ones(2), size=6))
-    tables = [from_spec("maj:7").table, from_spec("tribes:3,3").table, from_spec("maj:7").table.as_indicator(),
+    tables = [from_spec("maj:7").table, from_spec("tribes:3,3").table,
+              upper_indicator(from_spec("maj:7").table),
               FunctionTable(sp, np.where(rng.random(sp.size) < 0.3, 1.0, -1.0)),
               FunctionTable(sp, (rng.random(sp.size) < 0.8).astype(float))]
-    expected = []
     for f in tables:
-        p = expectation(f.as_indicator())
-        expected.append(min(p, 1.0 - p))
-    fresh = [FunctionTable(f.space, f.values.copy()) for f in tables]
-
-    def refuse(self):
-        raise AssertionError("indicator table built")
-
-    monkeypatch.setattr(FunctionTable, "_indicator", refuse)
-    for f, want in zip(fresh, expected):
-        assert abs(p_min(f) - want) <= 1e-15
+        p = expectation(upper_indicator(f))
+        assert abs(p_min(FunctionTable(f.space, f.values.copy())) - min(p, 1.0 - p)) <= 1e-15
     with pytest.raises(ValueError):
         p_min(FunctionTable(uniform_space(2), np.array([0.0, 1.0, 2.0, 1.0])))
 
@@ -441,28 +433,26 @@ def test_per_mask_routes_match_the_all_subsets_routes(levels, n, q, kind, seed):
     """Every per-mask metric, asked with a mask or with the split the command
     line shares between metrics, against the lattice routes.  A Boolean
     table's information comes from its conditional marginal, and the
-    KL-clue of its indicator from the table's own split."""
+    KL-clue of a {-1, 1} table, that of its upper-level indicator, from the
+    table's own split."""
     space = random_product_space(n, q, kind, seed)
     rng = np.random.default_rng(seed)
     f = random_table(space, levels, rng)
     support = space.config_weights() > 0.0
     assume(f.values[support].min() < f.values[support].max())
-    g = f.as_indicator() if f.is_boolean() else f  # f >= 0, for the KL-clue
     tv = tv_clue_all_subsets(f)
     icl = np.minimum(mutual_information_all_subsets(f) / value_entropy(f), 1.0)
-    kl = kl_clue_all_subsets(g)
+    kl = kl_clue_all_subsets(f)
     full = (1 << n) - 1
     for mask in {0, full, *rng.integers(0, 1 << n, size=4).tolist()}:
         split = _Split(f, mask)
-        measured = split.indicator() if f.is_boolean() else split
         assert clue(f, split) == clue(f, mask)
         assert sig(f, split) == 1.0 - clue(f, full ^ mask)
         for at in (mask, split):
             assert tv_clue(f, at) == pytest.approx(tv[mask], abs=1e-12)
             assert i_clue(f, at) == pytest.approx(icl[mask], abs=1e-12)
             assert sig_i(f, at) == pytest.approx(1.0 - icl[full ^ mask], abs=1e-12)
-        assert kl_clue(g, mask) == pytest.approx(kl[mask], abs=1e-12)
-        assert kl_clue(g, measured) == pytest.approx(kl[mask], abs=1e-12)
+            assert kl_clue(f, at) == pytest.approx(kl[mask], abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -474,31 +464,23 @@ def test_the_full_mask_reads_one_on_every_ratio(levels, n, q, kind, seed):
     f = random_table(space, levels, np.random.default_rng(seed))
     support = space.config_weights() > 0.0
     assume(f.values[support].min() < f.values[support].max())
-    g = f.as_indicator() if f.is_boolean() else f
     full = (1 << n) - 1
-    split = _Split(f, full)
-    measured = split.indicator() if f.is_boolean() else split
-    for at in (full, split):
+    for at in (full, _Split(f, full)):
         assert clue(f, at) == 1.0
         assert tv_clue(f, at) == 1.0
         assert i_clue(f, at) == 1.0
-    assert kl_clue(g, full) == 1.0
-    assert kl_clue(g, measured) == 1.0
+        assert kl_clue(f, at) == 1.0
 
 
 def _assert_the_empty_mask_reads_zero(f: FunctionTable):
-    g = f.as_indicator() if f.is_boolean() else f
-    split = _Split(f, 0)
-    measured = split.indicator() if f.is_boolean() else split
-    for at in (0, split):
+    for at in (0, _Split(f, 0)):
         assert clue(f, at) == 0.0
         assert tv_clue(f, at) == 0.0
         assert i_clue(f, at) == 0.0
-    assert kl_clue(g, 0) == 0.0
-    assert kl_clue(g, measured) == 0.0
+        assert kl_clue(f, at) == 0.0
     assert tv_clue_all_subsets(f)[0] == 0.0
     assert mutual_information_all_subsets(f)[0] == 0.0
-    assert kl_clue_all_subsets(g)[0] == 0.0
+    assert kl_clue_all_subsets(f)[0] == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -584,10 +566,41 @@ def test_witness_and_influence_match_the_extrema_of_the_fibers(levels, n, q, kin
     f = random_table(space, levels, np.random.default_rng(seed))
     full = (1 << n) - 1
     for mask in range(1 << n):
-        matrix = fibers(f.values, space, mask)
-        support = space.marginal_weights(full ^ mask) > 0.0
-        top = np.max(matrix, axis=1, where=support, initial=-np.inf)
-        bottom = np.min(matrix, axis=1, where=support, initial=np.inf)
-        extrema = float(_contract((top == bottom).astype(float), space.marginal_weights(mask), q))
+        extrema = extrema_constancy(f, mask)
         assert witness(f, mask) == extrema
         assert influence_set(f, full ^ mask) == (1.0 - extrema if mask != full else 0.0)
+
+
+def extrema_constancy(f: FunctionTable, mask: int) -> float:
+    """P[f is constant on the fiber of X_mask]: a fiber is constant when
+    max == min over its positive-weight cells, and the constant fibers'
+    weights are summed as the split sums them."""
+    space = f.space
+    matrix = fibers(f.values, space, mask)
+    support = space.marginal_weights(complement_mask(mask, space.n)) > 0.0
+    top = np.max(matrix, axis=1, where=support, initial=-np.inf)
+    bottom = np.min(matrix, axis=1, where=support, initial=np.inf)
+    return float(_contract((top == bottom).astype(float), space.marginal_weights(mask), space.q))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_q_ary_fiber_counts_widen_past_a_byte(n):
+    """q = 3 fibers of 3^(n - |U|) cells, |U| <= 1, hold more than 255
+    upper-level cells: the counts widen, equal the row sums of the fibers
+    matrix, and give the witness and influence of the extrema, also beside
+    a zero atom (coordinate 0 never takes digit 2) whose cells are cleared."""
+    rng = np.random.default_rng(n)
+    pi = rng.dirichlet(np.ones(3), size=n)
+    pi[0] = [0.4, 0.6, 0.0]
+    space = ProductSpace(n, 3, pi)
+    full = (1 << n) - 1
+    for values in (rng.random(space.size) < 0.7, rng.random(space.size) < 0.999):
+        for f in (FunctionTable(space, values.astype(float)), FunctionTable(space, 2.0 * values - 1.0)):
+            for mask in (0, *(1 << v for v in range(n))):
+                counts = fiber_counts(values, space, mask)
+                np.testing.assert_array_equal(counts, fibers(values.astype(np.int64), space, mask).sum(axis=1))
+                if mask == 0:
+                    assert counts.dtype == np.uint16 and counts.max() > 255
+                extrema = extrema_constancy(f, mask)
+                assert witness(f, mask) == extrema
+                assert influence_set(f, full ^ mask) == 1.0 - extrema

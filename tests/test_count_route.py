@@ -168,7 +168,7 @@ def test_fiber_counts_are_the_row_sums_of_the_fibers_matrix():
         flags = rng.random(1 << n) < 0.3
         space = uniform_space(n)
         for mask in {0, (1 << n) - 1, *rng.integers(0, 1 << n, size=6).tolist()}:
-            counts = fiber_counts(flags, mask)
+            counts = fiber_counts(flags, space, mask)
             assert counts.dtype.kind == "u"
             np.testing.assert_array_equal(counts, fibers(flags.astype(np.int64), space, mask).sum(axis=1))
 

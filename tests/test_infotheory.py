@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cluekit.clue import _CountSplit, _Split
 from cluekit.core import (
     FunctionTable,
     ProductSpace,
@@ -18,12 +19,14 @@ from cluekit.infotheory import (
     i_clue,
     joint_with_subset,
     kl_clue,
+    kl_clue_all_subsets,
     mutual_information,
     sig_i,
     value_entropy,
 )
 from cluekit.suites import _kl_cover_deficit, _shearer_deficit
 from cluekit.zoo import from_spec
+from conftest import upper_indicator
 
 LN2 = math.log(2.0)
 H_QUARTER = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
@@ -91,7 +94,7 @@ def test_sig_i_dual():
 def test_ent_functional_examples():
     const = FunctionTable(uniform_space(2), np.full(4, 3.0))
     assert ent_functional(const) == pytest.approx(0.0, abs=1e-12)
-    ind = from_spec("maj:3").table.as_indicator()
+    ind = upper_indicator(from_spec("maj:3").table)
     assert ent_functional(ind) == pytest.approx(0.5 * LN2, abs=1e-12)
     cond = conditional_expectation(ind, 0b001)
     expected = 0.5 * (0.75 * math.log(0.75) + 0.25 * math.log(0.25)) + 0.5 * LN2
@@ -106,10 +109,60 @@ def test_ent_functional_rejects_negative():
 
 
 def test_kl_clue_examples():
-    ind = from_spec("maj:3").table.as_indicator()
+    ind = upper_indicator(from_spec("maj:3").table)
     assert kl_clue(ind, 0b111) == pytest.approx(1.0, abs=1e-12)
     assert kl_clue(ind, 0) == pytest.approx(0.0, abs=1e-12)
     assert kl_clue(ind, 0b001) == pytest.approx(0.1887, abs=5e-4)
+
+
+def _spin_tables():
+    """{-1, 1} tables on uniform bits: zoo tables and seeded random ones,
+    one with a single cell at the lower level."""
+    for spec in ("maj:7", "parity:5", "amaj:7,0.3", "dictator:6,2", "tribes:2,3"):
+        yield from_spec(spec).table
+    rng = np.random.default_rng(36)
+    for n in (1, 2, 4, 6):
+        values = np.where(rng.random(1 << n) < 0.4, 1.0, -1.0)
+        values[:2] = (-1.0, 1.0)
+        yield FunctionTable(uniform_space(n), values)
+    yield FunctionTable(uniform_space(5), np.where(np.arange(32) == 9, -1.0, 1.0))
+
+
+def test_the_kl_clue_of_a_spin_table_is_that_of_its_indicator():
+    """On uniform bits the KL clue of a {-1, 1} table, by mask, by the
+    fiber split, by the count split and on the lattice, is that of the
+    hand-built (f + 1) / 2 table bit for bit; Ent(f) itself still needs
+    f >= 0."""
+    for f in _spin_tables():
+        if f.value_range()[0] == 0.0:  # tribes is on {0, 1}: make it {-1, 1}
+            f = FunctionTable(f.space, 2.0 * f.values - 1.0)
+        g = upper_indicator(f)
+        assert np.array_equal(kl_clue_all_subsets(f), kl_clue_all_subsets(g))
+        for mask in range(1 << f.n):
+            assert kl_clue(f, mask) == kl_clue(g, mask)
+            assert kl_clue(f, _Split(f, mask)) == kl_clue(g, _Split(g, mask))
+            assert kl_clue(f, _CountSplit(f, mask)) == kl_clue(g, _CountSplit(g, mask))
+        with pytest.raises(ValueError, match="f >= 0"):
+            ent_functional(f)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_the_kl_clue_of_a_spin_table_off_uniform_bits(q):
+    """Off uniform bits the lattice still matches the hand-built indicator
+    bit for bit.  Per mask, the fiber split halves the table's own centred
+    sums, while the hand-built table is centred at its own mean: the two
+    round differently, within a few ulps."""
+    rng = np.random.default_rng(q)
+    for seed in range(20):
+        pi = rng.dirichlet(np.ones(q), size=4)
+        if seed % 2:
+            pi[0] = np.r_[0.0, rng.dirichlet(np.ones(q - 1))]
+        space = ProductSpace(4, q, pi)
+        f = FunctionTable(space, np.where(rng.random(space.size) < 0.5, 1.0, -1.0))
+        g = upper_indicator(f)
+        assert np.array_equal(kl_clue_all_subsets(f), kl_clue_all_subsets(g))
+        for mask in range(16):
+            assert kl_clue(f, mask) == pytest.approx(kl_clue(g, mask), abs=1e-13)
 
 
 def test_value_entropy_groups_reals():

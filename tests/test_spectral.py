@@ -145,6 +145,17 @@ def test_efron_stein_components_reconstruct_and_orthogonal():
     assert np.max(np.abs(gram)) < 1e-9
 
 
+def test_efron_stein_components_take_any_alphabet():
+    """q = 257 > 256: the components' supports come from no digit matrix,
+    so digit 256 lands in the right component."""
+    rng = np.random.default_rng(5)
+    space = ProductSpace(2, 257, rng.dirichlet(np.ones(257), size=2))
+    f = FunctionTable(space, rng.standard_normal(space.size))
+    tables = efron_stein_components(f)
+    np.testing.assert_allclose(tables.sum(axis=0), f.values, atol=1e-10)
+    np.testing.assert_allclose((tables**2) @ space.config_weights(), efron_stein(f), rtol=1e-9, atol=1e-15)
+
+
 def _space_with_zero_atom(n, q, seed):
     rng = np.random.default_rng(seed)
     pi = rng.dirichlet(np.ones(q) * 2.0, size=n)

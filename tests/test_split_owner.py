@@ -9,10 +9,12 @@ one's information comes from the split's conditional marginal, so nothing
 is counted with ``np.bincount``.  A Boolean table's Ent(f) and E|f - E f|
 come from its two level masses, so no entropy gap is taken over its q^n
 values and no weighted deviation is formed, and the witness and influence
-constancy count cells, so no max or min runs over the split matrix.  An
-edit that permutes the table again for some metric, permutes or stacks on
-the count route, counts a Boolean joint law, or brings back one of those
-sweeps fails here.
+constancy count cells, so no max or min runs over the split matrix.  No
+metric builds a second table: the KL clue of a {-1, 1} table is read off
+the table's own split as that of its upper-level indicator.  An edit that
+permutes the table again for some metric, permutes or stacks on the count
+route, counts a Boolean joint law, builds a table, or brings back one of
+those sweeps fails here.
 """
 import importlib
 import pkgutil
@@ -61,13 +63,18 @@ class _Watched(np.ndarray):
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of ``core.fibers`` and ``np.bincount`` calls, wherever a module
-    of the package holds them.  The fibers matrices are handed out watched
-    (:class:`_Watched`)."""
+    of the package holds them, of ``np.stack`` calls and of tables built.
+    The fibers matrices are handed out watched (:class:`_Watched`)."""
     for info in pkgutil.iter_modules(cluekit.__path__):
         importlib.import_module(f"cluekit.{info.name}")
-    counts = {"fibers": 0, "bincount": 0, "stack": 0}
+    counts = {"fibers": 0, "bincount": 0, "stack": 0, "tables": 0}
     fibers, bincount, stack = core.fibers, np.bincount, np.stack
+    post_init = FunctionTable.__post_init__
     _Watched.seen = []
+
+    def counted_post_init(self):
+        counts["tables"] += 1
+        post_init(self)
 
     def counted_fibers(values, space, mask):
         counts["fibers"] += 1
@@ -86,6 +93,7 @@ def calls(monkeypatch):
             monkeypatch.setattr(module, "fibers", counted_fibers)
     monkeypatch.setattr(np, "bincount", counted("bincount", bincount))
     monkeypatch.setattr(np, "stack", counted("stack", stack))
+    monkeypatch.setattr(FunctionTable, "__post_init__", counted_post_init)
     return counts
 
 
@@ -130,8 +138,10 @@ def test_every_metric_of_a_mask_shares_one_permutation(calls, sweeps, name, whic
     f = make()
     n = f.n
     mask = {"low": 0b101, "high": (1 << (n - 1)) | 0b10, "empty": 0, "full": (1 << n) - 1}[which]
+    calls["tables"] = 0
     out = cli._metric_values(f, mask, ALL_METRICS)
     assert len(out) == 9  # sig brings sig_i
+    assert calls["tables"] == 0  # no second table, for the KL clue or any other
     assert calls["fibers"] == permutations and calls["bincount"] == 0
     if not permutations:  # by counts: no joint law is formed at all
         assert calls["stack"] == 0

@@ -56,7 +56,6 @@ def _invariants(f: FunctionTable) -> dict:
     facts = {
         "range": f.value_range,
         "boolean": f.is_boolean,
-        "indicator": lambda: f.as_indicator().values.tolist(),
         "mean": lambda: core.expectation(f),
         "variance": lambda: suites._variance(f),
         "variance_and_spread": lambda: core.variance_and_spread(f),
@@ -99,9 +98,6 @@ def test_cached_invariants_equal_the_plain_formulas(name):
     u = set(np.unique(v).tolist())
     boolean = len(u) <= 2 and (u <= {0.0, 1.0} or u <= {-1.0, 1.0})
     assert f.is_boolean() == boolean
-    if boolean:
-        expected = (v + 1.0) / 2.0 if u <= {-1.0, 1.0} else v
-        assert np.array_equal(f.as_indicator().values, expected)
     assert f.value_range() == (v.min(), v.max())
     mean = float(w @ v)
     dev = v - mean
@@ -120,7 +116,7 @@ def test_cached_invariants_equal_the_plain_formulas(name):
 def test_cached_arrays_are_read_only():
     f = from_spec("maj:5").table
     codes, reps = infotheory._value_groups(f)
-    for array in (codes, reps, infotheory._value_probs(f), f.as_indicator().values):
+    for array in (codes, reps, infotheory._value_probs(f)):
         assert not array.flags.writeable
 
 
@@ -226,13 +222,6 @@ def test_pivotal_sets_accept_exactly_the_plus_minus_one_tables(values, accepted)
             suites._pivotal_masks(f)
 
 
-def test_a_zero_one_table_is_its_own_indicator():
-    f = _zero_one()
-    assert f.as_indicator() is f
-    g = _pm_one()
-    assert g.as_indicator() is g.as_indicator()
-
-
 def test_full_metric_analyze_groups_values_once_and_never_sorts_for_booleans(monkeypatch):
     calls = {"group_values": 0, "unique": 0}
     group_values, unique = infotheory.group_values, np.unique
@@ -265,10 +254,9 @@ def _analyze(spec, metrics):
 
 
 @pytest.mark.parametrize("argv, tables, others", [
-    # the table and its {0,1} normalization; the zoo entry's group
-    pytest.param(_analyze("maj:9", ALL_METRICS), 2, 1, id=f"maj:9-{ALL_METRICS}-2"),
+    # the table alone, KL-clue included; the zoo entry's group
+    pytest.param(_analyze("maj:9", ALL_METRICS), 1, 1, id=f"maj:9-{ALL_METRICS}-1"),
     pytest.param(_analyze("sum:8", "l2,spectral,sig,tv,i"), 1, 1, id="sum:8-l2,spectral,sig,tv,i-1"),
-    # its own normalization
     pytest.param(_analyze("zero-one.json", ALL_METRICS), 1, 0, id=f"zero-one.json-{ALL_METRICS}-1"),
     pytest.param(["spectrum", "--fn", "maj:9"], 1, 1, id="spectrum-maj:9"),
     # the table and the game read as a table for the invariance test; the
