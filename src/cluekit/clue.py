@@ -270,11 +270,12 @@ def clue_all_subsets_table(f: FunctionTable) -> np.ndarray:
     """clue(f | mask) for every mask, via subset weights (any product measure).
     Conditioned by Var f as :func:`clue` is: a few ulps of max |f - E f|^2
     over Var f, plus the weights' own rounding: rows that sum to 1 only
-    within d move each entry by about d, so on rows off by 1e-12 the full
-    mask reads 1 minus a few 1e-12, where :func:`clue` reads 1."""
+    within d move each entry by about d.  The full mask reads 1 exactly, as
+    :func:`clue` does: E[f | all coordinates] is f."""
     var = _checked_variance(f)
     values = projected_variances(f)
     values /= var
+    values[-1] = 1.0
     return values
 
 
@@ -368,15 +369,15 @@ def tv_clue_all_subsets(f: FunctionTable) -> np.ndarray:
     """tv_clue(f, U) for every mask U.  With S the lattice of w (f - E f),
     E|E[f|U] - E f| is the sum of |S| over the kept slots of U.  Conditioned
     by E|f - E f| as :func:`tv_clue` is: a few ulps of max |f - E f| over
-    E|f - E f|.  E[f | X_empty] = E f, so the empty mask reads 0 exactly,
-    as per mask.
+    E|f - E f|.  E[f | X_empty] = E f and E[f | X_all] = f, so the empty
+    mask reads 0 and the full mask 1 exactly, as per mask.
 
     O(n (q+1)^n) time, in the slabs of :func:`~cluekit.transforms.lattice_sums`.
     """
     require_varying(f)
     denom = _mean_absolute_deviation(f)
     tv = lattice_sums(_weighted_deviation(f), f.space.q, np.abs) / denom
-    tv[0] = 0.0
+    tv[0], tv[-1] = 0.0, 1.0
     return tv
 
 

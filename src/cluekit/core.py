@@ -48,10 +48,11 @@ Per-object facts have one rule too: tables, spaces and games are frozen, so
 what depends on one alone (a table's moments, value law and product-basis
 coefficients, a space's weights and bases, a game's Shapley values and
 supermodularity) is computed on first use, kept read-only in the object's
-private cache through :func:`per_object`, and touched by no other module.  A
-cached entry never holds its object: that would be a reference cycle, and the
-object would wait for the cyclic garbage collector instead of going when its
-last user does.
+private cache through :func:`per_object`, and touched by no other module.
+A table built by :meth:`FunctionTable.from_count_law` keeps its law there
+too, from its construction.  A cached entry never holds its object: that
+would be a reference cycle, and the object would wait for the cyclic
+garbage collector instead of going when its last user does.
 """
 from __future__ import annotations
 
@@ -134,6 +135,43 @@ def validate_mask(mask: int, n: int) -> int:
     if mask < 0 or mask >> n:
         raise ValueError(f"mask {mask:#x} sets bits >= n={n}")
     return mask
+
+
+def popcounts(n: int) -> np.ndarray:
+    """Popcount of every mask in [0, 2^n), as an int array."""
+    pc = np.zeros(1 << n, dtype=np.int64)
+    # masks with top bit v are the masks below 2^v plus that bit
+    for v in range(n):
+        pc[1 << v : 2 << v] = pc[: 1 << v] + 1
+    return pc
+
+
+@functools.cache
+def _popcount_block() -> np.ndarray:
+    """popcounts of the masks below TABLE_BLOCK, built once, read-only."""
+    pc = popcounts(TABLE_BLOCK.bit_length() - 1)
+    pc.setflags(write=False)
+    return pc
+
+
+def _low_popcounts(n: int) -> np.ndarray:
+    """The popcounts of the first min(2^n, TABLE_BLOCK) masks: in block b of
+    that many masks of a 2^n vector, entry i has popcount
+    ``b.bit_count() + _low_popcounts(n)[i]``."""
+    return _popcount_block()[: 1 << min(n, TABLE_BLOCK.bit_length() - 1)]
+
+
+def _gather_by_popcount(n: int, by_count: np.ndarray) -> np.ndarray:
+    """The 2^n vector ``by_count[popcount(i)]`` of n+1 numbers, in blocks of
+    TABLE_BLOCK entries that share their high bits: a block gathers from
+    ``by_count`` shifted by its high bits' count, through the low bits'
+    popcounts, so no index array of the vector's size exists."""
+    low = _low_popcounts(n)
+    values = np.empty(1 << n)
+    for b, block in enumerate(values.reshape(-1, len(low))):
+        # the indices are in range: "clip" only spares np.take a buffered copy
+        np.take(by_count[b.bit_count():], low, out=block, mode="clip")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +365,28 @@ class FunctionTable:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_cache", {"range": (lo, hi)})
 
+    @classmethod
+    def from_count_law(cls, law) -> FunctionTable:
+        """The table on n uniform bits whose value at a configuration with w
+        digits equal to 1 is ``law[w]``, w = 0..n: a function of the count
+        alone, such as parity, sum or majority.  The table keeps its law,
+        from which it and :mod:`cluekit.spectral` read table-wide facts
+        exactly, so the law must hold integers below 2^53 / 2^n in
+        magnitude (ValueError otherwise): then every sum of law values
+        times a count of configurations is an exact float."""
+        law = np.array(law, dtype=float)
+        if law.ndim != 1 or law.size < 2:
+            raise ValueError("a count law holds one value per count w = 0..n, n >= 1")
+        space = uniform_space(law.size - 1)
+        space.check_exact_guard()
+        # NaN and +-inf fail the bound
+        if not np.all((law == np.trunc(law)) & (np.abs(law) < 2.0 ** (53 - space.n))):
+            raise ValueError(f"a count law must hold integers below 2^{53 - space.n} in magnitude")
+        table = cls(space, _gather_by_popcount(space.n, law))
+        law.setflags(write=False)
+        table._cache["law"] = law
+        return table
+
     @property
     def n(self) -> int:
         return self.space.n
@@ -335,17 +395,26 @@ class FunctionTable:
         """(min, max) of the values, taken when the table was built."""
         return self._cache["range"]
 
+    def count_law(self) -> np.ndarray | None:
+        """The law[w] of a table built by :meth:`from_count_law`, else None."""
+        return self._cache.get("law")
+
     @per_object
     def _boolean_levels(self) -> tuple[float, float] | None:
         """(0, 1) or (-1, 1) when every value is one of the pair, by exact
-        comparison ((0, 1) for a table of ones), else None."""
+        comparison ((0, 1) for a table of ones), else None.  A table of a
+        count law takes every value of its law, so the law's n+1 values
+        decide.  Otherwise the first TABLE_BLOCK values are counted before
+        the rest, so a table off the pair is mostly refused on one block."""
         lo, hi = self.value_range()
+        values = self.count_law()
+        if values is None:
+            values = self.values
         for levels in ((0.0, 1.0), (-1.0, 1.0)):
-            if lo in levels and hi in levels and (
-                lo == hi
-                or np.count_nonzero(self.values == lo) + np.count_nonzero(self.values == hi)
-                == self.values.size
-            ):
+            if lo in levels and hi in levels and (lo == hi or all(
+                np.count_nonzero(part == lo) + np.count_nonzero(part == hi) == part.size
+                for part in (values[:TABLE_BLOCK], values[TABLE_BLOCK:])
+            )):
                 return levels
         return None
 
@@ -356,11 +425,19 @@ class FunctionTable:
         :func:`_contract`, so a level off the support weighs exactly 0;
         None for a table that is not Boolean or is constant.  On uniform
         bits the upper level holds K of the N = 2^n cells, and the masses
-        are (N - K) / N and K / N: the exact values that sum would give."""
+        are (N - K) / N and K / N: the exact values that sum would give.
+        A table of a count law has K = sum of C(n, w) over the counts w at
+        the upper level, an exact integer."""
         levels = self._boolean_levels()
-        if levels is None or self.value_range()[0] == self.value_range()[1]:
+        lo, hi = self.value_range()
+        if levels is None or lo == hi:
             return None
-        upper = self.values != self.value_range()[0]
+        law = self.count_law()
+        if law is not None:
+            size = 1 << self.n
+            count = sum(math.comb(self.n, int(w)) for w in np.flatnonzero(law == hi))
+            return (size - count) / size, count / size
+        upper = self.values != lo
         if self.space.is_uniform_binary:
             size, count = upper.size, int(np.count_nonzero(upper))
             return (size - count) / size, count / size

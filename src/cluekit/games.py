@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FunctionTable, per_object, uniform_space
+from .core import FunctionTable, per_object, popcounts, uniform_space
 from .infotheory import mutual_information_all_subsets
 from .spectral import projected_variances
 from .symmetry import is_invariant, is_transitive
-from .transforms import dividend_shares, popcounts, subset_mobius, subset_zeta
+from .transforms import dividend_shares, subset_mobius, subset_zeta
 
 GAME_TOL = 1e-10
 

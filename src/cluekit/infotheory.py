@@ -327,7 +327,8 @@ def kl_clue_all_subsets(f: FunctionTable) -> np.ndarray:
     entropy gap of A / W over the kept slots of U, the terms that
     :func:`kl_clue` sums for one U.  Conditioned by Ent(g) as :func:`kl_clue`
     is: a few ulps of max g (times the log of max g / E g) over Ent(g).
-    E[g | X_empty] = E g, so the empty mask reads 0 exactly, as per mask.
+    E[g | X_empty] = E g and E[g | X_all] = g, so the empty mask reads 0
+    and the full mask 1 exactly, as per mask.
 
     O(n (q+1)^n) time, in the slabs of :func:`~cluekit.transforms.lattice_sums`.
     """
@@ -342,5 +343,5 @@ def kl_clue_all_subsets(f: FunctionTable) -> np.ndarray:
 
     ent = lattice_sums(f.space.config_weights() * g, f.space.q, gaps, f.space.pi)
     kl = np.minimum(np.maximum(ent, 0.0) / denom, 1.0)
-    kl[0] = 0.0
+    kl[0], kl[-1] = 0.0, 1.0
     return kl

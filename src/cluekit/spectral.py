@@ -10,9 +10,25 @@ product basis; contracting with B_v^T inverts it (on the support).  A
 coefficient whose non-constant basis indices sit on the coordinates S
 belongs to the Efron-Stein component f_S, so ||f_S||^2 is the sum of those
 coefficients squared.  On uniform bits the basis is the Walsh basis and the
-coefficients are the character coefficients.  A table's coefficients are
-computed once and kept; the weights ||f_S||^2 are squared from them on each
-call, since on bits they are as long as the table.
+coefficients are the character coefficients, and the squares come from the
+fixed Walsh matrix [[1, 1], [-1, 1]], built once per n: Gram-Schmidt gives
+exactly that on (1/2, 1/2).  A table's coefficients are computed once and
+kept; the weights ||f_S||^2 are squared from them on each call, since on
+bits they are as long as the table.
+
+A table of a count law (parity, sum, maj and amaj, built by
+:meth:`~cluekit.core.FunctionTable.from_count_law`) runs no transform.  Its
+character coefficient at S depends on k = |S| alone: a_k = A_k / 2^n with
+A_k = sum_w law[w] M[k, w], where row k of M holds the coefficients of
+(z - 1)^k (1 + z)^(n - k), binomials times Krawtchouk values (MacWilliams
+and Sloane, *The Theory of Error-Correcting Codes*, 1977, ch. 5).  M holds
+integers whose rows sum to at most 2^n in absolute value, and the law
+integers below 2^(53 - n), so every partial sum of A_k is an exact integer:
+a_k is bitwise the coefficient the transform gives, whose own sums are
+exact on such a table.  The 2^n coefficients are a popcount gather of the
+n+1 numbers a_k, built and kept only when :func:`walsh_hadamard` asks; the
+weights ||f_S||^2 are a gather of a_k^2, so the table keeps no coefficient
+vector for them.
 
 The contractions go in blocks of consecutive coordinates: one matrix
 product per block with the Kronecker square of its coordinates' matrices,
@@ -41,14 +57,17 @@ random element of it drives the transitive upper bounds that the
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    TABLE_BLOCK,
     FunctionTable,
     ProductSpace,
+    _gather_by_popcount,
+    _low_popcounts,
     _piece,
     extend,
     per_object,
@@ -56,7 +75,7 @@ from .core import (
     require_varying,
 )
 from .errors import DegenerateError, GuardError
-from .transforms import popcounts, subset_zeta
+from .transforms import subset_zeta
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +134,29 @@ def _kron_squares(mats: np.ndarray) -> tuple:
     return tuple(squares)
 
 
+@functools.cache
+def _walsh_squares(n: int) -> tuple[tuple, tuple]:
+    """(forward, inverse) squares of n uniform bits, built once per n from
+    the Walsh matrix [[1, 1], [-1, 1]], which Gram-Schmidt gives exactly on
+    (1/2, 1/2): forward entries +-2^-k, inverse ones +-1.  Read-only."""
+    walsh = np.repeat(np.array([[[1.0, 1.0], [-1.0, 1.0]]]), n, axis=0)
+    squares = _kron_squares(walsh * 0.5), _kron_squares(walsh.transpose(0, 2, 1))
+    for square in squares[0] + squares[1]:
+        square.setflags(write=False)
+    return squares
+
+
 @per_object
 def _forward_squares(space: ProductSpace) -> tuple:
+    if space.is_uniform_binary:
+        return _walsh_squares(space.n)[0]
     return _kron_squares(_bases(space) * space.pi[:, None, :])
 
 
 @per_object
 def _inverse_squares(space: ProductSpace) -> tuple:
+    if space.is_uniform_binary:
+        return _walsh_squares(space.n)[1]
     return _kron_squares(_bases(space).transpose(0, 2, 1))
 
 
@@ -140,7 +175,9 @@ def _transform(space: ProductSpace, values: np.ndarray, inverse: bool = False,
     uniform bits the squares hold +-2^-k (forward) or +-1 (inverse), so an
     integer-valued table transforms exactly; elsewhere the blocks sum in
     another order than one coordinate at a time, which moves results by a
-    few ulps of the largest coefficient."""
+    few ulps of the largest coefficient.  A table of a count law takes its
+    coefficients from n+1 level sums instead, exact for the same reason
+    (module docstring)."""
     squares = _inverse_squares(space) if inverse else _forward_squares(space)
     src = np.asarray(values, dtype=float)
     dst = np.empty(src.shape)
@@ -162,9 +199,42 @@ def _transform(space: ProductSpace, values: np.ndarray, inverse: bool = False,
     return dst
 
 
+# ---------------------------------------------------------------------------
+# tables of a count law: coefficients by level
+# ---------------------------------------------------------------------------
+@functools.cache
+def _level_matrix(n: int) -> np.ndarray:
+    """(n+1, n+1) integers, read-only: row k holds the coefficients of
+    z^0..z^n in (z - 1)^k (1 + z)^(n - k), so entry (k, w) is the sum of the
+    character of a k-set over the configurations with w ones (a coordinate
+    of the set contributes spin -1 at digit 0, z at digit 1; one outside it
+    1 + z).  Row k's absolute values sum to at most 2^n."""
+    rows = np.empty((n + 1, n + 1))
+    for k in range(n + 1):
+        rows[k] = np.convolve([(-1) ** (k - j) * math.comb(k, j) for j in range(k + 1)],
+                              [math.comb(n - k, i) for i in range(n - k + 1)])
+    rows.setflags(write=False)
+    return rows
+
+
+@per_object
+def _level_coefficients(f: FunctionTable) -> np.ndarray:
+    """a_k = A_k / 2^n, k = 0..n, the character coefficient of every k-set
+    of a table of a count law, with A_k = sum_w law[w] M[k, w].  The law
+    holds integers below 2^(53 - n) and row k of M sums to at most 2^n in
+    absolute value, so every partial sum of A_k is an integer below 2^53:
+    exact in any order, as the transform's own sums are, and a_k is
+    bitwise the transform's coefficient."""
+    return (_level_matrix(f.n) @ f.count_law()) / 2.0**f.n
+
+
 @per_object
 def _coefficients(f: FunctionTable) -> np.ndarray:
-    """The table's product-basis coefficients, transformed once per table."""
+    """The table's product-basis coefficients, transformed once per table;
+    a table of a count law gathers its n+1 level coefficients by popcount
+    instead."""
+    if f.count_law() is not None:
+        return _gather_by_popcount(f.n, _level_coefficients(f))
     return _transform(f.space, f.values)
 
 
@@ -186,7 +256,10 @@ def walsh_hadamard(f: FunctionTable) -> np.ndarray:
 def efron_stein(f: FunctionTable) -> np.ndarray:
     """||f_S||^2 for every mask S, a new array on each call, from the kept
     product-basis coefficients.  Basis slots 1..q-1 of each coordinate fold
-    into one "v in S" slot."""
+    into one "v in S" slot.  A table of a count law gathers its squared
+    level coefficients, so it keeps no 2^n coefficient vector for them."""
+    if f.count_law() is not None:
+        return _gather_by_popcount(f.n, _level_coefficients(f) ** 2)
     space = f.space
     norms = _coefficients(f) ** 2
     if space.q > 2:
@@ -253,7 +326,7 @@ def stability_profile(f: FunctionTable) -> StabilityProfile:
     block's high-bit count, so no 2^n popcount vector exists; ``np.add.at``
     adds in mask order, as ``np.bincount`` would."""
     n = f.n
-    low = popcounts(min(n, TABLE_BLOCK.bit_length() - 1))
+    low = _low_popcounts(n)
     weights = np.zeros(n + 1)
     for b, block in enumerate(efron_stein(f).reshape(-1, len(low))):
         np.add.at(weights[b.bit_count():], low, block)

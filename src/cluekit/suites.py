@@ -42,12 +42,13 @@ from .core import (
     fibers,
     full_mask,
     mask_indices,
+    popcounts,
     uniform_space,
     validate_mask,
     variance_and_spread,
 )
 from .montecarlo import generator_for, mc_clue
-from .transforms import containing_sums, dividend_shares, popcounts, subset_mobius
+from .transforms import containing_sums, dividend_shares, subset_mobius
 
 SUITE_SEED = 20240917  # fixed stream root: suites check pinned instances
 # Suites that read every subset off the keep-or-sum-out lattice compare it

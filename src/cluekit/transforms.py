@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import require_bytes
+from .core import popcounts, require_bytes
 
 
 # a row narrower than this runs as that many strided 1-D passes
@@ -170,15 +170,6 @@ def dividend_shares(values: np.ndarray) -> np.ndarray:
     among its members (the empty mask's entry is dropped)."""
     pc = popcounts(_bits(len(values)))
     return containing_sums(np.divide(values, pc, out=np.zeros_like(values), where=pc > 0))
-
-
-def popcounts(n: int) -> np.ndarray:
-    """Popcount of every mask in [0, 2^n), as an int array."""
-    pc = np.zeros(1 << n, dtype=np.int64)
-    # masks with top bit v are the masks below 2^v plus that bit
-    for v in range(n):
-        pc[1 << v : 2 << v] = pc[: 1 << v] + 1
-    return pc
 
 
 def _bits(size: int) -> int:

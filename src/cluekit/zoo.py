@@ -17,8 +17,10 @@ levels and finishes through its upper-level flags.
 
 The symmetric families (parity, sum, maj, amaj) depend on a configuration
 only through its count w, so each also has a count law, its finish on the
-counts w = 0..n, and its dense table is that law gathered by popcount; the
-other families tabulate their evaluator.
+counts w = 0..n, and its dense table is
+:meth:`~cluekit.core.FunctionTable.from_count_law` of that law, which keeps
+the law for the table's spectrum; the other families tabulate their
+evaluator.
 
 Evaluators only ever see 0/1 uint8 digits (every zoo space is uniform
 bits), so they count ones in the narrowest unsigned type that holds n,
@@ -37,7 +39,6 @@ import numpy as np
 from .core import (
     BIT_LEVELS,
     SPIN_LEVELS,
-    TABLE_BLOCK,
     BlockEvaluator,
     FunctionTable,
     table_from_digits,
@@ -50,7 +51,6 @@ from .symmetry import (
     symmetric_group_action,
     tribes_group,
 )
-from .transforms import popcounts
 
 
 @dataclass(frozen=True)
@@ -180,26 +180,11 @@ def _count_law(evaluator_factory):
 def _entry(head: str, args: tuple, evaluator=None) -> ZooEntry:
     family = FAMILIES[head]
     n = family.n(*args)
-    space = uniform_space(n)
     if family.by_count is None:
-        table = table_from_digits(space, evaluator or family.evaluator(*args))
+        table = table_from_digits(uniform_space(n), evaluator or family.evaluator(*args))
     else:
-        space.check_exact_guard()
-        table = FunctionTable(space, _gather_by_popcount(n, family.by_count(*args)))
+        table = FunctionTable.from_count_law(family.by_count(*args))
     return ZooEntry(f"{head}:{','.join(map(str, args))}", n, table, family.action(*args))
-
-
-def _gather_by_popcount(n: int, by_count: np.ndarray) -> np.ndarray:
-    """The 2^n table ``by_count[popcount(i)]`` of a count law, in blocks of
-    TABLE_BLOCK rows that share their high bits: a block gathers from the
-    law shifted by its high bits' count, through the low bits' popcounts, so
-    no table-sized index array exists."""
-    low = popcounts(min(n, TABLE_BLOCK.bit_length() - 1))
-    values = np.empty(1 << n)
-    for b, block in enumerate(values.reshape(-1, len(low))):
-        # the indices are in range: "clip" only spares np.take a buffered copy
-        np.take(by_count[b.bit_count():], low, out=block, mode="clip")
-    return values
 
 
 # ---------------------------------------------------------------------------

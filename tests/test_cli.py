@@ -604,11 +604,13 @@ def test_mc_clue_reports_missing_error_bar(capsys):
 
 
 def test_spectrum_runs_the_transform_once(capsys, monkeypatch, tmp_path):
-    """Uniform bits, biased bits and q = 3 with a zero atom: the values, the
-    spectral sample and the level weights all read one kept transform."""
+    """Fair bits, biased bits and q = 3 with a zero atom: the values, the
+    spectral sample and the level weights all read one kept transform.  A
+    table of a count law (maj) reads its level coefficients and runs none."""
     rng = np.random.default_rng(5)
     pi = np.array([[0.2, 0.0, 0.8], [0.5, 0.25, 0.25], [0.1, 0.6, 0.3], [0.2, 0.0, 0.8]])
-    for name, space in (("biased", biased_bits(6, 0.3)), ("q3", ProductSpace(4, 3, pi))):
+    for name, space in (("fair", uniform_space(7)), ("biased", biased_bits(6, 0.3)),
+                        ("q3", ProductSpace(4, 3, pi))):
         save_table(FunctionTable(space, rng.standard_normal(space.size)), tmp_path / f"{name}.json")
     calls = []
     real = spectral._transform
@@ -618,14 +620,44 @@ def test_spectrum_runs_the_transform_once(capsys, monkeypatch, tmp_path):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "_transform", counted)
-    for fn, extra in (("maj:11", ()), ("maj:11", ("--efron-stein",)), ("maj:11", ("--csv",)),
-                      (str(tmp_path / "biased.json"), ()), (str(tmp_path / "q3.json"), ())):
+    for fn, extra, transforms in (
+        ("maj:11", (), 0), ("maj:11", ("--efron-stein",), 0), ("maj:11", ("--csv",), 0),
+        (str(tmp_path / "fair.json"), (), 1), (str(tmp_path / "biased.json"), (), 1),
+        (str(tmp_path / "q3.json"), (), 1),
+    ):
         calls.clear()
         code, payload, _ = run_cli(capsys, "spectrum", "--fn", fn, *extra)
         assert code == 0
-        assert len(calls) == 1
+        assert len(calls) == transforms
         if payload is not None:
             assert sum(payload["marginals"]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("spec,transforms", [("maj:9", 0), ("tribes:3,4", 1)])
+def test_which_spectral_route_runs(capsys, monkeypatch, spec, transforms):
+    """A table of a count law (maj) answers every spectral quantity from its
+    level coefficients; any other table on uniform bits (tribes) runs one
+    transform per job, with the fixed Walsh squares: Gram-Schmidt never runs
+    on fair bits."""
+    calls = {"_transform": [], "_gram_schmidt": []}
+
+    def counted(real, log):
+        def call(*args, **kwargs):
+            log.append(1)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name, log in calls.items():
+        monkeypatch.setattr(spectral, name, counted(getattr(spectral, name), log))
+    for argv in (["analyze", "--fn", spec, "--subset", "0,2", "--metrics", "l2,spectral,sig,inf,wit,tv,i,kl"],
+                 ["clue", "--fn", spec, "--all-subsets"],
+                 ["game", "--fn", spec]):
+        for log in calls.values():
+            log.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert (len(calls["_transform"]), len(calls["_gram_schmidt"])) == (transforms, 0), argv
 
 
 def test_round_trip_preserves_metrics(tmp_path, capsys):

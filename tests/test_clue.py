@@ -28,6 +28,7 @@ from cluekit.core import (
     expectation,
     fiber_counts,
     fibers,
+    popcounts,
     uniform_space,
 )
 from cluekit.errors import DegenerateError
@@ -48,7 +49,6 @@ from cluekit.suites import (
     _translate_sets,
 )
 from cluekit.symmetry import cyclic_group
-from cluekit.transforms import popcounts
 from cluekit.zoo import from_spec
 from conftest import biased_bits, group_elements, upper_indicator
 
@@ -459,7 +459,8 @@ def test_per_mask_routes_match_the_all_subsets_routes(levels, n, q, kind, seed):
 @given(levels=LEVELS, **MEASURES)
 def test_the_full_mask_reads_one_on_every_ratio(levels, n, q, kind, seed):
     """E[f | X_all] = f: on the full mask every ratio's numerator is its
-    denominator, so TV and KL read 1 exactly, as the L2 and I-clue do."""
+    denominator, so TV and KL read 1 exactly, as the L2 and I-clue do, by
+    mask, by split and on the lattice routes."""
     space = random_product_space(n, q, kind, seed)
     f = random_table(space, levels, np.random.default_rng(seed))
     support = space.config_weights() > 0.0
@@ -470,6 +471,9 @@ def test_the_full_mask_reads_one_on_every_ratio(levels, n, q, kind, seed):
         assert tv_clue(f, at) == 1.0
         assert i_clue(f, at) == 1.0
         assert kl_clue(f, at) == 1.0
+    assert clue_all_subsets_table(f)[full] == 1.0
+    assert tv_clue_all_subsets(f)[full] == 1.0
+    assert kl_clue_all_subsets(f)[full] == 1.0
 
 
 def _assert_the_empty_mask_reads_zero(f: FunctionTable):

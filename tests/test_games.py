@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cluekit import infotheory
-from cluekit.core import FunctionTable, ProductSpace, fibers, uniform_space
+from cluekit.core import FunctionTable, ProductSpace, fibers, popcounts, uniform_space
 from cluekit.games import (
     GAME_TOL,
     CooperativeGame,
@@ -18,7 +18,7 @@ from cluekit.games import (
 from cluekit.spectral import spectral_distribution
 from cluekit.suites import _subgame_shapley_gain, _variance
 from cluekit.symmetry import is_invariant
-from cluekit.transforms import dividend_shares, popcounts, subset_zeta
+from cluekit.transforms import dividend_shares, subset_zeta
 from cluekit.zoo import from_spec
 
 

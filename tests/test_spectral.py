@@ -6,6 +6,7 @@ from cluekit.core import (
     ProductSpace,
     conditional_expectation,
     expectation,
+    popcounts,
     uniform_space,
 )
 from cluekit.errors import DegenerateError, GuardError
@@ -20,7 +21,7 @@ from cluekit.spectral import (
 )
 from cluekit import spectral, suites
 from cluekit.montecarlo import generator_for
-from cluekit.transforms import dividend_shares, popcounts, subset_mobius
+from cluekit.transforms import dividend_shares, subset_mobius
 from cluekit.suites import (
     _covariance,
     _covariance_lemma_check,

@@ -133,6 +133,11 @@ def _memoized_facts():
         "bases": lambda: spectral._bases(space),
         "forward-squares": lambda: spectral._forward_squares(space),
         "inverse-squares": lambda: spectral._inverse_squares(space),
+        "walsh-forward-squares": lambda: spectral._forward_squares(f.space),
+        "walsh-inverse-squares": lambda: spectral._inverse_squares(f.space),
+        "count-law": f.count_law,
+        "level-matrix": lambda: spectral._level_matrix(f.n),
+        "level-coefficients": lambda: spectral._level_coefficients(f),
         "walsh-hadamard": lambda: spectral.walsh_hadamard(f),
         "q3-coefficients": lambda: spectral._coefficients(g),
         "shapley": lambda: games.shapley(game),
