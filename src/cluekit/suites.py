@@ -1,6 +1,6 @@
-"""Named verification suites: each one checks a family of identities or
-inequalities at its stated tolerance and returns its details and violations;
-:func:`run_suite` times it into a serializable report.
+"""Named verification suites: each one declares the claims it checks, each
+with its bound, and feeds them values; :func:`run_suite` times it into a
+serializable report of details, claims and violations.
 
 The CLI ``verify`` command runs these one at a time; the acceptance test
 module runs all of them.  Random inputs are drawn from fixed, documented
@@ -64,11 +64,66 @@ CHAIN_STREAM = 300
 PROJECTION_TOL = 1e-9  # rounding allowance of the projection transfer bounds
 
 
+class _Claim:
+    """One statement a suite checks: the worst value seen, against a bound
+    that an upper claim's values must not exceed and a lower claim's must not
+    fall below.
+
+    :meth:`see` takes a scalar or an array and records one violation,
+    ``{"claim": name, "value": v, **where}``, per entry strictly past the
+    bound, at most ``cap`` in all.  NaN is always past, and it makes the
+    worst value NaN.  An array entry's violation carries its index as
+    ``mask``, and reads every array in ``where`` at that index.  Without a
+    bound the claim only reports its worst value; an unasserted claim keeps
+    its entries past the bound as counterexamples that fail nothing.
+    """
+
+    def __init__(self, name: str, bound, statement: str, lower: bool = False,
+                 cap: int | None = None, asserted: bool = True):
+        self.name, self.bound, self.statement = name, bound, statement
+        self.lower, self.cap, self.asserted = lower, cap, asserted
+        self.worst = math.inf if lower else -math.inf
+        self.violations = []
+
+    def see(self, value, **where) -> None:
+        v = np.asarray(value)
+        w = (v.min() if self.lower else v.max()).item()
+        if w != w or (w < self.worst if self.lower else w > self.worst):
+            self.worst = w  # once NaN, no comparison replaces it
+        if self.bound is None or (w >= self.bound if self.lower else w <= self.bound):
+            return  # the worst entry is within the bound, so every entry is
+        past = ~(v >= self.bound) if self.lower else ~(v <= self.bound)
+        room = None if self.cap is None else max(self.cap - len(self.violations), 0)
+        for i in np.flatnonzero(past)[:room].tolist():
+            at = {} if v.ndim == 0 else {
+                "mask": i, **{k: x[i].item() for k, x in where.items() if isinstance(x, np.ndarray)}}
+            self.violations.append({"claim": self.name, "value": v.flat[i].item(), **where, **at})
+
+    def entry(self) -> dict:
+        bound = self.bound if self.asserted else None
+        margin = None if bound is None else self.worst - bound if self.lower else bound - self.worst
+        return {"name": self.name, "worst": self.worst, "bound": bound, "margin": margin,
+                "statement": self.statement}
+
+
+class _Claims(list):
+    """A suite's claims, in the order it declares them."""
+
+    def add(self, name: str, bound, statement: str, **kwargs) -> _Claim:
+        self.append(_Claim(name, bound, statement, **kwargs))
+        return self[-1]
+
+    def holds(self, name: str, statement: str) -> _Claim:
+        """A claim on a truth value: seeing False violates it."""
+        return self.add(name, True, statement, lower=True)
+
+
 @dataclass
 class SuiteReport:
     suite: str
     details: dict
     violations: list
+    claims: list
     seconds: float
 
     @property
@@ -81,6 +136,7 @@ class SuiteReport:
             "suite": self.suite,
             "pass": self.passed,
             "details": self.details,
+            "claims": self.claims,
             "violations": self.violations,
             "seconds": round(self.seconds, 3),
         }
@@ -140,7 +196,7 @@ def _direct_clue_all(f: FunctionTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # 1. transitive clue bound
 # ---------------------------------------------------------------------------
-def transitive_bound_suite() -> tuple[dict, list]:
+def transitive_bound_suite() -> tuple[dict, _Claims]:
     entries = [
         zoo.from_spec("sum:12"),
         zoo.from_spec("parity:12"),
@@ -148,66 +204,54 @@ def transitive_bound_suite() -> tuple[dict, list]:
         zoo.from_spec("tribes:2,4"),
         zoo.from_spec("tribes:3,4"),
     ]
-    violations = []
-    worst_slack = -np.inf
+    claims = _Claims()
+    transitive = claims.holds("actions_transitive", "each zoo action is transitive")
+    invariant = claims.holds("tables_invariant", "each zoo table is invariant under its action")
+    slack = claims.add("worst_slack", 1e-10, "clue(f | U) <= |U|/n for f invariant under a transitive action")
+    sharp = claims.add("sum_sharpness_err", 1e-10, "the sum of the spins attains clue(f | U) = |U|/n")
     for entry in entries:
         f = entry.table
-        if not symmetry.is_transitive(entry.action):
-            violations.append({"fn": entry.name, "problem": "action not transitive"})
-        if not symmetry.is_invariant(f, entry.action):
-            violations.append({"fn": entry.name, "problem": "not invariant"})
-        cl = clue_all_subsets_table(f)
-        slack = cl - popcounts(f.n) / f.n
-        worst_slack = max(worst_slack, float(slack.max()))
-        if slack.max() > 1e-10:
-            mask = int(np.argmax(slack))
-            violations.append({"fn": entry.name, "mask": mask, "excess": float(slack.max())})
-    sharp = clue_all_subsets_table(zoo.from_spec("sum:12").table)
-    sharp_err = float(np.max(np.abs(sharp - popcounts(12) / 12)))
-    if sharp_err > 1e-10:
-        violations.append({"fn": "sum:12", "problem": "sharpness", "err": sharp_err})
-    return {"functions": [e.name for e in entries], "worst_slack": worst_slack,
-            "sum_sharpness_err": sharp_err}, violations
+        transitive.see(symmetry.is_transitive(entry.action), fn=entry.name)
+        invariant.see(symmetry.is_invariant(f, entry.action), fn=entry.name)
+        slack.see(clue_all_subsets_table(f) - popcounts(f.n) / f.n, fn=entry.name)
+    sharp.see(np.abs(clue_all_subsets_table(zoo.from_spec("sum:12").table) - popcounts(12) / 12), fn="sum:12")
+    return {"functions": [e.name for e in entries]}, claims
 
 
 # ---------------------------------------------------------------------------
 # 2. spectral identity: clue == clue_spectral
 # ---------------------------------------------------------------------------
-def spectral_identity_suite() -> tuple[dict, list]:
+def spectral_identity_suite() -> tuple[dict, _Claims]:
     n_uniform, n_general = 100, 20
     rng = generator_for(SUITE_SEED, 2)
-    violations = []
-    worst = 0.0
+    claims = _Claims()
+    err = claims.add("worst_err", 1e-10, "clue(f | U) is the spectral mass of the subsets of U")
     sp8 = uniform_space(8)
     for trial in range(n_uniform):
         f = FunctionTable(sp8, rng.standard_normal(sp8.size))
-        direct = _direct_clue_all(f)
-        via_weights = clue_all_subsets_table(f)
-        err = float(np.max(np.abs(direct - via_weights)))
-        worst = max(worst, err)
-        if err > 1e-10:
-            violations.append({"trial": trial, "route": "walsh", "err": err})
+        err.see(np.abs(_direct_clue_all(f) - clue_all_subsets_table(f)), trial=trial, route="walsh")
     for trial in range(n_general):
         sp = _random_space(6, rng)
         f = FunctionTable(sp, rng.standard_normal(sp.size))
         direct = _direct_clue_all(f)
         dist = spectral.spectral_distribution(f)
         per_mask = np.array([clue_spectral(dist, mask) for mask in range(1 << 6)])
-        err = float(np.max(np.abs(direct - per_mask)))
-        worst = max(worst, err)
-        if err > 1e-10:
-            violations.append({"trial": trial, "route": "efron-stein", "err": err})
-    return {"uniform_trials": n_uniform, "general_trials": n_general, "worst_err": worst}, violations
+        err.see(np.abs(direct - per_mask), trial=trial, route="efron-stein")
+    return {"uniform_trials": n_uniform, "general_trials": n_general}, claims
 
 
 # ---------------------------------------------------------------------------
 # 3. orthogonal decomposition
 # ---------------------------------------------------------------------------
-def efron_stein_suite() -> tuple[dict, list]:
+def efron_stein_suite() -> tuple[dict, _Claims]:
     rng = generator_for(SUITE_SEED, 3)
-    violations = []
-    stats = {"min_mass": np.inf, "worst_sum_err": 0.0, "worst_orth": 0.0, "worst_walsh_err": 0.0,
-             "worst_fiber_err": 0.0}
+    claims = _Claims()
+    mass = claims.add("min_mass", -1e-12, "every Efron-Stein mass is nonnegative", lower=True)
+    sum_err = claims.add("worst_sum_err", 1e-9, "the Efron-Stein masses sum to E f^2")
+    orth = claims.add("worst_orth", 1e-9, "the Efron-Stein components are orthogonal")
+    recon = claims.add("worst_reconstruction_err", 1e-10, "the Efron-Stein components sum to f")
+    walsh = claims.add("worst_walsh_err", 1e-10, "on uniform bits the Walsh coefficients are <f, chi_S>")
+    fiber_err = claims.add("worst_fiber_err", 1e-10, "masses are the Moebius inversion of fiber variances")
     for trial in range(20):
         sp = _random_space(6, rng)
         f = FunctionTable(sp, rng.standard_normal(sp.size))
@@ -215,25 +259,14 @@ def efron_stein_suite() -> tuple[dict, list]:
         tables = spectral.efron_stein_components(f)
         # independent oracle: Moebius inversion of the fiber projected variances
         fiber = subset_mobius(_direct_clue_all(f) * _variance(f))
-        fiber_err = float(np.max(np.abs(norms[1:] - fiber[1:])))
-        stats["worst_fiber_err"] = max(stats["worst_fiber_err"], fiber_err)
-        if fiber_err > 1e-10:
-            violations.append({"trial": trial, "fiber_err": fiber_err})
-        stats["min_mass"] = min(stats["min_mass"], float(norms.min()))
-        sum_err = abs(float(norms.sum()) - _l2_norm_sq(f))
-        stats["worst_sum_err"] = max(stats["worst_sum_err"], sum_err)
-        if norms.min() < -1e-12 or sum_err > 1e-9:
-            violations.append({"trial": trial, "min_mass": float(norms.min()), "sum_err": sum_err})
+        fiber_err.see(float(np.max(np.abs(norms[1:] - fiber[1:]))), trial=trial)
+        mass.see(norms, trial=trial)
+        sum_err.see(abs(float(norms.sum()) - _l2_norm_sq(f)), trial=trial)
         w = sp.config_weights()
         gram = (tables * w) @ tables.T
         np.fill_diagonal(gram, 0.0)
-        orth = float(np.max(np.abs(gram)))
-        stats["worst_orth"] = max(stats["worst_orth"], orth)
-        if orth > 1e-9:
-            violations.append({"trial": trial, "orthogonality": orth})
-        recon = float(np.max(np.abs(tables.sum(axis=0) - f.values)))
-        if recon > 1e-10:
-            violations.append({"trial": trial, "reconstruction": recon})
+        orth.see(float(np.max(np.abs(gram))), trial=trial)
+        recon.see(float(np.max(np.abs(tables.sum(axis=0) - f.values))), trial=trial)
     sp8 = uniform_space(8)
     # independent oracle: characters[x, S] = prod_{v in S} spin_v(x), digit 0 as spin -1
     in_mask = (np.arange(sp8.size)[:, None] >> np.arange(8)) & 1 == 1
@@ -241,12 +274,8 @@ def efron_stein_suite() -> tuple[dict, list]:
     characters = np.where(in_mask, spins[:, None, :], 1).prod(axis=2)
     for trial in range(5):
         f = FunctionTable(sp8, rng.standard_normal(sp8.size))
-        coeffs = spectral.walsh_hadamard(f)
-        err = float(np.max(np.abs(coeffs - f.values @ characters / sp8.size)))
-        stats["worst_walsh_err"] = max(stats["worst_walsh_err"], err)
-        if err > 1e-10:
-            violations.append({"trial": trial, "walsh_err": err})
-    return stats, violations
+        walsh.see(np.abs(spectral.walsh_hadamard(f) - f.values @ characters / sp8.size), trial=trial)
+    return {}, claims
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +299,7 @@ def _subgame_shapley_gain(game: games.CooperativeGame, small: int, large: int) -
     return float(min(gains, default=np.inf))
 
 
-def games_suite() -> tuple[dict, list]:
+def games_suite() -> tuple[dict, _Claims]:
     """Shapley values against spectral marginals, supermodularity of the
     variance and information games, and the transitive bound on zoo games.
     ``min_subgame_shapley_gain`` is the least rise of a player's Shapley
@@ -282,18 +311,24 @@ def games_suite() -> tuple[dict, list]:
     transitive function, for its information game too (both are 1/n)."""
     rng = generator_for(SUITE_SEED, 4)
     pair_rng = generator_for(SUITE_SEED, PAIR_STREAM + 4)
-    violations = []
-    min_gain = np.inf
+    claims = _Claims()
+    marginal = claims.add("worst_shapley_vs_marginal", 1e-9, "Shapley values / Var f = spectral marginals")
+    variance_sm = claims.holds("variance_games_supermodular", "the variance game is supermodular")
+    gain = claims.add("min_subgame_shapley_gain", -games.GAME_TOL, "Shapley values grow with the pool",
+                      lower=True)
+    information_sm = claims.holds("information_games_supermodular", "the information game is supermodular")
+    in_core = claims.holds("zoo_shapley_in_core", "the Shapley value of a zoo variance game is in its core")
+    transitive = claims.holds("zoo_transitive_bound", "v(S) <= |S|/n v(N) for a transitive zoo game")
+    efficiency = claims.add("zoo_efficiency_err", 1e-10, "Shapley values sum to v(N)")
+    large_sm = claims.holds("large_supermodular", "the large games are supermodular")
+    large_eff = claims.add("large_efficiency_gap", 1e-12, "the large games' Shapley values sum to v(N)")
+    large_shares = claims.add("large_shares_vs_marginal", 1e-12, "large-game Shapley shares = marginals")
     sp8 = uniform_space(8)
-    worst_marg = 0.0
     for trial in range(10):
         f = FunctionTable(sp8, rng.standard_normal(sp8.size))
         phi = games.shapley(games.build_clue_game(f))
         marg = dividend_shares(spectral.spectral_distribution(f))
-        err = float(np.max(np.abs(phi / _variance(f) - marg)))
-        worst_marg = max(worst_marg, err)
-        if err > 1e-9:
-            violations.append({"trial": trial, "shapley_vs_marginal": err})
+        marginal.see(float(np.max(np.abs(phi / _variance(f) - marg))), trial=trial)
     for trial in range(20):
         vals = rng.standard_normal(3**5) if trial % 2 else rng.standard_normal(2**5)
         for rep in range(5):
@@ -305,29 +340,20 @@ def games_suite() -> tuple[dict, list]:
             dropped = 1 << int(pair_rng.choice(mask_indices(large)))
             small = large & ~dropped & int(pair_rng.integers(0, 1 << 5))
             ok, pair = games.is_supermodular(game)
-            if not ok:
-                violations.append({"trial": trial, "rep": rep, "game": "variance", "pair": pair})
-            else:
-                gain = _subgame_shapley_gain(game, small, large)
-                min_gain = min(min_gain, gain)
-                if gain < -games.GAME_TOL:
-                    violations.append({"trial": trial, "rep": rep, "small": small, "large": large,
-                                       "subgame_shapley_gain": gain})
+            variance_sm.see(ok, trial=trial, rep=rep, pair=pair)
+            if ok:
+                gain.see(_subgame_shapley_gain(game, small, large), trial=trial, rep=rep, small=small,
+                         large=large)
             fb = FunctionTable(sp, (vals > np.median(vals)).astype(float))
             ok, pair = games.is_supermodular(games.build_iclue_game(fb))
-            if not ok:
-                violations.append({"trial": trial, "rep": rep, "game": "information", "pair": pair})
+            information_sm.see(ok, trial=trial, rep=rep, pair=pair)
     zoo_entries = [zoo.from_spec(spec) for spec in ("sum:8", "parity:8", "maj:7", "tribes:2,4")]
     for entry in zoo_entries:
         game = games.build_clue_game(entry.table)
-        if not games.shapley_in_core(game):
-            violations.append({"fn": entry.name, "problem": "shapley not in core"})
+        in_core.see(games.shapley_in_core(game), fn=entry.name)
         report = games.transitive_game_bound(game, entry.action)
-        if not report.bound_holds:
-            violations.append({"fn": entry.name, "problem": "transitive bound", "excess": report.max_violation})
-        eff = abs(games.shapley(game).sum() - game.grand_value)
-        if eff > 1e-10:
-            violations.append({"fn": entry.name, "efficiency_err": eff})
+        transitive.see(report.bound_holds, fn=entry.name, excess=report.max_violation)
+        efficiency.see(abs(games.shapley(game).sum() - game.grand_value), fn=entry.name)
     large = []
     for spec, kind, build in (("tribes:4,4", "variance", games.build_clue_game),
                               ("tribes:3,4", "information", games.build_iclue_game),
@@ -341,10 +367,10 @@ def games_suite() -> tuple[dict, list]:
                "efficiency_gap": abs(float(phi.sum()) - game.grand_value),
                "shares_vs_marginal": float(np.max(np.abs(phi / game.grand_value - marg)))}
         large.append(row)
-        if not row["supermodular"] or max(row["efficiency_gap"], row["shares_vs_marginal"]) > 1e-12:
-            violations.append({"large_game": row})
-    return {"worst_shapley_vs_marginal": worst_marg, "zoo": [e.name for e in zoo_entries],
-            "min_subgame_shapley_gain": min_gain, "large_games": large}, violations
+        large_sm.see(row["supermodular"], fn=entry.name, kind=kind)
+        large_eff.see(row["efficiency_gap"], fn=entry.name, kind=kind)
+        large_shares.see(row["shares_vs_marginal"], fn=entry.name, kind=kind)
+    return {"zoo": [e.name for e in zoo_entries], "large_games": large}, claims
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +404,8 @@ def _kl_cover_deficit(f: FunctionTable, cover: list[int], k: int) -> float:
     return k * total - float(sum(infotheory._ent_of_marginal(_split_of(f, mask)) for mask in cover))
 
 
-def shearer_suite() -> tuple[dict, list]:
+def shearer_suite() -> tuple[dict, _Claims]:
     rng = generator_for(SUITE_SEED, 5)
-    violations = []
     entries = [
         zoo.from_spec("sum:10"),
         zoo.from_spec("parity:10"),
@@ -388,9 +413,14 @@ def shearer_suite() -> tuple[dict, list]:
         zoo.from_spec("tribes:2,5"),
         zoo.from_spec("tribes:3,3"),
     ]
-    worst_i = -np.inf
-    worst_kl = -np.inf
-    lattice_err = 0.0
+    claims = _Claims()
+    i_slack = claims.add("worst_i_slack", 1e-10, "I(f : X_U) / H(f) <= |U|/n for transitive f")
+    kl_slack = claims.add("worst_kl_slack", 1e-10, "Ent(E[f | U]) / Ent(f) <= |U|/n for transitive f >= 0")
+    deficit = claims.add("worst_cover_deficit", -1e-10, "Shearer: sum_j I(f : X_Sj) <= k H(f) on a k-cover",
+                         lower=True)
+    kl_deficit = claims.add("worst_kl_cover_deficit", -1e-10, "sum_j Ent(E[f | Sj]) <= k Ent(f) on a k-cover",
+                            lower=True)
+    lattice = claims.add("lattice_max_err", LATTICE_TOL, "the lattice routes agree with the per-mask routes")
     oracle_rng = generator_for(SUITE_SEED, ORACLE_STREAM + 5)
     for entry in entries:
         f = entry.table
@@ -401,19 +431,11 @@ def shearer_suite() -> tuple[dict, list]:
         mi = infotheory.mutual_information_all_subsets(f)
         kl = infotheory.kl_clue_all_subsets(fnn)
         for mask in _oracle_masks(oracle_rng, n):
-            lattice_err = max(lattice_err, abs(mi[mask] - infotheory.mutual_information(f, mask)),
-                              abs(kl[mask] - infotheory.kl_clue(fnn, mask)))
-        i_slack = mi / h_z - pc / n
-        kl_slack = kl - pc / n
-        worst_i = max(worst_i, i_slack.max())
-        worst_kl = max(worst_kl, kl_slack.max())
-        for mask in np.nonzero((i_slack > 1e-10) | (kl_slack > 1e-10))[0].tolist():
-            violations.append({"fn": entry.name, "mask": mask, "i": i_slack[mask], "kl": kl_slack[mask]})
-    if lattice_err > LATTICE_TOL:
-        violations.append({"lattice_max_err": lattice_err})
+            lattice.see(abs(mi[mask] - infotheory.mutual_information(f, mask)), fn=entry.name, mask=mask)
+            lattice.see(abs(kl[mask] - infotheory.kl_clue(fnn, mask)), fn=entry.name, mask=mask)
+        i_slack.see(mi / h_z - pc / n, fn=entry.name)
+        kl_slack.see(kl - pc / n, fn=entry.name)
     sp6 = uniform_space(6)
-    worst_deficit = np.inf
-    worst_kl_deficit = np.inf
     for trial in range(50):
         f = _random_boolean(sp6, rng)
         cover = [int(rng.integers(1, 64)) for _ in range(int(rng.integers(2, 7)))]
@@ -421,19 +443,9 @@ def shearer_suite() -> tuple[dict, list]:
             sum(1 for mask in cover if (mask >> j) & 1) for j in range(6)
         )
         k = max(k, 1)
-        deficit = _shearer_deficit(f, cover, k)
-        kl_deficit = _kl_cover_deficit(f, cover, k)
-        worst_deficit = min(worst_deficit, deficit)
-        worst_kl_deficit = min(worst_kl_deficit, kl_deficit)
-        if deficit < -1e-10 or kl_deficit < -1e-10:
-            violations.append({"trial": trial, "cover": cover, "k": k, "deficit": deficit, "kl": kl_deficit})
-    return {
-        "worst_i_slack": float(worst_i),
-        "worst_kl_slack": float(worst_kl),
-        "worst_cover_deficit": float(worst_deficit),
-        "worst_kl_cover_deficit": float(worst_kl_deficit),
-        "lattice_max_err": float(lattice_err),
-    }, violations
+        deficit.see(_shearer_deficit(f, cover, k), trial=trial, cover=cover, k=k)
+        kl_deficit.see(_kl_cover_deficit(f, cover, k), trial=trial, cover=cover, k=k)
+    return {}, claims
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +490,7 @@ def _projection_bounds(f: FunctionTable, g: FunctionTable, mask: int) -> dict:
     }
 
 
-def sandwiches_suite() -> tuple[dict, list]:
+def sandwiches_suite() -> tuple[dict, _Claims]:
     """Two-sided comparisons of the TV and entropy clue against the variance
     clue, on random Boolean functions with p_min >= 0.05, and the two other
     bounds whose provable form differs from a commonly quoted one.
@@ -520,12 +532,24 @@ def sandwiches_suite() -> tuple[dict, list]:
     """
     rng = generator_for(SUITE_SEED, 6)
     sp8 = uniform_space(8)
-    margins = {"tv_lower": np.inf, "tv_upper": np.inf, "i_lower": np.inf, "i_upper": np.inf}
-    max_ratio = 0.0
-    linear_gap = np.inf
-    linear_counterexamples = []
-    violations = []
-    lattice_err = 0.0
+    claims = _Claims()
+    sandwich = [claims.add(key, -1e-10, statement, lower=True, cap=8) for key, statement in (
+        ("tv_lower", "tv_clue >= p_min/2 clue"),
+        ("tv_upper", "tv_clue <= sqrt(clue) / (2 sqrt(p_min (1 - p_min)))"),
+        ("i_lower", "clue >= p^2 (1 - p)^2 i_clue for p = P[f = 1]"),
+        ("i_upper", "clue <= i_clue / p_min"))]
+    lattice = claims.add("lattice_max_err", LATTICE_TOL, "the lattice routes agree with the per-mask routes")
+    max_ratio = claims.add("tv_upper_max_ratio", None, "largest tv_clue over its square-root bound (reads 1)")
+    linear = claims.add("tv_upper_linear_gap", -1e-10, "the false linear form tv_clue <= 2/p_min clue",
+                        lower=True, cap=4, asserted=False)
+    floor = claims.add("projection_floor_margin", -PROJECTION_TOL,
+                       "each clue of a pair is at least c - 2 eps - 2 sqrt(2 eps (1 - c))", lower=True)
+    corr = claims.add("projection_corr_margin", -PROJECTION_TOL, "Corr(Pf, Pg) >= 1 - eps/c", lower=True)
+    naive = claims.add("naive_transfer_gap", None, "the false floor c - 2 eps", lower=True)
+    chain = {key: claims.add(f"chain_{key}", -1e-12, statement, lower=True) for key, statement in (
+        ("witness_clue", "witness <= clue on balanced tables"),
+        ("clue_sig", "clue <= sig on balanced tables"),
+        ("sig_influence", "sig <= influence_set on balanced tables"))}
     oracle_rng = generator_for(SUITE_SEED, ORACLE_STREAM + 6)
     masks = np.arange(1 << 8)
     for trial in range(100):
@@ -538,38 +562,17 @@ def sandwiches_suite() -> tuple[dict, list]:
         h_z = infotheory.value_entropy(f)
         icl = np.minimum(infotheory.mutual_information_all_subsets(f) / h_z, 1.0)
         for mask in _oracle_masks(oracle_rng, 8):
-            lattice_err = max(lattice_err, abs(tv[mask] - tv_clue(f, mask)),
-                              abs(icl[mask] - infotheory.i_clue(f, mask)))
+            lattice.see(abs(tv[mask] - tv_clue(f, mask)), trial=trial, mask=mask)
+            lattice.see(abs(icl[mask] - infotheory.i_clue(f, mask)), trial=trial, mask=mask)
         tv_bound = np.sqrt(np.maximum(c, 0.0)) / (2.0 * sqrt_var)
-        checks = {
-            "tv_lower": tv - pm / 2.0 * c,
-            "tv_upper": tv_bound - tv,
-            "i_lower": c - mean**2 * (1 - mean) ** 2 * icl,
-            "i_upper": icl / pm - c,
-        }
-        for key, slack in checks.items():
-            margins[key] = min(margins[key], slack.min())
-        for mask in np.nonzero(np.min(list(checks.values()), axis=0) < -1e-10)[0].tolist():
-            for key, slack in checks.items():
-                if slack[mask] < -1e-10 and len(violations) < 8:
-                    violations.append(
-                        {"bound": key, "trial": trial, "mask": mask, "slack": float(slack[mask]),
-                         "clue": float(c[mask]), "tv": float(tv[mask]), "i_clue": float(icl[mask]),
-                         "p_min": float(pm)}
-                    )
+        where = {"trial": trial, "clue": c, "tv": tv, "p_min": float(pm)}
+        slacks = (tv - pm / 2.0 * c, tv_bound - tv, c - mean**2 * (1 - mean) ** 2 * icl, icl / pm - c)
+        for claim, slack in zip(sandwich, slacks):
+            claim.see(slack, i_clue=icl, **where)
         attained = (masks > 0) & (c > 0.0)
         if attained.any():
-            max_ratio = max(max_ratio, (tv[attained] / tv_bound[attained]).max())
-        linear_slack = 2.0 / pm * c - tv
-        linear_gap = min(linear_gap, linear_slack.min())
-        for mask in np.nonzero(linear_slack < -1e-10)[0][: 4 - len(linear_counterexamples)].tolist():
-            linear_counterexamples.append(
-                {"trial": trial, "mask": mask, "slack": float(linear_slack[mask]),
-                 "clue": float(c[mask]), "tv": float(tv[mask]), "p_min": float(pm)}
-            )
-    if lattice_err > LATTICE_TOL:
-        violations.append({"lattice_max_err": lattice_err})
-    projection = {"floor_slack": np.inf, "corr_slack": np.inf, "naive_gap": np.inf}
+            max_ratio.see(tv[attained] / tv_bound[attained])
+        linear.see(2.0 / pm * c - tv, **where)
     pair_rng = generator_for(SUITE_SEED, PAIR_STREAM + 6)
     for trial in range(100):
         n = int(pair_rng.integers(2, 7))
@@ -578,12 +581,10 @@ def sandwiches_suite() -> tuple[dict, list]:
         g = FunctionTable(sp, f.values + pair_rng.uniform(0, 2) * pair_rng.standard_normal(sp.size))
         mask = int(pair_rng.integers(0, 1 << n))
         bounds = _projection_bounds(f, g, mask)
-        for key in projection:
-            if bounds[key] is not None:
-                projection[key] = min(projection[key], bounds[key])
-        if min(bounds["floor_slack"], bounds["corr_slack"] or 0.0) < -PROJECTION_TOL:
-            violations.append({"bound": "projection", "trial": trial, "mask": mask, **bounds})
-    chain = {"witness_clue": np.inf, "clue_sig": np.inf, "sig_influence": np.inf}
+        floor.see(bounds["floor_slack"], trial=trial, mask=mask, eps=bounds["eps"])
+        if bounds["corr_slack"] is not None:
+            corr.see(bounds["corr_slack"], trial=trial, mask=mask, eps=bounds["eps"])
+        naive.see(bounds["naive_gap"])
     chain_rng = generator_for(SUITE_SEED, CHAIN_STREAM + 6)
     sp6 = uniform_space(6)
     for trial in range(20):
@@ -592,32 +593,21 @@ def sandwiches_suite() -> tuple[dict, list]:
         f = FunctionTable(sp6, vals)
         c = clue_all_subsets_table(f)
         sig = 1.0 - c[::-1]  # the complement of mask m is 63 - m
-        links = {
-            "witness_clue": c - np.array([witness(f, mask) for mask in range(sp6.size)]),
-            "clue_sig": sig - c,
-            "sig_influence": np.array([influence_set(f, mask) for mask in range(sp6.size)]) - sig,
-        }
-        for key, slack in links.items():
-            chain[key] = min(chain[key], float(slack.min()))
-            if slack.min() < -1e-12:
-                violations.append({"bound": f"chain_{key}", "trial": trial,
-                                   "mask": int(slack.argmin()), "slack": float(slack.min())})
-    details = {k: float(v) for k, v in margins.items()}
-    details["lattice_max_err"] = float(lattice_err)
-    details["tv_upper_max_ratio"] = float(max_ratio)
-    details["tv_upper_linear_gap"] = float(linear_gap)
-    details["tv_upper_linear_counterexamples"] = linear_counterexamples
-    details["projection_floor_margin"] = projection["floor_slack"]
-    details["projection_corr_margin"] = projection["corr_slack"]
-    details["naive_transfer_gap"] = projection["naive_gap"]
-    details.update({f"chain_{key}": margin for key, margin in chain.items()})
-    details["note"] = (
-        "tv_upper is the slack of tv <= sqrt(clue) / (2 sqrt(p_min (1 - p_min))), "
-        "which Cauchy-Schwarz proves and single coordinates attain; the linear "
-        "form 2/p_min * clue is false for weak subsets (tv ~ sqrt(clue)) and is "
-        "reported as tv_upper_linear_gap, not asserted"
-    )
-    return details, violations
+        chain["witness_clue"].see(c - np.array([witness(f, mask) for mask in range(sp6.size)]), trial=trial)
+        chain["clue_sig"].see(sig - c, trial=trial)
+        chain["sig_influence"].see(
+            np.array([influence_set(f, mask) for mask in range(sp6.size)]) - sig, trial=trial)
+    return {
+        "tv_upper_linear_counterexamples": [
+            {"slack" if key == "value" else key: value for key, value in seen.items() if key != "claim"}
+            for seen in linear.violations],
+        "note": (
+            "tv_upper is the slack of tv <= sqrt(clue) / (2 sqrt(p_min (1 - p_min))), "
+            "which Cauchy-Schwarz proves and single coordinates attain; the linear "
+            "form 2/p_min * clue is false for weak subsets (tv ~ sqrt(clue)) and is "
+            "reported as tv_upper_linear_gap, not asserted"
+        ),
+    }, claims
 
 
 # ---------------------------------------------------------------------------
@@ -642,17 +632,17 @@ def _revealment(law: np.ndarray) -> float:
     return float(containing_sums(law).max(initial=0.0))
 
 
-def revealment_suite() -> tuple[dict, list]:
+def revealment_suite() -> tuple[dict, _Claims]:
     """Expected clue against revealment on Bernoulli and cyclic-translate
     laws.  ``worst_fiber_err`` checks each expected clue (on Bernoulli sets,
     the level route) against the law dotted with every subset's fiber clue;
     the identity error checks the 2^n Bernoulli law dotted with every
     subset's clue against stability(p) / Var f."""
     rng = generator_for(SUITE_SEED, 7)
-    violations = []
-    worst_gap = -np.inf
-    worst_identity = 0.0
-    worst_fiber = 0.0
+    claims = _Claims()
+    gap = claims.add("worst_gap", 1e-10, "E clue(f | U) <= max_j P[j in U], the revealment of U")
+    identity = claims.add("worst_bernoulli_identity_err", 1e-10, "Bernoulli(p) U: E clue = Stab_p / Var f")
+    fiber_err = claims.add("worst_fiber_err", 1e-10, "E clue is the law dotted with the fiber clues")
     tables = [zoo.from_spec("maj:7").table, zoo.from_spec("tribes:2,4").table]
     for trial in range(6):
         sp = uniform_space(int(rng.integers(5, 9)))
@@ -667,28 +657,17 @@ def revealment_suite() -> tuple[dict, list]:
         for p in p_grid:
             law = _bernoulli_sets(n, p)
             ec = expected_clue(f, p ** np.arange(n + 1))
-            gap = ec - _revealment(law)
-            identity_err = abs(float(law @ every) - spectral.stability(prof, p) / var)
-            fiber_err = abs(ec - float(law @ fiber))
-            worst_gap = max(worst_gap, gap)
-            worst_identity = max(worst_identity, identity_err)
-            worst_fiber = max(worst_fiber, fiber_err)
-            if gap > 1e-10 or identity_err > 1e-10 or fiber_err > 1e-10:
-                violations.append({"n": n, "p": p, "gap": gap, "identity_err": identity_err,
-                                   "fiber_err": fiber_err})
+            gap.see(ec - _revealment(law), n=n, p=p)
+            identity.see(abs(float(law @ every) - spectral.stability(prof, p) / var), n=n, p=p)
+            fiber_err.see(abs(ec - float(law @ fiber)), n=n, p=p)
         rotations = [[(v + k) % n for v in range(n)] for k in range(n)]
         for _ in range(4):
             mask = int(rng.integers(1, 1 << n))
             law = _translate_sets(mask, rotations, n)
             ec = float(law @ every)
-            gap = ec - _revealment(law)
-            fiber_err = abs(ec - float(law @ fiber))
-            worst_gap = max(worst_gap, gap)
-            worst_fiber = max(worst_fiber, fiber_err)
-            if gap > 1e-10 or fiber_err > 1e-10:
-                violations.append({"n": n, "translate_mask": mask, "gap": gap, "fiber_err": fiber_err})
-    return {"worst_gap": float(worst_gap), "worst_bernoulli_identity_err": float(worst_identity),
-            "worst_fiber_err": float(worst_fiber)}, violations
+            gap.see(ec - _revealment(law), n=n, translate_mask=mask)
+            fiber_err.see(abs(ec - float(law @ fiber)), n=n, translate_mask=mask)
+    return {}, claims
 
 
 # ---------------------------------------------------------------------------
@@ -776,14 +755,15 @@ def _varies(f: FunctionTable) -> bool:
     return bool(f.values.min() < f.values.max())
 
 
-def covariance_lemma_suite() -> tuple[dict, list]:
+def covariance_lemma_suite() -> tuple[dict, _Claims]:
     rng = generator_for(SUITE_SEED, 8)
-    violations = []
+    claims = _Claims()
+    pins = claims.add("dictator_err", 1e-9, "both sides of the identity are 1 on the dictator pair")
+    err = claims.add("worst_abs_err", 1e-9, "the pivotal-overlap integral is Cov(f, g) for monotone f, g")
     d = zoo.from_spec("dictator:3,0").table
     lhs, rhs = _covariance_lemma_check(d, d)
-    dictator_pins = abs(lhs - 1.0) < 1e-9 and abs(rhs - 1.0) < 1e-9
-    if not dictator_pins:
-        violations.append({"case": "dictator", "lhs": lhs, "rhs": rhs})
+    pins.see(abs(lhs - 1.0), side="lhs")
+    pins.see(abs(rhs - 1.0), side="rhs")
     pairs = []
     for trial in range(50):
         sp = uniform_space(int(rng.integers(2, 7)))
@@ -792,17 +772,12 @@ def covariance_lemma_suite() -> tuple[dict, list]:
     pair_rng = generator_for(SUITE_SEED, PAIR_STREAM + 8)
     thresholds = [(f"threshold-{n}", _random_threshold(uniform_space(n), pair_rng),
                    _random_threshold(uniform_space(n), pair_rng)) for n in range(9, 17)]
-    worst = 0.0
     for trial, f, g in pairs + thresholds:
         lhs, rhs = _covariance_lemma_check(f, g)
-        err = abs(lhs - rhs)
-        worst = max(worst, err)
-        if err > 1e-9:
-            violations.append({"trial": trial, "n": f.n, "lhs": lhs, "rhs": rhs})
+        err.see(abs(lhs - rhs), trial=trial, n=f.n, lhs=lhs, rhs=rhs)
     return {
         "identity_constant": 1.0,
-        "dictator_pins_constant": dictator_pins,
-        "worst_abs_err": float(worst),
+        "dictator_pins_constant": pins.worst <= pins.bound,
         "nondegenerate_trials": sum(_varies(f) and _varies(g) for _, f, g in pairs),
         "threshold_pairs_vary": all(_varies(f) and _varies(g) for _, f, g in thresholds),
         "max_n": max(f.n for _, f, _ in pairs + thresholds),
@@ -811,7 +786,7 @@ def covariance_lemma_suite() -> tuple[dict, list]:
             "constant 1; the variant normalization carrying an extra 1/4 "
             "fails the dictator case and is rejected by this oracle"
         ),
-    }, violations
+    }, claims
 
 
 # ---------------------------------------------------------------------------
@@ -863,65 +838,68 @@ def _scalar_crossing(rect: perco.RectangleSpec, open_row, dual: bool = False) ->
     return False
 
 
-def perco_suite() -> tuple[dict, list]:
+def perco_suite() -> tuple[dict, _Claims]:
     rng = generator_for(SUITE_SEED, 9)
-    violations = []
+    claims = _Claims()
+    self_dual = claims.add("self_dual_err", 0.0, "the 3x2 left-right crossing has probability exactly 1/2")
+    duality = claims.add("duality_mismatches", 0, "exactly one of a crossing and its dual crossing occurs")
+    invariant = claims.holds("averaged_invariant", "the averaged torus table is translation invariant")
+    slack = claims.add("bound_worst_slack", 1e-9, "clue(U) <= 2|U|/9 on the 3x3 torus (two edge orbits)")
+    kernel = claims.add("kernel_mismatches", 0, "the crossing kernels agree with a breadth-first search")
+    mc = claims.add("mc_z", 3.0, "the Monte Carlo 4x3 crossing is within 3 stderr of the exact value")
     r32, r43 = perco.RectangleSpec(3, 2), perco.RectangleSpec(4, 3)
     p_exact = perco.crossing_probability_exact(r32)
-    if p_exact != 0.5:
-        violations.append({"case": "self-dual probability", "value": str(p_exact)})
+    self_dual.see(abs(float(p_exact) - 0.5), probability=str(p_exact))
     for rect in (r32, r43):
         configs = perco._all_configs(rect.edge_count)
         xor = perco.crossing_batch(rect, configs) ^ perco.dual_crossing_batch(rect, configs)
-        if not bool(np.all(xor)):
-            violations.append({"case": "duality xor", "shape": f"{rect.w}x{rect.h}",
-                               "bad_configs": int(np.sum(~xor))})
+        duality.see(int(np.sum(~xor)), shape=f"{rect.w}x{rect.h}")
     torus = perco.TorusSpec(3)
     averaged = perco.averaged_lr_table(torus)
-    if not symmetry.is_invariant(averaged, torus.translation_group()):
-        violations.append({"case": "averaged table not translation invariant"})
+    invariant.see(symmetry.is_invariant(averaged, torus.translation_group()))
     torus_clue = clue_all_subsets_table(averaged)
     n_edges = torus.edge_count
-    worst_slack = -np.inf
     masks = [1 << e for e in range(n_edges)]
     masks += [(1 << a) | (1 << b) for a in range(n_edges) for b in range(a + 1, n_edges)]
     masks += [int(rng.integers(1, 1 << n_edges)) for _ in range(500)]
-    for mask in masks:
-        slack = float(torus_clue[mask]) - 2.0 * mask.bit_count() / 9.0
-        worst_slack = max(worst_slack, slack)
-        if slack > 1e-9:
-            violations.append({"case": "two-orbit bound", "mask": mask, "excess": slack})
-    kernel_mismatches = 0  # rows drawn after the masks, so the masks stay pinned
+    checked = np.array(masks)
+    slack.see(torus_clue[checked] - 2.0 * popcounts(n_edges)[checked] / 9.0, mask=checked)
+    bad = {}  # rows drawn after the masks, so the masks stay pinned
     for rect in (perco.RectangleSpec(9, 8), perco.RectangleSpec(21, 20)):
         rows = rng.random((200, rect.edge_count)) < 0.5
         for dual, batch in ((False, perco.crossing_batch), (True, perco.dual_crossing_batch)):
             oracle = [_scalar_crossing(rect, row, dual) for row in rows]
-            bad = int(np.sum(batch(rect, rows) != oracle))
-            kernel_mismatches += bad
-            if bad:
-                violations.append({"case": "kernel vs oracle", "shape": f"{rect.w}x{rect.h}",
-                                   "dual": dual, "bad_rows": bad})
+            bad[f"{rect.w}x{rect.h}" + " dual" * dual] = int(np.sum(batch(rect, rows) != oracle))
+    kernel.see(sum(bad.values()), bad_rows=bad)
     exact43 = float(perco.crossing_probability_exact(r43))
     estimate, stderr = perco.crossing_probability_mc(r43, 200_000, seed=SUITE_SEED)
-    if abs(estimate - exact43) > 3.0 * stderr:
-        violations.append({"case": "mc crossing", "exact": exact43, "estimate": estimate, "stderr": stderr})
+    mc.see(abs(estimate - exact43) / stderr, exact=exact43, estimate=estimate, stderr=stderr)
     return {
         "self_dual_probability": str(p_exact),
-        "bound_worst_slack": float(worst_slack),
         "masks_checked": len(masks),
         "mc_estimate": estimate,
         "mc_stderr": stderr,
         "exact_4x3": exact43,
-        "kernel_mismatches": kernel_mismatches,
-    }, violations
+    }, claims
 
 
 # ---------------------------------------------------------------------------
 # 10. Monte Carlo calibration
 # ---------------------------------------------------------------------------
-def montecarlo_suite() -> tuple[dict, list]:
+def montecarlo_suite() -> tuple[dict, _Claims]:
+    """Calibration of :func:`mc_clue` over 200 seeded reps per case: the
+    corrected mean sits within 3 sem of the exact 0.25, the uncorrected
+    mean shows the nesting bias, and the reported error bars cover.  With 8
+    batches a rep's z = (estimate - 0.25) / stderr follows Student-t(7),
+    for which P(|T| > 3) = 0.019942; a count of 13 or more reps past 3 out
+    of 200 has Binomial(200, 0.019942) probability 2.2e-4."""
     n_reps = 200
-    violations = []
+    claims = _Claims()
+    mean_z = claims.add("mean_z", 3.0, "the corrected mean is within 3 sem of the exact clue")
+    bias_z = claims.add("nesting_bias_z", 3.0, "uncorrected mean biased up by >= 3 sem", lower=True)
+    batches = claims.add("coverage_min_batches", 8, "every rep has at least 8 batches", lower=True)
+    beyond = claims.add("coverage_beyond_3", 12, "at most 12 of 200 reps have |z| > 3")
+    determinism = claims.holds("seed_determinism", "a seed fixes the estimate and its error bar")
     sp3 = uniform_space(3)
     sp16 = uniform_space(16)
     cases = [
@@ -930,12 +908,11 @@ def montecarlo_suite() -> tuple[dict, list]:
     ]
     details = {}
     for name, ev, sp, mask, exact in cases:
-        corrected = np.empty(n_reps)
-        uncorrected = np.empty(n_reps)
+        corrected, uncorrected, stderr = np.empty(n_reps), np.empty(n_reps), np.empty(n_reps)
         for rep in range(n_reps):
             est = mc_clue(ev, sp, mask, 2000, 50, seed=SUITE_SEED + 1000 + rep)
-            corrected[rep] = est.estimate
-            uncorrected[rep] = est.uncorrected
+            corrected[rep], uncorrected[rep], stderr[rep] = est.estimate, est.uncorrected, est.stderr
+            batches.see(est.batches, case=name, rep=rep)
         sem = corrected.std(ddof=1) / np.sqrt(n_reps)
         bias = uncorrected.mean() - exact
         bias_sem = uncorrected.std(ddof=1) / np.sqrt(n_reps)
@@ -946,28 +923,25 @@ def montecarlo_suite() -> tuple[dict, list]:
             "nesting_bias": float(bias),
             "expected_bias": (1 - exact) / 50,
         }
-        if abs(corrected.mean() - exact) > 3 * sem:
-            violations.append({"case": name, "problem": "corrected mean off", **details[name]})
-        if bias < 3 * bias_sem:
-            violations.append({"case": name, "problem": "nesting bias not detected", **details[name]})
+        mean_z.see(float(abs(corrected.mean() - exact) / sem), case=name)
+        bias_z.see(float(bias / bias_sem), case=name)
+        beyond.see(int(np.sum(~(np.abs(corrected - exact) <= 3.0 * stderr))), case=name)
     runs = [mc_clue(zoo.sum_evaluator(16), sp16, 0b1111, 1500, 20, seed=SUITE_SEED) for _ in range(2)]
-    deterministic = all(
-        r.estimate == runs[0].estimate and r.stderr == runs[0].stderr for r in runs
-    )
-    details["seed_determinism"] = deterministic
-    if not deterministic:
-        violations.append({"case": "determinism", "estimates": [r.estimate for r in runs]})
-    return details, violations
+    determinism.see(all(r.estimate == runs[0].estimate and r.stderr == runs[0].stderr for r in runs),
+                    estimates=[r.estimate for r in runs])
+    return details, claims
 
 
 # ---------------------------------------------------------------------------
 # 11. finite-size surrogate of the steered-majority mechanism
 # ---------------------------------------------------------------------------
-def composite_trend_suite() -> tuple[dict, list]:
+def composite_trend_suite() -> tuple[dict, _Claims]:
     """clue of the steering block must grow along the coupled size sequence,
     with Monte Carlo gaps significant at 3 sigma and each estimate consistent
     with the exact two-point formula."""
-    violations = []
+    claims = _Claims()
+    estimate_z = claims.add("estimate_z", 3.0, "each estimate is within 3 stderr of the exact two-point clue")
+    trend_z = claims.add("trend_z", 3.0, "clue grows along the sizes by >= 3 sigma", lower=True)
     points = []
     for t in (40, 80, 160):
         m = _coupled_majority_size(t)
@@ -979,14 +953,11 @@ def composite_trend_suite() -> tuple[dict, list]:
         est = mc_clue(ev, sp, t_mask, 3000, 24, seed=SUITE_SEED + t)
         points.append({"t": t, "m": m, "shift": shift, "exact": exact,
                        "estimate": est.estimate, "stderr": est.stderr})
-        if abs(est.estimate - exact) > 3 * max(est.stderr, 1e-9):
-            violations.append({"case": f"t={t}", "problem": "estimate vs exact", **points[-1]})
+        estimate_z.see(abs(est.estimate - exact) / max(est.stderr, 1e-9), t=t)
     for lo, hi in zip(points, points[1:]):
-        gap = hi["estimate"] - lo["estimate"]
-        noise = np.hypot(hi["stderr"], lo["stderr"])
-        if gap < 3 * noise:
-            violations.append({"case": "trend", "from": lo["t"], "to": hi["t"], "gap": gap, "noise": noise})
-    return {"points": points}, violations
+        trend_z.see((hi["estimate"] - lo["estimate"]) / np.hypot(hi["stderr"], lo["stderr"]),
+                    **{"from": lo["t"], "to": hi["t"]})
+    return {"points": points}, claims
 
 
 def _coupled_majority_size(t: int) -> int:
@@ -1071,10 +1042,15 @@ SUITES = {
 
 
 def run_suite(name: str) -> SuiteReport:
-    """Run the suite registered under ``name`` and time it; each suite returns
-    its details and violations, and passes when it has no violations."""
+    """Run the suite registered under ``name`` and time it.  Each suite
+    returns its other details and its claims; every claim's worst value is
+    the detail of its name, and the suite passes when no asserted claim
+    records a violation."""
     if name not in SUITES:
         raise KeyError(name)
-    t0 = time.time()
-    details, violations = SUITES[name]()
-    return SuiteReport(name, details, violations, time.time() - t0)
+    t0 = time.perf_counter()
+    details, claims = SUITES[name]()
+    seconds = time.perf_counter() - t0
+    return SuiteReport(name, {**{c.name: c.worst for c in claims}, **details},
+                       [v for c in claims if c.asserted for v in c.violations],
+                       [c.entry() for c in claims], seconds)

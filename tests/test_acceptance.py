@@ -27,6 +27,10 @@ def _report(number: int, rep: suites.SuiteReport) -> None:
 def _run(number: int, name: str):
     rep = suites.run_suite(name)
     _report(number, rep)
+    for claim in rep.claims:
+        assert rep.details[claim["name"]] == claim["worst"], claim["name"]
+    asserted = [claim for claim in rep.claims if claim["bound"] is not None]
+    assert rep.passed == all(claim["margin"] >= 0 for claim in asserted)
     assert rep.passed, f"criterion {number} violations: {rep.violations[:5]}"
     return rep
 
@@ -121,6 +125,11 @@ def test_criterion_10_monte_carlo_calibration():
         assert abs(stats["mean"] - 0.25) <= 3 * stats["sem"]
         assert stats["nesting_bias"] > 0.0
     assert rep.details["seed_determinism"] is True
+    # coverage of the reported error bars: t(7) tails, at most 12 of 200 reps past 3
+    claims = {claim["name"]: claim for claim in rep.claims}
+    assert claims["coverage_min_batches"]["bound"] == 8
+    assert claims["coverage_beyond_3"]["bound"] == 12
+    assert rep.details["coverage_beyond_3"] <= 12
 
 
 def test_criterion_11_finite_size_surrogates():

@@ -269,6 +269,10 @@ def test_verify_transitive_bound_passes(capsys):
     assert code == 0
     assert payload["pass"] is True
     assert payload["suite"] == "transitive-bound"
+    assert payload["claims"]
+    for claim in payload["claims"]:
+        assert set(claim) == {"name", "worst", "bound", "margin", "statement"}
+        assert claim["bound"] is None or claim["margin"] >= 0
 
 
 def test_spectrum_json(capsys):
